@@ -9,14 +9,14 @@
 //! reports `mean ± σ ns/iter` across them — the same spread-aware
 //! surface the experiment sweeps expose.
 
-use criterion::{BatchSize, Criterion};
+use criterion::Criterion;
 use qgov_bench::sweep::SeedSweep;
 use qgov_rl::Discretizer as _;
 use qgov_rl::{
     ActionContext, EpdPolicy, EwmaPredictor, ExplorationPolicy, Predictor, QTable,
     UniformDiscretizer,
 };
-use qgov_sim::{Platform, PlatformConfig, SensorConfig, WorkSlice};
+use qgov_sim::{FrameResult, Platform, PlatformConfig, SensorConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,26 +114,22 @@ fn bench_discretize(c: &mut Criterion) {
 }
 
 fn bench_platform_frame(c: &mut Criterion) {
+    // One frame per iteration through the in-place kernel every harness
+    // epoch calls, on a platform that stays warm across iterations.
     c.bench_function("platform_run_frame_4_cores", |b| {
-        let config = PlatformConfig {
+        let mut p = Platform::new(PlatformConfig {
             sensor: SensorConfig::ideal(),
             ..PlatformConfig::odroid_xu3_a15()
-        };
+        })
+        .unwrap();
+        p.set_cluster_opp(10);
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4];
-        b.iter_batched(
-            || {
-                let mut p = Platform::new(config.clone()).unwrap();
-                p.set_cluster_opp(10);
-                p
-            },
-            |mut p| {
-                for _ in 0..16 {
-                    black_box(p.run_frame(&work, SimTime::from_ms(40)).unwrap());
-                }
-                p
-            },
-            BatchSize::SmallInput,
-        );
+        let mut frame = FrameResult::empty();
+        b.iter(|| {
+            p.run_frame_into(&work, SimTime::from_ms(40), &mut frame)
+                .unwrap();
+            black_box(frame.energy)
+        });
     });
 }
 

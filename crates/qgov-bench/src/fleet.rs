@@ -1,70 +1,34 @@
-//! Fleet-scale simulation: N independent (platform, workload, agent)
-//! RTM instances stepped in lockstep through a structure-of-arrays
-//! engine.
+//! Fleets: many independent RTM instances, run as one batch.
 //!
-//! The flat harness ([`crate::harness::run_experiment`]) runs *one run
-//! at a time*: one governor, one platform, one application, epochs
-//! inner-most. A fleet inverts that loop — *one epoch across all
-//! runs* — with every instance's Q-table packed into one contiguous
-//! [`qgov_rl::QArena`] ([`qgov_rl::AgentLanes`]) and the per-instance
-//! simulation state (platform, application cursor, [`RtmLane`],
-//! report) held in parallel arrays. The per-epoch sweep then walks
-//! those arrays in instance order, reusing one shared scratch
-//! (frame-demand slot, frame-result slot, per-instance work buffers)
-//! so the steady-state epoch performs **zero heap allocations**
-//! (`tests/alloc_steady_state.rs` pins this with a counting
-//! allocator).
-//!
-//! **Bit-identity.** Instances never interact: each epoch step applies
-//! exactly the flat harness's per-epoch body to instance-local state,
-//! through the same shared seams ([`RtmLane::decide`] generic over
-//! [`EpochAgent`], the arena's `QAccess` window running the same
-//! row-max/Bellman kernels as `QTable`). Interleaving therefore
-//! preserves every instance's results bit-for-bit against N sequential
-//! [`run_experiment`](crate::harness::run_experiment) calls — pinned
-//! by `tests/fleet_determinism.rs` — and makes the results invariant
-//! under instance order, sharding, and `QGOV_WORKERS`.
-//!
-//! For multi-million-frame horizons, build the spec with
-//! [`FleetSpec::with_windowed_frames`] so each report streams its
-//! per-frame signals into O(windows) [`qgov_metrics::WindowedStats`]
-//! folds instead of retaining one `FrameStat` per frame.
+//! A [`FleetSpec`] lists instances — an RTM configuration (seed
+//! included), an application and a platform each — and [`run_fleet`]
+//! queues one [`run_experiment`] per instance through an
+//! [`ExperimentBatch`]. Instances never interact and the batch returns
+//! results in push order, so every instance's report is the one
+//! `run_experiment` gives for it alone, at any worker count
+//! (`tests/fleet_determinism.rs`).
 
-use crate::harness::{
-    apply_decision, debug_assert_no_run_state_bleed, debug_probe_reset_determinism,
-    to_work_slices_into,
-};
-use crate::runner::{ExperimentBatch, RunnerConfig, RunnerMode};
-use qgov_core::{EpochAgent, RtmConfig, RtmLane};
-use qgov_governors::{EpochObservation, GovernorContext};
+use crate::harness::run_experiment;
+use crate::runner::{ExperimentBatch, RunnerConfig};
+use qgov_core::{RtmConfig, RtmGovernor};
 use qgov_metrics::{MetricSummary, RunReport};
-use qgov_rl::{ActionSpace, AgentLanes, LaneSpec};
-use qgov_sim::{FrameResult, Platform, PlatformConfig, WorkSlice};
-use qgov_workloads::{Application, FrameDemand};
+use qgov_sim::{Platform, PlatformConfig};
+use qgov_workloads::Application;
 
 /// One fleet member: its RTM configuration (seed included), its
 /// workload, and the platform it runs on.
-pub struct FleetInstance {
-    /// RTM configuration for this instance's governor.
-    pub config: RtmConfig,
-    /// The instance's application (owned — the engine drives and
-    /// resets it exactly as the flat harness would).
-    pub app: Box<dyn Application + Send>,
-    /// Platform to build for this instance.
-    pub platform: PlatformConfig,
+struct FleetInstance {
+    config: RtmConfig,
+    app: Box<dyn Application + Send>,
+    platform: PlatformConfig,
 }
 
-/// A fleet run's specification: the instances, the frame horizon, and
-/// the report retention mode.
-///
-/// All instances must share one OPP table (action space) and one
-/// Q-table state count — the uniform shape the shared arena requires.
-/// Everything else (seed, workload, reward, ε schedule, sensor model)
-/// may vary per instance.
+/// A fleet run's specification: the instances and the frame horizon.
+/// Seed, workload, reward, ε schedule and platform may all vary per
+/// instance.
 pub struct FleetSpec {
     instances: Vec<FleetInstance>,
     frames: u64,
-    window_len: Option<u64>,
 }
 
 impl FleetSpec {
@@ -75,7 +39,6 @@ impl FleetSpec {
         FleetSpec {
             instances: Vec::new(),
             frames,
-            window_len: None,
         }
     }
 
@@ -91,16 +54,6 @@ impl FleetSpec {
             app,
             platform,
         });
-    }
-
-    /// Switches every instance's report to windowed retention
-    /// ([`RunReport::with_windowed_frames`]): per-frame signals stream
-    /// into `window_len`-frame [`qgov_metrics::WindowedStats`] folds,
-    /// keeping long horizons O(windows) instead of O(frames).
-    #[must_use]
-    pub fn with_windowed_frames(mut self, window_len: u64) -> Self {
-        self.window_len = Some(window_len);
-        self
     }
 
     /// A uniform fleet: one instance per seed, each with `base`
@@ -137,8 +90,8 @@ impl FleetSpec {
 }
 
 /// Everything a finished fleet run yields: one report and final
-/// platform per instance (in instance order), plus the aggregate frame
-/// count the throughput benchmarks divide by wall-clock.
+/// platform per instance (in instance order), plus the total frame
+/// count.
 #[derive(Debug)]
 pub struct FleetOutcome {
     /// Per-instance run reports, in instance order.
@@ -160,359 +113,45 @@ impl FleetOutcome {
     }
 }
 
-/// One instance's mutable window into the fleet's [`AgentLanes`] — the
-/// [`EpochAgent`] adapter [`RtmLane::decide`] drives, routing the
-/// Bellman update and action selection into the shared arena.
-struct LaneAgent<'a> {
-    lanes: &'a mut AgentLanes,
-    instance: usize,
-}
-
-impl EpochAgent for LaneAgent<'_> {
-    fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
-        self.lanes.begin_epoch(self.instance, state, reward, slack)
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.lanes.epsilon(self.instance)
-    }
-
-    fn exploration_count(&self) -> u64 {
-        self.lanes.exploration_count(self.instance)
-    }
-}
-
-/// The structure-of-arrays fleet engine: steps all instances one epoch
-/// at a time ([`FleetEngine::step_epoch`]) until every instance
-/// finishes, then [`FleetEngine::finish`] closes the reports.
-///
-/// [`run_fleet`] wraps the whole lifecycle; the engine is public so
-/// benches and the allocation test can drive the steady-state loop
-/// directly.
-pub struct FleetEngine {
-    lanes: AgentLanes,
-    rtm: Vec<RtmLane>,
-    platforms: Vec<Platform>,
-    apps: Vec<Box<dyn Application + Send>>,
-    reports: Vec<RunReport>,
-    /// Per-instance work-slice scratch (sized to each instance's core
-    /// count once, refilled in place every epoch).
-    work: Vec<Vec<WorkSlice>>,
-    /// Per-instance frame horizon (`frames.min(app.frames())`).
-    totals: Vec<u64>,
-    pristine: Vec<Option<FrameDemand>>,
-    epoch: u64,
-    max_total: u64,
-    /// Shared per-epoch scratch, refilled in place per instance.
-    demand: FrameDemand,
-    frame: FrameResult,
-}
-
-impl FleetEngine {
-    /// Builds the engine: per instance, the exact setup sequence of the
-    /// flat harness (platform, application reset + debug probe, lane,
-    /// conservative first decision, report) — with the Q-learning agent
-    /// construction pooled into one [`AgentLanes`] arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is empty, a platform configuration is
-    /// invalid, or the instances disagree on OPP table or state count
-    /// (the uniform shape the shared arena requires).
-    #[must_use]
-    pub fn new(spec: FleetSpec) -> Self {
-        assert!(!spec.is_empty(), "a fleet needs at least one instance");
-        let frames = spec.frames;
-        let n = spec.instances.len();
-        let mut platforms = Vec::with_capacity(n);
-        let mut apps = Vec::with_capacity(n);
-        let mut rtm = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        let mut work = Vec::with_capacity(n);
-        let mut totals = Vec::with_capacity(n);
-        let mut pristine = Vec::with_capacity(n);
-        let mut lane_specs = Vec::with_capacity(n);
-        let mut shared_actions: Option<ActionSpace> = None;
-        let mut states = 0usize;
-
-        for instance in spec.instances {
-            let FleetInstance {
-                config,
-                mut app,
-                platform,
-            } = instance;
-            let mut platform = Platform::new(platform).expect("valid platform config");
-            let period = app.period();
-            let cores = platform.cores();
-            let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
-
-            app.reset();
-            pristine.push(debug_probe_reset_determinism(app.as_mut()));
-
-            // RtmGovernor::init, instance-sliced: the lane holds all
-            // non-learning state; the agent blueprint (identical inputs
-            // to QLearningAgent::with_policy) goes to the shared arena.
-            let lane = RtmLane::new(&config, &ctx);
-            let actions = ActionSpace::from_freqs_ghz(&ctx.opp_table().freqs_ghz());
-            match &shared_actions {
-                None => {
-                    shared_actions = Some(actions);
-                    states = config.state_count();
-                }
-                Some(shared) => {
-                    assert_eq!(
-                        shared.freqs_ghz(),
-                        actions.freqs_ghz(),
-                        "all fleet instances must share one OPP table (action space)"
-                    );
-                    assert_eq!(
-                        states,
-                        config.state_count(),
-                        "all fleet instances must share one Q-table state count"
-                    );
-                }
-            }
-            lane_specs.push(LaneSpec {
-                config: config.agent_config(),
-                policy: config.exploration_policy(),
-                seed: config.seed,
-            });
-
-            apply_decision(&mut platform, &lane.first_decision())
-                .expect("initial decision in range");
-
-            let total = frames.min(app.frames());
-            let mut report = RunReport::new("rtm", app.name(), period);
-            if let Some(w) = spec.window_len {
-                report = report.with_windowed_frames(w);
-            }
-            report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-
-            totals.push(total);
-            work.push(vec![WorkSlice::IDLE; cores]);
-            reports.push(report);
-            rtm.push(lane);
-            platforms.push(platform);
-            apps.push(app);
-        }
-
-        let max_total = totals.iter().copied().max().unwrap_or(0);
-        let lanes = AgentLanes::new(
-            states,
-            &shared_actions.expect("non-empty fleet"),
-            lane_specs,
-        );
-        FleetEngine {
-            lanes,
-            rtm,
-            platforms,
-            apps,
-            reports,
-            work,
-            totals,
-            pristine,
-            epoch: 0,
-            max_total,
-            demand: FrameDemand::default(),
-            frame: FrameResult::empty(),
-        }
-    }
-
-    /// Number of instances.
-    #[must_use]
-    pub fn instances(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// Epochs stepped so far.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total decision epochs the full run will execute (sum of
-    /// per-instance horizons).
-    #[must_use]
-    pub fn total_frames(&self) -> u64 {
-        self.totals.iter().sum()
-    }
-
-    /// The shared Q-value arena (read access across the fleet).
-    #[must_use]
-    pub fn arena(&self) -> &qgov_rl::QArena {
-        self.lanes.arena()
-    }
-
-    /// Advances every still-running instance by one decision epoch —
-    /// the flat harness's per-epoch body applied instance by instance,
-    /// allocation-free in the steady state. Returns `true` while at
-    /// least one instance has epochs left.
-    pub fn step_epoch(&mut self) -> bool {
-        if self.epoch >= self.max_total {
-            return false;
-        }
-        let epoch = self.epoch;
-        for i in 0..self.apps.len() {
-            if epoch >= self.totals[i] {
-                continue;
-            }
-            self.apps[i].next_frame_into(&mut self.demand);
-            to_work_slices_into(&self.demand, &mut self.work[i]);
-            let period = self.rtm[i].period();
-            self.platforms[i]
-                .run_frame_into(&self.work[i], period, &mut self.frame)
-                .expect("work vector sized to cores");
-            self.reports[i].record_frame(
-                self.frame.frame_time,
-                self.frame.wall_time,
-                self.frame.energy,
-                self.frame.cluster_opp,
-                self.frame.met_deadline(),
-            );
-            let mut agent = LaneAgent {
-                lanes: &mut self.lanes,
-                instance: i,
-            };
-            let decision = self.rtm[i].decide(
-                &mut agent,
-                &EpochObservation {
-                    frame: &self.frame,
-                    epoch,
-                },
-            );
-            apply_decision(&mut self.platforms[i], &decision).expect("decision in range");
-            let overhead = self.rtm[i].processing_overhead();
-            self.platforms[i].add_overhead(overhead);
-        }
-        self.epoch += 1;
-        self.epoch < self.max_total
-    }
-
-    /// Closes every report (run totals, debug state-bleed guard) and
-    /// returns the outcome.
-    #[must_use]
-    pub fn finish(mut self) -> FleetOutcome {
-        let total_frames = self.total_frames();
-        for i in 0..self.apps.len() {
-            self.reports[i].set_run_totals(
-                self.platforms[i].total_energy(),
-                self.platforms[i].vf().transitions(),
-                self.platforms[i].vf().total_latency(),
-                self.platforms[i].peak_temperature(),
-            );
-            debug_assert_no_run_state_bleed(
-                self.apps[i].as_mut(),
-                self.pristine[i].as_ref(),
-                self.totals[i],
-            );
-        }
-        FleetOutcome {
-            reports: self.reports,
-            platforms: self.platforms,
-            total_frames,
-        }
-    }
-}
-
-/// Runs a whole fleet to completion under the given execution policy.
-///
-/// Serial: one engine (one arena) steps every instance. Parallel: the
-/// instances are split into contiguous shards, one engine per shard,
-/// executed through [`ExperimentBatch`]'s scoped-thread queue; results
-/// are re-concatenated in instance order. Because instances never
-/// interact, **the worker count and sharding never change any
-/// instance's results** — `tests/fleet_determinism.rs` pins this.
+/// Runs every instance of a fleet to completion under the given
+/// execution policy: one [`run_experiment`] per instance, drained by an
+/// [`ExperimentBatch`] and returned in instance order, so the worker
+/// count never changes any instance's results.
 ///
 /// # Panics
 ///
-/// Panics on an empty spec (via [`FleetEngine::new`]).
+/// Panics if an instance's RTM configuration is invalid.
 #[must_use]
 pub fn run_fleet(spec: FleetSpec, runner: &RunnerConfig) -> FleetOutcome {
-    let shards = shard_count(runner, spec.len());
-    if shards <= 1 {
-        let mut engine = FleetEngine::new(spec);
-        while engine.step_epoch() {}
-        return engine.finish();
-    }
-
-    let FleetSpec {
-        mut instances,
-        frames,
-        window_len,
-    } = spec;
-    let per_shard = instances.len().div_ceil(shards);
+    let frames = spec.frames;
     let mut batch = ExperimentBatch::new();
-    let mut shard_index = 0usize;
-    while !instances.is_empty() {
-        let rest = instances.split_off(per_shard.min(instances.len()));
-        let chunk = std::mem::replace(&mut instances, rest);
-        batch.push(format!("fleet-shard-{shard_index}"), move || {
-            let mut engine = FleetEngine::new(FleetSpec {
-                instances: chunk,
-                frames,
-                window_len,
-            });
-            while engine.step_epoch() {}
-            engine.finish()
+    for (i, instance) in spec.instances.into_iter().enumerate() {
+        let FleetInstance {
+            config,
+            mut app,
+            platform,
+        } = instance;
+        batch.push(format!("fleet-{i}"), move || {
+            let mut rtm = RtmGovernor::new(config).expect("valid RTM configuration");
+            run_experiment(&mut rtm, app.as_mut(), platform, frames)
         });
-        shard_index += 1;
     }
-
-    let mut reports = Vec::new();
-    let mut platforms = Vec::new();
-    let mut total_frames = 0;
-    for outcome in batch.run(runner) {
-        reports.extend(outcome.reports);
-        platforms.extend(outcome.platforms);
-        total_frames += outcome.total_frames;
-    }
-    FleetOutcome {
-        reports,
-        platforms,
-        total_frames,
-    }
-}
-
-/// How many engine shards a fleet of `instances` runs as under
-/// `runner`: 1 when serial, otherwise the worker count capped at the
-/// instance count.
-fn shard_count(runner: &RunnerConfig, instances: usize) -> usize {
-    let workers = match runner.mode() {
-        RunnerMode::Serial => 1,
-        RunnerMode::Parallel { workers } => workers.map_or_else(
-            || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            std::num::NonZeroUsize::get,
-        ),
+    let mut outcome = FleetOutcome {
+        reports: Vec::new(),
+        platforms: Vec::new(),
+        total_frames: 0,
     };
-    workers.max(1).min(instances.max(1))
-}
-
-/// Reads the fleet size from the `QGOV_FLEET` environment variable: a
-/// positive integer selects that many instances; anything else
-/// (including unset) selects `default`, with a warning for
-/// unparseable values.
-#[must_use]
-pub fn fleet_size_from_env(default: usize) -> usize {
-    match std::env::var("QGOV_FLEET") {
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: unrecognised QGOV_FLEET value {value:?}; \
-                     using default fleet size {default}"
-                );
-                default
-            }
-        },
-        Err(_) => default,
+    for run in batch.run(runner) {
+        outcome.total_frames += run.report.frames();
+        outcome.reports.push(run.report);
+        outcome.platforms.push(run.platform);
     }
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_experiment;
-    use qgov_core::RtmGovernor;
     use qgov_sim::SensorConfig;
     use qgov_units::{Cycles, SimTime};
     use qgov_workloads::SyntheticWorkload;
@@ -541,36 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_is_bit_identical_to_sequential_flat_runs() {
-        let frames = 220;
-        let seeds = [7u64, 7, 31];
-
-        let spec = FleetSpec::uniform(&rtm_config(0), &seeds, &quiet_config(), frames, |s| {
-            Box::new(noisy_app(frames, s))
-        });
-        let fleet = run_fleet(spec, &RunnerConfig::serial());
-
-        for (i, &seed) in seeds.iter().enumerate() {
-            let mut rtm = RtmGovernor::new(rtm_config(seed)).unwrap();
-            let flat = run_experiment(
-                &mut rtm,
-                &mut noisy_app(frames, seed),
-                quiet_config(),
-                frames,
-            );
-            assert_eq!(fleet.reports[i], flat.report, "instance {i} diverged");
-            assert_eq!(
-                fleet.platforms[i].total_energy().as_joules().to_bits(),
-                flat.platform.total_energy().as_joules().to_bits(),
-                "instance {i} platform energy diverged"
-            );
-        }
-        // The duplicate-seed instances are identical to each other too.
-        assert_eq!(fleet.reports[0], fleet.reports[1]);
-        assert_eq!(fleet.total_frames, frames * seeds.len() as u64);
-    }
-
-    #[test]
     fn ragged_horizons_finish_independently() {
         let mut spec = FleetSpec::new(1_000);
         spec.push(rtm_config(1), Box::new(noisy_app(50, 1)), quiet_config());
@@ -579,51 +188,6 @@ mod tests {
         assert_eq!(outcome.reports[0].frames(), 50);
         assert_eq!(outcome.reports[1].frames(), 120);
         assert_eq!(outcome.total_frames, 170);
-    }
-
-    #[test]
-    fn windowed_retention_streams_instead_of_retaining() {
-        let frames = 90;
-        let spec = FleetSpec::uniform(&rtm_config(0), &[5], &quiet_config(), frames, |s| {
-            Box::new(noisy_app(frames, s))
-        })
-        .with_windowed_frames(30);
-        let outcome = run_fleet(spec, &RunnerConfig::serial());
-        let report = &outcome.reports[0];
-        assert!(report.frame_stats().is_empty());
-        let folds = report.frame_windows().expect("windowed retention");
-        assert_eq!(folds.ratio().completed().len(), 3);
-
-        // Whole-run scalars equal the flat (full-retention) run's.
-        let mut rtm = RtmGovernor::new(rtm_config(5)).unwrap();
-        let flat = run_experiment(&mut rtm, &mut noisy_app(frames, 5), quiet_config(), frames);
-        assert_eq!(
-            report.normalized_performance().to_bits(),
-            flat.report.normalized_performance().to_bits()
-        );
-        assert_eq!(
-            report.total_energy().as_joules().to_bits(),
-            flat.report.total_energy().as_joules().to_bits()
-        );
-        assert_eq!(
-            report.mean_opp().to_bits(),
-            flat.report.mean_opp().to_bits()
-        );
-    }
-
-    #[test]
-    fn sharded_parallel_run_matches_serial() {
-        let frames = 120;
-        let seeds = [3u64, 5, 9, 11, 13];
-        let build = || {
-            FleetSpec::uniform(&rtm_config(0), &seeds, &quiet_config(), frames, |s| {
-                Box::new(noisy_app(frames, s))
-            })
-        };
-        let serial = run_fleet(build(), &RunnerConfig::serial());
-        let sharded = run_fleet(build(), &RunnerConfig::with_workers(3));
-        assert_eq!(serial.reports, sharded.reports);
-        assert_eq!(serial.total_frames, sharded.total_frames);
     }
 
     #[test]
@@ -636,22 +200,5 @@ mod tests {
         let perf = outcome.summarize(RunReport::normalized_performance);
         assert_eq!(perf.n, 3);
         assert!(perf.mean > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one instance")]
-    fn empty_fleet_panics() {
-        let _ = FleetEngine::new(FleetSpec::new(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "state count")]
-    fn mismatched_state_shapes_panic() {
-        let mut spec = FleetSpec::new(10);
-        spec.push(rtm_config(1), Box::new(noisy_app(10, 1)), quiet_config());
-        let mut other = rtm_config(2);
-        other.workload_levels += 1;
-        spec.push(other, Box::new(noisy_app(10, 2)), quiet_config());
-        let _ = FleetEngine::new(spec);
     }
 }

@@ -1,5 +1,16 @@
 //! The experiment loop: governor × application × platform → report.
 //!
+//! Every public `run_*` entry point of this crate is a one-line wrapper
+//! over one private epoch kernel, which steps a [`ManyCoreGovernor`]
+//! over a freshly built [`ManyCorePlatform`]. The kernel has three
+//! options and no others: a fault plan, a monitor set, and whether
+//! per-cluster reports are kept. The flat entry points here
+//! ([`run_experiment`], [`run_experiment_monitored`],
+//! [`run_experiment_faulted`]) run a one-cluster [`Topology`] through an
+//! adapter over the borrowed [`Governor`] and return that cluster's
+//! [`Platform`]; the chip-level entry points live in
+//! [`crate::manycore`].
+//!
 //! [`run_experiment`] is the single-cell kernel every batched sweep in
 //! [`crate::runner`] bottoms out in: one governor driving one
 //! application on one freshly built platform. It takes `&mut` to both
@@ -27,13 +38,17 @@
 //! assert_eq!(outcome.report.deadline_misses(), 0);
 //! ```
 
-use qgov_governors::{EpochObservation, Governor, GovernorContext, VfDecision};
+use crate::manycore::ManyCoreOutcome;
+use qgov_governors::{
+    EpochObservation, Governor, GovernorContext, ManyCoreGovernor, ManyCoreObservation, VfDecision,
+};
 use qgov_metrics::{MonitorSample, PropertySet, RunReport};
 use qgov_sim::{
-    Actuation, FaultInjector, FaultPlan, FrameResult, Platform, PlatformConfig, SimError, VfDomain,
-    WorkSlice,
+    Actuation, FaultInjector, FaultPlan, ManyCoreFrameResult, ManyCorePlatform, Platform,
+    PlatformConfig, SimError, Topology, VfDomain, WorkSlice,
 };
-use qgov_workloads::{Application, FrameDemand, WorkloadTrace};
+use qgov_units::{Cycles, SimTime, Temp};
+use qgov_workloads::{split_demand_into, Application, FrameDemand, WorkloadTrace};
 
 /// Everything a finished run yields: the metrics report plus the
 /// platform in its final state (for inspecting transitions, PMUs,
@@ -49,10 +64,7 @@ pub struct ExperimentOutcome {
 /// Applies a governor decision to the platform, resolving per-core
 /// requests to the cluster maximum on shared-rail hardware (the same
 /// arbitration `cpufreq` applies within a frequency policy).
-pub(crate) fn apply_decision(
-    platform: &mut Platform,
-    decision: &VfDecision,
-) -> Result<(), SimError> {
+fn apply_decision(platform: &mut Platform, decision: &VfDecision) -> Result<(), SimError> {
     match (platform.vf().domain(), decision) {
         (_, VfDecision::NoChange) => Ok(()),
         (_, VfDecision::Cluster(i)) => platform.try_set_cluster_opp(*i),
@@ -74,7 +86,7 @@ pub(crate) fn apply_decision(
 /// cores receive nothing). In-place form: `work` must already be sized
 /// to the core count; its previous contents are overwritten — this is
 /// the scratch buffer the frame loop reuses every epoch.
-pub(crate) fn to_work_slices_into(demand: &FrameDemand, work: &mut [WorkSlice]) {
+fn to_work_slices_into(demand: &FrameDemand, work: &mut [WorkSlice]) {
     work.fill(WorkSlice::IDLE);
     let cores = work.len();
     for (i, t) in demand.threads.iter().enumerate() {
@@ -94,63 +106,6 @@ fn to_work_slices(demand: &FrameDemand, cores: usize) -> Vec<WorkSlice> {
     work
 }
 
-/// Runs `governor` against `app` for `frames` epochs (capped at the
-/// application's own length if shorter than requested) on a platform
-/// built from `platform_config`.
-///
-/// The loop per decision epoch:
-/// 1. fetch the frame's work demand and execute it to the barrier;
-/// 2. record metrics;
-/// 3. let the governor observe the completed frame and decide the next
-///    operating point;
-/// 4. charge the governor's processing overhead and the V-F transition
-///    latency to the next frame (the paper's `T_OVH`).
-///
-/// The application is mutated in place (reset, then driven to the
-/// frame cap), so a batched sweep must hand every cell its own
-/// instance — see the module docs and [`crate::runner`].
-///
-/// # Panics
-///
-/// Panics if the platform configuration is invalid or a decision is out
-/// of range — both indicate programming errors in the experiment setup.
-/// Debug builds additionally panic if the application does not rewind
-/// deterministically on `reset()` (the symptom of a cell sharing — or
-/// having inherited dirty state from — another cell's application).
-pub fn run_experiment(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-) -> ExperimentOutcome {
-    run_experiment_inner(governor, app, platform_config, frames, None)
-}
-
-/// [`run_experiment`] with a streaming temporal-property monitor riding
-/// along: after every epoch's decision the loop fills one
-/// [`MonitorSample`] in place (frame timing, OPP, temperature, energy,
-/// plus the governor's ε/convergence state via
-/// [`Governor::exploration_epsilon`] /
-/// [`Governor::has_converged`]) and feeds it to `monitors`.
-///
-/// Monitoring never perturbs the run — the returned report equals the
-/// unmonitored run's bit-for-bit except for the attached
-/// [`monitor_report`](RunReport::monitor_report) — and adds no heap
-/// allocations to the steady-state epoch (`tests/alloc_steady_state.rs`
-/// pins this). The caller keeps `monitors` for further inspection; the
-/// verdicts at end of run are also folded into the report.
-pub fn run_experiment_monitored(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    monitors: &mut PropertySet<MonitorSample>,
-) -> ExperimentOutcome {
-    let mut outcome = run_experiment_inner(governor, app, platform_config, frames, Some(monitors));
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
-}
-
 /// Rewrites a governor decision through the injector's actuation fault
 /// for this epoch — the seam where a faulty voltage regulator sits
 /// between the RTM's request and the hardware:
@@ -168,8 +123,8 @@ pub fn run_experiment_monitored(
 ///
 /// With an [empty plan](FaultPlan::is_empty) the actuation is always
 /// `Honest` with no buffered request, so the decision passes through
-/// untouched — the bit-identity contract of the faulted harnesses.
-pub(crate) fn faulted_decision(
+/// untouched.
+fn faulted_decision(
     injector: &mut FaultInjector,
     epoch: u64,
     cluster: usize,
@@ -204,10 +159,367 @@ pub(crate) fn faulted_decision(
     }
 }
 
+/// The epoch kernel's options — the only knobs it has.
+#[derive(Default)]
+pub(crate) struct EpochOptions<'a> {
+    /// The fault schedule and its injector seed. `None` runs without an
+    /// injector; an empty plan runs bit-identically to `None`
+    /// (`tests/fault_injection.rs`).
+    pub(crate) faults: Option<(&'a FaultPlan, u64)>,
+    /// Streaming monitors fed one chip-level [`MonitorSample`] of ground
+    /// truth per epoch; their verdicts are attached to the chip report.
+    pub(crate) monitors: Option<&'a mut PropertySet<MonitorSample>>,
+    /// Keep one report per cluster. The flat entry points do not: at
+    /// long horizons a second report would double a run's resident
+    /// frame stats.
+    pub(crate) cluster_reports: bool,
+}
+
+/// The epoch kernel behind every public `run_*` entry point: runs
+/// `coordinator` against `app` for `frames` epochs (capped at the
+/// application's own length) on a chip built from `topology`, starting
+/// from the `initial_shares` placement.
+///
+/// The loop per decision epoch:
+/// 1. split the frame's demand across clusters by the current share
+///    vector, move dead cores' work onto their cluster's survivors, and
+///    execute every slice to the chip-wide barrier;
+/// 2. record the chip report, and the per-cluster reports when kept,
+///    from ground truth;
+/// 3. let the coordinator observe every cluster's frame result — a copy
+///    perturbed by the injector's sensing faults when faults are
+///    scheduled — decide each cluster's next operating point, and
+///    rebalance the share vector;
+/// 4. feed the monitors one chip-level sample of ground truth, taken
+///    after the decision so ε/convergence reflect this epoch's
+///    selection;
+/// 5. rewrite each decision through its cluster's actuation fault,
+///    apply it, and charge the cluster the coordinator's processing
+///    overhead (the paper's `T_OVH`).
+///
+/// Work whose every candidate core is dead never executes, so such a
+/// frame is a missed deadline however fast the survivors cross the
+/// barrier. The first epoch on which a whole cluster is dead is
+/// reported once to the coordinator
+/// ([`ManyCoreGovernor::notify_cluster_dead`]).
+///
+/// Steady state is allocation-free: every buffer is built before the
+/// first epoch and refilled in place, and every report pre-reserves its
+/// frame stats (`tests/alloc_steady_state.rs`).
+///
+/// # Panics
+///
+/// Panics if the topology is invalid, `initial_shares` is not one share
+/// per cluster, the fault plan names a cluster or core outside the
+/// topology, or a decision is out of range — programming errors in the
+/// experiment setup. Debug builds additionally panic if the application
+/// does not rewind deterministically on `reset()`.
+pub(crate) fn run_epochs(
+    coordinator: &mut dyn ManyCoreGovernor,
+    app: &mut dyn Application,
+    topology: Topology,
+    frames: u64,
+    initial_shares: &[f64],
+    options: EpochOptions<'_>,
+) -> ManyCoreOutcome {
+    let EpochOptions {
+        faults,
+        mut monitors,
+        cluster_reports: keep_cluster_reports,
+    } = options;
+    let mut chip = ManyCorePlatform::new(topology).expect("valid topology");
+    let n = chip.cluster_count();
+    assert_eq!(initial_shares.len(), n, "one initial share per cluster");
+    let period = app.period();
+
+    let cores: Vec<usize> = (0..n).map(|c| chip.cores(c)).collect();
+    let ctxs: Vec<GovernorContext> = (0..n)
+        .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], period))
+        .collect();
+    let mut injector = faults.map(|(plan, seed)| FaultInjector::new(plan, seed, &cores));
+    let mut notified = vec![false; n];
+
+    app.reset();
+    let pristine_first = debug_probe_reset_determinism(app);
+    let mut decisions: Vec<VfDecision> = Vec::with_capacity(n);
+    coordinator.init(&ctxs, &mut decisions);
+    assert_eq!(decisions.len(), n, "one initial decision per cluster");
+    for (c, decision) in decisions.iter().enumerate() {
+        apply_decision(chip.cluster_mut(c), decision).expect("initial decision in range");
+    }
+
+    let total = frames.min(app.frames());
+    let reserve = usize::try_from(total).unwrap_or(usize::MAX);
+    let mut report = RunReport::new(coordinator.name(), app.name(), period);
+    report.reserve_frames(reserve);
+    let kept = if keep_cluster_reports { n } else { 0 };
+    let mut cluster_reports: Vec<RunReport> = (0..kept)
+        .map(|c| {
+            let mut r = RunReport::new(coordinator.name(), chip.cluster_name(c), period);
+            r.reserve_frames(reserve);
+            r
+        })
+        .collect();
+
+    let mut shares = initial_shares.to_vec();
+    let mut demand = FrameDemand::default();
+    let mut cluster_demands = vec![FrameDemand::default(); n];
+    let mut work: Vec<Vec<WorkSlice>> = cores.iter().map(|&k| vec![WorkSlice::IDLE; k]).collect();
+    let mut frame = ManyCoreFrameResult::empty();
+    let mut sensed = ManyCoreFrameResult::empty();
+    let mut lost = vec![Cycles::ZERO; n];
+
+    for epoch in 0..total {
+        if let Some(injector) = injector.as_mut() {
+            injector.begin_epoch(epoch);
+            for (c, seen) in notified.iter_mut().enumerate() {
+                if !*seen && injector.cluster_dead(c) {
+                    *seen = true;
+                    coordinator.notify_cluster_dead(c);
+                }
+            }
+        }
+        app.next_frame_into(&mut demand);
+        split_demand_into(&demand, &shares, &cores, &mut cluster_demands);
+        for (c, (slices, slice_demand)) in work.iter_mut().zip(&cluster_demands).enumerate() {
+            to_work_slices_into(slice_demand, slices);
+            if let Some(injector) = &injector {
+                lost[c] = injector.redistribute_dead(c, slices);
+            }
+        }
+        chip.run_frame_into(&work, period, &mut frame)
+            .expect("work buffers sized to the topology");
+        let chip_met = frame.met_deadline() && lost.iter().all(|l| l.is_zero());
+        report.record_frame(
+            frame.frame_time,
+            frame.wall_time,
+            frame.energy,
+            frame.clusters[0].cluster_opp,
+            chip_met,
+        );
+        for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
+            let f = &frame.clusters[c];
+            cluster_report.record_frame(
+                f.frame_time,
+                f.wall_time,
+                f.energy,
+                f.cluster_opp,
+                f.met_deadline() && lost[c].is_zero(),
+            );
+        }
+        let observed = match &injector {
+            Some(injector) => {
+                sensed.copy_from(&frame);
+                for (c, cluster_frame) in sensed.clusters.iter_mut().enumerate() {
+                    injector.perturb_sensing(epoch, c, cluster_frame);
+                }
+                &sensed.clusters
+            }
+            None => &frame.clusters,
+        };
+        coordinator.decide_into(
+            &ManyCoreObservation {
+                frames: observed,
+                epoch,
+            },
+            &mut decisions,
+            &mut shares,
+        );
+        assert_eq!(decisions.len(), n, "one decision per cluster");
+        if let Some(monitors) = monitors.as_deref_mut() {
+            let peak = frame
+                .clusters
+                .iter()
+                .map(|f| f.temperature)
+                .fold(frame.clusters[0].temperature, Temp::max);
+            monitors.observe(&MonitorSample {
+                epoch,
+                frame_time_ratio: frame.frame_time.ratio(period),
+                met_deadline: chip_met,
+                opp: frame.clusters[0].cluster_opp,
+                temperature_c: peak.as_celsius(),
+                energy_j: frame.energy.as_joules(),
+                epsilon: coordinator.exploration_epsilon().unwrap_or(f64::NAN),
+                converged: coordinator.has_converged().unwrap_or(false),
+            });
+        }
+        for (c, decision) in decisions.iter_mut().enumerate() {
+            if let Some(injector) = injector.as_mut() {
+                let requested = std::mem::replace(decision, VfDecision::NoChange);
+                *decision = faulted_decision(injector, epoch, c, chip.current_opp(c), requested);
+            }
+            apply_decision(chip.cluster_mut(c), decision).expect("decision in range");
+            chip.add_overhead(c, coordinator.processing_overhead(c));
+        }
+    }
+
+    report.set_run_totals(
+        chip.total_energy(),
+        chip.total_transitions(),
+        chip.total_transition_latency(),
+        chip.peak_temperature(),
+    );
+    for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
+        let cluster = chip.cluster(c);
+        cluster_report.set_run_totals(
+            cluster.total_energy(),
+            cluster.vf().transitions(),
+            cluster.vf().total_latency(),
+            cluster.peak_temperature(),
+        );
+    }
+    if let Some(monitors) = monitors {
+        report.set_monitor_report(monitors.report());
+    }
+    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
+    ManyCoreOutcome {
+        report,
+        cluster_reports,
+        platform: chip,
+        shares,
+    }
+}
+
+/// A borrowed single-cluster [`Governor`] as the coordinator of a
+/// one-cluster chip.
+struct OneCluster<'a>(&'a mut dyn Governor);
+
+impl ManyCoreGovernor for OneCluster<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn init(&mut self, ctxs: &[GovernorContext], decisions: &mut Vec<VfDecision>) {
+        decisions.clear();
+        decisions.push(self.0.init(&ctxs[0]));
+    }
+
+    fn decide_into(
+        &mut self,
+        obs: &ManyCoreObservation<'_>,
+        decisions: &mut Vec<VfDecision>,
+        _shares: &mut [f64],
+    ) {
+        decisions.clear();
+        decisions.push(self.0.decide(&EpochObservation {
+            frame: &obs.frames[0],
+            epoch: obs.epoch,
+        }));
+    }
+
+    fn processing_overhead(&self, _cluster: usize) -> SimTime {
+        self.0.processing_overhead()
+    }
+
+    fn exploration_epsilon(&self) -> Option<f64> {
+        self.0.exploration_epsilon()
+    }
+
+    fn has_converged(&self) -> Option<bool> {
+        self.0.has_converged()
+    }
+}
+
+/// Runs the epoch kernel on a one-cluster chip built from
+/// `platform_config` and returns that cluster's platform. The cluster
+/// holds the whole share, so the demand split passes every thread
+/// through and each frame runs the unchanged [`Platform`] kernel.
+fn run_flat(
+    governor: &mut dyn Governor,
+    app: &mut dyn Application,
+    platform_config: PlatformConfig,
+    frames: u64,
+    options: EpochOptions<'_>,
+) -> ExperimentOutcome {
+    let outcome = run_epochs(
+        &mut OneCluster(governor),
+        app,
+        Topology::single(platform_config),
+        frames,
+        &[1.0],
+        options,
+    );
+    let platform = outcome.platform.into_clusters().pop().expect("one cluster");
+    ExperimentOutcome {
+        report: outcome.report,
+        platform,
+    }
+}
+
+/// Runs `governor` against `app` for `frames` epochs (capped at the
+/// application's own length if shorter than requested) on a platform
+/// built from `platform_config`.
+///
+/// The loop per decision epoch:
+/// 1. fetch the frame's work demand and execute it to the barrier;
+/// 2. record metrics;
+/// 3. let the governor observe the completed frame and decide the next
+///    operating point;
+/// 4. charge the governor's processing overhead and the V-F transition
+///    latency to the next frame (the paper's `T_OVH`).
+///
+/// The application is mutated in place (reset, then driven to the
+/// frame cap), so a batched sweep must hand every cell its own
+/// instance — see the module docs and [`crate::runner`].
+///
+/// # Panics
+///
+/// Panics if the platform configuration is invalid or a decision is out
+/// of range — both indicate programming errors in the experiment setup.
+/// Debug builds additionally panic if the application does not rewind
+/// deterministically on `reset()` (the symptom of a cell sharing — or
+/// having inherited dirty state from — another cell's application).
+pub fn run_experiment(
+    governor: &mut dyn Governor,
+    app: &mut dyn Application,
+    platform_config: PlatformConfig,
+    frames: u64,
+) -> ExperimentOutcome {
+    run_flat(
+        governor,
+        app,
+        platform_config,
+        frames,
+        EpochOptions::default(),
+    )
+}
+
+/// [`run_experiment`] with a streaming temporal-property monitor riding
+/// along: after every epoch's decision the loop fills one
+/// [`MonitorSample`] in place (frame timing, OPP, temperature, energy,
+/// plus the governor's ε/convergence state via
+/// [`Governor::exploration_epsilon`] /
+/// [`Governor::has_converged`]) and feeds it to `monitors`.
+///
+/// Monitoring never perturbs the run — the returned report equals the
+/// unmonitored run's bit-for-bit except for the attached
+/// [`monitor_report`](RunReport::monitor_report) — and adds no heap
+/// allocations to the steady-state epoch (`tests/alloc_steady_state.rs`
+/// pins this). The caller keeps `monitors` for further inspection; the
+/// verdicts at end of run are also folded into the report.
+pub fn run_experiment_monitored(
+    governor: &mut dyn Governor,
+    app: &mut dyn Application,
+    platform_config: PlatformConfig,
+    frames: u64,
+    monitors: &mut PropertySet<MonitorSample>,
+) -> ExperimentOutcome {
+    run_flat(
+        governor,
+        app,
+        platform_config,
+        frames,
+        EpochOptions {
+            monitors: Some(monitors),
+            ..EpochOptions::default()
+        },
+    )
+}
+
 /// [`run_experiment`] under a deterministic fault schedule: the
 /// injector perturbs what the governor *senses*, rewrites what it
 /// *actuates*, and redistributes the work of dropped cores — while the
-/// report and any monitors keep observing ground truth.
+/// report keeps observing ground truth.
 ///
 /// Per epoch the loop:
 /// 1. builds the frame's work slices, then moves any dead core's work
@@ -217,8 +529,8 @@ pub(crate) fn faulted_decision(
 /// 3. copies the frame result and perturbs the copy
 ///    ([`FaultInjector::perturb_sensing`]) — the governor decides on
 ///    the faulted view;
-/// 4. rewrites the decision through the actuation fault
-///    (`faulted_decision`) before applying it.
+/// 4. rewrites the decision through the actuation fault before
+///    applying it.
 ///
 /// Timing channels (`frame_time`, `wall_time`, slack) are never
 /// faulted: the frame barrier is scheduler-observable, not a sensor.
@@ -241,199 +553,16 @@ pub fn run_experiment_faulted(
     plan: &FaultPlan,
     fault_seed: u64,
 ) -> ExperimentOutcome {
-    run_experiment_faulted_inner(
+    run_flat(
         governor,
         app,
         platform_config,
         frames,
-        plan,
-        fault_seed,
-        None,
+        EpochOptions {
+            faults: Some((plan, fault_seed)),
+            ..EpochOptions::default()
+        },
     )
-}
-
-/// [`run_experiment_faulted`] with a streaming temporal-property
-/// monitor riding along. The monitors observe **ground truth** — the
-/// unperturbed frame results — so a thermal-cap property checks the
-/// real die temperature even while the governor is fed a stuck sensor.
-pub fn run_experiment_faulted_monitored(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    plan: &FaultPlan,
-    fault_seed: u64,
-    monitors: &mut PropertySet<MonitorSample>,
-) -> ExperimentOutcome {
-    let mut outcome = run_experiment_faulted_inner(
-        governor,
-        app,
-        platform_config,
-        frames,
-        plan,
-        fault_seed,
-        Some(monitors),
-    );
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_experiment_faulted_inner(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    plan: &FaultPlan,
-    fault_seed: u64,
-    mut monitors: Option<&mut PropertySet<MonitorSample>>,
-) -> ExperimentOutcome {
-    let mut platform = Platform::new(platform_config).expect("valid platform config");
-    let period = app.period();
-    let cores = platform.cores();
-    let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
-    let mut injector = FaultInjector::single(plan, fault_seed, cores);
-
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let first = governor.init(&ctx);
-    apply_decision(&mut platform, &first).expect("initial decision in range");
-
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(governor.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-
-    // Same allocation-free steady state as `run_experiment_inner`, plus
-    // one extra reused slot: the sensed copy the injector perturbs.
-    let mut demand = FrameDemand::default();
-    let mut work = vec![WorkSlice::IDLE; cores];
-    let mut frame = FrameResult::empty();
-    let mut sensed = FrameResult::empty();
-    for epoch in 0..total {
-        injector.begin_epoch(epoch);
-        app.next_frame_into(&mut demand);
-        to_work_slices_into(&demand, &mut work);
-        // Work whose every candidate core is dead never executes: such
-        // a frame is incomplete, i.e. a missed deadline, however fast
-        // the surviving (idle) cores cross the barrier.
-        let lost = injector.redistribute_dead(0, &mut work);
-        platform
-            .run_frame_into(&work, period, &mut frame)
-            .expect("work vector sized to cores");
-        let met = frame.met_deadline() && lost.is_zero();
-        report.record_frame(
-            frame.frame_time,
-            frame.wall_time,
-            frame.energy,
-            frame.cluster_opp,
-            met,
-        );
-        sensed.copy_from(&frame);
-        injector.perturb_sensing(epoch, 0, &mut sensed);
-        let decision = governor.decide(&EpochObservation {
-            frame: &sensed,
-            epoch,
-        });
-        if let Some(monitors) = monitors.as_deref_mut() {
-            // Truth, not the sensed copy: properties such as the
-            // thermal cap must hold on the die, not on a lying sensor.
-            monitors.observe(&MonitorSample {
-                epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
-                met_deadline: met,
-                opp: frame.cluster_opp,
-                temperature_c: frame.temperature.as_celsius(),
-                energy_j: frame.energy.as_joules(),
-                epsilon: governor.exploration_epsilon().unwrap_or(f64::NAN),
-                converged: governor.has_converged().unwrap_or(false),
-            });
-        }
-        let actual = faulted_decision(&mut injector, epoch, 0, platform.current_opp(), decision);
-        apply_decision(&mut platform, &actual).expect("decision in range");
-        platform.add_overhead(governor.processing_overhead());
-    }
-    report.set_run_totals(
-        platform.total_energy(),
-        platform.vf().transitions(),
-        platform.vf().total_latency(),
-        platform.peak_temperature(),
-    );
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ExperimentOutcome { report, platform }
-}
-
-fn run_experiment_inner(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    mut monitors: Option<&mut PropertySet<MonitorSample>>,
-) -> ExperimentOutcome {
-    let mut platform = Platform::new(platform_config).expect("valid platform config");
-    let period = app.period();
-    let cores = platform.cores();
-    let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
-
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let first = governor.init(&ctx);
-    apply_decision(&mut platform, &first).expect("initial decision in range");
-
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(governor.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-
-    // The steady-state loop runs allocation-free: one demand slot, one
-    // work-slice scratch buffer and one frame-result slot are reused
-    // across every epoch (`next_frame_into` / `run_frame_into` refill
-    // them in place), and the report pre-reserved its frame stats
-    // above. `tests/alloc_steady_state.rs` pins this with a counting
-    // global allocator.
-    let mut demand = FrameDemand::default();
-    let mut work = vec![WorkSlice::IDLE; cores];
-    let mut frame = FrameResult::empty();
-    for epoch in 0..total {
-        app.next_frame_into(&mut demand);
-        to_work_slices_into(&demand, &mut work);
-        platform
-            .run_frame_into(&work, period, &mut frame)
-            .expect("work vector sized to cores");
-        report.record_frame(
-            frame.frame_time,
-            frame.wall_time,
-            frame.energy,
-            frame.cluster_opp,
-            frame.met_deadline(),
-        );
-        let decision = governor.decide(&EpochObservation {
-            frame: &frame,
-            epoch,
-        });
-        if let Some(monitors) = monitors.as_deref_mut() {
-            // Sampled after decide() so ε/convergence reflect this
-            // epoch's selection, matching the RTM's own EpochRecord.
-            monitors.observe(&MonitorSample {
-                epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
-                met_deadline: frame.met_deadline(),
-                opp: frame.cluster_opp,
-                temperature_c: frame.temperature.as_celsius(),
-                energy_j: frame.energy.as_joules(),
-                epsilon: governor.exploration_epsilon().unwrap_or(f64::NAN),
-                converged: governor.has_converged().unwrap_or(false),
-            });
-        }
-        apply_decision(&mut platform, &decision).expect("decision in range");
-        platform.add_overhead(governor.processing_overhead());
-    }
-    report.set_run_totals(
-        platform.total_energy(),
-        platform.vf().transitions(),
-        platform.vf().total_latency(),
-        platform.peak_temperature(),
-    );
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ExperimentOutcome { report, platform }
 }
 
 /// Debug-build guard for the serial/parallel seam: every batch cell
@@ -443,7 +572,7 @@ fn run_experiment_inner(
 /// leaves the application reset, and returns the probed frame (debug
 /// builds only) so [`debug_assert_no_run_state_bleed`] can re-check it
 /// after the run.
-pub(crate) fn debug_probe_reset_determinism(app: &mut dyn Application) -> Option<FrameDemand> {
+fn debug_probe_reset_determinism(app: &mut dyn Application) -> Option<FrameDemand> {
     if cfg!(debug_assertions) && app.frames() > 0 {
         let first = app.next_frame();
         app.reset();
@@ -472,7 +601,7 @@ pub(crate) fn debug_probe_reset_determinism(app: &mut dyn Application) -> Option
 /// (a sweep aggregating such an app would depend on cell scheduling).
 /// Leaves the application where the release path leaves it: advanced
 /// by `total` frames.
-pub(crate) fn debug_assert_no_run_state_bleed(
+fn debug_assert_no_run_state_bleed(
     app: &mut dyn Application,
     pristine_first: Option<&FrameDemand>,
     total: u64,

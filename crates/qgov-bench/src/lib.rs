@@ -86,12 +86,9 @@ pub use faultstorm::{
     run_fault_storm_with, standard_fault_schedule, FaultStormResult, FaultStormRow,
     FAULTSTORM_GRACE,
 };
-pub use fleet::{
-    fleet_size_from_env, run_fleet, FleetEngine, FleetInstance, FleetOutcome, FleetSpec,
-};
+pub use fleet::{run_fleet, FleetOutcome, FleetSpec};
 pub use harness::{
-    run_experiment, run_experiment_faulted, run_experiment_faulted_monitored,
-    run_experiment_monitored, ExperimentOutcome,
+    run_experiment, run_experiment_faulted, run_experiment_monitored, ExperimentOutcome,
 };
 pub use hetero::{
     run_biglittle, run_biglittle_monitored, run_biglittle_monitored_with, run_biglittle_sweep,

@@ -1,25 +1,28 @@
-//! The many-core experiment loop: chip-level coordinator ×
-//! application × topology → per-cluster reports.
+//! The many-core entry points: chip-level coordinator × application ×
+//! topology → chip and per-cluster reports.
 //!
-//! [`run_manycore_experiment`] is the multi-cluster sibling of
-//! [`crate::harness::run_experiment`]: one [`ManyCoreGovernor`] drives
-//! one [`Application`] on a freshly built [`ManyCorePlatform`]. Each
-//! epoch the frame's demand is split across clusters by the
-//! coordinator's work-share vector
-//! ([`split_demand_into`]), every
+//! [`run_manycore_experiment`] and its monitored and faulted forms are
+//! one-line wrappers over the epoch kernel of [`crate::harness`], the
+//! loop the flat [`run_experiment`](crate::run_experiment) runs on a
+//! one-cluster chip. Each epoch the frame's demand is split across
+//! clusters by the coordinator's work-share vector
+//! ([`split_demand_into`](qgov_workloads::split_demand_into)), every
 //! cluster runs its slice to the chip-wide frame barrier, and the
 //! coordinator observes all per-cluster
-//! [`FrameResult`](qgov_sim::FrameResult)s at once — the
-//! seam where per-cluster Q-agents learn frequencies and the migration
-//! policy rebalances placement.
+//! [`FrameResult`](qgov_sim::FrameResult)s at once — the seam where
+//! per-cluster Q-agents learn frequencies and the migration policy
+//! rebalances placement. These entry points keep one report per
+//! cluster.
 //!
 //! # Bit-identity bridge
 //!
 //! On a 1-cluster [`Topology`] with the whole share on that cluster,
 //! the split is thread-preserving and the cluster steps through the
 //! *unchanged* single-cluster [`Platform`](qgov_sim::Platform) kernel,
-//! so this loop reproduces [`run_experiment`](crate::run_experiment)
-//! frame-for-frame, bit-for-bit (`tests/harness_golden.rs` pins it).
+//! so a [`PerClusterGovernors`](qgov_governors::PerClusterGovernors)
+//! wrapping one governor reproduces
+//! [`run_experiment`](crate::run_experiment) frame-for-frame,
+//! bit-for-bit (`tests/harness_golden.rs` pins it).
 //!
 //! ```
 //! use qgov_bench::manycore::run_manycore_experiment;
@@ -39,17 +42,11 @@
 //! assert_eq!(outcome.report.deadline_misses(), 0);
 //! ```
 
-use crate::harness::{
-    apply_decision, debug_assert_no_run_state_bleed, debug_probe_reset_determinism,
-    faulted_decision, to_work_slices_into,
-};
-use qgov_governors::{GovernorContext, ManyCoreGovernor, ManyCoreObservation, VfDecision};
+use crate::harness::{run_epochs, EpochOptions};
+use qgov_governors::ManyCoreGovernor;
 use qgov_metrics::{MonitorSample, PropertySet, RunReport};
-use qgov_sim::{
-    FaultInjector, FaultPlan, ManyCoreFrameResult, ManyCorePlatform, Topology, WorkSlice,
-};
-use qgov_units::Cycles;
-use qgov_workloads::{split_demand_into, Application, FrameDemand};
+use qgov_sim::{FaultPlan, ManyCorePlatform, Topology};
+use qgov_workloads::Application;
 
 /// Everything a finished many-core run yields: the chip-level report,
 /// one report per cluster, the platform in its final state, and the
@@ -87,8 +84,8 @@ pub struct ManyCoreOutcome {
 ///
 /// Steady state is allocation-free: the demand slots, work-slice
 /// buffers, frame result, decision vector and share vector are all
-/// reused across epochs (`tests/alloc_steady_state.rs` pins the
-/// single-cluster path of the same kernels).
+/// reused across epochs (`tests/alloc_steady_state.rs` counts a whole
+/// monitored run).
 ///
 /// # Panics
 ///
@@ -103,7 +100,17 @@ pub fn run_manycore_experiment(
     frames: u64,
     initial_shares: &[f64],
 ) -> ManyCoreOutcome {
-    run_manycore_experiment_inner(coordinator, app, topology, frames, initial_shares, None)
+    run_epochs(
+        coordinator,
+        app,
+        topology,
+        frames,
+        initial_shares,
+        EpochOptions {
+            cluster_reports: true,
+            ..EpochOptions::default()
+        },
+    )
 }
 
 /// [`run_manycore_experiment`] with a streaming temporal-property
@@ -125,16 +132,18 @@ pub fn run_manycore_experiment_monitored(
     initial_shares: &[f64],
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ManyCoreOutcome {
-    let mut outcome = run_manycore_experiment_inner(
+    run_epochs(
         coordinator,
         app,
         topology,
         frames,
         initial_shares,
-        Some(monitors),
-    );
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
+        EpochOptions {
+            monitors: Some(monitors),
+            cluster_reports: true,
+            ..EpochOptions::default()
+        },
+    )
 }
 
 /// [`run_manycore_experiment`] under a deterministic fault schedule —
@@ -143,21 +152,23 @@ pub fn run_manycore_experiment_monitored(
 ///
 /// Per epoch, for every cluster, the loop:
 /// 1. moves any dead core's work slice onto that cluster's survivors
-///    ([`FaultInjector::redistribute_dead`]); a fully dead cluster's
-///    slices all go idle — its assigned share simply does not execute
-///    until the coordinator drains it away;
+///    ([`FaultInjector::redistribute_dead`](qgov_sim::FaultInjector::redistribute_dead));
+///    a fully dead cluster's slices all go idle — its assigned share
+///    simply does not execute until the coordinator drains it away;
 /// 2. executes the chip frame and records **truth** in the chip and
 ///    per-cluster reports;
 /// 3. hands the coordinator a *sensed copy* of the per-cluster frame
-///    results, perturbed by [`FaultInjector::perturb_sensing`];
+///    results, perturbed by
+///    [`FaultInjector::perturb_sensing`](qgov_sim::FaultInjector::perturb_sensing);
 /// 4. rewrites each cluster's decision through its actuation fault
 ///    before applying it.
 ///
 /// The first epoch on which a cluster's cores are all dead
-/// ([`FaultInjector::cluster_dead`]) is reported once to the
-/// coordinator via [`ManyCoreGovernor::notify_cluster_dead`] — the
-/// hardened RTM freezes that agent and drains its share; a naive
-/// coordinator ignores the call and keeps feeding the corpse.
+/// ([`FaultInjector::cluster_dead`](qgov_sim::FaultInjector::cluster_dead))
+/// is reported once to the coordinator via
+/// [`ManyCoreGovernor::notify_cluster_dead`] — the hardened RTM freezes
+/// that agent and drains its share; a naive coordinator ignores the
+/// call and keeps feeding the corpse.
 ///
 /// With an empty `plan` every injector step is a no-op and the run is
 /// bit-identical to [`run_manycore_experiment`]
@@ -176,15 +187,17 @@ pub fn run_manycore_experiment_faulted(
     plan: &FaultPlan,
     fault_seed: u64,
 ) -> ManyCoreOutcome {
-    run_manycore_experiment_faulted_inner(
+    run_epochs(
         coordinator,
         app,
         topology,
         frames,
         initial_shares,
-        plan,
-        fault_seed,
-        None,
+        EpochOptions {
+            faults: Some((plan, fault_seed)),
+            cluster_reports: true,
+            ..EpochOptions::default()
+        },
     )
 }
 
@@ -204,303 +217,18 @@ pub fn run_manycore_experiment_faulted_monitored(
     fault_seed: u64,
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ManyCoreOutcome {
-    let mut outcome = run_manycore_experiment_faulted_inner(
+    run_epochs(
         coordinator,
         app,
         topology,
         frames,
         initial_shares,
-        plan,
-        fault_seed,
-        Some(monitors),
-    );
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_manycore_experiment_faulted_inner(
-    coordinator: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    initial_shares: &[f64],
-    plan: &FaultPlan,
-    fault_seed: u64,
-    mut monitors: Option<&mut PropertySet<MonitorSample>>,
-) -> ManyCoreOutcome {
-    let mut chip = ManyCorePlatform::new(topology).expect("valid topology");
-    let n = chip.cluster_count();
-    assert_eq!(initial_shares.len(), n, "one initial share per cluster");
-    let period = app.period();
-
-    let cores: Vec<usize> = (0..n).map(|c| chip.cores(c)).collect();
-    let ctxs: Vec<GovernorContext> = (0..n)
-        .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], period))
-        .collect();
-    let mut injector = FaultInjector::new(plan, fault_seed, &cores);
-    let mut notified = vec![false; n];
-
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let mut decisions: Vec<VfDecision> = Vec::with_capacity(n);
-    coordinator.init(&ctxs, &mut decisions);
-    assert_eq!(decisions.len(), n, "one initial decision per cluster");
-    for (c, decision) in decisions.iter().enumerate() {
-        apply_decision(chip.cluster_mut(c), decision).expect("initial decision in range");
-    }
-
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(coordinator.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-    let mut cluster_reports: Vec<RunReport> = (0..n)
-        .map(|c| {
-            let mut r = RunReport::new(coordinator.name(), chip.cluster_name(c), period);
-            r.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-            r
-        })
-        .collect();
-
-    // Same allocation-free steady state as the fault-free inner loop,
-    // plus one extra reused slot: the sensed copy the injector
-    // perturbs before the coordinator sees it.
-    let mut shares = initial_shares.to_vec();
-    let mut demand = FrameDemand::default();
-    let mut cluster_demands = vec![FrameDemand::default(); n];
-    let mut work: Vec<Vec<WorkSlice>> = cores.iter().map(|&k| vec![WorkSlice::IDLE; k]).collect();
-    let mut frame = ManyCoreFrameResult::empty();
-    let mut sensed = ManyCoreFrameResult::empty();
-    let mut lost = vec![Cycles::ZERO; n];
-
-    for epoch in 0..total {
-        injector.begin_epoch(epoch);
-        for (c, seen) in notified.iter_mut().enumerate() {
-            if !*seen && injector.cluster_dead(c) {
-                *seen = true;
-                coordinator.notify_cluster_dead(c);
-            }
-        }
-        app.next_frame_into(&mut demand);
-        split_demand_into(&demand, &shares, &cores, &mut cluster_demands);
-        for (c, (slices, slice_demand)) in work.iter_mut().zip(&cluster_demands).enumerate() {
-            to_work_slices_into(slice_demand, slices);
-            // Work routed to a fully dead cluster never executes: that
-            // frame is incomplete, i.e. a missed deadline, however fast
-            // the (idle) dead cluster crosses the barrier. Only the
-            // coordinator can stop the bleeding, by draining the dead
-            // cluster's share.
-            lost[c] = injector.redistribute_dead(c, slices);
-        }
-        chip.run_frame_into(&work, period, &mut frame)
-            .expect("work buffers sized to the topology");
-        let chip_met = frame.met_deadline() && lost.iter().all(|l| l.is_zero());
-        report.record_frame(
-            frame.frame_time,
-            frame.wall_time,
-            frame.energy,
-            frame.clusters[0].cluster_opp,
-            chip_met,
-        );
-        for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
-            let f = &frame.clusters[c];
-            cluster_report.record_frame(
-                f.frame_time,
-                f.wall_time,
-                f.energy,
-                f.cluster_opp,
-                f.met_deadline() && lost[c].is_zero(),
-            );
-        }
-        sensed.copy_from(&frame);
-        for (c, cluster_frame) in sensed.clusters.iter_mut().enumerate() {
-            injector.perturb_sensing(epoch, c, cluster_frame);
-        }
-        coordinator.decide_into(
-            &ManyCoreObservation {
-                frames: &sensed.clusters,
-                epoch,
-            },
-            &mut decisions,
-            &mut shares,
-        );
-        assert_eq!(decisions.len(), n, "one decision per cluster");
-        if let Some(monitors) = monitors.as_deref_mut() {
-            // Truth, not the sensed copy: the thermal cap must hold on
-            // the die even while a sensor lies to the coordinator.
-            let peak = frame
-                .clusters
-                .iter()
-                .map(|f| f.temperature)
-                .fold(frame.clusters[0].temperature, qgov_units::Temp::max);
-            monitors.observe(&MonitorSample {
-                epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
-                met_deadline: chip_met,
-                opp: frame.clusters[0].cluster_opp,
-                temperature_c: peak.as_celsius(),
-                energy_j: frame.energy.as_joules(),
-                epsilon: coordinator.exploration_epsilon().unwrap_or(f64::NAN),
-                converged: coordinator.has_converged().unwrap_or(false),
-            });
-        }
-        for (c, decision) in decisions.iter_mut().enumerate() {
-            let requested = std::mem::replace(decision, VfDecision::NoChange);
-            let actual = faulted_decision(&mut injector, epoch, c, chip.current_opp(c), requested);
-            apply_decision(chip.cluster_mut(c), &actual).expect("decision in range");
-            chip.add_overhead(c, coordinator.processing_overhead(c));
-            *decision = actual;
-        }
-    }
-
-    report.set_run_totals(
-        chip.total_energy(),
-        chip.total_transitions(),
-        chip.total_transition_latency(),
-        chip.peak_temperature(),
-    );
-    for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
-        let cluster = chip.cluster(c);
-        cluster_report.set_run_totals(
-            cluster.total_energy(),
-            cluster.vf().transitions(),
-            cluster.vf().total_latency(),
-            cluster.peak_temperature(),
-        );
-    }
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ManyCoreOutcome {
-        report,
-        cluster_reports,
-        platform: chip,
-        shares,
-    }
-}
-
-fn run_manycore_experiment_inner(
-    coordinator: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    initial_shares: &[f64],
-    mut monitors: Option<&mut PropertySet<MonitorSample>>,
-) -> ManyCoreOutcome {
-    let mut chip = ManyCorePlatform::new(topology).expect("valid topology");
-    let n = chip.cluster_count();
-    assert_eq!(initial_shares.len(), n, "one initial share per cluster");
-    let period = app.period();
-
-    let cores: Vec<usize> = (0..n).map(|c| chip.cores(c)).collect();
-    let ctxs: Vec<GovernorContext> = (0..n)
-        .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], period))
-        .collect();
-
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let mut decisions: Vec<VfDecision> = Vec::with_capacity(n);
-    coordinator.init(&ctxs, &mut decisions);
-    assert_eq!(decisions.len(), n, "one initial decision per cluster");
-    for (c, decision) in decisions.iter().enumerate() {
-        apply_decision(chip.cluster_mut(c), decision).expect("initial decision in range");
-    }
-
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(coordinator.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-    let mut cluster_reports: Vec<RunReport> = (0..n)
-        .map(|c| {
-            let mut r = RunReport::new(coordinator.name(), chip.cluster_name(c), period);
-            r.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-            r
-        })
-        .collect();
-
-    let mut shares = initial_shares.to_vec();
-    let mut demand = FrameDemand::default();
-    let mut cluster_demands = vec![FrameDemand::default(); n];
-    let mut work: Vec<Vec<WorkSlice>> = cores.iter().map(|&k| vec![WorkSlice::IDLE; k]).collect();
-    let mut frame = ManyCoreFrameResult::empty();
-
-    for epoch in 0..total {
-        app.next_frame_into(&mut demand);
-        split_demand_into(&demand, &shares, &cores, &mut cluster_demands);
-        for (slices, slice_demand) in work.iter_mut().zip(&cluster_demands) {
-            to_work_slices_into(slice_demand, slices);
-        }
-        chip.run_frame_into(&work, period, &mut frame)
-            .expect("work buffers sized to the topology");
-        report.record_frame(
-            frame.frame_time,
-            frame.wall_time,
-            frame.energy,
-            frame.clusters[0].cluster_opp,
-            frame.met_deadline(),
-        );
-        for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
-            let f = &frame.clusters[c];
-            cluster_report.record_frame(
-                f.frame_time,
-                f.wall_time,
-                f.energy,
-                f.cluster_opp,
-                f.met_deadline(),
-            );
-        }
-        coordinator.decide_into(
-            &ManyCoreObservation {
-                frames: &frame.clusters,
-                epoch,
-            },
-            &mut decisions,
-            &mut shares,
-        );
-        assert_eq!(decisions.len(), n, "one decision per cluster");
-        if let Some(monitors) = monitors.as_deref_mut() {
-            // Sampled after decide_into() so ε/convergence reflect this
-            // epoch's selections.
-            let peak = frame
-                .clusters
-                .iter()
-                .map(|f| f.temperature)
-                .fold(frame.clusters[0].temperature, qgov_units::Temp::max);
-            monitors.observe(&MonitorSample {
-                epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
-                met_deadline: frame.met_deadline(),
-                opp: frame.clusters[0].cluster_opp,
-                temperature_c: peak.as_celsius(),
-                energy_j: frame.energy.as_joules(),
-                epsilon: coordinator.exploration_epsilon().unwrap_or(f64::NAN),
-                converged: coordinator.has_converged().unwrap_or(false),
-            });
-        }
-        for (c, decision) in decisions.iter().enumerate() {
-            apply_decision(chip.cluster_mut(c), decision).expect("decision in range");
-            chip.add_overhead(c, coordinator.processing_overhead(c));
-        }
-    }
-
-    report.set_run_totals(
-        chip.total_energy(),
-        chip.total_transitions(),
-        chip.total_transition_latency(),
-        chip.peak_temperature(),
-    );
-    for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
-        let cluster = chip.cluster(c);
-        cluster_report.set_run_totals(
-            cluster.total_energy(),
-            cluster.vf().transitions(),
-            cluster.vf().total_latency(),
-            cluster.peak_temperature(),
-        );
-    }
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ManyCoreOutcome {
-        report,
-        cluster_reports,
-        platform: chip,
-        shares,
-    }
+        EpochOptions {
+            faults: Some((plan, fault_seed)),
+            monitors: Some(monitors),
+            cluster_reports: true,
+        },
+    )
 }
 
 #[cfg(test)]

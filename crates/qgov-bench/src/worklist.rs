@@ -52,8 +52,8 @@ use qgov_units::{Cycles, SimTime};
 use qgov_workloads::SyntheticWorkload;
 
 /// An experiment family a campaign can sweep — one variant per
-/// `run_*` experiment bundle in [`crate::experiments`], plus the fleet
-/// engine face ([`crate::fleet`]).
+/// `run_*` experiment bundle in [`crate::experiments`], plus fleets of
+/// independent RTM runs ([`crate::fleet`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Table I: normalised energy/performance per methodology.
@@ -79,7 +79,7 @@ pub enum Family {
     /// Fault storm: hardened vs naive RTM vs ondemand under the
     /// standard deterministic fault schedule.
     FaultStorm,
-    /// Fleet engine: N lockstep RTM instances per cell.
+    /// Fleet: N independent RTM instances per cell.
     Fleet,
 }
 

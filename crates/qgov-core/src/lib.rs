@@ -50,5 +50,5 @@ pub use degrade::{HardeningConfig, PlausibilityFilter};
 pub use manycore::ManyCoreRtm;
 pub use migration::{GreedyMigration, MigrationConfig};
 pub use overhead::OverheadModel;
-pub use rtm::{EpochAgent, EpochRecord, RtmGovernor, RtmLane};
+pub use rtm::{EpochRecord, RtmGovernor};
 pub use state::StateMapper;

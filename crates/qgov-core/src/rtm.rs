@@ -104,11 +104,8 @@ impl RtmConfig {
         self.workload_levels * self.slack_levels
     }
 
-    /// The learning hyper-parameters as an [`AgentConfig`] — the one
-    /// construction [`RtmGovernor::init`] and fleet agent lanes share,
-    /// so a fleet instance's agent is built from the identical inputs.
-    #[must_use]
-    pub fn agent_config(&self) -> AgentConfig {
+    /// The learning hyper-parameters as an [`AgentConfig`].
+    fn agent_config(&self) -> AgentConfig {
         AgentConfig {
             alpha: self.alpha,
             discount: self.discount,
@@ -118,14 +115,9 @@ impl RtmConfig {
         }
     }
 
-    /// Builds the configured exploration policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid exploration parameters (call
-    /// [`RtmConfig::validate`] first — [`RtmGovernor::new`] does).
-    #[must_use]
-    pub fn exploration_policy(&self) -> Box<dyn ExplorationPolicy + Send> {
+    /// Builds the configured exploration policy (its parameters were
+    /// validated by [`RtmGovernor::new`]).
+    fn exploration_policy(&self) -> Box<dyn ExplorationPolicy + Send> {
         match self.exploration {
             ExplorationKind::Epd { lambda, beta } => {
                 Box::new(EpdPolicy::new(lambda, beta).expect("validated"))
@@ -138,52 +130,21 @@ impl RtmConfig {
     }
 }
 
-/// The per-epoch learning interface [`RtmLane::decide`] drives: one
-/// Bellman-update + ε-greedy-selection step, plus the two telemetry
-/// reads the [`EpochRecord`] needs. Implemented by [`QLearningAgent`]
-/// (the flat governor's own agent) and by fleet arena-lane adapters,
-/// so the flat and fleet paths run the byte-for-byte same decide body
-/// and differ only in where the Q-values live.
-pub trait EpochAgent {
-    /// Runs one decision epoch (Bellman update + action selection).
-    fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize;
-    /// Current exploration probability ε.
-    fn epsilon(&self) -> f64;
-    /// Cumulative exploratory (non-greedy) selections so far.
-    fn exploration_count(&self) -> u64;
-}
-
-impl EpochAgent for QLearningAgent {
-    fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
-        QLearningAgent::begin_epoch(self, state, reward, slack)
-    }
-
-    fn epsilon(&self) -> f64 {
-        QLearningAgent::epsilon(self)
-    }
-
-    fn exploration_count(&self) -> u64 {
-        QLearningAgent::exploration_count(self)
-    }
-}
-
-/// One RTM instance's **non-learning** state — EWMA predictors, slack
-/// tracking, state mapping, calibration, scratch buffers, telemetry —
-/// factored out of [`RtmGovernor`] so a fleet engine can step many
-/// instances whose Q-tables live in one shared arena
-/// (`qgov_rl::AgentLanes`) instead of one boxed agent each.
+/// The paper's Q-learning run-time manager, usable as a drop-in
+/// [`Governor`].
 ///
-/// [`RtmLane::decide`] is the *entire* RTM decision body, generic over
-/// [`EpochAgent`]: the flat governor passes its own
-/// [`QLearningAgent`], a fleet passes an arena-lane adapter, and both
-/// execute the identical floating-point sequence — which is what makes
-/// fleet results bit-identical to sequential flat runs.
+/// See the [crate documentation](crate) for the algorithm outline and an
+/// example.
 #[derive(Debug)]
-pub struct RtmLane {
+pub struct RtmGovernor {
     config: RtmConfig,
+    /// The learning agent, rebuilt by every `init` for the platform's
+    /// action space.
+    agent: Option<QLearningAgent>,
+    /// The platform's operating points (set at `init`).
+    table: Option<OppTable>,
     cores: usize,
     period: SimTime,
-    table: OppTable,
     mapper: Option<StateMapper>,
     predictors: Vec<EwmaPredictor>,
     slack: SlackTracker,
@@ -193,259 +154,14 @@ pub struct RtmLane {
     last_frame_slack: f64,
     history: EpochHistory,
     /// Scratch buffers reused every epoch so the steady-state decide
-    /// path performs no heap allocation (sized to `cores` up front).
+    /// path performs no heap allocation (sized to the core count at
+    /// `init`).
     scratch_actual: Vec<f64>,
     scratch_predicted: Vec<f64>,
     /// Streaming temporal monitors tapped on the epoch stream. The tap
-    /// sees every epoch regardless of [`HistoryMode`] (including
-    /// `Off`) and never influences decisions.
+    /// sees every epoch regardless of [`HistoryMode`] (including `Off`)
+    /// and never influences decisions.
     monitor: Option<PropertySet<EpochRecord>>,
-}
-
-impl RtmLane {
-    /// Builds a fresh lane for one (platform, workload) context — the
-    /// exact per-run state [`RtmGovernor::init`] establishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid; validate first
-    /// ([`RtmGovernor::new`] does).
-    #[must_use]
-    pub fn new(config: &RtmConfig, ctx: &GovernorContext) -> Self {
-        config.validate().expect("validated RtmConfig");
-        let cores = ctx.cores();
-        let slack = match config.slack_window {
-            Some(w) => SlackTracker::windowed(w),
-            None => SlackTracker::cumulative(),
-        };
-        let mapper = config.workload_bounds.map(|(min, max)| {
-            StateMapper::from_bounds(min, max, config.workload_levels, config.slack_levels, cores)
-                .expect("validated bounds")
-        });
-        let predictors = (0..cores)
-            .map(|_| EwmaPredictor::new(config.smoothing).expect("validated"))
-            .collect();
-        RtmLane {
-            config: config.clone(),
-            cores,
-            period: ctx.period(),
-            table: ctx.opp_table().clone(),
-            mapper,
-            predictors,
-            slack,
-            calib_samples: Vec::new(),
-            rr_core: 0,
-            last_prediction_total: 0.0,
-            last_frame_slack: 0.0,
-            history: EpochHistory::new(config.history),
-            // One-time sizing of the per-epoch scratch buffers: after
-            // this, the steady-state decide path never touches the heap.
-            scratch_actual: Vec::with_capacity(cores),
-            scratch_predicted: vec![0.0; cores],
-            monitor: None,
-        }
-    }
-
-    /// The conservative first decision a fresh RTM issues before any
-    /// observation: the highest OPP.
-    #[must_use]
-    pub fn first_decision(&self) -> VfDecision {
-        VfDecision::Cluster(self.table.max_index())
-    }
-
-    /// Cores of the lane's platform context.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// The per-frame deadline `T_ref` of the lane's context.
-    #[must_use]
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
-    /// Attaches a streaming [`PropertySet`] to the epoch stream (see
-    /// [`RtmGovernor::attach_monitor`]).
-    pub fn attach_monitor(&mut self, monitor: PropertySet<EpochRecord>) {
-        self.monitor = Some(monitor);
-    }
-
-    /// The attached monitor set, if any.
-    #[must_use]
-    pub fn monitor(&self) -> Option<&PropertySet<EpochRecord>> {
-        self.monitor.as_ref()
-    }
-
-    /// Detaches and returns the monitor set.
-    pub fn take_monitor(&mut self) -> Option<PropertySet<EpochRecord>> {
-        self.monitor.take()
-    }
-
-    /// The current average slack ratio `L`.
-    #[must_use]
-    pub fn avg_slack(&self) -> f64 {
-        self.slack.average()
-    }
-
-    /// Per-epoch telemetry retained so far (see
-    /// [`RtmGovernor::history`]).
-    #[must_use]
-    pub fn history(&self) -> &[EpochRecord] {
-        self.history.as_slice()
-    }
-
-    /// The state mapper, once pre-characterisation has completed.
-    #[must_use]
-    pub fn state_mapper(&self) -> Option<&StateMapper> {
-        self.mapper.as_ref()
-    }
-
-    /// Per-epoch processing cost of this lane's RTM (Table III).
-    #[must_use]
-    pub fn processing_overhead(&self) -> SimTime {
-        self.config
-            .overhead
-            .cost(self.cores.max(1), self.table.len())
-    }
-
-    /// Feeds one epoch's telemetry to the monitor tap and the retained
-    /// history — the single seam both decide paths exit through.
-    fn record_epoch(&mut self, record: EpochRecord) {
-        if let Some(monitor) = &mut self.monitor {
-            monitor.observe(&record);
-        }
-        self.history.push(record);
-    }
-
-    /// During calibration (no state mapper yet) fall back to a
-    /// proportional controller: pick the lowest OPP whose frequency
-    /// covers the predicted critical-path cycles within the period,
-    /// with 30 % safety headroom.
-    fn calibration_action(&self, predicted_per_core: &[f64]) -> usize {
-        let critical = predicted_per_core.iter().copied().fold(0.0f64, f64::max);
-        if critical <= 0.0 {
-            return self.table.max_index();
-        }
-        let needed_khz = critical * 1.3 / self.period.as_secs_f64() / 1_000.0;
-        self.table
-            .index_at_or_above(Freq::from_khz(needed_khz.ceil() as u64))
-    }
-
-    /// One full RTM decision epoch over `agent` — pay-off, prediction,
-    /// calibration or Bellman update + proactive selection, telemetry.
-    pub fn decide(&mut self, agent: &mut dyn EpochAgent, obs: &EpochObservation<'_>) -> VfDecision {
-        // --- Step 1 (Section II): pay-off for the elapsed interval. ---
-        // The state and the EPD bias use the average slack ratio L
-        // (Eq. 5); the pay-off's level term uses the *instantaneous*
-        // frame slack so the credit lands on the action that caused it
-        // (the paper's L averages over D epochs, but D restarts with
-        // every T_ref change, keeping it similarly responsive).
-        let frame_slack = obs.frame.frame_slack().clamp(-1.0, 1.0);
-        self.slack.observe(frame_slack);
-        let l = self.slack.average();
-        let reward = self
-            .config
-            .reward
-            .reward(frame_slack, self.last_frame_slack);
-        self.last_frame_slack = frame_slack;
-
-        // Workload observation and EWMA prediction (Eq. 1), folded
-        // through the reusable scratch buffers (sized at construction)
-        // so the steady-state epoch performs no heap allocation.
-        self.scratch_actual.clear();
-        self.scratch_actual
-            .extend(obs.frame.per_core_cycles.iter().map(|c| c.count() as f64));
-        let actual_total: f64 = self.scratch_actual.iter().sum();
-        let predicted_for_this_frame = self.last_prediction_total;
-        for (p, &a) in self.predictors.iter_mut().zip(&self.scratch_actual) {
-            p.observe(a);
-        }
-        for (slot, p) in self.scratch_predicted.iter_mut().zip(&self.predictors) {
-            *slot = p.predict();
-        }
-        let predicted_total: f64 = self.scratch_predicted.iter().sum();
-        self.last_prediction_total = predicted_total;
-
-        // --- Pre-characterisation (until the state mapper exists). ---
-        if self.mapper.is_none() {
-            self.calib_samples.push(actual_total);
-            if self.calib_samples.len() >= self.config.calibration_frames {
-                self.mapper = Some(
-                    StateMapper::from_samples(
-                        &self.calib_samples,
-                        self.config.workload_levels,
-                        self.config.slack_levels,
-                        self.cores,
-                    )
-                    .expect("calibration samples are finite and non-empty"),
-                );
-            } else {
-                let action = self.calibration_action(&self.scratch_predicted);
-                self.record_epoch(EpochRecord {
-                    epoch: obs.epoch,
-                    predicted_total_cycles: predicted_for_this_frame,
-                    actual_total_cycles: actual_total,
-                    frame_slack: obs.frame.frame_slack(),
-                    avg_slack: l,
-                    state: 0,
-                    action,
-                    epsilon: agent.epsilon(),
-                    explorations: agent.exploration_count(),
-                });
-                return VfDecision::Cluster(action);
-            }
-        }
-
-        // --- Steps 2 + 3: Bellman update and proactive selection. ---
-        let mapper = self.mapper.as_ref().expect("just ensured above");
-        let state = match self.config.state_kind {
-            StateKind::TotalWorkload => mapper.state_for_total(predicted_total, l),
-            StateKind::PerCoreShare => {
-                // Only the round-robin core's share is needed, so the
-                // Eq. 7 normalisation runs scalar (bit-identical to
-                // indexing `normalize_shares`) instead of materialising
-                // the share vector every epoch.
-                let share = StateMapper::share_of(&self.scratch_predicted, self.rr_core);
-                let s = mapper.state_for_share(share, l);
-                self.rr_core = (self.rr_core + 1) % self.cores;
-                s
-            }
-        };
-        let action = agent.begin_epoch(state, reward, l);
-
-        self.record_epoch(EpochRecord {
-            epoch: obs.epoch,
-            predicted_total_cycles: predicted_for_this_frame,
-            actual_total_cycles: actual_total,
-            frame_slack: obs.frame.frame_slack(),
-            avg_slack: l,
-            state,
-            action,
-            epsilon: agent.epsilon(),
-            explorations: agent.exploration_count(),
-        });
-        VfDecision::Cluster(action)
-    }
-}
-
-/// The paper's Q-learning run-time manager, usable as a drop-in
-/// [`Governor`].
-///
-/// Internally the governor is a thin shell over [`RtmLane`] (all
-/// non-learning per-run state) plus one [`QLearningAgent`]; fleet
-/// engines reuse the lane with arena-backed agents instead.
-///
-/// See the [crate documentation](crate) for the algorithm outline and an
-/// example.
-#[derive(Debug)]
-pub struct RtmGovernor {
-    config: RtmConfig,
-    lane: Option<RtmLane>,
-    agent: Option<QLearningAgent>,
-    /// A monitor attached before the first `init` (moved into the lane
-    /// the moment it exists, and carried across re-inits thereafter).
-    pending_monitor: Option<PropertySet<EpochRecord>>,
     /// Set by [`with_hardening`](RtmGovernor::with_hardening): routes
     /// every observation through a plausibility filter first.
     hardening: Option<HardeningConfig>,
@@ -455,9 +171,6 @@ pub struct RtmGovernor {
     /// never mutates the caller's observation and never allocates in
     /// steady state.
     sensed_scratch: FrameResult,
-    /// Top OPP index of the platform (set at `init`; clamps
-    /// [`HardeningConfig::safe_opp`]).
-    top_opp: usize,
     /// Epochs spent parked in the quarantined safe state.
     safe_state_epochs: u64,
 }
@@ -472,13 +185,24 @@ impl RtmGovernor {
         config.validate()?;
         Ok(RtmGovernor {
             config,
-            lane: None,
             agent: None,
-            pending_monitor: None,
+            table: None,
+            cores: 0,
+            period: SimTime::ZERO,
+            mapper: None,
+            predictors: Vec::new(),
+            slack: SlackTracker::cumulative(),
+            calib_samples: Vec::new(),
+            rr_core: 0,
+            last_prediction_total: 0.0,
+            last_frame_slack: 0.0,
+            history: EpochHistory::new(HistoryMode::Off),
+            scratch_actual: Vec::new(),
+            scratch_predicted: Vec::new(),
+            monitor: None,
             hardening: None,
             filter: None,
             sensed_scratch: FrameResult::empty(),
-            top_opp: 0,
             safe_state_epochs: 0,
         })
     }
@@ -549,27 +273,18 @@ impl RtmGovernor {
     /// (which calls `init` itself); a monitor attached across several
     /// runs of one governor observes their concatenated stream.
     pub fn attach_monitor(&mut self, monitor: PropertySet<EpochRecord>) {
-        match &mut self.lane {
-            Some(lane) => lane.attach_monitor(monitor),
-            None => self.pending_monitor = Some(monitor),
-        }
+        self.monitor = Some(monitor);
     }
 
     /// The attached monitor set, if any.
     #[must_use]
     pub fn monitor(&self) -> Option<&PropertySet<EpochRecord>> {
-        match &self.lane {
-            Some(lane) => lane.monitor(),
-            None => self.pending_monitor.as_ref(),
-        }
+        self.monitor.as_ref()
     }
 
     /// Detaches and returns the monitor set.
     pub fn take_monitor(&mut self) -> Option<PropertySet<EpochRecord>> {
-        match &mut self.lane {
-            Some(lane) => lane.take_monitor(),
-            None => self.pending_monitor.take(),
-        }
+        self.monitor.take()
     }
 
     /// The monitors' verdicts over the epochs observed so far.
@@ -641,7 +356,7 @@ impl RtmGovernor {
     /// The current average slack ratio `L`.
     #[must_use]
     pub fn avg_slack(&self) -> f64 {
-        self.lane.as_ref().map_or(0.0, RtmLane::avg_slack)
+        self.slack.average()
     }
 
     /// Per-epoch telemetry retained so far, in chronological order.
@@ -653,7 +368,7 @@ impl RtmGovernor {
     /// decisions, only retention.
     #[must_use]
     pub fn history(&self) -> &[EpochRecord] {
-        self.lane.as_ref().map_or(&[], RtmLane::history)
+        self.history.as_slice()
     }
 
     /// The configured telemetry retention mode.
@@ -665,7 +380,135 @@ impl RtmGovernor {
     /// The state mapper, once pre-characterisation has completed.
     #[must_use]
     pub fn state_mapper(&self) -> Option<&StateMapper> {
-        self.lane.as_ref().and_then(RtmLane::state_mapper)
+        self.mapper.as_ref()
+    }
+
+    /// The platform's operating points.
+    fn table(&self) -> &OppTable {
+        self.table.as_ref().expect("init() sets the OPP table")
+    }
+
+    /// Feeds one epoch's telemetry to the monitor tap and the retained
+    /// history.
+    fn record_epoch(&mut self, record: EpochRecord) {
+        if let Some(monitor) = &mut self.monitor {
+            monitor.observe(&record);
+        }
+        self.history.push(record);
+    }
+
+    /// During calibration (no state mapper yet) fall back to a
+    /// proportional controller: pick the lowest OPP whose frequency
+    /// covers the predicted critical-path cycles within the period,
+    /// with 30 % safety headroom.
+    fn calibration_action(&self, predicted_per_core: &[f64]) -> usize {
+        let critical = predicted_per_core.iter().copied().fold(0.0f64, f64::max);
+        if critical <= 0.0 {
+            return self.table().max_index();
+        }
+        let needed_khz = critical * 1.3 / self.period.as_secs_f64() / 1_000.0;
+        self.table()
+            .index_at_or_above(Freq::from_khz(needed_khz.ceil() as u64))
+    }
+
+    /// One full RTM decision epoch on `frame` — pay-off, prediction,
+    /// calibration or Bellman update + proactive selection, telemetry.
+    fn learn(&mut self, frame: &FrameResult, epoch: u64) -> VfDecision {
+        // --- Step 1 (Section II): pay-off for the elapsed interval. ---
+        // The state and the EPD bias use the average slack ratio L
+        // (Eq. 5); the pay-off's level term uses the *instantaneous*
+        // frame slack so the credit lands on the action that caused it
+        // (the paper's L averages over D epochs, but D restarts with
+        // every T_ref change, keeping it similarly responsive).
+        let frame_slack = frame.frame_slack().clamp(-1.0, 1.0);
+        self.slack.observe(frame_slack);
+        let l = self.slack.average();
+        let reward = self
+            .config
+            .reward
+            .reward(frame_slack, self.last_frame_slack);
+        self.last_frame_slack = frame_slack;
+
+        // Workload observation and EWMA prediction (Eq. 1), folded
+        // through the reusable scratch buffers (sized at `init`) so the
+        // steady-state epoch performs no heap allocation.
+        self.scratch_actual.clear();
+        self.scratch_actual
+            .extend(frame.per_core_cycles.iter().map(|c| c.count() as f64));
+        let actual_total: f64 = self.scratch_actual.iter().sum();
+        let predicted_for_this_frame = self.last_prediction_total;
+        for (p, &a) in self.predictors.iter_mut().zip(&self.scratch_actual) {
+            p.observe(a);
+        }
+        for (slot, p) in self.scratch_predicted.iter_mut().zip(&self.predictors) {
+            *slot = p.predict();
+        }
+        let predicted_total: f64 = self.scratch_predicted.iter().sum();
+        self.last_prediction_total = predicted_total;
+
+        // --- Pre-characterisation (until the state mapper exists). ---
+        if self.mapper.is_none() {
+            self.calib_samples.push(actual_total);
+            if self.calib_samples.len() >= self.config.calibration_frames {
+                self.mapper = Some(
+                    StateMapper::from_samples(
+                        &self.calib_samples,
+                        self.config.workload_levels,
+                        self.config.slack_levels,
+                        self.cores,
+                    )
+                    .expect("calibration samples are finite and non-empty"),
+                );
+            } else {
+                let action = self.calibration_action(&self.scratch_predicted);
+                self.record_epoch(EpochRecord {
+                    epoch,
+                    predicted_total_cycles: predicted_for_this_frame,
+                    actual_total_cycles: actual_total,
+                    frame_slack: frame.frame_slack(),
+                    avg_slack: l,
+                    state: 0,
+                    action,
+                    epsilon: self.epsilon(),
+                    explorations: self.exploration_count(),
+                });
+                return VfDecision::Cluster(action);
+            }
+        }
+
+        // --- Steps 2 + 3: Bellman update and proactive selection. ---
+        let mapper = self.mapper.as_ref().expect("just ensured above");
+        let state = match self.config.state_kind {
+            StateKind::TotalWorkload => mapper.state_for_total(predicted_total, l),
+            StateKind::PerCoreShare => {
+                // Only the round-robin core's share is needed, so the
+                // Eq. 7 normalisation runs scalar (bit-identical to
+                // indexing `normalize_shares`) instead of materialising
+                // the share vector every epoch.
+                let share = StateMapper::share_of(&self.scratch_predicted, self.rr_core);
+                let s = mapper.state_for_share(share, l);
+                self.rr_core = (self.rr_core + 1) % self.cores;
+                s
+            }
+        };
+        let action = self
+            .agent
+            .as_mut()
+            .expect("init() builds the agent")
+            .begin_epoch(state, reward, l);
+
+        self.record_epoch(EpochRecord {
+            epoch,
+            predicted_total_cycles: predicted_for_this_frame,
+            actual_total_cycles: actual_total,
+            frame_slack: frame.frame_slack(),
+            avg_slack: l,
+            state,
+            action,
+            epsilon: self.epsilon(),
+            explorations: self.exploration_count(),
+        });
+        VfDecision::Cluster(action)
     }
 }
 
@@ -675,72 +518,79 @@ impl Governor for RtmGovernor {
     }
 
     fn init(&mut self, ctx: &GovernorContext) -> VfDecision {
-        // The monitor tap survives re-initialisation: move it from the
-        // previous lane (or the pre-init slot) into the fresh one.
-        let monitor = match self.lane.take() {
-            Some(mut old) => old.take_monitor(),
-            None => self.pending_monitor.take(),
-        };
-        let mut lane = RtmLane::new(&self.config, ctx);
-        if let Some(monitor) = monitor {
-            lane.attach_monitor(monitor);
-        }
-
+        let config = &self.config;
+        let cores = ctx.cores();
         self.agent = Some(QLearningAgent::with_policy(
-            self.config.agent_config(),
-            self.config.state_count(),
+            config.agent_config(),
+            config.state_count(),
             ActionSpace::from_freqs_ghz(&ctx.opp_table().freqs_ghz()),
-            self.config.exploration_policy(),
-            self.config.seed,
+            config.exploration_policy(),
+            config.seed,
         ));
+        self.table = Some(ctx.opp_table().clone());
+        self.cores = cores;
+        self.period = ctx.period();
+        self.mapper = config.workload_bounds.map(|(min, max)| {
+            StateMapper::from_bounds(min, max, config.workload_levels, config.slack_levels, cores)
+                .expect("validated bounds")
+        });
+        self.predictors = (0..cores)
+            .map(|_| EwmaPredictor::new(config.smoothing).expect("validated"))
+            .collect();
+        self.slack = match config.slack_window {
+            Some(w) => SlackTracker::windowed(w),
+            None => SlackTracker::cumulative(),
+        };
+        self.calib_samples.clear();
+        self.rr_core = 0;
+        self.last_prediction_total = 0.0;
+        self.last_frame_slack = 0.0;
+        self.history = EpochHistory::new(config.history);
+        // One-time sizing of the per-epoch scratch buffers: after this,
+        // the steady-state decide path never touches the heap.
+        self.scratch_actual = Vec::with_capacity(cores);
+        self.scratch_predicted = vec![0.0; cores];
 
         // A hardened governor gets a fresh filter per run (the gates
         // persist; last-good history and counters do not).
-        self.filter = self.hardening.as_ref().map(|h| PlausibilityFilter::new(*h));
+        self.filter = self.hardening.map(PlausibilityFilter::new);
         self.sensed_scratch = FrameResult::empty();
-        self.top_opp = ctx.opp_table().len() - 1;
         self.safe_state_epochs = 0;
 
         // Conservative start: the highest point, as a fresh governor
         // knows nothing about the workload yet.
-        let first = lane.first_decision();
-        self.lane = Some(lane);
-        first
+        VfDecision::Cluster(ctx.opp_table().max_index())
     }
 
     fn decide(&mut self, obs: &EpochObservation<'_>) -> VfDecision {
-        if let Some(filter) = self.filter.as_mut() {
-            self.sensed_scratch.copy_from(obs.frame);
-            filter.admit(&mut self.sensed_scratch);
-            if filter.quarantined() {
-                // Sensors untrustworthy: park at the safe OPP and do
-                // not let the agent learn from garbage (ε stays
-                // frozen, which keeps its decay monotone).
-                self.safe_state_epochs += 1;
-                let safe = self
-                    .hardening
-                    .as_ref()
-                    .expect("filter implies hardening")
-                    .safe_opp
-                    .min(self.top_opp);
-                return VfDecision::Cluster(safe);
-            }
-            let lane = self.lane.as_mut().expect("init() builds the lane");
-            let agent = self.agent.as_mut().expect("init() builds the agent");
-            let patched = EpochObservation {
-                frame: &self.sensed_scratch,
-                epoch: obs.epoch,
-            };
-            return lane.decide(agent, &patched);
+        let Some(filter) = self.filter.as_mut() else {
+            return self.learn(obs.frame, obs.epoch);
+        };
+        self.sensed_scratch.copy_from(obs.frame);
+        filter.admit(&mut self.sensed_scratch);
+        if filter.quarantined() {
+            // Sensors untrustworthy: park at the safe OPP and do not let
+            // the agent learn from garbage (ε stays frozen, which keeps
+            // its decay monotone).
+            self.safe_state_epochs += 1;
+            let safe = self
+                .hardening
+                .as_ref()
+                .expect("filter implies hardening")
+                .safe_opp;
+            return VfDecision::Cluster(safe.min(self.table().max_index()));
         }
-        let lane = self.lane.as_mut().expect("init() builds the lane");
-        let agent = self.agent.as_mut().expect("init() builds the agent");
-        lane.decide(agent, obs)
+        // Learn from the filtered copy, then put it back so its vectors
+        // keep their capacity.
+        let sensed = std::mem::replace(&mut self.sensed_scratch, FrameResult::empty());
+        let decision = self.learn(&sensed, obs.epoch);
+        self.sensed_scratch = sensed;
+        decision
     }
 
     fn processing_overhead(&self) -> SimTime {
-        match &self.lane {
-            Some(lane) => lane.processing_overhead(),
+        match &self.table {
+            Some(table) => self.config.overhead.cost(self.cores.max(1), table.len()),
             // Pre-init estimate: one core, a typical 19-point table.
             None => self.config.overhead.cost(1, 19),
         }

@@ -52,7 +52,7 @@ pub use monitor::{
     PropertySet, PropertyVerdict, Verdict,
 };
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
-pub use report::{FrameStat, FrameWindows, RunReport};
+pub use report::{FrameStat, RunReport};
 pub use series::Series;
 pub use stats::{t_critical_975, OnlineStats};
 pub use sweep::{MetricSummary, SampleStats, SweepFormat, SweepTable};

@@ -1,80 +1,8 @@
 //! Per-run accounting.
 
 use crate::monitor::MonitorReport;
-use crate::{OnlineStats, WindowedStats};
+use crate::OnlineStats;
 use qgov_units::{Energy, Power, SimTime, Temp};
-
-/// Windowed per-frame folds kept instead of raw [`FrameStat`]s when a
-/// report runs in windowed retention
-/// ([`RunReport::with_windowed_frames`]): one [`WindowedStats`] per
-/// tracked signal, so a multi-million-frame horizon costs O(windows)
-/// memory while every whole-run scalar on [`RunReport`] stays
-/// bit-identical to full retention.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameWindows {
-    ratio: WindowedStats,
-    energy_j: WindowedStats,
-    opp: WindowedStats,
-    miss: WindowedStats,
-}
-
-impl FrameWindows {
-    fn new(window_len: u64) -> Self {
-        FrameWindows {
-            ratio: WindowedStats::new(window_len),
-            energy_j: WindowedStats::new(window_len),
-            opp: WindowedStats::new(window_len),
-            miss: WindowedStats::new(window_len),
-        }
-    }
-
-    fn push(&mut self, ratio: f64, energy_j: f64, opp: usize, met_deadline: bool) {
-        self.ratio.push(ratio);
-        self.energy_j.push(energy_j);
-        self.opp.push(opp as f64);
-        self.miss.push(if met_deadline { 0.0 } else { 1.0 });
-    }
-
-    fn reserve_frames(&mut self, frames: usize) {
-        let windows = (frames as u64)
-            .div_ceil(self.ratio.window_len())
-            .saturating_add(1) as usize;
-        self.ratio.reserve(windows);
-        self.energy_j.reserve(windows);
-        self.opp.reserve(windows);
-        self.miss.reserve(windows);
-    }
-
-    /// Samples per full window.
-    #[must_use]
-    pub fn window_len(&self) -> u64 {
-        self.ratio.window_len()
-    }
-
-    /// Windowed fold of the per-frame `Tᵢ / T_ref` performance ratio.
-    #[must_use]
-    pub fn ratio(&self) -> &WindowedStats {
-        &self.ratio
-    }
-
-    /// Windowed fold of per-frame ground-truth energy in joules.
-    #[must_use]
-    pub fn energy_j(&self) -> &WindowedStats {
-        &self.energy_j
-    }
-
-    /// Windowed fold of the cluster OPP index.
-    #[must_use]
-    pub fn opp(&self) -> &WindowedStats {
-        &self.opp
-    }
-
-    /// Windowed fold of the deadline-miss indicator (1 = missed).
-    #[must_use]
-    pub fn miss(&self) -> &WindowedStats {
-        &self.miss
-    }
-}
 
 /// Minimal per-frame record kept by a run for downstream analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,17 +47,6 @@ pub struct RunReport {
     app: String,
     period: SimTime,
     frames: Vec<FrameStat>,
-    /// `Some` in windowed retention: per-frame folds replacing the raw
-    /// `frames` vector (which then stays empty).
-    windows: Option<FrameWindows>,
-    /// Streaming frame counter — authoritative in both retention
-    /// modes, so whole-run scalars never depend on `frames.len()`.
-    frame_count: u64,
-    /// Streaming OPP-index sum, accumulated in record order (the same
-    /// left-to-right fold a post-hoc sum over `frames` performs, so
-    /// [`mean_opp`](RunReport::mean_opp) is bit-identical across
-    /// retention modes).
-    opp_sum: f64,
     frame_time_ratio: OnlineStats,
     total_energy: Energy,
     total_measured_energy: Energy,
@@ -158,9 +75,6 @@ impl RunReport {
             app: app.into(),
             period,
             frames: Vec::new(),
-            windows: None,
-            frame_count: 0,
-            opp_sum: 0.0,
             frame_time_ratio: OnlineStats::new(),
             total_energy: Energy::ZERO,
             total_measured_energy: Energy::ZERO,
@@ -173,38 +87,12 @@ impl RunReport {
         }
     }
 
-    /// Switches the report to **windowed retention** before any frame
-    /// is recorded: instead of one [`FrameStat`] per frame, per-frame
-    /// signals stream into [`FrameWindows`] folds of `window_len`
-    /// frames each, keeping a multi-million-frame run O(windows). All
-    /// whole-run scalars (`frames`, `normalized_performance`,
-    /// `miss_rate`, `mean_opp`, energies) are computed from streaming
-    /// accumulators and stay bit-identical to full retention;
-    /// [`frame_stats`](RunReport::frame_stats) returns an empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if frames were already recorded or `window_len` is zero.
-    #[must_use]
-    pub fn with_windowed_frames(mut self, window_len: u64) -> Self {
-        assert_eq!(
-            self.frame_count, 0,
-            "retention must be chosen before recording frames"
-        );
-        self.windows = Some(FrameWindows::new(window_len));
-        self
-    }
-
     /// Pre-reserves capacity for `frames` further
     /// [`record_frame`](RunReport::record_frame) calls, so a run of
     /// known length records every frame without reallocating (the
-    /// harness's zero-allocation steady-state loop). In windowed
-    /// retention this reserves the window summaries instead.
+    /// harness's zero-allocation steady-state loop).
     pub fn reserve_frames(&mut self, frames: usize) {
-        match &mut self.windows {
-            Some(w) => w.reserve_frames(frames),
-            None => self.frames.reserve(frames),
-        }
+        self.frames.reserve(frames);
     }
 
     /// Records one frame's outcome.
@@ -216,20 +104,14 @@ impl RunReport {
         opp: usize,
         met_deadline: bool,
     ) {
-        let ratio = frame_time.ratio(self.period);
-        match &mut self.windows {
-            Some(w) => w.push(ratio, energy.as_joules(), opp, met_deadline),
-            None => self.frames.push(FrameStat {
-                frame_time,
-                wall_time,
-                energy,
-                opp,
-                met_deadline,
-            }),
-        }
-        self.frame_count += 1;
-        self.opp_sum += opp as f64;
-        self.frame_time_ratio.push(ratio);
+        self.frames.push(FrameStat {
+            frame_time,
+            wall_time,
+            energy,
+            opp,
+            met_deadline,
+        });
+        self.frame_time_ratio.push(frame_time.ratio(self.period));
         self.total_energy += energy;
         self.total_wall += wall_time;
         if !met_deadline {
@@ -272,21 +154,13 @@ impl RunReport {
     /// Number of frames recorded.
     #[must_use]
     pub fn frames(&self) -> u64 {
-        self.frame_count
+        self.frames.len() as u64
     }
 
-    /// The per-frame records. Empty in windowed retention — use
-    /// [`frame_windows`](RunReport::frame_windows) there.
+    /// The per-frame records.
     #[must_use]
     pub fn frame_stats(&self) -> &[FrameStat] {
         &self.frames
-    }
-
-    /// The windowed per-frame folds, when the report runs in windowed
-    /// retention ([`with_windowed_frames`](RunReport::with_windowed_frames)).
-    #[must_use]
-    pub fn frame_windows(&self) -> Option<&FrameWindows> {
-        self.windows.as_ref()
     }
 
     /// Ground-truth energy of the whole run.
@@ -339,10 +213,10 @@ impl RunReport {
     /// Fraction of frames that missed their deadline.
     #[must_use]
     pub fn miss_rate(&self) -> f64 {
-        if self.frame_count == 0 {
+        if self.frames.is_empty() {
             0.0
         } else {
-            self.misses as f64 / self.frame_count as f64
+            self.misses as f64 / self.frames.len() as f64
         }
     }
 
@@ -387,10 +261,11 @@ impl RunReport {
     /// Mean OPP index over the run (a quick energy-behaviour summary).
     #[must_use]
     pub fn mean_opp(&self) -> f64 {
-        if self.frame_count == 0 {
+        if self.frames.is_empty() {
             return 0.0;
         }
-        self.opp_sum / self.frame_count as f64
+        let sum: f64 = self.frames.iter().map(|f| f.opp as f64).sum();
+        sum / self.frames.len() as f64
     }
 }
 
@@ -463,63 +338,6 @@ mod tests {
         assert_ne!(monitored, plain);
         assert!(monitored.monitor_report().unwrap().is_clean());
         assert_eq!(monitored.without_monitor_report(), plain);
-    }
-
-    #[test]
-    fn windowed_retention_matches_full_retention_bit_for_bit() {
-        let period = SimTime::from_ms(100);
-        let ratios = [0.5, 0.9, 1.1, 1.0, 0.7, 1.3, 0.8];
-        let energies = [1.0, 2.5, 0.5, 3.0, 1.5, 2.0, 0.25];
-        let met = [true, true, false, true, true, false, true];
-
-        let mut full = RunReport::new("g", "a", period);
-        let mut windowed = RunReport::new("g", "a", period).with_windowed_frames(3);
-        windowed.reserve_frames(ratios.len());
-        for ((&ratio, &e), &m) in ratios.iter().zip(&energies).zip(&met) {
-            for r in [&mut full, &mut windowed] {
-                r.record_frame(
-                    period.scale(ratio),
-                    period.max(period.scale(ratio)),
-                    Energy::from_joules(e),
-                    (ratio * 10.0) as usize,
-                    m,
-                );
-            }
-        }
-
-        // Every whole-run scalar is bit-identical across retentions.
-        assert_eq!(full.frames(), windowed.frames());
-        assert_eq!(
-            full.normalized_performance().to_bits(),
-            windowed.normalized_performance().to_bits()
-        );
-        assert_eq!(full.mean_opp().to_bits(), windowed.mean_opp().to_bits());
-        assert_eq!(full.miss_rate().to_bits(), windowed.miss_rate().to_bits());
-        assert_eq!(
-            full.total_energy().as_joules().to_bits(),
-            windowed.total_energy().as_joules().to_bits()
-        );
-        assert_eq!(full.deadline_misses(), windowed.deadline_misses());
-
-        // Windowed retention drops the raw records and keeps the folds,
-        // which equal a post-hoc re-fold of the full frame stream.
-        assert!(windowed.frame_stats().is_empty());
-        assert_eq!(full.frame_windows(), None);
-        let folds = windowed.frame_windows().expect("windowed retention");
-        assert_eq!(folds.window_len(), 3);
-        let mut refold = WindowedStats::new(3);
-        refold.extend(full.frame_stats().iter().map(|f| f.opp as f64));
-        assert_eq!(folds.opp().clone().into_windows(), refold.into_windows());
-        let miss_windows = folds.miss().clone().into_windows();
-        let total_misses: f64 = miss_windows.iter().map(|w| w.mean * w.len as f64).sum();
-        assert!((total_misses - windowed.deadline_misses() as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "before recording frames")]
-    fn windowed_retention_after_frames_panics() {
-        let r = report_with(&[1.0], &[1.0], &[true]);
-        let _ = r.with_windowed_frames(4);
     }
 
     #[test]

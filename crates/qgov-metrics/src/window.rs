@@ -127,14 +127,6 @@ impl WindowedStats {
         self.current = OnlineStats::new();
     }
 
-    /// Pre-reserves capacity for `additional` further window
-    /// summaries, so a stream of known length folds without
-    /// reallocating (the harness's zero-allocation steady-state loop
-    /// sizes its folds with this before entering the hot loop).
-    pub fn reserve(&mut self, additional: usize) {
-        self.windows.reserve(additional);
-    }
-
     /// Samples per full window.
     #[must_use]
     pub fn window_len(&self) -> u64 {

@@ -1,6 +1,5 @@
 //! A ready-to-use epoch-driven Q-learning agent.
 
-use crate::qtable::QAccess;
 use crate::{
     ActionContext, ConvergenceTracker, DecayingEpsilon, EpdPolicy, ExplorationPolicy, QTable,
     RlError,
@@ -116,177 +115,6 @@ impl Default for AgentConfig {
     }
 }
 
-/// The initial table a validated `config` prescribes: the optimistic
-/// action-bias gradient when configured, zeros otherwise. Shared by
-/// [`QLearningAgent`] and the fleet arena ([`crate::AgentLanes`]) so
-/// arena lanes start from bit-identical values.
-pub(crate) fn initial_table(config: &AgentConfig, states: usize, actions: &ActionSpace) -> QTable {
-    if config.optimistic_gradient > 0.0 {
-        let n = actions.len();
-        let bias: Vec<f64> = (0..n)
-            .map(|a| {
-                if n == 1 {
-                    0.0
-                } else {
-                    config.optimistic_gradient * a as f64 / (n - 1) as f64
-                }
-            })
-            .collect();
-        QTable::with_action_bias(states, n, &bias).expect("non-zero dimensions")
-    } else {
-        QTable::new(states, actions.len()).expect("non-zero dimensions")
-    }
-}
-
-/// Everything a Q-learning agent carries *besides* its Q storage:
-/// action space, learning rates, ε schedule, exploration policy, RNG,
-/// previous state–action pair and convergence bookkeeping.
-///
-/// The epoch body ([`AgentCore::begin_epoch`]) is generic over
-/// [`QAccess`], which is what lets a [`QLearningAgent`] (one core, one
-/// [`QTable`]) and the fleet's [`crate::AgentLanes`] (N cores over one
-/// contiguous [`crate::QArena`]) execute the identical instruction
-/// sequence — the construction the fleet's bit-identity rests on.
-pub(crate) struct AgentCore {
-    actions: ActionSpace,
-    alpha: f64,
-    discount: f64,
-    epsilon: DecayingEpsilon,
-    policy: Box<dyn ExplorationPolicy + Send>,
-    rng: StdRng,
-    last: Option<(usize, usize)>,
-    explorations: u64,
-    explorations_at_convergence: Option<u64>,
-    tracker: ConvergenceTracker,
-}
-
-impl AgentCore {
-    /// Builds a core from a **validated** configuration (callers run
-    /// [`AgentConfig::validate`] first).
-    pub(crate) fn new(
-        config: &AgentConfig,
-        actions: ActionSpace,
-        policy: Box<dyn ExplorationPolicy + Send>,
-        seed: u64,
-    ) -> Self {
-        AgentCore {
-            actions,
-            alpha: config.alpha,
-            discount: config.discount,
-            epsilon: config.epsilon.clone(),
-            policy,
-            rng: StdRng::seed_from_u64(seed),
-            last: None,
-            explorations: 0,
-            explorations_at_convergence: None,
-            // One tolerated flip inside the window keeps the detector
-            // robust against isolated stochastic-reward glitches.
-            tracker: ConvergenceTracker::with_tolerance(
-                config.convergence_window,
-                u64::from(config.convergence_window > 1),
-            ),
-        }
-    }
-
-    /// One decision epoch against any Q storage — the shared body of
-    /// [`QLearningAgent::begin_epoch`] (see its docs for the contract).
-    pub(crate) fn begin_epoch<Q: QAccess + ?Sized>(
-        &mut self,
-        q: &mut Q,
-        state: usize,
-        reward: f64,
-        slack: f64,
-    ) -> usize {
-        assert!(reward.is_finite(), "reward must be finite, got {reward}");
-        // (1) + (2): pay-off and Bellman update for the previous pair.
-        // `alpha`/`discount` were validated at construction, so the
-        // unchecked fast path applies (one fused row traversal for the
-        // future term instead of two index-checked passes).
-        if let Some((prev_state, prev_action)) = self.last {
-            let (greedy_before, _) = q.row_best(prev_state);
-            q.update_unchecked(
-                prev_state,
-                prev_action,
-                reward,
-                state,
-                self.alpha,
-                self.discount,
-            );
-            let changed = q.row_best(prev_state).0 != greedy_before;
-            // A quiet greedy policy during the exploration phase is not
-            // convergence — early on, updates have not yet differentiated
-            // the actions, so the greedy choice sits still for trivial
-            // reasons. Only a quiet window *after* ε has decayed to its
-            // exploitation floor counts (this is also what freezes the
-            // Table II exploration count at a meaningful moment).
-            let settled = self.epsilon.is_exploitation();
-            self.tracker.record_epoch(changed || !settled);
-            if self.explorations_at_convergence.is_none() && self.tracker.converged_at().is_some() {
-                self.explorations_at_convergence = Some(self.explorations);
-            }
-        }
-
-        // (3): action selection for the coming interval — the fused
-        // argmax scan (re-run after the update above, whose target row
-        // may alias `state`).
-        let (greedy, _) = q.row_best(state);
-        let explore = crate::uniform_f64(&mut self.rng) < self.epsilon.value();
-        let action = if explore {
-            let ctx = ActionContext::new(q.row(state), self.actions.freqs_ghz(), slack);
-            self.policy.select(&ctx, &mut self.rng)
-        } else {
-            greedy
-        };
-        if explore && action != greedy {
-            self.explorations += 1;
-        }
-        self.epsilon.step();
-        self.last = Some((state, action));
-        action
-    }
-
-    pub(crate) fn actions(&self) -> &ActionSpace {
-        &self.actions
-    }
-
-    pub(crate) fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
-    pub(crate) fn exploration_count(&self) -> u64 {
-        self.explorations
-    }
-
-    pub(crate) fn explorations_to_convergence(&self) -> Option<u64> {
-        self.explorations_at_convergence
-    }
-
-    pub(crate) fn epochs(&self) -> u64 {
-        self.tracker.epochs()
-    }
-
-    pub(crate) fn converged_at(&self) -> Option<u64> {
-        self.tracker.converged_at()
-    }
-
-    pub(crate) fn epsilon_value(&self) -> f64 {
-        self.epsilon.value()
-    }
-
-    pub(crate) fn is_exploitation(&self) -> bool {
-        self.epsilon.is_exploitation()
-    }
-
-    /// Resets everything but the Q storage (the caller restores that).
-    pub(crate) fn reset(&mut self) {
-        self.epsilon.reset();
-        self.tracker.reset();
-        self.last = None;
-        self.explorations = 0;
-        self.explorations_at_convergence = None;
-    }
-}
-
 /// An epoch-driven Q-learning agent: Q-table + exploration policy +
 /// ε schedule + convergence tracking.
 ///
@@ -300,7 +128,16 @@ pub struct QLearningAgent {
     /// Pristine copy of the initial table (restored on reset, so the
     /// optimistic bias survives a learning restart).
     pristine: QTable,
-    core: AgentCore,
+    actions: ActionSpace,
+    alpha: f64,
+    discount: f64,
+    epsilon: DecayingEpsilon,
+    policy: Box<dyn ExplorationPolicy + Send>,
+    rng: StdRng,
+    last: Option<(usize, usize)>,
+    explorations: u64,
+    explorations_at_convergence: Option<u64>,
+    tracker: ConvergenceTracker,
 }
 
 impl core::fmt::Debug for QLearningAgent {
@@ -308,12 +145,12 @@ impl core::fmt::Debug for QLearningAgent {
         f.debug_struct("QLearningAgent")
             .field("states", &self.q.states())
             .field("actions", &self.q.actions())
-            .field("alpha", &self.core.alpha)
-            .field("discount", &self.core.discount)
-            .field("epsilon", &self.core.epsilon_value())
-            .field("policy", &self.core.policy_name())
-            .field("explorations", &self.core.explorations)
-            .field("epochs", &self.core.epochs())
+            .field("alpha", &self.alpha)
+            .field("discount", &self.discount)
+            .field("epsilon", &self.epsilon.value())
+            .field("policy", &self.policy.name())
+            .field("explorations", &self.explorations)
+            .field("epochs", &self.tracker.epochs())
             .finish()
     }
 }
@@ -346,11 +183,39 @@ impl QLearningAgent {
         seed: u64,
     ) -> Self {
         config.validate().expect("invalid agent configuration");
-        let q = initial_table(&config, states, &actions);
+        let q = if config.optimistic_gradient > 0.0 {
+            let n = actions.len();
+            let bias: Vec<f64> = (0..n)
+                .map(|a| {
+                    if n == 1 {
+                        0.0
+                    } else {
+                        config.optimistic_gradient * a as f64 / (n - 1) as f64
+                    }
+                })
+                .collect();
+            QTable::with_action_bias(states, n, &bias).expect("non-zero dimensions")
+        } else {
+            QTable::new(states, actions.len()).expect("non-zero dimensions")
+        };
         QLearningAgent {
             pristine: q.clone(),
             q,
-            core: AgentCore::new(&config, actions, policy, seed),
+            actions,
+            alpha: config.alpha,
+            discount: config.discount,
+            epsilon: config.epsilon,
+            policy,
+            rng: StdRng::seed_from_u64(seed),
+            last: None,
+            explorations: 0,
+            explorations_at_convergence: None,
+            // One tolerated flip inside the window keeps the detector
+            // robust against isolated stochastic-reward glitches.
+            tracker: ConvergenceTracker::with_tolerance(
+                config.convergence_window,
+                u64::from(config.convergence_window > 1),
+            ),
         }
     }
 
@@ -368,7 +233,52 @@ impl QLearningAgent {
     /// Panics if `state` is out of range or `reward`/`slack` are not
     /// finite.
     pub fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
-        self.core.begin_epoch(&mut self.q, state, reward, slack)
+        assert!(reward.is_finite(), "reward must be finite, got {reward}");
+        // (1) + (2): pay-off and Bellman update for the previous pair.
+        // `alpha`/`discount` were validated at construction, so the
+        // unchecked fast path applies (one fused row traversal for the
+        // future term instead of two index-checked passes).
+        if let Some((prev_state, prev_action)) = self.last {
+            let (greedy_before, _) = self.q.row_best(prev_state);
+            self.q.update_unchecked(
+                prev_state,
+                prev_action,
+                reward,
+                state,
+                self.alpha,
+                self.discount,
+            );
+            let changed = self.q.row_best(prev_state).0 != greedy_before;
+            // A quiet greedy policy during the exploration phase is not
+            // convergence — early on, updates have not yet differentiated
+            // the actions, so the greedy choice sits still for trivial
+            // reasons. Only a quiet window *after* ε has decayed to its
+            // exploitation floor counts (this is also what freezes the
+            // Table II exploration count at a meaningful moment).
+            let settled = self.epsilon.is_exploitation();
+            self.tracker.record_epoch(changed || !settled);
+            if self.explorations_at_convergence.is_none() && self.tracker.converged_at().is_some() {
+                self.explorations_at_convergence = Some(self.explorations);
+            }
+        }
+
+        // (3): action selection for the coming interval — the fused
+        // argmax scan (re-run after the update above, whose target row
+        // may alias `state`).
+        let (greedy, _) = self.q.row_best(state);
+        let explore = crate::uniform_f64(&mut self.rng) < self.epsilon.value();
+        let action = if explore {
+            let ctx = ActionContext::new(self.q.row(state), self.actions.freqs_ghz(), slack);
+            self.policy.select(&ctx, &mut self.rng)
+        } else {
+            greedy
+        };
+        if explore && action != greedy {
+            self.explorations += 1;
+        }
+        self.epsilon.step();
+        self.last = Some((state, action));
+        action
     }
 
     /// The underlying Q-table.
@@ -380,52 +290,52 @@ impl QLearningAgent {
     /// Number of actions.
     #[must_use]
     pub fn action_count(&self) -> usize {
-        self.core.actions().len()
+        self.actions.len()
     }
 
     /// Per-action frequencies in GHz.
     #[must_use]
     pub fn action_freqs_ghz(&self) -> &[f64] {
-        self.core.actions().freqs_ghz()
+        self.actions.freqs_ghz()
     }
 
     /// Total number of exploratory (non-greedy) selections so far.
     #[must_use]
     pub fn exploration_count(&self) -> u64 {
-        self.core.exploration_count()
+        self.explorations
     }
 
     /// The exploration count frozen at the moment of first convergence —
     /// the quantity Table II reports. `None` until converged.
     #[must_use]
     pub fn explorations_to_convergence(&self) -> Option<u64> {
-        self.core.explorations_to_convergence()
+        self.explorations_at_convergence
     }
 
     /// Epochs elapsed.
     #[must_use]
     pub fn epochs(&self) -> u64 {
-        self.core.epochs()
+        self.tracker.epochs()
     }
 
     /// First convergence epoch, if reached (Table III's learning
     /// overhead measure).
     #[must_use]
     pub fn converged_at(&self) -> Option<u64> {
-        self.core.converged_at()
+        self.tracker.converged_at()
     }
 
     /// Current exploration probability ε.
     #[must_use]
     pub fn epsilon(&self) -> f64 {
-        self.core.epsilon_value()
+        self.epsilon.value()
     }
 
     /// `true` once ε has decayed to its floor (the paper's exploitation
     /// phase).
     #[must_use]
     pub fn is_exploitation(&self) -> bool {
-        self.core.is_exploitation()
+        self.epsilon.is_exploitation()
     }
 
     /// Resets all learning state (table, ε, counters), e.g. on a
@@ -433,7 +343,11 @@ impl QLearningAgent {
     /// restored, not zeroed.
     pub fn reset(&mut self) {
         self.q = self.pristine.clone();
-        self.core.reset();
+        self.epsilon.reset();
+        self.tracker.reset();
+        self.last = None;
+        self.explorations = 0;
+        self.explorations_at_convergence = None;
     }
 }
 

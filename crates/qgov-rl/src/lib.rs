@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod agent;
-mod arena;
 mod convergence;
 mod discretize;
 mod epsilon;
@@ -57,7 +56,6 @@ mod qtable;
 mod reward;
 
 pub use agent::{ActionSpace, AgentConfig, QLearningAgent};
-pub use arena::{AgentLanes, LaneSpec, QArena};
 pub use convergence::ConvergenceTracker;
 pub use discretize::{Discretizer, QuantileDiscretizer, UniformDiscretizer};
 pub use epsilon::DecayingEpsilon;

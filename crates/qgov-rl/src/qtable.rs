@@ -2,88 +2,6 @@
 
 use crate::RlError;
 
-/// The fused greedy-scan fold shared by [`QTable::row_best`] and the
-/// instance-major arena kernels ([`crate::QArena`]): one pass over a
-/// row returning `(argmax, max)`. Folds from the first entry (correct
-/// for rows of any value range) and breaks ties towards the lowest
-/// action index — for a frequency-ordered action space, the lowest
-/// (most energy-frugal) frequency.
-///
-/// # Panics
-///
-/// Panics if `row` is empty (the slice index of the fold seed).
-#[inline]
-pub(crate) fn best_of_row(row: &[f64]) -> (usize, f64) {
-    let mut best = 0;
-    let mut best_v = row[0];
-    for (a, &v) in row.iter().enumerate().skip(1) {
-        if v > best_v {
-            best = a;
-            best_v = v;
-        }
-    }
-    (best, best_v)
-}
-
-/// Eq. 3's value mix, shared by every Q store so that arena-resident
-/// and table-resident instances execute the identical floating-point
-/// expression (the seam the fleet's bit-identity guarantee rests on):
-///
-/// ```text
-/// Q ← (1 − α)·Q + α·[R + γ·max_a Q(s′, a)]
-/// ```
-#[inline]
-pub(crate) fn bellman_mix(old: f64, reward: f64, future: f64, alpha: f64, discount: f64) -> f64 {
-    (1.0 - alpha) * old + alpha * (reward + discount * future)
-}
-
-/// Mutable access to one agent instance's Q storage — the seam that
-/// lets [`crate::agent::AgentCore`] drive either a standalone
-/// [`QTable`] or one instance's rows of a [`crate::QArena`] through
-/// the identical epoch body.
-pub(crate) trait QAccess {
-    /// The row of Q-values for `state`.
-    fn row(&self, state: usize) -> &[f64];
-    /// The fused `(greedy_action, max_value)` scan of a state's row.
-    fn row_best(&self, state: usize) -> (usize, f64);
-    /// The Bellman fast path (validated-parameter contract of
-    /// [`QTable::update_unchecked`]).
-    fn update_unchecked(
-        &mut self,
-        state: usize,
-        action: usize,
-        reward: f64,
-        next_state: usize,
-        alpha: f64,
-        discount: f64,
-    );
-}
-
-impl QAccess for QTable {
-    #[inline]
-    fn row(&self, state: usize) -> &[f64] {
-        QTable::row(self, state)
-    }
-
-    #[inline]
-    fn row_best(&self, state: usize) -> (usize, f64) {
-        QTable::row_best(self, state)
-    }
-
-    #[inline]
-    fn update_unchecked(
-        &mut self,
-        state: usize,
-        action: usize,
-        reward: f64,
-        next_state: usize,
-        alpha: f64,
-        discount: f64,
-    ) {
-        QTable::update_unchecked(self, state, action, reward, next_state, alpha, discount);
-    }
-}
-
 /// A dense state × action Q-value table.
 ///
 /// The RTM stores its decisions "in a look-up table (referred to as a
@@ -311,7 +229,16 @@ impl QTable {
     #[must_use]
     pub fn row_best(&self, state: usize) -> (usize, f64) {
         let start = self.idx_fast(state, 0);
-        best_of_row(&self.values[start..start + self.actions])
+        let row = &self.values[start..start + self.actions];
+        let mut best = 0;
+        let mut best_v = row[0];
+        for (a, &v) in row.iter().enumerate().skip(1) {
+            if v > best_v {
+                best = a;
+                best_v = v;
+            }
+        }
+        (best, best_v)
     }
 
     /// The greedy (highest-value) action for a state. Ties break towards
@@ -415,7 +342,7 @@ impl QTable {
         debug_assert!(reward.is_finite(), "reward must be finite, got {reward}");
         let (_, future) = self.row_best(next_state);
         let i = self.idx_fast(state, action);
-        self.values[i] = bellman_mix(self.values[i], reward, future, alpha, discount);
+        self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
         self.visits[i] += 1;
         self.updates += 1;
     }

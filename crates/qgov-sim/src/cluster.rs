@@ -299,6 +299,13 @@ impl ManyCorePlatform {
         &mut self.clusters[cluster]
     }
 
+    /// Consumes the chip and returns its cluster platforms, in topology
+    /// order.
+    #[must_use]
+    pub fn into_clusters(self) -> Vec<Platform> {
+        self.clusters
+    }
+
     /// Number of cores in one cluster.
     ///
     /// # Panics

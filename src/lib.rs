@@ -74,12 +74,10 @@ pub mod prelude {
         run_fault_storm_with, standard_fault_schedule, FaultStormResult, FaultStormRow,
         FAULTSTORM_GRACE,
     };
-    pub use qgov_bench::fleet::{
-        fleet_size_from_env, run_fleet, FleetEngine, FleetInstance, FleetOutcome, FleetSpec,
-    };
+    pub use qgov_bench::fleet::{run_fleet, FleetOutcome, FleetSpec};
     pub use qgov_bench::harness::{
-        precharacterize, run_experiment, run_experiment_faulted, run_experiment_faulted_monitored,
-        run_experiment_monitored, ExperimentOutcome,
+        precharacterize, run_experiment, run_experiment_faulted, run_experiment_monitored,
+        ExperimentOutcome,
     };
     pub use qgov_bench::hetero::{
         run_biglittle, run_biglittle_monitored, run_biglittle_monitored_with, run_biglittle_sweep,

@@ -3,13 +3,13 @@
 //! simulate–decide–learn loop (post-warm-up, post-calibration) is
 //! asserted to perform **zero** heap allocations per epoch.
 //!
-//! The loop mirrors `qgov_bench::harness::run_experiment`'s per-epoch
-//! body exactly — `next_frame_into` → work-slice scratch refill →
-//! `run_frame_into` → `record_frame` (pre-reserved) → `decide` → apply
-//! — so the property covers every layer the tentpole optimised:
-//! workload generation, the platform frame kernel, the report, and the
-//! RTM's fused Q-table epoch with its scratch buffers and bounded
-//! history ring.
+//! The first two phases drive a copy of one flat harness epoch —
+//! `next_frame_into` → work-slice scratch refill → `run_frame_into` →
+//! `record_frame` (pre-reserved) → `decide` → apply — so the property
+//! covers every layer below the harness: workload generation, the
+//! platform frame kernel, the report, and the RTM's fused Q-table epoch
+//! with its scratch buffers and bounded history ring. The third phase
+//! runs the harness's own epoch kernel end to end.
 //!
 //! This file deliberately holds a single `#[test]` function: the
 //! counter is process-global, and a sibling test allocating
@@ -284,62 +284,63 @@ fn steady_state_decision_epoch_is_allocation_free() {
         "the ε floor must keep stochastic softmax selections firing"
     );
 
-    // Third phase: the fleet engine. One epoch across all instances —
-    // the SoA inversion of the loop above — must be just as heap-free
-    // in steady state: shared Q-arena, per-instance platforms/lanes,
-    // shared demand/frame scratch, windowed report folds pre-reserved
-    // by `reserve_frames`.
-    let fleet_seeds = [11u64, 12, 13];
-    let mut spec = FleetSpec::new(FRAMES);
-    for &seed in &fleet_seeds {
-        let config = RtmConfig::paper(seed)
-            .with_workload_bounds(1e7, 1e9)
-            .with_history(HistoryMode::LastN(64));
-        let app = SyntheticWorkload::constant(
-            "fleet-steady",
-            Cycles::from_mcycles(160),
+    // Third phase: the epoch kernel itself. A whole
+    // `run_manycore_experiment_monitored` run — ManyCoreRtm on a
+    // 4-cluster mesh, offline bounds, bounded history, the standard
+    // pack — allocates only while it sets up and reports, so a run of
+    // 2N frames allocates exactly as often as a run of N. Debug builds'
+    // reset probes allocate once per frame, so only release builds
+    // assert it.
+    let kernel_run = |frames: u64| {
+        const CLUSTERS: usize = 4;
+        let configs = (0..CLUSTERS)
+            .map(|c| {
+                RtmConfig::paper(50 + c as u64)
+                    .with_workload_bounds(1e7, 1e9)
+                    .with_history(HistoryMode::LastN(64))
+            })
+            .collect();
+        let mut rtm = ManyCoreRtm::new(configs, MigrationConfig::greedy()).expect("valid configs");
+        let mut app = SyntheticWorkload::constant(
+            "kernel-steady",
+            Cycles::from_mcycles(480),
             SimTime::from_ms(40),
-            FRAMES,
-            4,
-            seed,
+            frames,
+            16,
+            5,
         )
         .with_noise(0.1);
-        spec.push(
-            config,
-            Box::new(app),
+        let topology = Topology::homogeneous_mesh(
+            CLUSTERS,
             PlatformConfig {
                 sensor: SensorConfig::ideal(),
                 ..PlatformConfig::odroid_xu3_a15()
             },
         );
-    }
-    let mut engine = FleetEngine::new(spec.with_windowed_frames(50));
-    // Warm-up: past calibration-free learning start, the history rings'
-    // first compaction (2 × 64 epochs), every scratch buffer at
-    // capacity.
-    for _ in 0..WARMUP {
-        assert!(engine.step_epoch(), "fleet must still be running");
-    }
-    let before = allocation_count();
-    for _ in WARMUP..FRAMES {
-        engine.step_epoch();
-    }
-    let allocated = allocation_count() - before;
-    assert_eq!(
-        allocated,
-        0,
-        "fleet steady-state decision epochs must not allocate \
-         ({allocated} allocations over {} epochs x {} instances)",
-        MEASURED,
-        fleet_seeds.len()
-    );
-    assert_eq!(engine.epoch(), FRAMES);
-    // finish() allocates (report totals, outcome vectors) — after the
-    // measured window. The fleet really ran every instance to the end.
-    let outcome = engine.finish();
-    assert_eq!(outcome.total_frames, FRAMES * fleet_seeds.len() as u64);
-    for report in &outcome.reports {
-        assert_eq!(report.frames(), FRAMES);
-        assert!(report.frame_windows().is_some());
+        let shares = [1.0 / CLUSTERS as f64; CLUSTERS];
+        let mut monitors = standard_pack("rtm", &PackConfig::paper());
+        let before = allocation_count();
+        let outcome = run_manycore_experiment_monitored(
+            &mut rtm,
+            &mut app,
+            topology,
+            frames,
+            &shares,
+            &mut monitors,
+        );
+        let allocated = allocation_count() - before;
+        assert_eq!(outcome.report.frames(), frames);
+        assert_eq!(outcome.cluster_reports.len(), CLUSTERS);
+        allocated
+    };
+    let (short, long) = (kernel_run(WARMUP), kernel_run(2 * WARMUP));
+    if cfg!(not(debug_assertions)) {
+        assert_eq!(
+            short,
+            long,
+            "the epoch kernel allocated in its steady state \
+             ({short} allocations over {WARMUP} frames, {long} over {})",
+            2 * WARMUP
+        );
     }
 }

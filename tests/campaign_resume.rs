@@ -35,8 +35,7 @@ fn qgov() -> Command {
         .env_remove("QGOV_CAMPAIGN_TORN")
         .env_remove("QGOV_WORKERS")
         .env_remove("QGOV_SEEDS")
-        .env_remove("QGOV_FRAMES")
-        .env_remove("QGOV_FLEET");
+        .env_remove("QGOV_FRAMES");
     cmd
 }
 

@@ -1,14 +1,13 @@
-//! Fleet-engine determinism: the structure-of-arrays fleet
-//! (`qgov_bench::fleet`) must be a pure re-ordering of the flat
-//! harness's work — bit-identical per-instance results regardless of
-//! fleet size, instance order, sharding, or worker count.
+//! Fleet determinism: a fleet (`qgov_bench::fleet`) is a batch of flat
+//! runs, so every instance must match the flat harness bit for bit
+//! regardless of fleet size, instance order or worker count.
 //!
 //! Four pins:
 //!
 //! 1. a fleet of one equals `run_experiment` bit-for-bit;
 //! 2. per-instance results are invariant under instance order;
 //! 3. per-instance results are invariant under the execution policy
-//!    (serial vs any worker count / sharding);
+//!    (serial vs any worker count);
 //! 4. duplicate-seed instances inside one fleet coincide exactly.
 
 use qgov::prelude::*;
@@ -134,8 +133,7 @@ fn execution_policy_does_not_change_any_result() {
     let seeds = [1u64, 4, 9, 16, 25];
 
     let serial = run_fleet(fleet_spec(&seeds, frames), &RunnerConfig::serial());
-    // Worker counts chosen to exercise uneven sharding (5 instances
-    // over 2 and 3 shards) and more shards than instances.
+    // Worker counts below and above the instance count.
     for workers in [2usize, 3, 8] {
         let sharded = run_fleet(
             fleet_spec(&seeds, frames),
@@ -168,7 +166,7 @@ fn duplicate_seed_instances_coincide_exactly() {
 fn campaign_fleet_cells_match_flat_cross_product() {
     // The campaign-level pin: a `fleet` work-list cell (what `qgov
     // sweep` journals for a `family = "fleet"` campaign) crossed over
-    // QGOV_FLEET-style fleet sizes and QGOV_SEEDS-style seed sets must
+    // `fleet = n` campaign sizes and QGOV_SEEDS-style seed sets must
     // reproduce the flat harness bit-for-bit, instance by instance.
     let frames = 150;
     for fleet_size in [1usize, 3] {
@@ -222,46 +220,4 @@ fn campaign_fleet_cells_match_flat_cross_product() {
             );
         }
     }
-}
-
-#[test]
-fn windowed_fleet_keeps_scalars_identical_to_flat_run() {
-    let frames = 300;
-    let seed = 31;
-
-    let fleet = run_fleet(
-        fleet_spec(&[seed], frames).with_windowed_frames(64),
-        &RunnerConfig::serial(),
-    );
-    let report = &fleet.reports[0];
-
-    let mut rtm = RtmGovernor::new(rtm_config(seed)).unwrap();
-    let flat = run_experiment(
-        &mut rtm,
-        &mut noisy_app(frames, seed),
-        quiet_config(),
-        frames,
-    );
-
-    // Windowed retention drops the per-frame stats but must leave
-    // every whole-run scalar bit-identical.
-    assert!(report.frame_stats().is_empty());
-    assert!(report.frame_windows().is_some());
-    assert_eq!(report.frames(), flat.report.frames());
-    assert_eq!(
-        report.total_energy().as_joules().to_bits(),
-        flat.report.total_energy().as_joules().to_bits()
-    );
-    assert_eq!(
-        report.normalized_performance().to_bits(),
-        flat.report.normalized_performance().to_bits()
-    );
-    assert_eq!(
-        report.miss_rate().to_bits(),
-        flat.report.miss_rate().to_bits()
-    );
-    assert_eq!(
-        report.mean_opp().to_bits(),
-        flat.report.mean_opp().to_bits()
-    );
 }

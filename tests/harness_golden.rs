@@ -5,6 +5,10 @@
 //! allocating public APIs (`next_frame`, `run_frame`, a fresh work
 //! vector per frame) — for every governor family and for both
 //! generated and trace-replayed workloads.
+//!
+//! The many-core and faulted outputs have no such independent reference
+//! here, so one test pins them to bit patterns recorded before the flat,
+//! faulted and many-core loops were merged into one epoch kernel.
 
 use qgov::prelude::*;
 
@@ -316,4 +320,131 @@ fn trace_replay_is_bit_identical_to_the_reference_loop() {
     for (a, b) in rtm_a.history().iter().zip(rtm_b.history()) {
         assert_eq!(a, b);
     }
+}
+
+/// `(metric, f64::to_bits)` in `WorkList::run_cell` order for one short
+/// cell of each chip-level family (seed 11, 120 frames), recorded before
+/// the flat, faulted and many-core loops were merged into one kernel.
+const PINNED_CELLS: &[(Family, &[(&str, u64)])] = &[
+    (
+        Family::BigLittle,
+        &[
+            ("normalized_energy/big_only", 0x3ff0000000000000),
+            ("miss_rate/big_only", 0x3fdb333333333333),
+            ("energy_joules/big_only", 0x40425e3584e64410),
+            ("energy_per_met_frame/big_only", 0x3fe109782239c0fc),
+            ("migrations/big_only", 0x0000000000000000),
+            ("final_big_share/big_only", 0x3ff0000000000000),
+            ("normalized_energy/little_only", 0x3fcec28cced3e43d),
+            ("miss_rate/little_only", 0x3fed555555555555),
+            ("energy_joules/little_only", 0x4021a7fe23efd1f6),
+            ("energy_per_met_frame/little_only", 0x3fec3ffd064c8323),
+            ("migrations/little_only", 0x0000000000000000),
+            ("final_big_share/little_only", 0x0000000000000000),
+            ("normalized_energy/rtm_migrate", 0x3fdca7b06450fdfa),
+            ("miss_rate/rtm_migrate", 0x3fddddddddddddde),
+            ("energy_joules/rtm_migrate", 0x403072afbb524cc1),
+            ("energy_per_met_frame/rtm_migrate", 0x3fd072afbb524cc1),
+            ("migrations/rtm_migrate", 0x4054800000000000),
+            ("final_big_share/rtm_migrate", 0x3fd2727272727273),
+        ],
+    ),
+    (
+        Family::MeshScaling,
+        &[
+            ("energy_joules/mesh_4", 0x404431457494ec42),
+            ("energy_per_cluster/mesh_4", 0x402431457494ec42),
+            ("miss_rate/mesh_4", 0x3fe1ddddddddddde),
+            ("migrations/mesh_4", 0x4056400000000000),
+            ("energy_joules/mesh_8", 0x405355441bca2264),
+            ("energy_per_cluster/mesh_8", 0x402355441bca2264),
+            ("miss_rate/mesh_8", 0x3fe8000000000000),
+            ("migrations/mesh_8", 0x4059400000000000),
+            ("energy_joules/mesh_16", 0x4062fccd513cc738),
+            ("energy_per_cluster/mesh_16", 0x4022fccd513cc738),
+            ("miss_rate/mesh_16", 0x3feb333333333333),
+            ("migrations/mesh_16", 0x405b000000000000),
+        ],
+    ),
+    (
+        Family::FaultStorm,
+        &[
+            ("energy_joules/rtm_hardened", 0x4034adcda8e533ff),
+            ("miss_rate/rtm_hardened", 0x3fc0000000000000),
+            ("post_drop_miss_rate/rtm_hardened", 0x3fa1111111111111),
+            ("degraded_epochs/rtm_hardened", 0x4044000000000000),
+            ("safe_state_epochs/rtm_hardened", 0x4040000000000000),
+            ("worst_excursion/rtm_hardened", 0x3fc47ae147ae147b),
+            ("time_to_recover/rtm_hardened", 0x0000000000000000),
+            ("monitor_violations/rtm_hardened", 0x0000000000000000),
+            ("energy_joules/rtm_naive", 0x40297d36b7c4c30c),
+            ("miss_rate/rtm_naive", 0x3fe4cccccccccccd),
+            ("post_drop_miss_rate/rtm_naive", 0x3ff0000000000000),
+            ("degraded_epochs/rtm_naive", 0x0000000000000000),
+            ("safe_state_epochs/rtm_naive", 0x0000000000000000),
+            ("worst_excursion/rtm_naive", 0x3ff0000000000000),
+            ("monitor_violations/rtm_naive", 0x0000000000000000),
+            ("energy_joules/ondemand", 0x402e44733d2240ce),
+            ("miss_rate/ondemand", 0x3fe1ddddddddddde),
+            ("post_drop_miss_rate/ondemand", 0x3ff0000000000000),
+            ("degraded_epochs/ondemand", 0x0000000000000000),
+            ("safe_state_epochs/ondemand", 0x0000000000000000),
+            ("worst_excursion/ondemand", 0x3ff0000000000000),
+            ("monitor_violations/ondemand", 0x0000000000000000),
+        ],
+    ),
+];
+
+/// `(energy bits, misses, transitions)` of the faulted flat run below,
+/// recorded with the cells above.
+const PINNED_FAULTED: (u64, u64, u64) = (0x403218320861d5c3, 35, 116);
+
+/// The bridge and empty-plan tests compare the one kernel with itself;
+/// this pins its chip-level and faulted outputs to fixed bits.
+#[test]
+fn chip_and_faulted_outputs_match_their_recorded_bits() {
+    for &(family, pinned) in PINNED_CELLS {
+        let list = WorkList::new(family, vec![11], 120);
+        let got: Vec<(String, u64)> = list
+            .run_cell(&list.cells()[0])
+            .into_iter()
+            .map(|(name, value)| (name, value.to_bits()))
+            .collect();
+        let want: Vec<(String, u64)> = pinned
+            .iter()
+            .map(|&(name, bits)| (name.to_owned(), bits))
+            .collect();
+        assert_eq!(got, want, "{family} cell drifted from its recorded bits");
+    }
+
+    // A stuck PMU window, a latched-actuation window, then a permanent
+    // core drop.
+    let plan = FaultPlan::none()
+        .with(Fault::window(
+            FaultKind::PmuStuck { cycles: 1_000 },
+            0,
+            20,
+            60,
+        ))
+        .with(Fault::window(FaultKind::ActuationLatched, 0, 80, 120))
+        .with(Fault::permanent(FaultKind::CoreDrop { core: 3 }, 0, 150));
+    let mut rtm = RtmGovernor::new(RtmConfig::paper(7).with_workload_bounds(1e8, 1e9)).unwrap();
+    let outcome = run_experiment_faulted(
+        &mut rtm,
+        &mut noisy_app(240),
+        quiet_config(),
+        240,
+        &plan,
+        0xFA17,
+    );
+    let report = &outcome.report;
+    assert_eq!(
+        (
+            report.total_energy().as_joules().to_bits(),
+            report.deadline_misses(),
+            report.transitions(),
+        ),
+        PINNED_FAULTED,
+        "faulted flat run drifted from its recorded bits"
+    );
 }
