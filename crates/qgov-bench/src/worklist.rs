@@ -329,6 +329,10 @@ impl WorkList {
                         format!("epd_explorations/{app}"),
                         row.epd_explorations as f64,
                     );
+                    push(
+                        format!("epd_upd_ratio/{app}"),
+                        row.epd_explorations as f64 / row.upd_explorations as f64,
+                    );
                 }
             }
             Family::Table3 => {
@@ -499,11 +503,13 @@ impl WorkList {
     }
 }
 
-/// Folds an ablation bundle (rows in `labels` order, Oracle first)
-/// into flat metrics.
+/// Folds an ablation bundle into flat metrics. `labels` lists the
+/// family's cells Oracle first; the Oracle is only the normalisation
+/// reference and has no row, so each row takes the label after it.
 fn ablation_metrics(result: &AblationResult, labels: &[&str], push: &mut impl FnMut(String, f64)) {
-    debug_assert_eq!(result.rows.len(), labels.len());
-    for (label, row) in labels.iter().zip(&result.rows) {
+    debug_assert_eq!(labels[0], "oracle");
+    debug_assert_eq!(result.rows.len(), labels.len() - 1);
+    for (label, row) in labels[1..].iter().zip(&result.rows) {
         let key = slug(label);
         push(format!("normalized_energy/{key}"), row.normalized_energy);
         push(
@@ -645,6 +651,38 @@ mod tests {
         assert!(metrics
             .iter()
             .any(|(n, _)| n == "monitor_violations/ondemand"));
+    }
+
+    #[test]
+    fn every_family_cell_names_its_metrics_uniquely() {
+        for &family in Family::ALL {
+            let list = WorkList::new(family, vec![3], 60);
+            let metrics = list.run_cell(&list.cells()[0]);
+            assert!(!metrics.is_empty(), "{family}: no metrics");
+            let mut names: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(names.len(), before, "{family}: duplicate metric names");
+        }
+    }
+
+    #[test]
+    fn ablation_cells_name_each_configuration_and_skip_the_oracle() {
+        let list = WorkList::new(Family::StateLevels, vec![1], 60);
+        let metrics = list.run_cell(&list.cells()[0]);
+        assert!(metrics.iter().all(|(n, _)| !n.contains("oracle")));
+        for key in ["n_3", "n_4", "n_5", "n_7", "n_9"] {
+            assert!(
+                metrics
+                    .iter()
+                    .any(|(n, _)| *n == format!("normalized_energy/{key}")),
+                "missing {key}"
+            );
+        }
+        let list = WorkList::new(Family::SharedTable, vec![1], 60);
+        let metrics = list.run_cell(&list.cells()[0]);
+        assert!(metrics.iter().any(|(n, _)| n == "explorations/geqiu"));
     }
 
     #[test]
