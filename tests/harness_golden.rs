@@ -7,8 +7,8 @@
 //! generated and trace-replayed workloads.
 //!
 //! The many-core and faulted outputs have no such independent reference
-//! here, so one test pins them to bit patterns recorded before the flat,
-//! faulted and many-core loops were merged into one epoch kernel.
+//! here, so one test pins them, and one campaign cell of every
+//! experiment family, to recorded bit patterns.
 
 use qgov::prelude::*;
 
@@ -323,9 +323,166 @@ fn trace_replay_is_bit_identical_to_the_reference_loop() {
 }
 
 /// `(metric, f64::to_bits)` in `WorkList::run_cell` order for one short
-/// cell of each chip-level family (seed 11, 120 frames), recorded before
-/// the flat, faulted and many-core loops were merged into one kernel.
+/// cell of every family (seed 11, 120 frames). The chip-level pins were
+/// recorded before the flat, faulted and many-core loops were merged
+/// into one kernel; the rest before the per-family entry points were
+/// folded into the experiment registry.
 const PINNED_CELLS: &[(Family, &[(&str, u64)])] = &[
+    (
+        Family::Table1,
+        &[
+            ("normalized_energy/ondemand", 0x3ff5a4d081729fb8),
+            ("normalized_performance/ondemand", 0x3fe876af6f7e9e12),
+            ("miss_rate/ondemand", 0x3fb5555555555555),
+            ("mean_opp/ondemand", 0x402c8ccccccccccd),
+            ("energy_joules/ondemand", 0x403a683e968a91b3),
+            ("normalized_energy/geqiu", 0x3ff74463f673bb41),
+            ("normalized_performance/geqiu", 0x3fe6e3da197e5976),
+            ("miss_rate/geqiu", 0x3fa999999999999a),
+            ("mean_opp/geqiu", 0x402e555555555555),
+            ("energy_joules/geqiu", 0x403c6347f119a963),
+            ("normalized_energy/rtm", 0x3ff56efa84580235),
+            ("normalized_performance/rtm", 0x3fee29249d373cc2),
+            ("miss_rate/rtm", 0x3fbdddddddddddde),
+            ("mean_opp/rtm", 0x402a9dddddddddde),
+            ("energy_joules/rtm", 0x403a268f70c3fead),
+            ("normalized_energy/oracle", 0x3ff0000000000000),
+            ("normalized_performance/oracle", 0x3fee4687450e82c6),
+            ("miss_rate/oracle", 0x0000000000000000),
+            ("mean_opp/oracle", 0x40242aaaaaaaaaab),
+            ("energy_joules/oracle", 0x4033857409660c62),
+        ],
+    ),
+    (
+        Family::Table2,
+        &[
+            ("upd_explorations/mpeg4", 0x403d000000000000),
+            ("epd_explorations/mpeg4", 0x4035000000000000),
+            ("epd_upd_ratio/mpeg4", 0x3fe72c234f72c235),
+            ("upd_explorations/h264", 0x403b000000000000),
+            ("epd_explorations/h264", 0x4036000000000000),
+            ("epd_upd_ratio/h264", 0x3fea12f684bda12f),
+            ("upd_explorations/fft", 0x403a000000000000),
+            ("epd_explorations/fft", 0x4036000000000000),
+            ("epd_upd_ratio/fft", 0x3feb13b13b13b13b),
+        ],
+    ),
+    (
+        Family::Table3,
+        &[
+            ("exploration_epochs/geqiu", 0x406ce00000000000),
+            ("exploration_epochs/rtm", 0x4057400000000000),
+            ("convergence_epochs/rtm", 0x405bc00000000000),
+        ],
+    ),
+    (
+        Family::Fig3,
+        &[
+            ("early_misprediction", 0x3fabe2de36f377a0),
+            ("late_misprediction", 0x3fab639f2ce3cf1c),
+            ("mispredicted_frames", 0x4010000000000000),
+        ],
+    ),
+    (
+        Family::StateLevels,
+        &[
+            ("normalized_energy/n_3", 0x3ff3fc956973ea7e),
+            ("normalized_performance/n_3", 0x3fefe1265a8a4c69),
+            ("miss_rate/n_3", 0x3fc4444444444444),
+            ("explorations/n_3", 0x4034000000000000),
+            ("convergence_epochs/n_3", 0x405bc00000000000),
+            ("normalized_energy/n_4", 0x3ff5387797453771),
+            ("normalized_performance/n_4", 0x3feef34ce1122f91),
+            ("miss_rate/n_4", 0x3fc4444444444444),
+            ("explorations/n_4", 0x4036000000000000),
+            ("normalized_energy/n_5", 0x3ff56efa84580235),
+            ("normalized_performance/n_5", 0x3fee29249d373cc2),
+            ("miss_rate/n_5", 0x3fbdddddddddddde),
+            ("explorations/n_5", 0x4036000000000000),
+            ("normalized_energy/n_7", 0x3ff5ff1e13b5d398),
+            ("normalized_performance/n_7", 0x3fed34aed458006d),
+            ("miss_rate/n_7", 0x3fbdddddddddddde),
+            ("explorations/n_7", 0x4036000000000000),
+            ("normalized_energy/n_9", 0x3ff6c624df7585d3),
+            ("normalized_performance/n_9", 0x3fed06effa85a5e9),
+            ("miss_rate/n_9", 0x3fb999999999999a),
+            ("explorations/n_9", 0x4036000000000000),
+        ],
+    ),
+    (
+        Family::Smoothing,
+        &[
+            ("normalized_energy/gamma_0_2", 0x3ff32c6964facc9b),
+            ("normalized_performance/gamma_0_2", 0x3ff0c2fb2a116ccd),
+            ("miss_rate/gamma_0_2", 0x3fc4444444444444),
+            ("explorations/gamma_0_2", 0x4034000000000000),
+            ("convergence_epochs/gamma_0_2", 0x405c000000000000),
+            ("normalized_energy/gamma_0_4", 0x3ff30cb1697e78cb),
+            ("normalized_performance/gamma_0_4", 0x3ff10c0652a8d4b1),
+            ("miss_rate/gamma_0_4", 0x3fc5555555555555),
+            ("explorations/gamma_0_4", 0x4036000000000000),
+            ("convergence_epochs/gamma_0_4", 0x405bc00000000000),
+            ("normalized_energy/gamma_0_6", 0x3ff37ec90548f8fa),
+            ("normalized_performance/gamma_0_6", 0x3ff0cf8126e0d75b),
+            ("miss_rate/gamma_0_6", 0x3fc2222222222222),
+            ("explorations/gamma_0_6", 0x4036000000000000),
+            ("convergence_epochs/gamma_0_6", 0x405c000000000000),
+            ("normalized_energy/gamma_0_8", 0x3ff367cacde26578),
+            ("normalized_performance/gamma_0_8", 0x3ff0de831fc02301),
+            ("miss_rate/gamma_0_8", 0x3fc3333333333333),
+            ("explorations/gamma_0_8", 0x4035000000000000),
+            ("convergence_epochs/gamma_0_8", 0x405c000000000000),
+            ("normalized_energy/gamma_0_95", 0x3ff356542b23dbff),
+            ("normalized_performance/gamma_0_95", 0x3ff0e44d004dc5b6),
+            ("miss_rate/gamma_0_95", 0x3fc3333333333333),
+            ("explorations/gamma_0_95", 0x4035000000000000),
+            ("convergence_epochs/gamma_0_95", 0x405bc00000000000),
+        ],
+    ),
+    (
+        Family::SharedTable,
+        &[
+            ("normalized_energy/cluster", 0x3ff56efa84580235),
+            ("normalized_performance/cluster", 0x3fee29249d373cc2),
+            ("miss_rate/cluster", 0x3fbdddddddddddde),
+            ("explorations/cluster", 0x4036000000000000),
+            ("normalized_energy/per_core_share", 0x3ff32b0dff5c2328),
+            ("normalized_performance/per_core_share", 0x3ff07b6b252172ef),
+            ("miss_rate/per_core_share", 0x3fcbbbbbbbbbbbbc),
+            ("explorations/per_core_share", 0x4036000000000000),
+            ("convergence_epochs/per_core_share", 0x405bc00000000000),
+            ("normalized_energy/geqiu", 0x3ff74463f673bb41),
+            ("normalized_performance/geqiu", 0x3fe6e3da197e5976),
+            ("miss_rate/geqiu", 0x3fa999999999999a),
+            ("explorations/geqiu", 0x4065600000000000),
+        ],
+    ),
+    (
+        Family::LongHorizon,
+        &[
+            ("normalized_energy/ondemand", 0x3ff0000000000000),
+            ("normalized_performance/ondemand", 0x3fe876af6f7e9e12),
+            ("miss_rate/ondemand", 0x3fb5555555555555),
+            ("mean_opp/ondemand", 0x402c8ccccccccccd),
+            ("energy_joules/ondemand", 0x403a683e968a91b3),
+            ("early_miss_rate/ondemand", 0x0000000000000000),
+            ("late_miss_rate/ondemand", 0x0000000000000000),
+            ("normalized_energy/conservative", 0x3ff1c5d1019c52f4),
+            ("normalized_performance/conservative", 0x3fe905dc25e7959a),
+            ("miss_rate/conservative", 0x3fadddddddddddde),
+            ("mean_opp/conservative", 0x402efbbbbbbbbbbc),
+            ("energy_joules/conservative", 0x403d553ef6ead896),
+            ("early_miss_rate/conservative", 0x3fe2aaaaaaaaaaab),
+            ("late_miss_rate/conservative", 0x0000000000000000),
+            ("normalized_energy/rtm", 0x3fefb0679064d970),
+            ("normalized_performance/rtm", 0x3fee29249d373cc2),
+            ("miss_rate/rtm", 0x3fbdddddddddddde),
+            ("mean_opp/rtm", 0x402a9dddddddddde),
+            ("energy_joules/rtm", 0x403a268f70c3fead),
+            ("early_miss_rate/rtm", 0x3fd5555555555555),
+            ("late_miss_rate/rtm", 0x0000000000000000),
+        ],
+    ),
     (
         Family::BigLittle,
         &[
@@ -393,6 +550,17 @@ const PINNED_CELLS: &[(Family, &[(&str, u64)])] = &[
             ("monitor_violations/ondemand", 0x0000000000000000),
         ],
     ),
+    (
+        Family::Fleet,
+        &[
+            ("miss_rate/i0", 0x3fc7777777777777),
+            ("normalized_performance/i0", 0x3fedb362e6e35cbb),
+            ("mean_opp/i0", 0x4021888888888889),
+            ("energy_joules/i0", 0x4021c8e33dadc300),
+            ("fleet_mean_miss_rate", 0x3fc7777777777777),
+            ("fleet_total_frames", 0x405e000000000000),
+        ],
+    ),
 ];
 
 /// `(energy bits, misses, transitions)` of the faulted flat run below,
@@ -400,7 +568,7 @@ const PINNED_CELLS: &[(Family, &[(&str, u64)])] = &[
 const PINNED_FAULTED: (u64, u64, u64) = (0x403218320861d5c3, 35, 116);
 
 /// The bridge and empty-plan tests compare the one kernel with itself;
-/// this pins its chip-level and faulted outputs to fixed bits.
+/// this pins every family's cell and the faulted output to fixed bits.
 #[test]
 fn chip_and_faulted_outputs_match_their_recorded_bits() {
     for &(family, pinned) in PINNED_CELLS {
