@@ -3,51 +3,22 @@
 //! per-core independent learning.
 //!
 //! Run with `cargo bench -p qgov-bench --bench ablation_shared_table`.
-//! `QGOV_FRAMES` overrides the run length; `QGOV_WORKERS` picks the
-//! runner policy (`serial`, a worker count, default one per core);
-//! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
-//! default one seed, matching the recorded single-run baselines).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed, matching the
+//! recorded single-run baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_shared_table_ablation_sweep_with, SeedSweep};
-
-const TARGET: &str = "ablation_shared_table";
+use qgov_bench::experiments::SharedTable;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Ablation: shared Q-table vs per-core independent tables ==");
-    println!("   H.264 football, {frames} frames, {}", sweep.describe());
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_shared_table_ablation_sweep_with(&sweep, frames, &runner)
-    });
-    println!("{}", result.table.render());
+    bench_target::<SharedTable>(
+        "ablation_shared_table",
+        "Ablation: shared Q-table vs per-core independent tables",
+        "workload: H.264 football",
+        RunPlan::new(vec![2017], 3_000),
+    );
     println!("expectation: the shared-table formulations converge in fewer epochs and");
     println!("save more energy than per-core independent tables [20].");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.label),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("convergence_epochs/{}", row.label),
-            &row.convergence_epochs,
-        ));
-    }
-    append_records(&records);
 }

@@ -4,53 +4,21 @@
 //! lags genuine workload changes, large γ chases frame-to-frame noise.
 //!
 //! Run with `cargo bench -p qgov-bench --bench ablation_smoothing`.
-//! `QGOV_FRAMES` overrides the run length; `QGOV_WORKERS` picks the
-//! runner policy (`serial`, a worker count, default one per core);
-//! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
-//! default one seed, matching the recorded single-run baselines).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed, matching the
+//! recorded single-run baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_smoothing_ablation_sweep_with, SeedSweep};
-
-const TARGET: &str = "ablation_smoothing";
+use qgov_bench::experiments::Smoothing;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Ablation: EWMA smoothing factor gamma ==");
-    println!(
-        "   MPEG4 SVGA at 24 fps, {frames} frames, {}",
-        sweep.describe()
+    bench_target::<Smoothing>(
+        "ablation_smoothing",
+        "Ablation: EWMA smoothing factor gamma",
+        "workload: MPEG4 SVGA at 24 fps",
+        RunPlan::new(vec![2017], 3_000),
     );
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_smoothing_ablation_sweep_with(&sweep, frames, &runner)
-    });
-    println!("{}", result.table.render());
     println!("expectation: misprediction is minimised near gamma = 0.6, the paper's choice.");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.label),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.label),
-            &row.miss_rate,
-        ));
-    }
-    append_records(&records);
 }

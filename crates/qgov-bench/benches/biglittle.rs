@@ -3,66 +3,22 @@
 //! everything on the A15 quad, everything on the A7 quad, and one
 //! Q-agent per cluster with greedy task migration.
 //!
-//! Run with `cargo bench -p qgov-bench --bench biglittle`.
-//! `QGOV_FRAMES` overrides the horizon (default 3000, the paper's clip
-//! length); `QGOV_WORKERS` picks the runner policy; `QGOV_SEEDS` the
-//! seed sweep (default one seed, matching the recorded baselines in
-//! EXPERIMENTS.md).
+//! Run with `cargo bench -p qgov-bench --bench biglittle` (default
+//! horizon 3000 frames, the paper's clip length).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed;
+//! `QGOV_SEEDS=5` reproduces the EXPERIMENTS.md baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::run_biglittle_sweep_with;
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::SeedSweep;
-
-const TARGET: &str = "biglittle";
+use qgov_bench::hetero::BigLittle;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== big.LITTLE placement: static vs learned migration ==");
-    println!(
-        "   workload: chip-scaled H.264 football, {frames} frames at 15 fps, {}",
-        sweep.describe()
+    bench_target::<BigLittle>(
+        "biglittle",
+        "big.LITTLE placement: static vs learned migration",
+        "workload: chip-scaled H.264 football at 15 fps on the ODROID-XU3 (A15 quad + A7 quad)",
+        RunPlan::new(vec![2017], 3_000),
     );
-    println!(
-        "   topology: ODROID-XU3 (A15 quad + A7 quad), runner: {}\n",
-        runner.describe()
-    );
-    let (result, secs) = timed_passes(passes, || run_biglittle_sweep_with(&sweep, frames, &runner));
-
-    println!("{}", result.table.render());
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("energy_joules/{}", row.placement),
-            &row.energy_joules,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.placement),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.placement),
-            &row.miss_rate,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("energy_per_met_frame/{}", row.placement),
-            &row.energy_per_met_frame,
-        ));
-    }
-    append_records(&records);
 }

@@ -3,86 +3,33 @@
 //! deterministic fault schedule (stuck PMU, thermal spike, then a full
 //! cluster drop-out at mid-run).
 //!
-//! Run with `cargo bench -p qgov-bench --bench fault_storm`.
-//! `QGOV_FRAMES` overrides the horizon (default 400: long enough for
-//! the post-drop recovery window to gate); `QGOV_SEEDS` the seed sweep;
-//! `QGOV_WORKERS` the runner policy; `QGOV_FAULTS=off` swaps in the
-//! empty fault plan (every coordinator must then be bit-identical to
-//! its fault-free run — the contract `tests/fault_injection.rs` pins).
+//! Run with `cargo bench -p qgov-bench --bench fault_storm` (default
+//! horizon 400 frames: long enough for the post-drop recovery window to
+//! gate; default seed 11). `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS`
+//! and `QGOV_BENCH_PASSES` override the plan
+//! (`qgov_bench::plan::RunPlan::from_env`; an invalid value exits with
+//! status 2). `QGOV_FAULTS=off` swaps in the empty fault plan (every
+//! coordinator must then be bit-identical to its fault-free run — the
+//! contract `tests/fault_injection.rs` pins).
 
-use qgov_bench::faultstorm::{fault_plan_from_env, fault_storm_drop_epoch, run_fault_storm_with};
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::SeedSweep;
-use std::collections::BTreeMap;
-
-const TARGET: &str = "fault_storm";
+use qgov_bench::faultstorm::{fault_storm_drop_epoch, FaultStorm};
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(400);
-    let sweep = SeedSweep::from_env(11);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    let plan = fault_plan_from_env(frames);
-    println!("== fault storm: hardened RTM vs naive RTM vs ondemand ==");
-    println!(
-        "   workload: constant 4-thread frame stream, {frames} frames, {}",
-        sweep.describe()
+    let run = bench_target::<FaultStorm>(
+        "fault_storm",
+        "fault storm: hardened RTM vs naive RTM vs ondemand",
+        "workload: constant 4-thread frame stream on two A15 quads",
+        RunPlan::new(vec![11], 400),
     );
     println!(
-        "   faults: {} scheduled (cluster drop at epoch {}), runner: {}\n",
-        plan.len(),
-        fault_storm_drop_epoch(frames),
-        runner.describe()
+        "faults: {} (cluster drop at epoch {})",
+        if run.plan.faults {
+            "standard schedule"
+        } else {
+            "off"
+        },
+        fault_storm_drop_epoch(run.plan.frames)
     );
-    let (results, secs) = timed_passes(passes, || {
-        sweep
-            .seeds()
-            .iter()
-            .map(|&seed| run_fault_storm_with(seed, frames, &plan, &runner))
-            .collect::<Vec<_>>()
-    });
-
-    println!(
-        "{}",
-        results.last().expect("at least one seed").table.render()
-    );
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    // Per-governor samples across the seed sweep.
-    let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for result in &results {
-        for row in &result.rows {
-            let slug = row.governor.replace('-', "_");
-            for (metric, value) in [
-                ("energy_joules", row.energy_joules),
-                ("miss_rate", row.miss_rate),
-                ("post_drop_miss_rate", row.post_drop_miss_rate),
-                ("worst_excursion", row.recovery.worst_excursion),
-                ("degraded_epochs", row.recovery.degraded_epochs as f64),
-            ] {
-                samples
-                    .entry(format!("{metric}/{slug}"))
-                    .or_default()
-                    .push(value);
-            }
-            if let Some(ttr) = row.recovery.time_to_recover {
-                samples
-                    .entry(format!("time_to_recover/{slug}"))
-                    .or_default()
-                    .push(ttr as f64);
-            }
-        }
-    }
-    let mut records = vec![wall_clock];
-    for (metric, values) in &samples {
-        records.push(BenchRecord::from_samples(TARGET, metric.clone(), values));
-    }
-    append_records(&records);
 }

@@ -5,41 +5,25 @@
 //! `target/fig3_misprediction.csv` for plotting.
 //!
 //! Run with `cargo bench -p qgov-bench --bench fig3_misprediction`.
-//! `QGOV_FRAMES` overrides the run length (the paper's figure shows the
-//! first 240 frames; the recorded baseline uses the full 3000);
-//! `QGOV_WORKERS` picks the runner policy; `QGOV_SEEDS` the seed sweep
-//! (a count or a comma-separated list; default one seed, matching the
-//! recorded single-run baselines).
+//! The paper's figure shows the first 240 frames; the recorded
+//! baseline uses the full 3000.
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed, matching the
+//! recorded single-run baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_fig3_sweep_with, SeedSweep};
-
-const TARGET: &str = "fig3_misprediction";
+use qgov_bench::experiments::Fig3;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Fig. 3: workload misprediction and learning impact on slack ==");
-    println!(
-        "   MPEG4 SVGA at 24 fps, gamma = 0.6, {frames} frames, {}",
-        sweep.describe()
+    let run = bench_target::<Fig3>(
+        "fig3_misprediction",
+        "Fig. 3: workload misprediction and learning impact on slack",
+        "workload: MPEG4 SVGA at 24 fps, gamma = 0.6, scene change scripted at frame 90",
+        RunPlan::new(vec![2017], 3_000),
     );
-    println!("   (scene change scripted at frame 90, as in the paper's sequence)");
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_fig3_sweep_with(&sweep, frames, &runner));
-
-    println!("{}", result.table.render());
     println!("paper reference: early ~8%, late ~3%");
-    let first = &result.per_seed[0];
-    if result.seeds.len() == 1 {
-        println!(
-            "frames with >15% misprediction: {:?}",
-            first.mispredicted_frames
-        );
-    }
 
     // The plottable series is inherently per-seed; write the first
     // (base) seed's CSV, as the single-run baseline always has.
@@ -47,26 +31,12 @@ fn main() {
     if let Some(parent) = out.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    match std::fs::write(&out, &first.csv) {
+    match std::fs::write(&out, &run.outputs[0].csv) {
         Ok(()) => println!(
-            "\nfull series (seed {}) written to {}",
-            result.seeds[0],
+            "full series (seed {}) written to {}",
+            run.plan.seeds[0],
             out.display()
         ),
-        Err(e) => println!("\ncould not write {}: {e}", out.display()),
+        Err(e) => println!("could not write {}: {e}", out.display()),
     }
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "wall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    append_records(&[
-        wall_clock,
-        BenchRecord::from_summary(TARGET, "early_misprediction", &result.early_misprediction),
-        BenchRecord::from_summary(TARGET, "late_misprediction", &result.late_misprediction),
-        BenchRecord::from_summary(TARGET, "mispredicted_frames", &result.mispredicted_frames),
-    ]);
 }

@@ -5,58 +5,54 @@
 //! materialises in memory. Reports convergence over time as windowed
 //! miss-rate and frame-time folds.
 //!
-//! Run with `cargo bench -p qgov-bench --bench long_horizon`.
-//! `QGOV_FRAMES` overrides the horizon (default 100 000);
-//! `QGOV_WORKERS` picks the runner policy (`serial`, a worker count,
-//! default one per core); `QGOV_SEEDS` the seed sweep (a count or a
-//! comma-separated list; default one seed, matching the recorded
-//! baselines in EXPERIMENTS.md).
+//! Run with `cargo bench -p qgov-bench --bench long_horizon` (default
+//! horizon 100 000 frames). `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS`
+//! and `QGOV_BENCH_PASSES` override the plan
+//! (`qgov_bench::plan::RunPlan::from_env`; an invalid value exits with
+//! status 2). The default is one seed, matching the recorded baselines
+//! in EXPERIMENTS.md.
 //!
 //! Every run carries the standard temporal property pack
-//! ([`PackConfig::paper`]) as an always-on oracle: the per-seed
+//! ([`PackConfig::paper`]) as an always-on oracle: the first seed's
 //! verdict table is printed alongside the metrics, and **any violated
 //! property fails the target** — this is CI's monitored long-horizon
-//! smoke (`QGOV_FRAMES=20000`).
+//! smoke (`QGOV_FRAMES=20000`). The `frames_per_sec` record counts
+//! every replayed frame: each pass replays the horizon once per
+//! methodology and seed.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_long_horizon_monitored_sweep_with, SeedSweep};
+use qgov_bench::experiments::{Experiment, LongHorizon};
+use qgov_bench::perf::{append_records, bench_target, BenchRecord};
+use qgov_bench::plan::RunPlan;
 use qgov_metrics::PackConfig;
 
 const TARGET: &str = "long_horizon";
 
 fn main() {
-    let frames = frames_from_env(100_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
     let pack = PackConfig::paper();
-    println!("== Long horizon: streamed traces, convergence over time ==");
-    println!(
-        "   workload: H.264 football model looped to {frames} frames at 15 fps, {}",
-        sweep.describe()
+    let run = bench_target::<LongHorizon>(
+        TARGET,
+        "Long horizon: streamed traces, convergence over time",
+        "workload: H.264 football model looped to the horizon at 15 fps",
+        RunPlan {
+            pack: Some(pack),
+            ..RunPlan::new(vec![2017], 100_000)
+        },
     );
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_long_horizon_monitored_sweep_with(&sweep, frames, &runner, &pack)
-    });
-
-    let first = &result.per_seed[0];
+    let (seeds, first) = (&run.plan.seeds, &run.outputs[0]);
     println!(
-        "streamed from {} CSV shards of {} frames (≤ {} frames resident per replay)\n",
+        "\nstreamed from {} CSV shards of {} frames (≤ {} frames resident per replay)",
         first.shard_count, first.shard_frames, first.shard_frames
     );
-    println!("{}", result.table.render());
     println!(
         "convergence over time (seed {}, miss rate per window, proposed mean T/T_ref):",
-        result.seeds[0]
+        seeds[0]
     );
     println!("{}", first.windows_table.render());
 
     // The always-on temporal oracle: print the verdicts for the first
     // seed, fail the target if any seed's run violated a property.
     let mut violations = 0usize;
-    for (seed, per_seed) in result.seeds.iter().zip(&result.per_seed) {
+    for (seed, per_seed) in seeds.iter().zip(&run.outputs) {
         for row in &per_seed.rows {
             if let Some(monitor) = &row.monitor {
                 violations += monitor.violation_count();
@@ -67,8 +63,8 @@ fn main() {
         }
     }
     println!(
-        "\ntemporal properties (seed {}, thermal cap {:.0} °C, miss bound {:.0}% per {}-epoch window):",
-        result.seeds[0], pack.thermal_cap_c, pack.miss_bound * 100.0, pack.miss_window
+        "temporal properties (seed {}, thermal cap {:.0} °C, miss bound {:.0}% per {}-epoch window):",
+        seeds[0], pack.thermal_cap_c, pack.miss_bound * 100.0, pack.miss_window
     );
     for row in &first.rows {
         if let Some(monitor) = &row.monitor {
@@ -76,42 +72,21 @@ fn main() {
             println!("{}", monitor.render().render());
         }
     }
+
+    let replayed = run.plan.frames * (LongHorizon::LABELS.len() * seeds.len()) as u64;
+    let rates: Vec<f64> = run
+        .secs
+        .iter()
+        .map(|s| replayed as f64 / s.max(f64::MIN_POSITIVE))
+        .collect();
+    let throughput = BenchRecord::from_samples(TARGET, "frames_per_sec", &rates);
+    println!(
+        "throughput: {:.0} ± {:.0} replayed frames/s",
+        throughput.mean, throughput.sigma
+    );
+    append_records(&[throughput]);
     assert_eq!(
         violations, 0,
         "temporal property violations detected — see stderr above"
     );
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let rates: Vec<f64> = secs
-        .iter()
-        .map(|s| frames as f64 / s.max(f64::MIN_POSITIVE))
-        .collect();
-    let mut records = vec![
-        wall_clock,
-        BenchRecord::from_samples(TARGET, "frames_per_sec", &rates),
-    ];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.method),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.method),
-            &row.miss_rate,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("late_miss_rate/{}", row.method),
-            &row.late_miss_rate,
-        ));
-    }
-    append_records(&records);
 }

@@ -4,59 +4,22 @@
 //! count. Under ideal weak scaling the per-cluster energy stays flat
 //! as the chip grows.
 //!
-//! Run with `cargo bench -p qgov-bench --bench mesh_scaling`.
-//! `QGOV_FRAMES` overrides the horizon (default 1500); `QGOV_WORKERS`
-//! picks the runner policy; `QGOV_SEEDS` the seed sweep (default one
-//! seed, matching the recorded baselines in EXPERIMENTS.md).
+//! Run with `cargo bench -p qgov-bench --bench mesh_scaling` (default
+//! horizon 1500 frames).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed;
+//! `QGOV_SEEDS=5` reproduces the EXPERIMENTS.md baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::run_mesh_scaling_sweep_with;
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::SeedSweep;
-
-const TARGET: &str = "mesh_scaling";
+use qgov_bench::hetero::MeshScaling;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(1_500);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Mesh weak scaling: per-cluster RTM on 4/8/16 clusters ==");
-    println!(
-        "   workload: ~40% per-core utilisation scaled to the mesh, {frames} frames, {}",
-        sweep.describe()
+    bench_target::<MeshScaling>(
+        "mesh_scaling",
+        "Mesh weak scaling: per-cluster RTM on 4/8/16 clusters",
+        "workload: ~40% per-core utilisation scaled to the mesh",
+        RunPlan::new(vec![2017], 1_500),
     );
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_mesh_scaling_sweep_with(&sweep, frames, &runner)
-    });
-
-    println!("{}", result.table.render());
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("energy_per_cluster/{}clusters", row.clusters),
-            &row.energy_per_cluster,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}clusters", row.clusters),
-            &row.miss_rate,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("migrations/{}clusters", row.clusters),
-            &row.migrations,
-        ));
-    }
-    append_records(&records);
 }

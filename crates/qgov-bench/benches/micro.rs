@@ -10,7 +10,7 @@
 //! surface the experiment sweeps expose.
 
 use criterion::Criterion;
-use qgov_bench::sweep::SeedSweep;
+use qgov_bench::plan::RunPlan;
 use qgov_rl::Discretizer as _;
 use qgov_rl::{
     ActionContext, EpdPolicy, EwmaPredictor, ExplorationPolicy, Predictor, QTable,
@@ -203,7 +203,11 @@ fn main() {
     // single-number output, when unset). QGOV_BENCH_JSON=<path> ->
     // every benchmark appends a {target, metric, mean, sigma, n} JSON
     // line (the perf trajectory CI captures).
-    let passes = SeedSweep::from_env(2017).n() as u64;
+    let plan = RunPlan::from_env(RunPlan::new(vec![0], 1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    let passes = plan.seeds.len() as u64;
     if passes > 1 {
         println!("== micro: {passes} measurement passes per benchmark (QGOV_SEEDS) ==\n");
     }

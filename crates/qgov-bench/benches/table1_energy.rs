@@ -4,60 +4,24 @@
 //! H.264 football sequence (~3000 frames).
 //!
 //! Run with `cargo bench -p qgov-bench --bench table1_energy`.
-//! `QGOV_FRAMES` overrides the run length; `QGOV_WORKERS` picks the
-//! runner policy (`serial`, a worker count, default one per core);
-//! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
-//! default one seed, matching the recorded single-run baselines).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed, matching the
+//! recorded single-run baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_table1_sweep_with, SeedSweep};
-
-const TARGET: &str = "table1_energy";
+use qgov_bench::experiments::Table1;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Table I: comparative normalised energy and performance ==");
-    println!(
-        "   workload: H.264 football sequence, {frames} frames at 15 fps, {}",
-        sweep.describe()
+    bench_target::<Table1>(
+        "table1_energy",
+        "Table I: comparative normalised energy and performance",
+        "workload: H.264 football sequence at 15 fps",
+        RunPlan::new(vec![2017], 3_000),
     );
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_table1_sweep_with(&sweep, frames, &runner));
-    println!("{}", result.table.render());
-    println!("paper reference (measured on ODROID-XU3):");
+    println!("paper reference (measured on ODROID-XU3), energy / performance:");
     println!("  Linux Ondemand [5]            1.29  0.77");
     println!("  Multi-core DVFS control [20]  1.20  0.89");
     println!("  Proposed                      1.11  0.96");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    // QGOV_BENCH_JSON perf trajectory: one record per headline metric.
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.method),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_performance/{}", row.method),
-            &row.normalized_performance,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.method),
-            &row.miss_rate,
-        ));
-    }
-    append_records(&records);
 }

@@ -4,56 +4,24 @@
 //! Shen et al. [21], on MPEG4 (30 fps), H.264 (15 fps) and FFT (32 fps).
 //!
 //! Run with `cargo bench -p qgov-bench --bench table2_explorations`.
-//! `QGOV_FRAMES` overrides the run length; `QGOV_WORKERS` picks the
-//! runner policy (`serial`, a worker count, default one per core);
-//! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
-//! default one seed, matching the recorded single-run baselines).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed, matching the
+//! recorded single-run baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_table2_sweep_with, SeedSweep};
-
-const TARGET: &str = "table2_explorations";
+use qgov_bench::experiments::Table2;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Table II: comparative number of explorations ==");
-    println!("   {frames} frames per application, {}", sweep.describe());
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_table2_sweep_with(&sweep, frames, &runner));
-    println!("{}", result.table.render());
-    println!("paper reference (measured on ODROID-XU3):");
+    bench_target::<Table2>(
+        "table2_explorations",
+        "Table II: comparative number of explorations",
+        "workload: MPEG4 (30 fps), H.264 (15 fps) and FFT (32 fps)",
+        RunPlan::new(vec![2017], 3_000),
+    );
+    println!("paper reference (measured on ODROID-XU3), UPD -> EPD:");
     println!("  MPEG4 (30 fps)   144 -> 83");
     println!("  H.264 (15 fps)   149 -> 90");
     println!("  FFT (32 fps)     119 -> 74");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("upd_explorations/{}", row.app),
-            &row.upd_explorations,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("epd_explorations/{}", row.app),
-            &row.epd_explorations,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("epd_upd_ratio/{}", row.app),
-            &row.epd_upd_ratio,
-        ));
-    }
-    append_records(&records);
 }

@@ -5,53 +5,23 @@
 //! with T_ref = 31 ms.
 //!
 //! Run with `cargo bench -p qgov-bench --bench table3_overhead`.
-//! `QGOV_FRAMES` overrides the run length; `QGOV_WORKERS` picks the
-//! runner policy (`serial`, a worker count, default one per core);
-//! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
-//! default one seed, matching the recorded single-run baselines).
+//! `QGOV_FRAMES`, `QGOV_SEEDS`, `QGOV_WORKERS` and `QGOV_BENCH_PASSES`
+//! override the plan (`qgov_bench::plan::RunPlan::from_env`; an invalid
+//! value exits with status 2). The default is one seed, matching the
+//! recorded single-run baselines.
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_table3_sweep_with, SeedSweep};
-
-const TARGET: &str = "table3_overhead";
+use qgov_bench::experiments::Table3;
+use qgov_bench::perf::bench_target;
+use qgov_bench::plan::RunPlan;
 
 fn main() {
-    let frames = frames_from_env(3_000);
-    let sweep = SeedSweep::from_env(2017);
-    let runner = RunnerConfig::from_env();
-    let passes = passes_from_env(3);
-    println!("== Table III: comparative worst-case learning overhead ==");
-    println!(
-        "   ffmpeg-style MPEG4 decode, T_ref = 31 ms, {frames} frames, {}",
-        sweep.describe()
+    bench_target::<Table3>(
+        "table3_overhead",
+        "Table III: comparative worst-case learning overhead",
+        "workload: ffmpeg-style MPEG4 decode, T_ref = 31 ms",
+        RunPlan::new(vec![2017], 3_000),
     );
-    println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_table3_sweep_with(&sweep, frames, &runner));
-    println!("{}", result.table.render());
     println!("paper reference (measured on ODROID-XU3):");
     println!("  Multi-core DVFS control [20]  205 decision epochs");
     println!("  Our approach                  105 decision epochs");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
-
-    let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("exploration_epochs/{}", row.method),
-            &row.exploration_epochs,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("convergence_epochs/{}", row.method),
-            &row.convergence_epochs,
-        ));
-    }
-    append_records(&records);
 }

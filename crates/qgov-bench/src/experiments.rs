@@ -1,50 +1,208 @@
-//! One function per table/figure of the paper's evaluation section.
+//! The experiment registry: one [`Experiment`] per table, figure and
+//! ablation of the paper's evaluation section (plus the long-horizon
+//! extension), every one driven by a [`RunPlan`].
 //!
-//! Every function is deterministic in its seed, runs all methodologies
-//! on the *identical* recorded workload trace (so comparisons are
-//! frame-for-frame fair), and returns both structured rows and a
-//! rendered [`ComparisonTable`].
+//! An experiment records one workload trace per seed
+//! ([`Experiment::prepare`]), replays it under each methodology cell
+//! ([`Experiment::cell`] — so comparisons are frame-for-frame fair),
+//! folds one seed's cells into its typed result
+//! ([`Experiment::assemble`], e.g. [`Table1Result`] with its rendered
+//! [`ComparisonTable`]) and flattens that result into named metrics
+//! ([`Experiment::metrics`] — the campaign cell metrics, which
+//! [`fold_metrics`](crate::worklist::fold_metrics) aggregates across
+//! seeds).
 //!
-//! # Batched execution
-//!
-//! Each experiment expands its methodology/configuration grid into
-//! [`ExperimentBatch`] cells, so the `*_with` variants accept a
-//! [`RunnerConfig`] choosing serial or parallel execution. Every cell
-//! clones the shared pre-characterised trace and builds its own
-//! governor and platform, which is what makes the parallel path
-//! bit-identical to the serial one (see [`crate::runner`]). The
-//! seed-only forms ([`run_table1`], …) read the policy from
-//! `QGOV_WORKERS` via [`RunnerConfig::from_env`].
+//! [`Experiment::run`] expands the plan's seed × cell grid into one
+//! [`ExperimentBatch`] job queue. Every cell builds its own governor
+//! and platform from its own trace clone, so results are
+//! bit-identical on any worker count and for any seed order (see
+//! [`crate::runner`]).
 //!
 //! ```
-//! use qgov_bench::experiments::run_table2_with;
+//! use qgov_bench::experiments::{Experiment, Table2};
+//! use qgov_bench::plan::RunPlan;
 //! use qgov_bench::runner::RunnerConfig;
 //!
 //! // Table II's six cells (3 applications × {UPD, EPD}) on 2 workers.
-//! let result = run_table2_with(1, 80, &RunnerConfig::with_workers(2));
+//! let plan = RunPlan {
+//!     runner: RunnerConfig::with_workers(2),
+//!     ..RunPlan::new(vec![1], 80)
+//! };
+//! let result = &Table2::run(&plan)[0];
 //! assert_eq!(result.rows.len(), 3);
 //! ```
 
 use crate::harness::{precharacterize, run_experiment, run_experiment_monitored};
-use crate::runner::{ExperimentBatch, RunnerConfig};
-use qgov_core::{HistoryMode, RtmConfig, RtmGovernor, StateKind};
+use crate::plan::RunPlan;
+use crate::runner::ExperimentBatch;
+use crate::worklist::{slug, CellMetrics};
+use qgov_core::{EpochRecord, HistoryMode, RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{
     ConservativeGovernor, GeQiuConfig, GeQiuGovernor, Governor, OndemandGovernor, OracleGovernor,
 };
 use qgov_metrics::{
-    standard_pack, ComparisonTable, MispredictionStats, MonitorReport, PackConfig, RunReport,
-    Series, WindowSummary, WindowedStats,
+    standard_pack, ComparisonTable, MispredictionStats, MonitorReport, RunReport, Series,
+    WindowSummary, WindowedStats,
 };
 use qgov_sim::{OppTable, PlatformConfig};
 use qgov_workloads::shard::ScratchDir;
 use qgov_workloads::{Application, FftModel, ShardedTrace, VideoDecoderModel, WorkloadTrace};
 
-fn fmt2(v: f64) -> String {
+pub(crate) fn fmt2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-fn fmt_pct(v: f64) -> String {
+pub(crate) fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
+}
+
+/// One experiment family: its methodology cells, how one seed's
+/// workload is recorded, how one cell runs, how a seed's cells fold
+/// into the typed result and how that result flattens into named
+/// metrics.
+///
+/// Every step is a pure function of its inputs, which is what makes
+/// [`Experiment::run`] bit-identical under any worker count.
+pub trait Experiment {
+    /// The methodology or configuration cells, in row order.
+    const LABELS: &'static [&'static str];
+    /// One seed's recorded workload, shared read-only by its cells.
+    type Prep: Send + Sync;
+    /// What one cell returns.
+    type Cell: Send;
+    /// The typed per-seed result.
+    type Output;
+
+    /// Records the workload for `seed`.
+    fn prepare(plan: &RunPlan, seed: u64) -> Self::Prep;
+
+    /// Runs the cell `label` for `seed` against its preparation.
+    fn cell(plan: &RunPlan, label: &str, prep: &Self::Prep, seed: u64) -> Self::Cell;
+
+    /// Folds one seed's cells, in [`Experiment::LABELS`] order, into
+    /// the typed result.
+    fn assemble(plan: &RunPlan, prep: &Self::Prep, cells: Vec<Self::Cell>) -> Self::Output;
+
+    /// One seed's result as `(metric, value)` pairs in the family's
+    /// canonical order — the metrics a campaign cell journals. Names
+    /// derive from the cell labels, never from display strings.
+    fn metrics(output: &Self::Output) -> CellMetrics;
+
+    /// One seed's rendered comparison table.
+    fn table(output: &Self::Output) -> String;
+
+    /// Runs every plan seed and returns the typed results in seed
+    /// order, in three phases:
+    ///
+    /// 1. [`Experiment::prepare`] once per **distinct** seed (duplicate
+    ///    seeds share one deterministic recording), batched under the
+    ///    plan's runner;
+    /// 2. [`Experiment::cell`] for the whole label × seed cross product
+    ///    in **one** job queue, so a plan of `s` seeds over `m` cells
+    ///    keeps up to `s × m` workers busy;
+    /// 3. [`Experiment::assemble`] per seed, with that seed's cells in
+    ///    label order.
+    ///
+    /// Every cell derives from `(label, seed)` and its seed's
+    /// preparation alone, so each result equals the same seed run
+    /// alone, on any worker count (`tests/sweep_determinism.rs`).
+    fn run(plan: &RunPlan) -> Vec<Self::Output>
+    where
+        Self: Sized,
+    {
+        let mut unique: Vec<u64> = Vec::new();
+        for &seed in &plan.seeds {
+            if !unique.contains(&seed) {
+                unique.push(seed);
+            }
+        }
+        let mut prep_batch = ExperimentBatch::new();
+        for &seed in &unique {
+            prep_batch.push(format!("prepare/seed={seed}"), move || {
+                Self::prepare(plan, seed)
+            });
+        }
+        let preps = prep_batch.run(&plan.runner);
+        let prep_of = |seed: u64| -> &Self::Prep {
+            &preps[unique
+                .iter()
+                .position(|&s| s == seed)
+                .expect("every plan seed was prepared")]
+        };
+
+        let mut batch = ExperimentBatch::new();
+        batch.expand_cells(
+            Self::LABELS,
+            &plan.seeds,
+            &[plan.frames],
+            |label, seed, _| Self::cell(plan, label, prep_of(seed), seed),
+        );
+        let results = batch.run(&plan.runner);
+
+        // `expand_cells` iterates labels outermost: regroup into
+        // per-seed bundles, each in label order.
+        let n = plan.seeds.len();
+        let mut cells_by_seed: Vec<Vec<Self::Cell>> = (0..n)
+            .map(|_| Vec::with_capacity(Self::LABELS.len()))
+            .collect();
+        for (i, cell) in results.into_iter().enumerate() {
+            cells_by_seed[i % n].push(cell);
+        }
+        plan.seeds
+            .iter()
+            .zip(cells_by_seed)
+            .map(|(&seed, cells)| Self::assemble(plan, prep_of(seed), cells))
+            .collect()
+    }
+}
+
+/// The position of `label` in `labels` (a cell label the family
+/// itself enumerated).
+pub(crate) fn index_of(labels: &[&str], label: &str) -> usize {
+    labels
+        .iter()
+        .position(|&l| l == label)
+        .unwrap_or_else(|| unreachable!("unknown cell {label}"))
+}
+
+/// A pre-characterised per-seed workload: the recorded trace every
+/// methodology cell of one experiment family replays, plus its
+/// `(min, max)` total-cycle bounds.
+#[derive(Debug, Clone)]
+pub struct TracePrep {
+    pub(crate) trace: WorkloadTrace,
+    pub(crate) bounds: (f64, f64),
+}
+
+impl TracePrep {
+    /// Records `app` and its workload bounds.
+    pub(crate) fn record(app: &mut dyn Application) -> Self {
+        let (trace, bounds) = precharacterize(app);
+        TracePrep { trace, bounds }
+    }
+
+    /// An RTM under `config`, bounded by this trace's workload range.
+    pub(crate) fn rtm(&self, config: RtmConfig) -> RtmGovernor {
+        RtmGovernor::new(config.with_workload_bounds(self.bounds.0, self.bounds.1))
+            .expect("paper config is valid")
+    }
+
+    /// The Oracle that knows this trace in advance.
+    fn oracle(&self) -> OracleGovernor {
+        OracleGovernor::from_trace(&self.trace, &OppTable::odroid_xu3_a15(), 0.02)
+    }
+
+    /// Replays a fresh clone of the trace under `gov` on the paper's
+    /// A15 quad.
+    fn replay(&self, gov: &mut dyn Governor, frames: u64) -> RunReport {
+        let mut replay = self.trace.clone();
+        run_experiment(gov, &mut replay, PlatformConfig::odroid_xu3_a15(), frames).report
+    }
+}
+
+fn explorations_of(rtm: &RtmGovernor) -> u64 {
+    rtm.explorations_to_convergence()
+        .unwrap_or_else(|| rtm.exploration_count())
 }
 
 /// One methodology's outcome in the Table I comparison.
@@ -77,119 +235,99 @@ pub struct Table1Result {
 }
 
 /// **Table I** — comparative normalised energy and performance on the
-/// H.264 football sequence (paper Section III-A), with the execution
-/// policy read from `QGOV_WORKERS` ([`RunnerConfig::from_env`]).
-#[must_use]
-pub fn run_table1(seed: u64, frames: u64) -> Table1Result {
-    run_table1_with(seed, frames, &RunnerConfig::from_env())
-}
+/// H.264 football sequence (paper Section III-A). All methodologies
+/// replay the identical recorded trace; energy is normalised to the
+/// Oracle run, performance to `T_ref`.
+#[derive(Debug, Clone, Copy)]
+pub struct Table1;
 
-/// **Table I** under an explicit [`RunnerConfig`].
-///
-/// All methodologies replay the identical recorded trace; energy is
-/// normalised to the Oracle run, performance to `T_ref`. The four
-/// methodology runs are independent batch cells.
-#[must_use]
-pub fn run_table1_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Table1Result {
-    let prep = table1_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(TABLE1_LABELS, &[seed], &[frames], |label, seed, frames| {
-        table1_cell(label, &prep, seed, frames)
-    });
-    table1_assemble(batch.run(runner))
-}
+impl Experiment for Table1 {
+    const LABELS: &'static [&'static str] = &["ondemand", "geqiu", "rtm", "oracle"];
+    type Prep = TracePrep;
+    type Cell = RunReport;
+    type Output = Table1Result;
 
-/// A pre-characterised per-seed workload: the recorded trace every
-/// methodology cell of one experiment family replays, plus its
-/// `(min, max)` total-cycle bounds.
-#[derive(Debug, Clone)]
-pub(crate) struct TracePrep {
-    pub(crate) trace: WorkloadTrace,
-    pub(crate) bounds: (f64, f64),
-}
-
-/// Table I's methodology cells, in row order.
-pub(crate) const TABLE1_LABELS: &[&str] = &["ondemand", "geqiu", "rtm", "oracle"];
-
-/// Records Table I's per-seed workload (the H.264 football sequence).
-pub(crate) fn table1_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
-
-/// Runs one Table I methodology cell against the prepared trace.
-pub(crate) fn table1_cell(label: &str, prep: &TracePrep, seed: u64, frames: u64) -> RunReport {
-    let config = PlatformConfig::odroid_xu3_a15();
-    let mut replay = prep.trace.clone();
-    match label {
-        "ondemand" => {
-            let mut gov = OndemandGovernor::linux_default();
-            run_experiment(&mut gov, &mut replay, config, frames).report
-        }
-        "geqiu" => {
-            let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(seed));
-            run_experiment(&mut gov, &mut replay, config, frames).report
-        }
-        "rtm" => {
-            let mut gov = RtmGovernor::new(
-                RtmConfig::paper(seed).with_workload_bounds(prep.bounds.0, prep.bounds.1),
-            )
-            .expect("paper config is valid");
-            run_experiment(&mut gov, &mut replay, config, frames).report
-        }
-        "oracle" => {
-            let mut gov =
-                OracleGovernor::from_trace(&prep.trace, &OppTable::odroid_xu3_a15(), 0.02);
-            run_experiment(&mut gov, &mut replay, config, frames).report
-        }
-        other => unreachable!("unknown Table I cell {other}"),
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(
+            &mut VideoDecoderModel::h264_football_15fps(seed).with_frames(plan.frames),
+        )
     }
-}
 
-/// Folds Table I's methodology reports (in [`TABLE1_LABELS`] order)
-/// into the result bundle.
-pub(crate) fn table1_assemble(reports: Vec<RunReport>) -> Table1Result {
-    let oracle_report = reports.last().expect("oracle cell present").clone();
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> RunReport {
+        let mut gov: Box<dyn Governor> = match label {
+            "ondemand" => Box::new(OndemandGovernor::linux_default()),
+            "geqiu" => Box::new(GeQiuGovernor::new(GeQiuConfig::paper(seed))),
+            "rtm" => Box::new(prep.rtm(RtmConfig::paper(seed))),
+            "oracle" => Box::new(prep.oracle()),
+            other => unreachable!("unknown Table I cell {other}"),
+        };
+        prep.replay(gov.as_mut(), plan.frames)
+    }
 
-    let label = |name: &str| -> String {
-        match name {
-            "ondemand" => "Linux Ondemand [5]".into(),
-            "geqiu" => "Multi-core DVFS control [20]".into(),
-            "rtm" => "Proposed".into(),
-            "oracle" => "Oracle (reference)".into(),
-            other => other.into(),
-        }
-    };
-    let rows: Vec<Table1Row> = reports
-        .iter()
-        .map(|r| Table1Row {
-            method: label(r.governor()),
-            normalized_energy: r.normalized_energy(&oracle_report),
-            normalized_performance: r.normalized_performance(),
-            miss_rate: r.miss_rate(),
-            mean_opp: r.mean_opp(),
-            energy_joules: r.total_energy().as_joules(),
-        })
-        .collect();
+    fn assemble(_: &RunPlan, _: &TracePrep, reports: Vec<RunReport>) -> Table1Result {
+        let oracle_report = reports.last().expect("oracle cell present");
+        let label = |name: &str| -> String {
+            match name {
+                "ondemand" => "Linux Ondemand [5]".into(),
+                "geqiu" => "Multi-core DVFS control [20]".into(),
+                "rtm" => "Proposed".into(),
+                "oracle" => "Oracle (reference)".into(),
+                other => other.into(),
+            }
+        };
+        let rows: Vec<Table1Row> = reports
+            .iter()
+            .map(|r| Table1Row {
+                method: label(r.governor()),
+                normalized_energy: r.normalized_energy(oracle_report),
+                normalized_performance: r.normalized_performance(),
+                miss_rate: r.miss_rate(),
+                mean_opp: r.mean_opp(),
+                energy_joules: r.total_energy().as_joules(),
+            })
+            .collect();
 
-    let mut table = ComparisonTable::new(vec![
-        "Methodology",
-        "Normalized energy",
-        "Normalized performance",
-        "Miss rate",
-        "Mean OPP",
-    ]);
-    for row in &rows {
-        table.add_row(vec![
-            row.method.clone(),
-            fmt2(row.normalized_energy),
-            fmt2(row.normalized_performance),
-            fmt_pct(row.miss_rate),
-            format!("{:.1}", row.mean_opp),
+        let mut table = ComparisonTable::new(vec![
+            "Methodology",
+            "Normalized energy",
+            "Normalized performance",
+            "Miss rate",
+            "Mean OPP",
         ]);
+        for row in &rows {
+            table.add_row(vec![
+                row.method.clone(),
+                fmt2(row.normalized_energy),
+                fmt2(row.normalized_performance),
+                fmt_pct(row.miss_rate),
+                format!("{:.1}", row.mean_opp),
+            ]);
+        }
+        Table1Result { rows, table }
     }
-    Table1Result { rows, table }
+
+    fn metrics(r: &Table1Result) -> CellMetrics {
+        Self::LABELS
+            .iter()
+            .zip(&r.rows)
+            .flat_map(|(label, row)| {
+                [
+                    (format!("normalized_energy/{label}"), row.normalized_energy),
+                    (
+                        format!("normalized_performance/{label}"),
+                        row.normalized_performance,
+                    ),
+                    (format!("miss_rate/{label}"), row.miss_rate),
+                    (format!("mean_opp/{label}"), row.mean_opp),
+                    (format!("energy_joules/{label}"), row.energy_joules),
+                ]
+            })
+            .collect()
+    }
+
+    fn table(r: &Table1Result) -> String {
+        r.table.render()
+    }
 }
 
 /// One application's outcome in the Table II comparison.
@@ -214,115 +352,111 @@ pub struct Table2Result {
     pub table: ComparisonTable,
 }
 
-fn explorations_of(rtm: &RtmGovernor) -> u64 {
-    rtm.explorations_to_convergence()
-        .unwrap_or_else(|| rtm.exploration_count())
-}
-
-/// **Table II** — number of explorations until convergence, EPD (Eq. 2)
-/// versus the uniform-probability baseline \[21\] (Section III-C), with
-/// the execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_table2(seed: u64, frames: u64) -> Table2Result {
-    run_table2_with(seed, frames, &RunnerConfig::from_env())
-}
-
-/// **Table II** under an explicit [`RunnerConfig`]: the paper's three
-/// applications × {UPD, EPD} expand to six batch cells.
-#[must_use]
-pub fn run_table2_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Table2Result {
-    let prep = table2_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(TABLE2_LABELS, &[seed], &[frames], |label, seed, frames| {
-        table2_cell(label, &prep, seed, frames)
-    });
-    table2_assemble(batch.run(runner))
-}
-
 /// Table II's application display names, in row order.
 const TABLE2_APPS: &[&str] = &["MPEG4 (30 fps)", "H.264 (15 fps)", "FFT (32 fps)"];
 
-/// Table II's cells: each application × {UPD, EPD}, in
-/// [`TABLE2_APPS`] order with UPD first (the paper's column order).
-pub(crate) const TABLE2_LABELS: &[&str] = &[
-    "mpeg4/upd",
-    "mpeg4/epd",
-    "h264/upd",
-    "h264/epd",
-    "fft/upd",
-    "fft/epd",
-];
+/// **Table II** — number of explorations until convergence, EPD
+/// (Eq. 2) versus the uniform-probability baseline \[21\] (Section
+/// III-C): the paper's three applications × {UPD, EPD} are six cells.
+/// The horizon caps each replay, not the recording — every application
+/// keeps its own length.
+#[derive(Debug, Clone, Copy)]
+pub struct Table2;
 
-/// Records Table II's three per-seed application traces (frames only
-/// caps the replay, not the recording — each app keeps its own
-/// length).
-pub(crate) fn table2_prepare(seed: u64, _frames: u64) -> Vec<TracePrep> {
-    let mut apps: Vec<Box<dyn Application>> = vec![
-        Box::new(VideoDecoderModel::mpeg4_30fps(seed)),
-        Box::new(VideoDecoderModel::h264_football_15fps(seed)),
-        Box::new(FftModel::fft_32fps(seed)),
+impl Experiment for Table2 {
+    /// Each application × {UPD, EPD}, in application order with UPD
+    /// first (the paper's column order).
+    const LABELS: &'static [&'static str] = &[
+        "mpeg4/upd",
+        "mpeg4/epd",
+        "h264/upd",
+        "h264/epd",
+        "fft/upd",
+        "fft/epd",
     ];
-    apps.iter_mut()
-        .map(|app| {
-            let (trace, bounds) = precharacterize(app.as_mut());
-            TracePrep { trace, bounds }
-        })
-        .collect()
-}
+    type Prep = Vec<TracePrep>;
+    type Cell = u64;
+    type Output = Table2Result;
 
-/// Runs one Table II cell: the RTM under the labelled exploration
-/// policy on the labelled application's trace, reporting explorations
-/// to convergence.
-pub(crate) fn table2_cell(label: &str, prep: &[TracePrep], seed: u64, frames: u64) -> u64 {
-    let index = TABLE2_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .unwrap_or_else(|| unreachable!("unknown Table II cell {label}"));
-    let app_prep = &prep[index / 2];
-    let config = if index % 2 == 0 {
-        RtmConfig::upd_baseline(seed)
-    } else {
-        RtmConfig::paper(seed)
-    };
-    let mut rtm =
-        RtmGovernor::new(config.with_workload_bounds(app_prep.bounds.0, app_prep.bounds.1))
-            .expect("valid config");
-    let mut replay = app_prep.trace.clone();
-    run_experiment(
-        &mut rtm,
-        &mut replay,
-        PlatformConfig::odroid_xu3_a15(),
-        frames,
-    );
-    explorations_of(&rtm)
-}
-
-/// Folds Table II's exploration counts (in [`TABLE2_LABELS`] order)
-/// into the result bundle.
-pub(crate) fn table2_assemble(counts: Vec<u64>) -> Table2Result {
-    let rows: Vec<Table2Row> = TABLE2_APPS
-        .iter()
-        .zip(counts.chunks_exact(2))
-        .map(|(app, pair)| Table2Row {
-            app: (*app).into(),
-            upd_explorations: pair[0],
-            epd_explorations: pair[1],
-        })
-        .collect();
-
-    let mut table = ComparisonTable::new(vec![
-        "Application",
-        "Explorations [21] (UPD)",
-        "Our approach (EPD)",
-    ]);
-    for row in &rows {
-        table.add_row(vec![
-            row.app.clone(),
-            row.upd_explorations.to_string(),
-            row.epd_explorations.to_string(),
-        ]);
+    fn prepare(_: &RunPlan, seed: u64) -> Vec<TracePrep> {
+        let mut apps: Vec<Box<dyn Application>> = vec![
+            Box::new(VideoDecoderModel::mpeg4_30fps(seed)),
+            Box::new(VideoDecoderModel::h264_football_15fps(seed)),
+            Box::new(FftModel::fft_32fps(seed)),
+        ];
+        apps.iter_mut()
+            .map(|app| TracePrep::record(app.as_mut()))
+            .collect()
     }
-    Table2Result { rows, table }
+
+    fn cell(plan: &RunPlan, label: &str, prep: &Vec<TracePrep>, seed: u64) -> u64 {
+        let index = index_of(Self::LABELS, label);
+        let app = &prep[index / 2];
+        let mut rtm = app.rtm(if index.is_multiple_of(2) {
+            RtmConfig::upd_baseline(seed)
+        } else {
+            RtmConfig::paper(seed)
+        });
+        app.replay(&mut rtm, plan.frames);
+        explorations_of(&rtm)
+    }
+
+    fn assemble(_: &RunPlan, _: &Vec<TracePrep>, counts: Vec<u64>) -> Table2Result {
+        let rows: Vec<Table2Row> = TABLE2_APPS
+            .iter()
+            .zip(counts.chunks_exact(2))
+            .map(|(app, pair)| Table2Row {
+                app: (*app).into(),
+                upd_explorations: pair[0],
+                epd_explorations: pair[1],
+            })
+            .collect();
+
+        let mut table = ComparisonTable::new(vec![
+            "Application",
+            "Explorations [21] (UPD)",
+            "Our approach (EPD)",
+        ]);
+        for row in &rows {
+            table.add_row(vec![
+                row.app.clone(),
+                row.upd_explorations.to_string(),
+                row.epd_explorations.to_string(),
+            ]);
+        }
+        Table2Result { rows, table }
+    }
+
+    /// Per application (the short key before the label's `/`): UPD and
+    /// EPD explorations and their per-seed ratio.
+    fn metrics(r: &Table2Result) -> CellMetrics {
+        Self::LABELS
+            .iter()
+            .step_by(2)
+            .map(|label| label.split('/').next().expect("app/policy label"))
+            .zip(&r.rows)
+            .flat_map(|(app, row)| {
+                [
+                    (
+                        format!("upd_explorations/{app}"),
+                        row.upd_explorations as f64,
+                    ),
+                    (
+                        format!("epd_explorations/{app}"),
+                        row.epd_explorations as f64,
+                    ),
+                    (
+                        format!("epd_upd_ratio/{app}"),
+                        row.epd_explorations as f64 / row.upd_explorations as f64,
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    fn table(r: &Table2Result) -> String {
+        r.table.render()
+    }
 }
 
 /// One methodology's outcome in the Table III comparison.
@@ -349,106 +483,93 @@ pub struct Table3Result {
 }
 
 /// **Table III** — worst-case learning overhead in decision epochs
-/// (Section III-D), with the execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_table3(seed: u64, frames: u64) -> Table3Result {
-    run_table3_with(seed, frames, &RunnerConfig::from_env())
-}
+/// (Section III-D): per-core \[20\] versus the shared-table proposed
+/// RTM on an ffmpeg-style decode with `T_ref` = 31 ms. The shared
+/// Q-table converges roughly twice as fast.
+#[derive(Debug, Clone, Copy)]
+pub struct Table3;
 
-/// **Table III** under an explicit [`RunnerConfig`]: the two
-/// methodologies (per-core \[20\] and shared-table proposed) run as
-/// independent batch cells on an ffmpeg-style decode with `T_ref` =
-/// 31 ms. The shared Q-table converges roughly twice as fast.
-#[must_use]
-pub fn run_table3_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Table3Result {
-    let prep = table3_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(TABLE3_LABELS, &[seed], &[frames], |label, seed, frames| {
-        table3_cell(label, &prep, seed, frames)
-    });
-    table3_assemble(batch.run(runner))
-}
+impl Experiment for Table3 {
+    const LABELS: &'static [&'static str] = &["geqiu", "rtm"];
+    type Prep = TracePrep;
+    /// `(exploration_epochs, converged_at)`.
+    type Cell = (u64, Option<u64>);
+    type Output = Table3Result;
 
-/// Table III's methodology cells, in row order.
-pub(crate) const TABLE3_LABELS: &[&str] = &["geqiu", "rtm"];
+    /// The paper's overhead workload: an ffmpeg decode at `T_ref` =
+    /// 31 ms (~32 fps MPEG4).
+    fn prepare(_: &RunPlan, seed: u64) -> TracePrep {
+        let mut params = VideoDecoderModel::mpeg4_svga_24fps(seed).params().clone();
+        params.name = "mpeg4-31ms".into();
+        params.fps = 1.0 / 0.031;
+        params.forced_scene_frames.clear();
+        TracePrep::record(&mut VideoDecoderModel::new(params).expect("valid params"))
+    }
 
-/// Records Table III's per-seed workload: the paper's overhead
-/// workload, an ffmpeg decode at `T_ref` = 31 ms (~32 fps MPEG4).
-pub(crate) fn table3_prepare(seed: u64, _frames: u64) -> TracePrep {
-    let mut params = VideoDecoderModel::mpeg4_svga_24fps(seed).params().clone();
-    params.name = "mpeg4-31ms".into();
-    params.fps = 1.0 / 0.031;
-    params.forced_scene_frames.clear();
-    let mut app = VideoDecoderModel::new(params).expect("valid params");
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
-
-/// Runs one Table III methodology cell, reporting
-/// `(exploration_epochs, converged_at)`.
-pub(crate) fn table3_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> (u64, Option<u64>) {
-    let mut replay = prep.trace.clone();
-    match label {
-        "geqiu" => {
-            let mut geqiu = GeQiuGovernor::new(GeQiuConfig::paper(seed));
-            run_experiment(
-                &mut geqiu,
-                &mut replay,
-                PlatformConfig::odroid_xu3_a15(),
-                frames,
-            );
-            (geqiu.exploration_phase_epochs(), geqiu.converged_at())
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> (u64, Option<u64>) {
+        match label {
+            "geqiu" => {
+                let mut geqiu = GeQiuGovernor::new(GeQiuConfig::paper(seed));
+                prep.replay(&mut geqiu, plan.frames);
+                (geqiu.exploration_phase_epochs(), geqiu.converged_at())
+            }
+            "rtm" => {
+                let mut rtm = prep.rtm(RtmConfig::paper(seed));
+                prep.replay(&mut rtm, plan.frames);
+                (rtm.exploration_phase_epochs(), rtm.converged_at())
+            }
+            other => unreachable!("unknown Table III cell {other}"),
         }
-        "rtm" => {
-            let mut rtm = RtmGovernor::new(
-                RtmConfig::paper(seed).with_workload_bounds(prep.bounds.0, prep.bounds.1),
+    }
+
+    fn assemble(_: &RunPlan, _: &TracePrep, results: Vec<(u64, Option<u64>)>) -> Table3Result {
+        let rows: Vec<Table3Row> = ["Multi-core DVFS control [20]", "Our approach"]
+            .iter()
+            .zip(&results)
+            .map(
+                |(method, &(exploration_epochs, convergence_epochs))| Table3Row {
+                    method: (*method).into(),
+                    exploration_epochs,
+                    convergence_epochs,
+                },
             )
-            .expect("valid config");
-            run_experiment(
-                &mut rtm,
-                &mut replay,
-                PlatformConfig::odroid_xu3_a15(),
-                frames,
-            );
-            (rtm.exploration_phase_epochs(), rtm.converged_at())
-        }
-        other => unreachable!("unknown Table III cell {other}"),
-    }
-}
-
-/// Folds Table III's per-methodology `(epochs, convergence)` pairs (in
-/// [`TABLE3_LABELS`] order) into the result bundle.
-pub(crate) fn table3_assemble(results: Vec<(u64, Option<u64>)>) -> Table3Result {
-    let rows: Vec<Table3Row> = ["Multi-core DVFS control [20]", "Our approach"]
-        .iter()
-        .zip(&results)
-        .map(
-            |(method, &(exploration_epochs, convergence_epochs))| Table3Row {
-                method: (*method).into(),
-                exploration_epochs,
-                convergence_epochs,
-            },
-        )
-        .collect();
-    let mut table = ComparisonTable::new(vec![
-        "Methodology",
-        "Time overhead (decision epochs)",
-        "Greedy policy stable at",
-    ]);
-    for row in &rows {
-        table.add_row(vec![
-            row.method.clone(),
-            row.exploration_epochs.to_string(),
-            row.convergence_epochs
-                .map_or_else(|| "not converged".into(), |e| e.to_string()),
+            .collect();
+        let mut table = ComparisonTable::new(vec![
+            "Methodology",
+            "Time overhead (decision epochs)",
+            "Greedy policy stable at",
         ]);
+        for row in &rows {
+            table.add_row(vec![
+                row.method.clone(),
+                row.exploration_epochs.to_string(),
+                row.convergence_epochs
+                    .map_or_else(|| "not converged".into(), |e| e.to_string()),
+            ]);
+        }
+        Table3Result { rows, table }
     }
-    Table3Result { rows, table }
+
+    fn metrics(r: &Table3Result) -> CellMetrics {
+        Self::LABELS
+            .iter()
+            .zip(&r.rows)
+            .flat_map(|(label, row)| {
+                std::iter::once((
+                    format!("exploration_epochs/{label}"),
+                    row.exploration_epochs as f64,
+                ))
+                .chain(
+                    row.convergence_epochs
+                        .map(|e| (format!("convergence_epochs/{label}"), e as f64)),
+                )
+            })
+            .collect()
+    }
+
+    fn table(r: &Table3Result) -> String {
+        r.table.render()
+    }
 }
 
 /// The Fig. 3 experiment bundle: series plus headline statistics.
@@ -474,100 +595,91 @@ pub struct Fig3Result {
 }
 
 /// **Fig. 3** — workload misprediction for MPEG4 at 24 fps (γ = 0.6)
-/// and the learning impact on average slack (Section III-B), with the
-/// execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_fig3(seed: u64, frames: u64) -> Fig3Result {
-    run_fig3_with(seed, frames, &RunnerConfig::from_env())
-}
+/// and the learning impact on average slack (Section III-B): one RTM
+/// cell. The preset scripts a scene change at frame 90, reproducing
+/// the paper's mid-exploitation misprediction burst.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig3;
 
-/// **Fig. 3** under an explicit [`RunnerConfig`] (a single-cell batch —
-/// it parallelises only across invocations). The preset scripts a
-/// scene change at frame 90, reproducing the paper's mid-exploitation
-/// misprediction burst.
-#[must_use]
-pub fn run_fig3_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Fig3Result {
-    let prep = fig3_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(FIG3_LABELS, &[seed], &[frames], |label, seed, frames| {
-        fig3_cell(label, &prep, seed, frames)
-    });
-    fig3_assemble(batch.run(runner))
-}
+impl Experiment for Fig3 {
+    const LABELS: &'static [&'static str] = &["rtm"];
+    type Prep = TracePrep;
+    /// The RTM's full epoch history (needs [`HistoryMode::Full`], the
+    /// config default).
+    type Cell = Vec<EpochRecord>;
+    type Output = Fig3Result;
 
-/// Fig. 3's single cell.
-pub(crate) const FIG3_LABELS: &[&str] = &["rtm"];
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(&mut VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(plan.frames))
+    }
 
-/// Records Fig. 3's per-seed workload (MPEG4 SVGA at 24 fps with the
-/// scripted scene change).
-pub(crate) fn fig3_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> Vec<EpochRecord> {
+        assert_eq!(label, "rtm", "unknown Fig. 3 cell {label}");
+        let mut rtm = prep.rtm(RtmConfig::paper(seed));
+        prep.replay(&mut rtm, plan.frames);
+        rtm.history().to_vec()
+    }
 
-/// Runs Fig. 3's RTM cell, returning the full epoch history (the
-/// telemetry the series are built from — this cell needs
-/// [`HistoryMode::Full`], the config default).
-pub(crate) fn fig3_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> Vec<qgov_core::EpochRecord> {
-    assert_eq!(label, "rtm", "unknown Fig. 3 cell {label}");
-    let mut rtm =
-        RtmGovernor::new(RtmConfig::paper(seed).with_workload_bounds(prep.bounds.0, prep.bounds.1))
-            .expect("valid config");
-    let mut replay = prep.trace.clone();
-    run_experiment(
-        &mut rtm,
-        &mut replay,
-        PlatformConfig::odroid_xu3_a15(),
-        frames,
-    );
-    rtm.history().to_vec()
-}
+    fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<Vec<EpochRecord>>) -> Fig3Result {
+        let history = cells.into_iter().next().expect("one cell");
 
-/// Folds Fig. 3's epoch history into the series bundle.
-pub(crate) fn fig3_assemble(cells: Vec<Vec<qgov_core::EpochRecord>>) -> Fig3Result {
-    let history = cells.into_iter().next().expect("one cell");
+        // Epoch 0 has no prediction yet; start the series at epoch 1.
+        let predicted: Vec<f64> = history[1..]
+            .iter()
+            .map(|r| r.predicted_total_cycles)
+            .collect();
+        let actual: Vec<f64> = history[1..].iter().map(|r| r.actual_total_cycles).collect();
+        let avg_slack: Vec<f64> = history[1..].iter().map(|r| r.avg_slack).collect();
+        let frame_slack: Vec<f64> = history[1..].iter().map(|r| r.frame_slack).collect();
 
-    // Epoch 0 has no prediction yet; start the series at epoch 1.
-    let predicted: Vec<f64> = history[1..]
-        .iter()
-        .map(|r| r.predicted_total_cycles)
-        .collect();
-    let actual: Vec<f64> = history[1..].iter().map(|r| r.actual_total_cycles).collect();
-    let avg_slack: Vec<f64> = history[1..].iter().map(|r| r.avg_slack).collect();
-    let frame_slack: Vec<f64> = history[1..].iter().map(|r| r.frame_slack).collect();
+        let stats = MispredictionStats::from_series(&predicted, &actual);
+        let split = 100.min(stats.len().saturating_sub(1)).max(1);
+        let early = stats.windowed_relative_error(0, split);
+        let late = if stats.len() > split {
+            stats.windowed_relative_error(split, stats.len())
+        } else {
+            early
+        };
 
-    let stats = MispredictionStats::from_series(&predicted, &actual);
-    let split = 100.min(stats.len().saturating_sub(1)).max(1);
-    let early = stats.windowed_relative_error(0, split);
-    let late = if stats.len() > split {
-        stats.windowed_relative_error(split, stats.len())
-    } else {
-        early
-    };
+        let predicted = Series::from_ys("predicted_cc", &predicted);
+        let actual = Series::from_ys("actual_cc", &actual);
+        let avg_slack_s = Series::from_ys("avg_slack", &avg_slack);
+        let frame_slack_s = Series::from_ys("frame_slack", &frame_slack);
+        let csv = Series::to_csv_aligned(
+            "frame",
+            &[&predicted, &actual, &avg_slack_s, &frame_slack_s],
+        );
+        Fig3Result {
+            predicted,
+            actual,
+            avg_slack: avg_slack_s,
+            frame_slack: frame_slack_s,
+            early_misprediction: early,
+            late_misprediction: late,
+            mispredicted_frames: stats.mispredicted_frames(0.15),
+            csv,
+        }
+    }
 
-    let predicted = Series::from_ys("predicted_cc", &predicted);
-    let actual = Series::from_ys("actual_cc", &actual);
-    let avg_slack_s = Series::from_ys("avg_slack", &avg_slack);
-    let frame_slack_s = Series::from_ys("frame_slack", &frame_slack);
-    let csv = Series::to_csv_aligned(
-        "frame",
-        &[&predicted, &actual, &avg_slack_s, &frame_slack_s],
-    );
-    Fig3Result {
-        predicted,
-        actual,
-        avg_slack: avg_slack_s,
-        frame_slack: frame_slack_s,
-        early_misprediction: early,
-        late_misprediction: late,
-        mispredicted_frames: stats.mispredicted_frames(0.15),
-        csv,
+    fn metrics(r: &Fig3Result) -> CellMetrics {
+        vec![
+            ("early_misprediction".into(), r.early_misprediction),
+            ("late_misprediction".into(), r.late_misprediction),
+            (
+                "mispredicted_frames".into(),
+                r.mispredicted_frames.len() as f64,
+            ),
+        ]
+    }
+
+    fn table(r: &Fig3Result) -> String {
+        format!(
+            "misprediction: {} over frames 1-100, {} after; frames with >15% \
+             misprediction: {:?}\n",
+            fmt_pct(r.early_misprediction),
+            fmt_pct(r.late_misprediction),
+            r.mispredicted_frames
+        )
     }
 }
 
@@ -597,341 +709,282 @@ pub struct AblationResult {
     pub table: ComparisonTable,
 }
 
-fn ablation_table(rows: &[AblationRow], label_header: &str) -> ComparisonTable {
-    let mut table = ComparisonTable::new(vec![
-        label_header,
-        "Normalized energy",
-        "Normalized performance",
-        "Miss rate",
-        "Convergence (epochs)",
-        "Explorations",
-    ]);
-    for row in rows {
-        table.add_row(vec![
-            row.label.clone(),
-            fmt2(row.normalized_energy),
-            fmt2(row.normalized_performance),
-            fmt_pct(row.miss_rate),
-            row.convergence_epochs
-                .map_or_else(|| "-".into(), |e| e.to_string()),
-            row.explorations.to_string(),
-        ]);
-    }
-    table
-}
-
 /// What one learning-governor ablation cell reports back: the run
 /// report, the convergence epoch (if reached) and the exploration
 /// count.
-type AblationCell = (RunReport, Option<u64>, u64);
+pub type AblationCell = (RunReport, Option<u64>, u64);
 
-fn run_rtm_vs_oracle(
-    config: RtmConfig,
-    trace: &WorkloadTrace,
-    bounds: (f64, f64),
-    frames: u64,
-) -> AblationCell {
-    let mut rtm =
-        RtmGovernor::new(config.with_workload_bounds(bounds.0, bounds.1)).expect("valid config");
-    let mut replay = trace.clone();
-    let report = run_experiment(
-        &mut rtm,
-        &mut replay,
-        PlatformConfig::odroid_xu3_a15(),
-        frames,
-    )
-    .report;
-    let converged = rtm.converged_at();
-    let explorations = explorations_of(&rtm);
-    (report, converged, explorations)
-}
+impl AblationResult {
+    /// Folds the configuration cells (the Oracle reference first) into
+    /// rows named by `row_label(i, cell)`.
+    fn assemble<C>(
+        label_header: &str,
+        mut cells: Vec<C>,
+        as_ablation: impl Fn(&C) -> &AblationCell,
+        row_label: impl Fn(usize, &C) -> String,
+    ) -> Self {
+        let oracle = as_ablation(&cells.remove(0)).0.clone();
+        let rows: Vec<AblationRow> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let (report, converged, explorations) = as_ablation(cell);
+                AblationRow {
+                    label: row_label(i, cell),
+                    normalized_energy: report.normalized_energy(&oracle),
+                    normalized_performance: report.normalized_performance(),
+                    miss_rate: report.miss_rate(),
+                    convergence_epochs: *converged,
+                    explorations: *explorations,
+                }
+            })
+            .collect();
+        let mut table = ComparisonTable::new(vec![
+            label_header,
+            "Normalized energy",
+            "Normalized performance",
+            "Miss rate",
+            "Convergence (epochs)",
+            "Explorations",
+        ]);
+        for row in &rows {
+            table.add_row(vec![
+                row.label.clone(),
+                fmt2(row.normalized_energy),
+                fmt2(row.normalized_performance),
+                fmt_pct(row.miss_rate),
+                row.convergence_epochs
+                    .map_or_else(|| "-".into(), |e| e.to_string()),
+                row.explorations.to_string(),
+            ]);
+        }
+        AblationResult { rows, table }
+    }
 
-fn oracle_reference(trace: &WorkloadTrace, frames: u64) -> RunReport {
-    let mut oracle = OracleGovernor::from_trace(trace, &OppTable::odroid_xu3_a15(), 0.02);
-    let mut replay = trace.clone();
-    run_experiment(
-        &mut oracle,
-        &mut replay,
-        PlatformConfig::odroid_xu3_a15(),
-        frames,
-    )
-    .report
-}
-
-fn ablation_row(label: String, cell: &AblationCell, oracle: &RunReport) -> AblationRow {
-    let (report, converged, explorations) = cell;
-    AblationRow {
-        label,
-        normalized_energy: report.normalized_energy(oracle),
-        normalized_performance: report.normalized_performance(),
-        miss_rate: report.miss_rate(),
-        convergence_epochs: *converged,
-        explorations: *explorations,
+    /// Flat metrics per configuration. `labels` lists the family's
+    /// cells Oracle first; the Oracle is only the normalisation
+    /// reference and has no row, so each row takes the label after it.
+    fn metrics(&self, labels: &[&str]) -> CellMetrics {
+        debug_assert_eq!(labels[0], "oracle");
+        debug_assert_eq!(self.rows.len(), labels.len() - 1);
+        labels[1..]
+            .iter()
+            .zip(&self.rows)
+            .flat_map(|(label, row)| {
+                let key = slug(label);
+                [
+                    (format!("normalized_energy/{key}"), row.normalized_energy),
+                    (
+                        format!("normalized_performance/{key}"),
+                        row.normalized_performance,
+                    ),
+                    (format!("miss_rate/{key}"), row.miss_rate),
+                    (format!("explorations/{key}"), row.explorations as f64),
+                ]
+                .into_iter()
+                .chain(
+                    row.convergence_epochs
+                        .map(|e| (format!("convergence_epochs/{key}"), e as f64)),
+                )
+            })
+            .collect()
     }
 }
 
-/// **Ablation** — sweep of the state discretisation level count N, with
-/// the execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_state_levels_ablation(seed: u64, frames: u64) -> AblationResult {
-    run_state_levels_ablation_with(seed, frames, &RunnerConfig::from_env())
-}
+impl TracePrep {
+    /// The Oracle reference cell every ablation normalises against.
+    fn oracle_cell(&self, frames: u64) -> AblationCell {
+        (self.replay(&mut self.oracle(), frames), None, 0)
+    }
 
-/// **Ablation** — state levels N under an explicit [`RunnerConfig`]
-/// (the paper fixes N = 5 from pre-characterisation): more levels give
-/// finer control but a larger Q-table that takes longer to learn. The
-/// oracle reference and the five N configurations are six batch cells.
-#[must_use]
-pub fn run_state_levels_ablation_with(
-    seed: u64,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> AblationResult {
-    let prep = levels_ablation_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(LEVELS_LABELS, &[seed], &[frames], |label, seed, frames| {
-        levels_ablation_cell(label, &prep, seed, frames)
-    });
-    levels_ablation_assemble(batch.run(runner))
+    /// An RTM cell under `config`.
+    fn rtm_cell(&self, config: RtmConfig, frames: u64) -> AblationCell {
+        let mut rtm = self.rtm(config);
+        let report = self.replay(&mut rtm, frames);
+        (report, rtm.converged_at(), explorations_of(&rtm))
+    }
 }
 
 const LEVELS: [usize; 5] = [3, 4, 5, 7, 9];
 
-/// The state-levels ablation's cells: the Oracle reference plus one
-/// per N.
-pub(crate) const LEVELS_LABELS: &[&str] = &["oracle", "n=3", "n=4", "n=5", "n=7", "n=9"];
+/// **Ablation** — the state discretisation level count N (the paper
+/// fixes N = 5 from pre-characterisation): more levels give finer
+/// control but a larger Q-table that takes longer to learn. The Oracle
+/// reference and the five N configurations are six cells.
+#[derive(Debug, Clone, Copy)]
+pub struct StateLevels;
 
-/// Records the state-levels ablation's per-seed workload.
-pub(crate) fn levels_ablation_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
+impl Experiment for StateLevels {
+    const LABELS: &'static [&'static str] = &["oracle", "n=3", "n=4", "n=5", "n=7", "n=9"];
+    type Prep = TracePrep;
+    type Cell = AblationCell;
+    type Output = AblationResult;
 
-/// Runs one state-levels cell (the Oracle or one N configuration).
-pub(crate) fn levels_ablation_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> AblationCell {
-    if label == "oracle" {
-        return (oracle_reference(&prep.trace, frames), None, 0);
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(
+            &mut VideoDecoderModel::h264_football_15fps(seed).with_frames(plan.frames),
+        )
     }
-    let index = LEVELS_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .unwrap_or_else(|| unreachable!("unknown state-levels cell {label}"));
-    let n = LEVELS[index - 1];
-    let mut config = RtmConfig::paper(seed);
-    config.workload_levels = n;
-    config.slack_levels = n;
-    run_rtm_vs_oracle(config, &prep.trace, prep.bounds, frames)
-}
 
-/// Folds the state-levels cells (in [`LEVELS_LABELS`] order, Oracle
-/// first) into the ablation bundle.
-pub(crate) fn levels_ablation_assemble(mut cells: Vec<AblationCell>) -> AblationResult {
-    let (oracle, _, _) = cells.remove(0);
-    let rows: Vec<AblationRow> = LEVELS
-        .iter()
-        .zip(&cells)
-        .map(|(n, cell)| ablation_row(format!("N = {n} ({} states)", n * n), cell, &oracle))
-        .collect();
-    let table = ablation_table(&rows, "State levels");
-    AblationResult { rows, table }
-}
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> AblationCell {
+        if label == "oracle" {
+            return prep.oracle_cell(plan.frames);
+        }
+        let n = LEVELS[index_of(Self::LABELS, label) - 1];
+        let mut config = RtmConfig::paper(seed);
+        config.workload_levels = n;
+        config.slack_levels = n;
+        prep.rtm_cell(config, plan.frames)
+    }
 
-/// **Ablation** — sweep of the EWMA smoothing factor γ, with the
-/// execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_smoothing_ablation(seed: u64, frames: u64) -> AblationResult {
-    run_smoothing_ablation_with(seed, frames, &RunnerConfig::from_env())
-}
+    fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<AblationCell>) -> AblationResult {
+        AblationResult::assemble(
+            "State levels",
+            cells,
+            |c| c,
+            |i, _| {
+                let n = LEVELS[i];
+                format!("N = {n} ({} states)", n * n)
+            },
+        )
+    }
 
-/// **Ablation** — EWMA γ under an explicit [`RunnerConfig`] (the paper
-/// determines γ = 0.6 experimentally): small γ lags workload changes,
-/// large γ chases noise. The oracle reference and the five γ
-/// configurations are six batch cells; each γ cell also reports its
-/// mean relative misprediction.
-#[must_use]
-pub fn run_smoothing_ablation_with(
-    seed: u64,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> AblationResult {
-    let prep = smoothing_ablation_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(GAMMA_LABELS, &[seed], &[frames], |label, seed, frames| {
-        smoothing_ablation_cell(label, &prep, seed, frames)
-    });
-    smoothing_ablation_assemble(batch.run(runner))
+    fn metrics(r: &AblationResult) -> CellMetrics {
+        r.metrics(Self::LABELS)
+    }
+
+    fn table(r: &AblationResult) -> String {
+        r.table.render()
+    }
 }
 
 const GAMMAS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 0.95];
 
-/// The smoothing ablation's cells: the Oracle reference plus one per
-/// γ.
-pub(crate) const GAMMA_LABELS: &[&str] = &[
-    "oracle",
-    "gamma=0.2",
-    "gamma=0.4",
-    "gamma=0.6",
-    "gamma=0.8",
-    "gamma=0.95",
-];
+/// **Ablation** — the EWMA smoothing factor γ (the paper determines
+/// γ = 0.6 experimentally): small γ lags workload changes, large γ
+/// chases noise. The Oracle reference and the five γ configurations
+/// are six cells; each γ cell also reports its mean relative
+/// misprediction, shown in its row label.
+#[derive(Debug, Clone, Copy)]
+pub struct Smoothing;
 
-/// Records the smoothing ablation's per-seed workload.
-pub(crate) fn smoothing_ablation_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
+impl Experiment for Smoothing {
+    const LABELS: &'static [&'static str] = &[
+        "oracle",
+        "gamma=0.2",
+        "gamma=0.4",
+        "gamma=0.6",
+        "gamma=0.8",
+        "gamma=0.95",
+    ];
+    type Prep = TracePrep;
+    /// The ablation cell plus its mean relative misprediction.
+    type Cell = (AblationCell, f64);
+    type Output = AblationResult;
 
-/// Runs one smoothing cell; γ cells also report their mean relative
-/// misprediction (needs [`HistoryMode::Full`], the config default).
-pub(crate) fn smoothing_ablation_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> (AblationCell, f64) {
-    if label == "oracle" {
-        return ((oracle_reference(&prep.trace, frames), None, 0), 0.0);
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(&mut VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(plan.frames))
     }
-    let index = GAMMA_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .unwrap_or_else(|| unreachable!("unknown smoothing cell {label}"));
-    let gamma = GAMMAS[index - 1];
-    let mut config = RtmConfig::paper(seed);
-    config.smoothing = gamma;
-    let mut rtm = RtmGovernor::new(config.with_workload_bounds(prep.bounds.0, prep.bounds.1))
-        .expect("valid config");
-    let mut replay = prep.trace.clone();
-    let report = run_experiment(
-        &mut rtm,
-        &mut replay,
-        PlatformConfig::odroid_xu3_a15(),
-        frames,
-    )
-    .report;
-    // Misprediction over the whole run (epoch 0 has none).
-    let history = rtm.history();
-    let predicted: Vec<f64> = history[1..]
-        .iter()
-        .map(|r| r.predicted_total_cycles)
-        .collect();
-    let actual: Vec<f64> = history[1..].iter().map(|r| r.actual_total_cycles).collect();
-    let stats = MispredictionStats::from_series(&predicted, &actual);
-    let cell = (report, rtm.converged_at(), explorations_of(&rtm));
-    (cell, stats.mean_relative_error())
-}
 
-/// Folds the smoothing cells (in [`GAMMA_LABELS`] order, Oracle first)
-/// into the ablation bundle.
-pub(crate) fn smoothing_ablation_assemble(mut cells: Vec<(AblationCell, f64)>) -> AblationResult {
-    let ((oracle, _, _), _) = cells.remove(0);
-    let rows: Vec<AblationRow> = GAMMAS
-        .iter()
-        .zip(&cells)
-        .map(|(gamma, (cell, misprediction))| {
-            ablation_row(
+    /// γ cells need [`HistoryMode::Full`] (the config default) for the
+    /// misprediction.
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> (AblationCell, f64) {
+        if label == "oracle" {
+            return (prep.oracle_cell(plan.frames), 0.0);
+        }
+        let mut config = RtmConfig::paper(seed);
+        config.smoothing = GAMMAS[index_of(Self::LABELS, label) - 1];
+        let mut rtm = prep.rtm(config);
+        let report = prep.replay(&mut rtm, plan.frames);
+        // Misprediction over the whole run (epoch 0 has none).
+        let history = rtm.history();
+        let predicted: Vec<f64> = history[1..]
+            .iter()
+            .map(|r| r.predicted_total_cycles)
+            .collect();
+        let actual: Vec<f64> = history[1..].iter().map(|r| r.actual_total_cycles).collect();
+        let stats = MispredictionStats::from_series(&predicted, &actual);
+        let cell = (report, rtm.converged_at(), explorations_of(&rtm));
+        (cell, stats.mean_relative_error())
+    }
+
+    fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<(AblationCell, f64)>) -> AblationResult {
+        AblationResult::assemble(
+            "EWMA smoothing",
+            cells,
+            |(cell, _)| cell,
+            |i, (_, misprediction)| {
                 format!(
-                    "gamma = {gamma:.2} (misprediction {:.1}%)",
+                    "gamma = {:.2} (misprediction {:.1}%)",
+                    GAMMAS[i],
                     misprediction * 100.0
-                ),
-                cell,
-                &oracle,
-            )
-        })
-        .collect();
-    let table = ablation_table(&rows, "EWMA smoothing");
-    AblationResult { rows, table }
-}
+                )
+            },
+        )
+    }
 
-/// **Ablation** — shared versus per-core Q-tables, with the execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_shared_table_ablation(seed: u64, frames: u64) -> AblationResult {
-    run_shared_table_ablation_with(seed, frames, &RunnerConfig::from_env())
+    fn metrics(r: &AblationResult) -> CellMetrics {
+        r.metrics(Self::LABELS)
+    }
+
+    fn table(r: &AblationResult) -> String {
+        r.table.render()
+    }
 }
 
 /// **Ablation** — the Section II-D claim that sharing one Q-table
-/// across cores converges faster, under an explicit [`RunnerConfig`]:
-/// the oracle reference, the two shared-table formulations and Ge &
-/// Qiu's per-core independent tables are four batch cells.
-#[must_use]
-pub fn run_shared_table_ablation_with(
-    seed: u64,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> AblationResult {
-    let prep = shared_ablation_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(SHARED_LABELS, &[seed], &[frames], |label, seed, frames| {
-        shared_ablation_cell(label, &prep, seed, frames)
-    });
-    shared_ablation_assemble(batch.run(runner))
-}
+/// across cores converges faster: the Oracle reference, the two
+/// shared-table formulations and Ge & Qiu's per-core independent
+/// tables are four cells.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedTable;
 
-/// The shared-table ablation's cells, Oracle first.
-pub(crate) const SHARED_LABELS: &[&str] = &["oracle", "cluster", "per-core-share", "geqiu"];
+impl Experiment for SharedTable {
+    const LABELS: &'static [&'static str] = &["oracle", "cluster", "per-core-share", "geqiu"];
+    type Prep = TracePrep;
+    type Cell = AblationCell;
+    type Output = AblationResult;
 
-/// Records the shared-table ablation's per-seed workload.
-pub(crate) fn shared_ablation_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
-
-/// Runs one shared-table formulation cell.
-pub(crate) fn shared_ablation_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> AblationCell {
-    match label {
-        "oracle" => (oracle_reference(&prep.trace, frames), None, 0),
-        "cluster" => run_rtm_vs_oracle(RtmConfig::paper(seed), &prep.trace, prep.bounds, frames),
-        "per-core-share" => {
-            let mut config = RtmConfig::paper(seed);
-            config.state_kind = StateKind::PerCoreShare;
-            run_rtm_vs_oracle(config, &prep.trace, prep.bounds, frames)
-        }
-        "geqiu" => {
-            let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(seed));
-            let mut replay = prep.trace.clone();
-            let report = run_experiment(
-                &mut gov,
-                &mut replay,
-                PlatformConfig::odroid_xu3_a15(),
-                frames,
-            )
-            .report;
-            (report, gov.converged_at(), gov.exploration_count())
-        }
-        other => unreachable!("unknown shared-table cell {other}"),
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(
+            &mut VideoDecoderModel::h264_football_15fps(seed).with_frames(plan.frames),
+        )
     }
-}
 
-/// Folds the shared-table cells (in [`SHARED_LABELS`] order, Oracle
-/// first) into the ablation bundle.
-pub(crate) fn shared_ablation_assemble(mut cells: Vec<AblationCell>) -> AblationResult {
-    let (oracle, _, _) = cells.remove(0);
-    let labels = [
-        "Shared Q-table, cluster state",
-        "Shared Q-table, round-robin per-core (Eq. 7)",
-        "Per-core independent tables [20]",
-    ];
-    let rows: Vec<AblationRow> = labels
-        .iter()
-        .zip(&cells)
-        .map(|(label, cell)| ablation_row((*label).into(), cell, &oracle))
-        .collect();
-    let table = ablation_table(&rows, "Formulation");
-    AblationResult { rows, table }
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> AblationCell {
+        match label {
+            "oracle" => prep.oracle_cell(plan.frames),
+            "cluster" => prep.rtm_cell(RtmConfig::paper(seed), plan.frames),
+            "per-core-share" => {
+                let mut config = RtmConfig::paper(seed);
+                config.state_kind = StateKind::PerCoreShare;
+                prep.rtm_cell(config, plan.frames)
+            }
+            "geqiu" => {
+                let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(seed));
+                let report = prep.replay(&mut gov, plan.frames);
+                (report, gov.converged_at(), gov.exploration_count())
+            }
+            other => unreachable!("unknown shared-table cell {other}"),
+        }
+    }
+
+    fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<AblationCell>) -> AblationResult {
+        let labels = [
+            "Shared Q-table, cluster state",
+            "Shared Q-table, round-robin per-core (Eq. 7)",
+            "Per-core independent tables [20]",
+        ];
+        AblationResult::assemble("Formulation", cells, |c| c, |i, _| labels[i].into())
+    }
+
+    fn metrics(r: &AblationResult) -> CellMetrics {
+        r.metrics(Self::LABELS)
+    }
+
+    fn table(r: &AblationResult) -> String {
+        r.table.render()
+    }
 }
 
 /// Number of convergence windows a long-horizon run is folded into.
@@ -976,8 +1029,8 @@ pub struct LongHorizonRow {
     pub windowed_miss: Vec<WindowSummary>,
     /// Windowed `Tᵢ/T_ref` folds over the same windows.
     pub windowed_frame_time: Vec<WindowSummary>,
-    /// Temporal-property verdicts, when the run carried the standard
-    /// pack ([`run_long_horizon_monitored_with`]); `None` otherwise.
+    /// Temporal-property verdicts, when the plan carried a monitor
+    /// pack; `None` otherwise.
     pub monitor: Option<MonitorReport>,
 }
 
@@ -1000,94 +1053,41 @@ pub struct LongHorizonResult {
     pub shard_count: usize,
 }
 
+/// How many recent [`EpochRecord`]s the long-horizon RTM retains:
+/// nothing reads its history, so the run keeps only a bounded
+/// diagnostic tail instead of growing O(frames) memory — the
+/// [`HistoryMode::LastN`] path CI's 20k-frame smoke exercises.
+const LONG_HORIZON_HISTORY: usize = 1024;
+
 /// **Long horizon** — the Q-learning governor versus the Linux
 /// ondemand and conservative heuristics over a horizon streamed from
-/// disk ([`ShardedTrace`]), with the execution policy read from
-/// `QGOV_WORKERS`. Designed for ≥ 100k frames: the trace never
-/// materialises in memory.
-#[must_use]
-pub fn run_long_horizon(seed: u64, frames: u64) -> LongHorizonResult {
-    run_long_horizon_with(seed, frames, &RunnerConfig::from_env())
-}
-
-/// **Long horizon** under an explicit [`RunnerConfig`].
+/// disk ([`ShardedTrace`]). Designed for ≥ 100k frames: the trace
+/// never materialises in memory.
 ///
-/// The workload (the H.264 football model looped to `frames` frames)
-/// is recorded once into CSV shards on disk; every methodology cell
-/// then streams its own [`ShardedTrace`] clone, so memory stays
-/// bounded by one shard per live cell while the replay is
+/// The workload (the H.264 football model looped to the horizon) is
+/// recorded once per seed into CSV shards on a scratch directory;
+/// every methodology cell streams its own [`ShardedTrace`] clone, so
+/// memory stays bounded by one shard per live cell while the replay is
 /// frame-identical across methodologies (and bit-identical to an
 /// in-memory replay of the same recording — the streaming contract
 /// `tests/long_horizon_streaming.rs` pins). Convergence over time is
 /// reported as [`LONG_HORIZON_WINDOWS`] windowed miss-rate and
-/// frame-time folds per methodology. The scratch shard directory is
-/// removed before returning.
+/// frame-time folds per methodology. A plan's monitor pack rides every
+/// cell ([`standard_pack`], keyed by the cell label) without perturbing
+/// any metric.
 ///
 /// # Panics
 ///
 /// Panics if the scratch directory cannot be written — a long-horizon
 /// experiment without disk is meaningless.
-#[must_use]
-pub fn run_long_horizon_with(seed: u64, frames: u64, runner: &RunnerConfig) -> LongHorizonResult {
-    let prep = long_horizon_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        LONG_HORIZON_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| long_horizon_cell(label, &prep, seed, frames),
-    );
-    let reports = batch.run(runner);
-    long_horizon_assemble(&prep, frames, reports)
-}
-
-/// **Long horizon** with the [standard property pack](standard_pack)
-/// riding along every methodology cell, with the execution policy read
-/// from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_long_horizon_monitored(seed: u64, frames: u64, pack: &PackConfig) -> LongHorizonResult {
-    run_long_horizon_monitored_with(seed, frames, &RunnerConfig::from_env(), pack)
-}
-
-/// [`run_long_horizon_with`] with the standard property pack attached
-/// to every methodology cell: each governor runs under the monitors
-/// [`standard_pack`] builds for its label, and the verdicts surface in
-/// each row's [`monitor`](LongHorizonRow::monitor) field (and in the
-/// underlying [`RunReport`]s). Monitoring never perturbs the runs —
-/// every metric is bit-identical to the unmonitored experiment.
-#[must_use]
-pub fn run_long_horizon_monitored_with(
-    seed: u64,
-    frames: u64,
-    runner: &RunnerConfig,
-    pack: &PackConfig,
-) -> LongHorizonResult {
-    let prep = long_horizon_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        LONG_HORIZON_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| long_horizon_cell_with(label, &prep, seed, frames, Some(pack)),
-    );
-    let reports = batch.run(runner);
-    long_horizon_assemble(&prep, frames, reports)
-}
-
-/// The long-horizon comparison's methodology cells, in row order.
-pub(crate) const LONG_HORIZON_LABELS: &[&str] = &["ondemand", "conservative", "rtm"];
-
-/// How many recent [`qgov_core::EpochRecord`]s the long-horizon RTM
-/// retains: nothing reads its history, so the run keeps only a
-/// bounded diagnostic tail instead of growing O(frames) memory — the
-/// [`HistoryMode::LastN`] path CI's 20k-frame smoke exercises.
-pub(crate) const LONG_HORIZON_HISTORY: usize = 1024;
+#[derive(Debug, Clone, Copy)]
+pub struct LongHorizon;
 
 /// The long-horizon experiment's per-seed preparation: the workload
 /// recorded once into CSV shards on a private scratch directory, which
 /// lives as long as this value (dropping it removes the directory).
 #[derive(Debug)]
-pub(crate) struct LongHorizonPrep {
+pub struct LongHorizonPrep {
     /// Keeps the scratch directory alive for the replaying cells; the
     /// field is the RAII guard itself, never read.
     _dir: ScratchDir,
@@ -1097,173 +1097,199 @@ pub(crate) struct LongHorizonPrep {
     shard_count: usize,
 }
 
-/// Records the long-horizon workload (the H.264 football model looped
-/// to `frames` frames) into scratch shards for streamed replay.
-pub(crate) fn long_horizon_prepare(seed: u64, frames: u64) -> LongHorizonPrep {
-    let shard_frames = long_horizon_shard_frames(frames);
-    // A scratch recording unique to this preparation (results never
-    // depend on the directory name), removed when the prep drops.
-    let dir = ScratchDir::unique(&format!("qgov-long-horizon-{seed}-{frames}"));
+impl Experiment for LongHorizon {
+    const LABELS: &'static [&'static str] = &["ondemand", "conservative", "rtm"];
+    type Prep = LongHorizonPrep;
+    type Cell = RunReport;
+    type Output = LongHorizonResult;
 
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let trace = ShardedTrace::record(&mut app, dir.path(), frames, shard_frames)
-        .expect("long-horizon scratch recording must be writable");
-    let bounds = trace.workload_bounds();
-    let shard_count = trace.shard_count();
-    LongHorizonPrep {
-        _dir: dir,
-        trace,
-        bounds,
-        shard_frames,
-        shard_count,
-    }
-}
-
-/// Runs one long-horizon methodology cell on its own streamed replay
-/// clone.
-pub(crate) fn long_horizon_cell(
-    label: &str,
-    prep: &LongHorizonPrep,
-    seed: u64,
-    frames: u64,
-) -> RunReport {
-    long_horizon_cell_with(label, prep, seed, frames, None)
-}
-
-/// [`long_horizon_cell`] with an optional standard property pack
-/// attached (the pack is built per cell, keyed by the governor label).
-pub(crate) fn long_horizon_cell_with(
-    label: &str,
-    prep: &LongHorizonPrep,
-    seed: u64,
-    frames: u64,
-    pack: Option<&PackConfig>,
-) -> RunReport {
-    let config = PlatformConfig::odroid_xu3_a15();
-    let mut replay = prep.trace.clone();
-    let mut gov: Box<dyn Governor> = match label {
-        "ondemand" => Box::new(OndemandGovernor::linux_default()),
-        "conservative" => Box::new(ConservativeGovernor::linux_default()),
-        "rtm" => Box::new(
-            RtmGovernor::new(
-                RtmConfig::paper(seed)
-                    .with_workload_bounds(prep.bounds.0, prep.bounds.1)
-                    .with_history(HistoryMode::LastN(LONG_HORIZON_HISTORY)),
-            )
-            .expect("paper config is valid"),
-        ),
-        other => unreachable!("unknown long-horizon cell {other}"),
-    };
-    match pack {
-        Some(cfg) => {
-            let mut monitors = standard_pack(label, cfg);
-            run_experiment_monitored(gov.as_mut(), &mut replay, config, frames, &mut monitors)
-                .report
+    fn prepare(plan: &RunPlan, seed: u64) -> LongHorizonPrep {
+        let frames = plan.frames;
+        let shard_frames = long_horizon_shard_frames(frames);
+        // A scratch recording unique to this preparation (results never
+        // depend on the directory name), removed when the prep drops.
+        let dir = ScratchDir::unique(&format!("qgov-long-horizon-{seed}-{frames}"));
+        let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
+        let trace = ShardedTrace::record(&mut app, dir.path(), frames, shard_frames)
+            .expect("long-horizon scratch recording must be writable");
+        LongHorizonPrep {
+            _dir: dir,
+            bounds: trace.workload_bounds(),
+            shard_count: trace.shard_count(),
+            trace,
+            shard_frames,
         }
-        None => run_experiment(gov.as_mut(), &mut replay, config, frames).report,
     }
-}
 
-/// Folds the long-horizon methodology reports (in
-/// [`LONG_HORIZON_LABELS`] order) into the result bundle.
-pub(crate) fn long_horizon_assemble(
-    prep: &LongHorizonPrep,
-    frames: u64,
-    reports: Vec<RunReport>,
-) -> LongHorizonResult {
-    let shard_frames = prep.shard_frames;
-    let shard_count = prep.shard_count;
-    let baseline = reports.first().expect("ondemand cell present").clone();
-
-    let labels = [
-        "Linux Ondemand [5]",
-        "Linux Conservative",
-        "Proposed (Q-learning RTM)",
-    ];
-    let rows: Vec<LongHorizonRow> = labels
-        .iter()
-        .zip(&reports)
-        .map(|(method, report)| {
-            let mut miss = WindowedStats::spanning(frames, LONG_HORIZON_WINDOWS);
-            let mut frame_time = WindowedStats::spanning(frames, LONG_HORIZON_WINDOWS);
-            for stat in report.frame_stats() {
-                miss.push(if stat.met_deadline { 0.0 } else { 1.0 });
-                frame_time.push(stat.frame_time.ratio(report.period()));
+    fn cell(plan: &RunPlan, label: &str, prep: &LongHorizonPrep, seed: u64) -> RunReport {
+        let config = PlatformConfig::odroid_xu3_a15();
+        let mut replay = prep.trace.clone();
+        let mut gov: Box<dyn Governor> = match label {
+            "ondemand" => Box::new(OndemandGovernor::linux_default()),
+            "conservative" => Box::new(ConservativeGovernor::linux_default()),
+            "rtm" => Box::new(
+                RtmGovernor::new(
+                    RtmConfig::paper(seed)
+                        .with_workload_bounds(prep.bounds.0, prep.bounds.1)
+                        .with_history(HistoryMode::LastN(LONG_HORIZON_HISTORY)),
+                )
+                .expect("paper config is valid"),
+            ),
+            other => unreachable!("unknown long-horizon cell {other}"),
+        };
+        match &plan.pack {
+            Some(cfg) => {
+                let mut monitors = standard_pack(label, cfg);
+                run_experiment_monitored(
+                    gov.as_mut(),
+                    &mut replay,
+                    config,
+                    plan.frames,
+                    &mut monitors,
+                )
+                .report
             }
-            let windowed_miss = miss.into_windows();
-            let windowed_frame_time = frame_time.into_windows();
-            LongHorizonRow {
-                method: (*method).into(),
-                normalized_energy: report.normalized_energy(&baseline),
-                normalized_performance: report.normalized_performance(),
-                miss_rate: report.miss_rate(),
-                mean_opp: report.mean_opp(),
-                energy_joules: report.total_energy().as_joules(),
-                early_miss_rate: windowed_miss.first().map_or(0.0, |w| w.mean),
-                late_miss_rate: windowed_miss.last().map_or(0.0, |w| w.mean),
-                windowed_miss,
-                windowed_frame_time,
-                monitor: report.monitor_report().cloned(),
-            }
-        })
-        .collect();
+            None => run_experiment(gov.as_mut(), &mut replay, config, plan.frames).report,
+        }
+    }
 
-    let mut table = ComparisonTable::new(vec![
-        "Methodology",
-        "Normalized energy",
-        "Normalized performance",
-        "Miss rate",
-        "Early miss (first window)",
-        "Late miss (last window)",
-        "Mean OPP",
-    ]);
-    for row in &rows {
-        table.add_row(vec![
-            row.method.clone(),
-            fmt2(row.normalized_energy),
-            fmt2(row.normalized_performance),
-            fmt_pct(row.miss_rate),
-            fmt_pct(row.early_miss_rate),
-            fmt_pct(row.late_miss_rate),
-            format!("{:.1}", row.mean_opp),
+    fn assemble(
+        plan: &RunPlan,
+        prep: &LongHorizonPrep,
+        reports: Vec<RunReport>,
+    ) -> LongHorizonResult {
+        let frames = plan.frames;
+        let baseline = reports.first().expect("ondemand cell present");
+        let labels = [
+            "Linux Ondemand [5]",
+            "Linux Conservative",
+            "Proposed (Q-learning RTM)",
+        ];
+        let rows: Vec<LongHorizonRow> = labels
+            .iter()
+            .zip(&reports)
+            .map(|(method, report)| {
+                let mut miss = WindowedStats::spanning(frames, LONG_HORIZON_WINDOWS);
+                let mut frame_time = WindowedStats::spanning(frames, LONG_HORIZON_WINDOWS);
+                for stat in report.frame_stats() {
+                    miss.push(if stat.met_deadline { 0.0 } else { 1.0 });
+                    frame_time.push(stat.frame_time.ratio(report.period()));
+                }
+                let windowed_miss = miss.into_windows();
+                let windowed_frame_time = frame_time.into_windows();
+                LongHorizonRow {
+                    method: (*method).into(),
+                    normalized_energy: report.normalized_energy(baseline),
+                    normalized_performance: report.normalized_performance(),
+                    miss_rate: report.miss_rate(),
+                    mean_opp: report.mean_opp(),
+                    energy_joules: report.total_energy().as_joules(),
+                    early_miss_rate: windowed_miss.first().map_or(0.0, |w| w.mean),
+                    late_miss_rate: windowed_miss.last().map_or(0.0, |w| w.mean),
+                    windowed_miss,
+                    windowed_frame_time,
+                    monitor: report.monitor_report().cloned(),
+                }
+            })
+            .collect();
+
+        let mut table = ComparisonTable::new(vec![
+            "Methodology",
+            "Normalized energy",
+            "Normalized performance",
+            "Miss rate",
+            "Early miss (first window)",
+            "Late miss (last window)",
+            "Mean OPP",
         ]);
+        for row in &rows {
+            table.add_row(vec![
+                row.method.clone(),
+                fmt2(row.normalized_energy),
+                fmt2(row.normalized_performance),
+                fmt_pct(row.miss_rate),
+                fmt_pct(row.early_miss_rate),
+                fmt_pct(row.late_miss_rate),
+                format!("{:.1}", row.mean_opp),
+            ]);
+        }
+
+        let mut window_headers = vec!["Window (frames)".to_owned()];
+        window_headers.extend(rows.iter().map(|r| format!("{} miss", r.method)));
+        window_headers.push("Proposed T/T_ref".to_owned());
+        let mut windows_table = ComparisonTable::new(window_headers);
+        let window_count = rows.first().map_or(0, |r| r.windowed_miss.len());
+        for w in 0..window_count {
+            let span = &rows[0].windowed_miss[w];
+            let mut cells = vec![format!("{}..{}", span.start, span.start + span.len)];
+            cells.extend(rows.iter().map(|r| fmt_pct(r.windowed_miss[w].mean)));
+            let rtm = rows.last().expect("three rows");
+            cells.push(fmt2(rtm.windowed_frame_time[w].mean));
+            windows_table.add_row(cells);
+        }
+
+        LongHorizonResult {
+            rows,
+            table,
+            windows_table,
+            frames,
+            shard_frames: prep.shard_frames,
+            shard_count: prep.shard_count,
+        }
     }
 
-    let mut window_headers = vec!["Window (frames)".to_owned()];
-    window_headers.extend(rows.iter().map(|r| format!("{} miss", r.method)));
-    window_headers.push("Proposed T/T_ref".to_owned());
-    let mut windows_table = ComparisonTable::new(window_headers);
-    let window_count = rows.first().map_or(0, |r| r.windowed_miss.len());
-    for w in 0..window_count {
-        let span = &rows[0].windowed_miss[w];
-        let mut cells = vec![format!("{}..{}", span.start, span.start + span.len)];
-        cells.extend(rows.iter().map(|r| fmt_pct(r.windowed_miss[w].mean)));
-        let rtm = rows.last().expect("three rows");
-        cells.push(fmt2(rtm.windowed_frame_time[w].mean));
-        windows_table.add_row(cells);
+    fn metrics(r: &LongHorizonResult) -> CellMetrics {
+        Self::LABELS
+            .iter()
+            .zip(&r.rows)
+            .flat_map(|(label, row)| {
+                [
+                    (format!("normalized_energy/{label}"), row.normalized_energy),
+                    (
+                        format!("normalized_performance/{label}"),
+                        row.normalized_performance,
+                    ),
+                    (format!("miss_rate/{label}"), row.miss_rate),
+                    (format!("mean_opp/{label}"), row.mean_opp),
+                    (format!("energy_joules/{label}"), row.energy_joules),
+                    (format!("early_miss_rate/{label}"), row.early_miss_rate),
+                    (format!("late_miss_rate/{label}"), row.late_miss_rate),
+                ]
+                .into_iter()
+                .chain(row.monitor.as_ref().map(|m| {
+                    (
+                        format!("monitor_violations/{label}"),
+                        m.violation_count() as f64,
+                    )
+                }))
+            })
+            .collect()
     }
 
-    LongHorizonResult {
-        rows,
-        table,
-        windows_table,
-        frames,
-        shard_frames,
-        shard_count,
+    fn table(r: &LongHorizonResult) -> String {
+        r.table.render()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunnerConfig;
 
     // Short-run smoke tests; the full-length shape assertions live in
     // the workspace integration tests and the bench targets, and the
     // serial/parallel bit-identity in `tests/runner_determinism.rs`.
 
+    fn serial(seed: u64, frames: u64) -> RunPlan {
+        RunPlan {
+            runner: RunnerConfig::serial(),
+            ..RunPlan::new(vec![seed], frames)
+        }
+    }
+
     #[test]
     fn table1_rows_are_complete_and_normalised() {
-        let result = run_table1(1, 300);
+        let result = Table1::run(&serial(1, 300)).remove(0);
         assert_eq!(result.rows.len(), 4);
         let oracle = result
             .rows
@@ -1275,12 +1301,12 @@ mod tests {
             assert!(row.normalized_energy >= 0.99, "{row:?}");
             assert!(row.normalized_performance > 0.0, "{row:?}");
         }
-        assert!(result.table.render().contains("Proposed"));
+        assert!(Table1::table(&result).contains("Proposed"));
     }
 
     #[test]
     fn table2_reports_all_three_apps() {
-        let result = run_table2(1, 400);
+        let result = Table2::run(&serial(1, 400)).remove(0);
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             assert!(row.epd_explorations > 0, "{row:?}");
@@ -1290,7 +1316,7 @@ mod tests {
 
     #[test]
     fn fig3_produces_aligned_series() {
-        let result = run_fig3(1, 150);
+        let result = Fig3::run(&serial(1, 150)).remove(0);
         assert_eq!(result.predicted.len(), result.actual.len());
         assert_eq!(result.predicted.len(), 149);
         assert!(result.early_misprediction > 0.0);
@@ -1299,21 +1325,28 @@ mod tests {
 
     #[test]
     fn table3_produces_both_methods() {
-        let result = run_table3(1, 300);
+        let result = Table3::run(&serial(1, 300)).remove(0);
         assert_eq!(result.rows.len(), 2);
-        assert!(result.table.render().contains("Our approach"));
+        assert!(Table3::table(&result).contains("Our approach"));
     }
 
     #[test]
-    fn explicit_runner_config_matches_default_path() {
-        let serial = run_table3_with(1, 200, &RunnerConfig::serial());
-        let parallel = run_table3_with(1, 200, &RunnerConfig::with_workers(2));
-        assert_eq!(serial.rows, parallel.rows);
+    fn smoothing_rows_carry_their_misprediction() {
+        let result = Smoothing::run(&serial(1, 100)).remove(0);
+        assert_eq!(result.rows.len(), GAMMAS.len());
+        assert!(
+            result
+                .rows
+                .iter()
+                .all(|r| r.label.contains("misprediction")),
+            "{:?}",
+            result.rows.iter().map(|r| &r.label).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn long_horizon_rows_windows_and_normalisation() {
-        let result = run_long_horizon_with(1, 400, &RunnerConfig::serial());
+        let result = LongHorizon::run(&serial(1, 400)).remove(0);
         assert_eq!(result.rows.len(), 3);
         assert_eq!(result.frames, 400);
         // 400 frames at 100 per shard: the streaming path crossed
@@ -1331,13 +1364,6 @@ mod tests {
         }
         assert!(result.table.render().contains("Proposed"));
         assert!(result.windows_table.render().contains("0..40"));
-    }
-
-    #[test]
-    fn long_horizon_serial_matches_parallel() {
-        let serial = run_long_horizon_with(2, 300, &RunnerConfig::serial());
-        let parallel = run_long_horizon_with(2, 300, &RunnerConfig::with_workers(3));
-        assert_eq!(serial.rows, parallel.rows);
     }
 
     #[test]

@@ -36,10 +36,10 @@
 //! pins the headline: the hardened RTM's properties all hold while the
 //! naive RTM's recovery property is violated.
 
-use crate::experiments::TracePrep;
-use crate::harness::precharacterize;
+use crate::experiments::{Experiment, TracePrep};
 use crate::manycore::run_manycore_experiment_faulted_monitored;
-use crate::runner::{ExperimentBatch, RunnerConfig};
+use crate::plan::RunPlan;
+use crate::worklist::{slug, CellMetrics};
 use qgov_core::{HardeningConfig, ManyCoreRtm, RtmConfig, RtmGovernor};
 use qgov_governors::{Governor, ManyCoreGovernor, OndemandGovernor, PerClusterGovernors};
 use qgov_metrics::{
@@ -49,9 +49,6 @@ use qgov_metrics::{
 use qgov_sim::{Fault, FaultKind, FaultPlan, PlatformConfig, Topology};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::SyntheticWorkload;
-
-/// Fault-storm cells, in row order.
-pub(crate) const FAULTSTORM_LABELS: &[&str] = &["rtm-hardened", "rtm-naive", "ondemand"];
 
 /// Clusters on the fault-storm chip (cluster 1 is the one that dies).
 const FAULTSTORM_CLUSTERS: usize = 2;
@@ -101,18 +98,6 @@ pub fn standard_fault_schedule(frames: u64) -> FaultPlan {
     plan
 }
 
-/// Reads the fault schedule from `QGOV_FAULTS`: `off` / `none` / `0`
-/// disables injection (an [empty plan](FaultPlan::none) — bit-identical
-/// to the fault-free harness); anything else, or the variable unset,
-/// selects the [standard schedule](standard_fault_schedule).
-#[must_use]
-pub fn fault_plan_from_env(frames: u64) -> FaultPlan {
-    match std::env::var("QGOV_FAULTS").as_deref() {
-        Ok("off") | Ok("none") | Ok("0") => FaultPlan::none(),
-        _ => standard_fault_schedule(frames),
-    }
-}
-
 /// The fault-storm workload: 200 Mcycles over four threads per 40 ms
 /// frame, with 5 % noise. Four threads — one quad's worth — so that
 /// after the cluster drop the pass-through placement still packs one
@@ -133,99 +118,13 @@ pub fn fault_storm_app(seed: u64, frames: u64) -> SyntheticWorkload {
     .with_noise(0.05)
 }
 
-/// Records the fault-storm workload for one seed.
-pub(crate) fn faultstorm_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = fault_storm_app(seed, frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
-
 /// One coordinator's run through the storm, as raw data (batch-cell
 /// friendly: no platform handle).
 #[derive(Debug, Clone)]
-pub(crate) struct FaultStormCell {
+pub struct FaultStormCell {
     pub(crate) report: RunReport,
     pub(crate) recovery: RecoveryStats,
     pub(crate) safe_state_epochs: u64,
-}
-
-/// Runs one fault-storm cell: the labelled coordinator against the
-/// prepared trace under `plan`, with the recovery monitors riding
-/// along and the deadline stream folded into recovery stats.
-pub(crate) fn faultstorm_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-    plan: &FaultPlan,
-    pack: &PackConfig,
-) -> FaultStormCell {
-    let drop = fault_storm_drop_epoch(frames);
-    let topology =
-        Topology::homogeneous_mesh(FAULTSTORM_CLUSTERS, PlatformConfig::odroid_xu3_a15());
-    let shares = vec![1.0 / FAULTSTORM_CLUSTERS as f64; FAULTSTORM_CLUSTERS];
-    let mut replay = prep.trace.clone();
-    let mut monitors = recovery_pack(drop, FAULTSTORM_GRACE, pack);
-    let run = |gov: &mut dyn ManyCoreGovernor, monitors: &mut _| {
-        run_manycore_experiment_faulted_monitored(
-            gov,
-            &mut replay,
-            topology,
-            frames,
-            &shares,
-            plan,
-            seed,
-            monitors,
-        )
-    };
-    // Each naive agent owns a static half-share, so its workload grid
-    // spans half the chip-level demand range.
-    let rtm_agents = |seed: u64| -> Vec<Box<dyn Governor>> {
-        (0..FAULTSTORM_CLUSTERS)
-            .map(|c| {
-                let config = RtmConfig::paper(seed.wrapping_add(c as u64)).with_workload_bounds(
-                    (prep.bounds.0 / FAULTSTORM_CLUSTERS as f64).max(1.0),
-                    prep.bounds.1,
-                );
-                Box::new(RtmGovernor::new(config).expect("paper config is valid"))
-                    as Box<dyn Governor>
-            })
-            .collect()
-    };
-    let (outcome, degraded, safe_state) = match label {
-        "rtm-hardened" => {
-            let mut gov = ManyCoreRtm::paper(seed, FAULTSTORM_CLUSTERS, prep.bounds)
-                .expect("paper config is valid")
-                .with_agent_hardening(HardeningConfig::paper());
-            let outcome = run(&mut gov, &mut monitors);
-            (outcome, gov.degraded_epochs(), gov.safe_state_epochs())
-        }
-        "rtm-naive" => {
-            let mut gov = PerClusterGovernors::new("rtm-naive", rtm_agents(seed));
-            (run(&mut gov, &mut monitors), 0, 0)
-        }
-        "ondemand" => {
-            let agents: Vec<Box<dyn Governor>> = (0..FAULTSTORM_CLUSTERS)
-                .map(|_| Box::new(OndemandGovernor::linux_default()) as Box<dyn Governor>)
-                .collect();
-            let mut gov = PerClusterGovernors::new("ondemand", agents);
-            (run(&mut gov, &mut monitors), 0, 0)
-        }
-        other => unreachable!("unknown fault-storm cell {other}"),
-    };
-    let mut tracker = RecoveryTracker::new(RecoveryConfig {
-        fault_epoch: drop,
-        window: 50,
-        bound: pack.miss_bound,
-    });
-    for (epoch, stat) in outcome.report.frame_stats().iter().enumerate() {
-        tracker.observe(epoch as u64, stat.met_deadline);
-    }
-    FaultStormCell {
-        report: outcome.report,
-        recovery: tracker.stats(degraded),
-        safe_state_epochs: safe_state,
-    }
 }
 
 /// One coordinator's outcome under the storm.
@@ -260,105 +159,207 @@ pub struct FaultStormResult {
     pub table: ComparisonTable,
 }
 
-/// Folds the fault-storm cells (in [`FAULTSTORM_LABELS`] order) into
-/// the result bundle.
-pub(crate) fn faultstorm_assemble(frames: u64, cells: Vec<FaultStormCell>) -> FaultStormResult {
-    let drop = fault_storm_drop_epoch(frames);
-    let rows: Vec<FaultStormRow> = FAULTSTORM_LABELS
-        .iter()
-        .zip(&cells)
-        .map(|(label, cell)| {
-            let stats = cell.report.frame_stats();
-            let post: Vec<_> = stats.iter().skip(drop as usize).collect();
-            let post_misses = post.iter().filter(|s| !s.met_deadline).count();
-            FaultStormRow {
-                governor: (*label).into(),
-                energy_joules: cell.report.total_energy().as_joules(),
-                miss_rate: cell.report.miss_rate(),
-                post_drop_miss_rate: post_misses as f64 / post.len().max(1) as f64,
-                recovery: cell.recovery,
-                safe_state_epochs: cell.safe_state_epochs,
-                monitor: cell.report.monitor_report().cloned(),
+/// **Fault storm**: all three coordinators replay the identical
+/// recorded trace under the identical fault schedule — the
+/// [standard schedule](standard_fault_schedule), or the empty plan when
+/// the run plan turns faults off. Each cell carries the recovery
+/// monitors ([`PackConfig::paper`]) and folds its deadline stream into
+/// [`RecoveryStats`].
+#[derive(Debug, Clone, Copy)]
+pub struct FaultStorm;
+
+impl Experiment for FaultStorm {
+    const LABELS: &'static [&'static str] = &["rtm-hardened", "rtm-naive", "ondemand"];
+    type Prep = TracePrep;
+    type Cell = FaultStormCell;
+    type Output = FaultStormResult;
+
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(&mut fault_storm_app(seed, plan.frames))
+    }
+
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> FaultStormCell {
+        let frames = plan.frames;
+        let faults = if plan.faults {
+            standard_fault_schedule(frames)
+        } else {
+            FaultPlan::none()
+        };
+        let pack = PackConfig::paper();
+        let drop = fault_storm_drop_epoch(frames);
+        let topology =
+            Topology::homogeneous_mesh(FAULTSTORM_CLUSTERS, PlatformConfig::odroid_xu3_a15());
+        let shares = vec![1.0 / FAULTSTORM_CLUSTERS as f64; FAULTSTORM_CLUSTERS];
+        let mut replay = prep.trace.clone();
+        let mut monitors = recovery_pack(drop, FAULTSTORM_GRACE, &pack);
+        let run = |gov: &mut dyn ManyCoreGovernor| {
+            run_manycore_experiment_faulted_monitored(
+                gov,
+                &mut replay,
+                topology,
+                frames,
+                &shares,
+                &faults,
+                seed,
+                &mut monitors,
+            )
+        };
+        let (outcome, degraded, safe_state) = match label {
+            "rtm-hardened" => {
+                let mut gov = ManyCoreRtm::paper(seed, FAULTSTORM_CLUSTERS, prep.bounds)
+                    .expect("paper config is valid")
+                    .with_agent_hardening(HardeningConfig::paper());
+                let outcome = run(&mut gov);
+                (outcome, gov.degraded_epochs(), gov.safe_state_epochs())
             }
-        })
-        .collect();
+            "rtm-naive" => {
+                // Each naive agent owns a static half-share, so its
+                // workload grid spans half the chip-level demand range.
+                let agents = (0..FAULTSTORM_CLUSTERS)
+                    .map(|c| {
+                        let config = RtmConfig::paper(seed.wrapping_add(c as u64))
+                            .with_workload_bounds(
+                                (prep.bounds.0 / FAULTSTORM_CLUSTERS as f64).max(1.0),
+                                prep.bounds.1,
+                            );
+                        Box::new(RtmGovernor::new(config).expect("paper config is valid"))
+                            as Box<dyn Governor>
+                    })
+                    .collect();
+                (run(&mut PerClusterGovernors::new(label, agents)), 0, 0)
+            }
+            "ondemand" => {
+                let agents = (0..FAULTSTORM_CLUSTERS)
+                    .map(|_| Box::new(OndemandGovernor::linux_default()) as Box<dyn Governor>)
+                    .collect();
+                (run(&mut PerClusterGovernors::new(label, agents)), 0, 0)
+            }
+            other => unreachable!("unknown fault-storm cell {other}"),
+        };
+        let mut tracker = RecoveryTracker::new(RecoveryConfig {
+            fault_epoch: drop,
+            window: 50,
+            bound: pack.miss_bound,
+        });
+        for (epoch, stat) in outcome.report.frame_stats().iter().enumerate() {
+            tracker.observe(epoch as u64, stat.met_deadline);
+        }
+        FaultStormCell {
+            report: outcome.report,
+            recovery: tracker.stats(degraded),
+            safe_state_epochs: safe_state,
+        }
+    }
 
-    let mut table = ComparisonTable::new(vec![
-        "Coordinator",
-        "Energy (J)",
-        "Miss rate",
-        "Post-drop misses",
-        "Recovery (epochs)",
-        "Worst excursion",
-        "Degraded epochs",
-        "Monitors",
-    ]);
-    for row in &rows {
-        let verdicts = row.monitor.as_ref().map_or_else(
-            || "-".to_string(),
-            |m| {
-                let total = m.verdicts().len();
-                format!("{}/{} clean", total - m.violation_count(), total)
-            },
-        );
-        table.add_row(vec![
-            row.governor.clone(),
-            format!("{:.1}", row.energy_joules),
-            format!("{:.1}%", row.miss_rate * 100.0),
-            format!("{:.1}%", row.post_drop_miss_rate * 100.0),
-            row.recovery
-                .time_to_recover
-                .map_or_else(|| "never".into(), |t| t.to_string()),
-            format!("{:.2}", row.recovery.worst_excursion),
-            row.recovery.degraded_epochs.to_string(),
-            verdicts,
+    fn assemble(plan: &RunPlan, _: &TracePrep, cells: Vec<FaultStormCell>) -> FaultStormResult {
+        let drop = fault_storm_drop_epoch(plan.frames);
+        let rows: Vec<FaultStormRow> = Self::LABELS
+            .iter()
+            .zip(&cells)
+            .map(|(label, cell)| {
+                let stats = cell.report.frame_stats();
+                let post: Vec<_> = stats.iter().skip(drop as usize).collect();
+                let post_misses = post.iter().filter(|s| !s.met_deadline).count();
+                FaultStormRow {
+                    governor: (*label).into(),
+                    energy_joules: cell.report.total_energy().as_joules(),
+                    miss_rate: cell.report.miss_rate(),
+                    post_drop_miss_rate: post_misses as f64 / post.len().max(1) as f64,
+                    recovery: cell.recovery,
+                    safe_state_epochs: cell.safe_state_epochs,
+                    monitor: cell.report.monitor_report().cloned(),
+                }
+            })
+            .collect();
+
+        let mut table = ComparisonTable::new(vec![
+            "Coordinator",
+            "Energy (J)",
+            "Miss rate",
+            "Post-drop misses",
+            "Recovery (epochs)",
+            "Worst excursion",
+            "Degraded epochs",
+            "Monitors",
         ]);
+        for row in &rows {
+            let verdicts = row.monitor.as_ref().map_or_else(
+                || "-".to_string(),
+                |m| {
+                    let total = m.verdicts().len();
+                    format!("{}/{} clean", total - m.violation_count(), total)
+                },
+            );
+            table.add_row(vec![
+                row.governor.clone(),
+                format!("{:.1}", row.energy_joules),
+                format!("{:.1}%", row.miss_rate * 100.0),
+                format!("{:.1}%", row.post_drop_miss_rate * 100.0),
+                row.recovery
+                    .time_to_recover
+                    .map_or_else(|| "never".into(), |t| t.to_string()),
+                format!("{:.2}", row.recovery.worst_excursion),
+                row.recovery.degraded_epochs.to_string(),
+                verdicts,
+            ]);
+        }
+        FaultStormResult {
+            rows,
+            drop_epoch: drop,
+            table,
+        }
     }
-    FaultStormResult {
-        rows,
-        drop_epoch: drop,
-        table,
+
+    fn metrics(r: &FaultStormResult) -> CellMetrics {
+        r.rows
+            .iter()
+            .flat_map(|row| {
+                let key = slug(&row.governor);
+                [
+                    (format!("energy_joules/{key}"), row.energy_joules),
+                    (format!("miss_rate/{key}"), row.miss_rate),
+                    (
+                        format!("post_drop_miss_rate/{key}"),
+                        row.post_drop_miss_rate,
+                    ),
+                    (
+                        format!("degraded_epochs/{key}"),
+                        row.recovery.degraded_epochs as f64,
+                    ),
+                    (
+                        format!("safe_state_epochs/{key}"),
+                        row.safe_state_epochs as f64,
+                    ),
+                    (
+                        format!("worst_excursion/{key}"),
+                        row.recovery.worst_excursion,
+                    ),
+                ]
+                .into_iter()
+                .chain(
+                    row.recovery
+                        .time_to_recover
+                        .map(|e| (format!("time_to_recover/{key}"), e as f64)),
+                )
+                .chain(row.monitor.as_ref().map(|m| {
+                    (
+                        format!("monitor_violations/{key}"),
+                        m.violation_count() as f64,
+                    )
+                }))
+            })
+            .collect()
     }
-}
 
-/// **Fault storm** with the schedule read from `QGOV_FAULTS` and the
-/// execution policy from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_fault_storm(seed: u64, frames: u64) -> FaultStormResult {
-    run_fault_storm_with(
-        seed,
-        frames,
-        &fault_plan_from_env(frames),
-        &RunnerConfig::from_env(),
-    )
-}
-
-/// **Fault storm** under an explicit plan and [`RunnerConfig`]: all
-/// three coordinators replay the identical recorded trace under the
-/// identical fault schedule; each cell carries the recovery monitors
-/// and folds its deadline stream into [`RecoveryStats`].
-#[must_use]
-pub fn run_fault_storm_with(
-    seed: u64,
-    frames: u64,
-    plan: &FaultPlan,
-    runner: &RunnerConfig,
-) -> FaultStormResult {
-    let prep = faultstorm_prepare(seed, frames);
-    let pack = PackConfig::paper();
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        FAULTSTORM_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| faultstorm_cell(label, &prep, seed, frames, plan, &pack),
-    );
-    faultstorm_assemble(frames, batch.run(runner))
+    fn table(r: &FaultStormResult) -> String {
+        r.table.render()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunnerConfig;
 
     #[test]
     fn standard_schedule_is_deterministic_and_mid_run() {
@@ -374,9 +375,11 @@ mod tests {
 
     #[test]
     fn storm_separates_hardened_from_naive() {
-        let frames = 400;
-        let plan = standard_fault_schedule(frames);
-        let result = run_fault_storm_with(11, frames, &plan, &RunnerConfig::serial());
+        let plan = RunPlan {
+            runner: RunnerConfig::serial(),
+            ..RunPlan::new(vec![11], 400)
+        };
+        let result = FaultStorm::run(&plan).remove(0);
         assert_eq!(result.rows.len(), 3);
         let hardened = &result.rows[0];
         let naive = &result.rows[1];

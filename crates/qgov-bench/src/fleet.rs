@@ -7,13 +7,21 @@
 //! results in push order, so every instance's report is the one
 //! `run_experiment` gives for it alone, at any worker count
 //! (`tests/fleet_determinism.rs`).
+//!
+//! [`Fleet`] is the campaign face of a fleet: each plan seed runs
+//! [`RunPlan::fleet`] instances of the noisy synthetic decode
+//! ([`fleet_cell_app`]) on consecutive seeds.
 
+use crate::experiments::Experiment;
 use crate::harness::run_experiment;
+use crate::plan::RunPlan;
 use crate::runner::{ExperimentBatch, RunnerConfig};
+use crate::worklist::CellMetrics;
 use qgov_core::{RtmConfig, RtmGovernor};
 use qgov_metrics::{MetricSummary, RunReport};
-use qgov_sim::{Platform, PlatformConfig};
-use qgov_workloads::Application;
+use qgov_sim::{Platform, PlatformConfig, SensorConfig};
+use qgov_units::{Cycles, SimTime};
+use qgov_workloads::{Application, SyntheticWorkload};
 
 /// One fleet member: its RTM configuration (seed included), its
 /// workload, and the platform it runs on.
@@ -149,12 +157,111 @@ pub fn run_fleet(spec: FleetSpec, runner: &RunnerConfig) -> FleetOutcome {
     outcome
 }
 
+/// The fleet campaign cell's platform: the paper's A15 cluster with an
+/// ideal sensor (matching the recorded fleet baselines).
+#[must_use]
+pub fn fleet_cell_platform() -> PlatformConfig {
+    PlatformConfig {
+        sensor: SensorConfig::ideal(),
+        ..PlatformConfig::odroid_xu3_a15()
+    }
+}
+
+/// The fleet campaign cell's per-instance RTM configuration.
+#[must_use]
+pub fn fleet_cell_config(seed: u64) -> RtmConfig {
+    RtmConfig::paper(seed).with_workload_bounds(1e8, 1e9)
+}
+
+/// The fleet campaign cell's per-instance workload: the noisy
+/// synthetic decode the fleet determinism suite pins.
+#[must_use]
+pub fn fleet_cell_app(seed: u64, frames: u64) -> SyntheticWorkload {
+    SyntheticWorkload::constant(
+        "campaign-fleet",
+        Cycles::from_mcycles(120),
+        SimTime::from_ms(40),
+        frames,
+        4,
+        seed,
+    )
+    .with_noise(0.15)
+}
+
+/// **Fleet**: per plan seed `s`, one fleet of [`RunPlan::fleet`]
+/// independent RTM instances on seeds `s, s + 1, …`, run serially
+/// inside the cell.
+#[derive(Debug, Clone, Copy)]
+pub struct Fleet;
+
+impl Experiment for Fleet {
+    const LABELS: &'static [&'static str] = &["fleet"];
+    type Prep = ();
+    type Cell = FleetOutcome;
+    type Output = FleetOutcome;
+
+    fn prepare(_: &RunPlan, _: u64) {}
+
+    fn cell(plan: &RunPlan, _: &str, (): &(), seed: u64) -> FleetOutcome {
+        let frames = plan.frames;
+        let instance_seeds: Vec<u64> = (0..plan.fleet as u64)
+            .map(|i| seed.wrapping_add(i))
+            .collect();
+        let spec = FleetSpec::uniform(
+            &fleet_cell_config(0),
+            &instance_seeds,
+            &fleet_cell_platform(),
+            frames,
+            |s| Box::new(fleet_cell_app(s, frames)),
+        );
+        run_fleet(spec, &RunnerConfig::serial())
+    }
+
+    fn assemble(_: &RunPlan, (): &(), mut cells: Vec<FleetOutcome>) -> FleetOutcome {
+        cells.pop().expect("one fleet cell")
+    }
+
+    fn metrics(outcome: &FleetOutcome) -> CellMetrics {
+        let mut out: CellMetrics = outcome
+            .reports
+            .iter()
+            .enumerate()
+            .flat_map(|(i, report)| {
+                [
+                    (format!("miss_rate/i{i}"), report.miss_rate()),
+                    (
+                        format!("normalized_performance/i{i}"),
+                        report.normalized_performance(),
+                    ),
+                    (format!("mean_opp/i{i}"), report.mean_opp()),
+                    (
+                        format!("energy_joules/i{i}"),
+                        report.total_energy().as_joules(),
+                    ),
+                ]
+            })
+            .collect();
+        out.push((
+            "fleet_mean_miss_rate".into(),
+            outcome.summarize(RunReport::miss_rate).mean,
+        ));
+        out.push(("fleet_total_frames".into(), outcome.total_frames as f64));
+        out
+    }
+
+    fn table(outcome: &FleetOutcome) -> String {
+        format!(
+            "{} instances, {} frames, mean miss rate {:.1}%\n",
+            outcome.reports.len(),
+            outcome.total_frames,
+            outcome.summarize(RunReport::miss_rate).mean * 100.0
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_sim::SensorConfig;
-    use qgov_units::{Cycles, SimTime};
-    use qgov_workloads::SyntheticWorkload;
 
     fn quiet_config() -> PlatformConfig {
         PlatformConfig {

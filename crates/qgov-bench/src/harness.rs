@@ -618,7 +618,7 @@ fn debug_assert_no_run_state_bleed(
              application carries cross-run state, which would bleed \
              between the seeds of one batch; give each cell a fresh \
              instance whose runs leave reset() pristine (see \
-             qgov_bench::sweep)",
+             qgov_bench::experiments::Experiment::run)",
             app.name()
         );
         // Restore the release-path cursor position.

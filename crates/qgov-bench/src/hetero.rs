@@ -8,72 +8,67 @@
 //! big.LITTLE part, and a weak-scaling study on synthetic homogeneous
 //! meshes.
 //!
-//! * [`run_biglittle`] — a scaled H.264 decode (too heavy for the A7
-//!   quad alone, comfortably feasible on the A15 quad) under three
+//! * [`BigLittle`] — a scaled H.264 decode (too heavy for the A7 quad
+//!   alone, comfortably feasible on the A15 quad) under three
 //!   placements: everything on big, everything on LITTLE, and the
 //!   learned migrating placement. The headline: learned migration
 //!   matches big-only's deadline behaviour at lower energy, because
 //!   steady frames drift to the LITTLE cores.
-//! * [`run_mesh_scaling`] — one [`ManyCoreRtm`] across 4/8/16
-//!   identical clusters with a workload scaled to the cluster count:
-//!   per-cluster energy should stay flat as the chip grows (weak
-//!   scaling of the per-cluster learning loop).
+//! * [`MeshScaling`] — one [`ManyCoreRtm`] across 4/8/16 identical
+//!   clusters with a workload scaled to the cluster count: per-cluster
+//!   energy should stay flat as the chip grows (weak scaling of the
+//!   per-cluster learning loop).
 //!
-//! Both have `*_with` (explicit [`RunnerConfig`]) and `*_sweep`
-//! (multi-seed [`SeedSweep`]) variants like every experiment in
-//! [`crate::experiments`]; recorded baselines live in `EXPERIMENTS.md`.
+//! Both are [`Experiment`]s like every family in
+//! [`crate::experiments`]; a plan's monitor pack rides every cell as a
+//! chip-level monitor. Recorded baselines live in `EXPERIMENTS.md`.
 
-use crate::experiments::TracePrep;
-use crate::harness::precharacterize;
+use crate::experiments::{fmt2, fmt_pct, index_of, Experiment, TracePrep};
 use crate::manycore::{
     run_manycore_experiment, run_manycore_experiment_monitored, ManyCoreOutcome,
 };
-use crate::runner::{ExperimentBatch, RunnerConfig};
-use crate::sweep::{Aggregate, SeedSweep};
-use qgov_core::{ManyCoreRtm, RtmConfig, RtmGovernor};
+use crate::plan::RunPlan;
+use crate::worklist::{slug, CellMetrics};
+use qgov_core::{ManyCoreRtm, RtmConfig};
 use qgov_governors::{Governor, ManyCoreGovernor, PerClusterGovernors, PowersaveGovernor};
-use qgov_metrics::{
-    standard_pack, ComparisonTable, MetricSummary, MonitorReport, PackConfig, RunReport,
-    SweepFormat, SweepTable,
-};
+use qgov_metrics::{standard_pack, ComparisonTable, MonitorReport, RunReport};
 use qgov_sim::{ClusterConfig, PlatformConfig, Topology};
 use qgov_units::{Cycles, SimTime};
-use qgov_workloads::{capacity_shares, Application, SyntheticWorkload, VideoDecoderModel};
-
-fn fmt2(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-fn fmt_pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
+use qgov_workloads::{capacity_shares, SyntheticWorkload, VideoDecoderModel};
 
 /// One cell of a many-core experiment grid: the chip-level report plus
 /// the coordinator's migration count and final work shares.
 #[derive(Debug, Clone)]
-pub(crate) struct ManyCoreCell {
+pub struct ManyCoreCell {
     pub(crate) report: RunReport,
     pub(crate) migrations: u64,
     pub(crate) shares: Vec<f64>,
 }
 
-/// Runs one many-core cell, optionally with the standard temporal
-/// property pack for `label` riding along as a chip-level monitor.
-fn run_cell(
-    gov: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    shares: &[f64],
+/// Runs one many-core cell from a fresh clone of `prep`'s trace, with
+/// the plan's monitor pack (keyed by `label`) riding along.
+fn run_chip(
+    plan: &RunPlan,
     label: &str,
-    pack: Option<&PackConfig>,
+    gov: &mut dyn ManyCoreGovernor,
+    prep: &TracePrep,
+    topology: Topology,
+    shares: &[f64],
 ) -> ManyCoreOutcome {
-    match pack {
+    let mut replay = prep.trace.clone();
+    match &plan.pack {
         Some(cfg) => {
             let mut monitors = standard_pack(label, cfg);
-            run_manycore_experiment_monitored(gov, app, topology, frames, shares, &mut monitors)
+            run_manycore_experiment_monitored(
+                gov,
+                &mut replay,
+                topology,
+                plan.frames,
+                shares,
+                &mut monitors,
+            )
         }
-        None => run_manycore_experiment(gov, app, topology, frames, shares),
+        None => run_manycore_experiment(gov, &mut replay, topology, plan.frames, shares),
     }
 }
 
@@ -90,10 +85,6 @@ fn cluster_capacities(clusters: &[ClusterConfig]) -> Vec<f64> {
 // big.LITTLE placement
 // ---------------------------------------------------------------------------
 
-/// big.LITTLE placement cells, in row order. `big-only` is the
-/// normalisation reference.
-pub(crate) const BIGLITTLE_LABELS: &[&str] = &["big-only", "little-only", "rtm-migrate"];
-
 /// The big.LITTLE workload: the H.264 football sequence scaled up to a
 /// chip-sized decode (135 Mcycles per slot × 3 slots ≈ 410 Mcycles per
 /// 66.7 ms epoch). Sized so the A7 quad alone cannot hold the deadline
@@ -109,107 +100,6 @@ pub fn biglittle_app(seed: u64, frames: u64) -> VideoDecoderModel {
     params.base_cycles = Cycles::from_mcycles(135);
     params.frames = frames;
     VideoDecoderModel::new(params).expect("scaled preset is valid")
-}
-
-/// Records the big.LITTLE workload for one seed.
-pub(crate) fn biglittle_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = biglittle_app(seed, frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
-
-/// Runs one big.LITTLE placement cell against the prepared trace.
-pub(crate) fn biglittle_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> ManyCoreCell {
-    biglittle_cell_with(label, prep, seed, frames, None)
-}
-
-/// [`biglittle_cell`] with the standard temporal property pack
-/// optionally monitoring the chip-level epoch stream.
-pub(crate) fn biglittle_cell_with(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-    pack: Option<&PackConfig>,
-) -> ManyCoreCell {
-    let topology = Topology::odroid_xu3_biglittle();
-    let mut replay = prep.trace.clone();
-    let rtm = |seed: u64| -> Box<dyn Governor> {
-        Box::new(
-            RtmGovernor::new(
-                RtmConfig::paper(seed).with_workload_bounds(prep.bounds.0, prep.bounds.1),
-            )
-            .expect("paper config is valid"),
-        )
-    };
-    match label {
-        "big-only" => {
-            let mut gov = PerClusterGovernors::new(
-                "big-only",
-                vec![rtm(seed), Box::new(PowersaveGovernor::new())],
-            );
-            let out = run_cell(
-                &mut gov,
-                &mut replay,
-                topology,
-                frames,
-                &[1.0, 0.0],
-                label,
-                pack,
-            );
-            ManyCoreCell {
-                report: out.report,
-                migrations: 0,
-                shares: out.shares,
-            }
-        }
-        "little-only" => {
-            let mut gov = PerClusterGovernors::new(
-                "little-only",
-                vec![Box::new(PowersaveGovernor::new()), rtm(seed)],
-            );
-            let out = run_cell(
-                &mut gov,
-                &mut replay,
-                topology,
-                frames,
-                &[0.0, 1.0],
-                label,
-                pack,
-            );
-            ManyCoreCell {
-                report: out.report,
-                migrations: 0,
-                shares: out.shares,
-            }
-        }
-        "rtm-migrate" => {
-            let mut shares = vec![0.0; topology.cluster_count()];
-            capacity_shares(&cluster_capacities(&topology.clusters), &mut shares);
-            let mut gov = ManyCoreRtm::paper(seed, topology.cluster_count(), prep.bounds)
-                .expect("paper config is valid");
-            let out = run_cell(
-                &mut gov,
-                &mut replay,
-                topology,
-                frames,
-                &shares,
-                label,
-                pack,
-            );
-            ManyCoreCell {
-                report: out.report,
-                migrations: gov.migrations(),
-                shares: out.shares,
-            }
-        }
-        other => unreachable!("unknown big.LITTLE cell {other}"),
-    }
 }
 
 /// One placement's outcome in the big.LITTLE comparison.
@@ -232,8 +122,8 @@ pub struct BigLittleRow {
     pub migrations: u64,
     /// Final share of the work on the big cluster.
     pub final_big_share: f64,
-    /// Temporal-property verdicts when the run was monitored
-    /// ([`run_biglittle_monitored`]); `None` otherwise.
+    /// Temporal-property verdicts when the plan carried a monitor pack;
+    /// `None` otherwise.
     pub monitor: Option<MonitorReport>,
 }
 
@@ -255,212 +145,118 @@ fn placement_label(name: &str) -> String {
     }
 }
 
-/// Folds the placement cells (in `BIGLITTLE_LABELS` order) into the
-/// result bundle.
-pub(crate) fn biglittle_assemble(cells: Vec<ManyCoreCell>) -> BigLittleResult {
-    let reference = cells.first().expect("big-only cell present").report.clone();
-    let rows: Vec<BigLittleRow> = cells
-        .iter()
-        .map(|cell| {
-            let r = &cell.report;
-            let met = (r.frames() - r.deadline_misses()).max(1);
-            BigLittleRow {
-                placement: placement_label(r.governor()),
-                energy_joules: r.total_energy().as_joules(),
-                normalized_energy: r.normalized_energy(&reference),
-                miss_rate: r.miss_rate(),
-                energy_per_met_frame: r.total_energy().as_joules() / met as f64,
-                migrations: cell.migrations,
-                final_big_share: cell.shares.first().copied().unwrap_or(0.0),
-                monitor: r.monitor_report().cloned(),
-            }
-        })
-        .collect();
+/// **big.LITTLE placement**: all three placements replay the identical
+/// recorded trace on the same two-cluster topology; energy is
+/// normalised to the big-only run.
+#[derive(Debug, Clone, Copy)]
+pub struct BigLittle;
 
-    let mut table = ComparisonTable::new(vec![
-        "Placement",
-        "Energy (J)",
-        "Normalized energy",
-        "Miss rate",
-        "J / met frame",
-        "Migrations",
-        "Final big share",
-    ]);
-    for row in &rows {
-        table.add_row(vec![
-            row.placement.clone(),
-            format!("{:.1}", row.energy_joules),
-            fmt2(row.normalized_energy),
-            fmt_pct(row.miss_rate),
-            format!("{:.3}", row.energy_per_met_frame),
-            row.migrations.to_string(),
-            fmt2(row.final_big_share),
+impl Experiment for BigLittle {
+    /// `big-only` is the normalisation reference.
+    const LABELS: &'static [&'static str] = &["big-only", "little-only", "rtm-migrate"];
+    type Prep = TracePrep;
+    type Cell = ManyCoreCell;
+    type Output = BigLittleResult;
+
+    fn prepare(plan: &RunPlan, seed: u64) -> TracePrep {
+        TracePrep::record(&mut biglittle_app(seed, plan.frames))
+    }
+
+    fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> ManyCoreCell {
+        let topology = Topology::odroid_xu3_biglittle();
+        let rtm = || -> Box<dyn Governor> { Box::new(prep.rtm(RtmConfig::paper(seed))) };
+        let (agents, shares): (Vec<Box<dyn Governor>>, [f64; 2]) = match label {
+            "big-only" => (vec![rtm(), Box::new(PowersaveGovernor::new())], [1.0, 0.0]),
+            "little-only" => (vec![Box::new(PowersaveGovernor::new()), rtm()], [0.0, 1.0]),
+            "rtm-migrate" => {
+                let mut shares = vec![0.0; topology.cluster_count()];
+                capacity_shares(&cluster_capacities(&topology.clusters), &mut shares);
+                let mut gov = ManyCoreRtm::paper(seed, topology.cluster_count(), prep.bounds)
+                    .expect("paper config is valid");
+                let out = run_chip(plan, label, &mut gov, prep, topology, &shares);
+                return ManyCoreCell {
+                    report: out.report,
+                    migrations: gov.migrations(),
+                    shares: out.shares,
+                };
+            }
+            other => unreachable!("unknown big.LITTLE cell {other}"),
+        };
+        let mut gov = PerClusterGovernors::new(label, agents);
+        let out = run_chip(plan, label, &mut gov, prep, topology, &shares);
+        ManyCoreCell {
+            report: out.report,
+            migrations: 0,
+            shares: out.shares,
+        }
+    }
+
+    fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<ManyCoreCell>) -> BigLittleResult {
+        let reference = &cells.first().expect("big-only cell present").report;
+        let rows: Vec<BigLittleRow> = cells
+            .iter()
+            .map(|cell| {
+                let r = &cell.report;
+                let met = (r.frames() - r.deadline_misses()).max(1);
+                BigLittleRow {
+                    placement: placement_label(r.governor()),
+                    energy_joules: r.total_energy().as_joules(),
+                    normalized_energy: r.normalized_energy(reference),
+                    miss_rate: r.miss_rate(),
+                    energy_per_met_frame: r.total_energy().as_joules() / met as f64,
+                    migrations: cell.migrations,
+                    final_big_share: cell.shares.first().copied().unwrap_or(0.0),
+                    monitor: r.monitor_report().cloned(),
+                }
+            })
+            .collect();
+
+        let mut table = ComparisonTable::new(vec![
+            "Placement",
+            "Energy (J)",
+            "Normalized energy",
+            "Miss rate",
+            "J / met frame",
+            "Migrations",
+            "Final big share",
         ]);
+        for row in &rows {
+            table.add_row(vec![
+                row.placement.clone(),
+                format!("{:.1}", row.energy_joules),
+                fmt2(row.normalized_energy),
+                fmt_pct(row.miss_rate),
+                format!("{:.3}", row.energy_per_met_frame),
+                row.migrations.to_string(),
+                fmt2(row.final_big_share),
+            ]);
+        }
+        BigLittleResult { rows, table }
     }
-    BigLittleResult { rows, table }
-}
 
-/// **big.LITTLE placement** with the execution policy read from
-/// `QGOV_WORKERS`.
-#[must_use]
-pub fn run_biglittle(seed: u64, frames: u64) -> BigLittleResult {
-    run_biglittle_with(seed, frames, &RunnerConfig::from_env())
-}
-
-/// **big.LITTLE placement** under an explicit [`RunnerConfig`]: all
-/// three placements replay the identical recorded trace on the same
-/// two-cluster topology; energy is normalised to the big-only run.
-#[must_use]
-pub fn run_biglittle_with(seed: u64, frames: u64, runner: &RunnerConfig) -> BigLittleResult {
-    let prep = biglittle_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        BIGLITTLE_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| biglittle_cell(label, &prep, seed, frames),
-    );
-    biglittle_assemble(batch.run(runner))
-}
-
-/// **big.LITTLE placement** with the standard temporal property pack
-/// monitoring every placement's chip-level epoch stream; verdicts land
-/// on each row's [`monitor`](BigLittleRow::monitor) field. Execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_biglittle_monitored(seed: u64, frames: u64, pack: &PackConfig) -> BigLittleResult {
-    run_biglittle_monitored_with(seed, frames, &RunnerConfig::from_env(), pack)
-}
-
-/// [`run_biglittle_monitored`] under an explicit [`RunnerConfig`].
-#[must_use]
-pub fn run_biglittle_monitored_with(
-    seed: u64,
-    frames: u64,
-    runner: &RunnerConfig,
-    pack: &PackConfig,
-) -> BigLittleResult {
-    let prep = biglittle_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        BIGLITTLE_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| biglittle_cell_with(label, &prep, seed, frames, Some(pack)),
-    );
-    biglittle_assemble(batch.run(runner))
-}
-
-/// One placement's cross-seed aggregates in the big.LITTLE sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BigLittleSweepRow {
-    /// Placement label.
-    pub placement: String,
-    /// Absolute chip energy in joules.
-    pub energy_joules: MetricSummary,
-    /// Energy normalised to the same-seed big-only run.
-    pub normalized_energy: MetricSummary,
-    /// Deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Joules per deadline-met frame.
-    pub energy_per_met_frame: MetricSummary,
-    /// Share moves performed by the coordinator.
-    pub migrations: MetricSummary,
-}
-
-/// The big.LITTLE sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BigLittleSweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per placement.
-    pub rows: Vec<BigLittleSweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<BigLittleResult>,
-}
-
-/// **big.LITTLE placement** across a seed sweep, with the execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_biglittle_sweep(sweep: &SeedSweep, frames: u64) -> BigLittleSweep {
-    run_biglittle_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **big.LITTLE placement** across a seed sweep under an explicit
-/// [`RunnerConfig`]; the seed × placement grid runs as one flattened
-/// job queue.
-#[must_use]
-pub fn run_biglittle_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> BigLittleSweep {
-    let agg = Aggregate::collect_grid(
-        BIGLITTLE_LABELS,
-        sweep,
-        frames,
-        runner,
-        biglittle_prepare,
-        biglittle_cell,
-        |_seed, _prep, cells| biglittle_assemble(cells),
-    );
-
-    let placements: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| r.placement.clone())
-        .collect();
-    let rows: Vec<BigLittleSweepRow> = placements
-        .iter()
-        .enumerate()
-        .map(|(i, placement)| {
-            debug_assert!(
-                agg.results()
-                    .iter()
-                    .all(|r| r.rows[i].placement == *placement),
-                "placement order must not depend on the seed"
-            );
-            BigLittleSweepRow {
-                placement: placement.clone(),
-                energy_joules: agg.summarize(|r| r.rows[i].energy_joules),
-                normalized_energy: agg.summarize(|r| r.rows[i].normalized_energy),
-                miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-                energy_per_met_frame: agg.summarize(|r| r.rows[i].energy_per_met_frame),
-                migrations: agg.summarize(|r| r.rows[i].migrations as f64),
-            }
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Placement",
-        vec![
-            ("Energy (J)", SweepFormat::Fixed(1)),
-            ("Normalized energy", SweepFormat::Fixed(2)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("J / met frame", SweepFormat::Fixed(3)),
-            ("Migrations", SweepFormat::Fixed(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            row.placement.clone(),
-            vec![
-                row.energy_joules,
-                row.normalized_energy,
-                row.miss_rate,
-                row.energy_per_met_frame,
-                row.migrations,
-            ],
-        );
+    fn metrics(r: &BigLittleResult) -> CellMetrics {
+        Self::LABELS
+            .iter()
+            .zip(&r.rows)
+            .flat_map(|(label, row)| {
+                let key = slug(label);
+                [
+                    (format!("normalized_energy/{key}"), row.normalized_energy),
+                    (format!("miss_rate/{key}"), row.miss_rate),
+                    (format!("energy_joules/{key}"), row.energy_joules),
+                    (
+                        format!("energy_per_met_frame/{key}"),
+                        row.energy_per_met_frame,
+                    ),
+                    (format!("migrations/{key}"), row.migrations as f64),
+                    (format!("final_big_share/{key}"), row.final_big_share),
+                ]
+            })
+            .collect()
     }
-    let (seeds, per_seed) = agg.into_parts();
-    BigLittleSweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
+
+    fn table(r: &BigLittleResult) -> String {
+        r.table.render()
     }
 }
 
@@ -468,17 +264,8 @@ pub fn run_biglittle_sweep_with(
 // Mesh weak scaling
 // ---------------------------------------------------------------------------
 
-/// Mesh sizes, in row order.
-pub(crate) const MESH_LABELS: &[&str] = &["mesh-4", "mesh-8", "mesh-16"];
-
-fn mesh_size(label: &str) -> usize {
-    match label {
-        "mesh-4" => 4,
-        "mesh-8" => 8,
-        "mesh-16" => 16,
-        other => unreachable!("unknown mesh cell {other}"),
-    }
-}
+/// Clusters per mesh size, in [`MeshScaling::LABELS`] order.
+const MESH_SIZES: [usize; 3] = [4, 8, 16];
 
 /// The mesh workload for `clusters` A15 quads: one thread per core,
 /// ≈ 130 Mcycles per cluster per 40 ms frame (≈ 40 % utilisation at
@@ -497,60 +284,6 @@ pub fn mesh_app(clusters: usize, seed: u64, frames: u64) -> SyntheticWorkload {
     .with_noise(0.1)
 }
 
-/// Records each mesh size's workload for one seed, in
-/// `MESH_LABELS` order.
-pub(crate) fn mesh_prepare(seed: u64, frames: u64) -> Vec<TracePrep> {
-    MESH_LABELS
-        .iter()
-        .map(|label| {
-            let mut app = mesh_app(mesh_size(label), seed, frames);
-            let (trace, bounds) = precharacterize(&mut app);
-            TracePrep { trace, bounds }
-        })
-        .collect()
-}
-
-/// Runs one mesh-size cell: [`ManyCoreRtm`] on a homogeneous mesh with
-/// an initially uniform placement.
-pub(crate) fn mesh_cell(label: &str, preps: &[TracePrep], seed: u64, frames: u64) -> ManyCoreCell {
-    mesh_cell_with(label, preps, seed, frames, None)
-}
-
-/// [`mesh_cell`] with the standard temporal property pack optionally
-/// monitoring the chip-level epoch stream.
-pub(crate) fn mesh_cell_with(
-    label: &str,
-    preps: &[TracePrep],
-    seed: u64,
-    frames: u64,
-    pack: Option<&PackConfig>,
-) -> ManyCoreCell {
-    let idx = MESH_LABELS
-        .iter()
-        .position(|l| *l == label)
-        .expect("known mesh label");
-    let prep = &preps[idx];
-    let clusters = mesh_size(label);
-    let topology = Topology::homogeneous_mesh(clusters, PlatformConfig::odroid_xu3_a15());
-    let mut gov = ManyCoreRtm::paper(seed, clusters, prep.bounds).expect("paper config is valid");
-    let shares = vec![1.0 / clusters as f64; clusters];
-    let mut replay = prep.trace.clone();
-    let out = run_cell(
-        &mut gov,
-        &mut replay,
-        topology,
-        frames,
-        &shares,
-        label,
-        pack,
-    );
-    ManyCoreCell {
-        report: out.report,
-        migrations: gov.migrations(),
-        shares: out.shares,
-    }
-}
-
 /// One mesh size's outcome in the scaling study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeshRow {
@@ -567,8 +300,8 @@ pub struct MeshRow {
     pub miss_rate: f64,
     /// Share moves performed by the coordinator.
     pub migrations: u64,
-    /// Temporal-property verdicts when the run was monitored
-    /// ([`run_mesh_scaling_monitored`]); `None` otherwise.
+    /// Temporal-property verdicts when the plan carried a monitor pack;
+    /// `None` otherwise.
     pub monitor: Option<MonitorReport>,
 }
 
@@ -581,185 +314,98 @@ pub struct MeshScalingResult {
     pub table: ComparisonTable,
 }
 
-/// Folds the mesh cells (in [`MESH_LABELS`] order) into the result
-/// bundle.
-pub(crate) fn mesh_assemble(cells: Vec<ManyCoreCell>) -> MeshScalingResult {
-    let rows: Vec<MeshRow> = MESH_LABELS
-        .iter()
-        .zip(&cells)
-        .map(|(label, cell)| {
-            let clusters = mesh_size(label);
-            let r = &cell.report;
-            MeshRow {
-                clusters,
-                cores: 4 * clusters,
-                energy_joules: r.total_energy().as_joules(),
-                energy_per_cluster: r.total_energy().as_joules() / clusters as f64,
-                miss_rate: r.miss_rate(),
-                migrations: cell.migrations,
-                monitor: r.monitor_report().cloned(),
-            }
-        })
-        .collect();
+/// **Mesh weak scaling**: one [`ManyCoreRtm`] per mesh size, with an
+/// initially uniform placement, against a workload scaled to the
+/// cluster count.
+#[derive(Debug, Clone, Copy)]
+pub struct MeshScaling;
 
-    let mut table = ComparisonTable::new(vec![
-        "Mesh",
-        "Cores",
-        "Energy (J)",
-        "J / cluster",
-        "Miss rate",
-        "Migrations",
-    ]);
-    for row in &rows {
-        table.add_row(vec![
-            format!("{} clusters", row.clusters),
-            row.cores.to_string(),
-            format!("{:.1}", row.energy_joules),
-            format!("{:.1}", row.energy_per_cluster),
-            fmt_pct(row.miss_rate),
-            row.migrations.to_string(),
+impl Experiment for MeshScaling {
+    const LABELS: &'static [&'static str] = &["mesh-4", "mesh-8", "mesh-16"];
+    /// Each mesh size's workload, in label order.
+    type Prep = Vec<TracePrep>;
+    type Cell = ManyCoreCell;
+    type Output = MeshScalingResult;
+
+    fn prepare(plan: &RunPlan, seed: u64) -> Vec<TracePrep> {
+        MESH_SIZES
+            .iter()
+            .map(|&clusters| TracePrep::record(&mut mesh_app(clusters, seed, plan.frames)))
+            .collect()
+    }
+
+    fn cell(plan: &RunPlan, label: &str, preps: &Vec<TracePrep>, seed: u64) -> ManyCoreCell {
+        let index = index_of(Self::LABELS, label);
+        let (prep, clusters) = (&preps[index], MESH_SIZES[index]);
+        let topology = Topology::homogeneous_mesh(clusters, PlatformConfig::odroid_xu3_a15());
+        let mut gov =
+            ManyCoreRtm::paper(seed, clusters, prep.bounds).expect("paper config is valid");
+        let shares = vec![1.0 / clusters as f64; clusters];
+        let out = run_chip(plan, label, &mut gov, prep, topology, &shares);
+        ManyCoreCell {
+            report: out.report,
+            migrations: gov.migrations(),
+            shares: out.shares,
+        }
+    }
+
+    fn assemble(_: &RunPlan, _: &Vec<TracePrep>, cells: Vec<ManyCoreCell>) -> MeshScalingResult {
+        let rows: Vec<MeshRow> = MESH_SIZES
+            .iter()
+            .zip(&cells)
+            .map(|(&clusters, cell)| {
+                let r = &cell.report;
+                MeshRow {
+                    clusters,
+                    cores: 4 * clusters,
+                    energy_joules: r.total_energy().as_joules(),
+                    energy_per_cluster: r.total_energy().as_joules() / clusters as f64,
+                    miss_rate: r.miss_rate(),
+                    migrations: cell.migrations,
+                    monitor: r.monitor_report().cloned(),
+                }
+            })
+            .collect();
+
+        let mut table = ComparisonTable::new(vec![
+            "Mesh",
+            "Cores",
+            "Energy (J)",
+            "J / cluster",
+            "Miss rate",
+            "Migrations",
         ]);
+        for row in &rows {
+            table.add_row(vec![
+                format!("{} clusters", row.clusters),
+                row.cores.to_string(),
+                format!("{:.1}", row.energy_joules),
+                format!("{:.1}", row.energy_per_cluster),
+                fmt_pct(row.miss_rate),
+                row.migrations.to_string(),
+            ]);
+        }
+        MeshScalingResult { rows, table }
     }
-    MeshScalingResult { rows, table }
-}
 
-/// **Mesh weak scaling** with the execution policy read from
-/// `QGOV_WORKERS`.
-#[must_use]
-pub fn run_mesh_scaling(seed: u64, frames: u64) -> MeshScalingResult {
-    run_mesh_scaling_with(seed, frames, &RunnerConfig::from_env())
-}
-
-/// **Mesh weak scaling** under an explicit [`RunnerConfig`]: one
-/// [`ManyCoreRtm`] per mesh size against a workload scaled to the
-/// cluster count, each size an independent batch cell.
-#[must_use]
-pub fn run_mesh_scaling_with(seed: u64, frames: u64, runner: &RunnerConfig) -> MeshScalingResult {
-    let preps = mesh_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(MESH_LABELS, &[seed], &[frames], |label, seed, frames| {
-        mesh_cell(label, &preps, seed, frames)
-    });
-    mesh_assemble(batch.run(runner))
-}
-
-/// **Mesh weak scaling** with the standard temporal property pack
-/// monitoring every mesh size's chip-level epoch stream; verdicts land
-/// on each row's [`monitor`](MeshRow::monitor) field. Execution policy
-/// read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_mesh_scaling_monitored(seed: u64, frames: u64, pack: &PackConfig) -> MeshScalingResult {
-    run_mesh_scaling_monitored_with(seed, frames, &RunnerConfig::from_env(), pack)
-}
-
-/// [`run_mesh_scaling_monitored`] under an explicit [`RunnerConfig`].
-#[must_use]
-pub fn run_mesh_scaling_monitored_with(
-    seed: u64,
-    frames: u64,
-    runner: &RunnerConfig,
-    pack: &PackConfig,
-) -> MeshScalingResult {
-    let preps = mesh_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(MESH_LABELS, &[seed], &[frames], |label, seed, frames| {
-        mesh_cell_with(label, &preps, seed, frames, Some(pack))
-    });
-    mesh_assemble(batch.run(runner))
-}
-
-/// One mesh size's cross-seed aggregates in the scaling sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeshSweepRow {
-    /// Number of clusters.
-    pub clusters: usize,
-    /// Absolute chip energy in joules.
-    pub energy_joules: MetricSummary,
-    /// Chip energy divided by the cluster count.
-    pub energy_per_cluster: MetricSummary,
-    /// Deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Share moves performed by the coordinator.
-    pub migrations: MetricSummary,
-}
-
-/// The mesh scaling sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeshSweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per mesh size.
-    pub rows: Vec<MeshSweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<MeshScalingResult>,
-}
-
-/// **Mesh weak scaling** across a seed sweep, with the execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_mesh_scaling_sweep(sweep: &SeedSweep, frames: u64) -> MeshSweep {
-    run_mesh_scaling_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Mesh weak scaling** across a seed sweep under an explicit
-/// [`RunnerConfig`]; the seed × mesh-size grid runs as one flattened
-/// job queue.
-#[must_use]
-pub fn run_mesh_scaling_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> MeshSweep {
-    let agg = Aggregate::collect_grid(
-        MESH_LABELS,
-        sweep,
-        frames,
-        runner,
-        mesh_prepare,
-        |label, preps, seed, frames| mesh_cell(label, preps, seed, frames),
-        |_seed, _prep, cells| mesh_assemble(cells),
-    );
-
-    let rows: Vec<MeshSweepRow> = MESH_LABELS
-        .iter()
-        .enumerate()
-        .map(|(i, label)| MeshSweepRow {
-            clusters: mesh_size(label),
-            energy_joules: agg.summarize(|r| r.rows[i].energy_joules),
-            energy_per_cluster: agg.summarize(|r| r.rows[i].energy_per_cluster),
-            miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-            migrations: agg.summarize(|r| r.rows[i].migrations as f64),
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Mesh",
-        vec![
-            ("Energy (J)", SweepFormat::Fixed(1)),
-            ("J / cluster", SweepFormat::Fixed(1)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("Migrations", SweepFormat::Fixed(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            format!("{} clusters", row.clusters),
-            vec![
-                row.energy_joules,
-                row.energy_per_cluster,
-                row.miss_rate,
-                row.migrations,
-            ],
-        );
+    fn metrics(r: &MeshScalingResult) -> CellMetrics {
+        Self::LABELS
+            .iter()
+            .zip(&r.rows)
+            .flat_map(|(label, row)| {
+                let key = slug(label);
+                [
+                    (format!("energy_joules/{key}"), row.energy_joules),
+                    (format!("energy_per_cluster/{key}"), row.energy_per_cluster),
+                    (format!("miss_rate/{key}"), row.miss_rate),
+                    (format!("migrations/{key}"), row.migrations as f64),
+                ]
+            })
+            .collect()
     }
-    let (seeds, per_seed) = agg.into_parts();
-    MeshSweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
+
+    fn table(r: &MeshScalingResult) -> String {
+        r.table.render()
     }
 }
 
@@ -768,9 +414,16 @@ mod tests {
     use super::*;
     use crate::runner::RunnerConfig;
 
+    fn serial(seed: u64, frames: u64) -> RunPlan {
+        RunPlan {
+            runner: RunnerConfig::serial(),
+            ..RunPlan::new(vec![seed], frames)
+        }
+    }
+
     #[test]
     fn biglittle_rows_are_structured_and_static_placements_stay_put() {
-        let result = run_biglittle_with(7, 90, &RunnerConfig::serial());
+        let result = BigLittle::run(&serial(7, 90)).remove(0);
         assert_eq!(result.rows.len(), 3);
         let big = &result.rows[0];
         let little = &result.rows[1];
@@ -788,22 +441,8 @@ mod tests {
     }
 
     #[test]
-    fn biglittle_sweep_aggregates_each_placement() {
-        let sweep = SeedSweep::base(1, 2);
-        let result = run_biglittle_sweep_with(&sweep, 60, &RunnerConfig::serial());
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.per_seed.len(), 2);
-        for row in &result.rows {
-            assert_eq!(row.energy_joules.n, 2);
-        }
-        // big-only is the per-seed reference: exactly 1.0, zero spread.
-        assert_eq!(result.rows[0].normalized_energy.mean, 1.0);
-        assert_eq!(result.rows[0].normalized_energy.std_dev, 0.0);
-    }
-
-    #[test]
     fn mesh_scaling_runs_every_size() {
-        let result = run_mesh_scaling_with(5, 40, &RunnerConfig::serial());
+        let result = MeshScaling::run(&serial(5, 40)).remove(0);
         assert_eq!(result.rows.len(), 3);
         assert_eq!(
             result.rows.iter().map(|r| r.clusters).collect::<Vec<_>>(),

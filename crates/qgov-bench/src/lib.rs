@@ -4,21 +4,27 @@
 //! The [`harness`] module drives any [`Governor`](qgov_governors::Governor)
 //! against any [`Application`](qgov_workloads::Application) on the
 //! simulated platform and produces a
-//! [`RunReport`](qgov_metrics::RunReport). The [`experiments`] module
-//! implements one function per table/figure; the `benches/` targets are
-//! thin wrappers that print the results (`cargo bench -p qgov-bench`
-//! regenerates everything).
+//! [`RunReport`](qgov_metrics::RunReport). Every table, figure and
+//! extension is one [`Experiment`] (the registry in [`experiments`],
+//! plus [`hetero`], [`faultstorm`] and [`fleet`]) driven by one
+//! [`RunPlan`]; the `benches/` targets are one call each to the shared
+//! [`perf::bench_target`] driver (`cargo bench -p qgov-bench` regenerates
+//! everything).
 //!
-//! | Paper artefact | Function | Bench target |
+//! | Paper artefact | Experiment | Bench target |
 //! |---|---|---|
-//! | Table I (normalised energy/performance) | [`experiments::run_table1`] | `table1_energy` |
-//! | Table II (number of explorations) | [`experiments::run_table2`] | `table2_explorations` |
-//! | Table III (learning overhead) | [`experiments::run_table3`] | `table3_overhead` |
-//! | Fig. 3 (misprediction & slack) | [`experiments::run_fig3`] | `fig3_misprediction` |
-//! | N-levels ablation | [`experiments::run_state_levels_ablation`] | `ablation_state_levels` |
-//! | EWMA-γ ablation | [`experiments::run_smoothing_ablation`] | `ablation_smoothing` |
-//! | Shared-table ablation | [`experiments::run_shared_table_ablation`] | `ablation_shared_table` |
-//! | Long horizon (beyond the paper) | [`experiments::run_long_horizon`] | `long_horizon` |
+//! | Table I (normalised energy/performance) | [`experiments::Table1`] | `table1_energy` |
+//! | Table II (number of explorations) | [`experiments::Table2`] | `table2_explorations` |
+//! | Table III (learning overhead) | [`experiments::Table3`] | `table3_overhead` |
+//! | Fig. 3 (misprediction & slack) | [`experiments::Fig3`] | `fig3_misprediction` |
+//! | N-levels ablation | [`experiments::StateLevels`] | `ablation_state_levels` |
+//! | EWMA-γ ablation | [`experiments::Smoothing`] | `ablation_smoothing` |
+//! | Shared-table ablation | [`experiments::SharedTable`] | `ablation_shared_table` |
+//! | Long horizon (beyond the paper) | [`experiments::LongHorizon`] | `long_horizon` |
+//! | big.LITTLE placement (beyond the paper) | [`hetero::BigLittle`] | `biglittle` |
+//! | Mesh weak scaling (beyond the paper) | [`hetero::MeshScaling`] | `mesh_scaling` |
+//! | Fault storm (beyond the paper) | [`faultstorm::FaultStorm`] | `fault_storm` |
+//! | Fleets of RTM instances (campaign family) | [`fleet::Fleet`] | — |
 //!
 //! The long-horizon experiment goes beyond the paper's ~3000-frame
 //! clips: it streams its workload from CSV shards on disk
@@ -26,45 +32,35 @@
 //! 100k+ frames replay in bounded memory, and reports convergence over
 //! time as windowed [`qgov_metrics::WindowedStats`] folds.
 //!
-//! # Batched execution
+//! # Plans, seeds and workers
 //!
-//! Experiment grids are embarrassingly parallel across their
-//! (governor × seed × frames) cells, so every experiment function
-//! expresses its cells through [`runner::ExperimentBatch`] and takes a
-//! [`runner::RunnerConfig`] (via its `*_with` variant) choosing serial
-//! or parallel execution. The runner returns results in push order and
-//! every cell owns its state, so **the parallel and serial paths are
-//! bit-identical for identical seeds** — the guarantee the recorded
-//! baselines in `EXPERIMENTS.md` rely on, enforced by
-//! `tests/runner_determinism.rs`.
+//! A [`RunPlan`] names the seeds, horizon, worker policy, monitor pack,
+//! fault schedule, fleet size and bench pass count.
+//! [`Experiment::run`] expands its seed × methodology grid into one
+//! [`runner::ExperimentBatch`] job queue and returns one typed result
+//! per seed. The runner returns results in push order and every cell
+//! owns its state, so **the parallel and serial paths are bit-identical
+//! for identical seeds** — the guarantee the recorded baselines in
+//! `EXPERIMENTS.md` rely on, enforced by `tests/runner_determinism.rs`.
+//! Exploration is stochastic in the seed, so multi-seed plans fold each
+//! metric into `mean ± σ (n)` summaries by name
+//! ([`worklist::fold_metrics`], shared with the campaign report).
 //!
 //! ```
-//! use qgov_bench::experiments::{run_table1, run_table1_with};
+//! use qgov_bench::experiments::{Experiment, Table1};
+//! use qgov_bench::plan::RunPlan;
 //! use qgov_bench::runner::RunnerConfig;
+//! use qgov_bench::worklist::fold_metrics;
 //!
-//! let serial = run_table1_with(7, 60, &RunnerConfig::serial());
-//! let parallel = run_table1_with(7, 60, &RunnerConfig::with_workers(2));
-//! assert_eq!(serial.rows, parallel.rows); // bit-identical cells
+//! let plan = RunPlan::new(vec![7, 8], 60);
+//! let serial = Table1::run(&RunPlan { runner: RunnerConfig::serial(), ..plan.clone() });
+//! let parallel = Table1::run(&RunPlan { runner: RunnerConfig::with_workers(2), ..plan });
+//! assert_eq!(serial, parallel); // bit-identical cells
 //!
-//! // The seed-only form reads QGOV_WORKERS (default: parallel).
-//! assert_eq!(run_table1(7, 60).rows.len(), 4);
-//! ```
-//!
-//! # Multi-seed sweeps
-//!
-//! Exploration is stochastic in the seed, so every experiment also has
-//! a `*_sweep` variant ([`sweep`]) that fans the run across a
-//! [`sweep::SeedSweep`] and folds each metric into
-//! `mean ± σ (n)` aggregates with 95 % confidence intervals. The bench
-//! targets read the seed set from `QGOV_SEEDS` (default: one seed,
-//! preserving the single-run baselines in `EXPERIMENTS.md`).
-//!
-//! ```
-//! use qgov_bench::runner::RunnerConfig;
-//! use qgov_bench::sweep::{run_table3_sweep_with, SeedSweep};
-//!
-//! let result = run_table3_sweep_with(&SeedSweep::base(1, 2), 80, &RunnerConfig::serial());
-//! assert_eq!(result.rows[0].exploration_epochs.n, 2);
+//! let metrics: Vec<_> = serial.iter().map(Table1::metrics).collect();
+//! let folded = fold_metrics(&metrics);
+//! assert_eq!(folded[0].0, "normalized_energy/ondemand");
+//! assert_eq!(folded[0].1.n, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -77,31 +73,27 @@ pub mod harness;
 pub mod hetero;
 pub mod manycore;
 pub mod perf;
+pub mod plan;
 pub mod runner;
-pub mod sweep;
 pub mod worklist;
 
+pub use experiments::Experiment;
 pub use faultstorm::{
-    fault_plan_from_env, fault_storm_app, fault_storm_drop_epoch, run_fault_storm,
-    run_fault_storm_with, standard_fault_schedule, FaultStormResult, FaultStormRow,
-    FAULTSTORM_GRACE,
+    fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm, FaultStormResult,
+    FaultStormRow, FAULTSTORM_GRACE,
 };
-pub use fleet::{run_fleet, FleetOutcome, FleetSpec};
+pub use fleet::{run_fleet, Fleet, FleetOutcome, FleetSpec};
 pub use harness::{
     run_experiment, run_experiment_faulted, run_experiment_monitored, ExperimentOutcome,
 };
 pub use hetero::{
-    run_biglittle, run_biglittle_monitored, run_biglittle_monitored_with, run_biglittle_sweep,
-    run_biglittle_sweep_with, run_biglittle_with, run_mesh_scaling, run_mesh_scaling_monitored,
-    run_mesh_scaling_monitored_with, run_mesh_scaling_sweep, run_mesh_scaling_sweep_with,
-    run_mesh_scaling_with, BigLittleResult, BigLittleRow, BigLittleSweep, BigLittleSweepRow,
-    MeshRow, MeshScalingResult, MeshSweep, MeshSweepRow,
+    BigLittle, BigLittleResult, BigLittleRow, MeshRow, MeshScaling, MeshScalingResult,
 };
 pub use manycore::{
     run_manycore_experiment, run_manycore_experiment_faulted,
     run_manycore_experiment_faulted_monitored, run_manycore_experiment_monitored, ManyCoreOutcome,
 };
 pub use perf::BenchRecord;
+pub use plan::{PlanError, RunPlan};
 pub use runner::{ExperimentBatch, RunnerConfig, RunnerMode};
-pub use sweep::{Aggregate, SeedSweep};
 pub use worklist::{CellMetrics, Family, WorkCell, WorkList};

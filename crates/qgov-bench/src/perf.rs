@@ -2,10 +2,10 @@
 //!
 //! Every bench target can append its headline numbers as JSON lines to
 //! the file named by the `QGOV_BENCH_JSON` environment variable — one
-//! record per metric:
+//! record per metric, named as the campaign cell metrics are:
 //!
 //! ```json
-//! {"target":"table1_energy","metric":"normalized_energy/Proposed","mean":1.11,"sigma":0.02,"n":5}
+//! {"target":"table1_energy","metric":"normalized_energy/rtm","mean":1.11,"sigma":0.02,"n":5}
 //! ```
 //!
 //! The schema is deliberately flat (`target`, `metric`, `mean`,
@@ -15,7 +15,12 @@
 //! interactive `cargo bench` runs stay file-free. The vendored
 //! `criterion` stand-in emits the same schema for the `micro` timing
 //! target (`Criterion::with_json_target`).
+//!
+//! [`bench_target`] is the shared main of the experiment bench targets.
 
+use crate::experiments::Experiment;
+use crate::plan::RunPlan;
+use crate::worklist::{fold_metrics, metric_table, CellMetrics};
 use qgov_metrics::MetricSummary;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -120,27 +125,6 @@ pub fn bench_rev() -> Option<String> {
         .filter(|v| !v.is_empty())
 }
 
-/// Reads the wall-clock measurement pass count from the
-/// `QGOV_BENCH_PASSES` environment variable: a positive integer selects
-/// that many timed passes; anything else (including unset) selects
-/// `default`, with a warning for unparseable values.
-#[must_use]
-pub fn passes_from_env(default: usize) -> usize {
-    match std::env::var("QGOV_BENCH_PASSES") {
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: unrecognised QGOV_BENCH_PASSES value {value:?}; \
-                     using default pass count {default}"
-                );
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 /// Times `passes` repetitions of `body` and returns the last pass's
 /// result together with the per-pass wall clocks in seconds.
 ///
@@ -234,6 +218,69 @@ pub fn append_records(records: &[BenchRecord]) -> usize {
             );
             0
         }
+    }
+}
+
+/// What one [`bench_target`] run measured: the plan it ran, the last pass's
+/// per-seed results and every pass's wall clock in seconds.
+#[derive(Debug)]
+pub struct BenchRun<O> {
+    /// The plan, after the `QGOV_*` overrides.
+    pub plan: RunPlan,
+    /// One typed result per plan seed, in seed order.
+    pub outputs: Vec<O>,
+    /// Wall-clock seconds of each timed pass.
+    pub secs: Vec<f64>,
+}
+
+/// The shared main of every experiment bench target: applies the
+/// `QGOV_*` overrides to `defaults` ([`RunPlan::from_env`]), times
+/// [`RunPlan::passes`] runs of `E`, prints the first seed's comparison
+/// table and the per-metric `mean ± σ (n)` fold over the seeds — the
+/// metric names a campaign journals — and appends `wall_clock_s` plus
+/// one record per folded metric to the `QGOV_BENCH_JSON` trajectory.
+///
+/// An invalid `QGOV_*` value prints the [`PlanError`](crate::plan::PlanError)
+/// and exits with status 2.
+pub fn bench_target<E: Experiment>(
+    target: &str,
+    title: &str,
+    workload: &str,
+    defaults: RunPlan,
+) -> BenchRun<E::Output> {
+    let plan = RunPlan::from_env(defaults).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    println!("== {title} ==");
+    println!("   {workload}");
+    println!("   {}\n", plan.describe());
+    let (outputs, secs) = timed_passes(plan.passes, || E::run(&plan));
+
+    println!("seed {}:", plan.seeds[0]);
+    println!("{}", E::table(&outputs[0]));
+    let metrics: Vec<CellMetrics> = outputs.iter().map(E::metrics).collect();
+    let summaries = fold_metrics(&metrics);
+    println!("{}", metric_table(&summaries).render());
+    let wall_clock = BenchRecord::from_samples(target, "wall_clock_s", &secs);
+    println!(
+        "wall-clock: {:.3} s ± {:.3} over {} pass(es) ({})",
+        wall_clock.mean,
+        wall_clock.sigma,
+        plan.passes,
+        plan.runner.describe()
+    );
+    let mut records = vec![wall_clock];
+    records.extend(
+        summaries
+            .iter()
+            .map(|(metric, summary)| BenchRecord::from_summary(target, metric.clone(), summary)),
+    );
+    append_records(&records);
+    BenchRun {
+        plan,
+        outputs,
+        secs,
     }
 }
 

@@ -69,9 +69,10 @@ pub enum RunnerMode {
 /// Execution policy for [`ExperimentBatch::run`]: serial or parallel,
 /// and with how many workers.
 ///
-/// Bench targets and tests construct this explicitly
-/// ([`RunnerConfig::serial`], [`RunnerConfig::with_workers`]) or from
-/// the environment ([`RunnerConfig::from_env`], reading `QGOV_WORKERS`).
+/// Constructed explicitly ([`RunnerConfig::serial`],
+/// [`RunnerConfig::with_workers`]) or as part of a
+/// [`RunPlan`](crate::plan::RunPlan) (whose
+/// [`from_env`](crate::plan::RunPlan::from_env) reads `QGOV_WORKERS`).
 /// The choice never changes results — see the module docs'
 /// determinism guarantee — only wall-clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,44 +122,6 @@ impl RunnerConfig {
         }
     }
 
-    /// Reads the policy from the `QGOV_WORKERS` environment variable:
-    /// `"serial"` or `"0"` selects [`RunnerConfig::serial`], a positive
-    /// integer selects that many workers, and anything else (including
-    /// the variable being unset) selects [`RunnerConfig::parallel`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("QGOV_WORKERS") {
-            Ok(value) => Self::parse(&value),
-            Err(_) => RunnerConfig::parallel(),
-        }
-    }
-
-    /// Parses a `QGOV_WORKERS`-style value (see
-    /// [`RunnerConfig::from_env`] for the accepted forms). An
-    /// unrecognised value falls back to [`RunnerConfig::parallel`]
-    /// with a warning on stderr, so a typo (`seria1`, `-1`) cannot
-    /// silently masquerade as a forced-serial run.
-    #[must_use]
-    pub fn parse(value: &str) -> Self {
-        let value = value.trim();
-        if value.eq_ignore_ascii_case("serial") || value == "0" {
-            return RunnerConfig::serial();
-        }
-        match value.parse::<usize>() {
-            Ok(n) if n >= 1 => RunnerConfig::with_workers(n),
-            _ => {
-                if !value.is_empty() {
-                    eprintln!(
-                        "warning: unrecognised QGOV_WORKERS value {value:?} \
-                         (expected \"serial\", \"0\" or a worker count); \
-                         using the parallel default"
-                    );
-                }
-                RunnerConfig::parallel()
-            }
-        }
-    }
-
     /// The configured execution mode.
     #[must_use]
     pub fn mode(&self) -> &RunnerMode {
@@ -200,20 +163,6 @@ impl RunnerConfig {
 
 fn available_workers() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
-/// Reads an experiment length override from the `QGOV_FRAMES`
-/// environment variable, falling back to `default` when unset,
-/// unparsable or zero (a zero-frame experiment is meaningless — unlike
-/// `QGOV_WORKERS`, where `0` means serial). The bench targets use this
-/// so full-length (3000-frame) and quick runs share one binary.
-#[must_use]
-pub fn frames_from_env(default: u64) -> u64 {
-    std::env::var("QGOV_FRAMES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&frames| frames > 0)
-        .unwrap_or(default)
 }
 
 /// One queued cell: its display label and the deferred run.
@@ -445,17 +394,6 @@ mod tests {
         assert_eq!(results[0], "a1-10");
         assert_eq!(results[3], "a2-20");
         assert_eq!(results[7], "b2-20");
-    }
-
-    #[test]
-    fn parse_accepts_serial_zero_and_counts() {
-        assert!(RunnerConfig::parse("serial").is_serial());
-        assert!(RunnerConfig::parse("SERIAL").is_serial());
-        assert!(RunnerConfig::parse("0").is_serial());
-        assert_eq!(RunnerConfig::parse("3"), RunnerConfig::with_workers(3));
-        assert_eq!(RunnerConfig::parse(" 5 "), RunnerConfig::with_workers(5));
-        assert_eq!(RunnerConfig::parse("garbage"), RunnerConfig::parallel());
-        assert_eq!(RunnerConfig::parse(""), RunnerConfig::parallel());
     }
 
     #[test]

@@ -1,14 +1,10 @@
 //! Journalable experiment work lists with stable cell identities.
 //!
-//! Every experiment family already expands into independent
-//! (governor × seed × frames) cells through
-//! [`ExperimentBatch`](crate::runner::ExperimentBatch) and folds seed
-//! sweeps through [`Aggregate`](crate::sweep::Aggregate) — but those
-//! enumerations live inside each `run_*` function, invisible to an
-//! operator who wants to checkpoint a campaign. This module turns the
-//! same enumeration into a **public, journalable work list**: a
-//! [`WorkList`] names every campaign cell with a stable, re-derivable
-//! ID (`"<family>/seed=<s>/frames=<f>"`, mirroring the batch labels of
+//! Every experiment family is an [`Experiment`]
+//! run from a [`RunPlan`]. This module turns one family and plan into a
+//! **public, journalable work list**: a [`WorkList`] names every
+//! campaign cell with a stable, re-derivable ID
+//! (`"<family>/seed=<s>/frames=<f>"`, mirroring the batch labels of
 //! [`ExperimentBatch::expand_cells`](crate::runner::ExperimentBatch::expand_cells)),
 //! and [`WorkList::run_cell`] computes one cell's flat metric vector
 //! deterministically and independently of every other cell.
@@ -17,12 +13,16 @@
 //! cells — is the resume seam the `qgov` campaign CLI builds on: a
 //! journal only has to record *which IDs finished and what bits they
 //! produced*, and a killed campaign can re-derive the remaining cells
-//! from the config alone.
+//! from the config alone. [`fold_metrics`] folds cells into per-metric
+//! `mean ± σ (n)` summaries by name — for campaign reports and bench
+//! targets alike.
 //!
 //! Each cell runs its inner experiment **serially**
 //! ([`RunnerConfig::serial`]); campaign-level parallelism fans out
 //! *across* cells instead, so any worker count reproduces the serial
 //! bits (the guarantee `tests/campaign_resume.rs` enforces end to end).
+//! Cells read no environment: a fault-storm cell always replays the
+//! standard fault schedule.
 //!
 //! ```
 //! use qgov_bench::worklist::{Family, WorkList};
@@ -36,24 +36,18 @@
 //! ```
 
 use crate::experiments::{
-    run_fig3_with, run_long_horizon_monitored_with, run_long_horizon_with,
-    run_shared_table_ablation_with, run_smoothing_ablation_with, run_state_levels_ablation_with,
-    run_table1_with, run_table2_with, run_table3_with, AblationResult, FIG3_LABELS, GAMMA_LABELS,
-    LEVELS_LABELS, LONG_HORIZON_LABELS, SHARED_LABELS, TABLE1_LABELS, TABLE2_LABELS, TABLE3_LABELS,
+    Experiment, Fig3, LongHorizon, SharedTable, Smoothing, StateLevels, Table1, Table2, Table3,
 };
-use crate::faultstorm::{run_fault_storm_with, standard_fault_schedule, FAULTSTORM_LABELS};
-use crate::fleet::{run_fleet, FleetSpec};
-use crate::hetero::{run_biglittle_with, run_mesh_scaling_with, BIGLITTLE_LABELS, MESH_LABELS};
+use crate::faultstorm::FaultStorm;
+use crate::fleet::Fleet;
+use crate::hetero::{BigLittle, MeshScaling};
+use crate::plan::RunPlan;
 use crate::runner::RunnerConfig;
-use qgov_core::RtmConfig;
-use qgov_metrics::PackConfig;
-use qgov_sim::{PlatformConfig, SensorConfig};
-use qgov_units::{Cycles, SimTime};
-use qgov_workloads::SyntheticWorkload;
+use qgov_metrics::{MetricSummary, PackConfig, SweepFormat, SweepTable};
+use std::collections::HashMap;
 
 /// An experiment family a campaign can sweep — one variant per
-/// `run_*` experiment bundle in [`crate::experiments`], plus fleets of
-/// independent RTM runs ([`crate::fleet`]).
+/// [`Experiment`] implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Table I: normalised energy/performance per methodology.
@@ -127,6 +121,29 @@ impl Family {
         let name = name.trim().to_ascii_lowercase();
         Family::ALL.iter().copied().find(|f| f.name() == name)
     }
+
+    /// Runs `plan` through this family's [`Experiment`] and returns one
+    /// metric vector per plan seed, in seed order.
+    #[must_use]
+    pub fn run(self, plan: &RunPlan) -> Vec<CellMetrics> {
+        fn metrics<E: Experiment>(plan: &RunPlan) -> Vec<CellMetrics> {
+            E::run(plan).iter().map(E::metrics).collect()
+        }
+        match self {
+            Family::Table1 => metrics::<Table1>(plan),
+            Family::Table2 => metrics::<Table2>(plan),
+            Family::Table3 => metrics::<Table3>(plan),
+            Family::Fig3 => metrics::<Fig3>(plan),
+            Family::StateLevels => metrics::<StateLevels>(plan),
+            Family::Smoothing => metrics::<Smoothing>(plan),
+            Family::SharedTable => metrics::<SharedTable>(plan),
+            Family::LongHorizon => metrics::<LongHorizon>(plan),
+            Family::BigLittle => metrics::<BigLittle>(plan),
+            Family::MeshScaling => metrics::<MeshScaling>(plan),
+            Family::FaultStorm => metrics::<FaultStorm>(plan),
+            Family::Fleet => metrics::<Fleet>(plan),
+        }
+    }
 }
 
 impl std::fmt::Display for Family {
@@ -154,16 +171,50 @@ pub struct WorkCell {
 /// that.
 pub type CellMetrics = Vec<(String, f64)>;
 
+/// Folds cells' metrics into per-metric summaries by name: metric
+/// order is first appearance scanning `cells` in order, samples per
+/// metric likewise (a metric a cell lacks — e.g. a convergence epoch a
+/// seed never reached — simply contributes no sample).
+/// [`MetricSummary::from_samples`] sorts its samples, so each summary
+/// is independent of cell order.
+pub fn fold_metrics<'a>(
+    cells: impl IntoIterator<Item = &'a CellMetrics>,
+) -> Vec<(String, MetricSummary)> {
+    let mut order: Vec<&str> = Vec::new();
+    let mut samples: HashMap<&str, Vec<f64>> = HashMap::new();
+    for (name, value) in cells.into_iter().flatten() {
+        samples
+            .entry(name)
+            .or_insert_with(|| {
+                order.push(name);
+                Vec::new()
+            })
+            .push(*value);
+    }
+    order
+        .into_iter()
+        .map(|name| (name.to_owned(), MetricSummary::from_samples(&samples[name])))
+        .collect()
+}
+
+/// Renders folded summaries as the `Metric | mean ± σ (n)` table that
+/// campaign reports and bench targets print.
+#[must_use]
+pub fn metric_table(summaries: &[(String, MetricSummary)]) -> SweepTable {
+    let mut table = SweepTable::new("Metric", vec![("Value", SweepFormat::Fixed(4))]);
+    for (name, summary) in summaries {
+        table.add_row(name.clone(), vec![*summary]);
+    }
+    table
+}
+
 /// The enumerated cells of one experiment campaign: an experiment
-/// [`Family`] crossed with a seed set at a fixed frame horizon. See
-/// the [module docs](self) for the resume-seam contract.
+/// [`Family`] and the plan it runs, one cell per plan seed. See the
+/// [module docs](self) for the resume-seam contract.
 #[derive(Debug, Clone)]
 pub struct WorkList {
     family: Family,
-    seeds: Vec<u64>,
-    frames: u64,
-    fleet: usize,
-    pack: Option<PackConfig>,
+    plan: RunPlan,
 }
 
 impl WorkList {
@@ -187,10 +238,10 @@ impl WorkList {
         );
         WorkList {
             family,
-            seeds,
-            frames,
-            fleet: 1,
-            pack: None,
+            plan: RunPlan {
+                runner: RunnerConfig::serial(),
+                ..RunPlan::new(seeds, frames)
+            },
         }
     }
 
@@ -203,17 +254,17 @@ impl WorkList {
     #[must_use]
     pub fn with_fleet(mut self, fleet: usize) -> Self {
         assert!(fleet >= 1, "a fleet cell needs at least one instance");
-        self.fleet = fleet;
+        self.plan.fleet = fleet;
         self
     }
 
     /// Attaches the standard temporal-property pack to every
     /// [`Family::LongHorizon`] cell, adding `monitor_violations/...`
-    /// metrics; other families ignore it. Monitoring never perturbs
-    /// the measured metrics.
+    /// metrics; other families add no metrics for it. Monitoring never
+    /// perturbs the measured metrics.
     #[must_use]
     pub fn with_monitor_pack(mut self, pack: PackConfig) -> Self {
-        self.pack = Some(pack);
+        self.plan.pack = Some(pack);
         self
     }
 
@@ -226,47 +277,51 @@ impl WorkList {
     /// The campaign seeds, in configuration order.
     #[must_use]
     pub fn seeds(&self) -> &[u64] {
-        &self.seeds
+        &self.plan.seeds
     }
 
     /// The frame horizon every cell runs to.
     #[must_use]
     pub fn frames(&self) -> u64 {
-        self.frames
+        self.plan.frames
     }
 
     /// Instances per [`Family::Fleet`] cell.
     #[must_use]
     pub fn fleet(&self) -> usize {
-        self.fleet
+        self.plan.fleet
     }
 
     /// The attached monitor pack, if any.
     #[must_use]
     pub fn pack(&self) -> Option<&PackConfig> {
-        self.pack.as_ref()
+        self.plan.pack.as_ref()
     }
 
     /// Number of cells ( = number of seeds: each campaign cell runs a
     /// whole experiment bundle for one seed).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.seeds.len()
+        self.plan.seeds.len()
     }
 
     /// `true` when the list has no cells (unreachable through
     /// [`WorkList::new`], which rejects empty seed sets).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
+        self.plan.seeds.is_empty()
     }
 
     /// The stable ID of this list's cell for `seed`.
     #[must_use]
     pub fn cell_id(&self, seed: u64) -> String {
-        let base = format!("{}/seed={seed}/frames={}", self.family.name(), self.frames);
+        let base = format!(
+            "{}/seed={seed}/frames={}",
+            self.family.name(),
+            self.frames()
+        );
         if self.family == Family::Fleet {
-            format!("{base}/fleet={}", self.fleet)
+            format!("{base}/fleet={}", self.fleet())
         } else {
             base
         }
@@ -276,7 +331,8 @@ impl WorkList {
     /// reports and journals share.
     #[must_use]
     pub fn cells(&self) -> Vec<WorkCell> {
-        self.seeds
+        self.plan
+            .seeds
             .iter()
             .map(|&seed| WorkCell {
                 id: self.cell_id(seed),
@@ -286,241 +342,29 @@ impl WorkList {
     }
 
     /// Runs one cell to completion and returns its flat metrics, in
-    /// the family's canonical order. The inner experiment always runs
-    /// serially, so the result is bit-identical however the *campaign*
-    /// schedules cells — the property the journal's bit-exact resume
-    /// contract rests on.
+    /// the family's canonical order: the list's plan narrowed to the
+    /// cell's seed, through [`Family::run`]. The inner experiment
+    /// always runs serially, so the result is bit-identical however
+    /// the *campaign* schedules cells — the property the journal's
+    /// bit-exact resume contract rests on.
     #[must_use]
     pub fn run_cell(&self, cell: &WorkCell) -> CellMetrics {
         debug_assert_eq!(cell.id, self.cell_id(cell.seed), "foreign cell");
-        let serial = RunnerConfig::serial();
-        let (seed, frames) = (cell.seed, self.frames);
-        let mut out: CellMetrics = Vec::new();
-        let mut push = |name: String, value: f64| out.push((name, value));
-        match self.family {
-            Family::Table1 => {
-                let result = run_table1_with(seed, frames, &serial);
-                for (label, row) in TABLE1_LABELS.iter().zip(&result.rows) {
-                    push(format!("normalized_energy/{label}"), row.normalized_energy);
-                    push(
-                        format!("normalized_performance/{label}"),
-                        row.normalized_performance,
-                    );
-                    push(format!("miss_rate/{label}"), row.miss_rate);
-                    push(format!("mean_opp/{label}"), row.mean_opp);
-                    push(format!("energy_joules/{label}"), row.energy_joules);
-                }
-            }
-            Family::Table2 => {
-                let result = run_table2_with(seed, frames, &serial);
-                // TABLE2_LABELS pairs (app/upd, app/epd) fold into one
-                // row per app; recover the short app key from the pair.
-                let apps: Vec<&str> = TABLE2_LABELS
-                    .iter()
-                    .step_by(2)
-                    .map(|label| label.split('/').next().expect("app/policy label"))
-                    .collect();
-                for (app, row) in apps.iter().zip(&result.rows) {
-                    push(
-                        format!("upd_explorations/{app}"),
-                        row.upd_explorations as f64,
-                    );
-                    push(
-                        format!("epd_explorations/{app}"),
-                        row.epd_explorations as f64,
-                    );
-                    push(
-                        format!("epd_upd_ratio/{app}"),
-                        row.epd_explorations as f64 / row.upd_explorations as f64,
-                    );
-                }
-            }
-            Family::Table3 => {
-                let result = run_table3_with(seed, frames, &serial);
-                for (label, row) in TABLE3_LABELS.iter().zip(&result.rows) {
-                    push(
-                        format!("exploration_epochs/{label}"),
-                        row.exploration_epochs as f64,
-                    );
-                    if let Some(epochs) = row.convergence_epochs {
-                        push(format!("convergence_epochs/{label}"), epochs as f64);
-                    }
-                }
-            }
-            Family::Fig3 => {
-                let result = run_fig3_with(seed, frames, &serial);
-                debug_assert_eq!(FIG3_LABELS, ["rtm"]);
-                push("early_misprediction".into(), result.early_misprediction);
-                push("late_misprediction".into(), result.late_misprediction);
-                push(
-                    "mispredicted_frames".into(),
-                    result.mispredicted_frames.len() as f64,
-                );
-            }
-            Family::StateLevels => {
-                ablation_metrics(
-                    &run_state_levels_ablation_with(seed, frames, &serial),
-                    LEVELS_LABELS,
-                    &mut push,
-                );
-            }
-            Family::Smoothing => {
-                ablation_metrics(
-                    &run_smoothing_ablation_with(seed, frames, &serial),
-                    GAMMA_LABELS,
-                    &mut push,
-                );
-            }
-            Family::SharedTable => {
-                ablation_metrics(
-                    &run_shared_table_ablation_with(seed, frames, &serial),
-                    SHARED_LABELS,
-                    &mut push,
-                );
-            }
-            Family::LongHorizon => {
-                let result = match &self.pack {
-                    Some(pack) => run_long_horizon_monitored_with(seed, frames, &serial, pack),
-                    None => run_long_horizon_with(seed, frames, &serial),
-                };
-                for (label, row) in LONG_HORIZON_LABELS.iter().zip(&result.rows) {
-                    push(format!("normalized_energy/{label}"), row.normalized_energy);
-                    push(
-                        format!("normalized_performance/{label}"),
-                        row.normalized_performance,
-                    );
-                    push(format!("miss_rate/{label}"), row.miss_rate);
-                    push(format!("mean_opp/{label}"), row.mean_opp);
-                    push(format!("energy_joules/{label}"), row.energy_joules);
-                    push(format!("early_miss_rate/{label}"), row.early_miss_rate);
-                    push(format!("late_miss_rate/{label}"), row.late_miss_rate);
-                    if let Some(monitor) = &row.monitor {
-                        push(
-                            format!("monitor_violations/{label}"),
-                            monitor.violation_count() as f64,
-                        );
-                    }
-                }
-            }
-            Family::BigLittle => {
-                let result = run_biglittle_with(seed, frames, &serial);
-                for (label, row) in BIGLITTLE_LABELS.iter().zip(&result.rows) {
-                    let key = slug(label);
-                    push(format!("normalized_energy/{key}"), row.normalized_energy);
-                    push(format!("miss_rate/{key}"), row.miss_rate);
-                    push(format!("energy_joules/{key}"), row.energy_joules);
-                    push(
-                        format!("energy_per_met_frame/{key}"),
-                        row.energy_per_met_frame,
-                    );
-                    push(format!("migrations/{key}"), row.migrations as f64);
-                    push(format!("final_big_share/{key}"), row.final_big_share);
-                }
-            }
-            Family::MeshScaling => {
-                let result = run_mesh_scaling_with(seed, frames, &serial);
-                for (label, row) in MESH_LABELS.iter().zip(&result.rows) {
-                    let key = slug(label);
-                    push(format!("energy_joules/{key}"), row.energy_joules);
-                    push(format!("energy_per_cluster/{key}"), row.energy_per_cluster);
-                    push(format!("miss_rate/{key}"), row.miss_rate);
-                    push(format!("migrations/{key}"), row.migrations as f64);
-                }
-            }
-            Family::FaultStorm => {
-                // Always the standard schedule, never the env override:
-                // journal cells must re-derive bit-identically.
-                let plan = standard_fault_schedule(frames);
-                let result = run_fault_storm_with(seed, frames, &plan, &serial);
-                for (label, row) in FAULTSTORM_LABELS.iter().zip(&result.rows) {
-                    let key = slug(label);
-                    push(format!("energy_joules/{key}"), row.energy_joules);
-                    push(format!("miss_rate/{key}"), row.miss_rate);
-                    push(
-                        format!("post_drop_miss_rate/{key}"),
-                        row.post_drop_miss_rate,
-                    );
-                    push(
-                        format!("degraded_epochs/{key}"),
-                        row.recovery.degraded_epochs as f64,
-                    );
-                    push(
-                        format!("safe_state_epochs/{key}"),
-                        row.safe_state_epochs as f64,
-                    );
-                    push(
-                        format!("worst_excursion/{key}"),
-                        row.recovery.worst_excursion,
-                    );
-                    if let Some(epochs) = row.recovery.time_to_recover {
-                        push(format!("time_to_recover/{key}"), epochs as f64);
-                    }
-                    if let Some(monitor) = &row.monitor {
-                        push(
-                            format!("monitor_violations/{key}"),
-                            monitor.violation_count() as f64,
-                        );
-                    }
-                }
-            }
-            Family::Fleet => {
-                let instance_seeds: Vec<u64> = (0..self.fleet as u64)
-                    .map(|i| seed.wrapping_add(i))
-                    .collect();
-                let spec = FleetSpec::uniform(
-                    &fleet_cell_config(0),
-                    &instance_seeds,
-                    &fleet_cell_platform(),
-                    frames,
-                    |s| Box::new(fleet_cell_app(s, frames)),
-                );
-                let outcome = run_fleet(spec, &serial);
-                for (i, report) in outcome.reports.iter().enumerate() {
-                    push(format!("miss_rate/i{i}"), report.miss_rate());
-                    push(
-                        format!("normalized_performance/i{i}"),
-                        report.normalized_performance(),
-                    );
-                    push(format!("mean_opp/i{i}"), report.mean_opp());
-                    push(
-                        format!("energy_joules/i{i}"),
-                        report.total_energy().as_joules(),
-                    );
-                }
-                push(
-                    "fleet_mean_miss_rate".into(),
-                    outcome.summarize(qgov_metrics::RunReport::miss_rate).mean,
-                );
-                push("fleet_total_frames".into(), outcome.total_frames as f64);
-            }
-        }
+        let plan = RunPlan {
+            seeds: vec![cell.seed],
+            ..self.plan.clone()
+        };
+        let out = self
+            .family
+            .run(&plan)
+            .pop()
+            .expect("a one-seed plan yields one result");
         debug_assert!(
             out.iter()
                 .all(|(name, _)| !name.contains(['=', ' ', '\t', '\n'])),
             "metric names must stay journal-token safe"
         );
         out
-    }
-}
-
-/// Folds an ablation bundle into flat metrics. `labels` lists the
-/// family's cells Oracle first; the Oracle is only the normalisation
-/// reference and has no row, so each row takes the label after it.
-fn ablation_metrics(result: &AblationResult, labels: &[&str], push: &mut impl FnMut(String, f64)) {
-    debug_assert_eq!(labels[0], "oracle");
-    debug_assert_eq!(result.rows.len(), labels.len() - 1);
-    for (label, row) in labels[1..].iter().zip(&result.rows) {
-        let key = slug(label);
-        push(format!("normalized_energy/{key}"), row.normalized_energy);
-        push(
-            format!("normalized_performance/{key}"),
-            row.normalized_performance,
-        );
-        push(format!("miss_rate/{key}"), row.miss_rate);
-        push(format!("explorations/{key}"), row.explorations as f64);
-        if let Some(epochs) = row.convergence_epochs {
-            push(format!("convergence_epochs/{key}"), epochs as f64);
-        }
     }
 }
 
@@ -539,37 +383,6 @@ pub fn slug(label: &str) -> String {
         }
     }
     out.trim_matches('_').to_owned()
-}
-
-/// The fleet campaign cell's platform: the paper's A15 cluster with an
-/// ideal sensor (matching the recorded fleet baselines).
-#[must_use]
-pub fn fleet_cell_platform() -> PlatformConfig {
-    PlatformConfig {
-        sensor: SensorConfig::ideal(),
-        ..PlatformConfig::odroid_xu3_a15()
-    }
-}
-
-/// The fleet campaign cell's per-instance RTM configuration.
-#[must_use]
-pub fn fleet_cell_config(seed: u64) -> RtmConfig {
-    RtmConfig::paper(seed).with_workload_bounds(1e8, 1e9)
-}
-
-/// The fleet campaign cell's per-instance workload: the noisy
-/// synthetic decode the fleet determinism suite pins.
-#[must_use]
-pub fn fleet_cell_app(seed: u64, frames: u64) -> SyntheticWorkload {
-    SyntheticWorkload::constant(
-        "campaign-fleet",
-        Cycles::from_mcycles(120),
-        SimTime::from_ms(40),
-        frames,
-        4,
-        seed,
-    )
-    .with_noise(0.15)
 }
 
 #[cfg(test)]

@@ -29,9 +29,9 @@
 use crate::config::{CampaignConfig, ConfigError, MonitorChoice};
 use crate::journal::{self, CellRecord, JournalError, JournalWriter};
 use qgov_bench::perf::BenchRecord;
-use qgov_bench::worklist::Family;
+use qgov_bench::worklist::{fold_metrics, metric_table, Family};
 use qgov_bench::{ExperimentBatch, RunnerConfig};
-use qgov_metrics::{MetricSummary, SweepFormat, SweepTable};
+use qgov_metrics::MetricSummary;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -313,7 +313,7 @@ pub fn run(
 ///
 /// Propagates journal/snapshot rejections.
 pub fn render_report(dir: &Path, config: &CampaignConfig) -> Result<String, CampaignError> {
-    let (table, completed, total) = fold_metrics(dir, config)?;
+    let (summaries, completed, total) = fold_summaries(dir, config)?;
     let mut out = String::new();
     out.push_str(&format!("campaign {} ({})\n", config.name, config.family));
     out.push_str(&format!(
@@ -331,9 +331,10 @@ pub fn render_report(dir: &Path, config: &CampaignConfig) -> Result<String, Camp
     }
     out.push_str(&format!("cells complete: {completed}/{total}\n"));
     out.push('\n');
-    match table {
-        Some(table) => out.push_str(&table.render()),
-        None => out.push_str("no completed cells yet — run `qgov resume` to continue\n"),
+    if summaries.is_empty() {
+        out.push_str("no completed cells yet — run `qgov resume` to continue\n");
+    } else {
+        out.push_str(&metric_table(&summaries).render());
     }
     Ok(out)
 }
@@ -489,49 +490,16 @@ pub fn diff_against(
 /// (completed, total) cell counts.
 type FoldedSummaries = (Vec<(String, MetricSummary)>, usize, usize);
 
-/// Folds journaled cells into per-metric summaries: metric order is
-/// first appearance scanning cells in **work-list order**, samples per
-/// metric likewise — deterministic however the journal was laid down.
+/// Folds the journaled cells, in **work-list order** (never journal
+/// order), through [`fold_metrics`] — deterministic however the journal
+/// was laid down.
 fn fold_summaries(dir: &Path, config: &CampaignConfig) -> Result<FoldedSummaries, CampaignError> {
     let done = progress(dir, config)?;
     let cells = config.worklist().cells();
-    let total = cells.len();
-    let mut order: Vec<String> = Vec::new();
-    let mut samples: HashMap<String, Vec<f64>> = HashMap::new();
-    let mut completed = 0usize;
-    for cell in &cells {
-        let Some(record) = done.cells.get(&cell.id) else {
-            continue;
-        };
-        completed += 1;
-        for (name, value) in &record.metrics {
-            if !samples.contains_key(name) {
-                order.push(name.clone());
-            }
-            samples.entry(name.clone()).or_default().push(*value);
-        }
-    }
-    let summaries = order
-        .into_iter()
-        .map(|name| {
-            let summary = MetricSummary::from_samples(&samples[&name]);
-            (name, summary)
-        })
+    let journaled: Vec<&CellRecord> = cells
+        .iter()
+        .filter_map(|cell| done.cells.get(&cell.id))
         .collect();
-    Ok((summaries, completed, total))
-}
-
-fn fold_metrics(
-    dir: &Path,
-    config: &CampaignConfig,
-) -> Result<(Option<SweepTable>, usize, usize), CampaignError> {
-    let (summaries, completed, total) = fold_summaries(dir, config)?;
-    if summaries.is_empty() {
-        return Ok((None, completed, total));
-    }
-    let mut table = SweepTable::new("Metric", vec![("Value", SweepFormat::Fixed(4))]);
-    for (name, summary) in summaries {
-        table.add_row(name, vec![summary]);
-    }
-    Ok((Some(table), completed, total))
+    let summaries = fold_metrics(journaled.iter().map(|record| &record.metrics));
+    Ok((summaries, journaled.len(), cells.len()))
 }

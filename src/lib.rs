@@ -43,7 +43,7 @@
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
 //! | [`core`] | the paper's RTM: `RtmGovernor` + `RtmConfig` |
 //! | [`metrics`] | run reports, misprediction stats, tables, series |
-//! | [`mod@bench`] | the experiment harness, batched parallel runner, per-table experiment functions |
+//! | [`mod@bench`] | the experiment harness, batched parallel runner, the experiment registry and run plans |
 //! | [`cli`] | the `qgov` operator binary: journaled, kill-and-resume campaigns |
 
 #![forbid(unsafe_code)]
@@ -63,47 +63,34 @@ pub mod prelude {
     //! The types almost every experiment needs.
 
     pub use qgov_bench::experiments::{
-        run_fig3, run_fig3_with, run_long_horizon, run_long_horizon_monitored,
-        run_long_horizon_monitored_with, run_long_horizon_with, run_shared_table_ablation,
-        run_shared_table_ablation_with, run_smoothing_ablation, run_smoothing_ablation_with,
-        run_state_levels_ablation, run_state_levels_ablation_with, run_table1, run_table1_with,
-        run_table2, run_table2_with, run_table3, run_table3_with,
+        AblationResult, AblationRow, Experiment, Fig3, Fig3Result, LongHorizon, LongHorizonResult,
+        LongHorizonRow, SharedTable, Smoothing, StateLevels, Table1, Table1Result, Table1Row,
+        Table2, Table2Result, Table2Row, Table3, Table3Result, Table3Row,
     };
     pub use qgov_bench::faultstorm::{
-        fault_plan_from_env, fault_storm_app, fault_storm_drop_epoch, run_fault_storm,
-        run_fault_storm_with, standard_fault_schedule, FaultStormResult, FaultStormRow,
-        FAULTSTORM_GRACE,
+        fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm,
+        FaultStormResult, FaultStormRow, FAULTSTORM_GRACE,
     };
-    pub use qgov_bench::fleet::{run_fleet, FleetOutcome, FleetSpec};
+    pub use qgov_bench::fleet::{
+        fleet_cell_app, fleet_cell_config, fleet_cell_platform, run_fleet, Fleet, FleetOutcome,
+        FleetSpec,
+    };
     pub use qgov_bench::harness::{
         precharacterize, run_experiment, run_experiment_faulted, run_experiment_monitored,
         ExperimentOutcome,
     };
     pub use qgov_bench::hetero::{
-        run_biglittle, run_biglittle_monitored, run_biglittle_monitored_with, run_biglittle_sweep,
-        run_biglittle_sweep_with, run_biglittle_with, run_mesh_scaling, run_mesh_scaling_monitored,
-        run_mesh_scaling_monitored_with, run_mesh_scaling_sweep, run_mesh_scaling_sweep_with,
-        run_mesh_scaling_with, BigLittleResult, BigLittleRow, BigLittleSweep, BigLittleSweepRow,
-        MeshRow, MeshScalingResult, MeshSweep, MeshSweepRow,
+        BigLittle, BigLittleResult, BigLittleRow, MeshRow, MeshScaling, MeshScalingResult,
     };
     pub use qgov_bench::manycore::{
         run_manycore_experiment, run_manycore_experiment_faulted,
         run_manycore_experiment_faulted_monitored, run_manycore_experiment_monitored,
         ManyCoreOutcome,
     };
-    pub use qgov_bench::runner::{frames_from_env, ExperimentBatch, RunnerConfig, RunnerMode};
-    pub use qgov_bench::sweep::{
-        run_fig3_sweep, run_fig3_sweep_with, run_long_horizon_monitored_sweep_with,
-        run_long_horizon_sweep, run_long_horizon_sweep_with, run_shared_table_ablation_sweep,
-        run_shared_table_ablation_sweep_with, run_smoothing_ablation_sweep,
-        run_smoothing_ablation_sweep_with, run_state_levels_ablation_sweep,
-        run_state_levels_ablation_sweep_with, run_table1_sweep, run_table1_sweep_with,
-        run_table2_sweep, run_table2_sweep_with, run_table3_sweep, run_table3_sweep_with,
-        Aggregate, SeedSweep,
-    };
+    pub use qgov_bench::plan::{PlanError, RunPlan};
+    pub use qgov_bench::runner::{ExperimentBatch, RunnerConfig, RunnerMode};
     pub use qgov_bench::worklist::{
-        fleet_cell_app, fleet_cell_config, fleet_cell_platform, slug, CellMetrics, Family,
-        WorkCell, WorkList,
+        fold_metrics, metric_table, slug, CellMetrics, Family, WorkCell, WorkList,
     };
     pub use qgov_core::{
         EpochRecord, ExplorationKind, GreedyMigration, HardeningConfig, HistoryMode, ManyCoreRtm,

@@ -15,66 +15,69 @@ use qgov::prelude::*;
 
 const FRAMES: u64 = 240;
 
+/// The seeds of the acceptance sweep (n = 3).
+fn plan() -> RunPlan {
+    RunPlan::new((2017..2020).collect(), FRAMES)
+}
+
 #[test]
 fn learned_migration_beats_both_static_placements() {
-    let sweep = SeedSweep::base(2017, 3);
-    let result = run_biglittle_sweep(&sweep, FRAMES);
-    assert_eq!(result.seeds.len(), 3);
-    assert_eq!(result.rows.len(), 3);
-
-    let row = |label: &str| {
-        result
-            .rows
+    let runs = BigLittle::run(&plan());
+    assert_eq!(runs.len(), 3);
+    let metrics: Vec<CellMetrics> = runs.iter().map(BigLittle::metrics).collect();
+    let folded = fold_metrics(&metrics);
+    let mean = |metric: &str, placement: &str| {
+        let name = format!("{metric}/{placement}");
+        let (_, summary) = folded
             .iter()
-            .find(|r| r.placement == label)
-            .unwrap_or_else(|| panic!("missing placement row {label}"))
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("missing metric {name}"));
+        assert_eq!(summary.n, 3, "{name}");
+        summary.mean
     };
-    let big = row("Big-only (A15 quad)");
-    let little = row("LITTLE-only (A7 quad)");
-    let learned = row("Learned migration (proposed)");
 
     // Energy: learned migration undercuts the big-only placement on
     // every aggregate (the A7 quad absorbs work at a fraction of the
     // A15's cube-law cost).
     assert!(
-        learned.energy_joules.mean < big.energy_joules.mean,
+        mean("energy_joules", "rtm_migrate") < mean("energy_joules", "big_only"),
         "learned migration must save energy vs big-only: {:.2} J vs {:.2} J",
-        learned.energy_joules.mean,
-        big.energy_joules.mean
+        mean("energy_joules", "rtm_migrate"),
+        mean("energy_joules", "big_only")
     );
     assert!(
-        learned.normalized_energy.mean < 0.95,
+        mean("normalized_energy", "rtm_migrate") < 0.95,
         "savings should be material, got {:.3}× big-only",
-        learned.normalized_energy.mean
+        mean("normalized_energy", "rtm_migrate")
     );
 
     // Deadlines: comparable or better than big-only. A generous slack
     // margin (5 pp) keeps the bound honest across seeds without making
     // the test flaky.
     assert!(
-        learned.miss_rate.mean <= big.miss_rate.mean + 0.05,
+        mean("miss_rate", "rtm_migrate") <= mean("miss_rate", "big_only") + 0.05,
         "learned miss rate {:.3} must stay comparable to big-only {:.3}",
-        learned.miss_rate.mean,
-        big.miss_rate.mean
+        mean("miss_rate", "rtm_migrate"),
+        mean("miss_rate", "big_only")
     );
 
     // LITTLE-only is structurally infeasible for this workload (demand
     // exceeds the A7 quad's capacity), so it drowns in misses and pays
     // more per frame it actually delivers.
     assert!(
-        little.miss_rate.mean > 0.5,
+        mean("miss_rate", "little_only") > 0.5,
         "the scaled decode must overwhelm the A7 quad, miss rate {:.3}",
-        little.miss_rate.mean
+        mean("miss_rate", "little_only")
     );
     assert!(
-        learned.energy_per_met_frame.mean < little.energy_per_met_frame.mean,
+        mean("energy_per_met_frame", "rtm_migrate") < mean("energy_per_met_frame", "little_only"),
         "learned J/met-frame {:.4} must beat LITTLE-only {:.4}",
-        learned.energy_per_met_frame.mean,
-        little.energy_per_met_frame.mean
+        mean("energy_per_met_frame", "rtm_migrate"),
+        mean("energy_per_met_frame", "little_only")
     );
 
     // Every seed individually shows the energy win, not just the mean.
-    for (seed, per_seed) in result.seeds.iter().zip(&result.per_seed) {
+    for (seed, per_seed) in plan().seeds.iter().zip(&runs) {
         let find = |label: &str| {
             per_seed
                 .rows
@@ -98,11 +101,13 @@ fn learned_migration_beats_both_static_placements() {
 /// all placement metrics untouched.
 #[test]
 fn biglittle_sweep_runs_clean_under_the_standard_pack() {
-    let pack = PackConfig::paper();
-    for &seed in SeedSweep::base(2017, 3).seeds() {
-        let plain = run_biglittle_with(seed, FRAMES, &RunnerConfig::serial());
-        let monitored = run_biglittle_monitored_with(seed, FRAMES, &RunnerConfig::serial(), &pack);
-        for (m, p) in monitored.rows.iter().zip(&plain.rows) {
+    let plain = BigLittle::run(&plan());
+    let monitored = BigLittle::run(&RunPlan {
+        pack: Some(PackConfig::paper()),
+        ..plan()
+    });
+    for ((seed, m), p) in plan().seeds.iter().zip(&monitored).zip(&plain) {
+        for (m, p) in m.rows.iter().zip(&p.rows) {
             let report = m.monitor.as_ref().expect("monitored rows carry verdicts");
             assert!(
                 report.is_clean(),

@@ -39,13 +39,11 @@ fn different_seeds_give_different_runs() {
 
 #[test]
 fn experiment_functions_are_deterministic() {
-    let a = run_table1(5, 250);
-    let b = run_table1(5, 250);
-    assert_eq!(a.rows, b.rows);
+    let plan = RunPlan::new(vec![5], 250);
+    assert_eq!(Table1::run(&plan), Table1::run(&plan));
 
-    let a = run_fig3(5, 120);
-    let b = run_fig3(5, 120);
-    assert_eq!(a.csv, b.csv);
+    let plan = RunPlan::new(vec![5], 120);
+    assert_eq!(Fig3::run(&plan)[0].csv, Fig3::run(&plan)[0].csv);
 }
 
 #[test]

@@ -16,12 +16,11 @@ const FRAMES: u64 = 400;
 const SEED: u64 = 11;
 
 fn storm() -> FaultStormResult {
-    run_fault_storm_with(
-        SEED,
-        FRAMES,
-        &standard_fault_schedule(FRAMES),
-        &RunnerConfig::serial(),
-    )
+    let plan = RunPlan {
+        runner: RunnerConfig::serial(),
+        ..RunPlan::new(vec![SEED], FRAMES)
+    };
+    FaultStorm::run(&plan).remove(0)
 }
 
 fn row<'a>(result: &'a FaultStormResult, governor: &str) -> &'a FaultStormRow {

@@ -113,8 +113,17 @@ fn experiment_never_materialises_the_frame_vector() {
 /// tile the horizon, and the run is deterministic in the seed.
 #[test]
 fn long_horizon_experiment_is_deterministic() {
-    let a = run_long_horizon_with(23, 600, &RunnerConfig::serial());
-    let b = run_long_horizon_with(23, 600, &RunnerConfig::with_workers(2));
+    let plan = RunPlan::new(vec![23], 600);
+    let a = LongHorizon::run(&RunPlan {
+        runner: RunnerConfig::serial(),
+        ..plan.clone()
+    })
+    .remove(0);
+    let b = LongHorizon::run(&RunPlan {
+        runner: RunnerConfig::with_workers(2),
+        ..plan
+    })
+    .remove(0);
     assert_eq!(a.rows, b.rows, "serial and parallel must agree");
     assert_eq!(a.rows.len(), 3);
     for row in &a.rows {
@@ -129,9 +138,16 @@ fn long_horizon_experiment_is_deterministic() {
 /// non-monitor field equals the unmonitored run's.
 #[test]
 fn monitored_long_horizon_is_clean_and_does_not_perturb_the_run() {
-    let plain = run_long_horizon_with(23, 600, &RunnerConfig::serial());
-    let monitored =
-        run_long_horizon_monitored_with(23, 600, &RunnerConfig::serial(), &PackConfig::paper());
+    let plain = RunPlan {
+        runner: RunnerConfig::serial(),
+        ..RunPlan::new(vec![23], 600)
+    };
+    let monitored = LongHorizon::run(&RunPlan {
+        pack: Some(PackConfig::paper()),
+        ..plain.clone()
+    })
+    .remove(0);
+    let plain = LongHorizon::run(&plain).remove(0);
     assert_eq!(monitored.rows.len(), plain.rows.len());
     for (m, p) in monitored.rows.iter().zip(&plain.rows) {
         let report = m.monitor.as_ref().expect("monitored rows carry verdicts");

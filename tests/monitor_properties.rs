@@ -9,8 +9,14 @@
 use qgov::bench::hetero::biglittle_app;
 use qgov::prelude::*;
 
-/// The seeds of the acceptance sweep (n = 5).
-const SEEDS: std::ops::Range<u64> = 2017..2022;
+/// The seeds of the acceptance sweep (n = 5), serially, under `pack`.
+fn sweep(frames: u64, pack: PackConfig) -> RunPlan {
+    RunPlan {
+        runner: RunnerConfig::serial(),
+        pack: Some(pack),
+        ..RunPlan::new((2017..2022).collect(), frames)
+    }
+}
 
 fn verdict<'a>(m: &'a MonitorReport, name: &str) -> &'a Verdict {
     &m.verdicts()
@@ -27,9 +33,8 @@ fn verdict<'a>(m: &'a MonitorReport, name: &str) -> &'a Verdict {
 /// bounded.
 #[test]
 fn long_horizon_sweep_is_clean_under_the_standard_pack() {
-    let pack = PackConfig::paper();
-    for seed in SEEDS {
-        let result = run_long_horizon_monitored_with(seed, 400, &RunnerConfig::serial(), &pack);
+    let plan = sweep(400, PackConfig::paper());
+    for (seed, result) in plan.seeds.iter().zip(LongHorizon::run(&plan)) {
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             let m = row
@@ -67,9 +72,8 @@ fn long_horizon_sweep_is_clean_under_the_standard_pack() {
 /// coordinator whose ε is the max over its per-cluster agents.
 #[test]
 fn biglittle_sweep_is_clean_under_the_standard_pack() {
-    let pack = PackConfig::paper();
-    for seed in SEEDS {
-        let result = run_biglittle_monitored_with(seed, 240, &RunnerConfig::serial(), &pack);
+    let plan = sweep(240, PackConfig::paper());
+    for (seed, result) in plan.seeds.iter().zip(BigLittle::run(&plan)) {
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             let m = row
@@ -97,9 +101,8 @@ fn biglittle_sweep_is_clean_under_the_standard_pack() {
 /// per-cluster agents.
 #[test]
 fn mesh_scaling_sweep_is_clean_under_the_standard_pack() {
-    let pack = PackConfig::paper();
-    for seed in SEEDS {
-        let result = run_mesh_scaling_monitored_with(seed, 120, &RunnerConfig::serial(), &pack);
+    let plan = sweep(120, PackConfig::paper());
+    for (seed, result) in plan.seeds.iter().zip(MeshScaling::run(&plan)) {
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             let m = row
@@ -127,8 +130,14 @@ fn mesh_scaling_sweep_is_clean_under_the_standard_pack() {
 #[test]
 fn short_horizons_violate_the_floor_and_leave_convergence_vacuous() {
     let frames = 30u64; // far below the ~92-epoch ε decay horizon
-    let strict =
-        run_long_horizon_monitored_with(3, frames, &RunnerConfig::serial(), &PackConfig::paper());
+    let run = |pack| {
+        LongHorizon::run(&RunPlan {
+            seeds: vec![3],
+            ..sweep(frames, pack)
+        })
+        .remove(0)
+    };
+    let strict = run(PackConfig::paper());
     let rtm = strict.rows[2].monitor.as_ref().unwrap();
     assert_eq!(
         *verdict(rtm, "epsilon-reaches-floor"),
@@ -142,12 +151,7 @@ fn short_horizons_violate_the_floor_and_leave_convergence_vacuous() {
     );
     assert_eq!(rtm.violation_count(), 1);
 
-    let lenient = run_long_horizon_monitored_with(
-        3,
-        frames,
-        &RunnerConfig::serial(),
-        &PackConfig::short_run(),
-    );
+    let lenient = run(PackConfig::short_run());
     let rtm = lenient.rows[2].monitor.as_ref().unwrap();
     assert!(rtm.is_clean(), "{}", rtm.summary());
     assert!(rtm

@@ -9,7 +9,7 @@ use qgov::prelude::*;
 /// energy; proposed runs closest to the deadline.
 #[test]
 fn table1_shape() {
-    let result = run_table1(2017, 1_500);
+    let result = Table1::run(&RunPlan::new(vec![2017], 1_500)).remove(0);
     let find = |needle: &str| {
         result
             .rows
@@ -57,7 +57,7 @@ fn table1_shape() {
 /// application.
 #[test]
 fn table2_shape() {
-    let result = run_table2(2017, 600);
+    let result = Table2::run(&RunPlan::new(vec![2017], 600)).remove(0);
     assert_eq!(result.rows.len(), 3);
     for row in &result.rows {
         assert!(
@@ -81,7 +81,7 @@ fn table2_shape() {
 /// half the per-core baseline's.
 #[test]
 fn table3_shape() {
-    let result = run_table3(2017, 600);
+    let result = Table3::run(&RunPlan::new(vec![2017], 600)).remove(0);
     let geqiu = &result.rows[0];
     let ours = &result.rows[1];
     assert!(
@@ -102,7 +102,7 @@ fn table3_shape() {
 /// the late window's.
 #[test]
 fn fig3_shape() {
-    let result = run_fig3(2017, 240);
+    let result = Fig3::run(&RunPlan::new(vec![2017], 240)).remove(0);
     assert!(
         result.early_misprediction > result.late_misprediction,
         "early misprediction ({:.3}) must exceed late ({:.3})",
@@ -126,6 +126,20 @@ fn fig3_shape() {
     );
 }
 
+/// Folds `E`'s five-seed run (seeds 2017..=2021) by metric name.
+fn five_seed_fold<E: Experiment>(frames: u64) -> impl Fn(&str) -> MetricSummary {
+    let runs = E::run(&RunPlan::new((2017..2022).collect(), frames));
+    let metrics: Vec<CellMetrics> = runs.iter().map(E::metrics).collect();
+    let folded = fold_metrics(&metrics);
+    move |name: &str| {
+        folded
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("metric {name} missing"))
+            .1
+    }
+}
+
 /// Table I's energy ranking must hold for the *mean over five seeds*,
 /// not just seed 42/2017: stochastic exploration may perturb a single
 /// run, but the paper's claim is about the method, so the cross-seed
@@ -133,66 +147,55 @@ fn fig3_shape() {
 /// must keep the ordering.
 #[test]
 fn table1_energy_ranking_holds_in_the_mean_over_five_seeds() {
-    let sweep = SeedSweep::base(2017, 5);
-    let result = run_table1_sweep(&sweep, 1_200);
-    let find = |needle: &str| {
-        result
-            .rows
-            .iter()
-            .find(|r| r.method.contains(needle))
-            .unwrap_or_else(|| panic!("row {needle} missing"))
-    };
-    let ondemand = find("Ondemand");
-    let geqiu = find("Multi-core");
-    let proposed = find("Proposed");
-    let oracle = find("Oracle");
+    let metric = five_seed_fold::<Table1>(1_200);
+    let energy = |method: &str| metric(&format!("normalized_energy/{method}"));
+    let performance = |method: &str| metric(&format!("normalized_performance/{method}")).mean;
+    let (ondemand, geqiu, proposed, oracle) = (
+        energy("ondemand"),
+        energy("geqiu"),
+        energy("rtm"),
+        energy("oracle"),
+    );
 
-    for row in [ondemand, geqiu, proposed, oracle] {
-        assert_eq!(row.normalized_energy.n, 5, "{}", row.method);
+    for summary in [ondemand, geqiu, proposed, oracle] {
+        assert_eq!(summary.n, 5);
     }
     // Oracle normalisation is exact at every seed: the constant-series
     // aggregate is 1.0 with zero spread.
-    assert!((oracle.normalized_energy.mean - 1.0).abs() < 1e-9);
-    assert_eq!(oracle.normalized_energy.std_dev, 0.0);
+    assert!((oracle.mean - 1.0).abs() < 1e-9);
+    assert_eq!(oracle.std_dev, 0.0);
 
     assert!(
-        proposed.normalized_energy.mean < ondemand.normalized_energy.mean,
+        proposed.mean < ondemand.mean,
         "mean energy: proposed {:.3} must beat ondemand {:.3}",
-        proposed.normalized_energy.mean,
-        ondemand.normalized_energy.mean
+        proposed.mean,
+        ondemand.mean
     );
     assert!(
-        proposed.normalized_energy.mean < geqiu.normalized_energy.mean,
+        proposed.mean < geqiu.mean,
         "mean energy: proposed {:.3} must beat multi-core DVFS {:.3}",
-        proposed.normalized_energy.mean,
-        geqiu.normalized_energy.mean
+        proposed.mean,
+        geqiu.mean
     );
     // The ordering is not a lucky-seed artefact: even the proposed
     // approach's *worst* seed beats both baselines' *best* seeds.
-    let worst_baseline_best = ondemand
-        .normalized_energy
-        .min
-        .min(geqiu.normalized_energy.min);
+    let worst_baseline_best = ondemand.min.min(geqiu.min);
     assert!(
-        proposed.normalized_energy.max < worst_baseline_best,
+        proposed.max < worst_baseline_best,
         "proposed worst seed ({:.3}) must still beat the baselines' best ({:.3})",
-        proposed.normalized_energy.max,
+        proposed.max,
         worst_baseline_best
     );
     // Mean savings stay material (> 5 %) against the worst baseline.
-    let worst = ondemand
-        .normalized_energy
-        .mean
-        .max(geqiu.normalized_energy.mean);
+    let worst = ondemand.mean.max(geqiu.mean);
     assert!(
-        (worst - proposed.normalized_energy.mean) / worst > 0.05,
+        (worst - proposed.mean) / worst > 0.05,
         "expected >5% mean saving, got {:.1}%",
-        (worst - proposed.normalized_energy.mean) / worst * 100.0
+        (worst - proposed.mean) / worst * 100.0
     );
     // Proposed runs closest to the deadline in the mean.
     assert!(
-        proposed.normalized_performance.mean > ondemand.normalized_performance.mean
-            && proposed.normalized_performance.mean > geqiu.normalized_performance.mean
+        performance("rtm") > performance("ondemand") && performance("rtm") > performance("geqiu")
     );
 }
 
@@ -201,31 +204,29 @@ fn table1_energy_ranking_holds_in_the_mean_over_five_seeds() {
 /// single-run table cannot itself establish.
 #[test]
 fn table2_epd_beats_upd_in_the_mean_over_five_seeds() {
-    let sweep = SeedSweep::base(2017, 5);
-    let result = run_table2_sweep(&sweep, 600);
-    assert_eq!(result.rows.len(), 3);
-    for row in &result.rows {
-        assert_eq!(row.epd_explorations.n, 5, "{}", row.app);
+    let metric = five_seed_fold::<Table2>(600);
+    for app in ["mpeg4", "h264", "fft"] {
+        let epd = metric(&format!("epd_explorations/{app}"));
+        let upd = metric(&format!("upd_explorations/{app}"));
+        let ratio = metric(&format!("epd_upd_ratio/{app}"));
+        assert_eq!(epd.n, 5, "{app}");
         assert!(
-            row.epd_explorations.mean < row.upd_explorations.mean,
-            "{}: mean EPD ({:.1}) must explore less than mean UPD ({:.1})",
-            row.app,
-            row.epd_explorations.mean,
-            row.upd_explorations.mean
+            epd.mean < upd.mean,
+            "{app}: mean EPD ({:.1}) must explore less than mean UPD ({:.1})",
+            epd.mean,
+            upd.mean
         );
         // The per-seed pairwise ratio stays a meaningful reduction on
         // average, and no single seed inverts the ordering.
         assert!(
-            row.epd_upd_ratio.mean < 0.95,
-            "{}: mean reduction too small (ratio {:.2})",
-            row.app,
-            row.epd_upd_ratio.mean
+            ratio.mean < 0.95,
+            "{app}: mean reduction too small (ratio {:.2})",
+            ratio.mean
         );
         assert!(
-            row.epd_upd_ratio.max < 1.0,
-            "{}: some seed inverted EPD < UPD (worst ratio {:.2})",
-            row.app,
-            row.epd_upd_ratio.max
+            ratio.max < 1.0,
+            "{app}: some seed inverted EPD < UPD (worst ratio {:.2})",
+            ratio.max
         );
     }
 }
@@ -234,15 +235,15 @@ fn table2_epd_beats_upd_in_the_mean_over_five_seeds() {
 #[test]
 fn ablations_run_and_point_the_right_way() {
     // Shared table converges in fewer epochs than per-core tables.
-    let shared = run_shared_table_ablation(7, 500);
+    let shared = SharedTable::run(&RunPlan::new(vec![7], 500)).remove(0);
     assert_eq!(shared.rows.len(), 3);
 
     // Smoothing sweep: gamma = 0.6 must not be the worst choice.
-    let smoothing = run_smoothing_ablation(7, 300);
+    let smoothing = Smoothing::run(&RunPlan::new(vec![7], 300)).remove(0);
     assert_eq!(smoothing.rows.len(), 5);
 
     // N sweep produces all rows with sane numbers.
-    let levels = run_state_levels_ablation(7, 400);
+    let levels = StateLevels::run(&RunPlan::new(vec![7], 400)).remove(0);
     assert_eq!(levels.rows.len(), 5);
     for row in &levels.rows {
         assert!(row.normalized_energy >= 1.0 - 1e-9, "{row:?}");

@@ -59,7 +59,7 @@ fn every_prelude_governor_runs_ten_epochs() {
 /// for good measure).
 #[test]
 fn prelude_experiment_surface_is_reachable() {
-    let result = run_table1(1, 40);
+    let result = Table1::run(&RunPlan::new(vec![1], 40)).remove(0);
     assert_eq!(result.rows.len(), 4);
     let _: &ComparisonTable = &result.table;
 }

@@ -1,6 +1,6 @@
 //! The batched runner's determinism guarantee, end to end: for
-//! identical seeds, every table/figure/ablation report produced by the
-//! parallel runner is **bit-identical** to the serial runner's output.
+//! identical seeds, every experiment family's results from the parallel
+//! runner are **bit-identical** to the serial runner's.
 //!
 //! CI re-runs this file with `QGOV_WORKERS=3` so a non-default worker
 //! count exercises the same assertions; [`parallel_config`] honours
@@ -11,7 +11,9 @@ use qgov::prelude::*;
 /// The parallel side of every comparison: `QGOV_WORKERS` if it names a
 /// worker count (as the CI matrix does), else 2 workers.
 fn parallel_config() -> RunnerConfig {
-    let from_env = RunnerConfig::from_env();
+    let from_env = RunPlan::from_env(RunPlan::new(vec![0], 1))
+        .expect("valid QGOV_* values")
+        .runner;
     if from_env.is_serial() {
         RunnerConfig::with_workers(2)
     } else {
@@ -19,83 +21,95 @@ fn parallel_config() -> RunnerConfig {
     }
 }
 
-#[test]
-fn table1_parallel_is_bit_identical_to_serial_across_seeds() {
-    for seed in [2017, 5, 77] {
-        let serial = run_table1_with(seed, 250, &RunnerConfig::serial());
-        let parallel = run_table1_with(seed, 250, &parallel_config());
-        assert_eq!(serial.rows, parallel.rows, "seed {seed}");
-        assert_eq!(serial.table.render(), parallel.table.render());
-        // f64 equality above already rejects any drift; make the
-        // bit-identity explicit on the raw energy values.
-        for (s, p) in serial.rows.iter().zip(&parallel.rows) {
+fn plan(seeds: &[u64], frames: u64, runner: RunnerConfig) -> RunPlan {
+    RunPlan {
+        runner,
+        ..RunPlan::new(seeds.to_vec(), frames)
+    }
+}
+
+/// Every seed's metrics as `(name, f64::to_bits)` pairs.
+fn metric_bits(family: Family, plan: &RunPlan) -> Vec<Vec<(String, u64)>> {
+    family
+        .run(plan)
+        .into_iter()
+        .map(|cell| cell.into_iter().map(|(n, v)| (n, v.to_bits())).collect())
+        .collect()
+}
+
+/// Each family's metrics under `runners` are bit-identical to its
+/// serial metrics.
+fn assert_runners_agree(families: &[Family], seeds: &[u64], frames: u64, runners: &[RunnerConfig]) {
+    for &family in families {
+        let serial = metric_bits(family, &plan(seeds, frames, RunnerConfig::serial()));
+        for runner in runners {
             assert_eq!(
-                s.energy_joules.to_bits(),
-                p.energy_joules.to_bits(),
-                "seed {seed}, method {}",
-                s.method
+                serial,
+                metric_bits(family, &plan(seeds, frames, runner.clone())),
+                "{family} under {}",
+                runner.describe()
             );
-            assert_eq!(s.normalized_energy.to_bits(), p.normalized_energy.to_bits());
         }
     }
 }
 
 #[test]
-fn table2_and_table3_parallel_match_serial() {
-    for seed in [2017, 5, 77] {
-        let serial = run_table2_with(seed, 300, &RunnerConfig::serial());
-        let parallel = run_table2_with(seed, 300, &parallel_config());
-        assert_eq!(serial.rows, parallel.rows, "table2 seed {seed}");
+fn table1_parallel_is_bit_identical_to_serial_across_seeds() {
+    let seeds = [2017, 5, 77];
+    assert_runners_agree(&[Family::Table1], &seeds, 250, &[parallel_config()]);
+    // The typed rows and rendered tables agree too.
+    let serial = Table1::run(&plan(&seeds, 250, RunnerConfig::serial()));
+    assert_eq!(serial, Table1::run(&plan(&seeds, 250, parallel_config())));
+}
 
-        let serial = run_table3_with(seed, 300, &RunnerConfig::serial());
-        let parallel = run_table3_with(seed, 300, &parallel_config());
-        assert_eq!(serial.rows, parallel.rows, "table3 seed {seed}");
-    }
+#[test]
+fn table2_and_table3_parallel_match_serial() {
+    assert_runners_agree(
+        &[Family::Table2, Family::Table3],
+        &[2017, 5, 77],
+        300,
+        &[parallel_config()],
+    );
 }
 
 #[test]
 fn fig3_series_parallel_match_serial() {
-    for seed in [2017, 5] {
-        let serial = run_fig3_with(seed, 150, &RunnerConfig::serial());
-        let parallel = run_fig3_with(seed, 150, &parallel_config());
-        // The CSV embeds every predicted/actual/slack sample verbatim:
-        // string equality is bit-identity of the whole figure.
-        assert_eq!(serial.csv, parallel.csv, "seed {seed}");
-        assert_eq!(
-            serial.early_misprediction.to_bits(),
-            parallel.early_misprediction.to_bits()
-        );
-        assert_eq!(
-            serial.late_misprediction.to_bits(),
-            parallel.late_misprediction.to_bits()
-        );
-        assert_eq!(serial.mispredicted_frames, parallel.mispredicted_frames);
+    let seeds = [2017, 5];
+    assert_runners_agree(&[Family::Fig3], &seeds, 150, &[parallel_config()]);
+    // The CSV embeds every predicted/actual/slack sample verbatim:
+    // string equality is bit-identity of the whole figure.
+    let serial = Fig3::run(&plan(&seeds, 150, RunnerConfig::serial()));
+    let parallel = Fig3::run(&plan(&seeds, 150, parallel_config()));
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_eq!(s.csv, p.csv);
+        assert_eq!(s.mispredicted_frames, p.mispredicted_frames);
     }
 }
 
 #[test]
 fn ablations_parallel_match_serial() {
-    let serial = run_shared_table_ablation_with(7, 250, &RunnerConfig::serial());
-    let parallel = run_shared_table_ablation_with(7, 250, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
-    assert_eq!(serial.table.render(), parallel.table.render());
-
-    let serial = run_state_levels_ablation_with(7, 200, &RunnerConfig::serial());
-    let parallel = run_state_levels_ablation_with(7, 200, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
-
-    let serial = run_smoothing_ablation_with(7, 200, &RunnerConfig::serial());
-    let parallel = run_smoothing_ablation_with(7, 200, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
+    assert_runners_agree(
+        &[Family::StateLevels, Family::Smoothing, Family::SharedTable],
+        &[7],
+        200,
+        &[parallel_config()],
+    );
 }
 
+/// Every family, serial against the degenerate one-worker queue, a
+/// queue wider than any family's grid, and the configured pool.
 #[test]
 fn single_worker_queue_matches_serial_and_many_workers() {
-    let serial = run_table1_with(11, 200, &RunnerConfig::serial());
-    let one = run_table1_with(11, 200, &RunnerConfig::with_workers(1));
-    let many = run_table1_with(11, 200, &RunnerConfig::with_workers(8));
-    assert_eq!(serial.rows, one.rows);
-    assert_eq!(serial.rows, many.rows);
+    assert_runners_agree(
+        Family::ALL,
+        &[11, 12],
+        120,
+        &[
+            RunnerConfig::with_workers(1),
+            RunnerConfig::with_workers(8),
+            parallel_config(),
+        ],
+    );
 }
 
 #[test]

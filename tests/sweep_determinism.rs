@@ -1,42 +1,58 @@
-//! The multi-seed sweep layer's determinism guarantees, end to end:
+//! The multi-seed plan's determinism guarantees, end to end, for every
+//! experiment family:
 //!
-//! 1. a sweep aggregated serially is **bit-identical** to the same
-//!    sweep on any worker count (inherited from the runner, preserved
-//!    by the aggregation fold);
-//! 2. aggregate values are **invariant to seed-list order** (summaries
+//! 1. a plan run serially is **bit-identical** to the same plan on any
+//!    worker count, per seed and after the fold by metric name;
+//! 2. folded metrics are **invariant to seed-list order** (summaries
 //!    sort their samples before folding);
-//! 3. the cells of one sweep batch are **independent across seeds** —
-//!    each per-seed result equals the same seed run alone;
-//! 4. a single-seed sweep degenerates to exactly the single-run
-//!    experiment (the property that lets `QGOV_SEEDS` default to 1
-//!    without perturbing recorded baselines).
+//! 3. the cells of one plan are **independent across seeds** — each
+//!    seed's metrics equal the same seed run alone;
+//! 4. a one-seed plan folds to exactly the single campaign cell (the
+//!    property that lets `QGOV_SEEDS` default to 1 without perturbing
+//!    recorded baselines).
 //!
 //! CI re-runs this file with `QGOV_SEEDS=3 QGOV_WORKERS=3` so a
-//! non-default sweep size and worker count exercise the same
-//! assertions; [`sweep_under_test`] and [`parallel_config`] honour
+//! non-default seed count and worker count exercise the same
+//! assertions; [`seeds_under_test`] and [`parallel_config`] honour
 //! those overrides and otherwise pin n = 5 seeds and 3 workers.
 
 use qgov::prelude::*;
 
-/// The sweep every comparison runs: `QGOV_SEEDS` if it names one (as
-/// the CI matrix does), else the 5-seed range from base 2017.
-fn sweep_under_test() -> SeedSweep {
-    let from_env = SeedSweep::from_env(2017);
-    if from_env.n() == 1 {
-        SeedSweep::base(2017, 5)
+/// `QGOV_SEEDS` / `QGOV_WORKERS` applied to a one-seed serial plan.
+fn env_plan() -> RunPlan {
+    RunPlan::from_env(RunPlan {
+        runner: RunnerConfig::serial(),
+        ..RunPlan::new(vec![2017], 1)
+    })
+    .expect("valid QGOV_* values")
+}
+
+/// The seeds every comparison runs: `QGOV_SEEDS` if it names more than
+/// one (as the CI matrix does), else the 5 seeds from base 2017.
+fn seeds_under_test() -> Vec<u64> {
+    let seeds = env_plan().seeds;
+    if seeds.len() == 1 {
+        (2017..2022).collect()
     } else {
-        from_env
+        seeds
     }
 }
 
 /// The parallel side of every comparison: `QGOV_WORKERS` if it names a
 /// worker count, else 3 workers.
 fn parallel_config() -> RunnerConfig {
-    let from_env = RunnerConfig::from_env();
-    if from_env.is_serial() {
+    let runner = env_plan().runner;
+    if runner.is_serial() {
         RunnerConfig::with_workers(3)
     } else {
-        from_env
+        runner
+    }
+}
+
+fn plan(seeds: &[u64], frames: u64, runner: RunnerConfig) -> RunPlan {
+    RunPlan {
+        runner,
+        ..RunPlan::new(seeds.to_vec(), frames)
     }
 }
 
@@ -49,123 +65,116 @@ fn assert_summary_bits(label: &str, a: &MetricSummary, b: &MetricSummary) {
     assert_eq!(a.ci95.to_bits(), b.ci95.to_bits(), "{label}: ci95");
 }
 
+/// The fold of `cells`, sorted by metric name (a metric some seeds lack
+/// may first appear at a different position when the seeds reorder).
+fn sorted_fold(cells: &[CellMetrics]) -> Vec<(String, MetricSummary)> {
+    let mut folded = fold_metrics(cells);
+    folded.sort_by(|a, b| a.0.cmp(&b.0));
+    folded
+}
+
+fn assert_folds_agree(label: &str, a: &[CellMetrics], b: &[CellMetrics]) {
+    let (a, b) = (sorted_fold(a), sorted_fold(b));
+    assert_eq!(a.len(), b.len(), "{label}: metric count");
+    for ((name, x), (other, y)) in a.iter().zip(&b) {
+        assert_eq!(name, other, "{label}");
+        assert_summary_bits(&format!("{label} {name}"), x, y);
+    }
+}
+
+fn assert_cells_bits(label: &str, a: &CellMetrics, b: &CellMetrics) {
+    let bits = |c: &CellMetrics| -> Vec<(String, u64)> {
+        c.iter().map(|(n, v)| (n.clone(), v.to_bits())).collect()
+    };
+    assert_eq!(bits(a), bits(b), "{label}");
+}
+
+/// Each family's multi-seed plan, serial against parallel: per-seed
+/// metrics and the fold agree bit for bit.
+fn assert_plan_parallel_matches_serial(families: &[Family], frames: u64) {
+    let seeds = seeds_under_test();
+    for &family in families {
+        let serial = family.run(&plan(&seeds, frames, RunnerConfig::serial()));
+        let parallel = family.run(&plan(&seeds, frames, parallel_config()));
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_cells_bits(family.name(), s, p);
+        }
+        assert_folds_agree(family.name(), &serial, &parallel);
+    }
+}
+
 #[test]
 fn table1_sweep_parallel_is_bit_identical_to_serial() {
-    let sweep = sweep_under_test();
-    let serial = run_table1_sweep_with(&sweep, 200, &RunnerConfig::serial());
-    let parallel = run_table1_sweep_with(&sweep, 200, &parallel_config());
-    assert_eq!(serial.per_seed, parallel.per_seed);
-    assert_eq!(serial.table.render(), parallel.table.render());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.method, p.method);
-        assert_summary_bits(&s.method, &s.normalized_energy, &p.normalized_energy);
-        assert_summary_bits(&s.method, &s.energy_joules, &p.energy_joules);
-        assert_summary_bits(&s.method, &s.miss_rate, &p.miss_rate);
-    }
+    assert_plan_parallel_matches_serial(&[Family::Table1], 200);
+    // The typed per-seed results agree too.
+    let seeds = seeds_under_test();
+    assert_eq!(
+        Table1::run(&plan(&seeds, 200, RunnerConfig::serial())),
+        Table1::run(&plan(&seeds, 200, parallel_config()))
+    );
 }
 
 #[test]
 fn table2_and_table3_sweeps_parallel_match_serial() {
-    let sweep = sweep_under_test();
-    let serial = run_table2_sweep_with(&sweep, 250, &RunnerConfig::serial());
-    let parallel = run_table2_sweep_with(&sweep, 250, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
-    assert_eq!(serial.table.render(), parallel.table.render());
-
-    let serial = run_table3_sweep_with(&sweep, 250, &RunnerConfig::serial());
-    let parallel = run_table3_sweep_with(&sweep, 250, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
+    assert_plan_parallel_matches_serial(&[Family::Table2, Family::Table3], 250);
 }
 
 #[test]
 fn fig3_and_ablation_sweeps_parallel_match_serial() {
-    let sweep = sweep_under_test();
-    let serial = run_fig3_sweep_with(&sweep, 150, &RunnerConfig::serial());
-    let parallel = run_fig3_sweep_with(&sweep, 150, &parallel_config());
-    assert_summary_bits(
-        "early",
-        &serial.early_misprediction,
-        &parallel.early_misprediction,
-    );
-    assert_summary_bits(
-        "late",
-        &serial.late_misprediction,
-        &parallel.late_misprediction,
-    );
-    assert_eq!(serial.per_seed, parallel.per_seed);
-
-    let serial = run_shared_table_ablation_sweep_with(&sweep, 150, &RunnerConfig::serial());
-    let parallel = run_shared_table_ablation_sweep_with(&sweep, 150, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
-    assert_eq!(serial.table.render(), parallel.table.render());
+    assert_plan_parallel_matches_serial(&[Family::Fig3, Family::SharedTable], 150);
 }
 
 #[test]
 fn aggregates_are_invariant_to_seed_list_order() {
-    let forward = SeedSweep::new(vec![2017, 5, 77]);
-    let reversed = SeedSweep::new(vec![77, 5, 2017]);
-    let runner = parallel_config();
-
-    let a = run_table2_sweep_with(&forward, 200, &runner);
-    let b = run_table2_sweep_with(&reversed, 200, &runner);
-    for (ra, rb) in a.rows.iter().zip(&b.rows) {
-        assert_eq!(ra.app, rb.app);
-        assert_summary_bits(&ra.app, &ra.upd_explorations, &rb.upd_explorations);
-        assert_summary_bits(&ra.app, &ra.epd_explorations, &rb.epd_explorations);
-        assert_summary_bits(&ra.app, &ra.epd_upd_ratio, &rb.epd_upd_ratio);
+    for &family in Family::ALL {
+        let forward = family.run(&plan(&[2017, 5, 77], 120, parallel_config()));
+        let reversed = family.run(&plan(&[77, 5, 2017], 120, parallel_config()));
+        assert_folds_agree(family.name(), &forward, &reversed);
     }
-    // The rendered aggregate table is identical too; only the per-seed
-    // drill-down (which documents sweep order) differs.
-    assert_eq!(a.table.render(), b.table.render());
-
-    let a = run_table3_sweep_with(&forward, 200, &runner);
-    let b = run_table3_sweep_with(&reversed, 200, &runner);
-    assert_eq!(a.table.render(), b.table.render());
 }
 
 #[test]
 fn sweep_cells_are_independent_across_seeds() {
-    // Every per-seed result inside one multi-seed batch must be
+    // Every per-seed result inside one multi-seed plan must be
     // bit-identical to the same seed run on its own — no state bleed
     // between the seeds of a batch.
-    let sweep = SeedSweep::new(vec![2017, 5, 77]);
-    let swept = run_table3_sweep_with(&sweep, 200, &parallel_config());
-    for (i, &seed) in sweep.seeds().iter().enumerate() {
-        let alone = qgov::bench::experiments::run_table3_with(seed, 200, &RunnerConfig::serial());
-        assert_eq!(swept.per_seed[i], alone, "seed {seed}");
+    let seeds = [2017, 5, 77];
+    for &family in Family::ALL {
+        let swept = family.run(&plan(&seeds, 120, parallel_config()));
+        for (cell, &seed) in swept.iter().zip(&seeds) {
+            let alone = family.run(&plan(&[seed], 120, RunnerConfig::serial()));
+            assert_cells_bits(&format!("{family} seed {seed}"), cell, &alone[0]);
+        }
     }
 }
 
 #[test]
 fn flattened_grid_matches_per_seed_nested_runs() {
-    // The sweep layer expands the full seed × methodology cross
-    // product into ONE job queue (`Aggregate::collect_grid`). Whatever
-    // the queue's width, every per-seed bundle must stay bit-identical
-    // to the same seed's experiment run alone with its own nested
-    // (methodology-only) batch — across experiment families with
-    // different grid shapes.
-    let sweep = SeedSweep::new(vec![2017, 5, 77]);
+    // A plan expands the full seed × methodology cross product into ONE
+    // job queue. Whatever the queue's width, every per-seed bundle must
+    // stay bit-identical to the same seed's experiment run alone —
+    // across families with different grid shapes.
+    let seeds = [2017, 5, 77];
     for workers in [1usize, 2, 7] {
         let runner = RunnerConfig::with_workers(workers);
-
-        let table1 = run_table1_sweep_with(&sweep, 150, &runner);
-        let table2 = run_table2_sweep_with(&sweep, 150, &runner);
-        let levels = run_state_levels_ablation_sweep_with(&sweep, 120, &runner);
-        for (i, &seed) in sweep.seeds().iter().enumerate() {
-            let serial = RunnerConfig::serial();
+        let table1 = Table1::run(&plan(&seeds, 150, runner.clone()));
+        let table2 = Table2::run(&plan(&seeds, 150, runner.clone()));
+        let levels = StateLevels::run(&plan(&seeds, 120, runner));
+        for (i, &seed) in seeds.iter().enumerate() {
+            let serial = RunnerConfig::serial;
             assert_eq!(
-                table1.per_seed[i],
-                qgov::bench::experiments::run_table1_with(seed, 150, &serial),
+                table1[i],
+                Table1::run(&plan(&[seed], 150, serial())).remove(0),
                 "table1 seed {seed} at {workers} workers"
             );
             assert_eq!(
-                table2.per_seed[i],
-                qgov::bench::experiments::run_table2_with(seed, 150, &serial),
+                table2[i],
+                Table2::run(&plan(&[seed], 150, serial())).remove(0),
                 "table2 seed {seed} at {workers} workers"
             );
             assert_eq!(
-                levels.per_seed[i],
-                qgov::bench::experiments::run_state_levels_ablation_with(seed, 120, &serial),
+                levels[i],
+                StateLevels::run(&plan(&[seed], 120, serial())).remove(0),
                 "levels ablation seed {seed} at {workers} workers"
             );
         }
@@ -174,32 +183,34 @@ fn flattened_grid_matches_per_seed_nested_runs() {
 
 #[test]
 fn flattened_grid_handles_duplicate_seeds() {
-    // Duplicate sweep seeds share one deduplicated preparation in the
-    // flattened queue; their bundles must still be bit-identical to
+    // Duplicate plan seeds share one deduplicated preparation in the
+    // flattened queue; their results must still be bit-identical to
     // independent runs (and to each other).
-    let sweep = SeedSweep::new(vec![9, 9]);
-    let swept = run_table3_sweep_with(&sweep, 150, &parallel_config());
-    let alone = qgov::bench::experiments::run_table3_with(9, 150, &RunnerConfig::serial());
-    assert_eq!(swept.per_seed[0], alone);
-    assert_eq!(swept.per_seed[1], alone);
+    for &family in Family::ALL {
+        let swept = family.run(&plan(&[9, 9], 120, parallel_config()));
+        let alone = family.run(&plan(&[9], 120, RunnerConfig::serial()));
+        assert_cells_bits(family.name(), &swept[0], &alone[0]);
+        assert_cells_bits(family.name(), &swept[1], &alone[0]);
+    }
 }
 
 #[test]
 fn single_seed_sweep_preserves_the_single_run_baseline() {
-    let sweep = SeedSweep::single(2017);
-    for runner in [RunnerConfig::serial(), parallel_config()] {
-        let swept = run_table1_sweep_with(&sweep, 200, &runner);
-        let single = qgov::bench::experiments::run_table1_with(2017, 200, &runner);
-        assert_eq!(swept.per_seed[0], single);
-        for (srow, row) in swept.rows.iter().zip(&single.rows) {
-            assert_eq!(srow.method, row.method);
-            assert_eq!(srow.normalized_energy.n, 1);
-            assert_eq!(
-                srow.normalized_energy.mean.to_bits(),
-                row.normalized_energy.to_bits()
-            );
-            assert_eq!(srow.normalized_energy.std_dev, 0.0);
-            assert_eq!(srow.normalized_energy.ci95, 0.0);
+    // A one-seed plan folds to exactly its campaign cell: n = 1, the
+    // cell's bits as the mean, no spread.
+    for &family in Family::ALL {
+        let list = WorkList::new(family, vec![2017], 120);
+        let cell = list.run_cell(&list.cells()[0]);
+        for runner in [RunnerConfig::serial(), parallel_config()] {
+            let folded = fold_metrics(&family.run(&plan(&[2017], 120, runner)));
+            assert_eq!(folded.len(), cell.len(), "{family}");
+            for ((name, summary), (cell_name, value)) in folded.iter().zip(&cell) {
+                assert_eq!(name, cell_name, "{family}");
+                assert_eq!(summary.n, 1, "{family} {name}");
+                assert_eq!(summary.mean.to_bits(), value.to_bits(), "{family} {name}");
+                assert_eq!(summary.std_dev, 0.0);
+                assert_eq!(summary.ci95, 0.0);
+            }
         }
     }
 }
@@ -209,16 +220,16 @@ fn duplicate_seeds_have_zero_spread() {
     // Determinism in the seed means a duplicated seed list is a
     // constant series: the mean equals the single value and every
     // spread field collapses to exactly zero.
-    let sweep = SeedSweep::new(vec![7, 7, 7]);
-    let swept = run_table3_sweep_with(&sweep, 150, &parallel_config());
-    let single = qgov::bench::experiments::run_table3_with(7, 150, &RunnerConfig::serial());
-    for (srow, row) in swept.rows.iter().zip(&single.rows) {
-        assert_eq!(srow.exploration_epochs.n, 3);
-        assert_eq!(
-            srow.exploration_epochs.mean.to_bits(),
-            (row.exploration_epochs as f64).to_bits()
-        );
-        assert_eq!(srow.exploration_epochs.std_dev, 0.0);
-        assert_eq!(srow.exploration_epochs.ci95, 0.0);
+    for &family in Family::ALL {
+        let single = family
+            .run(&plan(&[7], 120, RunnerConfig::serial()))
+            .remove(0);
+        let folded = fold_metrics(&family.run(&plan(&[7, 7, 7], 120, parallel_config())));
+        for ((name, summary), (_, value)) in folded.iter().zip(&single) {
+            assert_eq!(summary.n, 3, "{family} {name}");
+            assert_eq!(summary.mean.to_bits(), value.to_bits(), "{family} {name}");
+            assert_eq!(summary.std_dev, 0.0, "{family} {name}");
+            assert_eq!(summary.ci95, 0.0, "{family} {name}");
+        }
     }
 }
