@@ -716,27 +716,23 @@ pub type AblationCell = (RunReport, Option<u64>, u64);
 
 impl AblationResult {
     /// Folds the configuration cells (the Oracle reference first) into
-    /// rows named by `row_label(i, cell)`.
-    fn assemble<C>(
+    /// rows, the `i`-th configuration named `row_label(i)`.
+    fn assemble(
         label_header: &str,
-        mut cells: Vec<C>,
-        as_ablation: impl Fn(&C) -> &AblationCell,
-        row_label: impl Fn(usize, &C) -> String,
+        mut cells: Vec<AblationCell>,
+        row_label: impl Fn(usize) -> String,
     ) -> Self {
-        let oracle = as_ablation(&cells.remove(0)).0.clone();
+        let (oracle, _, _) = cells.remove(0);
         let rows: Vec<AblationRow> = cells
             .iter()
             .enumerate()
-            .map(|(i, cell)| {
-                let (report, converged, explorations) = as_ablation(cell);
-                AblationRow {
-                    label: row_label(i, cell),
-                    normalized_energy: report.normalized_energy(&oracle),
-                    normalized_performance: report.normalized_performance(),
-                    miss_rate: report.miss_rate(),
-                    convergence_epochs: *converged,
-                    explorations: *explorations,
-                }
+            .map(|(i, (report, converged, explorations))| AblationRow {
+                label: row_label(i),
+                normalized_energy: report.normalized_energy(&oracle),
+                normalized_performance: report.normalized_performance(),
+                miss_rate: report.miss_rate(),
+                convergence_epochs: *converged,
+                explorations: *explorations,
             })
             .collect();
         let mut table = ComparisonTable::new(vec![
@@ -838,15 +834,10 @@ impl Experiment for StateLevels {
     }
 
     fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<AblationCell>) -> AblationResult {
-        AblationResult::assemble(
-            "State levels",
-            cells,
-            |c| c,
-            |i, _| {
-                let n = LEVELS[i];
-                format!("N = {n} ({} states)", n * n)
-            },
-        )
+        AblationResult::assemble("State levels", cells, |i| {
+            let n = LEVELS[i];
+            format!("N = {n} ({} states)", n * n)
+        })
     }
 
     fn metrics(r: &AblationResult) -> CellMetrics {
@@ -909,18 +900,14 @@ impl Experiment for Smoothing {
     }
 
     fn assemble(_: &RunPlan, _: &TracePrep, cells: Vec<(AblationCell, f64)>) -> AblationResult {
-        AblationResult::assemble(
-            "EWMA smoothing",
-            cells,
-            |(cell, _)| cell,
-            |i, (_, misprediction)| {
-                format!(
-                    "gamma = {:.2} (misprediction {:.1}%)",
-                    GAMMAS[i],
-                    misprediction * 100.0
-                )
-            },
-        )
+        let (cells, mispredictions): (Vec<AblationCell>, Vec<f64>) = cells.into_iter().unzip();
+        AblationResult::assemble("EWMA smoothing", cells, |i| {
+            format!(
+                "gamma = {:.2} (misprediction {:.1}%)",
+                GAMMAS[i],
+                mispredictions[i + 1] * 100.0
+            )
+        })
     }
 
     fn metrics(r: &AblationResult) -> CellMetrics {
@@ -975,7 +962,7 @@ impl Experiment for SharedTable {
             "Shared Q-table, round-robin per-core (Eq. 7)",
             "Per-core independent tables [20]",
         ];
-        AblationResult::assemble("Formulation", cells, |c| c, |i, _| labels[i].into())
+        AblationResult::assemble("Formulation", cells, |i| labels[i].into())
     }
 
     fn metrics(r: &AblationResult) -> CellMetrics {

@@ -268,28 +268,10 @@ impl WorkList {
         self
     }
 
-    /// The experiment family.
-    #[must_use]
-    pub fn family(&self) -> Family {
-        self.family
-    }
-
-    /// The campaign seeds, in configuration order.
-    #[must_use]
-    pub fn seeds(&self) -> &[u64] {
-        &self.plan.seeds
-    }
-
     /// The frame horizon every cell runs to.
     #[must_use]
     pub fn frames(&self) -> u64 {
         self.plan.frames
-    }
-
-    /// Instances per [`Family::Fleet`] cell.
-    #[must_use]
-    pub fn fleet(&self) -> usize {
-        self.plan.fleet
     }
 
     /// The attached monitor pack, if any.
@@ -318,10 +300,10 @@ impl WorkList {
         let base = format!(
             "{}/seed={seed}/frames={}",
             self.family.name(),
-            self.frames()
+            self.plan.frames
         );
         if self.family == Family::Fleet {
-            format!("{base}/fleet={}", self.fleet())
+            format!("{base}/fleet={}", self.plan.fleet)
         } else {
             base
         }
