@@ -403,4 +403,26 @@ mod tests {
         assert!(hardened.safe_state_epochs > 0);
         assert!(result.table.render().contains("rtm-hardened"));
     }
+
+    #[test]
+    fn faults_off_replays_the_fault_free_control() {
+        let plan = RunPlan {
+            runner: RunnerConfig::serial(),
+            faults: false,
+            ..RunPlan::new(vec![11], 400)
+        };
+        let result = FaultStorm::run(&plan).remove(0);
+        // No cluster dies, so every coordinator, the naive placement
+        // included, keeps meeting deadlines after mid-run.
+        for row in &result.rows {
+            assert!(
+                row.post_drop_miss_rate < 0.1,
+                "{} post-drop miss rate {}",
+                row.governor,
+                row.post_drop_miss_rate
+            );
+            assert!(row.recovery.time_to_recover.is_some(), "{}", row.governor);
+        }
+        assert_ne!(result, FaultStorm::run(&RunPlan::new(vec![11], 400))[0]);
+    }
 }

@@ -34,7 +34,7 @@ pub struct BenchRecord {
     /// Bench target name (e.g. `table1_energy`).
     pub target: String,
     /// Metric name within the target (e.g.
-    /// `normalized_energy/Proposed`).
+    /// `normalized_energy/rtm`).
     pub metric: String,
     /// Mean value across the samples.
     pub mean: f64,

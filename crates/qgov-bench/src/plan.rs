@@ -119,18 +119,14 @@ impl RunPlan {
             };
         }
         if let Some((name, value)) = set("QGOV_FAULTS") {
-            self.faults = match value.to_ascii_lowercase().as_str() {
-                "off" | "none" | "0" => false,
-                "standard" | "on" | "1" => true,
-                _ => {
-                    return Err(PlanError::new(
-                        name,
-                        &value,
-                        "off, none or 0 for no faults; standard, on or 1 for the \
-                         standard schedule",
-                    ))
-                }
-            };
+            if !matches!(value.to_ascii_lowercase().as_str(), "off" | "none" | "0") {
+                return Err(PlanError::new(
+                    name,
+                    &value,
+                    "off, none or 0 to disable faults; leave unset for the standard schedule",
+                ));
+            }
+            self.faults = false;
         }
         if let Some((name, value)) = set("QGOV_BENCH_PASSES") {
             self.passes = positive(&value)
@@ -290,16 +286,14 @@ mod tests {
     }
 
     #[test]
-    fn faults_accept_off_and_standard_forms_only() {
-        let faults = |v: &str| plan_with(&[("QGOV_FAULTS", v)]).unwrap().faults;
+    fn faults_accept_only_the_off_forms() {
+        assert!(plan_with(&[]).unwrap().faults);
         for off in ["off", "none", "0", "OFF"] {
-            assert!(!faults(off), "{off}");
-        }
-        for on in ["standard", "on", "1"] {
-            assert!(faults(on), "{on}");
+            assert!(!plan_with(&[("QGOV_FAULTS", off)]).unwrap().faults, "{off}");
         }
         let err = rejected("QGOV_FAULTS", "offf");
         assert!(err.to_string().contains("off, none or 0"), "{err}");
+        rejected("QGOV_FAULTS", "on");
     }
 
     #[test]
@@ -333,5 +327,26 @@ mod tests {
             describe(vec![u64::MAX, 0]),
             format!("10 frames, seeds [{}, 0], runner: serial", u64::MAX)
         );
+    }
+
+    mod describe_totality {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            // describe() is total: no seed list, including the empty one,
+            // panics.
+            #[test]
+            fn describe_never_panics(seeds in proptest::collection::vec(0u64..u64::MAX, 0..8)) {
+                let n = seeds.len();
+                let described = RunPlan::new(seeds, 10).describe();
+                prop_assert!(described.starts_with("10 frames, "));
+                if n == 0 {
+                    prop_assert!(described.contains("no seeds"));
+                }
+            }
+        }
     }
 }

@@ -37,10 +37,10 @@ fn metric_bits(family: Family, plan: &RunPlan) -> Vec<Vec<(String, u64)>> {
         .collect()
 }
 
-/// Each family's metrics under `runners` are bit-identical to its
+/// Every family's metrics under `runners` are bit-identical to its
 /// serial metrics.
-fn assert_runners_agree(families: &[Family], seeds: &[u64], frames: u64, runners: &[RunnerConfig]) {
-    for &family in families {
+fn assert_runners_agree(seeds: &[u64], frames: u64, runners: &[RunnerConfig]) {
+    for &family in Family::ALL {
         let serial = metric_bits(family, &plan(seeds, frames, RunnerConfig::serial()));
         for runner in runners {
             assert_eq!(
@@ -53,47 +53,56 @@ fn assert_runners_agree(families: &[Family], seeds: &[u64], frames: u64, runners
     }
 }
 
+/// `E`'s typed per-seed results (rows, rendered tables, every field a
+/// cell metric leaves out) and the metrics flattened from them agree
+/// bit for bit under the serial and the parallel runner.
+fn assert_typed_runners_agree<E>(seeds: &[u64], frames: u64)
+where
+    E: Experiment,
+    E::Output: PartialEq + std::fmt::Debug,
+{
+    let serial = E::run(&plan(seeds, frames, RunnerConfig::serial()));
+    let parallel = E::run(&plan(seeds, frames, parallel_config()));
+    let bits = |outputs: &[E::Output]| -> Vec<Vec<(String, u64)>> {
+        outputs
+            .iter()
+            .map(|out| {
+                E::metrics(out)
+                    .into_iter()
+                    .map(|(n, v)| (n, v.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    assert_eq!(bits(&serial), bits(&parallel));
+    assert_eq!(serial, parallel);
+}
+
 #[test]
 fn table1_parallel_is_bit_identical_to_serial_across_seeds() {
-    let seeds = [2017, 5, 77];
-    assert_runners_agree(&[Family::Table1], &seeds, 250, &[parallel_config()]);
-    // The typed rows and rendered tables agree too.
-    let serial = Table1::run(&plan(&seeds, 250, RunnerConfig::serial()));
-    assert_eq!(serial, Table1::run(&plan(&seeds, 250, parallel_config())));
+    assert_typed_runners_agree::<Table1>(&[2017, 5, 77], 250);
 }
 
 #[test]
 fn table2_and_table3_parallel_match_serial() {
-    assert_runners_agree(
-        &[Family::Table2, Family::Table3],
-        &[2017, 5, 77],
-        300,
-        &[parallel_config()],
-    );
+    assert_typed_runners_agree::<Table2>(&[2017, 5, 77], 300);
+    assert_typed_runners_agree::<Table3>(&[2017, 5, 77], 300);
 }
 
 #[test]
 fn fig3_series_parallel_match_serial() {
-    let seeds = [2017, 5];
-    assert_runners_agree(&[Family::Fig3], &seeds, 150, &[parallel_config()]);
-    // The CSV embeds every predicted/actual/slack sample verbatim:
-    // string equality is bit-identity of the whole figure.
-    let serial = Fig3::run(&plan(&seeds, 150, RunnerConfig::serial()));
-    let parallel = Fig3::run(&plan(&seeds, 150, parallel_config()));
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.csv, p.csv);
-        assert_eq!(s.mispredicted_frames, p.mispredicted_frames);
-    }
+    // The typed result holds the CSV, which embeds every
+    // predicted/actual/slack sample verbatim.
+    assert_typed_runners_agree::<Fig3>(&[2017, 5], 150);
 }
 
 #[test]
 fn ablations_parallel_match_serial() {
-    assert_runners_agree(
-        &[Family::StateLevels, Family::Smoothing, Family::SharedTable],
-        &[7],
-        200,
-        &[parallel_config()],
-    );
+    // The typed rows carry what the cell metrics leave out, such as
+    // the smoothing ablation's per-γ misprediction in its row labels.
+    assert_typed_runners_agree::<StateLevels>(&[7], 200);
+    assert_typed_runners_agree::<Smoothing>(&[7], 200);
+    assert_typed_runners_agree::<SharedTable>(&[7], 250);
 }
 
 /// Every family, serial against the degenerate one-worker queue, a
@@ -101,9 +110,8 @@ fn ablations_parallel_match_serial() {
 #[test]
 fn single_worker_queue_matches_serial_and_many_workers() {
     assert_runners_agree(
-        Family::ALL,
         &[11, 12],
-        120,
+        60,
         &[
             RunnerConfig::with_workers(1),
             RunnerConfig::with_workers(8),

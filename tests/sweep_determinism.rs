@@ -89,46 +89,50 @@ fn assert_cells_bits(label: &str, a: &CellMetrics, b: &CellMetrics) {
     assert_eq!(bits(a), bits(b), "{label}");
 }
 
-/// Each family's multi-seed plan, serial against parallel: per-seed
-/// metrics and the fold agree bit for bit.
-fn assert_plan_parallel_matches_serial(families: &[Family], frames: u64) {
+/// `E`'s multi-seed plan, serial against parallel: the typed per-seed
+/// results, the metrics flattened from them and their fold agree bit
+/// for bit.
+fn assert_plan_parallel_matches_serial<E>(frames: u64)
+where
+    E: Experiment,
+    E::Output: PartialEq + std::fmt::Debug,
+{
+    let label = std::any::type_name::<E>();
     let seeds = seeds_under_test();
-    for &family in families {
-        let serial = family.run(&plan(&seeds, frames, RunnerConfig::serial()));
-        let parallel = family.run(&plan(&seeds, frames, parallel_config()));
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_cells_bits(family.name(), s, p);
-        }
-        assert_folds_agree(family.name(), &serial, &parallel);
+    let serial = E::run(&plan(&seeds, frames, RunnerConfig::serial()));
+    let parallel = E::run(&plan(&seeds, frames, parallel_config()));
+    let metrics =
+        |outputs: &[E::Output]| -> Vec<CellMetrics> { outputs.iter().map(E::metrics).collect() };
+    let (s, p) = (metrics(&serial), metrics(&parallel));
+    for (a, b) in s.iter().zip(&p) {
+        assert_cells_bits(label, a, b);
     }
+    assert_folds_agree(label, &s, &p);
+    assert_eq!(serial, parallel, "{label}");
 }
 
 #[test]
 fn table1_sweep_parallel_is_bit_identical_to_serial() {
-    assert_plan_parallel_matches_serial(&[Family::Table1], 200);
-    // The typed per-seed results agree too.
-    let seeds = seeds_under_test();
-    assert_eq!(
-        Table1::run(&plan(&seeds, 200, RunnerConfig::serial())),
-        Table1::run(&plan(&seeds, 200, parallel_config()))
-    );
+    assert_plan_parallel_matches_serial::<Table1>(200);
 }
 
 #[test]
 fn table2_and_table3_sweeps_parallel_match_serial() {
-    assert_plan_parallel_matches_serial(&[Family::Table2, Family::Table3], 250);
+    assert_plan_parallel_matches_serial::<Table2>(250);
+    assert_plan_parallel_matches_serial::<Table3>(250);
 }
 
 #[test]
 fn fig3_and_ablation_sweeps_parallel_match_serial() {
-    assert_plan_parallel_matches_serial(&[Family::Fig3, Family::SharedTable], 150);
+    assert_plan_parallel_matches_serial::<Fig3>(150);
+    assert_plan_parallel_matches_serial::<SharedTable>(150);
 }
 
 #[test]
 fn aggregates_are_invariant_to_seed_list_order() {
     for &family in Family::ALL {
-        let forward = family.run(&plan(&[2017, 5, 77], 120, parallel_config()));
-        let reversed = family.run(&plan(&[77, 5, 2017], 120, parallel_config()));
+        let forward = family.run(&plan(&[2017, 5, 77], 60, parallel_config()));
+        let reversed = family.run(&plan(&[77, 5, 2017], 60, parallel_config()));
         assert_folds_agree(family.name(), &forward, &reversed);
     }
 }
@@ -140,9 +144,9 @@ fn sweep_cells_are_independent_across_seeds() {
     // between the seeds of a batch.
     let seeds = [2017, 5, 77];
     for &family in Family::ALL {
-        let swept = family.run(&plan(&seeds, 120, parallel_config()));
+        let swept = family.run(&plan(&seeds, 60, parallel_config()));
         for (cell, &seed) in swept.iter().zip(&seeds) {
-            let alone = family.run(&plan(&[seed], 120, RunnerConfig::serial()));
+            let alone = family.run(&plan(&[seed], 60, RunnerConfig::serial()));
             assert_cells_bits(&format!("{family} seed {seed}"), cell, &alone[0]);
         }
     }
@@ -187,8 +191,8 @@ fn flattened_grid_handles_duplicate_seeds() {
     // flattened queue; their results must still be bit-identical to
     // independent runs (and to each other).
     for &family in Family::ALL {
-        let swept = family.run(&plan(&[9, 9], 120, parallel_config()));
-        let alone = family.run(&plan(&[9], 120, RunnerConfig::serial()));
+        let swept = family.run(&plan(&[9, 9], 60, parallel_config()));
+        let alone = family.run(&plan(&[9], 60, RunnerConfig::serial()));
         assert_cells_bits(family.name(), &swept[0], &alone[0]);
         assert_cells_bits(family.name(), &swept[1], &alone[0]);
     }
@@ -199,10 +203,10 @@ fn single_seed_sweep_preserves_the_single_run_baseline() {
     // A one-seed plan folds to exactly its campaign cell: n = 1, the
     // cell's bits as the mean, no spread.
     for &family in Family::ALL {
-        let list = WorkList::new(family, vec![2017], 120);
+        let list = WorkList::new(family, vec![2017], 60);
         let cell = list.run_cell(&list.cells()[0]);
         for runner in [RunnerConfig::serial(), parallel_config()] {
-            let folded = fold_metrics(&family.run(&plan(&[2017], 120, runner)));
+            let folded = fold_metrics(&family.run(&plan(&[2017], 60, runner)));
             assert_eq!(folded.len(), cell.len(), "{family}");
             for ((name, summary), (cell_name, value)) in folded.iter().zip(&cell) {
                 assert_eq!(name, cell_name, "{family}");
@@ -222,9 +226,9 @@ fn duplicate_seeds_have_zero_spread() {
     // spread field collapses to exactly zero.
     for &family in Family::ALL {
         let single = family
-            .run(&plan(&[7], 120, RunnerConfig::serial()))
+            .run(&plan(&[7], 60, RunnerConfig::serial()))
             .remove(0);
-        let folded = fold_metrics(&family.run(&plan(&[7, 7, 7], 120, parallel_config())));
+        let folded = fold_metrics(&family.run(&plan(&[7, 7, 7], 60, parallel_config())));
         for ((name, summary), (_, value)) in folded.iter().zip(&single) {
             assert_eq!(summary.n, 3, "{family} {name}");
             assert_eq!(summary.mean.to_bits(), value.to_bits(), "{family} {name}");
