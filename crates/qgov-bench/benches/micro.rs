@@ -11,11 +11,7 @@
 
 use criterion::Criterion;
 use qgov_bench::plan::RunPlan;
-use qgov_rl::Discretizer as _;
-use qgov_rl::{
-    ActionContext, EpdPolicy, EwmaPredictor, ExplorationPolicy, Predictor, QTable,
-    UniformDiscretizer,
-};
+use qgov_rl::{AgentConfig, EwmaPredictor, QTable, UniformDiscretizer};
 use qgov_sim::{FrameResult, Platform, PlatformConfig, SensorConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 use rand::rngs::StdRng;
@@ -76,14 +72,10 @@ fn bench_update_unchecked(c: &mut Criterion) {
 
 fn bench_epd_selection(c: &mut Criterion) {
     c.bench_function("epd_action_selection_19_actions", |b| {
-        let policy = EpdPolicy::paper();
-        let q_row = [0.0f64; 19];
+        let epd = AgentConfig::default().exploration;
         let freqs: Vec<f64> = (2..21).map(|i| i as f64 / 10.0).collect();
         let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| {
-            let ctx = ActionContext::new(&q_row, &freqs, black_box(0.2));
-            black_box(policy.select(&ctx, &mut rng))
-        });
+        b.iter(|| black_box(epd.select(&freqs, black_box(0.2), &mut rng)));
     });
 }
 

@@ -349,4 +349,49 @@ mod tests {
             }
         }
     }
+
+    mod knob_totality {
+        use super::*;
+        use proptest::prelude::*;
+
+        const KNOBS: [&str; 5] = [
+            "QGOV_FRAMES",
+            "QGOV_SEEDS",
+            "QGOV_WORKERS",
+            "QGOV_FAULTS",
+            "QGOV_BENCH_PASSES",
+        ];
+
+        /// Characters every knob's accepted forms are made of, plus
+        /// near misses, so generated values often parse.
+        const ALPHABET: &[char] = &[
+            '0', '1', '2', '3', '9', ',', ' ', '\t', '-', '+', '.', 'k', 'e', 's', 'r', 'i', 'a',
+            'l', 'o', 'f', 'n', 'O', 'F', 'S', 'é', '\u{0}',
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // Every QGOV_* parser is total: any value either applies
+            // or is a PlanError naming that variable and that value.
+            #[test]
+            fn every_knob_parser_is_total(
+                knob in 0usize..KNOBS.len(),
+                picks in proptest::collection::vec((0u32..4, 0u32..0x11_0000), 0..12),
+            ) {
+                let var = KNOBS[knob];
+                let value: String = picks
+                    .iter()
+                    .map(|&(kind, code)| match kind {
+                        0 => char::from_u32(code).unwrap_or('\u{fffd}'),
+                        _ => ALPHABET[code as usize % ALPHABET.len()],
+                    })
+                    .collect();
+                if let Err(err) = plan_with(&[(var, &value)]) {
+                    prop_assert_eq!(err.var, var);
+                    prop_assert_eq!(err.value.as_str(), value.trim());
+                }
+            }
+        }
+    }
 }

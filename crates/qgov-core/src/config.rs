@@ -1,28 +1,7 @@
 //! RTM configuration.
 
 use crate::OverheadModel;
-use qgov_rl::{DecayingEpsilon, RlError, SlackReward};
-
-/// Which exploration policy drives action selection during learning.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExplorationKind {
-    /// The paper's slack-aware Exponential Probability Distribution
-    /// (Eq. 2).
-    Epd {
-        /// Uniform base probability λ.
-        lambda: f64,
-        /// Slack-bias sharpness β.
-        beta: f64,
-    },
-    /// Uniform random exploration — the prior-work baseline \[21\]
-    /// (Shen et al., TODAES 2013) that Table II compares against.
-    Upd,
-    /// Boltzmann exploration over Q-values (ablation extra).
-    Softmax {
-        /// Temperature τ.
-        temperature: f64,
-    },
-}
+use qgov_rl::{AgentConfig, DecayingEpsilon, ExplorationKind, RlError, SlackReward};
 
 /// How much per-epoch telemetry ([`EpochRecord`](crate::EpochRecord))
 /// the RTM retains.
@@ -84,28 +63,20 @@ pub struct RtmConfig {
     pub workload_levels: usize,
     /// Discretisation levels N for the slack dimension (paper: 5).
     pub slack_levels: usize,
-    /// Q-learning rate α (Eq. 3).
-    pub alpha: f64,
-    /// Q-learning discount factor γ (Eq. 3).
-    pub discount: f64,
+    /// The learner: α and γ of the Bellman update (Eq. 3), the
+    /// exploration rule (Eq. 2), the ε schedule (Eq. 6), the
+    /// convergence window and the optimistic initial-Q gradient (fresh
+    /// states greedily start fast and crawl down through energy
+    /// penalties rather than up through deadline misses — the learning
+    /// analogue of the governor's maximum-frequency boot).
+    pub agent: AgentConfig,
     /// EWMA smoothing factor γ (Eq. 1; paper: 0.6).
     pub smoothing: f64,
-    /// Exploration policy (Eq. 2 by default).
-    pub exploration: ExplorationKind,
-    /// Exploration-probability schedule ε (Eq. 6).
-    pub epsilon: DecayingEpsilon,
     /// Pay-off function (Eq. 4).
     pub reward: SlackReward,
     /// Sliding window for the average slack ratio `L` (Eq. 5);
     /// `None` is the strictly cumulative paper form.
     pub slack_window: Option<usize>,
-    /// Quiet-window length for convergence detection (epochs).
-    pub convergence_window: u64,
-    /// Optimistic initial-Q gradient towards high frequencies: fresh
-    /// states greedily start fast and crawl down through energy
-    /// penalties rather than up through deadline misses (the learning
-    /// analogue of the governor's maximum-frequency boot).
-    pub optimistic_gradient: f64,
     /// Workload range `(min, max)` in cycles from offline
     /// pre-characterisation; `None` auto-calibrates during the first
     /// [`calibration_frames`](RtmConfig::calibration_frames).
@@ -133,22 +104,17 @@ impl RtmConfig {
         RtmConfig {
             workload_levels: 5,
             slack_levels: 5,
-            alpha: 0.3,
-            discount: 0.5,
-            smoothing: 0.6,
-            exploration: ExplorationKind::Epd {
-                lambda: 1.0 / 19.0,
-                beta: 2.0,
+            agent: AgentConfig {
+                optimistic_gradient: 0.05,
+                ..AgentConfig::default()
             },
-            epsilon: DecayingEpsilon::paper(),
+            smoothing: 0.6,
             reward: SlackReward::paper(),
             // A short window keeps L responsive enough for per-action
             // credit assignment; Eq. 5's unbounded mean is available via
             // `slack_window: None` (the paper bounds D by restarting it
             // whenever T_ref changes).
             slack_window: Some(8),
-            convergence_window: 20,
-            optimistic_gradient: 0.05,
             workload_bounds: None,
             calibration_frames: 16,
             state_kind: StateKind::TotalWorkload,
@@ -164,11 +130,10 @@ impl RtmConfig {
     /// exactly the exploration-policy difference the paper measures.
     #[must_use]
     pub fn upd_baseline(seed: u64) -> Self {
-        RtmConfig {
-            exploration: ExplorationKind::Upd,
-            epsilon: DecayingEpsilon::new(1.0, 0.03, 0.01).expect("valid schedule"),
-            ..Self::paper(seed)
-        }
+        let mut config = Self::paper(seed);
+        config.agent.exploration = ExplorationKind::Upd;
+        config.agent.epsilon = DecayingEpsilon::new(1.0, 0.03, 0.01).expect("valid schedule");
+        config
     }
 
     /// Sets offline pre-characterised workload bounds (total cycles per
@@ -177,6 +142,13 @@ impl RtmConfig {
     pub fn with_workload_bounds(mut self, min: f64, max: f64) -> Self {
         self.workload_bounds = Some((min, max));
         self
+    }
+
+    /// Number of Q-table states this configuration spans
+    /// (`workload_levels × slack_levels`).
+    #[must_use]
+    pub fn state_count(&self) -> usize {
+        self.workload_levels * self.slack_levels
     }
 
     /// Sets the telemetry retention mode (see [`HistoryMode`]).
@@ -194,27 +166,9 @@ impl RtmConfig {
     pub fn validate(&self) -> Result<(), RlError> {
         RlError::check_nonempty("workload_levels", self.workload_levels)?;
         RlError::check_nonempty("slack_levels", self.slack_levels)?;
-        RlError::check_probability("alpha", self.alpha)?;
-        RlError::check_probability("discount", self.discount)?;
+        self.agent.validate()?;
         RlError::check_probability("smoothing", self.smoothing)?;
         RlError::check_positive("smoothing", self.smoothing)?;
-        RlError::check_nonempty("convergence_window", self.convergence_window as usize)?;
-        if !(self.optimistic_gradient.is_finite() && self.optimistic_gradient >= 0.0) {
-            return Err(RlError::NotPositive {
-                name: "optimistic_gradient",
-                value: self.optimistic_gradient.to_string(),
-            });
-        }
-        match &self.exploration {
-            ExplorationKind::Epd { lambda, beta } => {
-                RlError::check_positive("lambda", *lambda)?;
-                RlError::check_positive("beta", *beta)?;
-            }
-            ExplorationKind::Upd => {}
-            ExplorationKind::Softmax { temperature } => {
-                RlError::check_positive("temperature", *temperature)?;
-            }
-        }
         if let Some((min, max)) = self.workload_bounds {
             if !(min.is_finite() && max.is_finite() && min < max && min >= 0.0) {
                 return Err(RlError::NotPositive {
@@ -244,7 +198,7 @@ mod tests {
         assert_eq!(c.workload_levels, 5, "paper uses N = 5");
         assert_eq!(c.slack_levels, 5);
         assert_eq!(c.smoothing, 0.6, "paper determines gamma = 0.6");
-        assert!(matches!(c.exploration, ExplorationKind::Epd { .. }));
+        assert!(matches!(c.agent.exploration, ExplorationKind::Epd { .. }));
         assert_eq!(c.state_kind, StateKind::TotalWorkload);
     }
 
@@ -252,7 +206,7 @@ mod tests {
     fn upd_baseline_differs_only_in_exploration() {
         let ours = RtmConfig::paper(3);
         let upd = RtmConfig::upd_baseline(3);
-        assert_eq!(upd.exploration, ExplorationKind::Upd);
+        assert_eq!(upd.agent.exploration, ExplorationKind::Upd);
         assert_eq!(ours.workload_levels, upd.workload_levels);
         assert_eq!(ours.reward, upd.reward);
         assert_eq!(ours.smoothing, upd.smoothing);
@@ -265,7 +219,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = RtmConfig::paper(0);
-        c.alpha = 1.5;
+        c.agent.alpha = 1.5;
         assert!(c.validate().is_err());
 
         let mut c = RtmConfig::paper(0);
@@ -273,7 +227,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = RtmConfig::paper(0);
-        c.exploration = ExplorationKind::Epd {
+        c.agent.exploration = ExplorationKind::Epd {
             lambda: 0.0,
             beta: 2.0,
         };

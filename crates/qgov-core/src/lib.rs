@@ -45,10 +45,11 @@ mod overhead;
 mod rtm;
 mod state;
 
-pub use config::{ExplorationKind, HistoryMode, RtmConfig, StateKind};
+pub use config::{HistoryMode, RtmConfig, StateKind};
 pub use degrade::{HardeningConfig, PlausibilityFilter};
 pub use manycore::ManyCoreRtm;
 pub use migration::{GreedyMigration, MigrationConfig};
 pub use overhead::OverheadModel;
+pub use qgov_rl::ExplorationKind;
 pub use rtm::{EpochRecord, RtmGovernor};
 pub use state::StateMapper;

@@ -1,13 +1,10 @@
 //! The run-time manager.
 
 use crate::degrade::{HardeningConfig, PlausibilityFilter};
-use crate::{ExplorationKind, HistoryMode, RtmConfig, StateKind, StateMapper};
+use crate::{HistoryMode, RtmConfig, StateKind, StateMapper};
 use qgov_governors::{EpochObservation, Governor, GovernorContext, SlackTracker, VfDecision};
 use qgov_metrics::{MonitorReport, PropertySet};
-use qgov_rl::{
-    ActionSpace, AgentConfig, EpdPolicy, EwmaPredictor, ExplorationPolicy, Predictor,
-    QLearningAgent, QTable, RewardFn, RlError, SoftmaxPolicy, UniformPolicy,
-};
+use qgov_rl::{ActionSpace, EwmaPredictor, QLearningAgent, QTable, RlError};
 use qgov_sim::{FrameResult, OppTable};
 use qgov_units::{Freq, SimTime};
 
@@ -92,40 +89,6 @@ impl EpochHistory {
         match self.mode {
             HistoryMode::Full | HistoryMode::Off => &self.records,
             HistoryMode::LastN(n) => &self.records[self.records.len().saturating_sub(n)..],
-        }
-    }
-}
-
-impl RtmConfig {
-    /// Number of Q-table states this configuration spans
-    /// (`workload_levels × slack_levels`).
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.workload_levels * self.slack_levels
-    }
-
-    /// The learning hyper-parameters as an [`AgentConfig`].
-    fn agent_config(&self) -> AgentConfig {
-        AgentConfig {
-            alpha: self.alpha,
-            discount: self.discount,
-            epsilon: self.epsilon.clone(),
-            convergence_window: self.convergence_window,
-            optimistic_gradient: self.optimistic_gradient,
-        }
-    }
-
-    /// Builds the configured exploration policy (its parameters were
-    /// validated by [`RtmGovernor::new`]).
-    fn exploration_policy(&self) -> Box<dyn ExplorationPolicy + Send> {
-        match self.exploration {
-            ExplorationKind::Epd { lambda, beta } => {
-                Box::new(EpdPolicy::new(lambda, beta).expect("validated"))
-            }
-            ExplorationKind::Upd => Box::new(UniformPolicy::new()),
-            ExplorationKind::Softmax { temperature } => {
-                Box::new(SoftmaxPolicy::new(temperature).expect("validated"))
-            }
         }
     }
 }
@@ -336,7 +299,7 @@ impl RtmGovernor {
     /// the paper's Table III quantity.
     #[must_use]
     pub fn exploration_phase_epochs(&self) -> u64 {
-        self.config.epsilon.epochs_to_floor()
+        self.config.agent.epsilon.epochs_to_floor()
     }
 
     /// Current exploration probability ε.
@@ -520,11 +483,10 @@ impl Governor for RtmGovernor {
     fn init(&mut self, ctx: &GovernorContext) -> VfDecision {
         let config = &self.config;
         let cores = ctx.cores();
-        self.agent = Some(QLearningAgent::with_policy(
-            config.agent_config(),
+        self.agent = Some(QLearningAgent::new(
+            config.agent.clone(),
             config.state_count(),
             ActionSpace::from_freqs_ghz(&ctx.opp_table().freqs_ghz()),
-            config.exploration_policy(),
             config.seed,
         ));
         self.table = Some(ctx.opp_table().clone());

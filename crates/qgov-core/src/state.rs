@@ -1,6 +1,6 @@
 //! Q-table state formation: workload level × slack level.
 
-use qgov_rl::{Discretizer, QuantileDiscretizer, RlError, UniformDiscretizer};
+use qgov_rl::{QuantileDiscretizer, RlError, UniformDiscretizer};
 
 /// Maps continuous (workload, slack) measurements onto Q-table row
 /// indices.

@@ -18,10 +18,9 @@
 //!   from scratch.
 
 use crate::{EpochObservation, Governor, GovernorContext, SlackTracker, VfDecision};
-use qgov_rl::Discretizer as _;
 use qgov_rl::{
-    ActionSpace, AgentConfig, DecayingEpsilon, QLearningAgent, RewardFn, SlackReward,
-    UniformDiscretizer, UniformPolicy,
+    ActionSpace, AgentConfig, DecayingEpsilon, ExplorationKind, QLearningAgent, SlackReward,
+    UniformDiscretizer,
 };
 use qgov_units::SimTime;
 
@@ -30,20 +29,14 @@ use qgov_units::SimTime;
 pub struct GeQiuConfig {
     /// Discretisation levels for the per-core utilisation state.
     pub levels: usize,
-    /// Q-learning rate α.
-    pub alpha: f64,
-    /// Q-learning discount factor.
-    pub discount: f64,
-    /// Exploration schedule (standard, not the accelerated Eq. 6).
-    pub epsilon: DecayingEpsilon,
+    /// The per-core learner; the preset explores uniformly on a
+    /// standard (not the accelerated Eq. 6) ε schedule, with an
+    /// optimistic gradient towards high frequencies matching the
+    /// scheme's performance-first boot.
+    pub agent: AgentConfig,
     /// Reward shaping; the preset penalises over-performance only
     /// weakly, matching the scheme's performance-first objective.
     pub reward: SlackReward,
-    /// Quiet-window length for convergence detection (epochs).
-    pub convergence_window: u64,
-    /// Optimistic initial-Q gradient towards high frequencies (matches
-    /// the scheme's performance-first boot).
-    pub optimistic_gradient: f64,
     /// RNG seed (each core derives its own stream).
     pub seed: u64,
 }
@@ -54,13 +47,14 @@ impl GeQiuConfig {
     pub fn paper(seed: u64) -> Self {
         GeQiuConfig {
             levels: 8,
-            alpha: 0.3,
-            discount: 0.5,
-            // Slower decay than the RTM's accelerated schedule.
-            epsilon: DecayingEpsilon::new(1.0, 0.02, 0.01).expect("valid schedule"),
+            agent: AgentConfig {
+                // Slower decay than the RTM's accelerated schedule.
+                epsilon: DecayingEpsilon::new(1.0, 0.02, 0.01).expect("valid schedule"),
+                optimistic_gradient: 0.05,
+                exploration: ExplorationKind::Upd,
+                ..AgentConfig::default()
+            },
             reward: SlackReward::new(10.0, 2.0, 0.4).expect("valid reward"),
-            convergence_window: 20,
-            optimistic_gradient: 0.05,
             seed,
         }
     }
@@ -132,7 +126,7 @@ impl GeQiuGovernor {
     /// every epoch pays the full learning overhead.
     #[must_use]
     pub fn exploration_phase_epochs(&self) -> u64 {
-        self.config.epsilon.epochs_to_floor()
+        self.config.agent.epsilon.epochs_to_floor()
     }
 }
 
@@ -145,20 +139,12 @@ impl Governor for GeQiuGovernor {
         let freqs = ctx.opp_table().freqs_ghz();
         self.actions = freqs.len();
         let action_space = ActionSpace::from_freqs_ghz(&freqs);
-        let agent_config = AgentConfig {
-            alpha: self.config.alpha,
-            discount: self.config.discount,
-            epsilon: self.config.epsilon.clone(),
-            convergence_window: self.config.convergence_window,
-            optimistic_gradient: self.config.optimistic_gradient,
-        };
         self.agents = (0..ctx.cores())
             .map(|core| {
-                QLearningAgent::with_policy(
-                    agent_config.clone(),
+                QLearningAgent::new(
+                    self.config.agent.clone(),
                     self.config.levels,
                     action_space.clone(),
-                    Box::new(UniformPolicy::new()),
                     self.config
                         .seed
                         .wrapping_add(core as u64)

@@ -1,9 +1,7 @@
 //! A ready-to-use epoch-driven Q-learning agent.
 
-use crate::{
-    ActionContext, ConvergenceTracker, DecayingEpsilon, EpdPolicy, ExplorationPolicy, QTable,
-    RlError,
-};
+use crate::convergence::ConvergenceTracker;
+use crate::{DecayingEpsilon, ExplorationKind, QTable, RlError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,6 +76,8 @@ pub struct AgentConfig {
     /// action and crawls downward through mild energy penalties instead
     /// of upward through deadline misses. Zero disables the bias.
     pub optimistic_gradient: f64,
+    /// The exploration rule (Eq. 2's EPD by default).
+    pub exploration: ExplorationKind,
 }
 
 impl AgentConfig {
@@ -85,8 +85,9 @@ impl AgentConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if `alpha` or `discount` lies outside `[0, 1]`
-    /// or the convergence window is zero.
+    /// Returns an error if `alpha` or `discount` lies outside `[0, 1]`,
+    /// the convergence window is zero, the optimistic gradient is
+    /// negative, or an EPD `lambda`/`beta` is not positive.
     pub fn validate(&self) -> Result<(), RlError> {
         RlError::check_probability("alpha", self.alpha)?;
         RlError::check_probability("discount", self.discount)?;
@@ -97,13 +98,18 @@ impl AgentConfig {
                 value: self.optimistic_gradient.to_string(),
             });
         }
+        if let ExplorationKind::Epd { lambda, beta } = self.exploration {
+            RlError::check_positive("lambda", lambda)?;
+            RlError::check_positive("beta", beta)?;
+        }
         Ok(())
     }
 }
 
 impl Default for AgentConfig {
     /// α = 0.3, γ = 0.5, the paper's ε schedule, 20-epoch convergence
-    /// window, no optimistic bias.
+    /// window, no optimistic bias, and EPD exploration with λ = 1/19
+    /// (the XU3's 19-action space) and β = 2.
     fn default() -> Self {
         AgentConfig {
             alpha: 0.3,
@@ -111,11 +117,15 @@ impl Default for AgentConfig {
             epsilon: DecayingEpsilon::paper(),
             convergence_window: 20,
             optimistic_gradient: 0.0,
+            exploration: ExplorationKind::Epd {
+                lambda: 1.0 / 19.0,
+                beta: 2.0,
+            },
         }
     }
 }
 
-/// An epoch-driven Q-learning agent: Q-table + exploration policy +
+/// An epoch-driven Q-learning agent: Q-table + exploration rule +
 /// ε schedule + convergence tracking.
 ///
 /// Each call to [`begin_epoch`](QLearningAgent::begin_epoch) performs the
@@ -132,7 +142,7 @@ pub struct QLearningAgent {
     alpha: f64,
     discount: f64,
     epsilon: DecayingEpsilon,
-    policy: Box<dyn ExplorationPolicy + Send>,
+    exploration: ExplorationKind,
     rng: StdRng,
     last: Option<(usize, usize)>,
     explorations: u64,
@@ -148,7 +158,7 @@ impl core::fmt::Debug for QLearningAgent {
             .field("alpha", &self.alpha)
             .field("discount", &self.discount)
             .field("epsilon", &self.epsilon.value())
-            .field("policy", &self.policy.name())
+            .field("exploration", &self.exploration)
             .field("explorations", &self.explorations)
             .field("epochs", &self.tracker.epochs())
             .finish()
@@ -156,7 +166,7 @@ impl core::fmt::Debug for QLearningAgent {
 }
 
 impl QLearningAgent {
-    /// Creates an agent with the paper's EPD exploration policy.
+    /// Creates an agent exploring by `config.exploration`.
     ///
     /// # Panics
     ///
@@ -164,24 +174,6 @@ impl QLearningAgent {
     /// [`AgentConfig::validate`] to check fallibly first).
     #[must_use]
     pub fn new(config: AgentConfig, states: usize, actions: ActionSpace, seed: u64) -> Self {
-        Self::with_policy(config, states, actions, Box::new(EpdPolicy::paper()), seed)
-    }
-
-    /// Creates an agent with an explicit exploration policy (e.g.
-    /// [`UniformPolicy`](crate::UniformPolicy) for the Table II
-    /// baseline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid or `states` is zero.
-    #[must_use]
-    pub fn with_policy(
-        config: AgentConfig,
-        states: usize,
-        actions: ActionSpace,
-        policy: Box<dyn ExplorationPolicy + Send>,
-        seed: u64,
-    ) -> Self {
         config.validate().expect("invalid agent configuration");
         let q = if config.optimistic_gradient > 0.0 {
             let n = actions.len();
@@ -205,7 +197,7 @@ impl QLearningAgent {
             alpha: config.alpha,
             discount: config.discount,
             epsilon: config.epsilon,
-            policy,
+            exploration: config.exploration,
             rng: StdRng::seed_from_u64(seed),
             last: None,
             explorations: 0,
@@ -224,7 +216,7 @@ impl QLearningAgent {
     /// `state` is the (predicted) state for the *coming* interval,
     /// `reward` the pay-off computed for the interval that just ended,
     /// and `slack` the current average slack ratio `L` consulted by
-    /// slack-aware exploration policies.
+    /// EPD exploration.
     ///
     /// Returns the selected action for the coming interval.
     ///
@@ -234,6 +226,7 @@ impl QLearningAgent {
     /// finite.
     pub fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
         assert!(reward.is_finite(), "reward must be finite, got {reward}");
+        assert!(slack.is_finite(), "slack must be finite, got {slack}");
         // (1) + (2): pay-off and Bellman update for the previous pair.
         // `alpha`/`discount` were validated at construction, so the
         // unchecked fast path applies (one fused row traversal for the
@@ -268,8 +261,8 @@ impl QLearningAgent {
         let (greedy, _) = self.q.row_best(state);
         let explore = crate::uniform_f64(&mut self.rng) < self.epsilon.value();
         let action = if explore {
-            let ctx = ActionContext::new(self.q.row(state), self.actions.freqs_ghz(), slack);
-            self.policy.select(&ctx, &mut self.rng)
+            self.exploration
+                .select(self.actions.freqs_ghz(), slack, &mut self.rng)
         } else {
             greedy
         };
@@ -285,18 +278,6 @@ impl QLearningAgent {
     #[must_use]
     pub fn q_table(&self) -> &QTable {
         &self.q
-    }
-
-    /// Number of actions.
-    #[must_use]
-    pub fn action_count(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// Per-action frequencies in GHz.
-    #[must_use]
-    pub fn action_freqs_ghz(&self) -> &[f64] {
-        self.actions.freqs_ghz()
     }
 
     /// Total number of exploratory (non-greedy) selections so far.
@@ -354,7 +335,6 @@ impl QLearningAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UniformPolicy;
 
     fn small_actions() -> ActionSpace {
         ActionSpace::from_freqs_ghz(&[0.2, 1.0, 2.0])
@@ -393,9 +373,12 @@ mod tests {
     fn uniform_policy_explores_more_than_epd_under_slack_bias() {
         // With persistent positive slack the EPD concentrates on the
         // low-frequency action; UPD keeps bouncing across all three.
-        let run = |policy: Box<dyn ExplorationPolicy + Send>| {
-            let mut agent =
-                QLearningAgent::with_policy(AgentConfig::default(), 1, small_actions(), policy, 3);
+        let run = |exploration| {
+            let config = AgentConfig {
+                exploration,
+                ..AgentConfig::default()
+            };
+            let mut agent = QLearningAgent::new(config, 1, small_actions(), 3);
             let mut action = agent.begin_epoch(0, 0.0, 0.6);
             for _ in 0..400 {
                 // Reward the lowest frequency: with slack 0.6 the system
@@ -405,8 +388,8 @@ mod tests {
             }
             agent.exploration_count()
         };
-        let epd = run(Box::new(EpdPolicy::paper()));
-        let upd = run(Box::new(UniformPolicy::new()));
+        let epd = run(AgentConfig::default().exploration);
+        let upd = run(ExplorationKind::Upd);
         assert!(
             epd < upd,
             "EPD should explore less than UPD (epd = {epd}, upd = {upd})"
@@ -428,6 +411,19 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10), "different seeds should diverge");
+    }
+
+    #[test]
+    #[should_panic(expected = "slack must be finite")]
+    fn non_finite_slack_panics_on_a_greedy_epoch() {
+        // ε = 0: the agent never explores, so only the up-front check
+        // can see the slack.
+        let config = AgentConfig {
+            epsilon: DecayingEpsilon::new(0.0, 1.0, 0.0).unwrap(),
+            ..AgentConfig::default()
+        };
+        let mut agent = QLearningAgent::new(config, 1, small_actions(), 5);
+        agent.begin_epoch(0, 0.0, f64::NAN);
     }
 
     #[test]
@@ -478,6 +474,14 @@ mod tests {
             ..AgentConfig::default()
         };
         assert!(bad_gradient.validate().is_err());
+        let bad_lambda = AgentConfig {
+            exploration: ExplorationKind::Epd {
+                lambda: 0.0,
+                beta: 2.0,
+            },
+            ..AgentConfig::default()
+        };
+        assert!(bad_lambda.validate().is_err());
         assert!(AgentConfig::default().validate().is_ok());
     }
 }

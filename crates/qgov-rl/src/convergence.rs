@@ -10,27 +10,11 @@
 ///
 /// Feed one [`record_epoch`](ConvergenceTracker::record_epoch) per
 /// decision epoch, passing whether that epoch's Bellman update changed
-/// any greedy action. The tracker reports convergence once `window`
-/// consecutive epochs passed without a change, and remembers the first
-/// epoch at which that happened.
-///
-/// # Examples
-///
-/// ```
-/// use qgov_rl::ConvergenceTracker;
-///
-/// let mut t = ConvergenceTracker::new(3);
-/// t.record_epoch(true);   // epoch 1: policy changed
-/// t.record_epoch(false);  // epoch 2
-/// t.record_epoch(false);  // epoch 3
-/// assert!(!t.is_converged());
-/// t.record_epoch(false);  // epoch 4: three quiet epochs
-/// assert!(t.is_converged());
-/// assert_eq!(t.converged_at(), Some(4));
-/// ```
+/// any greedy action. The tracker reports convergence once at most
+/// `tolerance` changes fall inside the trailing `window` epochs, and
+/// remembers the first epoch at which that happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ConvergenceTracker {
+pub(crate) struct ConvergenceTracker {
     window: u64,
     /// Changes tolerated inside the window before it counts as unstable.
     tolerance: u64,
@@ -42,17 +26,6 @@ pub struct ConvergenceTracker {
 }
 
 impl ConvergenceTracker {
-    /// Creates a tracker requiring `window` consecutive quiet epochs
-    /// (zero tolerated changes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn new(window: u64) -> Self {
-        Self::with_tolerance(window, 0)
-    }
-
     /// Creates a tracker that calls the policy converged once at most
     /// `tolerance` changes occurred within the trailing `window` epochs
     /// — robust against isolated late flips from stochastic rewards.
@@ -61,7 +34,7 @@ impl ConvergenceTracker {
     ///
     /// Panics if `window` is zero or `tolerance >= window`.
     #[must_use]
-    pub fn with_tolerance(window: u64, tolerance: u64) -> Self {
+    pub(crate) fn with_tolerance(window: u64, tolerance: u64) -> Self {
         assert!(window > 0, "convergence window must be non-zero");
         assert!(
             tolerance < window,
@@ -78,7 +51,7 @@ impl ConvergenceTracker {
 
     /// Records one decision epoch; `policy_changed` signals that the
     /// epoch's update altered some state's greedy action.
-    pub fn record_epoch(&mut self, policy_changed: bool) {
+    pub(crate) fn record_epoch(&mut self, policy_changed: bool) {
         self.epochs += 1;
         if policy_changed {
             self.recent_changes.push_back(self.epochs);
@@ -98,35 +71,22 @@ impl ConvergenceTracker {
         }
     }
 
-    /// `true` while at most `tolerance` changes fall inside the trailing
-    /// window (may flip back to `false` if the policy changes again).
-    #[must_use]
-    pub fn is_converged(&self) -> bool {
-        self.epochs >= self.window && self.recent_changes.len() as u64 <= self.tolerance
-    }
-
     /// The first epoch (1-based) at which convergence was reached, if
     /// ever. Sticky: later policy changes do not erase it, mirroring the
     /// paper's one-shot exploration phase measurement.
     #[must_use]
-    pub fn converged_at(&self) -> Option<u64> {
+    pub(crate) fn converged_at(&self) -> Option<u64> {
         self.converged_at
     }
 
     /// Number of epochs recorded so far.
     #[must_use]
-    pub fn epochs(&self) -> u64 {
+    pub(crate) fn epochs(&self) -> u64 {
         self.epochs
     }
 
-    /// The required quiet window length.
-    #[must_use]
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
     /// Forgets all history (e.g. after a performance-requirement change).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.epochs = 0;
         self.recent_changes.clear();
         self.converged_at = None;
@@ -137,67 +97,66 @@ impl ConvergenceTracker {
 mod tests {
     use super::*;
 
+    fn strict(window: u64) -> ConvergenceTracker {
+        ConvergenceTracker::with_tolerance(window, 0)
+    }
+
     #[test]
     fn converges_after_quiet_window() {
-        let mut t = ConvergenceTracker::new(5);
+        let mut t = strict(5);
         for _ in 0..4 {
             t.record_epoch(false);
         }
-        assert!(!t.is_converged());
+        assert_eq!(t.converged_at(), None);
         t.record_epoch(false);
-        assert!(t.is_converged());
         assert_eq!(t.converged_at(), Some(5));
     }
 
     #[test]
     fn change_resets_the_window() {
-        let mut t = ConvergenceTracker::new(3);
+        let mut t = strict(3);
         t.record_epoch(false);
         t.record_epoch(false);
         t.record_epoch(true); // reset just before the window closed
         t.record_epoch(false);
         t.record_epoch(false);
-        assert!(!t.is_converged());
+        assert_eq!(t.converged_at(), None);
         t.record_epoch(false);
-        assert!(t.is_converged());
         assert_eq!(t.converged_at(), Some(6));
     }
 
     #[test]
     fn converged_at_is_sticky() {
-        let mut t = ConvergenceTracker::new(2);
+        let mut t = strict(2);
         t.record_epoch(false);
         t.record_epoch(false);
         assert_eq!(t.converged_at(), Some(2));
         t.record_epoch(true); // diverges again
-        assert!(!t.is_converged());
         assert_eq!(t.converged_at(), Some(2), "first convergence is remembered");
     }
 
     #[test]
     fn reset_clears_history() {
-        let mut t = ConvergenceTracker::new(2);
+        let mut t = strict(2);
         t.record_epoch(false);
         t.record_epoch(false);
         t.reset();
         assert_eq!(t.epochs(), 0);
         assert_eq!(t.converged_at(), None);
-        assert!(!t.is_converged() || t.epochs() == 0);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_window_panics() {
-        let _ = ConvergenceTracker::new(0);
+        let _ = strict(0);
     }
 
     #[test]
     fn permanently_changing_policy_never_converges() {
-        let mut t = ConvergenceTracker::new(3);
+        let mut t = strict(3);
         for _ in 0..100 {
             t.record_epoch(true);
         }
-        assert!(!t.is_converged());
         assert_eq!(t.converged_at(), None);
     }
 }

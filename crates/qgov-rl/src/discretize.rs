@@ -6,27 +6,19 @@
 //! II-A). [`UniformDiscretizer`] splits a fixed range evenly;
 //! [`QuantileDiscretizer`] derives level boundaries from
 //! pre-characterisation samples so each level is visited equally often.
+//!
+//! Both map a measurement to one of `levels()` discrete levels
+//! (`0 ..= levels() - 1`), clamping out-of-range inputs to the extreme
+//! levels; NaN maps to level 0 (callers should prevent NaN upstream).
 
 use crate::RlError;
-
-/// Maps a continuous measurement to one of `levels()` discrete levels
-/// (`0 ..= levels() - 1`), clamping out-of-range inputs to the extreme
-/// levels.
-pub trait Discretizer {
-    /// Number of levels N.
-    fn levels(&self) -> usize;
-
-    /// The level of `value`. Out-of-range values clamp; NaN maps to
-    /// level 0 (callers should prevent NaN upstream).
-    fn level_of(&self, value: f64) -> usize;
-}
 
 /// Splits `[min, max]` into `levels` equal-width bins.
 ///
 /// # Examples
 ///
 /// ```
-/// use qgov_rl::{Discretizer, UniformDiscretizer};
+/// use qgov_rl::UniformDiscretizer;
 ///
 /// let d = UniformDiscretizer::new(0.0, 10.0, 5).unwrap();
 /// assert_eq!(d.level_of(-3.0), 0);  // clamped
@@ -65,38 +57,15 @@ impl UniformDiscretizer {
         Ok(UniformDiscretizer { min, max, levels })
     }
 
-    /// Lower bound of the range.
+    /// Number of levels N.
     #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Upper bound of the range.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Midpoint value of a level (useful for reconstructing a
-    /// representative measurement from a level index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level >= levels()`.
-    #[must_use]
-    pub fn midpoint(&self, level: usize) -> f64 {
-        assert!(level < self.levels, "level {level} out of range");
-        let width = (self.max - self.min) / self.levels as f64;
-        self.min + width * (level as f64 + 0.5)
-    }
-}
-
-impl Discretizer for UniformDiscretizer {
-    fn levels(&self) -> usize {
+    pub fn levels(&self) -> usize {
         self.levels
     }
 
-    fn level_of(&self, value: f64) -> usize {
+    /// The level of `value`, clamped to the range.
+    #[must_use]
+    pub fn level_of(&self, value: f64) -> usize {
         if value.is_nan() || value <= self.min {
             return 0;
         }
@@ -118,7 +87,7 @@ impl Discretizer for UniformDiscretizer {
 /// # Examples
 ///
 /// ```
-/// use qgov_rl::{Discretizer, QuantileDiscretizer};
+/// use qgov_rl::QuantileDiscretizer;
 ///
 /// let samples: Vec<f64> = (0..100).map(f64::from).collect();
 /// let d = QuantileDiscretizer::from_samples(&samples, 4).unwrap();
@@ -158,20 +127,16 @@ impl QuantileDiscretizer {
         Ok(QuantileDiscretizer { boundaries })
     }
 
-    /// The inner boundaries between levels (ascending,
-    /// `levels() - 1` entries).
+    /// Number of levels N.
     #[must_use]
-    pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
-    }
-}
-
-impl Discretizer for QuantileDiscretizer {
-    fn levels(&self) -> usize {
+    pub fn levels(&self) -> usize {
         self.boundaries.len() + 1
     }
 
-    fn level_of(&self, value: f64) -> usize {
+    /// The level of `value`: the number of inner boundaries at or
+    /// below it.
+    #[must_use]
+    pub fn level_of(&self, value: f64) -> usize {
         if value.is_nan() {
             return 0;
         }
@@ -208,14 +173,6 @@ mod tests {
         assert_eq!(d.level_of(-5.0), 0);
         assert_eq!(d.level_of(5.0), 4);
         assert_eq!(d.level_of(f64::NAN), 0);
-    }
-
-    #[test]
-    fn uniform_midpoints_round_trip() {
-        let d = UniformDiscretizer::new(0.0, 10.0, 5).unwrap();
-        for level in 0..5 {
-            assert_eq!(d.level_of(d.midpoint(level)), level);
-        }
     }
 
     #[test]

@@ -72,18 +72,6 @@ impl DecayingEpsilon {
         self.current
     }
 
-    /// The floor ε never decays below.
-    #[must_use]
-    pub fn floor(&self) -> f64 {
-        self.floor
-    }
-
-    /// The per-epoch decay rate α of Eq. 6.
-    #[must_use]
-    pub fn decay_rate(&self) -> f64 {
-        self.decay_rate
-    }
-
     /// Advances one decision epoch (applies Eq. 6 once) and returns the
     /// new ε.
     pub fn step(&mut self) -> f64 {

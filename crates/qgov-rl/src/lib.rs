@@ -5,24 +5,19 @@
 //!
 //! * [`QTable`] — the dense state × action value table updated by
 //!   Bellman's optimality equation (Eq. 3 of the paper);
-//! * [`Predictor`] implementations — the EWMA workload predictor of Eq. 1
-//!   ([`EwmaPredictor`]) plus simpler alternatives used as ablation
-//!   baselines ([`LastValuePredictor`], [`MovingAveragePredictor`],
-//!   [`WmaPredictor`]);
-//! * [`Discretizer`] implementations — map continuous workload/slack
-//!   measurements onto the N discrete levels that index the Q-table
-//!   ([`UniformDiscretizer`], [`QuantileDiscretizer`]);
-//! * [`ExplorationPolicy`] implementations — the paper's slack-aware
-//!   discrete Exponential Probability Distribution (Eq. 2,
-//!   [`EpdPolicy`]), the uniform baseline of prior work
-//!   ([`UniformPolicy`]), plus [`SoftmaxPolicy`] and [`GreedyPolicy`];
+//! * [`EwmaPredictor`] — the EWMA workload predictor of Eq. 1;
+//! * [`UniformDiscretizer`] and [`QuantileDiscretizer`] — map continuous
+//!   workload/slack measurements onto the N discrete levels that index
+//!   the Q-table;
+//! * [`ExplorationKind`] — the paper's slack-aware discrete Exponential
+//!   Probability Distribution (Eq. 2, `Epd`) and the uniform baseline of
+//!   prior work (`Upd`);
 //! * [`DecayingEpsilon`] — the accelerated exploration → exploitation
 //!   transition of Eq. 6;
-//! * [`RewardFn`] implementations — the slack-ratio pay-off of Eq. 4
-//!   ([`SlackReward`]);
+//! * [`SlackReward`] — the slack-ratio pay-off of Eq. 4;
 //! * [`QLearningAgent`] — glue combining all of the above into a
 //!   ready-to-use epoch-driven agent, with exploration counting and
-//!   convergence detection.
+//!   convergence detection, configured by one [`AgentConfig`].
 //!
 //! # Example: a tiny agent learning to pick the best action
 //!
@@ -56,16 +51,10 @@ mod qtable;
 mod reward;
 
 pub use agent::{ActionSpace, AgentConfig, QLearningAgent};
-pub use convergence::ConvergenceTracker;
-pub use discretize::{Discretizer, QuantileDiscretizer, UniformDiscretizer};
+pub use discretize::{QuantileDiscretizer, UniformDiscretizer};
 pub use epsilon::DecayingEpsilon;
 pub use error::RlError;
-pub use policy::{
-    sample_weighted, uniform_f64, ActionContext, EpdPolicy, ExplorationPolicy, GreedyPolicy,
-    SoftmaxPolicy, UniformPolicy,
-};
-pub use predictor::{
-    EwmaPredictor, LastValuePredictor, MovingAveragePredictor, Predictor, WmaPredictor,
-};
+pub use policy::{sample_weighted, uniform_f64, ExplorationKind};
+pub use predictor::EwmaPredictor;
 pub use qtable::QTable;
-pub use reward::{LinearSlackReward, RewardFn, SlackReward};
+pub use reward::SlackReward;

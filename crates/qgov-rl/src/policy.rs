@@ -1,5 +1,5 @@
-//! Exploration policies — how the agent picks actions before it has
-//! learnt their values.
+//! Exploration — how the agent picks actions before it has learnt
+//! their values.
 //!
 //! The paper's key exploration idea (Section II-B) is to replace the
 //! "commonly used random selection policy based on a Uniform Probability
@@ -18,64 +18,7 @@
 //! are almost uniform." This focus is what cuts the number of
 //! explorations roughly in half in Table II.
 
-use crate::RlError;
 use rand::RngCore;
-
-/// Everything a policy may consult when selecting an action.
-#[derive(Debug, Clone, Copy)]
-pub struct ActionContext<'a> {
-    /// Q-values of the current state's row (one per action).
-    pub q_row: &'a [f64],
-    /// Operating frequency of each action in GHz — the `F` term of Eq. 2.
-    pub action_freqs_ghz: &'a [f64],
-    /// Current average slack ratio `L` (Eq. 5): positive when the
-    /// application runs ahead of its deadline, negative when behind.
-    pub slack: f64,
-}
-
-impl<'a> ActionContext<'a> {
-    /// Creates a context, validating that the two per-action slices
-    /// agree in length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices are empty or of different lengths, or if
-    /// `slack` is not finite.
-    #[must_use]
-    pub fn new(q_row: &'a [f64], action_freqs_ghz: &'a [f64], slack: f64) -> Self {
-        assert!(!q_row.is_empty(), "action space must be non-empty");
-        assert_eq!(
-            q_row.len(),
-            action_freqs_ghz.len(),
-            "q_row and action_freqs_ghz must have one entry per action"
-        );
-        assert!(slack.is_finite(), "slack must be finite");
-        ActionContext {
-            q_row,
-            action_freqs_ghz,
-            slack,
-        }
-    }
-
-    /// Number of actions.
-    #[must_use]
-    pub fn actions(&self) -> usize {
-        self.q_row.len()
-    }
-}
-
-/// A stochastic action-selection policy used during the exploration
-/// phase.
-///
-/// Implementations must be deterministic functions of `(ctx, rng)` so
-/// that seeded simulations reproduce exactly.
-pub trait ExplorationPolicy {
-    /// Selects an action index in `0..ctx.actions()`.
-    fn select(&self, ctx: &ActionContext<'_>, rng: &mut dyn RngCore) -> usize;
-
-    /// Short human-readable name for reports ("epd", "upd", ...).
-    fn name(&self) -> &'static str;
-}
 
 /// Draws a uniform float in `[0, 1)` from any RNG (object-safe helper).
 #[must_use]
@@ -113,128 +56,107 @@ pub fn sample_weighted(weights: &[f64], rng: &mut dyn RngCore) -> usize {
     weights.len() - 1 // float round-off: last index
 }
 
-/// The paper's slack-aware Exponential Probability Distribution (Eq. 2).
+/// Which rule draws the action on an exploring epoch: the paper's EPD
+/// or the UPD baseline that Table II compares it against.
 ///
 /// # Examples
 ///
 /// ```
-/// use qgov_rl::{ActionContext, EpdPolicy, ExplorationPolicy};
+/// use qgov_rl::ExplorationKind;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let policy = EpdPolicy::paper();
-/// let q = [0.0; 3];
+/// let epd = ExplorationKind::Epd { lambda: 1.0 / 19.0, beta: 2.0 };
 /// let freqs = [0.2, 1.0, 2.0];
 /// let mut rng = StdRng::seed_from_u64(1);
 ///
 /// // Large positive slack: low-frequency actions dominate.
-/// let ctx = ActionContext::new(&q, &freqs, 0.8);
-/// let picks: Vec<usize> = (0..100).map(|_| policy.select(&ctx, &mut rng)).collect();
+/// let picks: Vec<usize> = (0..100).map(|_| epd.select(&freqs, 0.8, &mut rng)).collect();
 /// let low = picks.iter().filter(|&&a| a == 0).count();
 /// let high = picks.iter().filter(|&&a| a == 2).count();
 /// assert!(low > high);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct EpdPolicy {
-    lambda: f64,
-    beta: f64,
+pub enum ExplorationKind {
+    /// The paper's slack-aware Exponential Probability Distribution
+    /// (Eq. 2).
+    Epd {
+        /// Uniform base probability λ (it scales all weights equally
+        /// and cancels in normalisation, but is kept for fidelity).
+        lambda: f64,
+        /// Slack-bias sharpness β, per GHz of frequency per unit slack.
+        beta: f64,
+    },
+    /// Uniform random exploration — the prior-work baseline \[21\]
+    /// (Shen et al., TODAES 2013) that Table II compares against.
+    Upd,
 }
 
-impl EpdPolicy {
-    /// Creates an EPD policy.
+impl ExplorationKind {
+    /// Draws an action index in `0..action_freqs_ghz.len()` given the
+    /// average slack ratio `slack` (the `L` of Eq. 2; UPD ignores it).
     ///
-    /// `lambda` is the uniform base probability of Eq. 2 (it scales all
-    /// weights equally and cancels in normalisation, but is kept for
-    /// fidelity and reporting); `beta` controls how sharply slack biases
-    /// the distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both parameters are finite and positive.
-    pub fn new(lambda: f64, beta: f64) -> Result<Self, RlError> {
-        RlError::check_positive("lambda", lambda)?;
-        RlError::check_positive("beta", beta)?;
-        Ok(EpdPolicy { lambda, beta })
-    }
-
-    /// EPD with the constants used throughout our reproduction
-    /// (λ = 1/19 matching the XU3's 19-action space, β = 2 per GHz of
-    /// frequency per unit slack).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::new(1.0 / 19.0, 2.0).expect("paper constants are valid")
-    }
-
-    /// The sharpness parameter β.
-    #[must_use]
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// The uniform base probability λ.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The unnormalised Eq. 2 weight of each action for slack `l`.
-    #[must_use]
-    pub fn weights(&self, action_freqs_ghz: &[f64], l: f64) -> Vec<f64> {
-        action_freqs_ghz
-            .iter()
-            .map(|&f| self.lambda * (-self.beta * f * l).exp())
-            .collect()
-    }
-}
-
-impl ExplorationPolicy for EpdPolicy {
-    /// Allocation-free selection: the Eq. 2 weights are recomputed on
-    /// the fly in two passes (sum, then walk) instead of being
-    /// materialised into a vector. The per-weight expression, the
+    /// EPD selection is allocation-free: the Eq. 2 weights are
+    /// recomputed on the fly in two passes (sum, then walk) instead of
+    /// being materialised into a vector. The per-weight expression, the
     /// summation order and the walk order are identical to
-    /// [`EpdPolicy::weights`] + [`sample_weighted`], so the selection
-    /// is bit-for-bit the same while the steady-state decision epoch
-    /// stays heap-free.
-    fn select(&self, ctx: &ActionContext<'_>, rng: &mut dyn RngCore) -> usize {
-        let weight_at = |f: f64| self.lambda * (-self.beta * f * ctx.slack).exp();
+    /// [`ExplorationKind::weights`] + [`sample_weighted`], so the
+    /// selection is bit-for-bit the same while the steady-state
+    /// decision epoch stays heap-free.
+    pub fn select(&self, action_freqs_ghz: &[f64], slack: f64, rng: &mut dyn RngCore) -> usize {
+        let actions = action_freqs_ghz.len();
+        let (lambda, beta) = match *self {
+            ExplorationKind::Epd { lambda, beta } => (lambda, beta),
+            ExplorationKind::Upd => return (rng.next_u64() % actions as u64) as usize,
+        };
+        let weight_at = |f: f64| lambda * (-beta * f * slack).exp();
         // Pass 1: total + finiteness. Guard against exp() overflow
         // (inf) and underflow (all zero) for extreme |slack|: fall back
         // to the deterministic limit behaviour and pick the extreme
         // action the bias points at.
         let mut any_non_finite = false;
         let mut total = 0.0f64;
-        for &f in ctx.action_freqs_ghz {
+        for &f in action_freqs_ghz {
             let w = weight_at(f);
             any_non_finite |= !w.is_finite();
             total += w;
         }
         if any_non_finite || total <= 0.0 {
-            return if ctx.slack > 0.0 {
-                lowest_freq_action(ctx.action_freqs_ghz)
+            return if slack > 0.0 {
+                lowest_freq_action(action_freqs_ghz)
             } else {
-                highest_freq_action(ctx.action_freqs_ghz)
+                highest_freq_action(action_freqs_ghz)
             };
         }
         if !total.is_finite() {
             // Finite weights whose sum overflows: `sample_weighted`'s
             // degenerate-total fallback, preserved bit-for-bit.
-            return (rng.next_u64() % ctx.actions() as u64) as usize;
+            return (rng.next_u64() % actions as u64) as usize;
         }
         // Pass 2: the `sample_weighted` walk over the regenerated
         // weights.
         let mut target = uniform_f64(rng) * total;
-        for (i, &f) in ctx.action_freqs_ghz.iter().enumerate() {
+        for (i, &f) in action_freqs_ghz.iter().enumerate() {
             let w = weight_at(f);
             if target < w {
                 return i;
             }
             target -= w;
         }
-        ctx.actions() - 1 // float round-off: last index
+        actions - 1 // float round-off: last index
     }
 
-    fn name(&self) -> &'static str {
-        "epd"
+    /// The unnormalised selection weight of each action for slack `l`:
+    /// the Eq. 2 weights for EPD, equal weights for UPD.
+    #[must_use]
+    pub fn weights(&self, action_freqs_ghz: &[f64], l: f64) -> Vec<f64> {
+        match *self {
+            ExplorationKind::Epd { lambda, beta } => action_freqs_ghz
+                .iter()
+                .map(|&f| lambda * (-beta * f * l).exp())
+                .collect(),
+            ExplorationKind::Upd => vec![1.0; action_freqs_ghz.len()],
+        }
     }
 }
 
@@ -258,154 +180,36 @@ fn highest_freq_action(freqs: &[f64]) -> usize {
     best
 }
 
-/// The Uniform Probability Distribution baseline of prior work
-/// (e.g. Shen et al., TODAES 2013 — reference \[21\] of the paper).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct UniformPolicy;
-
-impl UniformPolicy {
-    /// Creates a uniform policy.
-    #[must_use]
-    pub fn new() -> Self {
-        UniformPolicy
-    }
-}
-
-impl ExplorationPolicy for UniformPolicy {
-    fn select(&self, ctx: &ActionContext<'_>, rng: &mut dyn RngCore) -> usize {
-        (rng.next_u64() % ctx.actions() as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "upd"
-    }
-}
-
-/// Boltzmann/softmax exploration over Q-values: `p(a) ∝ exp(Q(s,a)/τ)`.
-///
-/// Not used by the paper; provided as a standard alternative for
-/// ablation studies.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SoftmaxPolicy {
-    temperature: f64,
-}
-
-impl SoftmaxPolicy {
-    /// Creates a softmax policy with temperature `τ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `temperature` is finite and positive.
-    pub fn new(temperature: f64) -> Result<Self, RlError> {
-        RlError::check_positive("temperature", temperature)?;
-        Ok(SoftmaxPolicy { temperature })
-    }
-
-    /// The temperature τ.
-    #[must_use]
-    pub fn temperature(&self) -> f64 {
-        self.temperature
-    }
-}
-
-impl ExplorationPolicy for SoftmaxPolicy {
-    /// Allocation-free selection: like [`EpdPolicy::select`], the
-    /// Boltzmann weights are recomputed on the fly in two passes (sum,
-    /// then walk) instead of being materialised into a vector. The
-    /// per-weight expression, summation order and walk order are
-    /// identical to collecting `exp((q − max)/τ)` and calling
-    /// [`sample_weighted`], so selections are bit-for-bit the same
-    /// while the steady-state decision epoch stays heap-free.
-    fn select(&self, ctx: &ActionContext<'_>, rng: &mut dyn RngCore) -> usize {
-        // Subtract the max for numerical stability: weights land in
-        // (0, 1] and their total in [1, n] for finite Q-values.
-        let max_q = ctx.q_row.iter().copied().fold(f64::MIN, f64::max);
-        let weight_at = |q: f64| ((q - max_q) / self.temperature).exp();
-        let mut total = 0.0f64;
-        for &q in ctx.q_row {
-            total += weight_at(q);
-        }
-        if total <= 0.0 || !total.is_finite() {
-            // `sample_weighted`'s degenerate-total fallback (reachable
-            // only through non-finite Q-values), preserved bit-for-bit.
-            return (rng.next_u64() % ctx.actions() as u64) as usize;
-        }
-        let mut target = uniform_f64(rng) * total;
-        for (i, &q) in ctx.q_row.iter().enumerate() {
-            let w = weight_at(q);
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        ctx.actions() - 1 // float round-off: last index
-    }
-
-    fn name(&self) -> &'static str {
-        "softmax"
-    }
-}
-
-/// Pure exploitation: always the argmax action (ties towards the lowest
-/// index, i.e. the lowest frequency).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct GreedyPolicy;
-
-impl GreedyPolicy {
-    /// Creates a greedy policy.
-    #[must_use]
-    pub fn new() -> Self {
-        GreedyPolicy
-    }
-}
-
-impl ExplorationPolicy for GreedyPolicy {
-    fn select(&self, ctx: &ActionContext<'_>, _rng: &mut dyn RngCore) -> usize {
-        let mut best = 0;
-        let mut best_v = ctx.q_row[0];
-        for (a, &v) in ctx.q_row.iter().enumerate().skip(1) {
-            if v > best_v {
-                best = a;
-                best_v = v;
-            }
-        }
-        best
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    const EPD: ExplorationKind = ExplorationKind::Epd {
+        lambda: 1.0 / 19.0,
+        beta: 2.0,
+    };
+
     fn histogram(
-        policy: &dyn ExplorationPolicy,
-        ctx: &ActionContext<'_>,
+        kind: ExplorationKind,
+        freqs: &[f64],
+        slack: f64,
         n: usize,
         seed: u64,
     ) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = vec![0usize; ctx.actions()];
+        let mut counts = vec![0usize; freqs.len()];
         for _ in 0..n {
-            counts[policy.select(ctx, &mut rng)] += 1;
+            counts[kind.select(freqs, slack, &mut rng)] += 1;
         }
         counts
     }
 
     #[test]
     fn uniform_spreads_evenly() {
-        let q = [0.0; 4];
         let f = [0.5, 1.0, 1.5, 2.0];
-        let ctx = ActionContext::new(&q, &f, 0.0);
-        let counts = histogram(&UniformPolicy::new(), &ctx, 4000, 11);
+        let counts = histogram(ExplorationKind::Upd, &f, 0.0, 4000, 11);
         for &c in &counts {
             assert!((800..=1200).contains(&c), "skewed counts {counts:?}");
         }
@@ -413,10 +217,8 @@ mod tests {
 
     #[test]
     fn epd_is_nearly_uniform_at_zero_slack() {
-        let q = [0.0; 4];
         let f = [0.5, 1.0, 1.5, 2.0];
-        let ctx = ActionContext::new(&q, &f, 0.0);
-        let counts = histogram(&EpdPolicy::paper(), &ctx, 4000, 13);
+        let counts = histogram(EPD, &f, 0.0, 4000, 13);
         for &c in &counts {
             assert!((800..=1200).contains(&c), "EPD at L=0 skewed: {counts:?}");
         }
@@ -424,10 +226,8 @@ mod tests {
 
     #[test]
     fn epd_biases_low_freq_when_over_performing() {
-        let q = [0.0; 3];
         let f = [0.2, 1.0, 2.0];
-        let ctx = ActionContext::new(&q, &f, 0.5); // positive slack
-        let counts = histogram(&EpdPolicy::paper(), &ctx, 3000, 17);
+        let counts = histogram(EPD, &f, 0.5, 3000, 17); // positive slack
         assert!(
             counts[0] > 2 * counts[2],
             "expected strong low-frequency bias, got {counts:?}"
@@ -436,10 +236,8 @@ mod tests {
 
     #[test]
     fn epd_biases_high_freq_when_missing_deadlines() {
-        let q = [0.0; 3];
         let f = [0.2, 1.0, 2.0];
-        let ctx = ActionContext::new(&q, &f, -0.5); // negative slack
-        let counts = histogram(&EpdPolicy::paper(), &ctx, 3000, 19);
+        let counts = histogram(EPD, &f, -0.5, 3000, 19); // negative slack
         assert!(
             counts[2] > 2 * counts[0],
             "expected strong high-frequency bias, got {counts:?}"
@@ -448,86 +246,28 @@ mod tests {
 
     #[test]
     fn epd_extreme_slack_degrades_gracefully() {
-        let q = [0.0; 3];
         let f = [0.2, 1.0, 2.0];
         let mut rng = StdRng::seed_from_u64(3);
-        let policy = EpdPolicy::new(1.0, 500.0).unwrap();
+        let sharp = ExplorationKind::Epd {
+            lambda: 1.0,
+            beta: 500.0,
+        };
         // Huge beta*|L| drives exp() to inf/0; must still return a legal
         // action deterministically.
-        let over = ActionContext::new(&q, &f, 1e6);
-        assert_eq!(policy.select(&over, &mut rng), 0);
-        let under = ActionContext::new(&q, &f, -1e6);
-        assert_eq!(policy.select(&under, &mut rng), 2);
-    }
-
-    #[test]
-    fn epd_on_the_fly_select_matches_materialised_weights() {
-        // The allocation-free two-pass select must be bit-identical to
-        // sampling the materialised `weights()` vector under the same
-        // RNG stream.
-        let policy = EpdPolicy::paper();
-        let q = [0.0; 19];
-        let freqs: Vec<f64> = (2..21).map(|i| f64::from(i) / 10.0).collect();
-        for slack in [-0.9, -0.3, 0.0, 0.2, 0.7] {
-            let ctx = ActionContext::new(&q, &freqs, slack);
-            let mut rng_a = StdRng::seed_from_u64(99);
-            let mut rng_b = StdRng::seed_from_u64(99);
-            for _ in 0..500 {
-                let fused = policy.select(&ctx, &mut rng_a);
-                let weights = policy.weights(&freqs, slack);
-                let reference = sample_weighted(&weights, &mut rng_b);
-                assert_eq!(fused, reference, "slack {slack}");
-            }
-        }
-    }
-
-    #[test]
-    fn softmax_on_the_fly_select_matches_materialised_weights() {
-        // The allocation-free two-pass select must be bit-identical to
-        // sampling the materialised Boltzmann weights under the same
-        // RNG stream.
-        let policy = SoftmaxPolicy::new(0.4).unwrap();
-        let freqs: Vec<f64> = (2..21).map(|i| f64::from(i) / 10.0).collect();
-        let q: Vec<f64> = (0..19).map(|i| f64::from(i % 7) * 0.31 - 0.8).collect();
-        let ctx = ActionContext::new(&q, &freqs, 0.1);
-        let max_q = q.iter().copied().fold(f64::MIN, f64::max);
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let mut rng_b = StdRng::seed_from_u64(99);
-        for _ in 0..500 {
-            let fused = policy.select(&ctx, &mut rng_a);
-            let weights: Vec<f64> = q
-                .iter()
-                .map(|&v| ((v - max_q) / policy.temperature()).exp())
-                .collect();
-            let reference = sample_weighted(&weights, &mut rng_b);
-            assert_eq!(fused, reference);
-        }
+        assert_eq!(sharp.select(&f, 1e6, &mut rng), 0);
+        assert_eq!(sharp.select(&f, -1e6, &mut rng), 2);
     }
 
     #[test]
     fn epd_weights_match_equation_two() {
-        let p = EpdPolicy::new(0.1, 2.0).unwrap();
+        let p = ExplorationKind::Epd {
+            lambda: 0.1,
+            beta: 2.0,
+        };
         let w = p.weights(&[1.0, 2.0], 0.25);
         assert!((w[0] - 0.1 * (-0.5f64).exp()).abs() < 1e-12);
         assert!((w[1] - 0.1 * (-1.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn softmax_prefers_higher_q() {
-        let q = [0.0, 2.0, 0.0];
-        let f = [0.5, 1.0, 1.5];
-        let ctx = ActionContext::new(&q, &f, 0.0);
-        let counts = histogram(&SoftmaxPolicy::new(0.5).unwrap(), &ctx, 3000, 23);
-        assert!(counts[1] > counts[0] + counts[2], "{counts:?}");
-    }
-
-    #[test]
-    fn greedy_ignores_rng_and_ties_low() {
-        let q = [1.0, 5.0, 5.0];
-        let f = [0.5, 1.0, 1.5];
-        let ctx = ActionContext::new(&q, &f, 0.3);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(GreedyPolicy::new().select(&ctx, &mut rng), 1);
+        assert_eq!(ExplorationKind::Upd.weights(&[1.0, 2.0], 0.25), [1.0, 1.0]);
     }
 
     #[test]
@@ -549,26 +289,6 @@ mod tests {
             seen[sample_weighted(&[0.0, 0.0, 0.0], &mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s), "uniform fallback missing indices");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_action_space_panics() {
-        let _ = ActionContext::new(&[], &[], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one entry per action")]
-    fn mismatched_lengths_panic() {
-        let _ = ActionContext::new(&[0.0], &[0.5, 1.0], 0.0);
-    }
-
-    #[test]
-    fn policies_report_names() {
-        assert_eq!(EpdPolicy::paper().name(), "epd");
-        assert_eq!(UniformPolicy::new().name(), "upd");
-        assert_eq!(SoftmaxPolicy::new(1.0).unwrap().name(), "softmax");
-        assert_eq!(GreedyPolicy::new().name(), "greedy");
     }
 
     #[test]

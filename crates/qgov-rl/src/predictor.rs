@@ -1,35 +1,10 @@
-//! Workload predictors.
+//! Workload prediction.
 //!
 //! "Predicting the state of the system is a key step in RL" (Section
 //! II-A). The RTM proactively chooses the V-F setting for the *next*
 //! decision epoch, so it must forecast the coming workload from the
 //! history of observed workloads. The paper uses an Exponential Weighted
-//! Moving Average (EWMA, Eq. 1); the alternatives here serve as ablation
-//! baselines representing the "adaptive filters" the paper cites as
-//! falling short.
-
-/// A one-step-ahead scalar workload predictor.
-///
-/// The protocol is: call [`predict`](Predictor::predict) to obtain the
-/// forecast for the coming epoch, then, once the epoch has elapsed, feed
-/// the measured value back via [`observe`](Predictor::observe).
-pub trait Predictor {
-    /// Forecast for the next epoch given everything observed so far.
-    fn predict(&self) -> f64;
-
-    /// Feeds the actual measurement of the epoch that just completed.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `actual` is not finite.
-    fn observe(&mut self, actual: f64);
-
-    /// Forgets all history.
-    fn reset(&mut self);
-
-    /// Short human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
+//! Moving Average (EWMA, Eq. 1).
 
 /// Exponential Weighted Moving Average predictor — Eq. 1 of the paper:
 ///
@@ -40,10 +15,15 @@ pub trait Predictor {
 /// where γ is the smoothing factor (the paper experimentally determines
 /// γ = 0.6 for its MPEG4 analysis, Section III-B).
 ///
+/// The protocol is: call [`predict`](EwmaPredictor::predict) to obtain
+/// the forecast for the coming epoch, then, once the epoch has elapsed,
+/// feed the measured value back via
+/// [`observe`](EwmaPredictor::observe).
+///
 /// # Examples
 ///
 /// ```
-/// use qgov_rl::{EwmaPredictor, Predictor};
+/// use qgov_rl::EwmaPredictor;
 ///
 /// let mut p = EwmaPredictor::new(0.6).unwrap();
 /// p.observe(100.0);
@@ -84,14 +64,20 @@ impl EwmaPredictor {
     pub fn smoothing(&self) -> f64 {
         self.smoothing
     }
-}
 
-impl Predictor for EwmaPredictor {
-    fn predict(&self) -> f64 {
+    /// Forecast for the next epoch given everything observed so far
+    /// (zero before the first observation).
+    #[must_use]
+    pub fn predict(&self) -> f64 {
         self.prediction.unwrap_or(0.0)
     }
 
-    fn observe(&mut self, actual: f64) {
+    /// Feeds the actual measurement of the epoch that just completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actual` is not finite.
+    pub fn observe(&mut self, actual: f64) {
         assert!(actual.is_finite(), "observation must be finite");
         self.prediction = Some(match self.prediction {
             // Seed with the first observation rather than decaying from 0,
@@ -101,180 +87,9 @@ impl Predictor for EwmaPredictor {
         });
     }
 
-    fn reset(&mut self) {
+    /// Forgets all history.
+    pub fn reset(&mut self) {
         self.prediction = None;
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-}
-
-/// Naive last-value predictor: tomorrow equals today.
-///
-/// The simplest reactive baseline; equivalent to EWMA with γ = 1.
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct LastValuePredictor {
-    last: Option<f64>,
-}
-
-impl LastValuePredictor {
-    /// Creates a last-value predictor.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Predictor for LastValuePredictor {
-    fn predict(&self) -> f64 {
-        self.last.unwrap_or(0.0)
-    }
-
-    fn observe(&mut self, actual: f64) {
-        assert!(actual.is_finite(), "observation must be finite");
-        self.last = Some(actual);
-    }
-
-    fn reset(&mut self) {
-        self.last = None;
-    }
-
-    fn name(&self) -> &'static str {
-        "last-value"
-    }
-}
-
-/// Simple moving average over a sliding window.
-///
-/// Represents the "adaptive filters" class the paper criticises for the
-/// lag "inherent in the filtering technique" — the window must fill
-/// before the prediction tracks a workload change.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct MovingAveragePredictor {
-    window: usize,
-    history: Vec<f64>,
-    cursor: usize,
-    filled: bool,
-}
-
-impl MovingAveragePredictor {
-    /// Creates a moving-average predictor over the last `window`
-    /// observations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `window` is zero.
-    pub fn new(window: usize) -> Result<Self, crate::RlError> {
-        crate::RlError::check_nonempty("window", window)?;
-        Ok(MovingAveragePredictor {
-            window,
-            history: Vec::with_capacity(window),
-            cursor: 0,
-            filled: false,
-        })
-    }
-
-    fn len(&self) -> usize {
-        if self.filled {
-            self.window
-        } else {
-            self.history.len()
-        }
-    }
-}
-
-impl Predictor for MovingAveragePredictor {
-    fn predict(&self) -> f64 {
-        let n = self.len();
-        if n == 0 {
-            0.0
-        } else {
-            self.history.iter().sum::<f64>() / n as f64
-        }
-    }
-
-    fn observe(&mut self, actual: f64) {
-        assert!(actual.is_finite(), "observation must be finite");
-        if self.filled {
-            self.history[self.cursor] = actual;
-            self.cursor = (self.cursor + 1) % self.window;
-        } else {
-            self.history.push(actual);
-            if self.history.len() == self.window {
-                self.filled = true;
-                self.cursor = 0;
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.history.clear();
-        self.cursor = 0;
-        self.filled = false;
-    }
-
-    fn name(&self) -> &'static str {
-        "moving-average"
-    }
-}
-
-/// Weighted moving average with linearly decaying weights (most recent
-/// observation weighs most).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct WmaPredictor {
-    window: usize,
-    history: Vec<f64>, // most recent last
-}
-
-impl WmaPredictor {
-    /// Creates a weighted-moving-average predictor over `window`
-    /// observations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `window` is zero.
-    pub fn new(window: usize) -> Result<Self, crate::RlError> {
-        crate::RlError::check_nonempty("window", window)?;
-        Ok(WmaPredictor {
-            window,
-            history: Vec::with_capacity(window),
-        })
-    }
-}
-
-impl Predictor for WmaPredictor {
-    fn predict(&self) -> f64 {
-        if self.history.is_empty() {
-            return 0.0;
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, &v) in self.history.iter().enumerate() {
-            let w = (i + 1) as f64; // oldest gets weight 1, newest gets weight n
-            num += w * v;
-            den += w;
-        }
-        num / den
-    }
-
-    fn observe(&mut self, actual: f64) {
-        assert!(actual.is_finite(), "observation must be finite");
-        if self.history.len() == self.window {
-            self.history.remove(0);
-        }
-        self.history.push(actual);
-    }
-
-    fn reset(&mut self) {
-        self.history.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "wma"
     }
 }
 
@@ -322,62 +137,6 @@ mod tests {
         p.observe(10.0);
         p.reset();
         assert_eq!(p.predict(), 0.0);
-    }
-
-    #[test]
-    fn last_value_tracks_immediately() {
-        let mut p = LastValuePredictor::new();
-        assert_eq!(p.predict(), 0.0);
-        p.observe(3.0);
-        p.observe(9.0);
-        assert_eq!(p.predict(), 9.0);
-    }
-
-    #[test]
-    fn moving_average_lags_a_step_change() {
-        let mut ma = MovingAveragePredictor::new(4).unwrap();
-        for _ in 0..4 {
-            ma.observe(0.0);
-        }
-        ma.observe(100.0);
-        // Only one of four window slots sees the new level: lag.
-        assert_eq!(ma.predict(), 25.0);
-        let mut ewma = EwmaPredictor::new(0.6).unwrap();
-        for _ in 0..4 {
-            ewma.observe(0.0);
-        }
-        ewma.observe(100.0);
-        // EWMA with gamma=0.6 adapts much faster.
-        assert!(ewma.predict() > ma.predict());
-    }
-
-    #[test]
-    fn moving_average_window_wraps() {
-        let mut ma = MovingAveragePredictor::new(2).unwrap();
-        ma.observe(1.0);
-        ma.observe(3.0);
-        ma.observe(5.0); // window now holds {3, 5}
-        assert_eq!(ma.predict(), 4.0);
-    }
-
-    #[test]
-    fn wma_weights_recent_more() {
-        let mut p = WmaPredictor::new(2).unwrap();
-        p.observe(0.0);
-        p.observe(30.0);
-        // weights: 1*0 + 2*30 over 3 = 20
-        assert!((p.predict() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predictors_report_names() {
-        assert_eq!(EwmaPredictor::paper().name(), "ewma");
-        assert_eq!(LastValuePredictor::new().name(), "last-value");
-        assert_eq!(
-            MovingAveragePredictor::new(3).unwrap().name(),
-            "moving-average"
-        );
-        assert_eq!(WmaPredictor::new(3).unwrap().name(), "wma");
     }
 
     #[test]

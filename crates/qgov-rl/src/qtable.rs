@@ -33,7 +33,6 @@ pub struct QTable {
     states: usize,
     actions: usize,
     values: Vec<f64>,
-    visits: Vec<u64>,
     updates: u64,
 }
 
@@ -51,25 +50,8 @@ impl QTable {
             states,
             actions,
             values: vec![0.0; states * actions],
-            visits: vec![0; states * actions],
             updates: 0,
         })
-    }
-
-    /// Creates a table with every entry set to `init` (optimistic
-    /// initialisation encourages early exploration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::EmptyDimension`] if either dimension is zero, or
-    /// [`RlError::NotFinite`] if `init` is not finite.
-    pub fn with_init(states: usize, actions: usize, init: f64) -> Result<Self, RlError> {
-        if !init.is_finite() {
-            return Err(RlError::NotFinite { name: "init" });
-        }
-        let mut t = Self::new(states, actions)?;
-        t.values.fill(init);
-        Ok(t)
     }
 
     /// Creates a table whose every row starts with the given per-action
@@ -186,30 +168,6 @@ impl QTable {
     pub fn row(&self, state: usize) -> &[f64] {
         let start = self.idx(state, 0);
         &self.values[start..start + self.actions]
-    }
-
-    /// How many times a state–action pair has been updated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` or `action` is out of range.
-    #[must_use]
-    pub fn visit_count(&self, state: usize, action: usize) -> u64 {
-        self.visits[self.idx(state, action)]
-    }
-
-    /// How many of this state's actions have been tried at least once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    #[must_use]
-    pub fn tried_actions(&self, state: usize) -> usize {
-        let start = self.idx(state, 0);
-        self.visits[start..start + self.actions]
-            .iter()
-            .filter(|&&v| v > 0)
-            .count()
     }
 
     /// The fused greedy-scan kernel: one pass over a state's row
@@ -343,41 +301,14 @@ impl QTable {
         let (_, future) = self.row_best(next_state);
         let i = self.idx_fast(state, action);
         self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
-        self.visits[i] += 1;
         self.updates += 1;
     }
 
-    /// Resets all values and visit counts to zero, forgetting everything
-    /// learnt (used when an application's performance requirement
-    /// changes).
+    /// Resets all values to zero, forgetting everything learnt (used
+    /// when an application's performance requirement changes).
     pub fn reset(&mut self) {
         self.values.fill(0.0);
-        self.visits.fill(0);
         self.updates = 0;
-    }
-
-    /// Returns the greedy action for every state, i.e. the current learnt
-    /// policy.
-    #[must_use]
-    pub fn policy(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.policy_into(&mut out);
-        out
-    }
-
-    /// Writes the greedy action for every state into `out`
-    /// (allocation-free when `out` already has capacity for
-    /// [`states`](QTable::states) entries): one fused [`row_best`]
-    /// scan per row over the flat value buffer instead of a
-    /// twice-indexed pass per state.
-    ///
-    /// [`row_best`]: QTable::row_best
-    pub fn policy_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(self.states);
-        for s in 0..self.states {
-            out.push(self.row_best(s).0);
-        }
     }
 }
 
@@ -427,36 +358,22 @@ mod tests {
     }
 
     #[test]
-    fn visits_and_updates_are_counted() {
+    fn updates_are_counted() {
         let mut q = QTable::new(2, 2).unwrap();
         q.update(0, 0, 0.0, 0, 0.1, 0.9);
         q.update(0, 0, 0.0, 0, 0.1, 0.9);
         q.update(1, 1, 0.0, 0, 0.1, 0.9);
-        assert_eq!(q.visit_count(0, 0), 2);
-        assert_eq!(q.visit_count(1, 1), 1);
-        assert_eq!(q.visit_count(0, 1), 0);
         assert_eq!(q.update_count(), 3);
-        assert_eq!(q.tried_actions(0), 1);
     }
 
     #[test]
     fn reset_clears_everything() {
-        let mut q = QTable::with_init(2, 2, 1.0).unwrap();
+        let mut q = QTable::with_action_bias(2, 2, &[1.0, 1.0]).unwrap();
         q.update(0, 0, 5.0, 1, 0.5, 0.9);
         q.reset();
         assert_eq!(q.value(0, 0), 0.0);
-        assert_eq!(q.visit_count(0, 0), 0);
+        assert_eq!(q.value(1, 1), 0.0);
         assert_eq!(q.update_count(), 0);
-    }
-
-    #[test]
-    fn optimistic_init_fills_table() {
-        let q = QTable::with_init(2, 3, 2.5).unwrap();
-        for s in 0..2 {
-            for a in 0..3 {
-                assert_eq!(q.value(s, a), 2.5);
-            }
-        }
     }
 
     #[test]
@@ -468,14 +385,6 @@ mod tests {
         }
         assert!(QTable::with_action_bias(2, 3, &[0.0]).is_err());
         assert!(QTable::with_action_bias(2, 2, &[0.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn policy_lists_greedy_per_state() {
-        let mut q = QTable::new(2, 3).unwrap();
-        q.update(0, 2, 5.0, 0, 1.0, 0.0);
-        q.update(1, 1, 5.0, 0, 1.0, 0.0);
-        assert_eq!(q.policy(), vec![2, 1]);
     }
 
     #[test]
@@ -513,7 +422,7 @@ mod tests {
 
     #[test]
     fn row_best_ties_break_low() {
-        let q = QTable::with_init(1, 5, 3.25).unwrap();
+        let q = QTable::with_action_bias(1, 5, &[3.25; 5]).unwrap();
         assert_eq!(q.row_best(0), (0, 3.25));
     }
 
@@ -523,10 +432,10 @@ mod tests {
         // for rows at or below it; the fused kernel folds from the
         // first entry, so arbitrarily negative rows report their true
         // maximum.
-        let q = QTable::with_init(1, 3, -1.0e300).unwrap();
+        let q = QTable::with_action_bias(1, 3, &[-1.0e300; 3]).unwrap();
         assert_eq!(q.max_value(0), -1.0e300);
         assert_eq!(q.greedy_action(0), 0);
-        let mut q = QTable::with_init(1, 3, f64::MIN).unwrap();
+        let mut q = QTable::with_action_bias(1, 3, &[f64::MIN; 3]).unwrap();
         assert_eq!(q.max_value(0), f64::MIN);
         q.values[1] = f64::MIN / 2.0;
         assert_eq!(q.max_value(0), f64::MIN / 2.0);
@@ -546,18 +455,5 @@ mod tests {
             fast.update_unchecked(s, a, r, next, 0.3, 0.5);
         }
         assert_eq!(checked, fast);
-    }
-
-    #[test]
-    fn policy_into_reuses_the_buffer() {
-        let mut q = QTable::new(3, 3).unwrap();
-        q.update(1, 2, 5.0, 0, 1.0, 0.0);
-        let mut out = Vec::with_capacity(3);
-        q.policy_into(&mut out);
-        assert_eq!(out, vec![0, 2, 0]);
-        q.update(0, 1, 5.0, 0, 1.0, 0.0);
-        q.policy_into(&mut out);
-        assert_eq!(out, vec![1, 2, 0]);
-        assert_eq!(out, q.policy());
     }
 }

@@ -1,4 +1,4 @@
-//! Pay-off (reward) functions.
+//! The pay-off (reward) function.
 //!
 //! Eq. 4 of the paper computes the immediate pay-off at decision epoch
 //! `tᵢ` from the resulting average slack ratio `Lᵢ` and its change since
@@ -14,22 +14,11 @@
 //! violation (users see dropped frames), while large positive slack is
 //! over-performance that wastes energy — exactly the failure mode the
 //! paper attributes to the ondemand governor in Table I. [`SlackReward`]
-//! therefore applies Eq. 4 with regime-dependent signs for `a`;
-//! [`LinearSlackReward`] is the strictly literal single-sign reading,
-//! kept for ablation (it converges to maximum frequency).
+//! therefore applies Eq. 4 with regime-dependent signs for `a` (the
+//! literal single-sign reading, maximised by ever more slack, converges
+//! to maximum frequency).
 
 use crate::RlError;
-
-/// Maps the performance feedback of a completed epoch to a scalar
-/// pay-off.
-pub trait RewardFn {
-    /// The pay-off for observing average slack ratio `slack` (`Lᵢ`) after
-    /// the previous epoch's `prev_slack` (`Lᵢ₋₁`).
-    fn reward(&self, slack: f64, prev_slack: f64) -> f64;
-
-    /// Short human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
 
 /// The paper's slack pay-off (Eq. 4) with the constants' signs resolved
 /// per regime so that *meeting the deadline exactly* is the maximum:
@@ -51,7 +40,7 @@ pub trait RewardFn {
 /// # Examples
 ///
 /// ```
-/// use qgov_rl::{RewardFn, SlackReward};
+/// use qgov_rl::SlackReward;
 ///
 /// let r = SlackReward::paper();
 /// // Meeting the deadline exactly is the best outcome.
@@ -106,54 +95,20 @@ impl SlackReward {
         Self::new(10.0, 2.0, 0.4).expect("paper constants are valid")
     }
 
-    /// The violation gain `a`.
-    #[must_use]
-    pub fn a(&self) -> f64 {
-        self.a
-    }
-
-    /// The improvement gain `b`.
-    #[must_use]
-    pub fn b(&self) -> f64 {
-        self.b
-    }
-
-    /// The over-performance weight.
-    #[must_use]
-    pub fn over_weight(&self) -> f64 {
-        self.over_weight
-    }
-
     /// The reward attained at exactly-zero steady slack.
     #[must_use]
     pub fn peak(&self) -> f64 {
         self.peak
     }
 
-    /// The fixed penalty applied to any deadline miss.
-    #[must_use]
-    pub fn miss_penalty(&self) -> f64 {
-        self.miss_penalty
-    }
-
-    /// Overrides the fixed miss penalty.
+    /// The pay-off for observing slack ratio `slack` (`Lᵢ`) after the
+    /// previous epoch's `prev_slack` (`Lᵢ₋₁`).
     ///
     /// # Panics
     ///
-    /// Panics if `penalty` is negative or not finite.
+    /// Panics if either slack is not finite.
     #[must_use]
-    pub fn with_miss_penalty(mut self, penalty: f64) -> Self {
-        assert!(
-            penalty.is_finite() && penalty >= 0.0,
-            "miss penalty must be finite and non-negative"
-        );
-        self.miss_penalty = penalty;
-        self
-    }
-}
-
-impl RewardFn for SlackReward {
-    fn reward(&self, slack: f64, prev_slack: f64) -> f64 {
+    pub fn reward(&self, slack: f64, prev_slack: f64) -> f64 {
         assert!(
             slack.is_finite() && prev_slack.is_finite(),
             "slack values must be finite"
@@ -166,48 +121,6 @@ impl RewardFn for SlackReward {
         };
         let improvement = self.b * (prev_slack.abs() - slack.abs());
         self.peak + level + improvement
-    }
-
-    fn name(&self) -> &'static str {
-        "slack"
-    }
-}
-
-/// The strictly literal reading of Eq. 4, `R = a·L + b·ΔL` with a single
-/// positive `a` — kept as an ablation to demonstrate why the sign
-/// resolution in [`SlackReward`] is necessary (maximising `a·L` drives
-/// the policy to the highest frequency and erases the energy savings).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct LinearSlackReward {
-    a: f64,
-    b: f64,
-}
-
-impl LinearSlackReward {
-    /// Creates the literal linear reward.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both gains are finite and positive.
-    pub fn new(a: f64, b: f64) -> Result<Self, RlError> {
-        RlError::check_positive("a", a)?;
-        RlError::check_positive("b", b)?;
-        Ok(LinearSlackReward { a, b })
-    }
-}
-
-impl RewardFn for LinearSlackReward {
-    fn reward(&self, slack: f64, prev_slack: f64) -> f64 {
-        assert!(
-            slack.is_finite() && prev_slack.is_finite(),
-            "slack values must be finite"
-        );
-        self.a * slack + self.b * (slack - prev_slack)
-    }
-
-    fn name(&self) -> &'static str {
-        "linear-slack"
     }
 }
 
@@ -257,34 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn literal_linear_form_matches_equation() {
-        let r = LinearSlackReward::new(2.0, 3.0).unwrap();
-        // R = 2*0.5 + 3*(0.5 - 0.2) = 1.0 + 0.9
-        assert!((r.reward(0.5, 0.2) - 1.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_form_prefers_maximum_slack() {
-        // Demonstrates the ablation point: literal Eq. 4 rewards
-        // over-performance without bound.
-        let r = LinearSlackReward::new(1.0, 1.0).unwrap();
-        assert!(r.reward(0.9, 0.9) > r.reward(0.1, 0.1));
-    }
-
-    #[test]
     fn constructors_validate() {
         assert!(SlackReward::new(0.0, 1.0, 0.5).is_err());
         assert!(SlackReward::new(1.0, -1.0, 0.5).is_err());
         assert!(SlackReward::new(1.0, 1.0, 0.0).is_err());
         assert!(SlackReward::new(1.0, 1.0, 1.5).is_err());
-        assert!(LinearSlackReward::new(1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        assert_ne!(
-            SlackReward::paper().name(),
-            LinearSlackReward::new(1.0, 1.0).unwrap().name()
-        );
     }
 }

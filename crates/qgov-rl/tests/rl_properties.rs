@@ -3,12 +3,11 @@
 
 use proptest::prelude::*;
 use qgov_rl::{
-    sample_weighted, ActionContext, Discretizer, EpdPolicy, EwmaPredictor, ExplorationPolicy,
-    Predictor, QTable, QuantileDiscretizer, RewardFn, SlackReward, UniformDiscretizer,
-    UniformPolicy,
+    sample_weighted, EwmaPredictor, ExplorationKind, QTable, QuantileDiscretizer, SlackReward,
+    UniformDiscretizer,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// The naive two-pass reference the fused `row_best` kernel replaced:
 /// an independent greedy argmax scan (strict `>`, ties to the lowest
@@ -54,7 +53,7 @@ proptest! {
         positions in proptest::collection::vec(0usize..20, 2..5),
         value in -1e6f64..1e6,
     ) {
-        let mut q = QTable::with_init(1, len, value - 1.0).unwrap();
+        let mut q = QTable::with_action_bias(1, len, &vec![value - 1.0; len]).unwrap();
         let mut firsts: Vec<usize> = positions.iter().map(|p| p % len).collect();
         firsts.sort_unstable();
         for &p in &firsts {
@@ -199,22 +198,34 @@ proptest! {
         }
     }
 
-    /// Policies always return a legal action for any finite slack.
+    /// The exploration rule, pinned draw for draw: for 1–19 ascending
+    /// actions, any slack in the clamped range `[-1, 1]` the agent
+    /// passes and any seed, EPD selection equals `sample_weighted` over
+    /// the materialised Eq. 2 weights, and UPD selection equals
+    /// `next_u64() % n`, each on the same RNG stream.
     #[test]
     fn policies_return_legal_actions(
-        slack in -1e3f64..1e3,
         n in 1usize..20,
-        seed in 0u64..100,
+        steps in proptest::collection::vec(0.01f64..0.3, 19),
+        slack in -1.0f64..=1.0,
+        seed in 0u64..u64::MAX,
     ) {
-        let q = vec![0.0; n];
-        let freqs: Vec<f64> = (1..=n).map(|i| i as f64 * 0.1).collect();
-        let ctx = ActionContext::new(&q, &freqs, slack);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let epd = EpdPolicy::paper();
-        let upd = UniformPolicy::new();
-        for _ in 0..20 {
-            prop_assert!(epd.select(&ctx, &mut rng) < n);
-            prop_assert!(upd.select(&ctx, &mut rng) < n);
+        let mut freqs = Vec::with_capacity(n);
+        let mut f = 0.0;
+        for step in &steps[..n] {
+            f += step;
+            freqs.push(f);
+        }
+        let epd = ExplorationKind::Epd { lambda: 1.0 / 19.0, beta: 2.0 };
+        let weights = epd.weights(&freqs, slack);
+        let (mut rng, mut reference) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for _ in 0..50 {
+            let action = epd.select(&freqs, slack, &mut rng);
+            prop_assert_eq!(action, sample_weighted(&weights, &mut reference), "slack {}", slack);
+        }
+        for _ in 0..50 {
+            let action = ExplorationKind::Upd.select(&freqs, slack, &mut rng);
+            prop_assert_eq!(action, (reference.next_u64() % n as u64) as usize);
         }
     }
 

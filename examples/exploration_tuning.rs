@@ -1,7 +1,6 @@
 //! Sweep the exploration machinery: EPD sharpness β, the ε decay rate
-//! of Eq. 6, and the EPD/UPD/softmax policy choice — showing how the
-//! paper's choices cut the number of explorations (Table II's
-//! mechanism).
+//! of Eq. 6, and the EPD/UPD choice — showing how the paper's choices
+//! cut the number of explorations (Table II's mechanism).
 //!
 //! ```sh
 //! cargo run --release --example exploration_tuning
@@ -60,23 +59,19 @@ fn main() {
             },
         ),
         ("UPD (uniform, [21])", ExplorationKind::Upd),
-        (
-            "softmax tau=0.5",
-            ExplorationKind::Softmax { temperature: 0.5 },
-        ),
     ] {
         let mut config = RtmConfig::paper(seed);
-        config.exploration = exploration;
+        config.agent.exploration = exploration;
         println!("  {label:<24} {}", run_with(config, &trace, bounds, frames));
     }
 
     println!("\n== epsilon decay rate of Eq. 6 (exploration -> exploitation) ==");
     for rate in [0.01, 0.02, 0.05, 0.1, 0.2] {
         let mut config = RtmConfig::paper(seed);
-        config.epsilon = DecayingEpsilon::new(1.0, rate, 0.01).expect("valid schedule");
+        config.agent.epsilon = DecayingEpsilon::new(1.0, rate, 0.01).expect("valid schedule");
         println!(
             "  decay {rate:<5} (floor at epoch {:>3})  {}",
-            config.epsilon.epochs_to_floor(),
+            config.agent.epsilon.epochs_to_floor(),
             run_with(config, &trace, bounds, frames),
         );
     }

@@ -37,7 +37,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`units`] | `Freq`, `Volt`, `Power`, `Energy`, `SimTime`, `Cycles`, `Temp` newtypes |
-//! | [`rl`] | Q-table, predictors, discretisers, exploration policies, rewards, agent |
+//! | [`rl`] | Q-table, EWMA predictor, discretisers, EPD/UPD exploration, slack reward, agent |
 //! | [`sim`] | OPP tables, CMOS power model, PMUs, sensors, DVFS, thermal RC, platform |
 //! | [`workloads`] | video / FFT / PARSEC-like / SPLASH-2-like / synthetic workloads, traces |
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
@@ -109,7 +109,7 @@ pub mod prelude {
         PropertySet, PropertyVerdict, RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport,
         SampleStats, Series, SweepFormat, SweepTable, Verdict, WindowSummary, WindowedStats,
     };
-    pub use qgov_rl::{DecayingEpsilon, EpdPolicy, EwmaPredictor, Predictor, QTable, SlackReward};
+    pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable, SlackReward};
     pub use qgov_sim::{
         Actuation, ClusterConfig, DvfsConfig, Fault, FaultInjector, FaultKind, FaultPlan,
         FrameResult, ManyCoreFrameResult, ManyCorePlatform, Opp, OppTable, Platform,

@@ -3,12 +3,12 @@
 //! simulate–decide–learn loop (post-warm-up, post-calibration) is
 //! asserted to perform **zero** heap allocations per epoch.
 //!
-//! The first two phases drive a copy of one flat harness epoch —
+//! The first phase drives a copy of one flat harness epoch —
 //! `next_frame_into` → work-slice scratch refill → `run_frame_into` →
 //! `record_frame` (pre-reserved) → `decide` → apply — so the property
 //! covers every layer below the harness: workload generation, the
 //! platform frame kernel, the report, and the RTM's fused Q-table epoch
-//! with its scratch buffers and bounded history ring. The third phase
+//! with its scratch buffers and bounded history ring. The second phase
 //! runs the harness's own epoch kernel end to end.
 //!
 //! This file deliberately holds a single `#[test]` function: the
@@ -224,67 +224,7 @@ fn steady_state_decision_epoch_is_allocation_free() {
         .iter()
         .all(|v| v.verdict == Verdict::Holds));
 
-    // Second phase: the softmax exploration policy. Its fused two-pass
-    // select (like the EPD's) must keep the epoch heap-free while the
-    // ε-floor keeps firing stochastic selections in steady state.
-    let mut config = RtmConfig::paper(43)
-        .with_workload_bounds(1e7, 1e9)
-        .with_history(HistoryMode::LastN(64));
-    config.exploration = ExplorationKind::Softmax { temperature: 0.5 };
-    let mut rtm = RtmGovernor::new(config).expect("valid softmax config");
-    let mut platform = Platform::new(PlatformConfig {
-        sensor: SensorConfig::ideal(),
-        ..PlatformConfig::odroid_xu3_a15()
-    })
-    .expect("valid platform");
-    let first = rtm.init(&ctx);
-    platform.set_cluster_opp(first.resolve_cluster(platform.current_opp()));
-    app.reset();
-
-    let mut report = RunReport::new("rtm-softmax", "steady", SimTime::from_ms(40));
-    report.reserve_frames(FRAMES as usize);
-    let mut monitors = standard_pack("rtm", &PackConfig::paper());
-    for epoch in 0..WARMUP {
-        run_epoch(
-            &mut app,
-            &mut platform,
-            &mut rtm,
-            &mut report,
-            &mut demand,
-            &mut work,
-            &mut frame,
-            &mut monitors,
-            epoch,
-        );
-    }
-    let explorations_before = rtm.exploration_count();
-    let before = allocation_count();
-    for epoch in WARMUP..FRAMES {
-        run_epoch(
-            &mut app,
-            &mut platform,
-            &mut rtm,
-            &mut report,
-            &mut demand,
-            &mut work,
-            &mut frame,
-            &mut monitors,
-            epoch,
-        );
-    }
-    let allocated = allocation_count() - before;
-    assert_eq!(
-        allocated, 0,
-        "softmax steady-state decision epochs must not allocate \
-         ({allocated} allocations over {MEASURED} epochs)"
-    );
-    // The measured window actually exercised the softmax select path.
-    assert!(
-        rtm.exploration_count() > explorations_before,
-        "the ε floor must keep stochastic softmax selections firing"
-    );
-
-    // Third phase: the epoch kernel itself. A whole
+    // Second phase: the epoch kernel itself. A whole
     // `run_manycore_experiment_monitored` run — ManyCoreRtm on a
     // 4-cluster mesh, offline bounds, bounded history, the standard
     // pack — allocates only while it sets up and reports, so a run of
