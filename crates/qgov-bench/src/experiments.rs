@@ -118,9 +118,7 @@ pub trait Experiment {
         }
         let mut prep_batch = ExperimentBatch::new();
         for &seed in &unique {
-            prep_batch.push(format!("prepare/seed={seed}"), move || {
-                Self::prepare(plan, seed)
-            });
+            prep_batch.push(move || Self::prepare(plan, seed));
         }
         let preps = prep_batch.run(&plan.runner);
         let prep_of = |seed: u64| -> &Self::Prep {
@@ -131,16 +129,16 @@ pub trait Experiment {
         };
 
         let mut batch = ExperimentBatch::new();
-        batch.expand_cells(
-            Self::LABELS,
-            &plan.seeds,
-            &[plan.frames],
-            |label, seed, _| Self::cell(plan, label, prep_of(seed), seed),
-        );
+        for &label in Self::LABELS {
+            for &seed in &plan.seeds {
+                let prep = prep_of(seed);
+                batch.push(move || Self::cell(plan, label, prep, seed));
+            }
+        }
         let results = batch.run(&plan.runner);
 
-        // `expand_cells` iterates labels outermost: regroup into
-        // per-seed bundles, each in label order.
+        // Cells were pushed labels outermost: regroup into per-seed
+        // bundles, each in label order.
         let n = plan.seeds.len();
         let mut cells_by_seed: Vec<Vec<Self::Cell>> = (0..n)
             .map(|_| Vec::with_capacity(Self::LABELS.len()))

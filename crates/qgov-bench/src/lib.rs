@@ -37,14 +37,20 @@
 //! A [`RunPlan`] names the seeds, horizon, worker policy, monitor pack,
 //! fault schedule, fleet size and bench pass count.
 //! [`Experiment::run`] expands its seed × methodology grid into one
-//! [`runner::ExperimentBatch`] job queue and returns one typed result
+//! [`ExperimentBatch`] job queue and returns one typed result
 //! per seed. The runner returns results in push order and every cell
 //! owns its state, so **the parallel and serial paths are bit-identical
 //! for identical seeds** — the guarantee the recorded baselines in
 //! `EXPERIMENTS.md` rely on, enforced by `tests/runner_determinism.rs`.
 //! Exploration is stochastic in the seed, so multi-seed plans fold each
-//! metric into `mean ± σ (n)` summaries by name
-//! ([`worklist::fold_metrics`], shared with the campaign report).
+//! metric into `mean ± σ (n)` summaries by name.
+//!
+//! One batch, one fold, one table: every experiment, bench target and
+//! campaign queues its runs in an [`ExperimentBatch`], folds them with
+//! [`worklist::fold_metrics`] (through
+//! [`MetricSummary::from_samples`](qgov_metrics::MetricSummary::from_samples))
+//! and prints them with [`worklist::metric_table`] (a
+//! [`ComparisonTable`](qgov_metrics::ComparisonTable)).
 //!
 //! ```
 //! use qgov_bench::experiments::{Experiment, Table1};
@@ -82,7 +88,7 @@ pub use faultstorm::{
     fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm, FaultStormResult,
     FaultStormRow, FAULTSTORM_GRACE,
 };
-pub use fleet::{run_fleet, Fleet, FleetOutcome, FleetSpec};
+pub use fleet::Fleet;
 pub use harness::{
     run_experiment, run_experiment_faulted, run_experiment_monitored, ExperimentOutcome,
 };
@@ -95,5 +101,5 @@ pub use manycore::{
 };
 pub use perf::BenchRecord;
 pub use plan::{PlanError, RunPlan};
-pub use runner::{ExperimentBatch, RunnerConfig, RunnerMode};
+pub use runner::{ExperimentBatch, RunnerConfig};
 pub use worklist::{CellMetrics, Family, WorkCell, WorkList};

@@ -27,7 +27,7 @@
 //! let build = || {
 //!     let mut batch = ExperimentBatch::new();
 //!     for cell in 0..8u64 {
-//!         batch.push(format!("cell-{cell}"), move || cell * cell + 1);
+//!         batch.push(move || cell * cell + 1);
 //!     }
 //!     batch
 //! };
@@ -49,22 +49,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// How a batch is executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunnerMode {
-    /// Drain cells inline on the calling thread, in push order. No
-    /// threads are spawned.
-    Serial,
-    /// Drain cells through the shared job queue with `workers` scoped
-    /// threads; `None` asks the host
-    /// ([`std::thread::available_parallelism`]) for the worker count.
-    Parallel {
-        /// Worker thread count; `None` = one per available core.
-        workers: Option<NonZeroUsize>,
-    },
-}
+use std::sync::Mutex;
 
 /// Execution policy for [`ExperimentBatch::run`]: serial or parallel,
 /// and with how many workers.
@@ -77,7 +62,12 @@ pub enum RunnerMode {
 /// determinism guarantee — only wall-clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunnerConfig {
-    mode: RunnerMode,
+    /// `false` drains cells inline on the calling thread, in push
+    /// order, spawning no threads.
+    parallel: bool,
+    /// Worker threads of a parallel run; `None` asks the host
+    /// ([`std::thread::available_parallelism`]) for one per core.
+    workers: Option<NonZeroUsize>,
 }
 
 impl Default for RunnerConfig {
@@ -92,7 +82,8 @@ impl RunnerConfig {
     #[must_use]
     pub fn serial() -> Self {
         RunnerConfig {
-            mode: RunnerMode::Serial,
+            parallel: false,
+            workers: None,
         }
     }
 
@@ -100,7 +91,8 @@ impl RunnerConfig {
     #[must_use]
     pub fn parallel() -> Self {
         RunnerConfig {
-            mode: RunnerMode::Parallel { workers: None },
+            parallel: true,
+            workers: None,
         }
     }
 
@@ -116,34 +108,25 @@ impl RunnerConfig {
     pub fn with_workers(workers: usize) -> Self {
         let workers = NonZeroUsize::new(workers).expect("worker count must be at least 1");
         RunnerConfig {
-            mode: RunnerMode::Parallel {
-                workers: Some(workers),
-            },
+            parallel: true,
+            workers: Some(workers),
         }
-    }
-
-    /// The configured execution mode.
-    #[must_use]
-    pub fn mode(&self) -> &RunnerMode {
-        &self.mode
     }
 
     /// `true` when [`ExperimentBatch::run`] will not spawn threads.
     #[must_use]
     pub fn is_serial(&self) -> bool {
-        self.mode == RunnerMode::Serial
+        !self.parallel
     }
 
     /// Human-readable description for experiment banners, e.g.
     /// `"serial"` or `"parallel (3 workers)"`.
     #[must_use]
     pub fn describe(&self) -> String {
-        match &self.mode {
-            RunnerMode::Serial => "serial".to_owned(),
-            RunnerMode::Parallel { workers: Some(n) } => format!("parallel ({n} workers)"),
-            RunnerMode::Parallel { workers: None } => {
-                format!("parallel (auto: {} workers)", available_workers())
-            }
+        match (self.parallel, self.workers) {
+            (false, _) => "serial".to_owned(),
+            (true, Some(n)) => format!("parallel ({n} workers)"),
+            (true, None) => format!("parallel (auto: {} workers)", available_workers()),
         }
     }
 
@@ -151,13 +134,12 @@ impl RunnerConfig {
     /// `None` for serial, otherwise the configured (or detected) count
     /// capped at the job count.
     fn resolved_workers(&self, jobs: usize) -> Option<usize> {
-        match &self.mode {
-            RunnerMode::Serial => None,
-            RunnerMode::Parallel { workers } => {
-                let n = workers.map_or_else(available_workers, NonZeroUsize::get);
-                Some(n.min(jobs).max(1))
-            }
-        }
+        self.parallel.then(|| {
+            let n = self
+                .workers
+                .map_or_else(available_workers, NonZeroUsize::get);
+            n.min(jobs).max(1)
+        })
     }
 }
 
@@ -165,8 +147,8 @@ fn available_workers() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// One queued cell: its display label and the deferred run.
-type Job<'a, R> = (String, Box<dyn FnOnce() -> R + Send + 'a>);
+/// One queued cell: the deferred run.
+type Job<'a, R> = Box<dyn FnOnce() -> R + Send + 'a>;
 
 /// A builder that collects experiment cells and runs them under a
 /// [`RunnerConfig`], returning results in push order (see the module
@@ -182,14 +164,7 @@ pub struct ExperimentBatch<'a, R> {
 impl<R> std::fmt::Debug for ExperimentBatch<'_, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExperimentBatch")
-            .field(
-                "cells",
-                &self
-                    .jobs
-                    .iter()
-                    .map(|(label, _)| label.as_str())
-                    .collect::<Vec<_>>(),
-            )
+            .field("cells", &self.jobs.len())
             .finish()
     }
 }
@@ -207,73 +182,10 @@ impl<'a, R: Send> ExperimentBatch<'a, R> {
         ExperimentBatch { jobs: Vec::new() }
     }
 
-    /// Queues one cell; returns its index (= its slot in the result
-    /// vector of [`ExperimentBatch::run`]).
-    pub fn push(&mut self, label: impl Into<String>, job: impl FnOnce() -> R + Send + 'a) -> usize {
-        self.jobs.push((label.into(), Box::new(job)));
-        self.jobs.len() - 1
-    }
-
-    /// Expands the full (governor × seed × frames) cross product into
-    /// cells, one `factory(governor, seed, frames)` call each, in
-    /// lexicographic loop order (governors outermost, frames
-    /// innermost).
-    ///
-    /// ```
-    /// use qgov_bench::runner::{ExperimentBatch, RunnerConfig};
-    ///
-    /// let mut batch = ExperimentBatch::new();
-    /// batch.expand_cells(
-    ///     &["ondemand", "rtm"],
-    ///     &[1, 2, 3],
-    ///     &[100],
-    ///     |governor, seed, frames| format!("{governor}:{seed}:{frames}"),
-    /// );
-    /// assert_eq!(batch.len(), 6);
-    /// let results = batch.run(&RunnerConfig::with_workers(2));
-    /// assert_eq!(results[0], "ondemand:1:100");
-    /// assert_eq!(results[5], "rtm:3:100");
-    /// ```
-    pub fn expand_cells<F>(
-        &mut self,
-        governors: &[&str],
-        seeds: &[u64],
-        frames: &[u64],
-        factory: F,
-    ) -> &mut Self
-    where
-        F: Fn(&str, u64, u64) -> R + Send + Sync + 'a,
-    {
-        let factory = Arc::new(factory);
-        for &governor in governors {
-            for &seed in seeds {
-                for &frame_count in frames {
-                    let factory = Arc::clone(&factory);
-                    let governor = governor.to_owned();
-                    self.push(format!("{governor}/seed={seed}/frames={frame_count}"), {
-                        move || factory(&governor, seed, frame_count)
-                    });
-                }
-            }
-        }
-        self
-    }
-
-    /// Number of queued cells.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` when no cells are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// The queued cells' labels, in push order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.jobs.iter().map(|(label, _)| label.as_str())
+    /// Queues one cell; its result takes the next slot of the vector
+    /// [`ExperimentBatch::run`] returns.
+    pub fn push(&mut self, job: impl FnOnce() -> R + Send + 'a) {
+        self.jobs.push(Box::new(job));
     }
 
     /// Runs every cell and returns the results **in push order**
@@ -289,7 +201,7 @@ impl<'a, R: Send> ExperimentBatch<'a, R> {
         let total = self.jobs.len();
         let Some(workers) = config.resolved_workers(total) else {
             // Serial: drain inline, no threads.
-            return self.jobs.into_iter().map(|(_, job)| job()).collect();
+            return self.jobs.into_iter().map(|job| job()).collect();
         };
         if total == 0 {
             return Vec::new();
@@ -310,7 +222,7 @@ impl<'a, R: Send> ExperimentBatch<'a, R> {
                     if index >= total {
                         break;
                     }
-                    let (_, job) = jobs[index]
+                    let job = jobs[index]
                         .lock()
                         .expect("job mutex poisoned")
                         .take()
@@ -340,7 +252,7 @@ mod tests {
     fn squares_batch<'a>(n: u64) -> ExperimentBatch<'a, u64> {
         let mut batch = ExperimentBatch::new();
         for i in 0..n {
-            batch.push(format!("cell-{i}"), move || i * i);
+            batch.push(move || i * i);
         }
         batch
     }
@@ -364,7 +276,7 @@ mod tests {
     fn results_are_in_push_order_despite_uneven_cell_durations() {
         let mut batch = ExperimentBatch::new();
         for i in 0..12u64 {
-            batch.push(format!("cell-{i}"), move || {
+            batch.push(move || {
                 // Early cells run longest so late cells finish first.
                 std::thread::sleep(std::time::Duration::from_millis(12 - i));
                 i
@@ -378,22 +290,6 @@ mod tests {
     fn more_workers_than_jobs_is_fine() {
         let results = squares_batch(2).run(&RunnerConfig::with_workers(16));
         assert_eq!(results, vec![0, 1]);
-    }
-
-    #[test]
-    fn expand_cells_covers_the_cross_product_in_loop_order() {
-        let mut batch = ExperimentBatch::new();
-        batch.expand_cells(&["a", "b"], &[1, 2], &[10, 20], |g, s, f| {
-            format!("{g}{s}-{f}")
-        });
-        assert_eq!(batch.len(), 8);
-        let labels: Vec<String> = batch.labels().map(str::to_owned).collect();
-        assert_eq!(labels[0], "a/seed=1/frames=10");
-        assert_eq!(labels[7], "b/seed=2/frames=20");
-        let results = batch.run(&RunnerConfig::serial());
-        assert_eq!(results[0], "a1-10");
-        assert_eq!(results[3], "a2-20");
-        assert_eq!(results[7], "b2-20");
     }
 
     #[test]
@@ -422,7 +318,7 @@ mod tests {
             let build = || {
                 let mut batch = ExperimentBatch::new();
                 for i in 0..jobs {
-                    batch.push(format!("j{i}"), move || (i as u64) * 31 + 7);
+                    batch.push(move || (i as u64) * 31 + 7);
                 }
                 batch
             };

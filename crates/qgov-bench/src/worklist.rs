@@ -4,18 +4,17 @@
 //! run from a [`RunPlan`]. This module turns one family and plan into a
 //! **public, journalable work list**: a [`WorkList`] names every
 //! campaign cell with a stable, re-derivable ID
-//! (`"<family>/seed=<s>/frames=<f>"`, mirroring the batch labels of
-//! [`ExperimentBatch::expand_cells`](crate::runner::ExperimentBatch::expand_cells)),
-//! and [`WorkList::run_cell`] computes one cell's flat metric vector
-//! deterministically and independently of every other cell.
+//! (`"<family>/seed=<s>/frames=<f>"`), and [`WorkList::run_cell`]
+//! computes one cell's flat metric vector deterministically and
+//! independently of every other cell.
 //!
 //! That pair of properties — stable IDs and independent, bit-reproducible
 //! cells — is the resume seam the `qgov` campaign CLI builds on: a
 //! journal only has to record *which IDs finished and what bits they
 //! produced*, and a killed campaign can re-derive the remaining cells
 //! from the config alone. [`fold_metrics`] folds cells into per-metric
-//! `mean ± σ (n)` summaries by name — for campaign reports and bench
-//! targets alike.
+//! `mean ± σ (n)` summaries by name and [`metric_table`] prints them —
+//! for campaign reports and bench targets alike.
 //!
 //! Each cell runs its inner experiment **serially**
 //! ([`RunnerConfig::serial`]); campaign-level parallelism fans out
@@ -43,7 +42,7 @@ use crate::fleet::Fleet;
 use crate::hetero::{BigLittle, MeshScaling};
 use crate::plan::RunPlan;
 use crate::runner::RunnerConfig;
-use qgov_metrics::{MetricSummary, PackConfig, SweepFormat, SweepTable};
+use qgov_metrics::{ComparisonTable, MetricSummary, PackConfig};
 use std::collections::HashMap;
 
 /// An experiment family a campaign can sweep — one variant per
@@ -198,12 +197,13 @@ pub fn fold_metrics<'a>(
 }
 
 /// Renders folded summaries as the `Metric | mean ± σ (n)` table that
-/// campaign reports and bench targets print.
+/// campaign reports and bench targets print, four fraction digits per
+/// cell.
 #[must_use]
-pub fn metric_table(summaries: &[(String, MetricSummary)]) -> SweepTable {
-    let mut table = SweepTable::new("Metric", vec![("Value", SweepFormat::Fixed(4))]);
+pub fn metric_table(summaries: &[(String, MetricSummary)]) -> ComparisonTable {
+    let mut table = ComparisonTable::new(vec!["Metric", "Value"]);
     for (name, summary) in summaries {
-        table.add_row(name.clone(), vec![*summary]);
+        table.add_row(vec![name.clone(), summary.cell(4)]);
     }
     table
 }
@@ -396,6 +396,22 @@ mod tests {
         );
         let fleet = WorkList::new(Family::Fleet, vec![5], 100).with_fleet(3);
         assert_eq!(fleet.cells()[0].id, "fleet/seed=5/frames=100/fleet=3");
+    }
+
+    #[test]
+    fn metric_table_renders_one_summary_cell_per_metric() {
+        let cells: Vec<CellMetrics> = vec![
+            vec![("energy".into(), 1.18), ("misses".into(), 2.0)],
+            vec![("energy".into(), 1.20)],
+        ];
+        let text = metric_table(&fold_metrics(&cells)).render();
+        assert_eq!(
+            text,
+            "Metric  Value\n\
+             ------------------------------\n\
+             energy  1.1900 ± 0.0141 (n=2)\n\
+             misses  2.0000 (n=1)\n"
+        );
     }
 
     #[test]

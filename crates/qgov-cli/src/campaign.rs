@@ -271,7 +271,7 @@ pub fn run(
     let shared_ref = &shared;
     let snap_ref = &snap;
     for cell in remaining {
-        batch.push(cell.id.clone(), move || -> Result<(), String> {
+        batch.push(move || -> Result<(), String> {
             let metrics = worklist_ref.run_cell(&cell);
             let record = CellRecord::new(cell.id.clone(), metrics);
             let mut guard = shared_ref.lock().expect("completion lock poisoned");

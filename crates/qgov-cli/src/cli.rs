@@ -21,6 +21,7 @@ use qgov_bench::RunnerConfig;
 use qgov_core::{RtmConfig, RtmGovernor};
 use qgov_governors::{ConservativeGovernor, OndemandGovernor};
 use qgov_sim::PlatformConfig;
+use qgov_workloads::shard::shard_file_name;
 use qgov_workloads::{Application, ShardedTrace, VideoDecoderModel};
 use std::path::{Path, PathBuf};
 
@@ -430,6 +431,15 @@ fn cmd_replay(args: Vec<&str>) -> i32 {
         Ok(None) => trace.len(),
         Err(message) => return usage_error(&message),
     };
+    // Streaming replay has no error channel, so validate every shard
+    // the run will read up front, one at a time.
+    for index in 0..=trace.shard_index_of(frames - 1) {
+        if let Err(e) = trace.load_shard(index) {
+            let shard = trace.dir().join(shard_file_name(index));
+            eprintln!("error: cannot replay {}: {e}", shard.display());
+            return EXIT_STATE;
+        }
+    }
     let platform = PlatformConfig::odroid_xu3_a15();
     let outcome = match governor {
         "ondemand" => {

@@ -53,15 +53,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string payload, if this is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

@@ -207,15 +207,6 @@ impl RtmGovernor {
         self.safe_state_epochs
     }
 
-    /// `true` while the sensors are quarantined and the governor holds
-    /// the safe OPP.
-    #[must_use]
-    pub fn in_safe_state(&self) -> bool {
-        self.filter
-            .as_ref()
-            .is_some_and(PlausibilityFilter::quarantined)
-    }
-
     /// How many times the governor escalated to the safe state.
     #[must_use]
     pub fn quarantine_entries(&self) -> u64 {
@@ -243,11 +234,6 @@ impl RtmGovernor {
     #[must_use]
     pub fn monitor(&self) -> Option<&PropertySet<EpochRecord>> {
         self.monitor.as_ref()
-    }
-
-    /// Detaches and returns the monitor set.
-    pub fn take_monitor(&mut self) -> Option<PropertySet<EpochRecord>> {
-        self.monitor.take()
     }
 
     /// The monitors' verdicts over the epochs observed so far.
@@ -332,12 +318,6 @@ impl RtmGovernor {
     #[must_use]
     pub fn history(&self) -> &[EpochRecord] {
         self.history.as_slice()
-    }
-
-    /// The configured telemetry retention mode.
-    #[must_use]
-    pub fn history_mode(&self) -> HistoryMode {
-        self.config.history
     }
 
     /// The state mapper, once pre-characterisation has completed.
@@ -836,7 +816,6 @@ mod tests {
         assert_eq!(ring.history().len(), 64);
         assert!(off.history().is_empty());
         assert_eq!(ring.history(), &full.history()[300 - 64..]);
-        assert_eq!(ring.history_mode(), HistoryMode::LastN(64));
     }
 
     #[test]

@@ -82,14 +82,6 @@ impl OracleGovernor {
         }
     }
 
-    /// Records `app`'s full run and precomputes the schedule (the
-    /// application is reset afterwards).
-    #[must_use]
-    pub fn for_app(app: &mut dyn Application, table: &OppTable, margin: f64) -> Self {
-        let trace = WorkloadTrace::record(app);
-        Self::from_trace(&trace, table, margin)
-    }
-
     /// The lowest OPP index whose barrier time fits in `budget`, or the
     /// top index if none does.
     fn min_opp_for(frame: &FrameDemand, table: &OppTable, budget: SimTime) -> usize {
@@ -196,7 +188,7 @@ mod tests {
             4,
             0,
         );
-        let oracle = OracleGovernor::for_app(&mut app, &table(), 0.0);
+        let oracle = OracleGovernor::from_trace(&WorkloadTrace::record(&mut app), &table(), 0.0);
         let schedule = oracle.schedule();
         assert_eq!(schedule.len(), 20);
         // Low phase needs 100 MHz -> index 0; high phase needs 400 MHz.
@@ -228,7 +220,8 @@ mod tests {
             4,
             0,
         );
-        let mut oracle = OracleGovernor::for_app(&mut app, &table(), 0.02);
+        let mut oracle =
+            OracleGovernor::from_trace(&WorkloadTrace::record(&mut app), &table(), 0.02);
         let expected: Vec<usize> = oracle.schedule().to_vec();
         let ctx = GovernorContext::new(table(), 4, SimTime::from_ms(40));
         let first = oracle.init(&ctx);

@@ -10,17 +10,14 @@
 //!   paper's normalisation conventions;
 //! * [`MispredictionStats`] — predicted-vs-actual workload error
 //!   analysis (whole-run and windowed, as Fig. 3 quotes);
-//! * [`OnlineStats`] — numerically-stable streaming moments, with the
-//!   sample-variance / 95 %-CI surface cross-seed sweeps aggregate
-//!   with;
-//! * [`SampleStats`] / [`MetricSummary`] / [`SweepTable`] — the
-//!   order-invariant cross-seed aggregation layer (`mean ± σ (n)`
-//!   cells, p50/p95 quantiles, CI half-widths);
+//! * [`MetricSummary`] — the one cross-run fold: order-invariant
+//!   mean, sample σ, extrema, p50/p95 quantiles and 95 % CI
+//!   half-width, rendered as `mean ± σ (n)` cells;
 //! * [`WindowedStats`] — fixed-length windowed folds in O(windows)
 //!   memory, the convergence-over-time view long-horizon streamed
 //!   experiments report;
-//! * [`ComparisonTable`] — aligned ASCII tables matching the paper's
-//!   layout, with CSV export;
+//! * [`ComparisonTable`] — the one table type: aligned ASCII tables
+//!   matching the paper's layout, with CSV export;
 //! * [`Series`] — named (x, y) series with CSV export for figures;
 //! * [`Property`] / [`PropertySet`] — streaming LTL-style temporal
 //!   monitors (`always` / `eventually` / `until` / `after`) evaluated
@@ -41,7 +38,6 @@ mod recovery;
 mod report;
 mod series;
 mod stats;
-mod sweep;
 mod table;
 mod window;
 
@@ -54,7 +50,6 @@ pub use monitor::{
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
 pub use report::{FrameStat, RunReport};
 pub use series::Series;
-pub use stats::{t_critical_975, OnlineStats};
-pub use sweep::{MetricSummary, SampleStats, SweepFormat, SweepTable};
+pub use stats::{t_critical_975, MetricSummary};
 pub use table::ComparisonTable;
 pub use window::{WindowSummary, WindowedStats};

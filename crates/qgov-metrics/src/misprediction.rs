@@ -1,6 +1,6 @@
 //! Workload misprediction analysis — the statistics Fig. 3 quotes.
 
-use crate::OnlineStats;
+use crate::stats::OnlineStats;
 
 /// Predicted-vs-actual workload error analysis.
 ///
@@ -96,21 +96,6 @@ impl MispredictionStats {
         self.windowed_relative_error(0, self.len())
     }
 
-    /// The largest single-frame relative error and its frame index.
-    #[must_use]
-    pub fn worst_frame(&self) -> (usize, f64) {
-        let mut worst = (0, 0.0);
-        for i in 0..self.len() {
-            if self.actual[i] > 0.0 {
-                let e = (self.predicted[i] - self.actual[i]).abs() / self.actual[i];
-                if e > worst.1 {
-                    worst = (i, e);
-                }
-            }
-        }
-        worst
-    }
-
     /// Frames whose relative error exceeds `threshold` (the paper's
     /// "mispredictions" in Fig. 3).
     #[must_use]
@@ -121,17 +106,6 @@ impl MispredictionStats {
                     && (self.predicted[i] - self.actual[i]).abs() / self.actual[i] > threshold
             })
             .collect()
-    }
-
-    /// Fraction of frames under-predicted (actual above prediction —
-    /// the dangerous direction: "under-prediction … results in a
-    /// deadline miss", Section III-B).
-    #[must_use]
-    pub fn underprediction_rate(&self) -> f64 {
-        let n = (0..self.len())
-            .filter(|&i| self.actual[i] > self.predicted[i])
-            .count();
-        n as f64 / self.len() as f64
     }
 }
 
@@ -159,24 +133,6 @@ mod tests {
         assert_eq!(m.windowed_relative_error(0, 10), 0.0);
         assert!((m.windowed_relative_error(10, 20) - 0.3).abs() < 1e-12);
         assert!((m.mean_relative_error() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn worst_frame_is_found() {
-        let predicted = [100.0, 100.0, 100.0];
-        let actual = [100.0, 50.0, 90.0];
-        let m = MispredictionStats::from_series(&predicted, &actual);
-        let (idx, err) = m.worst_frame();
-        assert_eq!(idx, 1);
-        assert!((err - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn underprediction_rate_counts_direction() {
-        let predicted = [100.0, 100.0, 100.0, 100.0];
-        let actual = [150.0, 50.0, 120.0, 100.0];
-        let m = MispredictionStats::from_series(&predicted, &actual);
-        assert!((m.underprediction_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-run accounting.
 
 use crate::monitor::MonitorReport;
-use crate::OnlineStats;
+use crate::stats::OnlineStats;
 use qgov_units::{Energy, Power, SimTime, Temp};
 
 /// Minimal per-frame record kept by a run for downstream analysis.

@@ -1,4 +1,13 @@
-//! Streaming statistics.
+//! Streaming moments and the cross-run fold.
+//!
+//! [`MetricSummary::from_samples`] is the one fold every cross-run
+//! aggregate goes through: an experiment runs once per seed (or a
+//! fleet once per instance) and each metric's per-run samples fold
+//! into one summary (mean, sample standard deviation, extrema,
+//! quantiles, 95 % confidence interval). Summaries are **invariant to
+//! sample order**: the fold sorts by [`f64::total_cmp`] first, so
+//! aggregating seeds `[5, 77]` is bit-identical to aggregating
+//! `[77, 5]` — the property `tests/sweep_determinism.rs` pins.
 
 /// Two-sided 97.5 % Student-t critical value for `df` degrees of
 /// freedom — the multiplier of a 95 % confidence interval on a mean of
@@ -12,8 +21,7 @@
 /// # Panics
 ///
 /// Panics if `df` is zero — a CI over one sample is undefined; callers
-/// report it as zero spread instead (see
-/// [`OnlineStats::ci95_half_width`]).
+/// report it as zero spread instead (see [`MetricSummary::ci95`]).
 ///
 /// # Examples
 ///
@@ -41,22 +49,10 @@ pub fn t_critical_975(df: u64) -> f64 {
 }
 
 /// Numerically-stable streaming mean/variance/extrema (Welford's
-/// algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use qgov_metrics::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_std_dev(), 2.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineStats {
+/// algorithm) — the accumulator under [`MetricSummary`], the windowed
+/// folds and the per-run frame-time ratio.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
@@ -66,8 +62,7 @@ pub struct OnlineStats {
 
 impl OnlineStats {
     /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OnlineStats {
             count: 0,
             mean: 0.0,
@@ -82,7 +77,7 @@ impl OnlineStats {
     /// # Panics
     ///
     /// Panics if `x` is not finite.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         assert!(x.is_finite(), "samples must be finite, got {x}");
         self.count += 1;
         let delta = x - self.mean;
@@ -93,14 +88,12 @@ impl OnlineStats {
     }
 
     /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sample mean (zero when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -108,29 +101,11 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (zero when empty).
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample (Bessel-corrected, `n − 1` denominator) variance — the
-    /// unbiased estimator a cross-seed sweep reports. Zero when fewer
-    /// than two samples have been pushed: with one seed there is no
-    /// spread to estimate, and aggregation layers render that case as
-    /// a bare mean (see `MetricSummary`).
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
+    /// Sample (Bessel-corrected, `n − 1` denominator) variance. Zero
+    /// below two samples: with one seed there is no spread to
+    /// estimate, and [`MetricSummary`] renders that case as a bare
+    /// mean.
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -138,29 +113,15 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation (√[`OnlineStats::sample_variance`];
-    /// zero below two samples).
-    #[must_use]
-    pub fn sample_std_dev(&self) -> f64 {
+    /// Sample standard deviation (zero below two samples).
+    pub(crate) fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
     /// Half-width of the 95 % confidence interval on the mean,
     /// `t₀.₉₇₅,ₙ₋₁ · s / √n` with the Student-t critical value from
-    /// [`t_critical_975`]. Zero below two samples (no spread
-    /// estimate exists).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qgov_metrics::OnlineStats;
-    ///
-    /// let s: OnlineStats = [2.0, 4.0, 6.0, 8.0, 10.0].into_iter().collect();
-    /// let expected = 2.776 * s.sample_std_dev() / 5f64.sqrt();
-    /// assert!((s.ci95_half_width() - expected).abs() < 1e-12);
-    /// ```
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
+    /// [`t_critical_975`]. Zero below two samples.
+    pub(crate) fn ci95_half_width(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -168,26 +129,13 @@ impl OnlineStats {
         }
     }
 
-    /// Coefficient of variation, `std/mean` (zero for a zero mean).
-    #[must_use]
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.population_std_dev() / m.abs()
-        }
-    }
-
     /// Smallest sample (`None` when empty).
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest sample (`None` when empty).
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 }
@@ -208,6 +156,118 @@ impl FromIterator<f64> for OnlineStats {
     }
 }
 
+/// Linearly interpolated `q`-quantile of an already-sorted, non-empty
+/// slice.
+fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    sorted[lo] + frac * (sorted[hi] - sorted[lo])
+}
+
+/// One metric's cross-run aggregate: sample count, mean, sample
+/// standard deviation, extrema, p50/p95 quantiles and the 95 %
+/// confidence half-width.
+///
+/// Construction sorts the samples by [`f64::total_cmp`] before
+/// folding, so a summary is **bit-identical under any permutation of
+/// its samples** — what makes sweep aggregates invariant to seed-list
+/// order. The quantiles interpolate linearly between order statistics.
+/// With a single sample (`n = 1`) the spread fields are all zero and
+/// [`MetricSummary::cell`] renders a bare mean: σ of one observation
+/// is undefined, not small.
+///
+/// # Examples
+///
+/// ```
+/// use qgov_metrics::MetricSummary;
+///
+/// let s = MetricSummary::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+/// assert_eq!(s.n, 5);
+/// assert_eq!(s.mean, 3.0);
+/// assert_eq!((s.min, s.max), (1.0, 5.0));
+/// assert_eq!((s.p50, s.p95), (3.0, 4.8));
+/// assert_eq!(s.cell(1), "3.0 ± 1.6 (n=5)");
+/// assert_eq!(MetricSummary::from_samples(&[2.5]).cell(2), "2.50 (n=1)");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MetricSummary {
+    /// Number of samples aggregated.
+    pub n: u64,
+    /// Sample mean (zero when empty).
+    pub mean: f64,
+    /// Sample (`n − 1`) standard deviation; zero when `n < 2`.
+    pub std_dev: f64,
+    /// Smallest sample (zero when empty).
+    pub min: f64,
+    /// Largest sample (zero when empty).
+    pub max: f64,
+    /// Median (0.5-quantile, interpolated; zero when empty).
+    pub p50: f64,
+    /// 0.95-quantile (interpolated; zero when empty).
+    pub p95: f64,
+    /// Half-width of the 95 % Student-t confidence interval on the
+    /// mean, `t₀.₉₇₅,ₙ₋₁ · σ / √n`; zero when `n < 2`.
+    pub ci95: f64,
+}
+
+impl MetricSummary {
+    /// Aggregates `samples` (any order; the fold sorts first).
+    ///
+    /// An empty slice yields the all-zero `n = 0` summary, which
+    /// renders as `—`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any sample is not finite.
+    #[must_use]
+    pub fn from_samples(samples: &[f64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let stats: OnlineStats = sorted.iter().copied().collect();
+        let (p50, p95) = if sorted.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (
+                quantile_of_sorted(&sorted, 0.5),
+                quantile_of_sorted(&sorted, 0.95),
+            )
+        };
+        MetricSummary {
+            n: stats.count(),
+            mean: stats.mean(),
+            std_dev: stats.sample_std_dev(),
+            min: stats.min().unwrap_or(0.0),
+            max: stats.max().unwrap_or(0.0),
+            p50,
+            p95,
+            ci95: stats.ci95_half_width(),
+        }
+    }
+
+    /// `true` when no samples were aggregated.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Renders the `mean ± σ (n)` cell with `decimals` fraction
+    /// digits: `"1.19 ± 0.02 (n=5)"`, a bare `"1.19 (n=1)"` when σ is
+    /// undefined, `"—"` when empty.
+    #[must_use]
+    pub fn cell(&self, decimals: usize) -> String {
+        match self.n {
+            0 => "—".into(),
+            1 => format!("{:.decimals$} (n=1)", self.mean),
+            n => format!(
+                "{:.decimals$} ± {:.decimals$} (n={n})",
+                self.mean, self.std_dev
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +277,7 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
+        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -227,9 +287,9 @@ mod tests {
         let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
         let s: OnlineStats = xs.iter().copied().collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.population_variance() - var).abs() < 1e-10);
+        assert!((s.sample_variance() - var).abs() < 1e-10);
     }
 
     #[test]
@@ -237,13 +297,6 @@ mod tests {
         let s: OnlineStats = [3.0, -1.0, 7.0, 2.0].into_iter().collect();
         assert_eq!(s.min(), Some(-1.0));
         assert_eq!(s.max(), Some(7.0));
-    }
-
-    #[test]
-    fn cv_is_relative_spread() {
-        let tight: OnlineStats = [10.0, 10.1, 9.9].into_iter().collect();
-        let wide: OnlineStats = [10.0, 16.0, 4.0].into_iter().collect();
-        assert!(tight.cv() < wide.cv());
     }
 
     #[test]
@@ -261,7 +314,6 @@ mod tests {
         // Population variance 4.0 over 8 samples -> sample variance
         // 4.0 * 8 / 7.
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert!(s.sample_std_dev() > s.population_std_dev());
     }
 
     #[test]
@@ -299,5 +351,72 @@ mod tests {
     #[should_panic(expected = "degree of freedom")]
     fn t_critical_rejects_zero_df() {
         let _ = t_critical_975(0);
+    }
+
+    #[test]
+    fn summary_matches_two_pass_reference() {
+        let xs = [1.0, 4.0, 2.0, 8.0, 5.0];
+        let s = MetricSummary::from_samples(&xs);
+        let mean = xs.iter().sum::<f64>() / 5.0;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 4.0;
+        assert!((s.mean - mean).abs() < 1e-12);
+        assert!((s.std_dev - var.sqrt()).abs() < 1e-12);
+        assert_eq!((s.min, s.max, s.n), (1.0, 8.0, 5));
+        assert!((s.ci95 - 2.776 * var.sqrt() / 5f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_is_bit_identical_under_permutation() {
+        let a = MetricSummary::from_samples(&[0.1 + 0.2, 0.3, 1e-9, -7.5]);
+        let b = MetricSummary::from_samples(&[-7.5, 0.3, 0.1 + 0.2, 1e-9]);
+        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+        assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
+        assert_eq!(a.ci95.to_bits(), b.ci95.to_bits());
+        assert_eq!(
+            (a.min.to_bits(), a.max.to_bits()),
+            (b.min.to_bits(), b.max.to_bits())
+        );
+        assert_eq!(
+            (a.p50.to_bits(), a.p95.to_bits()),
+            (b.p50.to_bits(), b.p95.to_bits())
+        );
+    }
+
+    #[test]
+    fn n1_renders_bare_mean_and_zero_spread() {
+        let s = MetricSummary::from_samples(&[1.19]);
+        assert_eq!(s.std_dev, 0.0);
+        assert_eq!(s.ci95, 0.0);
+        assert_eq!(s.cell(2), "1.19 (n=1)");
+    }
+
+    #[test]
+    fn empty_summary_renders_dash() {
+        let s = MetricSummary::from_samples(&[]);
+        assert!(s.is_empty());
+        assert_eq!(s.cell(2), "—");
+    }
+
+    #[test]
+    fn constant_series_has_zero_sigma_but_full_cell() {
+        let s = MetricSummary::from_samples(&[3.0; 6]);
+        assert_eq!(s.cell(1), "3.0 ± 0.0 (n=6)");
+        assert_eq!(s.min, s.max);
+    }
+
+    #[test]
+    fn summary_quantiles_interpolate() {
+        let s = MetricSummary::from_samples(&[40.0, 10.0, 30.0, 20.0]);
+        assert_eq!(s.p50, 25.0);
+        assert!((s.p95 - 38.5).abs() < 1e-9);
+        // Interpolated: p95 sits between the two largest order stats.
+        let s = MetricSummary::from_samples(&[5.0, 1.0, 9.0, 3.0, 7.0, 2.0]);
+        assert_eq!(s.p50, 4.0);
+        assert!(s.p95 > 7.0 && s.p95 < 9.0);
+        // Degenerate cases: one sample collapses, empty zeroes out.
+        let one = MetricSummary::from_samples(&[4.2]);
+        assert_eq!((one.p50, one.p95), (4.2, 4.2));
+        let none = MetricSummary::from_samples(&[]);
+        assert_eq!((none.p50, none.p95), (0.0, 0.0));
     }
 }

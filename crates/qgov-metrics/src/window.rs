@@ -7,9 +7,9 @@
 //! [`WindowedStats`] fold splits the sample stream into fixed-length
 //! windows and keeps one [`WindowSummary`] (mean / σ / extrema) per
 //! window, in O(windows) memory however long the stream: the streaming
-//! complement to the whole-run [`OnlineStats`] accumulator, the same
-//! way `ShardedTrace` complements `WorkloadTrace` on the workload
-//! side.
+//! complement to the whole-run [`MetricSummary`](crate::MetricSummary)
+//! fold, the same way `ShardedTrace` complements `WorkloadTrace` on the
+//! workload side.
 
 use crate::stats::OnlineStats;
 
@@ -111,7 +111,7 @@ impl WindowedStats {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not finite (inherited from [`OnlineStats`]).
+    /// Panics if `x` is not finite.
     pub fn push(&mut self, x: f64) {
         self.current.push(x);
         self.total += 1;

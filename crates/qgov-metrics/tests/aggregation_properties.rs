@@ -1,11 +1,10 @@
-//! Property tests for the cross-seed aggregation math: the streaming
-//! and keep-all-samples accumulators must agree with brute-force
-//! two-pass references on arbitrary inputs, including the n = 1
-//! (σ undefined, reported as zero / bare-mean cell) and
+//! Property tests for the cross-run fold: [`MetricSummary`] must agree
+//! with brute-force two-pass references on arbitrary inputs, including
+//! the n = 1 (σ undefined, reported as zero / bare-mean cell) and
 //! constant-series edge cases.
 
 use proptest::prelude::*;
-use qgov_metrics::{t_critical_975, MetricSummary, OnlineStats, SampleStats};
+use qgov_metrics::{t_critical_975, MetricSummary};
 
 /// Brute-force reference: (mean, sample variance, min, max).
 fn reference(xs: &[f64]) -> (f64, f64, f64, f64) {
@@ -31,19 +30,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn online_stats_match_brute_force(
+    fn metric_summary_matches_brute_force(
         xs in proptest::collection::vec(-1e6f64..1e6, 1..64)
     ) {
         let (mean, var, min, max) = reference(&xs);
-        let s: OnlineStats = xs.iter().copied().collect();
-        prop_assert!(close(s.mean(), mean, mean), "mean {} vs {}", s.mean(), mean);
+        let s = MetricSummary::from_samples(&xs);
+        prop_assert!(close(s.mean, mean, mean), "mean {} vs {}", s.mean, mean);
         prop_assert!(
-            close(s.sample_variance(), var, var.max(1e6)),
-            "variance {} vs {}", s.sample_variance(), var
+            close(s.std_dev * s.std_dev, var, var.max(1e6)),
+            "variance {} vs {}", s.std_dev * s.std_dev, var
         );
-        prop_assert_eq!(s.min().unwrap().to_bits(), min.to_bits());
-        prop_assert_eq!(s.max().unwrap().to_bits(), max.to_bits());
-        prop_assert_eq!(s.count(), xs.len() as u64);
+        prop_assert_eq!(s.min.to_bits(), min.to_bits());
+        prop_assert_eq!(s.max.to_bits(), max.to_bits());
+        prop_assert_eq!(s.n, xs.len() as u64);
+        // Mean is bracketed by the extrema; σ and CI are non-negative.
+        prop_assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
+        prop_assert!(s.std_dev >= 0.0 && s.ci95 >= 0.0);
     }
 
     #[test]
@@ -51,34 +53,17 @@ proptest! {
         xs in proptest::collection::vec(-1e3f64..1e3, 2..40)
     ) {
         let (_, var, _, _) = reference(&xs);
-        let s: OnlineStats = xs.iter().copied().collect();
+        let s = MetricSummary::from_samples(&xs);
         let expected = t_critical_975(xs.len() as u64 - 1)
             * var.sqrt()
             / (xs.len() as f64).sqrt();
         prop_assert!(
-            close(s.ci95_half_width(), expected, expected.max(1e3)),
-            "ci95 {} vs {}", s.ci95_half_width(), expected
+            close(s.ci95, expected, expected.max(1e3)),
+            "ci95 {} vs {}", s.ci95, expected
         );
         // The CI half-width never exceeds the full sample range times
         // the worst-case t multiplier.
-        prop_assert!(s.ci95_half_width() <= 12.706 * (s.max().unwrap() - s.min().unwrap()) + 1e-9);
-    }
-
-    #[test]
-    fn metric_summary_agrees_with_online_stats(
-        xs in proptest::collection::vec(-1e5f64..1e5, 1..48)
-    ) {
-        let summary = MetricSummary::from_samples(&xs);
-        let online: OnlineStats = xs.iter().copied().collect();
-        // Same fold modulo summation order (the summary sorts first).
-        prop_assert!(close(summary.mean, online.mean(), online.mean()));
-        prop_assert!(close(summary.std_dev, online.sample_std_dev(), online.sample_std_dev().max(1e5)));
-        prop_assert_eq!(summary.min.to_bits(), online.min().unwrap().to_bits());
-        prop_assert_eq!(summary.max.to_bits(), online.max().unwrap().to_bits());
-        prop_assert_eq!(summary.n, online.count());
-        // Mean is bracketed by the extrema; σ and CI are non-negative.
-        prop_assert!(summary.min <= summary.mean + 1e-9 && summary.mean <= summary.max + 1e-9);
-        prop_assert!(summary.std_dev >= 0.0 && summary.ci95 >= 0.0);
+        prop_assert!(s.ci95 <= 12.706 * (s.max - s.min) + 1e-9);
     }
 
     #[test]
@@ -119,27 +104,19 @@ proptest! {
         prop_assert_eq!(summary.std_dev, 0.0);
         prop_assert_eq!(summary.ci95, 0.0);
         prop_assert_eq!(summary.mean.to_bits(), x.to_bits());
-        let online: OnlineStats = xs.iter().copied().collect();
-        prop_assert_eq!(online.sample_variance(), 0.0);
-        prop_assert_eq!(online.ci95_half_width(), 0.0);
     }
 
     #[test]
     fn quantiles_are_monotone_and_bracketed(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..48),
-        q1 in 0.0f64..=1.0,
-        q2 in 0.0f64..=1.0
+        xs in proptest::collection::vec(-1e6f64..1e6, 1..48)
     ) {
-        let s: SampleStats = xs.iter().copied().collect();
-        let (lo, hi) = (q1.min(q2), q1.max(q2));
-        let v_lo = s.quantile(lo).unwrap();
-        let v_hi = s.quantile(hi).unwrap();
-        prop_assert!(v_lo <= v_hi + 1e-9, "q{} = {} > q{} = {}", lo, v_lo, hi, v_hi);
-        prop_assert!(s.quantile(0.0).unwrap() <= v_lo + 1e-9);
-        prop_assert!(v_hi <= s.quantile(1.0).unwrap() + 1e-9);
-        // The extremes are exactly min and max.
-        let summary = s.summary();
-        prop_assert_eq!(s.quantile(0.0).unwrap().to_bits(), summary.min.to_bits());
-        prop_assert_eq!(s.quantile(1.0).unwrap().to_bits(), summary.max.to_bits());
+        let s = MetricSummary::from_samples(&xs);
+        prop_assert!(s.min <= s.p50, "min {} > p50 {}", s.min, s.p50);
+        prop_assert!(s.p50 <= s.p95 + 1e-9, "p50 {} > p95 {}", s.p50, s.p95);
+        prop_assert!(s.p95 <= s.max + 1e-9, "p95 {} > max {}", s.p95, s.max);
+        if xs.len() == 1 {
+            prop_assert_eq!(s.p50.to_bits(), xs[0].to_bits());
+            prop_assert_eq!(s.p95.to_bits(), xs[0].to_bits());
+        }
     }
 }

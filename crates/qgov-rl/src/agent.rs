@@ -11,7 +11,6 @@ use rand::SeedableRng;
 /// Actions must be listed in ascending frequency order so that greedy
 /// tie-breaks favour the lowest (most energy-frugal) frequency.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActionSpace {
     freqs_ghz: Vec<f64>,
 }
@@ -60,7 +59,6 @@ impl ActionSpace {
 
 /// Learning hyper-parameters for a [`QLearningAgent`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AgentConfig {
     /// Learning rate α of the Bellman update (Eq. 3).
     pub alpha: f64,

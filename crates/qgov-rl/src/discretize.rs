@@ -28,7 +28,6 @@ use crate::RlError;
 /// assert_eq!(d.level_of(42.0), 4);  // clamped
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UniformDiscretizer {
     min: f64,
     max: f64,
@@ -97,7 +96,6 @@ impl UniformDiscretizer {
 /// assert_eq!(d.level_of(99.0), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuantileDiscretizer {
     /// Ascending inner boundaries; `boundaries.len() == levels - 1`.
     boundaries: Vec<f64>,

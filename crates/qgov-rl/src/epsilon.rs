@@ -24,7 +24,6 @@ use crate::RlError;
 /// assert_eq!(eps.value(), 0.01); // clamped at the floor
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DecayingEpsilon {
     initial: f64,
     current: f64,

@@ -76,7 +76,6 @@ pub fn sample_weighted(weights: &[f64], rng: &mut dyn RngCore) -> usize {
 /// assert!(low > high);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ExplorationKind {
     /// The paper's slack-aware Exponential Probability Distribution
     /// (Eq. 2).

@@ -32,7 +32,6 @@
 /// assert_eq!(p.predict(), 0.6 * 200.0 + 0.4 * 100.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EwmaPredictor {
     smoothing: f64,
     prediction: Option<f64>,

@@ -28,7 +28,6 @@ use crate::RlError;
 /// assert_eq!(q.greedy_action(0), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QTable {
     states: usize,
     actions: usize,

@@ -50,7 +50,6 @@ use crate::RlError;
 /// assert!(r.reward(-0.2, 0.0) < r.reward(0.2, 0.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlackReward {
     a: f64,
     b: f64,

@@ -18,7 +18,6 @@ use qgov_units::{SimTime, Volt};
 /// ([`VfDomain::PerCore`]) are provided for the per-core baseline
 /// governors and ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VfDomain {
     /// One V-F setting shared by every core (hardware-faithful).
     #[default]
@@ -29,7 +28,6 @@ pub enum VfDomain {
 
 /// Transition-cost parameters of the V-F controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DvfsConfig {
     /// Fixed cost per transition (PLL relock, driver bookkeeping).
     pub base_latency: SimTime,

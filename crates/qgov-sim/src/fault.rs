@@ -299,12 +299,6 @@ impl FaultInjector {
         }
     }
 
-    /// `true` if `core` of `cluster` has dropped out.
-    #[must_use]
-    pub fn is_core_dead(&self, cluster: usize, core: usize) -> bool {
-        self.dead[cluster] & (1u64 << core) != 0
-    }
-
     /// Number of dropped cores on `cluster`.
     #[must_use]
     pub fn dead_core_count(&self, cluster: usize) -> u32 {
@@ -536,12 +530,11 @@ mod tests {
         let plan = FaultPlan::none().with(Fault::window(FaultKind::CoreDrop { core: 1 }, 0, 5, 6));
         let mut inj = FaultInjector::single(&plan, 3, 4);
         inj.begin_epoch(4);
-        assert!(!inj.is_core_dead(0, 1));
+        assert_eq!(inj.dead_core_count(0), 0);
         inj.begin_epoch(5);
-        assert!(inj.is_core_dead(0, 1));
+        assert_eq!(inj.dead_core_count(0), 1);
         // The window end is ignored: drops are permanent.
         inj.begin_epoch(100);
-        assert!(inj.is_core_dead(0, 1));
         assert_eq!(inj.dead_core_count(0), 1);
         assert!(!inj.cluster_dead(0));
 

@@ -67,6 +67,6 @@ pub use fault::{Actuation, Fault, FaultInjector, FaultKind, FaultPlan};
 pub use opp::{Opp, OppTable};
 pub use platform::{FrameResult, Platform, PlatformConfig, WorkSlice};
 pub use pmu::Pmu;
-pub use power::{CmosPowerModel, PowerBreakdown, PowerModel};
+pub use power::{CmosPowerModel, PowerBreakdown};
 pub use sensor::{PowerSensor, SensorConfig};
 pub use thermal::{ThermalConfig, ThermalModel};

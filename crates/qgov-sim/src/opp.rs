@@ -6,7 +6,6 @@ use qgov_units::{Freq, Volt};
 /// A single operating performance point: a frequency and the supply
 /// voltage required to sustain it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Opp {
     /// Clock frequency of the point.
     pub freq: Freq,
@@ -45,7 +44,6 @@ impl core::fmt::Display for Opp {
 /// assert_eq!(table.get(18).unwrap().freq.as_mhz(), 2000.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OppTable {
     points: Vec<Opp>,
 }
@@ -174,22 +172,10 @@ impl OppTable {
         self.points.iter().copied()
     }
 
-    /// The index of the lowest operating point.
-    #[must_use]
-    pub fn min_index(&self) -> usize {
-        0
-    }
-
     /// The index of the highest operating point.
     #[must_use]
     pub fn max_index(&self) -> usize {
         self.points.len() - 1
-    }
-
-    /// The lowest frequency in the table.
-    #[must_use]
-    pub fn min_freq(&self) -> Freq {
-        self.points[0].freq
     }
 
     /// The highest frequency in the table.
@@ -217,22 +203,6 @@ impl OppTable {
             .iter()
             .rposition(|p| p.freq <= freq)
             .unwrap_or_default()
-    }
-
-    /// The index of the point closest in frequency to `freq` (ties go
-    /// down, favouring the lower-power point).
-    #[must_use]
-    pub fn nearest_index(&self, freq: Freq) -> usize {
-        let mut best = 0;
-        let mut best_diff = self.points[0].freq.abs_diff(freq);
-        for (i, p) in self.points.iter().enumerate().skip(1) {
-            let d = p.freq.abs_diff(freq);
-            if d < best_diff {
-                best = i;
-                best_diff = d;
-            }
-        }
-        best
     }
 
     /// Per-point frequencies in GHz — the `F` vector consumed by the
@@ -267,7 +237,7 @@ mod tests {
     fn a15_table_matches_paper() {
         let t = OppTable::odroid_xu3_a15();
         assert_eq!(t.len(), 19);
-        assert_eq!(t.min_freq(), Freq::from_mhz(200));
+        assert_eq!(t.points()[0].freq, Freq::from_mhz(200));
         assert_eq!(t.max_freq(), Freq::from_mhz(2000));
         // 100 MHz steps.
         for (i, p) in t.iter().enumerate() {
@@ -325,10 +295,6 @@ mod tests {
         assert_eq!(t.index_at_or_below(Freq::from_mhz(1)), 0);
         assert_eq!(t.index_at_or_below(Freq::from_mhz(250)), 0);
         assert_eq!(t.index_at_or_below(Freq::from_mhz(2000)), 18);
-        assert_eq!(t.nearest_index(Freq::from_mhz(240)), 0);
-        assert_eq!(t.nearest_index(Freq::from_mhz(260)), 1);
-        // Tie 250: goes down.
-        assert_eq!(t.nearest_index(Freq::from_mhz(250)), 0);
     }
 
     #[test]

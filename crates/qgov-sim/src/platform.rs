@@ -2,8 +2,8 @@
 //! thermal, driven one decision epoch at a time.
 
 use crate::{
-    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerModel, PowerSensor, SensorConfig, SimError,
-    ThermalConfig, ThermalModel, VfController, VfDomain,
+    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerSensor, SensorConfig, SimError, ThermalConfig,
+    ThermalModel, VfController, VfDomain,
 };
 use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
 
@@ -15,7 +15,6 @@ use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
 /// energy/performance trade-off (running memory-bound phases fast wastes
 /// energy without finishing sooner).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkSlice {
     /// Frequency-scalable CPU-bound cycles.
     pub cpu_cycles: Cycles,

@@ -11,8 +11,7 @@ use qgov_units::{Cycles, SimTime};
 /// the companion counters so baselines and ablations can consult them.
 ///
 /// Counters accumulate monotonically like real PMU registers; governors
-/// typically read-and-remember to form per-epoch deltas, or call
-/// [`snapshot_delta`](Pmu::snapshot_delta).
+/// read-and-remember them to form per-epoch deltas.
 ///
 /// # Examples
 ///
@@ -23,17 +22,13 @@ use qgov_units::{Cycles, SimTime};
 /// let mut pmu = Pmu::new();
 /// pmu.record(Cycles::from_mcycles(5), SimTime::from_ms(10), SimTime::from_ms(2));
 /// assert_eq!(pmu.cycles(), Cycles::from_mcycles(5));
-/// let delta = pmu.snapshot_delta();
-/// assert_eq!(delta, Cycles::from_mcycles(5));
-/// assert_eq!(pmu.snapshot_delta(), Cycles::ZERO); // nothing new since
+/// assert!((pmu.utilization() - 10.0 / 12.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pmu {
     cycles: Cycles,
     busy_time: SimTime,
     idle_time: SimTime,
-    last_snapshot: Cycles,
 }
 
 impl Pmu {
@@ -81,15 +76,6 @@ impl Pmu {
         }
     }
 
-    /// Returns the cycles retired since the previous call to this method
-    /// (first call returns everything since reset). This is the
-    /// read-and-clear idiom governors use for per-epoch workload deltas.
-    pub fn snapshot_delta(&mut self) -> Cycles {
-        let delta = self.cycles - self.last_snapshot;
-        self.last_snapshot = self.cycles;
-        delta
-    }
-
     /// Clears all counters.
     pub fn reset(&mut self) {
         *self = Self::default();
@@ -119,24 +105,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_is_incremental() {
-        let mut pmu = Pmu::new();
-        pmu.record(Cycles::new(10), SimTime::ZERO, SimTime::ZERO);
-        assert_eq!(pmu.snapshot_delta(), Cycles::new(10));
-        pmu.record(Cycles::new(7), SimTime::ZERO, SimTime::ZERO);
-        pmu.record(Cycles::new(3), SimTime::ZERO, SimTime::ZERO);
-        assert_eq!(pmu.snapshot_delta(), Cycles::new(10));
-        assert_eq!(pmu.snapshot_delta(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_snapshot_state_too() {
+    fn reset_clears_every_counter() {
         let mut pmu = Pmu::new();
         pmu.record(Cycles::new(10), SimTime::from_ms(1), SimTime::ZERO);
-        pmu.snapshot_delta();
         pmu.reset();
+        assert_eq!(pmu, Pmu::new());
         assert_eq!(pmu.cycles(), Cycles::ZERO);
-        assert_eq!(pmu.snapshot_delta(), Cycles::ZERO);
         assert_eq!(pmu.utilization(), 0.0);
     }
 }

@@ -32,24 +32,13 @@ impl PowerBreakdown {
     }
 }
 
-/// A model mapping (operating point, activity, temperature) to power.
-pub trait PowerModel {
-    /// Power of one core at `opp` with switching `activity ∈ [0, 1]`
-    /// (1 = fully busy, 0 = clock-gated idle) and die temperature
-    /// `temp`.
-    fn core_power(&self, opp: Opp, activity: f64, temp: Temp) -> PowerBreakdown;
-
-    /// Cluster-level uncore power (L2, interconnect, clock tree) at
-    /// `opp` — dissipated regardless of how many cores are busy.
-    fn uncore_power(&self, opp: Opp, temp: Temp) -> PowerBreakdown;
-}
-
-/// The default analytical CMOS power model.
+/// The analytical CMOS power model: maps (operating point, activity,
+/// temperature) to power.
 ///
 /// # Examples
 ///
 /// ```
-/// use qgov_sim::{CmosPowerModel, OppTable, PowerModel};
+/// use qgov_sim::{CmosPowerModel, OppTable};
 /// use qgov_units::Temp;
 ///
 /// let model = CmosPowerModel::a15();
@@ -60,7 +49,6 @@ pub trait PowerModel {
 /// assert!(high.total().as_watts() > 8.0 * low.total().as_watts());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CmosPowerModel {
     /// Effective switched capacitance per core in farads.
     ceff_core: f64,
@@ -146,10 +134,16 @@ impl CmosPowerModel {
         let t_scale = 1.0 + self.kt_leak * (temp.as_celsius() - 25.0).max(0.0);
         Power::from_watts(base * t_scale)
     }
-}
 
-impl PowerModel for CmosPowerModel {
-    fn core_power(&self, opp: Opp, activity: f64, temp: Temp) -> PowerBreakdown {
+    /// Power of one core at `opp` with switching `activity ∈ [0, 1]`
+    /// (1 = fully busy, 0 = clock-gated idle) and die temperature
+    /// `temp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `activity` lies outside `[0, 1]`.
+    #[must_use]
+    pub fn core_power(&self, opp: Opp, activity: f64, temp: Temp) -> PowerBreakdown {
         assert!(
             (0.0..=1.0).contains(&activity),
             "activity must lie in [0, 1], got {activity}"
@@ -163,7 +157,10 @@ impl PowerModel for CmosPowerModel {
         }
     }
 
-    fn uncore_power(&self, opp: Opp, temp: Temp) -> PowerBreakdown {
+    /// Cluster-level uncore power (L2, interconnect, clock tree) at
+    /// `opp` — dissipated regardless of how many cores are busy.
+    #[must_use]
+    pub fn uncore_power(&self, opp: Opp, temp: Temp) -> PowerBreakdown {
         let dynamic =
             Power::from_watts(self.ceff_uncore * opp.volt.squared() * opp.freq.hz() as f64);
         PowerBreakdown {

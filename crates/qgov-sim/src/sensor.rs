@@ -13,7 +13,6 @@ use rand::SeedableRng;
 
 /// Measurement characteristics of the power sensor.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorConfig {
     /// Reading resolution in milliwatts (readings round to a multiple).
     pub quantum_mw: f64,

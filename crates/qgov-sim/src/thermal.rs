@@ -15,7 +15,6 @@ use qgov_units::{Power, SimTime, Temp};
 
 /// Thermal network parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThermalConfig {
     /// Thermal resistance junction→ambient in °C per watt.
     pub r_th: f64,

@@ -21,7 +21,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(work.time_at(Freq::from_mhz(500)), SimTime::from_ms(20));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycles(u64);
 
 impl Cycles {

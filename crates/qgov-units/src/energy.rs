@@ -16,12 +16,11 @@ use core::ops::{Add, AddAssign, Mul, Sub};
 /// use qgov_units::Energy;
 ///
 /// let a = Energy::from_joules(1.2);
-/// let b = Energy::from_mj(300.0);
+/// let b = Energy::from_joules(0.3);
 /// assert!((a + b).as_joules() - 1.5 < 1e-12);
 /// assert!((a.normalized_to(b) - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Energy(f64);
 
 impl Energy {
@@ -40,16 +39,6 @@ impl Energy {
             "energy must be finite and non-negative, got {j} J"
         );
         Energy(j)
-    }
-
-    /// Creates an energy from millijoules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mj` is negative or not finite.
-    #[must_use]
-    pub fn from_mj(mj: f64) -> Self {
-        Self::from_joules(mj / 1_000.0)
     }
 
     /// Returns the energy in joules.
@@ -150,7 +139,7 @@ mod tests {
 
     #[test]
     fn display_uses_natural_unit() {
-        assert_eq!(Energy::from_mj(12.0).to_string(), "12.0 mJ");
+        assert_eq!(Energy::from_joules(0.012).to_string(), "12.0 mJ");
         assert_eq!(Energy::from_joules(3.5).to_string(), "3.500 J");
     }
 

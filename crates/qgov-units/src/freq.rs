@@ -21,7 +21,6 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert!(f > Freq::from_mhz(200));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Freq(u64);
 
 impl Freq {

@@ -20,7 +20,6 @@ use core::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!(e.as_joules(), 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Power(f64);
 
 impl Power {
@@ -39,16 +38,6 @@ impl Power {
             "power must be finite and non-negative, got {w} W"
         );
         Power(w)
-    }
-
-    /// Creates a power from milliwatts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mw` is negative or not finite.
-    #[must_use]
-    pub fn from_mw(mw: f64) -> Self {
-        Self::from_watts(mw / 1_000.0)
     }
 
     /// Returns the power in watts.
@@ -134,7 +123,7 @@ mod tests {
 
     #[test]
     fn display_uses_natural_unit() {
-        assert_eq!(Power::from_mw(250.0).to_string(), "250.0 mW");
+        assert_eq!(Power::from_watts(0.25).to_string(), "250.0 mW");
         assert_eq!(Power::from_watts(4.2).to_string(), "4.200 W");
     }
 

@@ -18,7 +18,6 @@ use core::ops::{Add, Sub};
 /// assert_eq!(hot.as_celsius(), 65.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Temp(f64);
 
 impl Temp {
@@ -40,12 +39,6 @@ impl Temp {
     #[must_use]
     pub const fn as_celsius(self) -> f64 {
         self.0
-    }
-
-    /// Returns the temperature in kelvin.
-    #[must_use]
-    pub fn as_kelvin(self) -> f64 {
-        self.0 + 273.15
     }
 
     /// Returns the larger of two temperatures.
@@ -89,11 +82,6 @@ impl fmt::Display for Temp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kelvin_conversion() {
-        assert!((Temp::from_celsius(0.0).as_kelvin() - 273.15).abs() < 1e-12);
-    }
 
     #[test]
     fn default_is_room_ambient() {

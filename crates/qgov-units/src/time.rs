@@ -20,7 +20,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert!(frame < SimTime::from_ms(34));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 impl SimTime {

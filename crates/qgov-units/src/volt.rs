@@ -18,7 +18,6 @@ use core::ops::{Add, Sub};
 /// assert!((v.as_volts() - 1.3625).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Volt(u64);
 
 impl Volt {
@@ -43,16 +42,6 @@ impl Volt {
             "voltage must be finite and non-negative, got {mv} mV"
         );
         Volt((mv * 1_000.0).round() as u64)
-    }
-
-    /// Creates a voltage from volts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is negative or not finite.
-    #[must_use]
-    pub fn from_volts(v: f64) -> Self {
-        Self::from_mv(v * 1_000.0)
     }
 
     /// Returns the voltage in microvolts.
@@ -115,12 +104,12 @@ mod tests {
     #[test]
     fn constructors_round_trip() {
         assert_eq!(Volt::from_mv(912.5).uv(), 912_500);
-        assert_eq!(Volt::from_volts(1.25), Volt::from_mv(1250.0));
+        assert_eq!(Volt::from_mv(1250.0).as_volts(), 1.25);
     }
 
     #[test]
     fn squared_is_volts_squared() {
-        let v = Volt::from_volts(2.0);
+        let v = Volt::from_mv(2000.0);
         assert_eq!(v.squared(), 4.0);
     }
 

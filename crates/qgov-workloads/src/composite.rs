@@ -82,12 +82,6 @@ impl CompositeWorkload {
         })
     }
 
-    /// Number of member applications.
-    #[must_use]
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Names of the members, in core-assignment order.
     #[must_use]
     pub fn member_names(&self) -> Vec<&str> {
@@ -209,7 +203,6 @@ mod tests {
         let b = two_thread_app("beta", 10, 50, 2);
         let both = CompositeWorkload::new(vec![Box::new(a), Box::new(b)]).unwrap();
         assert_eq!(both.name(), "alpha+beta");
-        assert_eq!(both.member_count(), 2);
         assert_eq!(both.member_names(), vec!["alpha", "beta"]);
     }
 }

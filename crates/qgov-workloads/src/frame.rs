@@ -8,7 +8,6 @@ use qgov_units::{Cycles, SimTime};
 /// frequency-scalable CPU component plus a frequency-invariant memory
 /// component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThreadDemand {
     /// CPU-bound cycles to retire.
     pub cpu_cycles: Cycles,
@@ -40,7 +39,6 @@ impl ThreadDemand {
 /// thread ("at each iteration, multiple threads are spawned with each
 /// thread performing a task on the input data", Section III).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FrameDemand {
     /// Per-thread demands; thread `i` is scheduled on core `i`.
     pub threads: Vec<ThreadDemand>,

@@ -206,12 +206,6 @@ impl MarkovChain {
         self.values[self.state]
     }
 
-    /// `true` if this step just entered a different state than `prev`.
-    #[must_use]
-    pub fn changed_from(&self, prev: usize) -> bool {
-        self.state != prev
-    }
-
     /// Restarts in state 0.
     pub fn reset(&mut self) {
         self.state = 0;

@@ -567,13 +567,6 @@ impl ShardedTrace {
         self.shard_loads
     }
 
-    /// The smallest and largest total cycles of any recorded frame, as
-    /// measured during recording.
-    #[must_use]
-    pub fn cycle_extrema(&self) -> (u64, u64) {
-        (self.min_cycles, self.max_cycles)
-    }
-
     /// Pre-characterisation workload bounds `(min, max)` in cycles —
     /// the same values `qgov_bench::harness::precharacterize` derives
     /// from an in-memory trace, including its widening of degenerate
@@ -645,23 +638,6 @@ impl ShardedTrace {
             start_frame,
             frames: trace.into_frames(),
         })
-    }
-
-    /// Materialises the whole trace into a [`WorkloadTrace`] — the
-    /// inverse of sharded recording, for tests and for consumers (like
-    /// the Oracle governor) that genuinely need every frame at once.
-    /// Defeats the bounded-memory purpose for long traces; replay
-    /// through [`Application`] instead wherever possible.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard-load error encountered.
-    pub fn to_trace(&self) -> Result<WorkloadTrace, WorkloadError> {
-        let mut frames = Vec::with_capacity(usize::try_from(self.total_frames).unwrap_or(0));
-        for index in 0..self.shard_count {
-            frames.extend(self.load_shard(index)?.frames);
-        }
-        Ok(WorkloadTrace::from_frames(&self.name, self.period, frames))
     }
 }
 
@@ -828,7 +804,7 @@ mod tests {
         let mut app = sample_app(10); // noisy: genuine spread
         let trace = ShardedTrace::record(&mut app, dir.path(), 10, 4).unwrap();
         let (min, max) = trace.workload_bounds();
-        let (raw_min, raw_max) = trace.cycle_extrema();
+        let (raw_min, raw_max) = (trace.min_cycles, trace.max_cycles);
         assert!(min < max);
         assert_eq!(min, raw_min as f64);
         assert_eq!(max, raw_max as f64);
@@ -844,7 +820,7 @@ mod tests {
         );
         let trace = ShardedTrace::record(&mut constant, dir.path(), 10, 4).unwrap();
         let (min, max) = trace.workload_bounds();
-        let (raw_min, raw_max) = trace.cycle_extrema();
+        let (raw_min, raw_max) = (trace.min_cycles, trace.max_cycles);
         assert_eq!(raw_min, raw_max);
         assert!((min - raw_min as f64 * 0.9).abs() < 1e-6);
         assert!(max > raw_max as f64 * 1.1 - 1e-6);
@@ -870,16 +846,10 @@ mod tests {
         assert_eq!(recorded, opened);
         assert_eq!(opened.name(), "sample");
         assert_eq!(opened.period(), SimTime::from_ms(40));
-        assert_eq!(opened.cycle_extrema(), recorded.cycle_extrema());
-    }
-
-    #[test]
-    fn to_trace_materialises_the_full_recording() {
-        let dir = test_dir("materialise");
-        let mut app = sample_app(17);
-        let sharded = ShardedTrace::record(&mut app, dir.path(), 17, 5).unwrap();
-        let whole = WorkloadTrace::record(&mut app);
-        assert_eq!(sharded.to_trace().unwrap(), whole);
+        assert_eq!(
+            (opened.min_cycles, opened.max_cycles),
+            (recorded.min_cycles, recorded.max_cycles)
+        );
     }
 
     #[test]

@@ -173,7 +173,8 @@ impl WorkloadTrace {
     /// # Errors
     ///
     /// Returns [`WorkloadError::ParseTraceError`] with a line number on
-    /// any malformed input.
+    /// any malformed input, including a header that declares zero
+    /// frames or more frames than the document is long enough to hold.
     pub fn from_csv(text: &str) -> Result<Self, WorkloadError> {
         let err = |line: usize, reason: &str| WorkloadError::ParseTraceError {
             line,
@@ -223,6 +224,15 @@ impl WorkloadTrace {
             return Err(err(cno + 1, "unexpected column header"));
         }
 
+        if frame_count == 0 {
+            return Err(err(hno + 1, "a trace needs at least one frame"));
+        }
+        // Every frame needs a data row of at least eight bytes
+        // (`0,0,0,0` and its newline), so the document's length bounds
+        // the allocation a header may ask for without a second pass.
+        if frame_count > text.len() / 8 {
+            return Err(err(hno + 1, "frames exceeds what the document can hold"));
+        }
         let mut frames: Vec<FrameDemand> = vec![FrameDemand::default(); frame_count];
         for (lno, line) in lines {
             if line.trim().is_empty() {
@@ -392,6 +402,37 @@ mod tests {
                     frame,thread,cpu_cycles,mem_ns\n\
                     0,0,10,0\n";
         assert!(WorkloadTrace::from_csv(text).is_err());
+    }
+
+    #[test]
+    fn header_frame_counts_are_bounded_by_the_document() {
+        // Counts the document is too short to hold are rejected at the
+        // header line before anything is allocated: the largest `usize`
+        // would overflow the frame vector's capacity, and a large count
+        // that fits would abort the process when the allocation fails.
+        for frames in [u64::MAX, 1 << 40, 12] {
+            let text = format!(
+                "# name=x period_ns=1000000 frames={frames}\n\
+                 frame,thread,cpu_cycles,mem_ns\n\
+                 0,0,10,0\n"
+            );
+            let e = WorkloadTrace::from_csv(&text).unwrap_err();
+            assert!(
+                matches!(e, WorkloadError::ParseTraceError { line: 1, .. }),
+                "frames={frames}: {e}"
+            );
+        }
+        let e = WorkloadTrace::from_csv(
+            "# name=x period_ns=1000000 frames=0\nframe,thread,cpu_cycles,mem_ns\n",
+        )
+        .unwrap_err();
+        assert!(matches!(e, WorkloadError::ParseTraceError { line: 1, .. }));
+        // Two threads of one frame: more rows than frames is fine.
+        let text = "# name=x period_ns=1000000 frames=1\n\
+                    frame,thread,cpu_cycles,mem_ns\n\
+                    0,0,10,0\n\
+                    0,1,20,0\n";
+        assert_eq!(WorkloadTrace::from_csv(text).unwrap().len(), 1);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 
 /// The coding class of a video frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FrameClass {
     /// Intra-coded frame (most expensive to decode).
     I,
@@ -238,15 +237,6 @@ impl VideoDecoderModel {
         .expect("built-in preset is valid")
     }
 
-    /// H.264 football at 25 fps (tighter deadlines, same content).
-    #[must_use]
-    pub fn h264_football_25fps(seed: u64) -> Self {
-        let mut params = Self::h264_football_15fps(seed).params;
-        params.name = "h264-25".into();
-        params.fps = 25.0;
-        Self::new(params).expect("built-in preset is valid")
-    }
-
     /// Returns a copy of this model truncated/extended to `frames`
     /// frames (other parameters unchanged, sequence restarted).
     #[must_use]
@@ -260,24 +250,6 @@ impl VideoDecoderModel {
     #[must_use]
     pub fn params(&self) -> &VideoParams {
         &self.params
-    }
-
-    /// The coding class of the *next* iteration's first video-frame
-    /// slot (before scene-change promotion).
-    #[must_use]
-    pub fn upcoming_class(&self) -> FrameClass {
-        let slot = self.frame_index * self.params.frames_per_iteration as u64;
-        self.params.gop[(slot % self.params.gop.len() as u64) as usize]
-    }
-
-    /// `true` if the next iteration's chunk contains an I-slot (after
-    /// GOP alignment, ignoring scene-change promotions).
-    #[must_use]
-    pub fn upcoming_chunk_has_iframe(&self) -> bool {
-        let start = self.frame_index * self.params.frames_per_iteration as u64;
-        (0..self.params.frames_per_iteration as u64).any(|k| {
-            self.params.gop[((start + k) % self.params.gop.len() as u64) as usize] == FrameClass::I
-        })
     }
 }
 
@@ -381,7 +353,6 @@ mod tests {
         assert!(close(VideoDecoderModel::mpeg4_svga_24fps(0).fps(), 24.0));
         assert!(close(VideoDecoderModel::mpeg4_30fps(0).fps(), 30.0));
         assert!(close(VideoDecoderModel::h264_football_15fps(0).fps(), 15.0));
-        assert!(close(VideoDecoderModel::h264_football_25fps(0).fps(), 25.0));
         assert_eq!(VideoDecoderModel::h264_football_15fps(0).frames(), 3_000);
     }
 
@@ -396,9 +367,7 @@ mod tests {
         let mut app = VideoDecoderModel::new(params).unwrap();
         // GOP IBBPBBPBBPBB with 3-slot chunks: iteration 0 = IBB,
         // iterations 1-3 = PBB.
-        assert!(app.upcoming_chunk_has_iframe());
         let ibb = app.next_frame().total_cycles().count();
-        assert!(!app.upcoming_chunk_has_iframe());
         let pbb = app.next_frame().total_cycles().count();
         assert!(
             ibb > pbb,

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{
     suites, Application, FftModel, FrameDemand, SyntheticWorkload, ThreadDemand, VideoDecoderModel,
-    WorkloadTrace,
+    WorkloadError, WorkloadTrace,
 };
 
 /// Builds one of the library's applications from a compact selector.
@@ -29,6 +29,89 @@ fn make_app(kind: u8, seed: u64) -> Box<dyn Application> {
             )
             .with_noise(0.2),
         ),
+    }
+}
+
+/// The characters trace CSV documents are made of, plus a few that
+/// never belong in one.
+const CSV_ALPHABET: &[char] = &[
+    '#', ' ', '=', ',', '\n', '0', '1', '7', '9', '-', 'a', 'e', 'f', 'm', 'n', 'r', 's', '_',
+    '\t', 'é',
+];
+
+/// A header value: a well-formed `n` most of the time, otherwise zero,
+/// the largest `u64`, an overflowing, negative or non-numeric token.
+fn header_value(choice: u8, n: u64) -> String {
+    match choice % 8 {
+        0 => "0".into(),
+        1 => u64::MAX.to_string(),
+        2 => "18446744073709551616".into(),
+        3 => "-1".into(),
+        4 => "x".into(),
+        _ => n.to_string(),
+    }
+}
+
+/// `from_csv` is total: any text yields a trace no longer than the
+/// document or a located `ParseTraceError`, never a panic or an abort.
+fn assert_parse_is_total(text: &str) -> Result<(), TestCaseError> {
+    match WorkloadTrace::from_csv(text) {
+        Ok(trace) => prop_assert!(
+            (1..=text.lines().count()).contains(&trace.len()),
+            "{} frames parsed from {:?}",
+            trace.len(),
+            text
+        ),
+        Err(WorkloadError::ParseTraceError { .. }) => {}
+        Err(e) => prop_assert!(false, "unexpected error {e} for {text:?}"),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text over the CSV alphabet never panics the parser.
+    #[test]
+    fn from_csv_is_total_on_arbitrary_text(
+        chars in proptest::collection::vec(0usize..CSV_ALPHABET.len(), 0..160)
+    ) {
+        let text: String = chars.iter().map(|&i| CSV_ALPHABET[i]).collect();
+        assert_parse_is_total(&text)?;
+    }
+
+    /// Near-valid documents: arbitrary header values (zero, huge and
+    /// overflowing frame counts included), missing, unknown or
+    /// mis-prefixed header fields, and rows of two threads per frame
+    /// with arbitrary values, some corrupted.
+    #[test]
+    fn from_csv_is_total_on_near_valid_documents(
+        header in (0u8..16, 0u8..16, 0u64..2_000_000, 0u8..5),
+        rows in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u8..16), 0..24),
+    ) {
+        let (frames_choice, period_choice, period_ns, layout) = header;
+        let frames = header_value(frames_choice, rows.len().div_ceil(2) as u64);
+        let period = header_value(period_choice, period_ns);
+        let mut text = match layout {
+            0 => format!("# name=t frames={frames}\n"),
+            1 => format!("# name=t period_ns={period} frames={frames} bogus=1\n"),
+            2 => format!("name=t period_ns={period} frames={frames}\n"),
+            _ => format!("# name=t period_ns={period} frames={frames}\n"),
+        };
+        text.push_str(if layout == 3 { "frame,thread\n" } else { "frame,thread,cpu_cycles,mem_ns\n" });
+        for (k, &(cycles, mem_ns, corrupt)) in rows.iter().enumerate() {
+            let (frame, thread) = (k / 2, k % 2);
+            text.push_str(&match corrupt {
+                0 => format!("{frame},{thread},notanumber,{mem_ns}\n"),
+                1 => format!("{frame},{thread},{cycles}\n"),
+                2 => "\n".to_owned(),
+                3 => format!("{frame},{thread},{cycles},{mem_ns},9\n"),
+                4 => format!("{},{thread},{cycles},{mem_ns}\n", u64::MAX),
+                5 => format!("{frame},{},{cycles},{mem_ns}\n", thread + 1),
+                _ => format!("{frame},{thread},{cycles},{mem_ns}\n"),
+            });
+        }
+        assert_parse_is_total(&text)?;
     }
 }
 

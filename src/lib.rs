@@ -42,8 +42,8 @@
 //! | [`workloads`] | video / FFT / PARSEC-like / SPLASH-2-like / synthetic workloads, traces |
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
 //! | [`core`] | the paper's RTM: `RtmGovernor` + `RtmConfig` |
-//! | [`metrics`] | run reports, misprediction stats, tables, series |
-//! | [`mod@bench`] | the experiment harness, batched parallel runner, the experiment registry and run plans |
+//! | [`metrics`] | run reports, misprediction stats, the cross-run `MetricSummary` fold, `ComparisonTable`, series, temporal monitors |
+//! | [`mod@bench`] | the experiment harness, the `ExperimentBatch` runner, the experiment registry (fleets included) and run plans |
 //! | [`cli`] | the `qgov` operator binary: journaled, kill-and-resume campaigns |
 
 #![forbid(unsafe_code)]
@@ -71,10 +71,7 @@ pub mod prelude {
         fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm,
         FaultStormResult, FaultStormRow, FAULTSTORM_GRACE,
     };
-    pub use qgov_bench::fleet::{
-        fleet_cell_app, fleet_cell_config, fleet_cell_platform, run_fleet, Fleet, FleetOutcome,
-        FleetSpec,
-    };
+    pub use qgov_bench::fleet::{fleet_cell_app, fleet_cell_config, fleet_cell_platform, Fleet};
     pub use qgov_bench::harness::{
         precharacterize, run_experiment, run_experiment_faulted, run_experiment_monitored,
         ExperimentOutcome,
@@ -88,7 +85,7 @@ pub mod prelude {
         ManyCoreOutcome,
     };
     pub use qgov_bench::plan::{PlanError, RunPlan};
-    pub use qgov_bench::runner::{ExperimentBatch, RunnerConfig, RunnerMode};
+    pub use qgov_bench::runner::{ExperimentBatch, RunnerConfig};
     pub use qgov_bench::worklist::{
         fold_metrics, metric_table, slug, CellMetrics, Family, WorkCell, WorkList,
     };
@@ -105,9 +102,9 @@ pub mod prelude {
     pub use qgov_metrics::{
         converged_miss_rate, epsilon_monotone, epsilon_reaches_floor, opp_step_bound,
         recovery_pack, standard_pack, thermal_cap, ComparisonTable, MetricSummary,
-        MispredictionStats, MonitorReport, MonitorSample, OnlineStats, PackConfig, Property,
-        PropertySet, PropertyVerdict, RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport,
-        SampleStats, Series, SweepFormat, SweepTable, Verdict, WindowSummary, WindowedStats,
+        MispredictionStats, MonitorReport, MonitorSample, PackConfig, Property, PropertySet,
+        PropertyVerdict, RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport, Series,
+        Verdict, WindowSummary, WindowedStats,
     };
     pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable, SlackReward};
     pub use qgov_sim::{

@@ -552,3 +552,66 @@ fn record_then_replay_all_governors() {
         .unwrap();
     assert_exit(&output, 4, "replay missing trace");
 }
+
+/// Records `frames` frames in `shard_frames`-frame shards into a fresh
+/// trace directory under `scratch`.
+fn record_trace(scratch: &ScratchDir, frames: &str, shard_frames: &str) -> PathBuf {
+    let trace = scratch.path().join("trace");
+    let output = qgov()
+        .args(["record", "--out"])
+        .arg(&trace)
+        .args(["--frames", frames, "--shard-frames", shard_frames])
+        .output()
+        .unwrap();
+    assert_exit(&output, 0, "record");
+    trace
+}
+
+fn replay_rtm(trace: &Path) -> Output {
+    qgov()
+        .args(["replay", "--trace"])
+        .arg(trace)
+        .args(["--governor", "rtm"])
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn replay_of_a_corrupt_shard_exits_with_the_state_error() {
+    let scratch = ScratchDir::unique("qgov-cli-corrupt-shard");
+    let trace = record_trace(&scratch, "50", "20");
+    // Corrupt the first data row of the middle shard.
+    let shard = trace.join("shard-000001.csv");
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[2] = "0,0,notanumber,0";
+    std::fs::write(&shard, lines.join("\n") + "\n").unwrap();
+
+    let output = replay_rtm(&trace);
+    assert_exit(&output, 4, "replay of a corrupt shard");
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("shard-000001.csv"), "{stderr}");
+    assert!(stderr.contains("line 3"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no run may start");
+}
+
+#[test]
+fn replay_of_a_manifest_larger_than_its_shards_exits_with_the_state_error() {
+    let scratch = ScratchDir::unique("qgov-cli-oversized-manifest");
+    let trace = record_trace(&scratch, "20", "20");
+    // Declare 2^40 frames in one 2^40-frame shard over the real
+    // 20-frame shard file: the manifest alone is consistent.
+    let manifest = trace.join("manifest.csv");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let doctored = text
+        .replace(" frames=20 ", " frames=1099511627776 ")
+        .replace(" frames_per_shard=20 ", " frames_per_shard=1099511627776 ");
+    assert_ne!(doctored, text);
+    std::fs::write(&manifest, doctored).unwrap();
+
+    let output = replay_rtm(&trace);
+    assert_exit(&output, 4, "replay of an oversized manifest");
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("shard-000000.csv"), "{stderr}");
+    assert!(stderr.contains("1099511627776"), "{stderr}");
+}

@@ -1,44 +1,38 @@
-//! Fleet determinism: a fleet (`qgov_bench::fleet`) is a batch of flat
-//! runs, so every instance must match the flat harness bit for bit
-//! regardless of fleet size, instance order or worker count.
+//! Fleet determinism: a fleet cell (`qgov_bench::fleet::Fleet`) runs
+//! its instances as plain `run_experiment` calls, so every instance
+//! must match the flat harness bit for bit whatever the fleet size.
 //!
-//! Four pins:
+//! Three pins:
 //!
 //! 1. a fleet of one equals `run_experiment` bit-for-bit;
-//! 2. per-instance results are invariant under instance order;
-//! 3. per-instance results are invariant under the execution policy
-//!    (serial vs any worker count);
-//! 4. duplicate-seed instances inside one fleet coincide exactly.
+//! 2. every member of a larger fleet equals its own flat run;
+//! 3. campaign fleet cells reproduce the flat cross product.
+//!
+//! Instance order, duplicate seeds and the execution policy are pinned
+//! for every family, `fleet` included, by `sweep_determinism` and
+//! `runner_determinism`.
 
 use qgov::prelude::*;
 
-fn quiet_config() -> PlatformConfig {
-    PlatformConfig {
-        sensor: SensorConfig::ideal(),
-        ..PlatformConfig::odroid_xu3_a15()
-    }
-}
-
-fn noisy_app(frames: u64, seed: u64) -> SyntheticWorkload {
-    SyntheticWorkload::constant(
-        "fleet-golden",
-        Cycles::from_mcycles(120),
-        SimTime::from_ms(40),
+/// The flat-harness reference for fleet instance seed `seed`.
+fn flat_run(seed: u64, frames: u64) -> ExperimentOutcome {
+    let mut rtm = RtmGovernor::new(fleet_cell_config(seed)).unwrap();
+    run_experiment(
+        &mut rtm,
+        &mut fleet_cell_app(seed, frames),
+        fleet_cell_platform(),
         frames,
-        4,
-        seed,
     )
-    .with_noise(0.15)
 }
 
-fn rtm_config(seed: u64) -> RtmConfig {
-    RtmConfig::paper(seed).with_workload_bounds(1e8, 1e9)
-}
-
-fn fleet_spec(seeds: &[u64], frames: u64) -> FleetSpec {
-    FleetSpec::uniform(&rtm_config(0), seeds, &quiet_config(), frames, |seed| {
-        Box::new(noisy_app(frames, seed))
-    })
+/// One serial fleet cell of `fleet` instances at plan seed `seed`.
+fn fleet_cell(seed: u64, frames: u64, fleet: usize) -> Vec<RunReport> {
+    let plan = RunPlan {
+        runner: RunnerConfig::serial(),
+        fleet,
+        ..RunPlan::new(vec![seed], frames)
+    };
+    Fleet::run(&plan).pop().unwrap()
 }
 
 /// Bit-level equality: the reports' `PartialEq` covers the per-frame
@@ -63,103 +57,37 @@ fn fleet_of_one_matches_flat_harness_bit_for_bit() {
     let frames = 400;
     let seed = 7;
 
-    let fleet = run_fleet(fleet_spec(&[seed], frames), &RunnerConfig::serial());
+    let fleet = fleet_cell(seed, frames, 1);
+    let flat = flat_run(seed, frames);
 
-    let mut rtm = RtmGovernor::new(rtm_config(seed)).unwrap();
-    let flat = run_experiment(
-        &mut rtm,
-        &mut noisy_app(frames, seed),
-        quiet_config(),
-        frames,
-    );
-
-    assert_reports_identical(&fleet.reports[0], &flat.report, "fleet-of-1 vs flat");
+    assert_eq!(fleet.len(), 1);
+    assert_reports_identical(&fleet[0], &flat.report, "fleet-of-1 vs flat");
+    assert_eq!(fleet[0].frames(), frames);
+    let metrics: std::collections::HashMap<String, f64> =
+        Fleet::metrics(&fleet).into_iter().collect();
     assert_eq!(
-        fleet.platforms[0].total_energy().as_joules().to_bits(),
-        flat.platform.total_energy().as_joules().to_bits()
+        metrics["fleet_mean_miss_rate"].to_bits(),
+        flat.report.miss_rate().to_bits()
     );
-    assert_eq!(
-        fleet.platforms[0].vf().transitions(),
-        flat.platform.vf().transitions()
-    );
-    assert_eq!(fleet.total_frames, frames);
+    assert_eq!(metrics["fleet_total_frames"], frames as f64);
 }
 
 #[test]
 fn every_fleet_member_matches_its_sequential_flat_run() {
     let frames = 250;
-    let seeds = [3u64, 11, 17, 99];
+    let seed = 3;
 
-    let fleet = run_fleet(fleet_spec(&seeds, frames), &RunnerConfig::serial());
+    let fleet = fleet_cell(seed, frames, 4);
 
-    for (i, &seed) in seeds.iter().enumerate() {
-        let mut rtm = RtmGovernor::new(rtm_config(seed)).unwrap();
-        let flat = run_experiment(
-            &mut rtm,
-            &mut noisy_app(frames, seed),
-            quiet_config(),
-            frames,
-        );
+    assert_eq!(fleet.len(), 4);
+    for (i, report) in fleet.iter().enumerate() {
+        let instance_seed = seed + i as u64;
         assert_reports_identical(
-            &fleet.reports[i],
-            &flat.report,
-            &format!("instance {i} (seed {seed})"),
+            report,
+            &flat_run(instance_seed, frames).report,
+            &format!("instance {i} (seed {instance_seed})"),
         );
     }
-}
-
-#[test]
-fn instance_order_does_not_change_any_result() {
-    let frames = 200;
-    let forward = [2u64, 5, 8, 13];
-    let reversed = [13u64, 8, 5, 2];
-
-    let a = run_fleet(fleet_spec(&forward, frames), &RunnerConfig::serial());
-    let b = run_fleet(fleet_spec(&reversed, frames), &RunnerConfig::serial());
-
-    for (i, &seed) in forward.iter().enumerate() {
-        let j = reversed.iter().position(|&s| s == seed).unwrap();
-        assert_reports_identical(
-            &a.reports[i],
-            &b.reports[j],
-            &format!("seed {seed} across orders"),
-        );
-    }
-}
-
-#[test]
-fn execution_policy_does_not_change_any_result() {
-    let frames = 200;
-    let seeds = [1u64, 4, 9, 16, 25];
-
-    let serial = run_fleet(fleet_spec(&seeds, frames), &RunnerConfig::serial());
-    // Worker counts below and above the instance count.
-    for workers in [2usize, 3, 8] {
-        let sharded = run_fleet(
-            fleet_spec(&seeds, frames),
-            &RunnerConfig::with_workers(workers),
-        );
-        assert_eq!(
-            serial.reports, sharded.reports,
-            "QGOV_WORKERS-equivalent {workers} diverged from serial"
-        );
-        assert_eq!(serial.total_frames, sharded.total_frames);
-    }
-}
-
-#[test]
-fn duplicate_seed_instances_coincide_exactly() {
-    let frames = 220;
-    let seeds = [42u64, 42, 7, 42];
-
-    let fleet = run_fleet(fleet_spec(&seeds, frames), &RunnerConfig::serial());
-
-    assert_reports_identical(&fleet.reports[0], &fleet.reports[1], "dup seeds 0 vs 1");
-    assert_reports_identical(&fleet.reports[0], &fleet.reports[3], "dup seeds 0 vs 3");
-    assert_ne!(
-        fleet.reports[0], fleet.reports[2],
-        "distinct seeds should not coincide"
-    );
 }
 
 #[test]
