@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the learning-overhead components the
 //! paper decomposes in Section III-D: sensor sampling, processing
 //! (prediction, state mapping, Bellman update, action selection) and a
-//! full simulated decision epoch.
+//! full simulated decision epoch; plus the trace CSV codec that feeds
+//! long-horizon replay.
 //!
 //! Run with `cargo bench -p qgov-bench --bench micro`. `QGOV_SEEDS`
 //! sets the number of measurement passes: timings have no RNG seed to
@@ -14,6 +15,7 @@ use qgov_bench::plan::RunPlan;
 use qgov_rl::{AgentConfig, EwmaPredictor, QTable, UniformDiscretizer};
 use qgov_sim::{FrameResult, Platform, PlatformConfig, SensorConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
+use qgov_workloads::{VideoDecoderModel, WorkloadTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -190,6 +192,31 @@ fn bench_harness_throughput(c: &mut Criterion) {
     });
 }
 
+/// One shard of the long-horizon recordings, in memory: 4096 frames of
+/// the H.264 football model.
+fn h264_shard() -> WorkloadTrace {
+    WorkloadTrace::record(&mut VideoDecoderModel::h264_football_15fps(1).with_frames(4096))
+}
+
+fn bench_trace_csv_parse(c: &mut Criterion) {
+    // The codec's reader on one shard's CSV document, no disk access.
+    // `from_csv` also splits the flat rows into one `Vec` per frame,
+    // which a streamed shard load does not.
+    let csv = h264_shard().to_csv();
+    c.bench_function("trace_csv_parse_4096_frames", |b| {
+        b.iter(|| black_box(WorkloadTrace::from_csv(black_box(&csv)).unwrap().len()));
+    });
+}
+
+fn bench_trace_csv_write(c: &mut Criterion) {
+    // The codec's writer on the same shard: what recording pays to
+    // format one shard file, no disk access.
+    let trace = h264_shard();
+    c.bench_function("trace_csv_write_4096_frames", |b| {
+        b.iter(|| black_box(black_box(&trace).to_csv().len()));
+    });
+}
+
 fn main() {
     // QGOV_SEEDS=n -> n timed passes per benchmark (one pass, today's
     // single-number output, when unset). QGOV_BENCH_JSON=<path> ->
@@ -218,6 +245,8 @@ fn main() {
         bench_platform_frame,
         bench_full_decision_epoch,
         bench_harness_throughput,
+        bench_trace_csv_parse,
+        bench_trace_csv_write,
     ] {
         bench(&mut criterion);
     }

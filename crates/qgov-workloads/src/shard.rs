@@ -1,10 +1,10 @@
 //! Sharded streaming trace record and replay.
 //!
-//! [`WorkloadTrace`] materialises every frame of a recording in one
-//! `Vec`, which caps experiments at horizons that fit in memory. The
-//! paper's Q-learning governor, however, is pitched for *run-time*
-//! operation: long-horizon evaluation — hundreds of thousands of
-//! decision epochs — is exactly where a learned policy separates from
+//! [`WorkloadTrace`](crate::WorkloadTrace) materialises every frame of
+//! a recording in one `Vec`, which caps experiments at horizons that fit
+//! in memory. The paper's Q-learning governor, however, is pitched for
+//! *run-time* operation: long-horizon evaluation — hundreds of thousands
+//! of decision epochs — is exactly where a learned policy separates from
 //! the static heuristics it is compared against. This module provides
 //! the bounded-memory counterpart:
 //!
@@ -12,7 +12,7 @@
 //!   *shard files*, flushing every `frames_per_shard` frames, so the
 //!   writer never holds more than one shard of frames;
 //! * [`TraceShard`] — one loaded shard: a contiguous slice of the
-//!   recorded sequence with its global frame offset;
+//!   recorded sequence, stored flat, with its global frame offset;
 //! * [`ShardedTrace`] — the streamed reader: implements
 //!   [`Application`] by lazily pulling the shard containing its cursor
 //!   from disk, so replay holds at most `frames_per_shard` frames
@@ -20,11 +20,14 @@
 //!
 //! # File format
 //!
-//! Every shard file is itself a complete [`WorkloadTrace`] CSV
-//! document (the shard's frames, the trace's name and period), written
-//! as `shard-NNNNNN.csv`. A `manifest.csv` header line ties them
-//! together and carries the pre-characterisation workload bounds
-//! measured during recording, so the learning governors can be
+//! Every shard file is itself a complete
+//! [`WorkloadTrace`](crate::WorkloadTrace) CSV document (the shard's
+//! frames, the trace's name and period), written as `shard-NNNNNN.csv`
+//! and read back by the same codec, whose grammar is
+//! [`WorkloadTrace`'s CSV format](crate::WorkloadTrace#csv-format),
+//! straight into a flat [`TraceShard`]. A `manifest.csv` header line
+//! ties them together and carries the pre-characterisation workload
+//! bounds measured during recording, so the learning governors can be
 //! configured without a second pass over the data:
 //!
 //! ```text
@@ -34,12 +37,12 @@
 //! # Replay contract
 //!
 //! Streamed replay is **bit-identical** to in-memory replay: for the
-//! same recorded application, [`ShardedTrace`] and [`WorkloadTrace`]
-//! yield the same [`FrameDemand`] sequence frame-for-frame, including
-//! the wrap-around past the end (`tests/shard_streaming.rs` pins this
-//! with a property test; the workspace-level
-//! `tests/long_horizon_streaming.rs` pins bit-identical *experiment
-//! reports* through the full harness).
+//! same recorded application, [`ShardedTrace`] and
+//! [`WorkloadTrace`](crate::WorkloadTrace) yield the same
+//! [`FrameDemand`] sequence frame-for-frame, including the wrap-around
+//! past the end (`tests/shard_streaming.rs` pins this with a property
+//! test; the workspace-level `tests/long_horizon_streaming.rs` pins
+//! bit-identical *experiment reports* through the full harness).
 //!
 //! # Examples
 //!
@@ -70,13 +73,25 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::{Application, FrameDemand, WorkloadError, WorkloadTrace};
+use crate::trace::{header_u64, header_values, read_csv, split_line, write_csv, FlatFrames};
+use crate::{Application, FrameDemand, ThreadDemand, WorkloadError};
 use qgov_units::SimTime;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a sharded-trace directory.
 pub const MANIFEST_FILE: &str = "manifest.csv";
+
+/// The keys of the manifest's one header line, each exactly once.
+const MANIFEST_KEYS: [&str; 7] = [
+    "name",
+    "period_ns",
+    "frames",
+    "frames_per_shard",
+    "shards",
+    "min_cycles",
+    "max_cycles",
+];
 
 /// A uniquely named scratch directory for throwaway sharded-trace
 /// recordings, removed (best-effort) on drop.
@@ -138,13 +153,15 @@ pub fn shard_file_name(index: usize) -> String {
 /// One loaded shard: a contiguous run of recorded frames together with
 /// its position in the global sequence.
 ///
+/// The frames are stored flat, every thread demand in one buffer, so a
+/// load makes O(1) allocations however many frames the shard holds.
 /// Shards are produced by [`ShardedTrace::load_shard`]; the streaming
 /// reader holds at most one at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceShard {
     index: usize,
     start_frame: u64,
-    frames: Vec<FrameDemand>,
+    frames: FlatFrames,
 }
 
 impl TraceShard {
@@ -173,26 +190,20 @@ impl TraceShard {
         false
     }
 
-    /// The shard's frames, in global order.
-    #[must_use]
-    pub fn frame_demands(&self) -> &[FrameDemand] {
-        &self.frames
-    }
-
     /// `true` when the shard covers global frame index `frame`.
     #[must_use]
     pub fn contains(&self, frame: u64) -> bool {
         frame >= self.start_frame && frame < self.start_frame + self.frames.len() as u64
     }
 
-    /// The frame at global index `frame`.
+    /// The thread demands of the frame at global index `frame`.
     ///
     /// # Panics
     ///
     /// Panics if the shard does not [`contain`](TraceShard::contains)
     /// `frame`.
     #[must_use]
-    pub fn frame(&self, frame: u64) -> &FrameDemand {
+    pub fn frame(&self, frame: u64) -> &[ThreadDemand] {
         assert!(
             self.contains(frame),
             "shard {} covers frames {}..{}, not {frame}",
@@ -200,7 +211,7 @@ impl TraceShard {
             self.start_frame,
             self.start_frame + self.frames.len() as u64
         );
-        &self.frames[(frame - self.start_frame) as usize]
+        self.frames.frame((frame - self.start_frame) as usize)
     }
 }
 
@@ -302,12 +313,12 @@ impl ShardWriter {
     }
 
     fn flush_shard(&mut self) -> Result<(), WorkloadError> {
-        let frames = std::mem::replace(&mut self.buffer, Vec::with_capacity(self.frames_per_shard));
         // A shard file is a complete WorkloadTrace CSV document: the
         // in-memory codec is the single source of truth for the format.
-        let csv = WorkloadTrace::from_frames(&self.name, self.period, frames).to_csv();
+        let csv = write_csv(&self.name, self.period, &self.buffer);
         let path = self.dir.join(shard_file_name(self.shards_written));
         fs::write(&path, csv).map_err(|e| WorkloadError::io(&path, &e))?;
+        self.buffer.clear();
         self.shards_written += 1;
         Ok(())
     }
@@ -322,7 +333,8 @@ impl ShardWriter {
     /// # Panics
     ///
     /// Panics if no frames were pushed — a trace needs at least one
-    /// frame, matching [`WorkloadTrace::from_frames`].
+    /// frame, matching
+    /// [`WorkloadTrace::from_frames`](crate::WorkloadTrace::from_frames).
     pub fn finish(mut self) -> Result<ShardedTrace, WorkloadError> {
         assert!(
             self.frames_written > 0,
@@ -360,8 +372,9 @@ impl ShardWriter {
 ///
 /// [`next_frame`](Application::next_frame) pulls the shard containing
 /// the cursor lazily and wraps around at the end, exactly like
-/// [`WorkloadTrace`]; `reset()` rewinds the cursor without touching
-/// disk (the resident shard is re-used if it covers frame zero).
+/// [`WorkloadTrace`](crate::WorkloadTrace); `reset()` rewinds the
+/// cursor without touching disk (the resident shard is re-used if it
+/// covers frame zero).
 /// Cloning is cheap — metadata plus the resident shard — and each
 /// clone streams independently, which is what lets parallel experiment
 /// cells share one recording on disk without sharing any mutable
@@ -384,7 +397,7 @@ pub struct ShardedTrace {
 /// Equality compares the recorded *identity* (directory, name, period,
 /// frame geometry); the replay cursor, the resident shard and the
 /// load counter are iteration state, not content — mirroring
-/// [`WorkloadTrace`]'s cursor-blind equality.
+/// [`WorkloadTrace`](crate::WorkloadTrace)'s cursor-blind equality.
 impl PartialEq for ShardedTrace {
     fn eq(&self, other: &Self) -> bool {
         self.dir == other.dir
@@ -401,9 +414,10 @@ impl Eq for ShardedTrace {}
 impl ShardedTrace {
     /// Records exactly `frames` frames of `app` into `dir` (resetting
     /// `app` first, and leaving it reset afterwards, like
-    /// [`WorkloadTrace::record`]) and returns the streamed reader.
-    /// Memory stays bounded by one shard throughout, so horizons far
-    /// beyond what fits in memory record safely.
+    /// [`WorkloadTrace::record`](crate::WorkloadTrace::record)) and
+    /// returns the streamed reader. Memory stays bounded by one shard
+    /// throughout, so horizons far beyond what fits in memory record
+    /// safely.
     ///
     /// # Errors
     ///
@@ -442,43 +456,22 @@ impl ShardedTrace {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WorkloadError> {
         let dir = dir.into();
         let path = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&path).map_err(|e| WorkloadError::io(&path, &e))?;
+        let bytes = fs::read(&path).map_err(|e| WorkloadError::io(&path, &e))?;
         let err = |reason: &str| WorkloadError::ParseTraceError {
             line: 1,
             reason: reason.to_owned(),
         };
-
-        let mut name = None;
-        let mut period = None;
-        let mut total_frames = None;
-        let mut frames_per_shard = None;
-        let mut shard_count = None;
-        let mut min_cycles = None;
-        let mut max_cycles = None;
-        for (key, value) in crate::trace::header_fields(text.lines().next(), &err)? {
-            let parse_u64 = || -> Result<u64, WorkloadError> {
-                value
-                    .parse()
-                    .map_err(|_| err(&format!("{key} is not an integer")))
-            };
-            match key {
-                "name" => name = Some(value.to_owned()),
-                "period_ns" => period = Some(SimTime::from_ns(parse_u64()?)),
-                "frames" => total_frames = Some(parse_u64()?),
-                "frames_per_shard" => frames_per_shard = Some(parse_u64()? as usize),
-                "shards" => shard_count = Some(parse_u64()? as usize),
-                "min_cycles" => min_cycles = Some(parse_u64()?),
-                "max_cycles" => max_cycles = Some(parse_u64()?),
-                _ => return Err(err("unknown manifest key")),
-            }
-        }
-        let name = name.ok_or_else(|| err("missing name"))?;
-        let period = period.ok_or_else(|| err("missing period_ns"))?;
-        let total_frames = total_frames.ok_or_else(|| err("missing frames"))?;
-        let frames_per_shard = frames_per_shard.ok_or_else(|| err("missing frames_per_shard"))?;
-        let shard_count = shard_count.ok_or_else(|| err("missing shards"))?;
-        let min_cycles = min_cycles.ok_or_else(|| err("missing min_cycles"))?;
-        let max_cycles = max_cycles.ok_or_else(|| err("missing max_cycles"))?;
+        let [name, period_ns, total_frames, frames_per_shard, shard_count, min_cycles, max_cycles] =
+            header_values(split_line(&bytes).0, MANIFEST_KEYS)?;
+        let name = name.to_owned();
+        let period = SimTime::from_ns(header_u64("period_ns", period_ns)?);
+        let total_frames = header_u64("frames", total_frames)?;
+        let frames_per_shard = usize::try_from(header_u64("frames_per_shard", frames_per_shard)?)
+            .map_err(|_| err("frames_per_shard exceeds the address space"))?;
+        let shard_count = usize::try_from(header_u64("shards", shard_count)?)
+            .map_err(|_| err("shards exceeds the address space"))?;
+        let min_cycles = header_u64("min_cycles", min_cycles)?;
+        let max_cycles = header_u64("max_cycles", max_cycles)?;
 
         if period.is_zero() {
             return Err(err("period must be non-zero"));
@@ -611,32 +604,31 @@ impl ShardedTrace {
             self.shard_count
         );
         let path = self.dir.join(shard_file_name(index));
-        let text = fs::read_to_string(&path).map_err(|e| WorkloadError::io(&path, &e))?;
-        let trace = WorkloadTrace::from_csv(&text)?;
+        let bytes = fs::read(&path).map_err(|e| WorkloadError::io(&path, &e))?;
+        let (name, period, frames) = read_csv(&bytes)?;
         let mismatch = |reason: String| WorkloadError::ParseTraceError { line: 1, reason };
-        if trace.name() != self.name || trace.period() != self.period {
+        if name != self.name || period != self.period {
             return Err(mismatch(format!(
-                "shard {index} metadata ({}, {} ns) does not match the \
+                "shard {index} metadata ({name}, {} ns) does not match the \
                  manifest ({}, {} ns)",
-                trace.name(),
-                trace.period().as_ns(),
+                period.as_ns(),
                 self.name,
                 self.period.as_ns()
             )));
         }
         let start_frame = index as u64 * self.frames_per_shard as u64;
         let expected = (self.total_frames - start_frame).min(self.frames_per_shard as u64);
-        if trace.len() as u64 != expected {
+        if frames.len() as u64 != expected {
             return Err(mismatch(format!(
                 "shard {index} holds {} frames but the manifest geometry \
                  expects {expected} (truncated or padded shard file?)",
-                trace.len()
+                frames.len()
             )));
         }
         Ok(TraceShard {
             index,
             start_frame,
-            frames: trace.into_frames(),
+            frames,
         })
     }
 }
@@ -656,7 +648,7 @@ impl Application for ShardedTrace {
 
     /// Replays the recorded frames in order, streaming the shard that
     /// covers the cursor from disk on demand; wraps around at the end
-    /// like [`WorkloadTrace`].
+    /// like [`WorkloadTrace`](crate::WorkloadTrace).
     ///
     /// # Panics
     ///
@@ -674,10 +666,10 @@ impl Application for ShardedTrace {
     }
 
     /// Allocation-free streaming replay within a resident shard:
-    /// refills `out` from the covering frame in place. Heap activity is
-    /// confined to shard-boundary loads (O(frames / shard_frames)
-    /// amortised); [`next_frame`](Application::next_frame) delegates
-    /// here.
+    /// copies the covering frame's thread slice into `out` in place.
+    /// Heap activity is confined to shard-boundary loads, O(1)
+    /// allocations each; [`next_frame`](Application::next_frame)
+    /// delegates here.
     fn next_frame_into(&mut self, out: &mut FrameDemand) {
         let index = self.shard_index_of(self.cursor);
         if self.current.as_ref().is_none_or(|s| s.index() != index) {
@@ -692,7 +684,8 @@ impl Application for ShardedTrace {
             self.shard_loads += 1;
         }
         let shard = self.current.as_ref().expect("shard just loaded");
-        out.copy_from(shard.frame(self.cursor));
+        out.threads.clear();
+        out.threads.extend_from_slice(shard.frame(self.cursor));
         self.cursor = (self.cursor + 1) % self.total_frames;
     }
 
@@ -706,7 +699,7 @@ impl Application for ShardedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SyntheticWorkload;
+    use crate::{SyntheticWorkload, WorkloadTrace};
     use qgov_units::Cycles;
 
     fn test_dir(tag: &str) -> ScratchDir {

@@ -7,7 +7,8 @@
 //! wrap-around, after resets at arbitrary cursor positions — while
 //! never holding more than one shard of frames resident. The edge
 //! cases (truncated final shard, header-only shard file, corrupted
-//! geometry) are pinned alongside.
+//! geometry, bytes that are not UTF-8) are pinned alongside, and the
+//! manifest reader is checked total on arbitrary and near-valid input.
 
 use proptest::prelude::*;
 use qgov_units::{Cycles, SimTime};
@@ -16,6 +17,7 @@ use qgov_workloads::{
     Application, FftModel, ShardedTrace, SyntheticWorkload, VideoDecoderModel, WorkloadError,
     WorkloadTrace,
 };
+use std::path::Path;
 
 /// A unique scratch directory per test case, removed on drop.
 fn test_dir(tag: &str) -> ScratchDir {
@@ -40,6 +42,100 @@ fn make_app(kind: u8, seed: u64) -> Box<dyn Application> {
             )
             .with_noise(0.2),
         ),
+    }
+}
+
+/// The characters manifests are made of, plus a few that never belong
+/// in one.
+const CSV_ALPHABET: &[char] = &[
+    '#', ' ', '=', ',', '\n', '0', '1', '7', '9', '-', 'a', 'e', 'f', 'm', 'n', 'r', 's', '_',
+    '\t', 'é',
+];
+
+/// A manifest value: `valid` most of the time, otherwise zero, the
+/// largest `u64`, an overflowing, negative, signed or non-numeric token.
+fn manifest_value(choice: u8, valid: &str) -> String {
+    match choice {
+        0 => "0".into(),
+        1 => u64::MAX.to_string(),
+        2 => "18446744073709551616".into(),
+        3 => "-1".into(),
+        4 => "x".into(),
+        5 => format!("+{valid}"),
+        _ => valid.into(),
+    }
+}
+
+/// `ShardedTrace::open` on `manifest` in `dir` is total: a trace with a
+/// consistent geometry, an I/O error or a line-1 parse error, never a
+/// panic.
+fn assert_open_is_total(dir: &Path, manifest: &[u8]) -> Result<(), TestCaseError> {
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+    let shown = String::from_utf8_lossy(manifest);
+    match ShardedTrace::open(dir) {
+        Ok(trace) => prop_assert_eq!(
+            trace.shard_count() as u64,
+            trace.len().div_ceil(trace.frames_per_shard() as u64),
+            "{}",
+            shown
+        ),
+        Err(WorkloadError::Io { .. } | WorkloadError::ParseTraceError { line: 1, .. }) => {}
+        Err(e) => prop_assert!(false, "unexpected error {e} for {shown:?}"),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary text over the CSV alphabet never panics the manifest
+    /// reader.
+    #[test]
+    fn open_is_total_on_arbitrary_manifests(
+        chars in proptest::collection::vec(0usize..CSV_ALPHABET.len(), 0..160)
+    ) {
+        let dir = test_dir("manifest-text");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let text: String = chars.iter().map(|&i| CSV_ALPHABET[i]).collect();
+        assert_open_is_total(dir.path(), text.as_bytes())?;
+    }
+
+    /// Near-valid manifests over a real three-shard recording: any key's
+    /// value zero, `u64::MAX`, overflowing, signed or non-numeric; a key
+    /// missing, duplicated or unknown; a `shards` count that disagrees
+    /// with the geometry.
+    #[test]
+    fn open_is_total_on_near_valid_manifests(
+        choices in proptest::collection::vec(0u8..40, 7),
+        layout in 0u8..8,
+        key in 0usize..7,
+    ) {
+        let dir = test_dir("manifest-near");
+        let mut app = make_app(3, 1);
+        ShardedTrace::record(app.as_mut(), dir.path(), 12, 4).unwrap();
+        let valid = std::fs::read_to_string(dir.path().join(MANIFEST_FILE)).unwrap();
+        let mut fields: Vec<(String, String)> = valid
+            .trim_start_matches("# ")
+            .split_whitespace()
+            .zip(&choices)
+            .map(|(field, &choice)| {
+                let (k, v) = field.split_once('=').unwrap();
+                (k.to_owned(), manifest_value(choice, v))
+            })
+            .collect();
+        prop_assert_eq!(fields.len(), 7);
+        match layout {
+            0 => {
+                fields.remove(key);
+            }
+            1 => fields.push(fields[key].clone()),
+            2 => fields.insert(key, ("bogus".into(), "1".into())),
+            3 => fields[4].1 = (key + 4).to_string(),
+            _ => {}
+        }
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let manifest = format!("# {}\n", body.join(" "));
+        assert_open_is_total(dir.path(), manifest.as_bytes())?;
     }
 }
 
@@ -160,6 +256,32 @@ fn truncated_shard_file_is_rejected_at_load() {
         err.to_string().contains("truncated or padded"),
         "unexpected error: {err}"
     );
+}
+
+#[test]
+fn non_utf8_shard_bytes_are_a_located_parse_error() {
+    let dir = test_dir("non-utf8");
+    let mut app = VideoDecoderModel::mpeg4_svga_24fps(5).with_frames(30);
+    let streamed = ShardedTrace::record(&mut app, dir.path(), 30, 10).unwrap();
+
+    // Overwrite the last digit of line 5, a data row, with 0xFF.
+    let path = dir.path().join(shard_file_name(1));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let line_5_end = bytes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(4)
+        .unwrap()
+        .0;
+    bytes[line_5_end - 1] = 0xFF;
+    std::fs::write(&path, bytes).unwrap();
+    match streamed.load_shard(1) {
+        Err(WorkloadError::ParseTraceError { line: 5, reason }) => {
+            assert_eq!(reason, "mem_ns is not an integer");
+        }
+        other => panic!("expected a parse error at line 5, got {other:?}"),
+    }
 }
 
 #[test]

@@ -596,6 +596,26 @@ fn replay_of_a_corrupt_shard_exits_with_the_state_error() {
 }
 
 #[test]
+fn replay_of_a_non_utf8_shard_exits_with_a_located_parse_error() {
+    let scratch = ScratchDir::unique("qgov-cli-non-utf8-shard");
+    let trace = record_trace(&scratch, "50", "20");
+    // One 0xFF byte in the first data row (line 3) of the middle shard.
+    let shard = trace.join("shard-000001.csv");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let row_start = header_end + "frame,thread,cpu_cycles,mem_ns\n".len() + 1;
+    bytes[row_start + 2] = 0xFF;
+    std::fs::write(&shard, bytes).unwrap();
+
+    let output = replay_rtm(&trace);
+    assert_exit(&output, 4, "replay of a shard that is not UTF-8");
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("shard-000001.csv"), "{stderr}");
+    assert!(stderr.contains("parse error at line 3"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no run may start");
+}
+
+#[test]
 fn replay_of_a_manifest_larger_than_its_shards_exits_with_the_state_error() {
     let scratch = ScratchDir::unique("qgov-cli-oversized-manifest");
     let trace = record_trace(&scratch, "20", "20");
