@@ -1,16 +1,17 @@
 //! Campaign state directories: init, kill-safe execution, resume, and
 //! the bit-exact report.
 //!
-//! A state dir holds three files:
+//! A state dir holds two files:
 //!
 //! * `campaign.toml` — the config's canonical rendering, written at
 //!   init so `resume`/`report` need no original config path;
 //! * `journal.log` — the append-only completed-cell journal
-//!   ([`crate::journal`]), the durability source of truth;
-//! * `snapshot.log` — an atomically-replaced snapshot of the completed
-//!   set, refreshed every [`CampaignConfig::snapshot_every`] appends
-//!   (an optimisation: resume unions snapshot ∪ journal, so losing the
-//!   snapshot costs nothing but journal-replay time).
+//!   ([`crate::journal`]), the campaign's only record of progress.
+//!
+//! A completed cell costs one rendered journal line and one
+//! `write_all`, however many cells are already done. A `snapshot.log`
+//! left by an older build is ignored: every cell it lists was
+//! journaled first.
 //!
 //! # The bit-identity argument
 //!
@@ -41,7 +42,10 @@ use std::sync::Mutex;
 pub const CONFIG_FILE: &str = "campaign.toml";
 /// File name of the append-only journal inside a state dir.
 pub const JOURNAL_FILE: &str = "journal.log";
-/// File name of the periodic snapshot inside a state dir.
+/// File name of the full-set snapshot older builds rewrote into a state
+/// dir. No campaign reads or writes it any more; its only user is
+/// perfbench's traced `storm_campaign` mirror, and it is deleted
+/// together with that mirror (ROADMAP.md, item 3).
 pub const SNAPSHOT_FILE: &str = "snapshot.log";
 
 /// Why a campaign operation failed.
@@ -49,7 +53,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot.log";
 pub enum CampaignError {
     /// The config file was invalid (CLI exit code 3).
     Config(ConfigError),
-    /// Journal or snapshot rejected (CLI exit code 4).
+    /// Journal rejected (CLI exit code 4).
     Journal(JournalError),
     /// Any other state-dir problem (CLI exit code 4).
     State(String),
@@ -84,9 +88,6 @@ fn config_path(dir: &Path) -> PathBuf {
 }
 fn journal_path(dir: &Path) -> PathBuf {
     dir.join(JOURNAL_FILE)
-}
-fn snapshot_path(dir: &Path) -> PathBuf {
-    dir.join(SNAPSHOT_FILE)
 }
 
 /// Initialises a state dir for `config`: creates the directory, writes
@@ -138,26 +139,25 @@ pub fn load(dir: &Path) -> Result<CampaignConfig, CampaignError> {
     Ok(CampaignConfig::from_file(&path)?)
 }
 
-/// The durable progress of a campaign: its completed cells (snapshot ∪
-/// journal, validated and deduplicated), scan diagnostics, and the
-/// journal's clean byte length for tail repair.
+/// The durable progress of a campaign: its completed cells (from the
+/// journal alone, validated and deduplicated), scan diagnostics, and
+/// the journal's clean byte length for tail repair.
 #[derive(Debug)]
 pub struct Progress {
     /// Completed cells by ID.
     pub cells: HashMap<String, CellRecord>,
-    /// Diagnostics from the journal scan and the snapshot union.
+    /// Diagnostics from the journal scan.
     pub warnings: Vec<String>,
     /// Parseable journal prefix length (see [`journal::ScanOutcome`]).
     pub journal_clean_len: u64,
 }
 
-/// Reads a campaign's durable progress.
+/// Reads a campaign's durable progress from its journal.
 ///
 /// # Errors
 ///
-/// Propagates journal/snapshot rejections ([`CampaignError::Journal`])
-/// — including the snapshot-vs-journal bit conflict, which is treated
-/// exactly like a duplicate-entry conflict inside one file.
+/// Propagates journal rejections ([`CampaignError::Journal`]),
+/// including conflicting entries for one cell.
 pub fn progress(dir: &Path, config: &CampaignConfig) -> Result<Progress, CampaignError> {
     let fingerprint = config.fingerprint();
     let ids: HashSet<String> = config
@@ -166,38 +166,13 @@ pub fn progress(dir: &Path, config: &CampaignConfig) -> Result<Progress, Campaig
         .into_iter()
         .map(|c| c.id)
         .collect();
-
-    let snapshot = journal::read_snapshot(&snapshot_path(dir), fingerprint)?;
     let scan = journal::scan(&journal_path(dir), fingerprint, |id| ids.contains(id))?;
-
-    let mut cells: HashMap<String, CellRecord> = HashMap::new();
+    let cells: HashMap<String, CellRecord> = scan
+        .cells
+        .into_iter()
+        .map(|record| (record.id.clone(), record))
+        .collect();
     let mut warnings = scan.warnings;
-    for record in snapshot {
-        if !ids.contains(&record.id) {
-            return Err(CampaignError::Journal(JournalError::Corrupt {
-                path: snapshot_path(dir),
-                line: 0,
-                message: format!(
-                    "snapshot cell {} is not in this campaign's work list",
-                    record.id
-                ),
-            }));
-        }
-        cells.insert(record.id.clone(), record);
-    }
-    for record in scan.cells {
-        match cells.get(&record.id) {
-            Some(existing) if *existing != record => {
-                return Err(CampaignError::Journal(JournalError::Conflict {
-                    path: journal_path(dir),
-                    id: record.id,
-                }));
-            }
-            _ => {
-                cells.insert(record.id.clone(), record);
-            }
-        }
-    }
     if cells.len() == ids.len() {
         warnings.retain(|w| !w.contains("torn")); // nothing left to rerun
     }
@@ -220,9 +195,8 @@ pub struct RunSummary {
 }
 
 /// Runs every not-yet-journaled cell of the campaign under `runner`,
-/// journaling each completion and refreshing the snapshot every
-/// `snapshot_every` appends. Per-cell completions are logged to
-/// stderr; stdout stays clean for report piping.
+/// journaling each completion with one append. Per-cell completions
+/// are logged to stderr; stdout stays clean for report piping.
 ///
 /// # Errors
 ///
@@ -252,38 +226,19 @@ pub fn run(
         .collect();
     let ran = remaining.len();
 
-    // Completion lock: journal append + snapshot cadence are serialised;
-    // the cell computations themselves run outside it.
-    struct Shared {
-        writer: JournalWriter,
-        done: Vec<CellRecord>,
-        since_snapshot: u64,
-    }
-    let shared = Mutex::new(Shared {
-        writer,
-        done: before.cells.values().cloned().collect(),
-        since_snapshot: 0,
-    });
-    let snap = snapshot_path(dir);
-
+    // Completion lock: journal appends are serialised; the cell
+    // computations themselves run outside it.
+    let writer = Mutex::new(writer);
     let mut batch = ExperimentBatch::new();
     let worklist_ref = &worklist;
-    let shared_ref = &shared;
-    let snap_ref = &snap;
+    let writer_ref = &writer;
     for cell in remaining {
         batch.push(move || -> Result<(), String> {
             let metrics = worklist_ref.run_cell(&cell);
             let record = CellRecord::new(cell.id.clone(), metrics);
-            let mut guard = shared_ref.lock().expect("completion lock poisoned");
-            guard.writer.append(&record).map_err(|e| e.to_string())?;
-            guard.done.push(record);
-            guard.since_snapshot += 1;
-            let completed = guard.done.len();
-            if guard.since_snapshot >= config.snapshot_every {
-                guard.since_snapshot = 0;
-                journal::write_snapshot(snap_ref, fingerprint, &guard.done)
-                    .map_err(|e| e.to_string())?;
-            }
+            let mut writer = writer_ref.lock().expect("completion lock poisoned");
+            writer.append(&record).map_err(|e| e.to_string())?;
+            let completed = skipped as u64 + writer.appends();
             eprintln!("cell {} done ({completed}/{total})", cell.id);
             Ok(())
         });
@@ -294,9 +249,6 @@ pub fn run(
             "campaign cell failed to journal: {message}"
         )));
     }
-
-    let guard = shared.into_inner().expect("completion lock poisoned");
-    journal::write_snapshot(&snap, fingerprint, &guard.done)?;
     Ok(RunSummary {
         total,
         ran,
@@ -311,7 +263,7 @@ pub fn run(
 ///
 /// # Errors
 ///
-/// Propagates journal/snapshot rejections.
+/// Propagates journal rejections.
 pub fn render_report(dir: &Path, config: &CampaignConfig) -> Result<String, CampaignError> {
     let (summaries, completed, total) = fold_summaries(dir, config)?;
     let mut out = String::new();
@@ -344,7 +296,7 @@ pub fn render_report(dir: &Path, config: &CampaignConfig) -> Result<String, Camp
 ///
 /// # Errors
 ///
-/// Propagates journal/snapshot rejections.
+/// Propagates journal rejections.
 pub fn bench_records(
     dir: &Path,
     config: &CampaignConfig,

@@ -6,7 +6,7 @@
 //! | 0 | success |
 //! | [`EXIT_USAGE`] (2) | unknown subcommand / flag / missing argument |
 //! | [`EXIT_CONFIG`] (3) | campaign config rejected (bad TOML, bad values) |
-//! | [`EXIT_STATE`] (4) | state dir / journal / snapshot / runtime I-O rejected |
+//! | [`EXIT_STATE`] (4) | state dir / journal / runtime I-O rejected |
 //! | [`EXIT_REGRESSION`] (5) | `report --against` found metrics beyond the tolerance |
 //!
 //! Campaign reports go to **stdout** and are byte-stable (the
@@ -31,7 +31,7 @@ pub const EXIT_OK: i32 = 0;
 pub const EXIT_USAGE: i32 = 2;
 /// Config error: the campaign TOML was rejected.
 pub const EXIT_CONFIG: i32 = 3;
-/// State error: state dir, journal, snapshot or runtime I/O rejected.
+/// State error: state dir, journal or runtime I/O rejected.
 pub const EXIT_STATE: i32 = 4;
 /// Regression: `report --against` found journaled metrics deviating
 /// beyond `--tolerance` from the baseline campaign.

@@ -5,7 +5,7 @@
 //! monitors) — everything [`CampaignConfig::worklist`] needs to
 //! re-derive the exact cell set — plus two knobs that never affect
 //! results: the worker count (cells are bit-identical under any
-//! scheduling) and the snapshot cadence. [`CampaignConfig::canonical`]
+//! scheduling) and the inert `snapshot_every`. [`CampaignConfig::canonical`]
 //! renders the config deterministically; its FNV-1a hash
 //! ([`CampaignConfig::fingerprint`]) is stamped into the journal
 //! header so a journal can never be replayed against a different
@@ -110,7 +110,11 @@ pub struct CampaignConfig {
     pub fleet: usize,
     /// Monitor pack for `long_horizon` (must stay `off` elsewhere).
     pub monitors: MonitorChoice,
-    /// Journal appends between snapshots.
+    /// Inert: older builds rewrote a full-set snapshot every this many
+    /// journal appends; the journal is now a campaign's only record.
+    /// Still parsed, validated (≥ 1) and rendered by
+    /// [`CampaignConfig::canonical`], because dropping it would change
+    /// the fingerprint of every existing state dir.
     pub snapshot_every: u64,
 }
 

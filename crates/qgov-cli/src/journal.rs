@@ -1,4 +1,5 @@
-//! The append-only campaign journal and its snapshot sibling.
+//! The append-only campaign journal: a campaign's only record of its
+//! completed cells.
 //!
 //! # Format
 //!
@@ -28,11 +29,13 @@
 //! returns and a `SIGKILL` cannot lose them (only machine loss can,
 //! which re-runs cells — never corrupts them). A kill *mid-write*
 //! leaves a torn final line: [`scan`] detects any unterminated or
-//! unparseable tail line, reports it as a warning, and
-//! [`JournalWriter::open_append`] truncates it away so the interrupted
-//! cell simply reruns. Everything *before* the tail must parse
-//! exactly; a corrupt interior line is a hard, line-numbered error —
-//! resuming over silently dropped cells is how wrong reports happen.
+//! unparseable tail line (a line that is not UTF-8 is unparseable),
+//! reports it as a warning, and [`JournalWriter::open_append`]
+//! truncates the file to the clean prefix, measured in bytes on disk,
+//! so the interrupted cell simply reruns. Everything *before* the
+//! tail must parse exactly; a corrupt interior line is a hard,
+//! line-numbered error — resuming over silently dropped cells is how
+//! wrong reports happen.
 //!
 //! # Crash injection
 //!
@@ -49,7 +52,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Journal/snapshot format version this build reads and writes.
+/// Journal format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// One completed cell as journaled: its work-list ID, its metric bits,
@@ -76,7 +79,7 @@ impl CellRecord {
     }
 }
 
-/// Why a journal or snapshot was rejected.
+/// Why a journal was rejected.
 #[derive(Debug)]
 pub enum JournalError {
     /// Filesystem failure.
@@ -236,22 +239,25 @@ fn render_header(kind: &str, fingerprint: u64) -> String {
     format!("{kind} v{FORMAT_VERSION} fp={fingerprint:016x}")
 }
 
-/// Validates a header line against the expected kind and fingerprint.
-fn check_header(path: &Path, line: &str, kind: &str, fingerprint: u64) -> Result<(), JournalError> {
+/// The first word of a journal header.
+const JOURNAL_KIND: &str = "qgov-journal";
+
+/// Validates a journal header line against the expected fingerprint.
+fn check_header(path: &Path, line: &str, fingerprint: u64) -> Result<(), JournalError> {
     let mismatch = |message: String| JournalError::Mismatch {
         path: path.to_path_buf(),
         message,
     };
     let mut tokens = line.split_whitespace();
-    if tokens.next() != Some(kind) {
+    if tokens.next() != Some(JOURNAL_KIND) {
         return Err(mismatch(format!(
-            "not a {kind} file (header line {line:?})"
+            "not a {JOURNAL_KIND} file (header line {line:?})"
         )));
     }
     let version = tokens.next().unwrap_or("");
     if version != format!("v{FORMAT_VERSION}") {
         return Err(mismatch(format!(
-            "{kind} format version {version:?} does not match this build's v{FORMAT_VERSION} — \
+            "{JOURNAL_KIND} format version {version:?} does not match this build's v{FORMAT_VERSION} — \
              refusing to reinterpret its cells"
         )));
     }
@@ -259,7 +265,7 @@ fn check_header(path: &Path, line: &str, kind: &str, fingerprint: u64) -> Result
     if fp != format!("fp={fingerprint:016x}") {
         return Err(mismatch(format!(
             "campaign fingerprint mismatch ({fp:?} vs expected fp={fingerprint:016x}): \
-             this {kind} belongs to a different campaign config"
+             this {JOURNAL_KIND} belongs to a different campaign config"
         )));
     }
     Ok(())
@@ -279,7 +285,8 @@ fn check_header(path: &Path, line: &str, kind: &str, fingerprint: u64) -> Result
 ///
 /// [`JournalError::Io`] when unreadable, [`JournalError::Mismatch`] on
 /// a foreign header, [`JournalError::Corrupt`] on an invalid interior
-/// line / unknown cell ID / non-finite metric, and
+/// line (one that is not UTF-8 included) / unknown cell ID /
+/// non-finite metric, and
 /// [`JournalError::Conflict`] when duplicate entries disagree.
 pub fn scan(
     path: &Path,
@@ -287,17 +294,18 @@ pub fn scan(
     mut known_id: impl FnMut(&str) -> bool,
 ) -> Result<ScanOutcome, JournalError> {
     let bytes = std::fs::read(path).map_err(|e| JournalError::Io(path.to_path_buf(), e))?;
-    let text = String::from_utf8_lossy(&bytes);
 
-    // Split into complete lines; remember any unterminated tail.
-    let mut complete: Vec<&str> = text.split('\n').collect();
-    let tail = complete.pop().unwrap_or(""); // after the last '\n'
+    // Split the bytes into complete lines, so `clean_len` counts bytes
+    // on disk; remember any unterminated tail.
+    let mut complete: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    let tail = complete.pop().unwrap_or_default(); // after the last '\n'
     let mut warnings = Vec::new();
     let mut torn: Option<String> = if tail.is_empty() {
         None
     } else {
         Some(format!(
-            "dropped unterminated final line {tail:?} (torn write at kill); its cell will rerun"
+            "dropped unterminated final line {:?} (torn write at kill); its cell will rerun",
+            String::from_utf8_lossy(tail)
         ))
     };
 
@@ -305,27 +313,33 @@ pub fn scan(
     let mut cells: Vec<CellRecord> = Vec::new();
     let mut by_id: HashMap<String, usize> = HashMap::new();
 
-    for (index, line) in complete.iter().enumerate() {
+    for (index, raw) in complete.iter().enumerate() {
         let line_no = index + 1;
-        let line_len = line.len() as u64 + 1; // + '\n'
+        let line_len = raw.len() as u64 + 1; // + '\n'
         if index == 0 {
-            check_header(path, line, "qgov-journal", fingerprint)?;
+            check_header(path, &String::from_utf8_lossy(raw), fingerprint)?;
             clean_len += line_len;
             continue;
         }
-        if line.trim().is_empty() {
-            clean_len += line_len;
-            continue;
-        }
-        let kind = line.split_whitespace().next().unwrap_or("");
-        if kind != "cell" {
-            warnings.push(format!(
-                "line {line_no}: skipping unknown journal line kind {kind:?} (written by a newer qgov?)"
-            ));
-            clean_len += line_len;
-            continue;
-        }
-        match parse_cell_line(line) {
+        let parsed = match std::str::from_utf8(raw) {
+            Err(e) => Err(format!("line is not UTF-8 ({e})")),
+            Ok(line) if line.trim().is_empty() => {
+                clean_len += line_len;
+                continue;
+            }
+            Ok(line) => {
+                let kind = line.split_whitespace().next().unwrap_or("");
+                if kind != "cell" {
+                    warnings.push(format!(
+                        "line {line_no}: skipping unknown journal line kind {kind:?} (written by a newer qgov?)"
+                    ));
+                    clean_len += line_len;
+                    continue;
+                }
+                parse_cell_line(line)
+            }
+        };
+        match parsed {
             Ok(record) => {
                 if !known_id(&record.id) {
                     return Err(JournalError::Corrupt {
@@ -446,7 +460,7 @@ impl JournalWriter {
     pub fn create(path: &Path, fingerprint: u64) -> Result<JournalWriter, JournalError> {
         let crash = CrashPlan::from_env();
         let mut file = File::create(path).map_err(|e| JournalError::Io(path.to_path_buf(), e))?;
-        file.write_all(format!("{}\n", render_header("qgov-journal", fingerprint)).as_bytes())
+        file.write_all(format!("{}\n", render_header(JOURNAL_KIND, fingerprint)).as_bytes())
             .map_err(|e| JournalError::Io(path.to_path_buf(), e))?;
         if crash.kill_after == Some(0) {
             std::process::abort();
@@ -482,7 +496,7 @@ impl JournalWriter {
         use std::io::Seek as _;
         file.seek(std::io::SeekFrom::End(0)).map_err(io)?;
         if clean_len == 0 {
-            file.write_all(format!("{}\n", render_header("qgov-journal", fingerprint)).as_bytes())
+            file.write_all(format!("{}\n", render_header(JOURNAL_KIND, fingerprint)).as_bytes())
                 .map_err(io)?;
         }
         if crash.kill_after == Some(0) {
@@ -533,8 +547,12 @@ impl JournalWriter {
 
 /// Atomically replaces the snapshot at `path` with `cells`: the same
 /// line format as the journal under a `qgov-snapshot` header, written
-/// to a temp file and renamed into place, so a kill mid-snapshot
-/// leaves the previous snapshot intact.
+/// to a temp file and renamed into place.
+///
+/// No campaign writes or reads a snapshot: the journal is a
+/// campaign's only record. The one caller left is perfbench's traced
+/// `storm_campaign` mirror, and this function is deleted together with
+/// that mirror (ROADMAP.md, item 3).
 ///
 /// # Errors
 ///
@@ -553,44 +571,6 @@ pub fn write_snapshot(
     let io = |e: std::io::Error| JournalError::Io(path.to_path_buf(), e);
     std::fs::write(&tmp, body).map_err(io)?;
     std::fs::rename(&tmp, path).map_err(io)
-}
-
-/// Reads a snapshot, strictly: snapshots are written atomically, so
-/// *any* damage (bad header, version or fingerprint mismatch, torn or
-/// corrupt line) is an error, never repaired. A missing snapshot is
-/// fine — it is only an optimisation over replaying the journal.
-///
-/// # Errors
-///
-/// [`JournalError::Mismatch`] / [`JournalError::Corrupt`] /
-/// [`JournalError::Io`] as for [`scan`], but with no repair path.
-pub fn read_snapshot(path: &Path, fingerprint: u64) -> Result<Vec<CellRecord>, JournalError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(JournalError::Io(path.to_path_buf(), e)),
-    };
-    let Some(body) = text.strip_suffix('\n') else {
-        return Err(JournalError::Corrupt {
-            path: path.to_path_buf(),
-            line: text.lines().count().max(1),
-            message: "snapshot does not end in a newline".to_owned(),
-        });
-    };
-    let mut cells = Vec::new();
-    for (index, line) in body.split('\n').enumerate() {
-        if index == 0 {
-            check_header(path, line, "qgov-snapshot", fingerprint)?;
-            continue;
-        }
-        let record = parse_cell_line(line).map_err(|message| JournalError::Corrupt {
-            path: path.to_path_buf(),
-            line: index + 1,
-            message,
-        })?;
-        cells.push(record);
-    }
-    Ok(cells)
 }
 
 #[cfg(test)]
@@ -639,7 +619,7 @@ mod tests {
         let err = scan(&path, 0, |_| true).unwrap_err();
         assert!(err.to_string().contains("format version"), "{err}");
 
-        std::fs::write(&path, render_header("qgov-journal", 7) + "\n").unwrap();
+        std::fs::write(&path, render_header(JOURNAL_KIND, 7) + "\n").unwrap();
         let err = scan(&path, 8, |_| true).unwrap_err();
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
 
@@ -657,10 +637,7 @@ mod tests {
         // Torn unterminated tail: dropped with a warning.
         std::fs::write(
             &path,
-            format!(
-                "{}\n{good}\ncell b m=3ff",
-                render_header("qgov-journal", fp)
-            ),
+            format!("{}\n{good}\ncell b m=3ff", render_header(JOURNAL_KIND, fp)),
         )
         .unwrap();
         let outcome = scan(&path, fp, |_| true).unwrap();
@@ -668,7 +645,7 @@ mod tests {
         assert!(outcome.warnings.iter().any(|w| w.contains("torn")));
         assert_eq!(
             outcome.clean_len,
-            (render_header("qgov-journal", fp).len() + 1 + good.len() + 1) as u64
+            (render_header(JOURNAL_KIND, fp).len() + 1 + good.len() + 1) as u64
         );
 
         // Corrupt interior line: hard error with its line number.
@@ -676,7 +653,7 @@ mod tests {
             &path,
             format!(
                 "{}\ncell b broken-token\n{good}\n",
-                render_header("qgov-journal", fp)
+                render_header(JOURNAL_KIND, fp)
             ),
         )
         .unwrap();
@@ -707,7 +684,7 @@ mod tests {
 
         std::fs::write(
             &path,
-            format!("{}\n{line}\n{line}\n", render_header("qgov-journal", fp)),
+            format!("{}\n{line}\n{line}\n", render_header(JOURNAL_KIND, fp)),
         )
         .unwrap();
         let outcome = scan(&path, fp, |_| true).unwrap();
@@ -716,7 +693,7 @@ mod tests {
 
         std::fs::write(
             &path,
-            format!("{}\n{line}\n{other}\n", render_header("qgov-journal", fp)),
+            format!("{}\n{line}\n{other}\n", render_header(JOURNAL_KIND, fp)),
         )
         .unwrap();
         let err = scan(&path, fp, |_| true).unwrap_err();
@@ -733,7 +710,7 @@ mod tests {
         let line = render_cell_line(&record("rogue", &[("m", 2.0)]));
         std::fs::write(
             &path,
-            format!("{}\n{line}\n", render_header("qgov-journal", 5)),
+            format!("{}\n{line}\n", render_header(JOURNAL_KIND, 5)),
         )
         .unwrap();
         let err = scan(&path, 5, |id| id == "expected").unwrap_err();
@@ -741,24 +718,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `clean_len` counts bytes on disk, so a line that is not UTF-8
+    /// can neither stretch the clean prefix into a torn tail (which
+    /// glued the next append onto the tail's first bytes) nor pass as
+    /// an unknown line kind.
     #[test]
-    fn snapshot_round_trips_and_rejects_foreign_versions() {
-        let dir = std::env::temp_dir().join(format!("qgov-snap-test-{}", std::process::id()));
+    fn non_utf8_lines_are_unparseable_and_measured_in_bytes() {
+        let dir = std::env::temp_dir().join(format!("qgov-utf8-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.log");
-        let cells = vec![record("a", &[("m", 0.25)]), record("b", &[("m", 4.0)])];
-        write_snapshot(&path, 9, &cells).unwrap();
-        assert_eq!(read_snapshot(&path, 9).unwrap(), cells);
-        assert!(read_snapshot(&dir.join("missing.log"), 9)
-            .unwrap()
-            .is_empty());
+        let path = dir.join("j.log");
+        let fp = 42u64;
+        let mut prefix = format!(
+            "{}\n{}\n",
+            render_header(JOURNAL_KIND, fp),
+            render_cell_line(&record("a", &[("m", 1.5)]))
+        )
+        .into_bytes();
+        let clean = prefix.len() as u64;
+        prefix.extend_from_slice(b"note \xFF\n");
 
-        let err = read_snapshot(&path, 10).unwrap_err();
-        assert!(matches!(err, JournalError::Mismatch { .. }), "{err}");
+        // In the interior: a line-numbered corruption.
+        let mut bytes = prefix.clone();
+        bytes.extend_from_slice(b"cell b m=3ff");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = scan(&path, fp, |_| true).unwrap_err();
+        assert!(
+            matches!(err, JournalError::Corrupt { line: 3, .. }),
+            "{err}"
+        );
 
-        std::fs::write(&path, "qgov-snapshot v99 fp=0000000000000009\n").unwrap();
-        let err = read_snapshot(&path, 9).unwrap_err();
-        assert!(err.to_string().contains("format version"), "{err}");
+        // As the final line: a torn tail, cut at its first byte.
+        std::fs::write(&path, &prefix).unwrap();
+        let outcome = scan(&path, fp, |_| true).unwrap();
+        assert_eq!(outcome.cells.len(), 1);
+        assert_eq!(outcome.clean_len, clean);
+        assert!(outcome.warnings.iter().any(|w| w.contains("not UTF-8")));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

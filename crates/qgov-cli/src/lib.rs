@@ -3,7 +3,7 @@
 //! Campaigns are the unit of operation: a TOML config names an
 //! experiment family, seeds, frames and a worker policy; `qgov sweep`
 //! materialises a state directory with an append-only journal of
-//! completed cells plus periodic snapshots; `qgov resume` continues a
+//! completed cells, its only record; `qgov resume` continues a
 //! killed campaign from the last durable cell; and `qgov report`
 //! renders the aggregate — byte-identical whether or not the campaign
 //! was ever interrupted, at any worker count.

@@ -2,7 +2,7 @@
 //! report structure, the exit-code contract, and the journal-robustness
 //! battery (truncated tail, duplicated entries, unknown future fields,
 //! unknown line kinds, empty journal, conflicting bits, interior
-//! corruption) driven end-to-end through the binary.
+//! corruption, a legacy snapshot) driven end-to-end through the binary.
 
 use qgov::cli::CampaignConfig;
 use qgov::prelude::ScratchDir;
@@ -212,14 +212,14 @@ fn exit_code_contract() {
         "resume on missing dir",
     );
 
-    // 4: version-mismatched snapshot.
+    // 4: version-mismatched journal.
     let state = scratch.path().join("state");
     sweep_and_report(scratch.path(), &state);
-    let snapshot = state.join("snapshot.log");
-    let body = std::fs::read_to_string(&snapshot).unwrap();
-    let stamped = body.replacen("qgov-snapshot v1 ", "qgov-snapshot v99 ", 1);
-    assert_ne!(body, stamped, "snapshot header not found");
-    std::fs::write(&snapshot, stamped).unwrap();
+    let journal = state.join("journal.log");
+    let body = std::fs::read_to_string(&journal).unwrap();
+    let stamped = body.replacen("qgov-journal v1 ", "qgov-journal v99 ", 1);
+    assert_ne!(body, stamped, "journal header not found");
+    std::fs::write(&journal, stamped).unwrap();
     let output = resume_expect(&state, 4);
     assert!(
         stderr_of(&output).contains("format version"),
@@ -229,7 +229,7 @@ fn exit_code_contract() {
 
     // 4: sweep refuses an already-initialised state dir.
     let config = write_fixture(scratch.path());
-    std::fs::write(&snapshot, body).unwrap();
+    std::fs::write(&journal, body).unwrap();
     let output = qgov()
         .arg("sweep")
         .arg("--state")
@@ -245,9 +245,8 @@ fn exit_code_contract() {
     );
 }
 
-/// Sets up a completed campaign, removes the snapshot (so resume must
-/// reconstruct from the journal alone), applies `tamper` to the journal
-/// text, and returns (state dir, clean report bytes).
+/// Sets up a completed campaign, applies `tamper` to the journal text,
+/// and returns (state dir, clean report bytes).
 fn tampered_state(
     scratch: &Path,
     name: &str,
@@ -255,7 +254,6 @@ fn tampered_state(
 ) -> (PathBuf, Vec<u8>) {
     let state = scratch.join(name);
     let clean = sweep_and_report(scratch, &state);
-    std::fs::remove_file(state.join("snapshot.log")).unwrap();
     let journal = state.join("journal.log");
     let body = std::fs::read_to_string(&journal).unwrap();
     std::fs::write(&journal, tamper(body)).unwrap();
@@ -390,6 +388,48 @@ fn journal_foreign_cell_id_is_fatal() {
     );
 }
 
+/// The journal is a campaign's only record: a clean sweep leaves no
+/// snapshot, and a `snapshot.log` left by an older build — foreign
+/// version or conflicting bits — changes neither resume nor report.
+#[test]
+fn legacy_snapshot_log_is_ignored() {
+    let scratch = ScratchDir::unique("qgov-cli-legacy-snapshot");
+    let state = scratch.path().join("state");
+    let clean = sweep_and_report(scratch.path(), &state);
+    let mut files: Vec<String> = std::fs::read_dir(&state)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["campaign.toml", "journal.log"]);
+
+    let journal = std::fs::read_to_string(state.join("journal.log")).unwrap();
+    let foreign = journal.replacen("qgov-journal v1 ", "qgov-snapshot v99 ", 1);
+    assert_ne!(journal, foreign, "journal header not found");
+    // A well-formed snapshot whose first cell disagrees with the journal.
+    let doctored = scratch.path().join("doctored");
+    std::fs::create_dir_all(&doctored).unwrap();
+    std::fs::write(doctored.join("journal.log"), &journal).unwrap();
+    doctor_first_metric(&doctored);
+    let conflicting = std::fs::read_to_string(doctored.join("journal.log"))
+        .unwrap()
+        .replacen("qgov-journal ", "qgov-snapshot ", 1);
+
+    for (case, snapshot) in [
+        ("foreign version", foreign),
+        ("conflicting bits", conflicting),
+    ] {
+        std::fs::write(state.join("snapshot.log"), snapshot).unwrap();
+        let output = resume_expect(&state, 0);
+        assert!(
+            stderr_of(&output).contains("0 ran, 2 already journaled"),
+            "{case}: {}",
+            stderr_of(&output)
+        );
+        assert_eq!(report_ok(&state), clean, "{case}");
+    }
+}
+
 #[test]
 fn report_against_identical_campaign_is_clean() {
     let scratch = ScratchDir::unique("qgov-cli-against");
@@ -418,10 +458,8 @@ fn report_against_identical_campaign_is_clean() {
 }
 
 /// Rewrites the first journaled metric of the first cell in `state` to
-/// a different bit pattern (snapshot removed so the journal is the
-/// only source), returning the doctored value's name.
+/// a different bit pattern, returning the doctored value's name.
 fn doctor_first_metric(state: &Path) -> String {
-    std::fs::remove_file(state.join("snapshot.log")).unwrap();
     let journal = state.join("journal.log");
     let body = std::fs::read_to_string(&journal).unwrap();
     let mut doctored_name = String::new();
