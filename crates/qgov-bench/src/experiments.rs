@@ -66,6 +66,10 @@ pub(crate) fn fmt_pct(v: f64) -> String {
 pub trait Experiment {
     /// The methodology or configuration cells, in row order.
     const LABELS: &'static [&'static str];
+    /// The shortest frame horizon a cell runs to completion. Campaign
+    /// configs, `qgov run --frames` and the bench targets reject a
+    /// shorter one.
+    const MIN_FRAMES: u64 = 1;
     /// One seed's recorded workload, shared read-only by its cells.
     type Prep: Send + Sync;
     /// What one cell returns.
@@ -601,6 +605,9 @@ pub struct Fig3;
 
 impl Experiment for Fig3 {
     const LABELS: &'static [&'static str] = &["rtm"];
+    /// Epoch 0 makes no prediction, so the misprediction series starts
+    /// at epoch 1 and needs a second frame.
+    const MIN_FRAMES: u64 = 2;
     type Prep = TracePrep;
     /// The RTM's full epoch history (needs [`HistoryMode::Full`], the
     /// config default).
@@ -866,6 +873,9 @@ impl Experiment for Smoothing {
         "gamma=0.8",
         "gamma=0.95",
     ];
+    /// Epoch 0 makes no prediction, so the misprediction series starts
+    /// at epoch 1 and needs a second frame.
+    const MIN_FRAMES: u64 = 2;
     type Prep = TracePrep;
     /// The ablation cell plus its mean relative misprediction.
     type Cell = (AblationCell, f64);

@@ -9,7 +9,8 @@
 //! meshes.
 //!
 //! * [`BigLittle`] — a scaled H.264 decode (too heavy for the A7 quad
-//!   alone, comfortably feasible on the A15 quad) under three
+//!   alone; its mean fits the A15 quad, yet big-only misses
+//!   28.5 % ± 1.8 % of deadlines, EXPERIMENTS.md) under three
 //!   placements: everything on big, everything on LITTLE, and the
 //!   learned migrating placement. The headline: learned migration
 //!   matches big-only's deadline behaviour at lower energy, because
@@ -89,8 +90,8 @@ fn cluster_capacities(clusters: &[ClusterConfig]) -> Vec<f64> {
 /// chip-sized decode (135 Mcycles per slot × 3 slots ≈ 410 Mcycles per
 /// 66.7 ms epoch). Sized so the A7 quad alone cannot hold the deadline
 /// (mean demand exceeds its 373 Mcycle top-frequency capacity) while
-/// the A15 quad (533 Mcycles) can — the regime where placement
-/// actually matters.
+/// the mean fits the A15 quad (533 Mcycles) — the regime where
+/// placement actually matters.
 #[must_use]
 pub fn biglittle_app(seed: u64, frames: u64) -> VideoDecoderModel {
     let mut params = VideoDecoderModel::h264_football_15fps(seed)

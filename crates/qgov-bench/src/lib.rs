@@ -6,7 +6,7 @@
 //! simulated platform and produces a
 //! [`RunReport`](qgov_metrics::RunReport). Every table, figure and
 //! extension is one [`Experiment`] (the registry in [`experiments`],
-//! plus [`hetero`], [`faultstorm`] and [`fleet`]) driven by one
+//! plus [`hetero`] and [`faultstorm`]) driven by one
 //! [`RunPlan`]; the `benches/` targets are one call each to the shared
 //! [`perf::bench_target`] driver (`cargo bench -p qgov-bench` regenerates
 //! everything).
@@ -24,7 +24,6 @@
 //! | big.LITTLE placement (beyond the paper) | [`hetero::BigLittle`] | `biglittle` |
 //! | Mesh weak scaling (beyond the paper) | [`hetero::MeshScaling`] | `mesh_scaling` |
 //! | Fault storm (beyond the paper) | [`faultstorm::FaultStorm`] | `fault_storm` |
-//! | Fleets of RTM instances (campaign family) | [`fleet::Fleet`] | — |
 //!
 //! The long-horizon experiment goes beyond the paper's ~3000-frame
 //! clips: it streams its workload from CSV shards on disk
@@ -35,7 +34,7 @@
 //! # Plans, seeds and workers
 //!
 //! A [`RunPlan`] names the seeds, horizon, worker policy, monitor pack,
-//! fault schedule, fleet size and bench pass count.
+//! fault schedule and bench pass count.
 //! [`Experiment::run`] expands its seed × methodology grid into one
 //! [`ExperimentBatch`] job queue and returns one typed result
 //! per seed. The runner returns results in push order and every cell
@@ -74,7 +73,6 @@
 
 pub mod experiments;
 pub mod faultstorm;
-pub mod fleet;
 pub mod harness;
 pub mod hetero;
 pub mod manycore;
@@ -88,7 +86,6 @@ pub use faultstorm::{
     fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm, FaultStormResult,
     FaultStormRow, FAULTSTORM_GRACE,
 };
-pub use fleet::Fleet;
 pub use harness::{
     run_experiment, run_experiment_faulted, run_experiment_monitored, ExperimentOutcome,
 };

@@ -241,7 +241,8 @@ pub struct BenchRun<O> {
 /// one record per folded metric to the `QGOV_BENCH_JSON` trajectory.
 ///
 /// An invalid `QGOV_*` value prints the [`PlanError`](crate::plan::PlanError)
-/// and exits with status 2.
+/// and exits with status 2, and so does a horizon below
+/// [`Experiment::MIN_FRAMES`].
 pub fn bench_target<E: Experiment>(
     target: &str,
     title: &str,
@@ -252,6 +253,14 @@ pub fn bench_target<E: Experiment>(
         eprintln!("error: {e}");
         std::process::exit(2)
     });
+    if plan.frames < E::MIN_FRAMES {
+        eprintln!(
+            "error: {target} needs at least {} frames, got QGOV_FRAMES={}",
+            E::MIN_FRAMES,
+            plan.frames
+        );
+        std::process::exit(2)
+    }
     println!("== {title} ==");
     println!("   {workload}");
     println!("   {}\n", plan.describe());

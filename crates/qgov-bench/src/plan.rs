@@ -1,8 +1,8 @@
 //! The run plan: every value a caller can set about one experiment run.
 //!
 //! A [`RunPlan`] names the seeds, the frame horizon, the worker policy,
-//! the temporal-monitor pack, the fault schedule, the fleet size and
-//! the bench pass count. Every experiment family runs from one
+//! the temporal-monitor pack, the fault schedule and the bench pass
+//! count. Every experiment family runs from one
 //! ([`Experiment::run`](crate::experiments::Experiment::run)), campaign
 //! cells build one per seed, and [`RunPlan::from_env`] is the one place
 //! the `QGOV_*` environment variables are read — an invalid value is a
@@ -44,8 +44,6 @@ pub struct RunPlan {
     /// Whether fault-storm cells inject the standard fault schedule
     /// (`QGOV_FAULTS`); `false` replays the empty plan.
     pub faults: bool,
-    /// RTM instances per fleet cell.
-    pub fleet: usize,
     /// Timed passes a bench target makes (`QGOV_BENCH_PASSES`).
     pub passes: usize,
 }
@@ -58,7 +56,7 @@ const MAX_SEED_COUNT: u64 = 1_000;
 impl RunPlan {
     /// A plan over `seeds` at a `frames` horizon with the defaults:
     /// parallel on every core, unmonitored, the standard fault
-    /// schedule, one fleet instance, three bench passes.
+    /// schedule, three bench passes.
     #[must_use]
     pub fn new(seeds: Vec<u64>, frames: u64) -> Self {
         RunPlan {
@@ -67,7 +65,6 @@ impl RunPlan {
             runner: RunnerConfig::default(),
             pack: None,
             faults: true,
-            fleet: 1,
             passes: 3,
         }
     }

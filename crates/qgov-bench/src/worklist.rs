@@ -38,7 +38,6 @@ use crate::experiments::{
     Experiment, Fig3, LongHorizon, SharedTable, Smoothing, StateLevels, Table1, Table2, Table3,
 };
 use crate::faultstorm::FaultStorm;
-use crate::fleet::Fleet;
 use crate::hetero::{BigLittle, MeshScaling};
 use crate::plan::RunPlan;
 use crate::runner::RunnerConfig;
@@ -72,8 +71,6 @@ pub enum Family {
     /// Fault storm: hardened vs naive RTM vs ondemand under the
     /// standard deterministic fault schedule.
     FaultStorm,
-    /// Fleet: N independent RTM instances per cell.
-    Fleet,
 }
 
 impl Family {
@@ -90,7 +87,6 @@ impl Family {
         Family::BigLittle,
         Family::MeshScaling,
         Family::FaultStorm,
-        Family::Fleet,
     ];
 
     /// The family's stable name — the first component of every cell ID
@@ -109,7 +105,6 @@ impl Family {
             Family::BigLittle => "biglittle",
             Family::MeshScaling => "mesh_scaling",
             Family::FaultStorm => "fault_storm",
-            Family::Fleet => "fleet",
         }
     }
 
@@ -125,22 +120,47 @@ impl Family {
     /// metric vector per plan seed, in seed order.
     #[must_use]
     pub fn run(self, plan: &RunPlan) -> Vec<CellMetrics> {
-        fn metrics<E: Experiment>(plan: &RunPlan) -> Vec<CellMetrics> {
-            E::run(plan).iter().map(E::metrics).collect()
-        }
+        (self.entry().run)(plan)
+    }
+
+    /// The shortest horizon this family's cells run to completion
+    /// ([`Experiment::MIN_FRAMES`]): 2 for [`Family::Fig3`] and
+    /// [`Family::Smoothing`], whose misprediction series skips epoch 0,
+    /// and 1 for every other family.
+    #[must_use]
+    pub fn min_frames(self) -> u64 {
+        self.entry().min_frames
+    }
+
+    fn entry(self) -> Entry {
         match self {
-            Family::Table1 => metrics::<Table1>(plan),
-            Family::Table2 => metrics::<Table2>(plan),
-            Family::Table3 => metrics::<Table3>(plan),
-            Family::Fig3 => metrics::<Fig3>(plan),
-            Family::StateLevels => metrics::<StateLevels>(plan),
-            Family::Smoothing => metrics::<Smoothing>(plan),
-            Family::SharedTable => metrics::<SharedTable>(plan),
-            Family::LongHorizon => metrics::<LongHorizon>(plan),
-            Family::BigLittle => metrics::<BigLittle>(plan),
-            Family::MeshScaling => metrics::<MeshScaling>(plan),
-            Family::FaultStorm => metrics::<FaultStorm>(plan),
-            Family::Fleet => metrics::<Fleet>(plan),
+            Family::Table1 => Entry::of::<Table1>(),
+            Family::Table2 => Entry::of::<Table2>(),
+            Family::Table3 => Entry::of::<Table3>(),
+            Family::Fig3 => Entry::of::<Fig3>(),
+            Family::StateLevels => Entry::of::<StateLevels>(),
+            Family::Smoothing => Entry::of::<Smoothing>(),
+            Family::SharedTable => Entry::of::<SharedTable>(),
+            Family::LongHorizon => Entry::of::<LongHorizon>(),
+            Family::BigLittle => Entry::of::<BigLittle>(),
+            Family::MeshScaling => Entry::of::<MeshScaling>(),
+            Family::FaultStorm => Entry::of::<FaultStorm>(),
+        }
+    }
+}
+
+/// What a [`Family`] dispatches to: its [`Experiment`]'s metric runner
+/// and minimum horizon.
+struct Entry {
+    run: fn(&RunPlan) -> Vec<CellMetrics>,
+    min_frames: u64,
+}
+
+impl Entry {
+    fn of<E: Experiment>() -> Entry {
+        Entry {
+            run: |plan| E::run(plan).iter().map(E::metrics).collect(),
+            min_frames: E::MIN_FRAMES,
         }
     }
 }
@@ -157,7 +177,7 @@ impl std::fmt::Display for Family {
 /// on resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkCell {
-    /// Stable identity: `"<family>/seed=<s>/frames=<f>[/fleet=<n>]"`.
+    /// Stable identity: `"<family>/seed=<s>/frames=<f>"`.
     pub id: String,
     /// The campaign seed this cell runs under.
     pub seed: u64,
@@ -224,11 +244,15 @@ impl WorkList {
     ///
     /// Panics when `seeds` is empty or contains duplicates (duplicate
     /// seeds would collide on one journal ID), or when `frames` is
-    /// zero.
+    /// below [`Family::min_frames`].
     #[must_use]
     pub fn new(family: Family, seeds: Vec<u64>, frames: u64) -> Self {
         assert!(!seeds.is_empty(), "a work list needs at least one seed");
-        assert!(frames > 0, "a work list needs a positive frame horizon");
+        assert!(
+            frames >= family.min_frames(),
+            "a {family} work list needs at least {} frames",
+            family.min_frames()
+        );
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();
@@ -243,19 +267,6 @@ impl WorkList {
                 ..RunPlan::new(seeds, frames)
             },
         }
-    }
-
-    /// Sets the fleet size (instances per cell) for [`Family::Fleet`];
-    /// other families ignore it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fleet` is zero.
-    #[must_use]
-    pub fn with_fleet(mut self, fleet: usize) -> Self {
-        assert!(fleet >= 1, "a fleet cell needs at least one instance");
-        self.plan.fleet = fleet;
-        self
     }
 
     /// Attaches the standard temporal-property pack to every
@@ -297,16 +308,11 @@ impl WorkList {
     /// The stable ID of this list's cell for `seed`.
     #[must_use]
     pub fn cell_id(&self, seed: u64) -> String {
-        let base = format!(
+        format!(
             "{}/seed={seed}/frames={}",
             self.family.name(),
             self.plan.frames
-        );
-        if self.family == Family::Fleet {
-            format!("{base}/fleet={}", self.plan.fleet)
-        } else {
-            base
-        }
+        )
     }
 
     /// Every cell, in seed order — the canonical campaign ordering
@@ -394,8 +400,6 @@ mod tests {
                 "table1/seed=11/frames=250"
             ]
         );
-        let fleet = WorkList::new(Family::Fleet, vec![5], 100).with_fleet(3);
-        assert_eq!(fleet.cells()[0].id, "fleet/seed=5/frames=100/fleet=3");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::config::{CampaignConfig, ConfigError, MonitorChoice};
 use crate::journal::{self, CellRecord, JournalError, JournalWriter};
 use qgov_bench::perf::BenchRecord;
-use qgov_bench::worklist::{fold_metrics, metric_table, Family};
+use qgov_bench::worklist::{fold_metrics, metric_table};
 use qgov_bench::{ExperimentBatch, RunnerConfig};
 use qgov_metrics::MetricSummary;
 use std::collections::{HashMap, HashSet};
@@ -275,9 +275,6 @@ pub fn render_report(dir: &Path, config: &CampaignConfig) -> Result<String, Camp
     let seeds: Vec<String> = config.seeds.iter().map(u64::to_string).collect();
     out.push_str(&format!("seeds: [{}]\n", seeds.join(", ")));
     out.push_str(&format!("frames: {}\n", config.frames));
-    if config.family == Family::Fleet {
-        out.push_str(&format!("fleet: {} instances per cell\n", config.fleet));
-    }
     if config.monitors != MonitorChoice::Off {
         out.push_str(&format!("monitors: {}\n", config.monitors.name()));
     }

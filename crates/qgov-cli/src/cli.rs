@@ -44,7 +44,7 @@ USAGE:
     qgov sweep --state <dir> [--dry-run] [--workers <n>] <config.toml>
     qgov resume [--workers <n>] <state-dir>
     qgov report [--bench-json <path>] [--against <state-dir> [--tolerance <fraction>]] <state-dir>
-    qgov run --family <family> --seed <n> --frames <n> [--fleet <n>] [--monitors <pack>]
+    qgov run --family <family> --seed <n> --frames <n> [--monitors <pack>]
     qgov record --out <dir> --frames <n> [--seed <n>] [--shard-frames <n>]
     qgov replay --trace <dir> --governor <ondemand|conservative|rtm> [--frames <n>] [--seed <n>]
     qgov help
@@ -56,7 +56,8 @@ that was never killed; `report --against` diffs the journaled metrics
 of two campaigns cell by cell and exits 5 when any shared metric
 deviates beyond --tolerance (default 0: bit-identity). Families:
 table1, table2, table3, fig3, state_levels, smoothing, shared_table,
-long_horizon, fleet, biglittle, mesh_scaling, fault_storm.";
+long_horizon, biglittle, mesh_scaling, fault_storm. Fig3 and smoothing
+need at least 2 frames, every other family 1.";
 
 /// Runs the CLI on `args` (without the executable name) and returns
 /// the process exit code.
@@ -303,7 +304,7 @@ fn cmd_report(args: Vec<&str>) -> i32 {
 fn cmd_run(args: Vec<&str>) -> i32 {
     let flags = match Flags::parse(
         &args,
-        &["--family", "--seed", "--frames", "--fleet", "--monitors"],
+        &["--family", "--seed", "--frames", "--monitors"],
         &[],
     ) {
         Ok(flags) => flags,
@@ -318,21 +319,20 @@ fn cmd_run(args: Vec<&str>) -> i32 {
     let Some(family) = Family::parse(family_text) else {
         return usage_error(&format!("unknown family {family_text:?}"));
     };
+    let min = family.min_frames();
     let (seed, frames) = match (
         flags.parsed_option::<u64>("--seed"),
         flags.parsed_option::<u64>("--frames"),
     ) {
-        (Ok(seed), Ok(Some(frames))) if frames > 0 => (seed.unwrap_or(1), frames),
-        (Ok(_), Ok(_)) => return usage_error("run needs --frames <n> (at least 1)"),
+        (Ok(seed), Ok(Some(frames))) if frames >= min => (seed.unwrap_or(1), frames),
+        (Ok(_), Ok(_)) => {
+            return usage_error(&format!(
+                "run needs --frames <n> (at least {min} for family {family})"
+            ))
+        }
         (Err(message), _) | (_, Err(message)) => return usage_error(&message),
     };
     let mut list = WorkList::new(family, vec![seed], frames);
-    match flags.parsed_option::<usize>("--fleet") {
-        Ok(None) => {}
-        Ok(Some(n)) if n >= 1 && family == Family::Fleet => list = list.with_fleet(n),
-        Ok(Some(_)) => return usage_error("--fleet needs family `fleet` and at least 1 instance"),
-        Err(message) => return usage_error(&message),
-    }
     match flags.option("--monitors").map(MonitorChoice::parse) {
         None | Some(Some(MonitorChoice::Off)) => {}
         Some(Some(choice)) if family == Family::LongHorizon => {

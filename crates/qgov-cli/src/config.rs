@@ -1,15 +1,19 @@
 //! Campaign configuration: the `[campaign]` TOML table, its canonical
 //! rendering, and the config fingerprint the journal binds to.
 //!
-//! A campaign is fully described by (family, seeds, frames, fleet,
-//! monitors) — everything [`CampaignConfig::worklist`] needs to
-//! re-derive the exact cell set — plus two knobs that never affect
-//! results: the worker count (cells are bit-identical under any
-//! scheduling) and the inert `snapshot_every`. [`CampaignConfig::canonical`]
-//! renders the config deterministically; its FNV-1a hash
+//! A campaign is fully described by (family, seeds, frames, monitors)
+//! — everything [`CampaignConfig::worklist`] needs to re-derive the
+//! exact cell set — plus two knobs that never affect results: the
+//! worker count (cells are bit-identical under any scheduling) and the
+//! inert `snapshot_every`. [`CampaignConfig::canonical`] renders the
+//! config deterministically; its FNV-1a hash
 //! ([`CampaignConfig::fingerprint`]) is stamped into the journal
 //! header so a journal can never be replayed against a different
 //! campaign definition.
+//!
+//! `fleet` is a retired key: the `fleet` family is gone, so the key
+//! accepts only 1, and the canonical rendering keeps its `fleet = 1`
+//! line so that every existing state dir keeps its fingerprint.
 
 use crate::minitoml::{Document, ParseError};
 use qgov_bench::worklist::{Family, WorkList};
@@ -105,9 +109,6 @@ pub struct CampaignConfig {
     /// Campaign-level worker count: `None` = parallel auto, `Some(0)`
     /// = serial, `Some(n)` = `n` workers. Never affects results.
     pub workers: Option<usize>,
-    /// Instances per cell for the `fleet` family (must stay 1
-    /// elsewhere).
-    pub fleet: usize,
     /// Monitor pack for `long_horizon` (must stay `off` elsewhere).
     pub monitors: MonitorChoice,
     /// Inert: older builds rewrote a full-set snapshot every this many
@@ -124,9 +125,10 @@ impl CampaignConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] on malformed TOML, a missing or
-    /// unknown key, an out-of-range value, or a combination the
-    /// work-list layer cannot honour (duplicate seeds, `fleet > 1`
-    /// outside the fleet family, monitors outside `long_horizon`).
+    /// unknown key, an out-of-range value (a `fleet` other than 1, a
+    /// `frames` below the family's [`Family::min_frames`]), or a
+    /// combination the work-list layer cannot honour (duplicate seeds,
+    /// monitors outside `long_horizon`).
     pub fn from_toml_str(text: &str) -> Result<CampaignConfig, ConfigError> {
         let doc = Document::parse(text)?;
         const KNOWN: &[&str] = &[
@@ -200,8 +202,11 @@ impl CampaignConfig {
         }
 
         let frames = require_u64(&doc, "frames")?;
-        if frames == 0 {
-            return Err(ConfigError::new("`frames` must be at least 1"));
+        if frames < family.min_frames() {
+            return Err(ConfigError::new(format!(
+                "`frames` must be at least {} for family {family} (got {frames})",
+                family.min_frames()
+            )));
         }
 
         let name = match doc.get("campaign", "name") {
@@ -239,16 +244,13 @@ impl CampaignConfig {
             }
         };
 
-        let fleet = match optional_u64(&doc, "fleet")? {
-            None => 1,
-            Some(0) => return Err(ConfigError::new("`fleet` must be at least 1")),
-            Some(n) => usize::try_from(n)
-                .map_err(|_| ConfigError::new(format!("`fleet` {n} is out of range")))?,
-        };
-        if fleet > 1 && family != Family::Fleet {
-            return Err(ConfigError::new(format!(
-                "`fleet = {fleet}` only applies to `family = \"fleet\"` (got {family})"
-            )));
+        match optional_u64(&doc, "fleet")? {
+            None | Some(1) => {}
+            Some(n) => {
+                return Err(ConfigError::new(format!(
+                    "`fleet = {n}`: the `fleet` family was removed, so `fleet` must be 1 or absent"
+                )))
+            }
         }
 
         let monitors = match doc.get("campaign", "monitors") {
@@ -286,7 +288,6 @@ impl CampaignConfig {
             seeds,
             frames,
             workers,
-            fleet,
             monitors,
             snapshot_every,
         })
@@ -321,7 +322,7 @@ impl CampaignConfig {
         if let Some(workers) = self.workers {
             out.push_str(&format!("workers = {workers}\n"));
         }
-        out.push_str(&format!("fleet = {}\n", self.fleet));
+        out.push_str("fleet = 1\n");
         out.push_str(&format!("monitors = \"{}\"\n", self.monitors.name()));
         out.push_str(&format!("snapshot_every = {}\n", self.snapshot_every));
         out
@@ -346,9 +347,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn worklist(&self) -> WorkList {
         let mut list = WorkList::new(self.family, self.seeds.clone(), self.frames);
-        if self.family == Family::Fleet {
-            list = list.with_fleet(self.fleet);
-        }
         if let Some(pack) = self.monitors.pack() {
             list = list.with_monitor_pack(pack);
         }
@@ -410,16 +408,36 @@ mod tests {
         assert_eq!(config.seeds, [1, 2]);
         assert_eq!(config.frames, 120);
         assert_eq!(config.workers, None);
-        assert_eq!(config.fleet, 1);
         assert_eq!(config.monitors, MonitorChoice::Off);
         assert_eq!(config.snapshot_every, 4);
     }
 
     #[test]
+    fn minimal_canonical_text_and_fingerprint_are_pinned() {
+        // The journal header binds this fingerprint: a state dir
+        // resumes only while its config renders to the same bytes.
+        let config = CampaignConfig::from_toml_str(MINIMAL).unwrap();
+        assert_eq!(
+            config.canonical(),
+            "[campaign]\n\
+             name = \"table3\"\n\
+             family = \"table3\"\n\
+             seeds = [1, 2]\n\
+             frames = 120\n\
+             fleet = 1\n\
+             monitors = \"off\"\n\
+             snapshot_every = 4\n"
+        );
+        assert_eq!(config.fingerprint(), 0x59de_f827_e81f_c70a);
+        let explicit = CampaignConfig::from_toml_str(&format!("{MINIMAL}fleet = 1\n")).unwrap();
+        assert_eq!(explicit, config);
+    }
+
+    #[test]
     fn canonical_round_trips_and_fingerprint_is_stable() {
         let config = CampaignConfig::from_toml_str(
-            "[campaign]\nname = \"demo\"\nfamily = \"fleet\"\nseeds = [3, 1]\n\
-             frames = 100\nworkers = 2\nfleet = 4\nsnapshot_every = 2\n",
+            "[campaign]\nname = \"demo\"\nfamily = \"table1\"\nseeds = [3, 1]\n\
+             frames = 100\nworkers = 2\nfleet = 1\nsnapshot_every = 2\n",
         )
         .unwrap();
         let reparsed = CampaignConfig::from_toml_str(&config.canonical()).unwrap();
@@ -437,6 +455,10 @@ mod tests {
             ("", "missing required key `family`"),
             (
                 "[campaign]\nfamily = \"warp\"\nseeds = [1]\nframes = 9\n",
+                "unknown family",
+            ),
+            (
+                "[campaign]\nfamily = \"fleet\"\nseeds = [1]\nframes = 9\n",
                 "unknown family",
             ),
             (
@@ -461,7 +483,11 @@ mod tests {
             ),
             (
                 "[campaign]\nfamily = \"table1\"\nseeds = [1]\nframes = 9\nfleet = 2\n",
-                "only applies",
+                "must be 1",
+            ),
+            (
+                "[campaign]\nfamily = \"table1\"\nseeds = [1]\nframes = 9\nfleet = 4\n",
+                "the `fleet` family was removed",
             ),
             (
                 "[campaign]\nfamily = \"table1\"\nseeds = [1]\nframes = 9\nmonitors = \"paper\"\n",
@@ -484,6 +510,30 @@ mod tests {
                 "config {text:?}: expected {needle:?} in {:?}",
                 err.message
             );
+        }
+    }
+
+    #[test]
+    fn every_accepted_horizon_runs_its_first_cell() {
+        // Fig. 3 and the smoothing ablation score predictions from
+        // epoch 1 on, so a 1-frame campaign must fail validation rather
+        // than panic in its first cell.
+        for &family in Family::ALL {
+            for frames in 1..=3 {
+                let text =
+                    format!("[campaign]\nfamily = \"{family}\"\nseeds = [1]\nframes = {frames}\n");
+                match CampaignConfig::from_toml_str(&text) {
+                    Ok(config) => {
+                        let list = config.worklist();
+                        let metrics = list.run_cell(&list.cells()[0]);
+                        assert!(!metrics.is_empty(), "{family} at {frames} frames");
+                    }
+                    Err(e) => assert!(
+                        frames < family.min_frames() && e.message.contains(family.name()),
+                        "{family} at {frames} frames: {e}"
+                    ),
+                }
+            }
         }
     }
 

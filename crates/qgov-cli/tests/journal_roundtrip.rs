@@ -251,14 +251,11 @@ const TOML_ALPHABET: &[&str] = &[
 /// Every `[campaign]` key with values it accepts.
 const CONFIG_KEYS: [(&str, &[&str]); 8] = [
     ("name", &["\"demo\"", "\"a.b_c-1\""]),
-    (
-        "family",
-        &["\"fig3\"", "\"fleet\"", "\"long_horizon\"", "\"TABLE1\""],
-    ),
+    ("family", &["\"fig3\"", "\"long_horizon\"", "\"TABLE1\""]),
     ("seeds", &["[1, 2]", "[9223372036854775807]", "[3, 1, 2]"]),
     ("frames", &["100", "1"]),
     ("workers", &["0", "2"]),
-    ("fleet", &["1", "4"]),
+    ("fleet", &["1"]),
     ("monitors", &["\"off\"", "\"short\""]),
     ("snapshot_every", &["4", "1"]),
 ];

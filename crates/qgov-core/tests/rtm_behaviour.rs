@@ -6,7 +6,7 @@ use qgov_core::{RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{EpochObservation, Governor, GovernorContext};
 use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
-use qgov_workloads::{Application, SyntheticWorkload};
+use qgov_workloads::{Application, FrameDemand, SyntheticWorkload, WorkloadTrace};
 
 /// Drives an RTM against a live platform; returns per-epoch (opp, met)
 /// pairs.
@@ -216,4 +216,60 @@ fn second_init_fully_resets_learning() {
     let second = drive(&mut rtm, &mut app, 150);
     assert_eq!(rtm.history().len(), 150, "history restarted");
     assert_eq!(first, second, "identical app + fresh init = identical run");
+}
+
+/// Two 2-thread applications sharing the 4-core cluster, each frame
+/// their threads side by side: a steady filter pipeline on cores 0–1
+/// and a bursty tracker on cores 2–3.
+fn concurrent_pair(seed: u64, frames: u64) -> WorkloadTrace {
+    let period = SimTime::from_ms(40);
+    let mut steady =
+        SyntheticWorkload::constant("filter", Cycles::from_mcycles(70), period, frames, 2, seed)
+            .with_noise(0.03);
+    let mut bursty = SyntheticWorkload::square(
+        "tracker",
+        Cycles::from_mcycles(40),
+        2.2,
+        25,
+        period,
+        frames,
+        2,
+        seed + 1,
+    )
+    .with_noise(0.08);
+    let demands = (0..frames)
+        .map(|_| {
+            let mut threads = steady.next_frame().threads;
+            threads.extend(bursty.next_frame().threads);
+            FrameDemand::new(threads)
+        })
+        .collect();
+    WorkloadTrace::from_frames("filter+tracker", period, demands)
+}
+
+#[test]
+fn per_core_share_state_distinguishes_asymmetric_members() {
+    // With clearly asymmetric members, the Eq. 7 normalised-share state
+    // must visit more than one workload level.
+    let frames = 300;
+    let mut app = concurrent_pair(11, frames);
+    let totals: Vec<f64> = (0..app.len())
+        .map(|i| app.total_cycles(i).count() as f64)
+        .collect();
+    let min = totals.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = totals.iter().copied().fold(0.0, f64::max);
+    let mut config = RtmConfig::paper(11).with_workload_bounds(min, max);
+    config.state_kind = StateKind::PerCoreShare;
+    let mut rtm = RtmGovernor::new(config).unwrap();
+    drive(&mut rtm, &mut app, frames);
+    let mapper = rtm.state_mapper().expect("mapper built");
+    let workload_levels: std::collections::BTreeSet<usize> = rtm
+        .history()
+        .iter()
+        .map(|r| r.state / mapper.slack_levels())
+        .collect();
+    assert!(
+        workload_levels.len() > 1,
+        "asymmetric members must exercise several share levels: {workload_levels:?}"
+    );
 }

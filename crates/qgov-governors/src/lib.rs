@@ -13,10 +13,13 @@
 //!   learning transfer (Table I and Table III baseline);
 //! * [`OracleGovernor`] — offline-optimal V-F per observed workload,
 //!   the energy normalisation reference of Table I;
-//! * [`ConservativeGovernor`], [`SchedutilGovernor`],
-//!   [`PerformanceGovernor`], [`PowersaveGovernor`],
-//!   [`UserspaceGovernor`] — the remaining stock Linux governors, for
-//!   completeness and tests;
+//! * [`ConservativeGovernor`] — the Linux conservative heuristic, the
+//!   third methodology of the long-horizon comparison and of
+//!   `qgov replay`;
+//! * [`PerformanceGovernor`], [`PowersaveGovernor`],
+//!   [`UserspaceGovernor`] — fixed-OPP governors: the energy and
+//!   performance bounds the tests hold every governor to, and the
+//!   parked idle cluster of the single-cluster big.LITTLE cells;
 //! * [`SlackTracker`] — the average slack ratio `L` of Eq. 5, shared by
 //!   the learning governors and the RTM in `qgov-core`.
 //!
@@ -41,7 +44,6 @@ mod ge_qiu;
 mod multi;
 mod ondemand;
 mod oracle;
-mod schedutil;
 mod simple;
 mod slack;
 mod traits;
@@ -51,7 +53,6 @@ pub use ge_qiu::{GeQiuConfig, GeQiuGovernor};
 pub use multi::{ManyCoreGovernor, ManyCoreObservation, PerClusterGovernors};
 pub use ondemand::OndemandGovernor;
 pub use oracle::OracleGovernor;
-pub use schedutil::SchedutilGovernor;
 pub use simple::{PerformanceGovernor, PowersaveGovernor, UserspaceGovernor};
 pub use slack::SlackTracker;
 pub use traits::{EpochObservation, Governor, GovernorContext, VfDecision};

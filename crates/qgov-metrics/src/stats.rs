@@ -1,11 +1,10 @@
 //! Streaming moments and the cross-run fold.
 //!
 //! [`MetricSummary::from_samples`] is the one fold every cross-run
-//! aggregate goes through: an experiment runs once per seed (or a
-//! fleet once per instance) and each metric's per-run samples fold
-//! into one summary (mean, sample standard deviation, extrema,
-//! quantiles, 95 % confidence interval). Summaries are **invariant to
-//! sample order**: the fold sorts by [`f64::total_cmp`] first, so
+//! aggregate goes through: an experiment runs once per seed and each
+//! metric's per-seed samples fold into one summary (mean, sample
+//! standard deviation, extrema, quantiles, 95 % confidence interval).
+//! Summaries are **invariant to sample order**: the fold sorts by [`f64::total_cmp`] first, so
 //! aggregating seeds `[5, 77]` is bit-identical to aggregating
 //! `[77, 5]` — the property `tests/sweep_determinism.rs` pins.
 

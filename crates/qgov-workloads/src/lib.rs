@@ -1,9 +1,9 @@
 //! Frame-based application workload models.
 //!
-//! The paper evaluates its RTM on real applications — MPEG4/H.264 video
-//! decoding of a ~3000-frame football sequence, an FFT kernel, and the
-//! PARSEC / SPLASH-2 suites — each "transformed to a periodic structure"
-//! of frames with deadlines (Section III). What a DVFS governor actually
+//! The paper's results (Tables I–III, Fig. 3) run its RTM on two kinds
+//! of application — MPEG4/H.264 video decoding of a ~3000-frame
+//! football sequence, and an FFT kernel — each "transformed to a
+//! periodic structure" of frames with deadlines (Section III). What a DVFS governor actually
 //! observes from an application is its *per-frame cycle-demand process*;
 //! this crate provides seeded stochastic models reproducing the
 //! statistics of those applications, plus record/replay traces so the
@@ -12,14 +12,12 @@
 //! * [`Application`] — the trait all workload models implement: a
 //!   periodic frame source with a deadline (`T_ref = 1/fps`);
 //! * [`VideoDecoderModel`] — GOP-structured video decoding with I/P/B
-//!   frame classes, AR(1) motion intensity and Markov scene changes
-//!   (presets: [`VideoDecoderModel::mpeg4_svga_24fps`],
+//!   frame classes, AR(1) motion intensity and random or scripted scene
+//!   changes (presets: [`VideoDecoderModel::mpeg4_svga_24fps`],
 //!   [`VideoDecoderModel::h264_football_15fps`], ...);
 //! * [`FftModel`] — a *real* radix-2 FFT kernel whose counted butterfly
 //!   operations drive the cycle demands (near-constant workload, as the
 //!   paper observes);
-//! * [`PhasedBenchmarkModel`] — phase-structured parallel benchmarks
-//!   with PARSEC-like and SPLASH-2-like presets (see [`suites`]);
 //! * [`SyntheticWorkload`] — constant/ramp/square/sine + noise patterns
 //!   for targeted tests and ablations;
 //! * [`WorkloadTrace`] — record/replay with CSV round-trip;
@@ -70,11 +68,9 @@
 #![warn(missing_docs)]
 
 mod app;
-mod composite;
 mod error;
 mod fft;
 mod frame;
-mod parsec;
 mod process;
 pub mod shard;
 mod split;
@@ -82,21 +78,11 @@ mod synthetic;
 mod trace;
 mod video;
 
-pub mod suites {
-    //! Preset PARSEC-like and SPLASH-2-like benchmark workloads.
-    pub use crate::parsec::{
-        all_parsec, all_splash2, barnes, blackscholes, bodytrack, ferret, fluidanimate, lu, ocean,
-        radix, splash_fft, streamcluster, swaptions,
-    };
-}
-
 pub use app::Application;
-pub use composite::CompositeWorkload;
 pub use error::WorkloadError;
 pub use fft::{fft_radix2, Complex, FftModel};
 pub use frame::{FrameDemand, ThreadDemand};
-pub use parsec::{Phase, PhasedBenchmarkModel};
-pub use process::{Ar1Process, MarkovChain};
+pub use process::Ar1Process;
 pub use shard::{ScratchDir, ShardWriter, ShardedTrace, TraceShard};
 pub use split::{capacity_shares, split_demand_into};
 pub use synthetic::SyntheticWorkload;

@@ -98,120 +98,6 @@ impl Ar1Process {
     }
 }
 
-/// A discrete-time Markov chain over workload regimes.
-///
-/// Models abrupt mode switches such as video scene changes or benchmark
-/// phase transitions; each state carries a workload multiplier.
-///
-/// # Examples
-///
-/// ```
-/// use qgov_workloads::MarkovChain;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// // Two regimes: calm (x1.0) and action (x1.6); sticky transitions.
-/// let chain = MarkovChain::new(
-///     vec![1.0, 1.6],
-///     vec![vec![0.95, 0.05], vec![0.10, 0.90]],
-/// ).unwrap();
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let mut c = chain;
-/// let mut saw_action = false;
-/// for _ in 0..500 {
-///     if c.step(&mut rng) > 1.0 { saw_action = true; }
-/// }
-/// assert!(saw_action);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarkovChain {
-    values: Vec<f64>,
-    transitions: Vec<Vec<f64>>,
-    state: usize,
-}
-
-impl MarkovChain {
-    /// Creates a chain starting in state 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if dimensions are inconsistent, any row does not
-    /// sum to ≈ 1, or any probability is negative.
-    pub fn new(values: Vec<f64>, transitions: Vec<Vec<f64>>) -> Result<Self, crate::WorkloadError> {
-        let n = values.len();
-        if n == 0 {
-            return Err(crate::WorkloadError::InvalidConfig {
-                reason: "markov chain needs at least one state".into(),
-            });
-        }
-        if transitions.len() != n {
-            return Err(crate::WorkloadError::InvalidConfig {
-                reason: format!(
-                    "transition matrix has {} rows for {n} states",
-                    transitions.len()
-                ),
-            });
-        }
-        for (i, row) in transitions.iter().enumerate() {
-            if row.len() != n {
-                return Err(crate::WorkloadError::InvalidConfig {
-                    reason: format!(
-                        "transition row {i} has {} entries for {n} states",
-                        row.len()
-                    ),
-                });
-            }
-            if row.iter().any(|&p| !(0.0..=1.0).contains(&p)) {
-                return Err(crate::WorkloadError::InvalidConfig {
-                    reason: format!("transition row {i} has probabilities outside [0, 1]"),
-                });
-            }
-            let sum: f64 = row.iter().sum();
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(crate::WorkloadError::InvalidConfig {
-                    reason: format!("transition row {i} sums to {sum}, expected 1"),
-                });
-            }
-        }
-        Ok(MarkovChain {
-            values,
-            transitions,
-            state: 0,
-        })
-    }
-
-    /// Current state index.
-    #[must_use]
-    pub fn state(&self) -> usize {
-        self.state
-    }
-
-    /// Current state's value without advancing.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.values[self.state]
-    }
-
-    /// Advances one step and returns the new state's value.
-    pub fn step(&mut self, rng: &mut StdRng) -> f64 {
-        let u: f64 = rng.gen::<f64>();
-        let row = &self.transitions[self.state];
-        let mut acc = 0.0;
-        for (i, &p) in row.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                self.state = i;
-                break;
-            }
-        }
-        self.values[self.state]
-    }
-
-    /// Restarts in state 0.
-    pub fn reset(&mut self) {
-        self.state = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,43 +141,5 @@ mod tests {
     #[should_panic(expected = "phi")]
     fn ar1_rejects_unstable_phi() {
         let _ = Ar1Process::new(0.0, 1.0, 0.1, -1.0, 1.0);
-    }
-
-    #[test]
-    fn markov_respects_stationary_distribution() {
-        // Sticky two-state chain: stationary pi = (2/3, 1/3) for these
-        // transition probabilities.
-        let mut c = MarkovChain::new(vec![0.0, 1.0], vec![vec![0.9, 0.1], vec![0.2, 0.8]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut ones = 0;
-        let n = 20_000;
-        for _ in 0..n {
-            if c.step(&mut rng) > 0.5 {
-                ones += 1;
-            }
-        }
-        let frac = f64::from(ones) / f64::from(n);
-        assert!(
-            (frac - 1.0 / 3.0).abs() < 0.03,
-            "occupancy {frac} far from 1/3"
-        );
-    }
-
-    #[test]
-    fn markov_rejects_bad_matrices() {
-        assert!(MarkovChain::new(vec![], vec![]).is_err());
-        assert!(MarkovChain::new(vec![1.0], vec![vec![0.5]]).is_err()); // row sums to 0.5
-        assert!(MarkovChain::new(vec![1.0, 2.0], vec![vec![1.0, 0.0]]).is_err()); // missing row
-        assert!(MarkovChain::new(vec![1.0, 2.0], vec![vec![1.5, -0.5], vec![0.5, 0.5]]).is_err());
-    }
-
-    #[test]
-    fn markov_reset_returns_to_state_zero() {
-        let mut c = MarkovChain::new(vec![0.0, 1.0], vec![vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        c.step(&mut rng);
-        assert_eq!(c.state(), 1);
-        c.reset();
-        assert_eq!(c.state(), 0);
     }
 }

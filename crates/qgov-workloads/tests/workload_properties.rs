@@ -4,20 +4,16 @@
 use proptest::prelude::*;
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{
-    suites, Application, FftModel, FrameDemand, SyntheticWorkload, ThreadDemand, VideoDecoderModel,
+    Application, FftModel, FrameDemand, SyntheticWorkload, ThreadDemand, VideoDecoderModel,
     WorkloadError, WorkloadTrace,
 };
 
 /// Builds one of the library's applications from a compact selector.
 fn make_app(kind: u8, seed: u64) -> Box<dyn Application> {
-    match kind % 8 {
+    match kind % 4 {
         0 => Box::new(VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(40)),
         1 => Box::new(VideoDecoderModel::h264_football_15fps(seed).with_frames(40)),
         2 => Box::new(FftModel::fft_32fps(seed)),
-        3 => Box::new(suites::blackscholes(seed)),
-        4 => Box::new(suites::bodytrack(seed)),
-        5 => Box::new(suites::ocean(seed)),
-        6 => Box::new(suites::lu(seed)),
         _ => Box::new(
             SyntheticWorkload::constant(
                 "c",
@@ -132,7 +128,7 @@ proptest! {
     /// Every application produces frames with positive work, consistent
     /// thread counts, and a positive period.
     #[test]
-    fn applications_emit_wellformed_frames(kind in 0u8..8, seed in 0u64..500) {
+    fn applications_emit_wellformed_frames(kind in 0u8..4, seed in 0u64..500) {
         let mut app = make_app(kind, seed);
         prop_assert!(!app.period().is_zero());
         prop_assert!(app.frames() > 0);
@@ -148,7 +144,7 @@ proptest! {
 
     /// reset() rewinds to an identical sequence for every model.
     #[test]
-    fn reset_is_a_true_rewind(kind in 0u8..8, seed in 0u64..500) {
+    fn reset_is_a_true_rewind(kind in 0u8..4, seed in 0u64..500) {
         let mut app = make_app(kind, seed);
         let a: Vec<FrameDemand> = (0..15).map(|_| app.next_frame()).collect();
         app.reset();
@@ -159,7 +155,7 @@ proptest! {
     /// Two instances with the same seed emit identical sequences; with
     /// different seeds the stochastic models diverge.
     #[test]
-    fn seeding_controls_the_sequence(kind in 0u8..8, seed in 0u64..500) {
+    fn seeding_controls_the_sequence(kind in 0u8..4, seed in 0u64..500) {
         let mut a = make_app(kind, seed);
         let mut b = make_app(kind, seed);
         for _ in 0..10 {
@@ -170,7 +166,7 @@ proptest! {
     /// Traces replay exactly what they recorded, and survive the CSV
     /// round trip bit-exactly, for every model.
     #[test]
-    fn trace_roundtrip_for_all_models(kind in 0u8..8, seed in 0u64..200) {
+    fn trace_roundtrip_for_all_models(kind in 0u8..4, seed in 0u64..200) {
         let mut app = make_app(kind, seed);
         let mut trace = WorkloadTrace::record(app.as_mut());
         app.reset();

@@ -39,11 +39,11 @@
 //! | [`units`] | `Freq`, `Volt`, `Power`, `Energy`, `SimTime`, `Cycles`, `Temp` newtypes |
 //! | [`rl`] | Q-table, EWMA predictor, discretisers, EPD/UPD exploration, slack reward, agent |
 //! | [`sim`] | OPP tables, CMOS power model, PMUs, sensors, DVFS, thermal RC, platform |
-//! | [`workloads`] | video / FFT / PARSEC-like / SPLASH-2-like / synthetic workloads, traces |
+//! | [`workloads`] | video / FFT / synthetic workloads, traces, demand splitting |
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
 //! | [`core`] | the paper's RTM: `RtmGovernor` + `RtmConfig` |
 //! | [`metrics`] | run reports, misprediction stats, the cross-run `MetricSummary` fold, `ComparisonTable`, series, temporal monitors |
-//! | [`mod@bench`] | the experiment harness, the `ExperimentBatch` runner, the experiment registry (fleets included) and run plans |
+//! | [`mod@bench`] | the experiment harness, the `ExperimentBatch` runner, the experiment registry and run plans |
 //! | [`cli`] | the `qgov` operator binary: journaled, kill-and-resume campaigns |
 
 #![forbid(unsafe_code)]
@@ -71,7 +71,6 @@ pub mod prelude {
         fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm,
         FaultStormResult, FaultStormRow, FAULTSTORM_GRACE,
     };
-    pub use qgov_bench::fleet::{fleet_cell_app, fleet_cell_config, fleet_cell_platform, Fleet};
     pub use qgov_bench::harness::{
         precharacterize, run_experiment, run_experiment_faulted, run_experiment_monitored,
         ExperimentOutcome,
@@ -96,8 +95,8 @@ pub mod prelude {
     pub use qgov_governors::{
         ConservativeGovernor, EpochObservation, GeQiuConfig, GeQiuGovernor, Governor,
         GovernorContext, ManyCoreGovernor, ManyCoreObservation, OndemandGovernor, OracleGovernor,
-        PerClusterGovernors, PerformanceGovernor, PowersaveGovernor, SchedutilGovernor,
-        SlackTracker, UserspaceGovernor, VfDecision,
+        PerClusterGovernors, PerformanceGovernor, PowersaveGovernor, SlackTracker,
+        UserspaceGovernor, VfDecision,
     };
     pub use qgov_metrics::{
         converged_miss_rate, epsilon_monotone, epsilon_reaches_floor, opp_step_bound,
@@ -114,8 +113,8 @@ pub mod prelude {
     };
     pub use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp, Volt};
     pub use qgov_workloads::{
-        capacity_shares, split_demand_into, suites, Application, CompositeWorkload, FftModel,
-        FrameDemand, PhasedBenchmarkModel, ScratchDir, ShardWriter, ShardedTrace,
-        SyntheticWorkload, ThreadDemand, TraceShard, VideoDecoderModel, WorkloadTrace,
+        capacity_shares, split_demand_into, Application, FftModel, FrameDemand, ScratchDir,
+        ShardWriter, ShardedTrace, SyntheticWorkload, ThreadDemand, TraceShard, VideoDecoderModel,
+        WorkloadTrace,
     };
 }

@@ -163,6 +163,7 @@ fn exit_code_contract() {
         vec!["report"],
         vec!["run", "--family", "fig3"],
         vec!["run", "--family", "nonsense", "--frames", "10"],
+        vec!["run", "--family", "fig3", "--frames", "1"],
         vec!["replay", "--trace", "x", "--governor", "warp-speed"],
     ] {
         let output = qgov().args(&args).output().unwrap();
@@ -185,19 +186,46 @@ fn exit_code_contract() {
         stderr_of(&output)
     );
 
-    let bad_values = scratch.path().join("bad-values.toml");
-    std::fs::write(
-        &bad_values,
-        "[campaign]\nfamily = \"fig3\"\nseeds = [1, 1]\nframes = 10\n",
-    )
-    .unwrap();
-    let output = qgov()
-        .arg("sweep")
-        .arg("--dry-run")
-        .arg(&bad_values)
-        .output()
-        .unwrap();
-    assert_exit(&output, 3, "duplicate seeds");
+    // Bad values, among them the retired `fleet` family and key and a
+    // horizon shorter than the family's minimum, fail before any cell
+    // runs.
+    for (what, text, needle) in [
+        (
+            "duplicate seeds",
+            "[campaign]\nfamily = \"fig3\"\nseeds = [1, 1]\nframes = 10\n",
+            "duplicate seed",
+        ),
+        (
+            "fleet family",
+            "[campaign]\nfamily = \"fleet\"\nseeds = [1]\nframes = 10\n",
+            "unknown family",
+        ),
+        (
+            "fleet = 4",
+            "[campaign]\nfamily = \"table1\"\nseeds = [1]\nframes = 10\nfleet = 4\n",
+            "must be 1",
+        ),
+        (
+            "fig3 at 1 frame",
+            "[campaign]\nfamily = \"fig3\"\nseeds = [1]\nframes = 1\n",
+            "at least 2 for family fig3",
+        ),
+    ] {
+        let path = scratch.path().join("bad-values.toml");
+        std::fs::write(&path, text).unwrap();
+        let output = qgov()
+            .arg("sweep")
+            .arg("--dry-run")
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert_exit(&output, 3, what);
+        assert!(
+            stderr_of(&output).contains(needle),
+            "{what}: {}",
+            stderr_of(&output)
+        );
+    }
 
     // 4: state errors — missing state dir for report and resume.
     let missing = scratch.path().join("no-such-dir");

@@ -550,17 +550,6 @@ const PINNED_CELLS: &[(Family, &[(&str, u64)])] = &[
             ("monitor_violations/ondemand", 0x0000000000000000),
         ],
     ),
-    (
-        Family::Fleet,
-        &[
-            ("miss_rate/i0", 0x3fc7777777777777),
-            ("normalized_performance/i0", 0x3fedb362e6e35cbb),
-            ("mean_opp/i0", 0x4021888888888889),
-            ("energy_joules/i0", 0x4021c8e33dadc300),
-            ("fleet_mean_miss_rate", 0x3fc7777777777777),
-            ("fleet_total_frames", 0x405e000000000000),
-        ],
-    ),
 ];
 
 /// `(energy bits, misses, transitions)` of the faulted flat run below,

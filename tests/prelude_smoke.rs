@@ -34,7 +34,6 @@ fn every_prelude_governor_runs_ten_epochs() {
     let mut governors: Vec<Box<dyn Governor>> = vec![
         Box::new(OndemandGovernor::linux_default()),
         Box::new(ConservativeGovernor::linux_default()),
-        Box::new(SchedutilGovernor::linux_default()),
         Box::new(PerformanceGovernor::new()),
         Box::new(PowersaveGovernor::new()),
         Box::new(UserspaceGovernor::pinned(9)),
