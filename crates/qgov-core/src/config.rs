@@ -1,6 +1,5 @@
 //! RTM configuration.
 
-use crate::OverheadModel;
 use qgov_rl::{AgentConfig, DecayingEpsilon, ExplorationKind, RlError, SlackReward};
 
 /// How much per-epoch telemetry ([`EpochRecord`](crate::EpochRecord))
@@ -21,8 +20,6 @@ pub enum HistoryMode {
     /// (at most `2N` resident; amortised O(1), allocation-free after
     /// warm-up). The long-horizon experiments use this.
     LastN(usize),
-    /// Record nothing.
-    Off,
 }
 
 impl HistoryMode {
@@ -30,8 +27,7 @@ impl HistoryMode {
     ///
     /// # Errors
     ///
-    /// Returns [`RlError::EmptyDimension`] for `LastN(0)` (use
-    /// [`HistoryMode::Off`] to disable history).
+    /// Returns [`RlError::EmptyDimension`] for `LastN(0)`.
     pub fn validate(&self) -> Result<(), RlError> {
         if let HistoryMode::LastN(n) = self {
             RlError::check_nonempty("history LastN window", *n)?;
@@ -78,16 +74,13 @@ pub struct RtmConfig {
     /// `None` is the strictly cumulative paper form.
     pub slack_window: Option<usize>,
     /// Workload range `(min, max)` in cycles from offline
-    /// pre-characterisation; `None` auto-calibrates during the first
-    /// [`calibration_frames`](RtmConfig::calibration_frames).
+    /// pre-characterisation (Section II-A). Required: `validate` rejects
+    /// `None`, which only lets [`paper`](RtmConfig::paper) stay
+    /// single-argument ahead of a
+    /// [`with_workload_bounds`](RtmConfig::with_workload_bounds) call.
     pub workload_bounds: Option<(f64, f64)>,
-    /// Frames of online auto-calibration when no bounds are given.
-    pub calibration_frames: usize,
     /// State formation (Section II-A vs II-D).
     pub state_kind: StateKind,
-    /// Model for the RTM's own per-epoch compute cost (part of
-    /// `T_OVH`).
-    pub overhead: OverheadModel,
     /// How much per-epoch telemetry to retain (never affects
     /// decisions).
     pub history: HistoryMode,
@@ -98,7 +91,8 @@ pub struct RtmConfig {
 impl RtmConfig {
     /// The configuration reproducing the paper's reported setup:
     /// N = 5 workload and slack levels, EWMA γ = 0.6, EPD exploration,
-    /// accelerated ε decay, slack-peaked reward.
+    /// accelerated ε decay, slack-peaked reward. It needs bounds: chain
+    /// [`with_workload_bounds`](RtmConfig::with_workload_bounds).
     #[must_use]
     pub fn paper(seed: u64) -> Self {
         RtmConfig {
@@ -116,9 +110,7 @@ impl RtmConfig {
             // whenever T_ref changes).
             slack_window: Some(8),
             workload_bounds: None,
-            calibration_frames: 16,
             state_kind: StateKind::TotalWorkload,
-            overhead: OverheadModel::typical(),
             history: HistoryMode::Full,
             seed,
         }
@@ -137,7 +129,7 @@ impl RtmConfig {
     }
 
     /// Sets offline pre-characterised workload bounds (total cycles per
-    /// frame), skipping online calibration.
+    /// frame).
     #[must_use]
     pub fn with_workload_bounds(mut self, min: f64, max: f64) -> Self {
         self.workload_bounds = Some((min, max));
@@ -169,15 +161,15 @@ impl RtmConfig {
         self.agent.validate()?;
         RlError::check_probability("smoothing", self.smoothing)?;
         RlError::check_positive("smoothing", self.smoothing)?;
-        if let Some((min, max)) = self.workload_bounds {
-            if !(min.is_finite() && max.is_finite() && min < max && min >= 0.0) {
+        match self.workload_bounds {
+            Some((min, max)) if min.is_finite() && max.is_finite() && min < max && min >= 0.0 => {}
+            bounds => {
                 return Err(RlError::NotPositive {
                     name: "workload_bounds width",
-                    value: format!("({min}, {max})"),
+                    value: bounds
+                        .map_or_else(|| "none".to_owned(), |(min, max)| format!("({min}, {max})")),
                 });
             }
-        } else {
-            RlError::check_nonempty("calibration_frames", self.calibration_frames)?;
         }
         if let Some(w) = self.slack_window {
             RlError::check_nonempty("slack_window", w)?;
@@ -191,9 +183,14 @@ impl RtmConfig {
 mod tests {
     use super::*;
 
+    /// The paper's configuration with offline bounds, valid as built.
+    fn bounded(seed: u64) -> RtmConfig {
+        RtmConfig::paper(seed).with_workload_bounds(1e6, 1e9)
+    }
+
     #[test]
     fn paper_config_is_valid_and_matches_reported_constants() {
-        let c = RtmConfig::paper(0);
+        let c = bounded(0);
         assert!(c.validate().is_ok());
         assert_eq!(c.workload_levels, 5, "paper uses N = 5");
         assert_eq!(c.slack_levels, 5);
@@ -214,51 +211,48 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let mut c = RtmConfig::paper(0);
+        // Bounds are required.
+        assert!(RtmConfig::paper(0).validate().is_err());
+
+        let mut c = bounded(0);
         c.workload_levels = 0;
         assert!(c.validate().is_err());
 
-        let mut c = RtmConfig::paper(0);
+        let mut c = bounded(0);
         c.agent.alpha = 1.5;
         assert!(c.validate().is_err());
 
-        let mut c = RtmConfig::paper(0);
+        let mut c = bounded(0);
         c.smoothing = 0.0;
         assert!(c.validate().is_err());
 
-        let mut c = RtmConfig::paper(0);
+        let mut c = bounded(0);
         c.agent.exploration = ExplorationKind::Epd {
             lambda: 0.0,
             beta: 2.0,
         };
         assert!(c.validate().is_err());
 
-        let mut c = RtmConfig::paper(0);
+        let mut c = bounded(0);
         c.workload_bounds = Some((10.0, 5.0));
         assert!(c.validate().is_err());
 
-        let mut c = RtmConfig::paper(0);
-        c.workload_bounds = None;
-        c.calibration_frames = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = RtmConfig::paper(0);
+        let mut c = bounded(0);
         c.slack_window = Some(0);
         assert!(c.validate().is_err());
 
-        let mut c = RtmConfig::paper(0);
+        let mut c = bounded(0);
         c.history = HistoryMode::LastN(0);
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn history_mode_defaults_to_full_and_builder_overrides() {
-        let c = RtmConfig::paper(0);
+        let c = bounded(0);
         assert_eq!(c.history, HistoryMode::Full);
         let c = c.with_history(HistoryMode::LastN(64));
         assert_eq!(c.history, HistoryMode::LastN(64));
         assert!(c.validate().is_ok());
-        assert!(HistoryMode::Off.validate().is_ok());
         assert!(HistoryMode::LastN(0).validate().is_err());
     }
 

@@ -28,7 +28,10 @@
 //! use qgov_sim::OppTable;
 //! use qgov_units::SimTime;
 //!
-//! let mut rtm = RtmGovernor::new(RtmConfig::paper(42)).unwrap();
+//! // Offline pre-characterisation bounds (total cycles per frame) are
+//! // required; without them `RtmGovernor::new` returns an error.
+//! assert!(RtmGovernor::new(RtmConfig::paper(42)).is_err());
+//! let mut rtm = RtmGovernor::new(RtmConfig::paper(42).with_workload_bounds(1e8, 1e9)).unwrap();
 //! let ctx = GovernorContext::new(OppTable::odroid_xu3_a15(), 4, SimTime::from_ms(40));
 //! let first = rtm.init(&ctx);
 //! assert!(matches!(first, qgov_governors::VfDecision::Cluster(_)));
@@ -41,7 +44,6 @@ mod config;
 mod degrade;
 mod manycore;
 mod migration;
-mod overhead;
 mod rtm;
 mod state;
 
@@ -49,7 +51,6 @@ pub use config::{HistoryMode, RtmConfig, StateKind};
 pub use degrade::{HardeningConfig, PlausibilityFilter};
 pub use manycore::ManyCoreRtm;
 pub use migration::{GreedyMigration, MigrationConfig};
-pub use overhead::OverheadModel;
 pub use qgov_rl::ExplorationKind;
 pub use rtm::{EpochRecord, RtmGovernor};
 pub use state::StateMapper;

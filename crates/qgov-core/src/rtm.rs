@@ -3,10 +3,18 @@
 use crate::degrade::{HardeningConfig, PlausibilityFilter};
 use crate::{HistoryMode, RtmConfig, StateKind, StateMapper};
 use qgov_governors::{EpochObservation, Governor, GovernorContext, SlackTracker, VfDecision};
-use qgov_metrics::{MonitorReport, PropertySet};
 use qgov_rl::{ActionSpace, EwmaPredictor, QLearningAgent, QTable, RlError};
 use qgov_sim::{FrameResult, OppTable};
-use qgov_units::{Freq, SimTime};
+use qgov_units::SimTime;
+
+/// The sensing and processing shares of the paper's `T_OVH` (Section
+/// III-D), as a kernel-space governor on an A15 pays them: one PMU
+/// sample per core, a fixed decision cost (slack update, reward,
+/// bookkeeping), and the Bellman update plus argmax scan per action.
+/// V-F transition latency, the third share, is charged by the platform.
+const SAMPLE_PER_CORE: SimTime = SimTime::from_us(5);
+const BASE_PROCESSING: SimTime = SimTime::from_us(15);
+const PER_ACTION: SimTime = SimTime::from_ns(200);
 
 /// One decision epoch's telemetry, recorded by the RTM for analysis
 /// (drives the Fig. 3 misprediction/slack series).
@@ -66,14 +74,13 @@ impl EpochHistory {
     fn new(mode: HistoryMode) -> Self {
         let records = match mode {
             HistoryMode::LastN(n) => Vec::with_capacity(2 * n),
-            HistoryMode::Full | HistoryMode::Off => Vec::new(),
+            HistoryMode::Full => Vec::new(),
         };
         EpochHistory { mode, records }
     }
 
     fn push(&mut self, record: EpochRecord) {
         match self.mode {
-            HistoryMode::Off => {}
             HistoryMode::Full => self.records.push(record),
             HistoryMode::LastN(n) => {
                 if self.records.len() == 2 * n {
@@ -87,7 +94,7 @@ impl EpochHistory {
 
     fn as_slice(&self) -> &[EpochRecord] {
         match self.mode {
-            HistoryMode::Full | HistoryMode::Off => &self.records,
+            HistoryMode::Full => &self.records,
             HistoryMode::LastN(n) => &self.records[self.records.len().saturating_sub(n)..],
         }
     }
@@ -107,11 +114,10 @@ pub struct RtmGovernor {
     /// The platform's operating points (set at `init`).
     table: Option<OppTable>,
     cores: usize,
-    period: SimTime,
+    /// Built by `init` from the configured workload bounds.
     mapper: Option<StateMapper>,
     predictors: Vec<EwmaPredictor>,
     slack: SlackTracker,
-    calib_samples: Vec<f64>,
     rr_core: usize,
     last_prediction_total: f64,
     last_frame_slack: f64,
@@ -121,10 +127,6 @@ pub struct RtmGovernor {
     /// `init`).
     scratch_actual: Vec<f64>,
     scratch_predicted: Vec<f64>,
-    /// Streaming temporal monitors tapped on the epoch stream. The tap
-    /// sees every epoch regardless of [`HistoryMode`] (including `Off`)
-    /// and never influences decisions.
-    monitor: Option<PropertySet<EpochRecord>>,
     /// Set by [`with_hardening`](RtmGovernor::with_hardening): routes
     /// every observation through a plausibility filter first.
     hardening: Option<HardeningConfig>,
@@ -147,22 +149,19 @@ impl RtmGovernor {
     pub fn new(config: RtmConfig) -> Result<Self, RlError> {
         config.validate()?;
         Ok(RtmGovernor {
+            history: EpochHistory::new(config.history),
             config,
             agent: None,
             table: None,
             cores: 0,
-            period: SimTime::ZERO,
             mapper: None,
             predictors: Vec::new(),
             slack: SlackTracker::cumulative(),
-            calib_samples: Vec::new(),
             rr_core: 0,
             last_prediction_total: 0.0,
             last_frame_slack: 0.0,
-            history: EpochHistory::new(HistoryMode::Off),
             scratch_actual: Vec::new(),
             scratch_predicted: Vec::new(),
-            monitor: None,
             hardening: None,
             filter: None,
             sensed_scratch: FrameResult::empty(),
@@ -215,33 +214,6 @@ impl RtmGovernor {
             .map_or(0, PlausibilityFilter::quarantine_entries)
     }
 
-    /// Attaches a streaming [`PropertySet`] to the epoch stream: every
-    /// [`EpochRecord`] the RTM produces is fed to the monitors the
-    /// moment it is formed, independent of the configured
-    /// [`HistoryMode`] (a tap, not a reader of the retained history —
-    /// it observes every epoch even under [`HistoryMode::Off`]).
-    ///
-    /// The tap is a pure observer: it never influences decisions, and
-    /// its per-epoch work is allocation-free. It deliberately survives
-    /// [`Governor::init`] so it can be attached before a harness run
-    /// (which calls `init` itself); a monitor attached across several
-    /// runs of one governor observes their concatenated stream.
-    pub fn attach_monitor(&mut self, monitor: PropertySet<EpochRecord>) {
-        self.monitor = Some(monitor);
-    }
-
-    /// The attached monitor set, if any.
-    #[must_use]
-    pub fn monitor(&self) -> Option<&PropertySet<EpochRecord>> {
-        self.monitor.as_ref()
-    }
-
-    /// The monitors' verdicts over the epochs observed so far.
-    #[must_use]
-    pub fn monitor_report(&self) -> Option<MonitorReport> {
-        self.monitor().map(PropertySet::report)
-    }
-
     /// The learnt Q-table (empty rows until learning starts).
     ///
     /// # Panics
@@ -272,7 +244,7 @@ impl RtmGovernor {
     }
 
     /// First convergence epoch — the Table III learning-overhead
-    /// measure. Counted from the end of calibration.
+    /// measure.
     #[must_use]
     pub fn converged_at(&self) -> Option<u64> {
         self.agent.as_ref().and_then(QLearningAgent::converged_at)
@@ -311,16 +283,16 @@ impl RtmGovernor {
     /// Per-epoch telemetry retained so far, in chronological order.
     ///
     /// What this covers depends on the configured [`HistoryMode`]:
-    /// every epoch under [`HistoryMode::Full`] (the default), at least
-    /// the most recent `N` epochs under [`HistoryMode::LastN`], and
-    /// nothing under [`HistoryMode::Off`]. The mode never influences
-    /// decisions, only retention.
+    /// every epoch under [`HistoryMode::Full`] (the default), and at
+    /// least the most recent `N` epochs under [`HistoryMode::LastN`].
+    /// The mode never influences decisions, only retention.
     #[must_use]
     pub fn history(&self) -> &[EpochRecord] {
         self.history.as_slice()
     }
 
-    /// The state mapper, once pre-characterisation has completed.
+    /// The state mapper, once [`Governor::init`] has built it from the
+    /// configured workload bounds.
     #[must_use]
     pub fn state_mapper(&self) -> Option<&StateMapper> {
         self.mapper.as_ref()
@@ -331,31 +303,8 @@ impl RtmGovernor {
         self.table.as_ref().expect("init() sets the OPP table")
     }
 
-    /// Feeds one epoch's telemetry to the monitor tap and the retained
-    /// history.
-    fn record_epoch(&mut self, record: EpochRecord) {
-        if let Some(monitor) = &mut self.monitor {
-            monitor.observe(&record);
-        }
-        self.history.push(record);
-    }
-
-    /// During calibration (no state mapper yet) fall back to a
-    /// proportional controller: pick the lowest OPP whose frequency
-    /// covers the predicted critical-path cycles within the period,
-    /// with 30 % safety headroom.
-    fn calibration_action(&self, predicted_per_core: &[f64]) -> usize {
-        let critical = predicted_per_core.iter().copied().fold(0.0f64, f64::max);
-        if critical <= 0.0 {
-            return self.table().max_index();
-        }
-        let needed_khz = critical * 1.3 / self.period.as_secs_f64() / 1_000.0;
-        self.table()
-            .index_at_or_above(Freq::from_khz(needed_khz.ceil() as u64))
-    }
-
     /// One full RTM decision epoch on `frame` — pay-off, prediction,
-    /// calibration or Bellman update + proactive selection, telemetry.
+    /// Bellman update + proactive selection, telemetry.
     fn learn(&mut self, frame: &FrameResult, epoch: u64) -> VfDecision {
         // --- Step 1 (Section II): pay-off for the elapsed interval. ---
         // The state and the EPD bias use the average slack ratio L
@@ -389,38 +338,8 @@ impl RtmGovernor {
         let predicted_total: f64 = self.scratch_predicted.iter().sum();
         self.last_prediction_total = predicted_total;
 
-        // --- Pre-characterisation (until the state mapper exists). ---
-        if self.mapper.is_none() {
-            self.calib_samples.push(actual_total);
-            if self.calib_samples.len() >= self.config.calibration_frames {
-                self.mapper = Some(
-                    StateMapper::from_samples(
-                        &self.calib_samples,
-                        self.config.workload_levels,
-                        self.config.slack_levels,
-                        self.cores,
-                    )
-                    .expect("calibration samples are finite and non-empty"),
-                );
-            } else {
-                let action = self.calibration_action(&self.scratch_predicted);
-                self.record_epoch(EpochRecord {
-                    epoch,
-                    predicted_total_cycles: predicted_for_this_frame,
-                    actual_total_cycles: actual_total,
-                    frame_slack: frame.frame_slack(),
-                    avg_slack: l,
-                    state: 0,
-                    action,
-                    epsilon: self.epsilon(),
-                    explorations: self.exploration_count(),
-                });
-                return VfDecision::Cluster(action);
-            }
-        }
-
         // --- Steps 2 + 3: Bellman update and proactive selection. ---
-        let mapper = self.mapper.as_ref().expect("just ensured above");
+        let mapper = self.mapper.as_ref().expect("init() builds it");
         let state = match self.config.state_kind {
             StateKind::TotalWorkload => mapper.state_for_total(predicted_total, l),
             StateKind::PerCoreShare => {
@@ -440,7 +359,7 @@ impl RtmGovernor {
             .expect("init() builds the agent")
             .begin_epoch(state, reward, l);
 
-        self.record_epoch(EpochRecord {
+        self.history.push(EpochRecord {
             epoch,
             predicted_total_cycles: predicted_for_this_frame,
             actual_total_cycles: actual_total,
@@ -471,11 +390,11 @@ impl Governor for RtmGovernor {
         ));
         self.table = Some(ctx.opp_table().clone());
         self.cores = cores;
-        self.period = ctx.period();
-        self.mapper = config.workload_bounds.map(|(min, max)| {
+        let (min, max) = config.workload_bounds.expect("validated bounds");
+        self.mapper = Some(
             StateMapper::from_bounds(min, max, config.workload_levels, config.slack_levels, cores)
-                .expect("validated bounds")
-        });
+                .expect("validated bounds"),
+        );
         self.predictors = (0..cores)
             .map(|_| EwmaPredictor::new(config.smoothing).expect("validated"))
             .collect();
@@ -483,7 +402,6 @@ impl Governor for RtmGovernor {
             Some(w) => SlackTracker::windowed(w),
             None => SlackTracker::cumulative(),
         };
-        self.calib_samples.clear();
         self.rr_core = 0;
         self.last_prediction_total = 0.0;
         self.last_frame_slack = 0.0;
@@ -531,11 +449,12 @@ impl Governor for RtmGovernor {
     }
 
     fn processing_overhead(&self) -> SimTime {
-        match &self.table {
-            Some(table) => self.config.overhead.cost(self.cores.max(1), table.len()),
-            // Pre-init estimate: one core, a typical 19-point table.
-            None => self.config.overhead.cost(1, 19),
-        }
+        // Pre-init estimate: one core, a typical 19-point table.
+        let (cores, actions) = self
+            .table
+            .as_ref()
+            .map_or((1, 19), |table| (self.cores.max(1), table.len()));
+        SAMPLE_PER_CORE * cores as u64 + BASE_PROCESSING + PER_ACTION * actions as u64
     }
 
     fn exploration_epsilon(&self) -> Option<f64> {
@@ -553,6 +472,12 @@ mod tests {
     use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, WorkSlice};
     use qgov_units::Cycles;
     use qgov_workloads::{Application, SyntheticWorkload};
+
+    /// The paper's configuration over one offline workload range that
+    /// spans every synthetic load below (100–160 Mcycles per frame).
+    fn paper(seed: u64) -> RtmConfig {
+        RtmConfig::paper(seed).with_workload_bounds(5e7, 2.5e8)
+    }
 
     fn platform() -> Platform {
         Platform::new(PlatformConfig {
@@ -620,7 +545,7 @@ mod tests {
             4,
             5,
         );
-        let rtm = RtmGovernor::new(RtmConfig::paper(42)).unwrap();
+        let rtm = RtmGovernor::new(paper(42)).unwrap();
         let (rtm, met, missed) = drive(rtm, &mut app, 400, 100);
         assert!(
             met >= 95,
@@ -656,7 +581,7 @@ mod tests {
             4,
             5,
         );
-        let rtm = RtmGovernor::new(RtmConfig::paper(1)).unwrap();
+        let rtm = RtmGovernor::new(paper(1)).unwrap();
         let (rtm, _, _) = drive(rtm, &mut app, 120, 0);
         // After warm-up, predictions should be within 1 % on a constant
         // workload.
@@ -680,7 +605,7 @@ mod tests {
             4,
             9,
         );
-        let rtm = RtmGovernor::new(RtmConfig::paper(7)).unwrap();
+        let rtm = RtmGovernor::new(paper(7)).unwrap();
         let (rtm, _, _) = drive(rtm, &mut app, 500, 0);
         assert!(rtm.converged_at().is_some(), "must converge on steady load");
         let frozen = rtm.explorations_to_convergence().unwrap();
@@ -705,8 +630,8 @@ mod tests {
             rtm.explorations_to_convergence()
                 .unwrap_or_else(|| rtm.exploration_count())
         };
-        let epd = run(RtmConfig::paper(3));
-        let upd = run(RtmConfig::upd_baseline(3));
+        let epd = run(paper(3));
+        let upd = run(RtmConfig::upd_baseline(3).with_workload_bounds(5e7, 2.5e8));
         assert!(
             epd < upd,
             "EPD should need fewer explorations (epd {epd}, upd {upd})"
@@ -723,7 +648,7 @@ mod tests {
             4,
             13,
         );
-        let mut config = RtmConfig::paper(5);
+        let mut config = paper(5);
         config.state_kind = StateKind::PerCoreShare;
         let rtm = RtmGovernor::new(config).unwrap();
         let (_rtm, met, _) = drive(rtm, &mut app, 200, 50);
@@ -734,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn offline_bounds_skip_calibration() {
+    fn learning_starts_at_epoch_zero() {
         let mut app = SyntheticWorkload::constant(
             "steady",
             Cycles::from_mcycles(160),
@@ -743,12 +668,11 @@ mod tests {
             4,
             13,
         );
-        let config = RtmConfig::paper(5).with_workload_bounds(1e8, 2e8);
-        let rtm = RtmGovernor::new(config).unwrap();
+        let rtm = RtmGovernor::new(paper(5)).unwrap();
         let (rtm, _, _) = drive(rtm, &mut app, 60, 0);
         assert!(rtm.state_mapper().is_some());
-        // With bounds, learning starts at epoch 0: all epochs have
-        // non-trivial states recorded.
+        // The bounds map the first frame's load onto the grid, so
+        // non-trivial states are recorded from the first epochs on.
         assert!(rtm.history().iter().skip(1).any(|r| r.state != 0));
     }
 
@@ -764,7 +688,7 @@ mod tests {
                 2,
             )
             .with_noise(0.15);
-            let rtm = RtmGovernor::new(RtmConfig::paper(seed)).unwrap();
+            let rtm = RtmGovernor::new(paper(seed)).unwrap();
             let (rtm, _, _) = drive(rtm, &mut app, 150, 0);
             rtm.history()
                 .iter()
@@ -777,10 +701,23 @@ mod tests {
 
     #[test]
     fn processing_overhead_is_realistic() {
-        let rtm = RtmGovernor::new(RtmConfig::paper(0)).unwrap();
+        let rtm = RtmGovernor::new(paper(0)).unwrap();
         let t = rtm.processing_overhead();
         assert!(t >= SimTime::from_us(10));
         assert!(t <= SimTime::from_us(200), "got {t}");
+
+        // After `init` it scales with the cores sampled and the actions
+        // scanned: tens of microseconds on the paper's quad, 5 µs × 4
+        // cores + 15 µs + 0.2 µs × 19 OPPs.
+        let overhead = |table: OppTable, cores: usize| {
+            let mut rtm = RtmGovernor::new(paper(0)).unwrap();
+            rtm.init(&GovernorContext::new(table, cores, SimTime::from_ms(40)));
+            rtm.processing_overhead()
+        };
+        let a15 = OppTable::odroid_xu3_a15;
+        assert_eq!(overhead(a15(), 4), SimTime::from_ns(38_800));
+        assert!(overhead(a15(), 8) > overhead(a15(), 4));
+        assert!(overhead(a15(), 4) > overhead(OppTable::odroid_xu3_a7(), 4));
     }
 
     #[test]
@@ -795,26 +732,22 @@ mod tests {
                 2,
             )
             .with_noise(0.1);
-            let config = RtmConfig::paper(11).with_history(history);
+            let config = paper(11).with_history(history);
             let rtm = RtmGovernor::new(config).unwrap();
             drive(rtm, &mut app, 300, 50)
         };
 
         let (full, met_full, _) = run(HistoryMode::Full);
         let (ring, met_ring, _) = run(HistoryMode::LastN(64));
-        let (off, met_off, _) = run(HistoryMode::Off);
 
         // Telemetry retention never influences decisions.
         assert_eq!(met_full, met_ring);
-        assert_eq!(met_full, met_off);
         assert_eq!(full.exploration_count(), ring.exploration_count());
-        assert_eq!(full.exploration_count(), off.exploration_count());
 
         // Retention semantics: Full keeps everything, LastN the recent
-        // tail (chronological, identical to Full's tail), Off nothing.
+        // tail (chronological, identical to Full's tail).
         assert_eq!(full.history().len(), 300);
         assert_eq!(ring.history().len(), 64);
-        assert!(off.history().is_empty());
         assert_eq!(ring.history(), &full.history()[300 - 64..]);
     }
 
@@ -828,7 +761,7 @@ mod tests {
             4,
             2,
         );
-        let config = RtmConfig::paper(1).with_history(HistoryMode::LastN(64));
+        let config = paper(1).with_history(HistoryMode::LastN(64));
         let rtm = RtmGovernor::new(config).unwrap();
         let (rtm, _, _) = drive(rtm, &mut app, 40, 0);
         assert_eq!(rtm.history().len(), 40);

@@ -2,8 +2,9 @@
 //! changes, performance-requirement sensitivity, and telemetry
 //! integrity.
 
-use qgov_core::{RtmConfig, RtmGovernor, StateKind};
+use qgov_core::{ManyCoreRtm, MigrationConfig, RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{EpochObservation, Governor, GovernorContext};
+use qgov_rl::RlError;
 use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{Application, FrameDemand, SyntheticWorkload, WorkloadTrace};
@@ -161,40 +162,28 @@ fn both_state_formulations_learn_the_same_steady_workload() {
 }
 
 #[test]
-fn auto_calibration_matches_offline_bounds_eventually() {
-    // Without offline bounds the RTM pre-characterises online; after
-    // convergence both variants should settle at comparable OPPs.
-    let make_app = || {
-        SyntheticWorkload::constant(
-            "c",
-            Cycles::from_mcycles(120),
-            SimTime::from_ms(40),
-            400,
-            4,
-            11,
-        )
-        .with_noise(0.05)
+fn rtm_without_offline_bounds_is_a_typed_error() {
+    // Every RTM starts from offline pre-characterisation (Section
+    // II-A): a configuration without workload bounds is refused at
+    // construction, flat and chip-level alike.
+    let expect_bounds_error = |err: RlError| {
+        assert!(
+            matches!(
+                err,
+                RlError::NotPositive {
+                    name: "workload_bounds width",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     };
-    let tail_mean = |log: &[(usize, bool)]| -> f64 {
-        log[300..].iter().map(|&(o, _)| o as f64).sum::<f64>() / 100.0
-    };
-
-    let mut auto_rtm = RtmGovernor::new(RtmConfig::paper(2)).unwrap();
-    let auto_log = drive(&mut auto_rtm, &mut make_app(), 400);
-    assert!(
-        auto_rtm.state_mapper().is_some(),
-        "calibration must complete"
-    );
-
-    let mut offline_rtm =
-        RtmGovernor::new(RtmConfig::paper(2).with_workload_bounds(1e8, 1.4e8)).unwrap();
-    let offline_log = drive(&mut offline_rtm, &mut make_app(), 400);
-
-    let diff = (tail_mean(&auto_log) - tail_mean(&offline_log)).abs();
-    assert!(
-        diff < 3.0,
-        "auto-calibrated and offline-bounded RTMs should settle near each other (diff {diff:.1})"
-    );
+    expect_bounds_error(RtmGovernor::new(RtmConfig::paper(2)).unwrap_err());
+    let configs = vec![
+        RtmConfig::paper(2).with_workload_bounds(1e8, 1.4e8),
+        RtmConfig::paper(3),
+    ];
+    expect_bounds_error(ManyCoreRtm::new(configs, MigrationConfig::greedy()).unwrap_err());
 }
 
 #[test]

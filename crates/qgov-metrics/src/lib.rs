@@ -20,7 +20,7 @@
 //!   matching the paper's layout, with CSV export;
 //! * [`Series`] — named (x, y) series with CSV export for figures;
 //! * [`Property`] / [`PropertySet`] — streaming LTL-style temporal
-//!   monitors (`always` / `eventually` / `until` / `after`) evaluated
+//!   monitors (`always` / `eventually` / `after`) evaluated
 //!   online over epoch streams in O(1) state per property, with the
 //!   [`standard_pack`] encoding the paper's temporal claims;
 //! * [`RecoveryTracker`] / [`recovery_pack`] — recovery accounting for

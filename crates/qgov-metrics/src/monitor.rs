@@ -2,7 +2,7 @@
 //!
 //! A [`Property`] is a finite-trace LTL-style state machine —
 //! [`always`](Property::always), [`eventually`](Property::eventually),
-//! [`until`](Property::until), [`after`](Property::after) — evaluated
+//! [`after`](Property::after) — evaluated
 //! *online*: each observed sample advances the machine by O(1) work and
 //! O(1) state, so a property can ride along a 100k-frame run without
 //! materialising the trace. A [`PropertySet`] bundles named properties,
@@ -18,10 +18,6 @@
 //!   the first epoch where `p` fails; holds otherwise.
 //! * `eventually p` — vacuous on an empty stream; holds once `p` fires;
 //!   violated *at the last observed epoch* if the stream ends without it.
-//! * `p until q` (strong) — vacuous on an empty stream **or** when `q`
-//!   fires on the very first sample (the obligation never existed);
-//!   violated at the first epoch where `p` fails before `q` has fired;
-//!   violated at the last epoch if `q` never fires; holds otherwise.
 //! * `after(c, inner)` — vacuous while the trigger `c` has never fired;
 //!   afterwards `inner` is evaluated over the suffix starting at the
 //!   triggering sample (inclusive), with epochs kept absolute.
@@ -69,14 +65,13 @@ pub enum Verdict {
     Holds,
     /// The property failed, first at this epoch.
     Violated {
-        /// Epoch (stream position) of the first failure. For
-        /// `eventually` / `until` obligations left unmet at stream end,
-        /// this is the last observed epoch.
+        /// Epoch (stream position) of the first failure. For an
+        /// `eventually` obligation left unmet at stream end, this is the
+        /// last observed epoch.
         epoch: u64,
     },
-    /// The property never incurred an obligation: the stream was empty,
-    /// an `after` trigger never fired, or an `until` release fired
-    /// immediately.
+    /// The property never incurred an obligation: the stream was empty
+    /// or an `after` trigger never fired.
     Vacuous,
 }
 
@@ -117,12 +112,6 @@ enum Node<S> {
     Eventually {
         pred: MonitorPredicate<S>,
         found: bool,
-    },
-    Until {
-        hold: MonitorPredicate<S>,
-        release: MonitorPredicate<S>,
-        first: bool,
-        decided: Option<Verdict>,
     },
     After {
         trigger: MonitorPredicate<S>,
@@ -169,22 +158,6 @@ impl<S> Property<S> {
         })
     }
 
-    /// `hold until release` (strong until): `hold` must be true at every
-    /// sample strictly before the first sample where `release` is true,
-    /// and `release` must eventually fire. A release on the very first
-    /// sample leaves the obligation vacuous.
-    pub fn until(
-        hold: impl FnMut(&S) -> bool + Send + 'static,
-        release: impl FnMut(&S) -> bool + Send + 'static,
-    ) -> Self {
-        Self::from_node(Node::Until {
-            hold: Box::new(hold),
-            release: Box::new(release),
-            first: true,
-            decided: None,
-        })
-    }
-
     /// `after(trigger, inner)`: once `trigger` first fires, evaluate
     /// `inner` over the remaining stream (triggering sample inclusive,
     /// epochs absolute). Vacuous if the trigger never fires.
@@ -212,25 +185,6 @@ impl<S> Property<S> {
                 if !*found && pred(sample) {
                     *found = true;
                 }
-            }
-            Node::Until {
-                hold,
-                release,
-                first,
-                decided,
-            } => {
-                if decided.is_none() {
-                    if release(sample) {
-                        *decided = Some(if *first {
-                            Verdict::Vacuous
-                        } else {
-                            Verdict::Holds
-                        });
-                    } else if !hold(sample) {
-                        *decided = Some(Verdict::Violated { epoch });
-                    }
-                }
-                *first = false;
             }
             Node::After {
                 trigger,
@@ -270,9 +224,6 @@ impl<S> Property<S> {
                     Verdict::Violated { epoch: self.last }
                 }
             }
-            Node::Until { decided, .. } => {
-                decided.unwrap_or(Verdict::Violated { epoch: self.last })
-            }
             Node::After {
                 triggered, inner, ..
             } => {
@@ -291,7 +242,6 @@ impl<S> fmt::Debug for Property<S> {
         match &self.node {
             Node::Always { .. } => write!(f, "always(..)"),
             Node::Eventually { .. } => write!(f, "eventually(..)"),
-            Node::Until { .. } => write!(f, "until(.., ..)"),
             Node::After { inner, .. } => write!(f, "after(.., {inner:?})"),
         }?;
         write!(f, " [{}]", self.verdict())
@@ -733,7 +683,6 @@ mod tests {
         let props = [
             Property::always(|_: &u64| true),
             Property::eventually(|_: &u64| true),
-            Property::until(|_: &u64| true, |_: &u64| true),
             Property::after(|_: &u64| true, Property::always(|_: &u64| true)),
         ];
         for p in &props {
@@ -769,40 +718,6 @@ mod tests {
         // The verdict is sticky once the witness arrived.
         p.observe(2, &0);
         assert_eq!(p.verdict(), Verdict::Holds);
-    }
-
-    #[test]
-    fn until_release_on_first_sample_is_vacuous() {
-        let mut p = Property::until(|_: &u64| false, |x: &u64| *x == 9);
-        p.observe(0, &9);
-        assert_eq!(p.verdict(), Verdict::Vacuous);
-    }
-
-    #[test]
-    fn until_holds_when_released_after_holding() {
-        let mut p = Property::until(|x: &u64| *x < 5, |x: &u64| *x == 9);
-        for (i, x) in [1u64, 2, 9].iter().enumerate() {
-            p.observe(i as u64, x);
-        }
-        assert_eq!(p.verdict(), Verdict::Holds);
-    }
-
-    #[test]
-    fn until_violates_when_hold_breaks_before_release() {
-        let mut p = Property::until(|x: &u64| *x < 5, |x: &u64| *x == 9);
-        for (i, x) in [1u64, 7, 9].iter().enumerate() {
-            p.observe(i as u64, x);
-        }
-        assert_eq!(p.verdict(), Verdict::Violated { epoch: 1 });
-    }
-
-    #[test]
-    fn strong_until_violates_at_stream_end_without_release() {
-        let mut p = Property::until(|x: &u64| *x < 5, |x: &u64| *x == 9);
-        for (i, x) in [1u64, 2, 3].iter().enumerate() {
-            p.observe(i as u64, x);
-        }
-        assert_eq!(p.verdict(), Verdict::Violated { epoch: 2 });
     }
 
     #[test]
@@ -842,10 +757,6 @@ mod tests {
         let mut e = Property::eventually(|x: &u64| *x == 2);
         e.observe(0, &1);
         assert_eq!(e.verdict(), Verdict::Violated { epoch: 0 });
-
-        let mut u = Property::until(|x: &u64| *x == 1, |_: &u64| false);
-        u.observe(0, &1);
-        assert_eq!(u.verdict(), Verdict::Violated { epoch: 0 });
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! * [`CmosPowerModel`] — dynamic `C·V²·f` switching power plus
 //!   temperature-dependent leakage, calibrated against published XU3
 //!   A15 measurements;
-//! * [`Pmu`] — per-core cycle/instruction counters;
 //! * [`PowerSensor`] — quantised, optionally noisy power readings, as
 //!   delivered by the board's INA231 sensors;
 //! * [`ThermalModel`] — a lumped RC thermal network;
@@ -55,7 +54,6 @@ mod error;
 mod fault;
 mod opp;
 mod platform;
-mod pmu;
 mod power;
 mod sensor;
 mod thermal;
@@ -66,7 +64,6 @@ pub use error::SimError;
 pub use fault::{Actuation, Fault, FaultInjector, FaultKind, FaultPlan};
 pub use opp::{Opp, OppTable};
 pub use platform::{FrameResult, Platform, PlatformConfig, WorkSlice};
-pub use pmu::Pmu;
 pub use power::{CmosPowerModel, PowerBreakdown};
 pub use sensor::{PowerSensor, SensorConfig};
 pub use thermal::{ThermalConfig, ThermalModel};

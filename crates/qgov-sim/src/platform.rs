@@ -2,7 +2,7 @@
 //! thermal, driven one decision epoch at a time.
 
 use crate::{
-    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerSensor, SensorConfig, SimError, ThermalConfig,
+    CmosPowerModel, DvfsConfig, OppTable, PowerSensor, SensorConfig, SimError, ThermalConfig,
     ThermalModel, VfController, VfDomain,
 };
 use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
@@ -276,7 +276,7 @@ impl FrameResult {
 pub struct Platform {
     power_model: CmosPowerModel,
     vf: VfController,
-    pmus: Vec<Pmu>,
+    cores: usize,
     sensor: PowerSensor,
     thermal: ThermalModel,
     now: SimTime,
@@ -302,7 +302,7 @@ impl Platform {
         Ok(Platform {
             power_model: config.power_model,
             vf,
-            pmus: (0..config.cores).map(|_| Pmu::new()).collect(),
+            cores: config.cores,
             sensor: PowerSensor::new(config.sensor),
             thermal: ThermalModel::new(config.thermal),
             now: SimTime::ZERO,
@@ -315,7 +315,7 @@ impl Platform {
     /// Number of cores.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.pmus.len()
+        self.cores
     }
 
     /// The operating-point table.
@@ -396,16 +396,6 @@ impl Platform {
         self.pending_overhead += t;
     }
 
-    /// Access to a core's PMU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    #[must_use]
-    pub fn pmu(&self, core: usize) -> &Pmu {
-        &self.pmus[core]
-    }
-
     /// Current die temperature.
     #[must_use]
     pub fn temperature(&self) -> Temp {
@@ -475,9 +465,9 @@ impl Platform {
         period: SimTime,
         out: &mut FrameResult,
     ) -> Result<(), SimError> {
-        if work.len() != self.pmus.len() {
+        if work.len() != self.cores {
             return Err(SimError::WorkLengthMismatch {
-                cores: self.pmus.len(),
+                cores: self.cores,
                 got: work.len(),
             });
         }
@@ -523,11 +513,6 @@ impl Platform {
             let p_busy = self.power_model.core_power(opp, 1.0, temp).total();
             let p_idle = self.power_model.core_power(opp, 0.0, temp).total();
             energy += p_busy * active + p_idle * idle;
-            self.pmus[core].record(
-                out.per_core_cycles[core],
-                busy,
-                wall_time.saturating_sub(busy),
-            );
         }
         let cluster_opp_idx = self.vf.cluster_opp();
         let cluster_opp = self
@@ -692,17 +677,6 @@ mod tests {
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
         assert!(!r.overhead.is_zero(), "transition latency must be charged");
         assert_eq!(p.vf().transitions(), 1);
-    }
-
-    #[test]
-    fn pmu_accumulates_across_frames() {
-        let mut p = quiet_platform();
-        p.set_cluster_opp(8);
-        let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(10)); 4];
-        p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-        p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-        assert_eq!(p.pmu(0).cycles(), Cycles::from_mcycles(20));
-        assert!((p.pmu(0).utilization() - 0.25).abs() < 0.01); // 10 of 40 ms
     }
 
     #[test]

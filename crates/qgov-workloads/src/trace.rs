@@ -189,8 +189,10 @@ pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), Work
         threads: Vec::with_capacity(frame_count),
         ends: Vec::with_capacity(frame_count),
     };
-    // The frame the rows are filling, and the offset of its first thread.
+    // The frame the rows are filling, the offset of its first thread,
+    // and its running cycle and memory-time totals.
     let (mut open, mut open_start) = (0u64, 0usize);
+    let (mut open_cycles, mut open_mem_ns) = (0u64, 0u64);
     let (mut pos, mut line) = (0, 3);
     while pos < rows.len() {
         let [frame, thread, cycles, mem_ns] =
@@ -204,6 +206,7 @@ pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), Work
             }
             flat.ends.push(flat.threads.len());
             (open, open_start) = (frame, flat.threads.len());
+            (open_cycles, open_mem_ns) = (0, 0);
         }
         if thread != (flat.threads.len() - open_start) as u64 {
             return Err(parse_error(
@@ -211,6 +214,14 @@ pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), Work
                 "thread indices must be consecutive from 0",
             ));
         }
+        // Replay sums a frame's threads onto its cores, so the frame's
+        // totals must fit in a `u64` as well as each row.
+        open_cycles = open_cycles
+            .checked_add(cycles)
+            .ok_or_else(|| parse_error(line, "the frame's cpu_cycles total overflows u64"))?;
+        open_mem_ns = open_mem_ns
+            .checked_add(mem_ns)
+            .ok_or_else(|| parse_error(line, "the frame's mem_ns total overflows u64"))?;
         flat.threads.push(ThreadDemand::new(
             Cycles::new(cycles),
             SimTime::from_ns(mem_ns),
@@ -611,6 +622,17 @@ mod tests {
             ("0,0,1,0\n2,0,1,0\n", 4, "frame index out of order"),
             ("0,0,1,0\n0,2,1,0\n", 4, "consecutive from 0"),
             ("0,0,1,0\n\n", 4, "frame index is not an integer"),
+            // A row that pushes its frame's total past u64::MAX.
+            (
+                "0,0,1,0\n0,1,18446744073709551615,0\n",
+                4,
+                "cpu_cycles total overflows",
+            ),
+            (
+                "0,0,1,0\n1,0,1,18446744073709551615\n1,1,0,1\n",
+                5,
+                "mem_ns total overflows",
+            ),
             ("0,0,1,0\n", 1, "declares 3 frames but the document holds 1"),
         ] {
             let (got_line, got_reason) = row_error(3, rows);

@@ -180,9 +180,11 @@ proptest! {
     /// The codec against a reference built with `format!`, in both
     /// directions and over the whole `u64` range: `to_csv` writes the
     /// reference byte for byte, and `from_csv` reads back exactly the
-    /// demands the reference was built from. Checking each direction
-    /// against the reference, not only the round trip, catches a writer
-    /// and a reader that drift together.
+    /// demands the reference was built from when every frame's totals
+    /// fit in a `u64`, and otherwise rejects the first row that pushes
+    /// one past it, at that row's line. Checking each direction against
+    /// the reference, not only the round trip, catches a writer and a
+    /// reader that drift together.
     #[test]
     fn csv_codec_matches_the_format_reference(
         frames in proptest::collection::vec(
@@ -192,32 +194,66 @@ proptest! {
         period_ns in full_u64(),
     ) {
         let period_ns = period_ns.max(1);
-        let mut reference = format!(
-            "# name=prop period_ns={period_ns} frames={}\nframe,thread,cpu_cycles,mem_ns\n",
-            frames.len()
-        );
-        for (fi, threads) in frames.iter().enumerate() {
-            for (ti, (cycles, mem_ns)) in threads.iter().enumerate() {
-                reference.push_str(&format!("{fi},{ti},{cycles},{mem_ns}\n"));
+        let reference = |frames: &[Vec<(u64, u64)>]| {
+            let mut text = format!(
+                "# name=prop period_ns={period_ns} frames={}\nframe,thread,cpu_cycles,mem_ns\n",
+                frames.len()
+            );
+            for (fi, threads) in frames.iter().enumerate() {
+                for (ti, (cycles, mem_ns)) in threads.iter().enumerate() {
+                    text.push_str(&format!("{fi},{ti},{cycles},{mem_ns}\n"));
+                }
             }
-        }
-        let demands: Vec<FrameDemand> = frames
+            text
+        };
+        let demands = |frames: &[Vec<(u64, u64)>]| -> Vec<FrameDemand> {
+            frames
+                .iter()
+                .map(|threads| {
+                    FrameDemand::new(
+                        threads
+                            .iter()
+                            .map(|&(c, m)| ThreadDemand::new(Cycles::new(c), SimTime::from_ns(m)))
+                            .collect(),
+                    )
+                })
+                .collect()
+        };
+        let trace = WorkloadTrace::from_frames("prop", SimTime::from_ns(period_ns), demands(&frames));
+        prop_assert_eq!(trace.to_csv(), reference(&frames));
+
+        // Each value capped to what its frame's running totals leave.
+        let fitting: Vec<Vec<(u64, u64)>> = frames
             .iter()
             .map(|threads| {
-                FrameDemand::new(
-                    threads
-                        .iter()
-                        .map(|&(c, m)| ThreadDemand::new(Cycles::new(c), SimTime::from_ns(m)))
-                        .collect(),
-                )
+                let (mut cycles, mut mem_ns) = (0u64, 0u64);
+                threads
+                    .iter()
+                    .map(|&(c, m)| {
+                        let row = (c.min(u64::MAX - cycles), m.min(u64::MAX - mem_ns));
+                        (cycles, mem_ns) = (cycles + row.0, mem_ns + row.1);
+                        row
+                    })
+                    .collect()
             })
             .collect();
-        let trace = WorkloadTrace::from_frames("prop", SimTime::from_ns(period_ns), demands);
-        prop_assert_eq!(trace.to_csv(), reference.clone());
-        let back = WorkloadTrace::from_csv(&reference).unwrap();
-        prop_assert_eq!(back.frame_demands(), trace.frame_demands());
+        let back = WorkloadTrace::from_csv(&reference(&fitting)).unwrap();
+        prop_assert_eq!(back.frame_demands(), &demands(&fitting)[..]);
         prop_assert_eq!(back.period(), SimTime::from_ns(period_ns));
         prop_assert_eq!(back.name(), "prop");
+        // The first capped row is the first whose frame total overflows.
+        let first_overflow = frames
+            .iter()
+            .flatten()
+            .zip(fitting.iter().flatten())
+            .position(|(row, capped)| row != capped);
+        if let Some(row) = first_overflow {
+            let err = WorkloadTrace::from_csv(&reference(&frames)).unwrap_err();
+            prop_assert!(
+                matches!(err, WorkloadError::ParseTraceError { line, .. } if line == row + 3),
+                "row {} (line {}): {}", row, row + 3, err
+            );
+        }
     }
 
     /// split_evenly conserves total cycles for any inputs.

@@ -22,9 +22,12 @@
 //! // The paper's platform: 4 A15 cores, 19 operating points.
 //! let platform_config = PlatformConfig::odroid_xu3_a15();
 //!
-//! // A video workload and the proposed RTM.
+//! // A video workload, pre-characterised offline for its workload
+//! // bounds (Section II-A), and the proposed RTM.
 //! let mut app = VideoDecoderModel::h264_football_15fps(42).with_frames(120);
-//! let mut rtm = RtmGovernor::new(RtmConfig::paper(42)).unwrap();
+//! let (_, bounds) = precharacterize(&mut app);
+//! let mut rtm =
+//!     RtmGovernor::new(RtmConfig::paper(42).with_workload_bounds(bounds.0, bounds.1)).unwrap();
 //!
 //! // Run the experiment loop and inspect the outcome.
 //! let outcome = run_experiment(&mut rtm, &mut app, platform_config, 120);
@@ -38,7 +41,7 @@
 //! |---|---|
 //! | [`units`] | `Freq`, `Volt`, `Power`, `Energy`, `SimTime`, `Cycles`, `Temp` newtypes |
 //! | [`rl`] | Q-table, EWMA predictor, discretisers, EPD/UPD exploration, slack reward, agent |
-//! | [`sim`] | OPP tables, CMOS power model, PMUs, sensors, DVFS, thermal RC, platform |
+//! | [`sim`] | OPP tables, CMOS power model, sensors, DVFS, thermal RC, platform, fault injection |
 //! | [`workloads`] | video / FFT / synthetic workloads, traces, demand splitting |
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
 //! | [`core`] | the paper's RTM: `RtmGovernor` + `RtmConfig` |

@@ -659,6 +659,31 @@ fn replay_of_a_corrupt_shard_exits_with_the_state_error() {
     assert!(stderr.contains("shard-000001.csv"), "{stderr}");
     assert!(stderr.contains("line 3"), "{stderr}");
     assert!(output.stdout.is_empty(), "no run may start");
+
+    // Every row parses, but one more thread of u64::MAX cycles pushes
+    // frame 0's cycle total past the counter.
+    let mut lines: Vec<&str> = text.lines().collect();
+    let threads = lines[2..]
+        .iter()
+        .take_while(|l| l.starts_with("0,"))
+        .count();
+    let row = format!("0,{threads},18446744073709551615,1");
+    lines.insert(2 + threads, &row);
+    std::fs::write(&shard, lines.join("\n") + "\n").unwrap();
+
+    let output = replay_rtm(&trace);
+    assert_exit(&output, 4, "replay of a shard whose frame overflows");
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("shard-000001.csv"), "{stderr}");
+    assert!(
+        stderr.contains(&format!("line {}", 3 + threads)),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("cpu_cycles total overflows u64"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "no run may start");
 }
 
 #[test]

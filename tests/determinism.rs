@@ -17,7 +17,7 @@ fn fingerprint(seed: u64) -> Vec<u64> {
     );
     let mut fp = vec![
         outcome.report.total_energy().as_joules().to_bits(),
-        outcome.report.measured_energy().as_joules().to_bits(),
+        outcome.report.platform_energy().as_joules().to_bits(),
         outcome.report.deadline_misses(),
         outcome.report.transitions(),
         outcome.platform.now().as_ns(),

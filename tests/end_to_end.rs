@@ -102,9 +102,9 @@ fn overheads_lengthen_frames_and_are_accounted() {
         frames,
     );
     // The governor switched V-F at least once, so transition latency
-    // plus processing overhead must be visible in the totals.
+    // must be visible in the totals.
     assert!(outcome.report.transitions() > 0);
-    assert!(!outcome.report.total_overhead().is_zero());
+    assert!(!outcome.report.transition_latency().is_zero());
     assert!(outcome.platform.vf().total_latency() > SimTime::ZERO);
 }
 
@@ -138,16 +138,105 @@ fn thermal_trajectory_reflects_governor_aggressiveness() {
 
 #[test]
 fn sensor_measured_energy_tracks_ground_truth() {
+    // The INA231-style sensor reads each frame's power with its own
+    // quantisation and noise: sum its per-frame energy readings over a
+    // fixed-OPP pass and compare them with the frames' true energy.
     let frames = 300;
     let mut app = VideoDecoderModel::h264_football_15fps(17).with_frames(frames);
-    let (trace, _) = precharacterize(&mut app);
-    let report = run_on(&mut OndemandGovernor::linux_default(), &trace, frames);
-    let truth = report.total_energy().as_joules();
-    let measured = report.measured_energy().as_joules();
+    let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
+    platform.set_cluster_opp(12);
+    let cores = platform.cores();
+    let (mut truth, mut measured) = (0.0, 0.0);
+    for _ in 0..frames {
+        let demand = app.next_frame();
+        let mut work = vec![WorkSlice::IDLE; cores];
+        for (i, t) in demand.threads.iter().enumerate() {
+            let slice = &mut work[i % cores];
+            *slice = WorkSlice::new(slice.cpu_cycles + t.cpu_cycles, slice.mem_time + t.mem_time);
+        }
+        let frame = platform.run_frame(&work, app.period()).unwrap();
+        truth += frame.energy.as_joules();
+        measured += frame.measured_energy.as_joules();
+    }
+    assert_ne!(measured, truth, "the sensor is not the ground truth");
     let rel = (measured - truth).abs() / truth;
     assert!(
         rel < 0.02,
         "INA231-style sensing should stay within 2% of truth, got {:.3}%",
         rel * 100.0
     );
+}
+
+/// Energy conservation: a run's report sums its frames' energies, and
+/// the platform counts the same energy on its own counter. Flat runs
+/// and every cluster of a chip add the same numbers in the same order,
+/// so they agree bit for bit; the chip report adds per-frame chip
+/// totals while the chip's counter adds per-cluster totals, so the two
+/// differ only by summation order.
+#[test]
+fn per_frame_energies_sum_to_the_platform_counter() {
+    let same_bits = |report: &RunReport, what: &str| {
+        assert_eq!(report.total_energy(), report.platform_energy(), "{what}");
+    };
+    let within_rounding = |report: &RunReport, what: &str| {
+        let (frames, platform) = (
+            report.total_energy().as_joules(),
+            report.platform_energy().as_joules(),
+        );
+        assert!(
+            (frames - platform).abs() <= 1e-12 * platform,
+            "{what}: frames sum to {frames} J, platform counted {platform} J"
+        );
+    };
+
+    // The paper's flat RTM on the A15 quad.
+    let frames = 300;
+    let mut app = VideoDecoderModel::h264_football_15fps(2017).with_frames(frames);
+    let (_, bounds) = precharacterize(&mut app);
+    let mut rtm =
+        RtmGovernor::new(RtmConfig::paper(2017).with_workload_bounds(bounds.0, bounds.1)).unwrap();
+    let flat = run_experiment(&mut rtm, &mut app, PlatformConfig::odroid_xu3_a15(), frames);
+    same_bits(&flat.report, "flat RTM");
+    assert_eq!(flat.report.platform_energy(), flat.platform.total_energy());
+
+    // A 4-cluster mesh under the migrating chip-level RTM.
+    let clusters = 4;
+    let mut app = qgov::bench::hetero::mesh_app(clusters, 2017, frames);
+    let (_, bounds) = precharacterize(&mut app);
+    let mut rtm = ManyCoreRtm::paper(2017, clusters, bounds).unwrap();
+    let mesh = run_manycore_experiment(
+        &mut rtm,
+        &mut app,
+        Topology::homogeneous_mesh(clusters, PlatformConfig::odroid_xu3_a15()),
+        frames,
+        &vec![1.0 / clusters as f64; clusters],
+    );
+    assert_eq!(mesh.cluster_reports.len(), clusters);
+    for (c, report) in mesh.cluster_reports.iter().enumerate() {
+        same_bits(report, &format!("mesh-4 cluster {c}"));
+    }
+    within_rounding(&mesh.report, "mesh-4 chip");
+
+    // A fault-storm-shaped run: the hardened chip-level RTM on two
+    // clusters under the standard schedule, cluster 1 dropping mid-run.
+    let clusters = 2;
+    let mut app = fault_storm_app(11, frames);
+    let (_, bounds) = precharacterize(&mut app);
+    let mut rtm = ManyCoreRtm::paper(11, clusters, bounds)
+        .unwrap()
+        .with_agent_hardening(HardeningConfig::paper());
+    let storm = run_manycore_experiment_faulted(
+        &mut rtm,
+        &mut app,
+        Topology::homogeneous_mesh(clusters, PlatformConfig::odroid_xu3_a15()),
+        frames,
+        &[0.5, 0.5],
+        &standard_fault_schedule(frames),
+        11,
+    );
+    assert!(rtm.degraded_epochs() > 0, "the storm must hit the run");
+    for (c, report) in storm.cluster_reports.iter().enumerate() {
+        same_bits(report, &format!("storm cluster {c}"));
+    }
+    within_rounding(&storm.report, "storm chip");
 }

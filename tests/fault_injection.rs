@@ -12,7 +12,7 @@ use qgov::prelude::*;
 fn flat_fingerprint(outcome: &ExperimentOutcome) -> Vec<u64> {
     vec![
         outcome.report.total_energy().as_joules().to_bits(),
-        outcome.report.measured_energy().as_joules().to_bits(),
+        outcome.report.platform_energy().as_joules().to_bits(),
         outcome.report.deadline_misses(),
         outcome.report.transitions(),
         outcome.report.mean_opp().to_bits(),

@@ -58,8 +58,10 @@ proptest! {
 
     #[test]
     fn rtm_survives_any_workload(mut app in arbitrary_workload()) {
-        // Auto-calibrating configuration: no offline bounds available.
-        let mut rtm = RtmGovernor::new(RtmConfig::paper(1)).unwrap();
+        // Bounds from the workload's own offline pre-characterisation.
+        let (_, bounds) = precharacterize(&mut app);
+        let mut rtm =
+            RtmGovernor::new(RtmConfig::paper(1).with_workload_bounds(bounds.0, bounds.1)).unwrap();
         check_governor(&mut rtm, &mut app);
     }
 
