@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the learning-overhead components the
 //! paper decomposes in Section III-D: sensor sampling, processing
 //! (prediction, state mapping, Bellman update, action selection) and a
-//! full simulated decision epoch; plus the trace CSV codec that feeds
+//! full simulated decision epoch; the platform and decision layers of a
+//! 16-cluster mesh epoch; plus the trace CSV codec that feeds
 //! long-horizon replay.
 //!
 //! Run with `cargo bench -p qgov-bench --bench micro`. `QGOV_SEEDS`
@@ -58,14 +59,16 @@ fn bench_row_best(c: &mut Criterion) {
 
 fn bench_update_unchecked(c: &mut Criterion) {
     // The Bellman fast path: construction-validated hyper-parameters,
-    // debug-only asserts, fused future-term scan.
+    // debug-only asserts, and the fused future-term scan the caller
+    // runs (timed here, as an agent epoch always runs it).
     c.bench_function("qtable_bellman_update_unchecked", |b| {
         let mut q = QTable::new(25, 19).unwrap();
         let mut i = 0u64;
         b.iter(|| {
             let s = (i % 25) as usize;
             let a = (i % 19) as usize;
-            q.update_unchecked(s, a, 0.5, (s + 1) % 25, 0.3, 0.5);
+            let (_, future) = q.row_best((s + 1) % 25);
+            q.update_unchecked(s, a, 0.5, future, 0.3, 0.5);
             i += 1;
             black_box(q.value(s, a))
         });
@@ -158,6 +161,94 @@ fn bench_full_decision_epoch(c: &mut Criterion) {
     });
 }
 
+/// The 16-cluster mesh of perfbench's `mesh16` workload: 16 A15 quads.
+fn mesh16() -> qgov_sim::Topology {
+    qgov_sim::Topology::homogeneous_mesh(
+        16,
+        PlatformConfig {
+            sensor: SensorConfig::ideal(),
+            ..PlatformConfig::odroid_xu3_a15()
+        },
+    )
+}
+
+/// One chip frame's work on the mesh: cluster `c` gets `8 + 3c`
+/// megacycles per core, so slack spreads from idle to overrunning at
+/// the chosen OPP and migration has donors and receivers.
+fn mesh16_work() -> Vec<Vec<WorkSlice>> {
+    (0..16u64)
+        .map(|c| vec![WorkSlice::cpu_only(Cycles::from_mcycles(8 + 3 * c)); 4])
+        .collect()
+}
+
+fn bench_manycore_frame(c: &mut Criterion) {
+    use qgov_sim::{ManyCoreFrameResult, ManyCorePlatform};
+
+    // One chip frame per iteration: the platform layer of a `mesh16`
+    // epoch (16 `Platform::run_frame_into` calls plus the barrier).
+    c.bench_function("manycore_run_frame_16_clusters", |b| {
+        let mut chip = ManyCorePlatform::new(mesh16()).unwrap();
+        for cluster in 0..16 {
+            chip.set_cluster_opp(cluster, 10);
+        }
+        let work = mesh16_work();
+        let mut frame = ManyCoreFrameResult::empty();
+        b.iter(|| {
+            chip.run_frame_into(&work, SimTime::from_ms(40), &mut frame)
+                .unwrap();
+            black_box(frame.energy)
+        });
+    });
+}
+
+fn bench_manycore_decide(c: &mut Criterion) {
+    use qgov_core::{HistoryMode, ManyCoreRtm, MigrationConfig, RtmConfig};
+    use qgov_governors::{GovernorContext, ManyCoreGovernor, ManyCoreObservation};
+    use qgov_sim::ManyCorePlatform;
+
+    // The decision layer of a `mesh16` epoch: 16 agents' decisions plus
+    // migration, over one chip frame's results. The shares restart
+    // uniform every iteration so migration keeps finding the same
+    // donors and receivers.
+    c.bench_function("manycore_rtm_decide_16_clusters", |b| {
+        let configs = (0..16)
+            .map(|c| {
+                RtmConfig::paper(1 + c)
+                    .with_workload_bounds(5e5, 1e9)
+                    .with_history(HistoryMode::LastN(64))
+            })
+            .collect();
+        let mut rtm = ManyCoreRtm::new(configs, MigrationConfig::greedy()).unwrap();
+        let mut chip = ManyCorePlatform::new(mesh16()).unwrap();
+        let ctxs: Vec<GovernorContext> = (0..16)
+            .map(|c| GovernorContext::new(chip.opp_table(c).clone(), 4, SimTime::from_ms(40)))
+            .collect();
+        let mut decisions = Vec::new();
+        rtm.init(&ctxs, &mut decisions);
+        for cluster in 0..16 {
+            chip.set_cluster_opp(cluster, 10);
+        }
+        let frame = chip
+            .run_frame(&mesh16_work(), SimTime::from_ms(40))
+            .unwrap();
+        let mut shares = [1.0 / 16.0; 16];
+        let mut epoch = 0u64;
+        b.iter(|| {
+            shares.fill(1.0 / 16.0);
+            rtm.decide_into(
+                &ManyCoreObservation {
+                    frames: black_box(&frame.clusters),
+                    epoch,
+                },
+                &mut decisions,
+                &mut shares,
+            );
+            epoch += 1;
+            black_box(shares[0])
+        });
+    });
+}
+
 fn bench_harness_throughput(c: &mut Criterion) {
     use qgov_bench::harness::run_experiment;
     use qgov_core::{HistoryMode, RtmConfig, RtmGovernor};
@@ -244,6 +335,8 @@ fn main() {
         bench_discretize,
         bench_platform_frame,
         bench_full_decision_epoch,
+        bench_manycore_frame,
+        bench_manycore_decide,
         bench_harness_throughput,
         bench_trace_csv_parse,
         bench_trace_csv_write,

@@ -51,8 +51,8 @@ use qgov_units::{Cycles, SimTime, Temp};
 use qgov_workloads::{split_demand_into, Application, FrameDemand, WorkloadTrace};
 
 /// Everything a finished run yields: the metrics report plus the
-/// platform in its final state (for inspecting transitions, PMUs,
-/// temperatures).
+/// platform in its final state (for inspecting V-F transitions, energy
+/// and temperatures).
 #[derive(Debug)]
 pub struct ExperimentOutcome {
     /// Accumulated per-run metrics.

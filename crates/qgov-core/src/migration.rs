@@ -16,7 +16,9 @@
 //!    part this is what moves steady work onto the LITTLE cores.
 //!
 //! Both moves are bounded by a per-epoch share step, tie-break on the
-//! lowest cluster index, and never touch the heap.
+//! lowest cluster index, and read each cluster's frame slack once per
+//! epoch from a scratch buffer that grows to the cluster count on the
+//! first epoch and never touches the heap again.
 
 use qgov_sim::FrameResult;
 use qgov_units::Temp;
@@ -68,6 +70,9 @@ impl Default for MigrationConfig {
 pub struct GreedyMigration {
     config: MigrationConfig,
     migrations: u64,
+    /// This epoch's frame slack per cluster, read once by
+    /// [`rebalance_masked`](GreedyMigration::rebalance_masked).
+    slack: Vec<f64>,
 }
 
 impl GreedyMigration {
@@ -77,6 +82,7 @@ impl GreedyMigration {
         GreedyMigration {
             config,
             migrations: 0,
+            slack: Vec::new(),
         }
     }
 
@@ -116,14 +122,17 @@ impl GreedyMigration {
         if n < 2 {
             return false;
         }
+        self.slack.clear();
+        self.slack
+            .extend(frames[..n].iter().map(FrameResult::frame_slack));
 
-        if let Some((donor, receiver)) = self.rescue_pair(&frames[..n], &shares[..n], dead) {
-            return self.transfer(shares, donor, receiver);
+        let (config, slack) = (&self.config, &self.slack[..]);
+        let pair = Self::rescue_pair(config, slack, &frames[..n], &shares[..n], dead)
+            .or_else(|| Self::consolidation_pair(config, slack, &frames[..n], &shares[..n], dead));
+        match pair {
+            Some((donor, receiver)) => self.transfer(shares, donor, receiver),
+            None => false,
         }
-        if let Some((donor, receiver)) = self.consolidation_pair(&frames[..n], &shares[..n], dead) {
-            return self.transfer(shares, donor, receiver);
-        }
-        false
     }
 
     /// Drains the work share of every dead cluster onto the survivors
@@ -164,19 +173,21 @@ impl GreedyMigration {
 
     /// Deadline rescue: worst-slack active cluster below the floor
     /// donates to the best-slack thermally-safe cluster above it.
+    /// `slack[c]` is `frames[c]`'s frame slack.
     fn rescue_pair(
-        &self,
+        config: &MigrationConfig,
+        slack: &[f64],
         frames: &[FrameResult],
         shares: &[f64],
         dead: &[bool],
     ) -> Option<(usize, usize)> {
         let is_dead = |c: usize| dead.get(c).copied().unwrap_or(false);
         let mut donor: Option<usize> = None;
-        for (c, frame) in frames.iter().enumerate() {
-            if is_dead(c) || shares[c] <= 0.0 || frame.frame_slack() >= self.config.slack_floor {
+        for (c, &s) in slack.iter().enumerate() {
+            if is_dead(c) || shares[c] <= 0.0 || s >= config.slack_floor {
                 continue;
             }
-            if donor.is_none_or(|d| frame.frame_slack() < frames[d].frame_slack()) {
+            if donor.is_none_or(|d| s < slack[d]) {
                 donor = Some(c);
             }
         }
@@ -186,12 +197,12 @@ impl GreedyMigration {
         for (c, frame) in frames.iter().enumerate() {
             if c == donor
                 || is_dead(c)
-                || frame.frame_slack() <= self.config.slack_floor
-                || frame.temperature >= self.config.temp_cap
+                || slack[c] <= config.slack_floor
+                || frame.temperature >= config.temp_cap
             {
                 continue;
             }
-            if receiver.is_none_or(|r| frame.frame_slack() > frames[r].frame_slack()) {
+            if receiver.is_none_or(|r| slack[c] > slack[r]) {
                 receiver = Some(c);
             }
         }
@@ -200,16 +211,18 @@ impl GreedyMigration {
 
     /// Energy consolidation: while every active cluster has slack above
     /// the guard, the worst-J/cycle cluster donates to the best one
-    /// with thermal margin and slack headroom.
+    /// with thermal margin and slack headroom. `slack[c]` is
+    /// `frames[c]`'s frame slack.
     fn consolidation_pair(
-        &self,
+        config: &MigrationConfig,
+        slack: &[f64],
         frames: &[FrameResult],
         shares: &[f64],
         dead: &[bool],
     ) -> Option<(usize, usize)> {
         let is_dead = |c: usize| dead.get(c).copied().unwrap_or(false);
-        for (c, frame) in frames.iter().enumerate() {
-            if !is_dead(c) && shares[c] > 0.0 && frame.frame_slack() < self.config.guard_slack {
+        for (c, &s) in slack.iter().enumerate() {
+            if !is_dead(c) && shares[c] > 0.0 && s < config.guard_slack {
                 return None;
             }
         }
@@ -228,8 +241,8 @@ impl GreedyMigration {
             if shares[c] > 0.0 && donor.is_none_or(|(_, worst)| cost > worst) {
                 donor = Some((c, cost));
             }
-            if frame.frame_slack() > self.config.guard_slack
-                && frame.temperature < self.config.temp_cap
+            if slack[c] > config.guard_slack
+                && frame.temperature < config.temp_cap
                 && receiver.is_none_or(|(_, best)| cost < best)
             {
                 receiver = Some((c, cost));
@@ -237,7 +250,7 @@ impl GreedyMigration {
         }
         let (donor, donor_cost) = donor?;
         let (receiver, receiver_cost) = receiver?;
-        if receiver == donor || donor_cost <= receiver_cost * (1.0 + self.config.hysteresis) {
+        if receiver == donor || donor_cost <= receiver_cost * (1.0 + config.hysteresis) {
             return None;
         }
         Some((donor, receiver))

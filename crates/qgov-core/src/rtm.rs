@@ -312,7 +312,8 @@ impl RtmGovernor {
         // frame slack so the credit lands on the action that caused it
         // (the paper's L averages over D epochs, but D restarts with
         // every T_ref change, keeping it similarly responsive).
-        let frame_slack = frame.frame_slack().clamp(-1.0, 1.0);
+        let raw_frame_slack = frame.frame_slack();
+        let frame_slack = raw_frame_slack.clamp(-1.0, 1.0);
         self.slack.observe(frame_slack);
         let l = self.slack.average();
         let reward = self
@@ -363,7 +364,7 @@ impl RtmGovernor {
             epoch,
             predicted_total_cycles: predicted_for_this_frame,
             actual_total_cycles: actual_total,
-            frame_slack: frame.frame_slack(),
+            frame_slack: raw_frame_slack,
             avg_slack: l,
             state,
             action,

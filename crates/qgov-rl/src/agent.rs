@@ -227,19 +227,26 @@ impl QLearningAgent {
         assert!(slack.is_finite(), "slack must be finite, got {slack}");
         // (1) + (2): pay-off and Bellman update for the previous pair.
         // `alpha`/`discount` were validated at construction, so the
-        // unchecked fast path applies (one fused row traversal for the
-        // future term instead of two index-checked passes).
-        if let Some((prev_state, prev_action)) = self.last {
-            let (greedy_before, _) = self.q.row_best(prev_state);
+        // unchecked fast path applies. The update writes only the
+        // previous state's row, so each row is scanned once before it
+        // and once after: two scans when the state repeats (the
+        // pre-update scan gives the future term, the post-update scan
+        // the selection), three when it moves (the coming state's scan
+        // gives both).
+        let greedy = if let Some((prev_state, prev_action)) = self.last {
+            let (greedy_before, max_before) = self.q.row_best(prev_state);
+            let next = (state != prev_state).then(|| self.q.row_best(state));
+            let future = next.map_or(max_before, |(_, max)| max);
             self.q.update_unchecked(
                 prev_state,
                 prev_action,
                 reward,
-                state,
+                future,
                 self.alpha,
                 self.discount,
             );
-            let changed = self.q.row_best(prev_state).0 != greedy_before;
+            let (greedy_after, _) = self.q.row_best(prev_state);
+            let changed = greedy_after != greedy_before;
             // A quiet greedy policy during the exploration phase is not
             // convergence — early on, updates have not yet differentiated
             // the actions, so the greedy choice sits still for trivial
@@ -251,12 +258,12 @@ impl QLearningAgent {
             if self.explorations_at_convergence.is_none() && self.tracker.converged_at().is_some() {
                 self.explorations_at_convergence = Some(self.explorations);
             }
-        }
+            next.map_or(greedy_after, |(greedy, _)| greedy)
+        } else {
+            self.q.row_best(state).0
+        };
 
-        // (3): action selection for the coming interval — the fused
-        // argmax scan (re-run after the update above, whose target row
-        // may alias `state`).
-        let (greedy, _) = self.q.row_best(state);
+        // (3): action selection for the coming interval.
         let explore = crate::uniform_f64(&mut self.rng) < self.epsilon.value();
         let action = if explore {
             self.exploration

@@ -28,6 +28,8 @@ pub struct DecayingEpsilon {
     initial: f64,
     current: f64,
     decay_rate: f64,
+    /// `exp(−decay_rate)`, the per-epoch factor of Eq. 6.
+    factor: f64,
     floor: f64,
 }
 
@@ -53,6 +55,7 @@ impl DecayingEpsilon {
             initial,
             current: initial,
             decay_rate,
+            factor: (-decay_rate).exp(),
             floor,
         })
     }
@@ -74,7 +77,7 @@ impl DecayingEpsilon {
     /// Advances one decision epoch (applies Eq. 6 once) and returns the
     /// new ε.
     pub fn step(&mut self) -> f64 {
-        self.current = (self.current * (-self.decay_rate).exp()).max(self.floor);
+        self.current = (self.current * self.factor).max(self.floor);
         self.current
     }
 

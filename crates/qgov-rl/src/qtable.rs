@@ -260,7 +260,8 @@ impl QTable {
         // descriptive panic messages.
         let _ = self.idx(state, action);
         let _ = self.idx(next_state, 0);
-        self.update_unchecked(state, action, reward, next_state, alpha, discount);
+        let (_, future) = self.row_best(next_state);
+        self.update_unchecked(state, action, reward, future, alpha, discount);
     }
 
     /// The Bellman update without the per-call range/finiteness asserts
@@ -268,15 +269,16 @@ impl QTable {
     /// that validated `alpha`/`discount`/`reward` at construction time
     /// (e.g. [`AgentConfig::validate`](crate::AgentConfig::validate)).
     ///
-    /// One fused row traversal ([`QTable::row_best`]) computes the
-    /// future term, replacing the two index-checked passes of the
-    /// original kernel. Numerically bit-identical to
-    /// [`QTable::update`].
+    /// `future` is the `max_a Q(sᵢ₊₁, a)` term, read before this update
+    /// (the `.1` of [`QTable::row_best`] on the next state's row). A
+    /// caller that already scanned that row passes its maximum instead
+    /// of scanning it again. Numerically bit-identical to
+    /// [`QTable::update`] given that maximum.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices (formatted messages in debug
-    /// builds, plain slice bounds checks in release). Invalid
+    /// Panics on an out-of-range index (a formatted message in debug
+    /// builds, a plain slice bounds check in release). Invalid
     /// `alpha`/`discount`/`reward` are debug-only assertions here.
     #[inline]
     pub fn update_unchecked(
@@ -284,7 +286,7 @@ impl QTable {
         state: usize,
         action: usize,
         reward: f64,
-        next_state: usize,
+        future: f64,
         alpha: f64,
         discount: f64,
     ) {
@@ -297,7 +299,6 @@ impl QTable {
             "discount factor must lie in [0, 1], got {discount}"
         );
         debug_assert!(reward.is_finite(), "reward must be finite, got {reward}");
-        let (_, future) = self.row_best(next_state);
         let i = self.idx_fast(state, action);
         self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
         self.updates += 1;
@@ -451,7 +452,8 @@ mod tests {
             let next = ((i + 1) % 3) as usize;
             let r = (i as f64).sin() * 5.0;
             checked.update(s, a, r, next, 0.3, 0.5);
-            fast.update_unchecked(s, a, r, next, 0.3, 0.5);
+            let future = fast.max_value(next);
+            fast.update_unchecked(s, a, r, future, 0.3, 0.5);
         }
         assert_eq!(checked, fast);
     }

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use qgov_rl::{
-    sample_weighted, EwmaPredictor, ExplorationKind, QTable, QuantileDiscretizer, SlackReward,
-    UniformDiscretizer,
+    sample_weighted, ActionSpace, AgentConfig, DecayingEpsilon, EwmaPredictor, ExplorationKind,
+    QLearningAgent, QTable, QuantileDiscretizer, SlackReward, UniformDiscretizer,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -241,5 +241,58 @@ proptest! {
         let r = SlackReward::new(a, b, w).unwrap();
         // Compare steady states (prev == current) so the delta term is zero.
         prop_assert!(r.reward(l, l) <= r.reward(0.0, 0.0) + 1e-12);
+    }
+
+    /// The agent's epoch reuses row scans across the update and the
+    /// selection. Mirrored step by step into a reference table through
+    /// the checked `QTable::update`, over long runs of one state and
+    /// alternations, its table stays equal bit for bit; at ε = 0 it
+    /// picks the mirror's greedy action.
+    #[test]
+    fn agent_epochs_match_a_checked_update_mirror(
+        segments in proptest::collection::vec((0usize..6, 0usize..6, 1usize..40, 0u8..2), 1..12),
+        rewards in proptest::collection::vec(-5.0f64..5.0, 1..64),
+        slacks in proptest::collection::vec(-1.0f64..1.0, 1..64),
+        gradient in 0.0f64..1.0,
+        greedy_only in 0u8..2,
+        seed in 0u64..1_000,
+    ) {
+        const STATES: usize = 6;
+        let epsilon = if greedy_only == 1 {
+            DecayingEpsilon::new(0.0, 1.0, 0.0).unwrap()
+        } else {
+            DecayingEpsilon::paper()
+        };
+        let config = AgentConfig {
+            epsilon,
+            optimistic_gradient: gradient,
+            ..AgentConfig::default()
+        };
+        let actions = ActionSpace::from_freqs_ghz(&[0.2, 0.5, 0.9, 1.4, 2.0]);
+        let mut agent = QLearningAgent::new(config.clone(), STATES, actions, seed);
+        let mut mirror = agent.q_table().clone();
+        let states = segments.iter().flat_map(|&(a, b, len, alternate)| {
+            (0..len).map(move |i| if alternate == 1 && i % 2 == 1 { b } else { a })
+        });
+        let mut last: Option<(usize, usize)> = None;
+        for (i, state) in states.enumerate() {
+            let reward = rewards[i % rewards.len()];
+            let slack = slacks[i % slacks.len()];
+            let action = agent.begin_epoch(state, reward, slack);
+            if let Some((prev_state, prev_action)) = last {
+                mirror.update(prev_state, prev_action, reward, state, config.alpha, config.discount);
+            }
+            for s in 0..STATES {
+                let (got, want) = (agent.q_table().row(s), mirror.row(s));
+                prop_assert!(
+                    got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "epoch {i}, row {s}: {got:?} vs {want:?}"
+                );
+            }
+            if greedy_only == 1 {
+                prop_assert_eq!(action, mirror.row_best(state).0, "epoch {}", i);
+            }
+            last = Some((state, action));
+        }
     }
 }

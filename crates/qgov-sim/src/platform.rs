@@ -1,6 +1,7 @@
 //! The frame-synchronous platform: cores + DVFS + power + sensors +
 //! thermal, driven one decision epoch at a time.
 
+use crate::power::OppPower;
 use crate::{
     CmosPowerModel, DvfsConfig, OppTable, PowerSensor, SensorConfig, SimError, ThermalConfig,
     ThermalModel, VfController, VfDomain,
@@ -275,6 +276,8 @@ impl FrameResult {
 #[derive(Debug)]
 pub struct Platform {
     power_model: CmosPowerModel,
+    /// The power model's per-OPP constants, one per table entry.
+    opp_power: Vec<OppPower>,
     vf: VfController,
     cores: usize,
     sensor: PowerSensor,
@@ -299,8 +302,14 @@ impl Platform {
             config.cores,
             config.dvfs.clone(),
         )?;
+        let opp_power = config
+            .opp_table
+            .iter()
+            .map(|opp| config.power_model.opp_power(opp))
+            .collect();
         Ok(Platform {
             power_model: config.power_model,
+            opp_power,
             vf,
             cores: config.cores,
             sensor: PowerSensor::new(config.sensor),
@@ -500,27 +509,33 @@ impl Platform {
         let frame_time = compute_time + overhead;
         let wall_time = frame_time.max(period);
 
-        // Energy accounting at the temperature of frame start.
-        let temp = self.thermal.temperature();
+        // Energy accounting at the temperature of frame start: one
+        // leakage scale per frame, one busy/idle power pair per run of
+        // cores at the same OPP (the whole cluster on a shared rail).
+        let model = &self.power_model;
+        let leakage_scale = model.leakage_scale(self.thermal.temperature());
+        let mut pair_opp = usize::MAX;
+        let (mut p_busy, mut p_idle) = (Power::ZERO, Power::ZERO);
         let mut energy = Energy::ZERO;
         for (core, &busy) in out.per_core_busy.iter().enumerate() {
             let opp_idx = self.vf.core_opp(core).expect("core index in range");
-            let opp = self.vf.table().get(opp_idx).expect("opp index in range");
+            if opp_idx != pair_opp {
+                let opp = &self.opp_power[opp_idx];
+                p_busy = model.core_power_at(opp, 1.0, leakage_scale).total();
+                p_idle = model.core_power_at(opp, 0.0, leakage_scale).total();
+                pair_opp = opp_idx;
+            }
             // The governor's serial overhead section runs on core 0.
             let active = if core == 0 { busy + overhead } else { busy };
             let active = active.min(wall_time);
             let idle = wall_time - active;
-            let p_busy = self.power_model.core_power(opp, 1.0, temp).total();
-            let p_idle = self.power_model.core_power(opp, 0.0, temp).total();
             energy += p_busy * active + p_idle * idle;
         }
         let cluster_opp_idx = self.vf.cluster_opp();
-        let cluster_opp = self
-            .vf
-            .table()
-            .get(cluster_opp_idx)
-            .expect("cluster opp in range");
-        energy += self.power_model.uncore_power(cluster_opp, temp).total() * wall_time;
+        energy += model
+            .uncore_power_at(&self.opp_power[cluster_opp_idx], leakage_scale)
+            .total()
+            * wall_time;
 
         let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
         self.sensor.integrate(avg_power, wall_time);
@@ -549,6 +564,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn quiet_platform() -> Platform {
         let config = PlatformConfig {
@@ -796,5 +812,147 @@ mod tests {
         let r = p.run_frame(&work, SimTime::from_ms(100)).unwrap();
         assert_eq!(r.per_core_busy[0], SimTime::from_ms(5));
         assert_eq!(r.per_core_busy[1], SimTime::from_ms(50));
+    }
+
+    /// The frame kernel's energy as it was computed before the per-OPP
+    /// table: both core powers evaluated per core from the model, the
+    /// uncore at the cluster OPP, all at the frame-start temperature.
+    fn reference_energy(
+        model: &CmosPowerModel,
+        table: &OppTable,
+        opps: &[usize],
+        busy: &[SimTime],
+        overhead: SimTime,
+        wall_time: SimTime,
+        temp: Temp,
+    ) -> Energy {
+        let mut energy = Energy::ZERO;
+        for (core, &busy) in busy.iter().enumerate() {
+            let opp = table.get(opps[core]).unwrap();
+            let active = if core == 0 { busy + overhead } else { busy };
+            let active = active.min(wall_time);
+            let idle = wall_time - active;
+            let p_busy = model.core_power(opp, 1.0, temp).total();
+            let p_idle = model.core_power(opp, 0.0, temp).total();
+            energy += p_busy * active + p_idle * idle;
+        }
+        energy += model
+            .uncore_power(table.get(opps[0]).unwrap(), temp)
+            .total()
+            * wall_time;
+        energy
+    }
+
+    /// One frame's inputs: an OPP draw, CPU megacycles and memory
+    /// microseconds per core, governor overhead in microseconds, and a
+    /// period index into `PERIODS_MS`.
+    type FrameInput = (Vec<usize>, Vec<u64>, Vec<u64>, u64, usize);
+
+    /// Mostly the same period, so the thermal memo hits on on-time
+    /// frames; overrunning frames and the odd period change miss it.
+    const PERIODS_MS: [u64; 5] = [40, 40, 40, 16, 100];
+
+    fn frame_inputs() -> impl Strategy<Value = Vec<FrameInput>> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(0usize..64, 4),
+                proptest::collection::vec(0u64..120, 4),
+                proptest::collection::vec(0u64..8_000, 4),
+                0u64..3_000,
+                0usize..PERIODS_MS.len(),
+            ),
+            1..40,
+        )
+    }
+
+    /// Runs `frames` through a platform and through the reference loop
+    /// side by side, comparing energy, average power and temperature
+    /// bit for bit on every frame.
+    fn check_against_reference(config: PlatformConfig, frames: &[FrameInput]) {
+        let model = config.power_model.clone();
+        let table = config.opp_table.clone();
+        let thermal = config.thermal.clone();
+        let domain = config.vf_domain;
+        let mut platform = Platform::new(config).unwrap();
+        let mut temp_c = thermal.ambient.as_celsius();
+        let mut out = FrameResult::empty();
+        for (i, (draw, mcycles, mem_us, overhead_us, period)) in frames.iter().enumerate() {
+            let opps: Vec<usize> = match domain {
+                VfDomain::PerCluster => vec![draw[0] % table.len(); 4],
+                VfDomain::PerCore => draw.iter().map(|d| d % table.len()).collect(),
+            };
+            for (core, &opp) in opps.iter().enumerate() {
+                platform.try_set_core_opp(core, opp).unwrap();
+            }
+            platform.add_overhead(SimTime::from_us(*overhead_us));
+            let work: Vec<WorkSlice> = mcycles
+                .iter()
+                .zip(mem_us)
+                .map(|(&mc, &us)| WorkSlice::new(Cycles::from_mcycles(mc), SimTime::from_us(us)))
+                .collect();
+            let period = SimTime::from_ms(PERIODS_MS[*period]);
+            platform.run_frame_into(&work, period, &mut out).unwrap();
+
+            // Busy times from the exact u128 division, not `time_at`.
+            let busy: Vec<SimTime> = work
+                .iter()
+                .zip(&opps)
+                .map(|(slice, &opp)| {
+                    let khz = u128::from(table.get(opp).unwrap().freq.khz());
+                    let cycles = u128::from(slice.cpu_cycles.count());
+                    let ns = (cycles * 1_000_000).div_ceil(khz);
+                    SimTime::from_ns(u64::try_from(ns).unwrap()) + slice.mem_time
+                })
+                .collect();
+            let frame_time = busy.iter().copied().max().unwrap() + out.overhead;
+            let wall_time = frame_time.max(period);
+            assert_eq!(out.per_core_busy, busy, "frame {i}");
+            assert_eq!((out.frame_time, out.wall_time), (frame_time, wall_time));
+
+            let temp = Temp::from_celsius(temp_c);
+            let energy =
+                reference_energy(&model, &table, &opps, &busy, out.overhead, wall_time, temp);
+            let avg_power = energy.as_joules() / wall_time.as_secs_f64();
+            let target = thermal.ambient.as_celsius() + avg_power * thermal.r_th;
+            let decay = (-wall_time.as_secs_f64() / thermal.tau.as_secs_f64()).exp();
+            temp_c = target + (temp_c - target) * decay;
+
+            assert_eq!(
+                out.energy.as_joules().to_bits(),
+                energy.as_joules().to_bits(),
+                "energy, frame {i}: {} vs {}",
+                out.energy,
+                energy
+            );
+            assert_eq!(
+                out.avg_power.as_watts().to_bits(),
+                avg_power.to_bits(),
+                "average power, frame {i}"
+            );
+            assert_eq!(
+                out.temperature.as_celsius().to_bits(),
+                temp_c.to_bits(),
+                "temperature, frame {i}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The per-OPP table, the one-pair-per-OPP energy loop and the
+        /// thermal memo reproduce the per-core reference loop bit for
+        /// bit, on a shared rail and per-core domains, A15 and A7.
+        #[test]
+        fn frame_kernel_matches_the_per_core_reference_loop(frames in frame_inputs()) {
+            for domain in [VfDomain::PerCluster, VfDomain::PerCore] {
+                for base in [PlatformConfig::odroid_xu3_a15(), PlatformConfig::odroid_xu3_little()] {
+                    check_against_reference(
+                        PlatformConfig { vf_domain: domain, ..base },
+                        &frames,
+                    );
+                }
+            }
+        }
     }
 }

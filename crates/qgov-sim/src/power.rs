@@ -129,10 +129,63 @@ impl CmosPowerModel {
         self.idle_activity
     }
 
-    fn leakage(&self, volt_v: f64, temp: Temp) -> Power {
-        let base = self.k1_leak * volt_v + self.k3_leak * volt_v * volt_v * volt_v;
-        let t_scale = 1.0 + self.kt_leak * (temp.as_celsius() - 25.0).max(0.0);
-        Power::from_watts(base * t_scale)
+    /// The parts of the model that depend only on the operating point,
+    /// evaluated once: see [`OppPower`].
+    #[must_use]
+    pub(crate) fn opp_power(&self, opp: Opp) -> OppPower {
+        let volt_v = opp.volt.as_volts();
+        let volt_sq = opp.volt.squared();
+        let hz = opp.freq.hz() as f64;
+        OppPower {
+            core_switching: self.ceff_core * volt_sq * hz,
+            uncore_switching: self.ceff_uncore * volt_sq * hz,
+            leakage: self.k1_leak * volt_v + self.k3_leak * volt_v * volt_v * volt_v,
+        }
+    }
+
+    /// The leakage temperature factor `1 + k_T·max(T − 25, 0)` at die
+    /// temperature `temp`: one value per frame serves every core and
+    /// the uncore.
+    #[must_use]
+    pub(crate) fn leakage_scale(&self, temp: Temp) -> f64 {
+        1.0 + self.kt_leak * (temp.as_celsius() - 25.0).max(0.0)
+    }
+
+    /// Power of one core with switching `activity ∈ [0, 1]` (1 = fully
+    /// busy, 0 = clock-gated idle) at the operating point `opp` was
+    /// evaluated for, with leakage scaled by `leakage_scale` (from
+    /// [`leakage_scale`](CmosPowerModel::leakage_scale)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `activity` lies outside `[0, 1]`.
+    #[must_use]
+    pub(crate) fn core_power_at(
+        &self,
+        opp: &OppPower,
+        activity: f64,
+        leakage_scale: f64,
+    ) -> PowerBreakdown {
+        assert!(
+            (0.0..=1.0).contains(&activity),
+            "activity must lie in [0, 1], got {activity}"
+        );
+        let act = activity.max(self.idle_activity);
+        PowerBreakdown {
+            dynamic: Power::from_watts(opp.core_switching * act),
+            statik: Power::from_watts(opp.leakage * leakage_scale),
+        }
+    }
+
+    /// Cluster-level uncore power at the operating point `opp` was
+    /// evaluated for, with leakage scaled by `leakage_scale`: half a
+    /// core's leakage plus the uncore's own switching.
+    #[must_use]
+    pub(crate) fn uncore_power_at(&self, opp: &OppPower, leakage_scale: f64) -> PowerBreakdown {
+        PowerBreakdown {
+            dynamic: Power::from_watts(opp.uncore_switching),
+            statik: Power::from_watts(opp.leakage * leakage_scale) * 0.5,
+        }
     }
 
     /// Power of one core at `opp` with switching `activity ∈ [0, 1]`
@@ -144,30 +197,30 @@ impl CmosPowerModel {
     /// Panics if `activity` lies outside `[0, 1]`.
     #[must_use]
     pub fn core_power(&self, opp: Opp, activity: f64, temp: Temp) -> PowerBreakdown {
-        assert!(
-            (0.0..=1.0).contains(&activity),
-            "activity must lie in [0, 1], got {activity}"
-        );
-        let act = activity.max(self.idle_activity);
-        let dynamic =
-            Power::from_watts(self.ceff_core * opp.volt.squared() * opp.freq.hz() as f64 * act);
-        PowerBreakdown {
-            dynamic,
-            statik: self.leakage(opp.volt.as_volts(), temp),
-        }
+        self.core_power_at(&self.opp_power(opp), activity, self.leakage_scale(temp))
     }
 
     /// Cluster-level uncore power (L2, interconnect, clock tree) at
     /// `opp` — dissipated regardless of how many cores are busy.
     #[must_use]
     pub fn uncore_power(&self, opp: Opp, temp: Temp) -> PowerBreakdown {
-        let dynamic =
-            Power::from_watts(self.ceff_uncore * opp.volt.squared() * opp.freq.hz() as f64);
-        PowerBreakdown {
-            dynamic,
-            statik: self.leakage(opp.volt.as_volts(), temp) * 0.5,
-        }
+        self.uncore_power_at(&self.opp_power(opp), self.leakage_scale(temp))
     }
+}
+
+/// The per-operating-point constants of a [`CmosPowerModel`]: a fully
+/// busy core's switching power `C_core·V²·f`, the uncore's
+/// `C_uncore·V²·f`, and the leakage at or below 25 °C, `k₁·V + k₃·V³`.
+///
+/// They depend on the OPP alone, so a frame kernel evaluates them once
+/// per table entry ([`CmosPowerModel::opp_power`]) and combines them per
+/// frame with [`CmosPowerModel::core_power_at`] and
+/// [`CmosPowerModel::uncore_power_at`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OppPower {
+    core_switching: f64,
+    uncore_switching: f64,
+    leakage: f64,
 }
 
 #[cfg(test)]
@@ -254,6 +307,74 @@ mod tests {
         let pa15 = a15.core_power(opp, 1.0, Temp::default()).total();
         let pa7 = a7.core_power(opp, 1.0, Temp::default()).total();
         assert!(pa7.as_watts() < 0.5 * pa15.as_watts());
+    }
+
+    /// `core_power` and `uncore_power` as they were written before the
+    /// per-OPP constants: the closed form, straight from the fields.
+    fn closed_form(
+        model: &CmosPowerModel,
+        opp: Opp,
+        activity: f64,
+        temp: Temp,
+    ) -> (PowerBreakdown, PowerBreakdown) {
+        let v = opp.volt.as_volts();
+        let base = model.k1_leak * v + model.k3_leak * v * v * v;
+        let t_scale = 1.0 + model.kt_leak * (temp.as_celsius() - 25.0).max(0.0);
+        let leakage = Power::from_watts(base * t_scale);
+        let act = activity.max(model.idle_activity);
+        let core = PowerBreakdown {
+            dynamic: Power::from_watts(
+                model.ceff_core * opp.volt.squared() * opp.freq.hz() as f64 * act,
+            ),
+            statik: leakage,
+        };
+        let uncore = PowerBreakdown {
+            dynamic: Power::from_watts(
+                model.ceff_uncore * opp.volt.squared() * opp.freq.hz() as f64,
+            ),
+            statik: leakage * 0.5,
+        };
+        (core, uncore)
+    }
+
+    fn bits(p: PowerBreakdown) -> (u64, u64) {
+        (
+            p.dynamic.as_watts().to_bits(),
+            p.statik.as_watts().to_bits(),
+        )
+    }
+
+    #[test]
+    fn per_opp_constants_reproduce_the_closed_form_bit_for_bit() {
+        // Below ambient, around the 25 °C knee, the 85 °C migration cap
+        // and the 90 °C monitor cap, and well above both.
+        let temps = [
+            -40.0, 0.0, 24.999, 25.0, 25.001, 47.3, 85.0, 90.0, 90.001, 131.7,
+        ];
+        for (model, table) in [
+            (CmosPowerModel::a15(), OppTable::odroid_xu3_a15()),
+            (CmosPowerModel::a7(), OppTable::odroid_xu3_a7()),
+        ] {
+            for opp in table.iter() {
+                for step in 0..=64 {
+                    let activity = f64::from(step) / 64.0;
+                    for &c in &temps {
+                        let temp = Temp::from_celsius(c);
+                        let (core, uncore) = closed_form(&model, opp, activity, temp);
+                        assert_eq!(
+                            bits(model.core_power(opp, activity, temp)),
+                            bits(core),
+                            "core power at {opp}, activity {activity}, {c} degC"
+                        );
+                        assert_eq!(
+                            bits(model.uncore_power(opp, temp)),
+                            bits(uncore),
+                            "uncore power at {opp}, {c} degC"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,9 @@ pub struct ThermalModel {
     config: ThermalConfig,
     temperature: Temp,
     peak: Temp,
+    /// The last step's `dt` and its `exp(−dt/τ)`: every on-time frame
+    /// closes at the period, so most steps reuse it.
+    decay_memo: (SimTime, f64),
 }
 
 impl ThermalModel {
@@ -85,6 +88,7 @@ impl ThermalModel {
         ThermalModel {
             temperature: config.ambient,
             peak: config.ambient,
+            decay_memo: (SimTime::ZERO, decay(SimTime::ZERO, config.tau)),
             config,
         }
     }
@@ -112,8 +116,10 @@ impl ThermalModel {
     pub fn step(&mut self, power: Power, dt: SimTime) -> Temp {
         let target = self.steady_state(power).as_celsius();
         let t = self.temperature.as_celsius();
-        let decay = (-dt.as_secs_f64() / self.config.tau.as_secs_f64()).exp();
-        self.temperature = Temp::from_celsius(target + (t - target) * decay);
+        if self.decay_memo.0 != dt {
+            self.decay_memo = (dt, decay(dt, self.config.tau));
+        }
+        self.temperature = Temp::from_celsius(target + (t - target) * self.decay_memo.1);
         self.peak = self.peak.max(self.temperature);
         self.temperature
     }
@@ -123,6 +129,11 @@ impl ThermalModel {
         self.temperature = self.config.ambient;
         self.peak = self.config.ambient;
     }
+}
+
+/// The RC network's decay factor `exp(−dt/τ)` over one step.
+fn decay(dt: SimTime, tau: SimTime) -> f64 {
+    (-dt.as_secs_f64() / tau.as_secs_f64()).exp()
 }
 
 #[cfg(test)]

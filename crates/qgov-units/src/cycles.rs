@@ -71,9 +71,13 @@ impl Cycles {
         }
         assert!(!f.is_zero(), "non-zero work cannot execute at 0 Hz");
         // ns = cycles / (kHz * 1000) * 1e9 = cycles * 1e6 / kHz, rounded up.
-        let num = self.0 as u128 * 1_000_000;
-        let den = f.khz() as u128;
-        SimTime::from_ns(num.div_ceil(den) as u64)
+        // The product fits in u64 up to ~1.8e13 cycles (every frame's
+        // work); only larger counts need the u128 division.
+        let ns = match self.0.checked_mul(1_000_000) {
+            Some(num) => num.div_ceil(f.khz()),
+            None => (self.0 as u128 * 1_000_000).div_ceil(f.khz() as u128) as u64,
+        };
+        SimTime::from_ns(ns)
     }
 
     /// Returns the number of cycles a clock at frequency `f` retires in

@@ -29,6 +29,30 @@ proptest! {
         prop_assert!(retired <= c, "time_at over-allocated: {retired:?} > {c:?}");
     }
 
+    /// time_at equals the exact u128 round-up division wherever the exact
+    /// result fits in u64, on both sides of the u64 fast path's limit
+    /// (`u64::MAX / 10⁶` cycles) and at any frequency from 1 kHz up.
+    #[test]
+    fn time_at_matches_the_u128_reference(
+        side in 0u8..4,
+        offset in 0u64..1_000_000_000,
+        any_cycles in 1u64..=u64::MAX,
+        khz in (0u8..2, 1u64..5_000_000, 1u64..=u64::MAX)
+            .prop_map(|(wide, low, high)| if wide == 1 { high } else { low }),
+    ) {
+        const LIMIT: u64 = u64::MAX / 1_000_000;
+        let cycles = match side {
+            0 => LIMIT - offset.min(LIMIT - 1),
+            1 => LIMIT + 1 + offset,
+            2 => 1 + offset,
+            _ => any_cycles,
+        };
+        let exact = (u128::from(cycles) * 1_000_000).div_ceil(u128::from(khz));
+        prop_assume!(exact <= u128::from(u64::MAX));
+        let t = Cycles::new(cycles).time_at(Freq::from_khz(khz));
+        prop_assert_eq!(u128::from(t.as_ns()), exact, "{} cycles at {} kHz", cycles, khz);
+    }
+
     /// Frequency scaling by reciprocal factors round-trips within rounding.
     #[test]
     fn freq_scale_round_trip(mhz in 1u64..10_000, num in 1u32..100) {

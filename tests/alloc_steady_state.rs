@@ -9,7 +9,10 @@
 //! covers every layer below the harness: workload generation, the
 //! platform frame kernel, the report, and the RTM's fused Q-table epoch
 //! with its scratch buffers and bounded history ring. The second phase
-//! runs the harness's own epoch kernel end to end.
+//! runs the harness's own epoch kernel end to end. The third runs it
+//! faulted and hardened, in the fault storm's shape: the fault
+//! injector, the plausibility filter with its sensed-frame copy, and
+//! migration's per-cluster slack buffer.
 //!
 //! This file deliberately holds a single `#[test]` function: the
 //! counter is process-global, and a sibling test allocating
@@ -259,6 +262,60 @@ fn steady_state_decision_epoch_is_allocation_free() {
             short,
             long,
             "the epoch kernel allocated in its steady state \
+             ({short} allocations over {WARMUP} frames, {long} over {})",
+            2 * WARMUP
+        );
+    }
+
+    // Third phase: the faulted, hardened kernel in the fault storm's
+    // shape — two A15 quads, the standard fault schedule (stuck PMUs, a
+    // thermal spike, a permanent cluster drop), hardened agents with a
+    // bounded history and the recovery monitors. It too allocates
+    // only while it sets up and reports.
+    let storm_run = |frames: u64| {
+        const CLUSTERS: usize = 2;
+        let configs = (0..CLUSTERS)
+            .map(|c| {
+                RtmConfig::paper(70 + c as u64)
+                    .with_workload_bounds(1e7, 1e9)
+                    .with_history(HistoryMode::LastN(64))
+            })
+            .collect();
+        let mut rtm = ManyCoreRtm::new(configs, MigrationConfig::greedy())
+            .expect("valid configs")
+            .with_agent_hardening(HardeningConfig::paper());
+        let mut app = fault_storm_app(7, frames);
+        let topology = Topology::homogeneous_mesh(CLUSTERS, PlatformConfig::odroid_xu3_a15());
+        let shares = [1.0 / CLUSTERS as f64; CLUSTERS];
+        let plan = standard_fault_schedule(frames);
+        let mut monitors = recovery_pack(
+            fault_storm_drop_epoch(frames),
+            FAULTSTORM_GRACE,
+            &PackConfig::paper(),
+        );
+        let before = allocation_count();
+        let outcome = run_manycore_experiment_faulted_monitored(
+            &mut rtm,
+            &mut app,
+            topology,
+            frames,
+            &shares,
+            &plan,
+            7,
+            &mut monitors,
+        );
+        let allocated = allocation_count() - before;
+        assert_eq!(outcome.report.frames(), frames);
+        assert!(rtm.cluster_dead(1), "the storm drops cluster 1");
+        assert!(rtm.degraded_epochs() > 0, "the filter saw the faults");
+        allocated
+    };
+    let (short, long) = (storm_run(WARMUP), storm_run(2 * WARMUP));
+    if cfg!(not(debug_assertions)) {
+        assert_eq!(
+            short,
+            long,
+            "the faulted epoch kernel allocated in its steady state \
              ({short} allocations over {WARMUP} frames, {long} over {})",
             2 * WARMUP
         );
