@@ -630,9 +630,9 @@ fn debug_assert_no_run_state_bleed(
 }
 
 /// Records `app` into a trace and returns `(trace, (min, max))` total
-/// cycles per frame — the offline pre-characterisation every learning
-/// governor and the Oracle receive (Section II-A's "design space
-/// exploration").
+/// cycles per frame ([`WorkloadTrace::workload_bounds`]) — the offline
+/// pre-characterisation every learning governor and the Oracle receive
+/// (Section II-A's "design space exploration").
 ///
 /// Recording **mutates `app` in place**: it is reset, fully drained and
 /// reset again. Call this once per experiment and give every batch
@@ -645,19 +645,8 @@ fn debug_assert_no_run_state_bleed(
 pub fn precharacterize(app: &mut dyn Application) -> (WorkloadTrace, (f64, f64)) {
     let _ = debug_probe_reset_determinism(app);
     let trace = WorkloadTrace::record(app);
-    let mut min = f64::INFINITY;
-    let mut max: f64 = 0.0;
-    for i in 0..trace.len() {
-        let c = trace.total_cycles(i).count() as f64;
-        min = min.min(c);
-        max = max.max(c);
-    }
-    if min >= max {
-        // Degenerate constant workload: widen artificially.
-        min *= 0.9;
-        max *= 1.1 + 1e-9;
-    }
-    (trace, (min, max))
+    let bounds = trace.workload_bounds();
+    (trace, bounds)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! RTM configuration.
 
-use qgov_rl::{AgentConfig, DecayingEpsilon, ExplorationKind, RlError, SlackReward};
+use qgov_rl::{AgentConfig, DecayingEpsilon, ExplorationKind, RlError};
 
 /// How much per-epoch telemetry ([`EpochRecord`](crate::EpochRecord))
 /// the RTM retains.
@@ -59,20 +59,14 @@ pub struct RtmConfig {
     pub workload_levels: usize,
     /// Discretisation levels N for the slack dimension (paper: 5).
     pub slack_levels: usize,
-    /// The learner: α and γ of the Bellman update (Eq. 3), the
-    /// exploration rule (Eq. 2), the ε schedule (Eq. 6), the
-    /// convergence window and the optimistic initial-Q gradient (fresh
-    /// states greedily start fast and crawl down through energy
-    /// penalties rather than up through deadline misses — the learning
-    /// analogue of the governor's maximum-frequency boot).
+    /// The learner's exploration rule (Eq. 2) and ε schedule (Eq. 6).
+    /// α and γ of the Bellman update (Eq. 3), the convergence window
+    /// and the optimistic initial-Q gradient are constants of
+    /// [`qgov_rl::QLearningAgent`]; the pay-off is
+    /// [`qgov_rl::slack_reward`] (Eq. 4).
     pub agent: AgentConfig,
     /// EWMA smoothing factor γ (Eq. 1; paper: 0.6).
     pub smoothing: f64,
-    /// Pay-off function (Eq. 4).
-    pub reward: SlackReward,
-    /// Sliding window for the average slack ratio `L` (Eq. 5);
-    /// `None` is the strictly cumulative paper form.
-    pub slack_window: Option<usize>,
     /// Workload range `(min, max)` in cycles from offline
     /// pre-characterisation (Section II-A). Required: `validate` rejects
     /// `None`, which only lets [`paper`](RtmConfig::paper) stay
@@ -90,25 +84,16 @@ pub struct RtmConfig {
 
 impl RtmConfig {
     /// The configuration reproducing the paper's reported setup:
-    /// N = 5 workload and slack levels, EWMA γ = 0.6, EPD exploration,
-    /// accelerated ε decay, slack-peaked reward. It needs bounds: chain
+    /// N = 5 workload and slack levels, EWMA γ = 0.6, EPD exploration
+    /// and accelerated ε decay. It needs bounds: chain
     /// [`with_workload_bounds`](RtmConfig::with_workload_bounds).
     #[must_use]
     pub fn paper(seed: u64) -> Self {
         RtmConfig {
             workload_levels: 5,
             slack_levels: 5,
-            agent: AgentConfig {
-                optimistic_gradient: 0.05,
-                ..AgentConfig::default()
-            },
+            agent: AgentConfig::default(),
             smoothing: 0.6,
-            reward: SlackReward::paper(),
-            // A short window keeps L responsive enough for per-action
-            // credit assignment; Eq. 5's unbounded mean is available via
-            // `slack_window: None` (the paper bounds D by restarting it
-            // whenever T_ref changes).
-            slack_window: Some(8),
             workload_bounds: None,
             state_kind: StateKind::TotalWorkload,
             history: HistoryMode::Full,
@@ -171,9 +156,6 @@ impl RtmConfig {
                 });
             }
         }
-        if let Some(w) = self.slack_window {
-            RlError::check_nonempty("slack_window", w)?;
-        }
         self.history.validate()?;
         Ok(())
     }
@@ -205,7 +187,6 @@ mod tests {
         let upd = RtmConfig::upd_baseline(3);
         assert_eq!(upd.agent.exploration, ExplorationKind::Upd);
         assert_eq!(ours.workload_levels, upd.workload_levels);
-        assert_eq!(ours.reward, upd.reward);
         assert_eq!(ours.smoothing, upd.smoothing);
     }
 
@@ -216,10 +197,6 @@ mod tests {
 
         let mut c = bounded(0);
         c.workload_levels = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = bounded(0);
-        c.agent.alpha = 1.5;
         assert!(c.validate().is_err());
 
         let mut c = bounded(0);
@@ -235,10 +212,6 @@ mod tests {
 
         let mut c = bounded(0);
         c.workload_bounds = Some((10.0, 5.0));
-        assert!(c.validate().is_err());
-
-        let mut c = bounded(0);
-        c.slack_window = Some(0);
         assert!(c.validate().is_err());
 
         let mut c = bounded(0);

@@ -3,7 +3,7 @@
 use crate::degrade::{HardeningConfig, PlausibilityFilter};
 use crate::{HistoryMode, RtmConfig, StateKind, StateMapper};
 use qgov_governors::{EpochObservation, Governor, GovernorContext, SlackTracker, VfDecision};
-use qgov_rl::{ActionSpace, EwmaPredictor, QLearningAgent, QTable, RlError};
+use qgov_rl::{slack_reward, ActionSpace, EwmaPredictor, QLearningAgent, QTable, RlError};
 use qgov_sim::{FrameResult, OppTable};
 use qgov_units::SimTime;
 
@@ -15,6 +15,12 @@ use qgov_units::SimTime;
 const SAMPLE_PER_CORE: SimTime = SimTime::from_us(5);
 const BASE_PROCESSING: SimTime = SimTime::from_us(15);
 const PER_ACTION: SimTime = SimTime::from_ns(200);
+
+/// Epochs in the sliding window of the average slack ratio `L`
+/// (Eq. 5). A short window keeps `L` responsive enough for per-action
+/// credit assignment; the paper bounds `D` by restarting it whenever
+/// `T_ref` changes.
+const SLACK_WINDOW: usize = 8;
 
 /// One decision epoch's telemetry, recorded by the RTM for analysis
 /// (drives the Fig. 3 misprediction/slack series).
@@ -156,7 +162,7 @@ impl RtmGovernor {
             cores: 0,
             mapper: None,
             predictors: Vec::new(),
-            slack: SlackTracker::cumulative(),
+            slack: SlackTracker::new(SLACK_WINDOW),
             rr_core: 0,
             last_prediction_total: 0.0,
             last_frame_slack: 0.0,
@@ -316,10 +322,7 @@ impl RtmGovernor {
         let frame_slack = raw_frame_slack.clamp(-1.0, 1.0);
         self.slack.observe(frame_slack);
         let l = self.slack.average();
-        let reward = self
-            .config
-            .reward
-            .reward(frame_slack, self.last_frame_slack);
+        let reward = slack_reward(frame_slack, self.last_frame_slack);
         self.last_frame_slack = frame_slack;
 
         // Workload observation and EWMA prediction (Eq. 1), folded
@@ -399,10 +402,7 @@ impl Governor for RtmGovernor {
         self.predictors = (0..cores)
             .map(|_| EwmaPredictor::new(config.smoothing).expect("validated"))
             .collect();
-        self.slack = match config.slack_window {
-            Some(w) => SlackTracker::windowed(w),
-            None => SlackTracker::cumulative(),
-        };
+        self.slack = SlackTracker::new(SLACK_WINDOW);
         self.rr_core = 0;
         self.last_prediction_total = 0.0;
         self.last_frame_slack = 0.0;

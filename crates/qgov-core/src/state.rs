@@ -1,25 +1,34 @@
 //! Q-table state formation: workload level × slack level.
+//!
+//! [`StateMapper`] bins the workload at boundaries on a fixed grid of
+//! `max(16N, 64)` steps over the pre-characterised range: N-ths of the
+//! range for N = 4, 5, 7 and 9, but 21/64 and 43/64 rather than thirds
+//! for N = 3.
 
-use qgov_rl::{QuantileDiscretizer, RlError, UniformDiscretizer};
+use qgov_rl::{RlError, UniformDiscretizer};
 
 /// Maps continuous (workload, slack) measurements onto Q-table row
 /// indices.
 ///
-/// The workload dimension is discretised by the quantiles of
-/// pre-characterisation samples (Section II-A's "pre-characterisation
-/// of the applications … design space exploration"); the slack ratio
-/// `L ∈ [−1, 1]` is discretised uniformly. For the many-core
-/// formulation, per-core *shares* of the total workload (Eq. 7) are
-/// discretised uniformly over `[0, 2/C]` — twice the fair share — so a
-/// balanced system sits mid-scale.
+/// The workload dimension splits the offline pre-characterised range
+/// `[min, max]` of total cycles per frame (Section II-A's
+/// "pre-characterisation of the applications") into N levels at fixed
+/// boundaries: boundary `k` (of `N − 1`) sits at grid point
+/// `i = ⌊k(n + 1)/N⌋` of `n = max(16N, 64)` equal steps,
+/// `min + (max − min)·i/n`. For N = 4, 5, 7 and 9 they fall on N-ths
+/// of the range; for N = 3 they sit at 21/64 ≈ 0.328 and
+/// 43/64 ≈ 0.672, because 65 grid points do not split into thirds.
+/// The slack ratio `L ∈ [−1, 1]` is discretised uniformly. For the
+/// many-core formulation, per-core *shares* of the total workload
+/// (Eq. 7) are discretised uniformly over `[0, 2/C]` — twice the fair
+/// share — so a balanced system sits mid-scale.
 ///
 /// # Examples
 ///
 /// ```
 /// use qgov_core::StateMapper;
 ///
-/// let samples: Vec<f64> = (0..100).map(|i| 1e6 * f64::from(i)).collect();
-/// let mapper = StateMapper::from_samples(&samples, 5, 5, 4).unwrap();
+/// let mapper = StateMapper::from_bounds(0.0, 1e8, 5, 5, 4).unwrap();
 /// assert_eq!(mapper.states(), 25);
 /// let low = mapper.state_for_total(1e6, -0.5);
 /// let high = mapper.state_for_total(9.9e7, -0.5);
@@ -27,41 +36,21 @@ use qgov_rl::{QuantileDiscretizer, RlError, UniformDiscretizer};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateMapper {
-    workload: QuantileDiscretizer,
+    /// Ascending inner workload boundaries; `workload_levels − 1` of
+    /// them.
+    workload: Vec<f64>,
     share: UniformDiscretizer,
     slack: UniformDiscretizer,
 }
 
 impl StateMapper {
-    /// Builds a mapper from pre-characterisation workload samples
-    /// (total cycles per frame).
+    /// Builds a mapper from a `(min, max)` workload range in total
+    /// cycles per frame (offline pre-characterisation).
     ///
     /// # Errors
     ///
-    /// Returns an [`RlError`] if any level count is zero or the samples
-    /// are empty/non-finite.
-    pub fn from_samples(
-        samples: &[f64],
-        workload_levels: usize,
-        slack_levels: usize,
-        cores: usize,
-    ) -> Result<Self, RlError> {
-        RlError::check_nonempty("cores", cores)?;
-        Ok(StateMapper {
-            workload: QuantileDiscretizer::from_samples(samples, workload_levels)?,
-            share: UniformDiscretizer::new(0.0, 2.0 / cores as f64, workload_levels)?,
-            slack: UniformDiscretizer::new(-1.0, 1.0 + 1e-12, slack_levels)?,
-        })
-    }
-
-    /// Builds a mapper from a `(min, max)` workload range (offline
-    /// pre-characterisation); equivalent to uniform binning of the
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`RlError`] for an empty or inverted range or zero
-    /// level counts.
+    /// Returns an [`RlError`] for a non-finite, empty or inverted range
+    /// or a zero level or core count.
     pub fn from_bounds(
         min: f64,
         max: f64,
@@ -69,24 +58,32 @@ impl StateMapper {
         slack_levels: usize,
         cores: usize,
     ) -> Result<Self, RlError> {
-        if !(min.is_finite() && max.is_finite() && min < max) {
+        if !(min.is_finite() && max.is_finite() && (max - min).is_finite() && min < max) {
             return Err(RlError::NotPositive {
                 name: "workload range width",
                 value: format!("({min}, {max})"),
             });
         }
-        // Uniformly spaced pseudo-samples make quantile == uniform bins.
+        RlError::check_nonempty("cores", cores)?;
+        RlError::check_nonempty("levels", workload_levels)?;
         let n = (workload_levels * 16).max(64);
-        let samples: Vec<f64> = (0..=n)
-            .map(|i| min + (max - min) * i as f64 / n as f64)
+        let workload = (1..workload_levels)
+            .map(|k| {
+                let i = k * (n + 1) / workload_levels;
+                min + (max - min) * i as f64 / n as f64
+            })
             .collect();
-        Self::from_samples(&samples, workload_levels, slack_levels, cores)
+        Ok(StateMapper {
+            workload,
+            share: UniformDiscretizer::new(0.0, 2.0 / cores as f64, workload_levels)?,
+            slack: UniformDiscretizer::new(-1.0, 1.0 + 1e-12, slack_levels)?,
+        })
     }
 
     /// Number of workload levels.
     #[must_use]
     pub fn workload_levels(&self) -> usize {
-        self.workload.levels()
+        self.workload.len() + 1
     }
 
     /// Number of slack levels.
@@ -98,14 +95,16 @@ impl StateMapper {
     /// Total number of Q-table states, `|S| = N_workload × N_slack`.
     #[must_use]
     pub fn states(&self) -> usize {
-        self.workload.levels() * self.slack.levels()
+        self.workload_levels() * self.slack.levels()
     }
 
     /// State index for a predicted **total** workload (cycles) and
     /// average slack (Section II-A formulation).
     #[must_use]
     pub fn state_for_total(&self, total_cycles: f64, slack: f64) -> usize {
-        let w = self.workload.level_of(total_cycles);
+        // The number of boundaries at or below the workload: a workload
+        // below `min` (or NaN) is level 0, one above `max` the top level.
+        let w = self.workload.partition_point(|&b| b <= total_cycles);
         let l = self.slack.level_of(slack);
         w * self.slack.levels() + l
     }
@@ -227,22 +226,25 @@ mod tests {
     }
 
     #[test]
-    fn quantile_mapper_balances_skewed_workloads() {
-        // Cubic-skewed samples: quantile boundaries still split evenly.
-        let samples: Vec<f64> = (0..1000).map(|i| (i as f64).powi(3)).collect();
-        let m = StateMapper::from_samples(&samples, 5, 5, 4).unwrap();
-        let mut counts = [0usize; 5];
-        for &s in &samples {
-            counts[m.state_for_total(s, 0.0) / m.slack_levels()] += 1;
+    fn workload_boundaries_sit_on_the_grid() {
+        // N = 5: n = 80 steps, boundaries at grid points 16, 32, 48, 64,
+        // exact fifths of the range.
+        let m = StateMapper::from_bounds(0.0, 100.0, 5, 1, 4).unwrap();
+        for (value, level) in [(19.999, 0), (20.0, 1), (59.999, 2), (60.0, 3), (80.0, 4)] {
+            assert_eq!(m.state_for_total(value, 0.0), level, "workload {value}");
         }
-        for &c in &counts {
-            assert!((150..=250).contains(&c), "unbalanced {counts:?}");
+        // N = 3: n = 64 steps, boundaries at grid points 21 and 43, not
+        // at thirds.
+        let m = StateMapper::from_bounds(0.0, 64.0, 3, 1, 4).unwrap();
+        for (value, level) in [(20.999, 0), (21.0, 1), (42.999, 1), (43.0, 2)] {
+            assert_eq!(m.state_for_total(value, 0.0), level, "workload {value}");
         }
+        assert_eq!(m.state_for_total(f64::NAN, 0.0), 0);
+        assert_eq!(m.workload_levels(), 3);
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(StateMapper::from_samples(&[], 5, 5, 4).is_err());
         assert!(StateMapper::from_bounds(1.0, 1.0, 5, 5, 4).is_err());
         assert!(StateMapper::from_bounds(0.0, 1.0, 0, 5, 4).is_err());
         assert!(StateMapper::from_bounds(0.0, 1.0, 5, 0, 4).is_err());

@@ -19,24 +19,25 @@
 
 use crate::{EpochObservation, Governor, GovernorContext, SlackTracker, VfDecision};
 use qgov_rl::{
-    ActionSpace, AgentConfig, DecayingEpsilon, ExplorationKind, QLearningAgent, SlackReward,
+    slack_reward, ActionSpace, AgentConfig, DecayingEpsilon, ExplorationKind, QLearningAgent,
     UniformDiscretizer,
 };
 use qgov_units::SimTime;
 
+/// Discretisation levels of each core's utilisation state.
+const UTIL_LEVELS: usize = 8;
+
+/// Epochs in the sliding window of the average slack ratio `L`.
+const SLACK_WINDOW: usize = 10;
+
 /// Configuration of the per-core learners.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeQiuConfig {
-    /// Discretisation levels for the per-core utilisation state.
-    pub levels: usize,
     /// The per-core learner; the preset explores uniformly on a
-    /// standard (not the accelerated Eq. 6) ε schedule, with an
-    /// optimistic gradient towards high frequencies matching the
-    /// scheme's performance-first boot.
+    /// standard (not the accelerated Eq. 6) ε schedule. Every agent
+    /// starts with an optimistic gradient towards high frequencies,
+    /// matching the scheme's performance-first boot.
     pub agent: AgentConfig,
-    /// Reward shaping; the preset penalises over-performance only
-    /// weakly, matching the scheme's performance-first objective.
-    pub reward: SlackReward,
     /// RNG seed (each core derives its own stream).
     pub seed: u64,
 }
@@ -46,15 +47,11 @@ impl GeQiuConfig {
     #[must_use]
     pub fn paper(seed: u64) -> Self {
         GeQiuConfig {
-            levels: 8,
             agent: AgentConfig {
                 // Slower decay than the RTM's accelerated schedule.
                 epsilon: DecayingEpsilon::new(1.0, 0.02, 0.01).expect("valid schedule"),
-                optimistic_gradient: 0.05,
                 exploration: ExplorationKind::Upd,
-                ..AgentConfig::default()
             },
-            reward: SlackReward::new(10.0, 2.0, 0.4).expect("valid reward"),
             seed,
         }
     }
@@ -90,12 +87,11 @@ impl GeQiuGovernor {
     /// are known).
     #[must_use]
     pub fn new(config: GeQiuConfig) -> Self {
-        assert!(config.levels > 0, "need at least one utilisation level");
         GeQiuGovernor {
             config,
             agents: Vec::new(),
             util_levels: None,
-            slack: SlackTracker::windowed(10),
+            slack: SlackTracker::new(SLACK_WINDOW),
             last_frame_slack: 0.0,
             actions: 0,
         }
@@ -143,7 +139,7 @@ impl Governor for GeQiuGovernor {
             .map(|core| {
                 QLearningAgent::new(
                     self.config.agent.clone(),
-                    self.config.levels,
+                    UTIL_LEVELS,
                     action_space.clone(),
                     self.config
                         .seed
@@ -153,10 +149,9 @@ impl Governor for GeQiuGovernor {
             })
             .collect();
         self.util_levels = Some(
-            UniformDiscretizer::new(0.0, 1.0 + 1e-9, self.config.levels)
-                .expect("valid utilisation range"),
+            UniformDiscretizer::new(0.0, 1.0 + 1e-9, UTIL_LEVELS).expect("valid utilisation range"),
         );
-        self.slack.reset();
+        self.slack = SlackTracker::new(SLACK_WINDOW);
         self.last_frame_slack = 0.0;
         // Performance-first initialisation: start at the top.
         VfDecision::Cluster(ctx.opp_table().max_index())
@@ -174,7 +169,7 @@ impl Governor for GeQiuGovernor {
         let prev_frame_slack = self.last_frame_slack;
         self.last_frame_slack = frame_slack;
         self.slack.observe(frame_slack);
-        let reward = self.config.reward.reward(frame_slack, prev_frame_slack);
+        let reward = slack_reward(frame_slack, prev_frame_slack);
 
         let cores = self.agents.len();
         let mut choices = Vec::with_capacity(cores);

@@ -12,70 +12,51 @@
 
 use std::collections::VecDeque;
 
-/// Tracks the average slack ratio `L` and its epoch-to-epoch change
-/// `ΔL` (the inputs to the pay-off of Eq. 4 and to the slack dimension
-/// of the Q-table state).
+/// Tracks the average slack ratio `L` (the slack dimension of the
+/// Q-table state and the EPD's bias) over the last `window` epochs.
 ///
-/// The faithful Eq. 5 average runs over *all* epochs since the start
-/// ([`SlackTracker::cumulative`]). Because an unbounded average responds
-/// ever more slowly as `D` grows, a sliding-window variant
-/// ([`SlackTracker::windowed`]) is also provided and used as the RTM
-/// default — the paper's own evaluation restarts `D` whenever `T_ref`
-/// changes, which bounds `D` in exactly the same spirit.
+/// An average over *all* epochs since the start responds ever more
+/// slowly as `D` grows; the paper's own evaluation restarts `D`
+/// whenever `T_ref` changes, which bounds `D` in the same spirit as
+/// the sliding window used here.
 ///
 /// # Examples
 ///
 /// ```
 /// use qgov_governors::SlackTracker;
 ///
-/// let mut l = SlackTracker::cumulative();
+/// let mut l = SlackTracker::new(2);
 /// l.observe(0.5);
 /// l.observe(-0.1);
 /// assert!((l.average() - 0.2).abs() < 1e-12);
-/// assert!((l.delta() - (0.2 - 0.5)).abs() < 1e-12);
+/// l.observe(-0.1); // the 0.5 epoch leaves the window
+/// assert!((l.average() - -0.1).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlackTracker {
-    window: Option<usize>,
+    window: usize,
     history: VecDeque<f64>,
     sum: f64,
-    count: u64,
     average: f64,
-    prev_average: f64,
 }
 
 impl SlackTracker {
-    /// The faithful Eq. 5 tracker: mean over every epoch since start.
-    #[must_use]
-    pub fn cumulative() -> Self {
-        SlackTracker {
-            window: None,
-            history: VecDeque::new(),
-            sum: 0.0,
-            count: 0,
-            average: 0.0,
-            prev_average: 0.0,
-        }
-    }
-
     /// A sliding-window tracker over the last `window` epochs.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
     #[must_use]
-    pub fn windowed(window: usize) -> Self {
+    pub fn new(window: usize) -> Self {
         assert!(window > 0, "slack window must be non-zero");
         SlackTracker {
-            window: Some(window),
+            window,
             // `observe` pushes before it pops, so the deque transiently
             // holds window + 1 entries; reserving that up front keeps
             // the steady-state path allocation-free.
             history: VecDeque::with_capacity(window + 1),
             sum: 0.0,
-            count: 0,
             average: 0.0,
-            prev_average: 0.0,
         }
     }
 
@@ -86,23 +67,12 @@ impl SlackTracker {
     /// Panics if `frame_slack` is not finite.
     pub fn observe(&mut self, frame_slack: f64) {
         assert!(frame_slack.is_finite(), "slack must be finite");
-        self.prev_average = self.average;
-        match self.window {
-            None => {
-                self.sum += frame_slack;
-                self.count += 1;
-                self.average = self.sum / self.count as f64;
-            }
-            Some(w) => {
-                self.history.push_back(frame_slack);
-                self.sum += frame_slack;
-                if self.history.len() > w {
-                    self.sum -= self.history.pop_front().expect("non-empty");
-                }
-                self.count += 1;
-                self.average = self.sum / self.history.len() as f64;
-            }
+        self.history.push_back(frame_slack);
+        self.sum += frame_slack;
+        if self.history.len() > self.window {
+            self.sum -= self.history.pop_front().expect("non-empty");
         }
+        self.average = self.sum / self.history.len() as f64;
     }
 
     /// The current average slack ratio `Lᵢ` (zero before any
@@ -111,34 +81,6 @@ impl SlackTracker {
     pub fn average(&self) -> f64 {
         self.average
     }
-
-    /// The change `ΔL = Lᵢ − Lᵢ₋₁` since the previous epoch.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.average - self.prev_average
-    }
-
-    /// The previous epoch's average `Lᵢ₋₁`.
-    #[must_use]
-    pub fn previous(&self) -> f64 {
-        self.prev_average
-    }
-
-    /// Number of epochs observed (`D` in Eq. 5).
-    #[must_use]
-    pub fn epochs(&self) -> u64 {
-        self.count
-    }
-
-    /// Restarts the tracker, as the paper does when the application's
-    /// `T_ref` changes.
-    pub fn reset(&mut self) {
-        self.history.clear();
-        self.sum = 0.0;
-        self.count = 0;
-        self.average = 0.0;
-        self.prev_average = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -146,8 +88,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cumulative_matches_running_mean() {
-        let mut l = SlackTracker::cumulative();
+    fn average_is_the_running_mean_until_the_window_fills() {
+        let mut l = SlackTracker::new(8);
         let xs = [0.2, -0.4, 0.6, 0.0];
         let mut sum = 0.0;
         for (i, &x) in xs.iter().enumerate() {
@@ -155,12 +97,11 @@ mod tests {
             sum += x;
             assert!((l.average() - sum / (i + 1) as f64).abs() < 1e-12);
         }
-        assert_eq!(l.epochs(), 4);
     }
 
     #[test]
     fn windowed_forgets_old_epochs() {
-        let mut l = SlackTracker::windowed(2);
+        let mut l = SlackTracker::new(2);
         l.observe(1.0);
         l.observe(0.0);
         l.observe(0.0);
@@ -168,51 +109,15 @@ mod tests {
     }
 
     #[test]
-    fn windowed_responds_faster_than_cumulative() {
-        let mut win = SlackTracker::windowed(10);
-        let mut cum = SlackTracker::cumulative();
-        for _ in 0..100 {
-            win.observe(0.0);
-            cum.observe(0.0);
-        }
-        for _ in 0..10 {
-            win.observe(-0.5);
-            cum.observe(-0.5);
-        }
-        assert!(win.average() < cum.average(), "window must react faster");
-        assert!((win.average() - -0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta_tracks_change_of_average() {
-        let mut l = SlackTracker::cumulative();
-        l.observe(0.4);
-        assert!((l.delta() - 0.4).abs() < 1e-12);
-        l.observe(0.0); // average 0.2
-        assert!((l.delta() - -0.2).abs() < 1e-12);
-        assert!((l.previous() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_forgets_everything() {
-        let mut l = SlackTracker::windowed(5);
-        l.observe(0.7);
-        l.reset();
-        assert_eq!(l.average(), 0.0);
-        assert_eq!(l.delta(), 0.0);
-        assert_eq!(l.epochs(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_window_panics() {
-        let _ = SlackTracker::windowed(0);
+        let _ = SlackTracker::new(0);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_slack_panics() {
-        let mut l = SlackTracker::cumulative();
+        let mut l = SlackTracker::new(4);
         l.observe(f64::NAN);
     }
 }

@@ -530,26 +530,33 @@ pub fn opp_step_bound(max_step: usize) -> Property<MonitorSample> {
 /// convergence never occurs (heuristic governors, short runs).
 #[must_use]
 pub fn converged_miss_rate(window: u64, bound: f64) -> Property<MonitorSample> {
+    Property::after(
+        |s: &MonitorSample| s.converged,
+        windowed_miss_bound(window, bound),
+    )
+}
+
+/// `always (window miss rate ≤ bound)`: every completed tumbling window
+/// of `window` epochs (at least 1) has at most `bound · window` missed
+/// deadlines. A trailing partial window is not judged.
+fn windowed_miss_bound(window: u64, bound: f64) -> Property<MonitorSample> {
     let window = window.max(1);
     let mut seen = 0u64;
     let mut misses = 0u64;
-    Property::after(
-        |s: &MonitorSample| s.converged,
-        Property::always(move |s: &MonitorSample| {
-            if !s.met_deadline {
-                misses += 1;
-            }
-            seen += 1;
-            if seen == window {
-                let ok = misses as f64 <= bound * window as f64;
-                seen = 0;
-                misses = 0;
-                ok
-            } else {
-                true
-            }
-        }),
-    )
+    Property::always(move |s: &MonitorSample| {
+        if !s.met_deadline {
+            misses += 1;
+        }
+        seen += 1;
+        if seen == window {
+            let ok = misses as f64 <= bound * window as f64;
+            seen = 0;
+            misses = 0;
+            ok
+        } else {
+            true
+        }
+    })
 }
 
 /// `after(ε known, always (ε non-increasing ∧ ε ≥ floor))` — the decay
@@ -594,26 +601,10 @@ pub fn recovers_within(
     window: u64,
     bound: f64,
 ) -> Property<MonitorSample> {
-    let window = window.max(1);
     let threshold = fault_epoch.saturating_add(grace);
-    let mut seen = 0u64;
-    let mut misses = 0u64;
     Property::after(
         move |s: &MonitorSample| s.epoch >= threshold,
-        Property::always(move |s: &MonitorSample| {
-            if !s.met_deadline {
-                misses += 1;
-            }
-            seen += 1;
-            if seen == window {
-                let ok = misses as f64 <= bound * window as f64;
-                seen = 0;
-                misses = 0;
-                ok
-            } else {
-                true
-            }
-        }),
+        windowed_miss_bound(window, bound),
     )
 }
 

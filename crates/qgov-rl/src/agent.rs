@@ -57,45 +57,34 @@ impl ActionSpace {
     }
 }
 
-/// Learning hyper-parameters for a [`QLearningAgent`].
+/// The learning settings of a [`QLearningAgent`] that experiments vary:
+/// the ε schedule and the exploration rule. The settings every
+/// experiment shares are constants: [`ALPHA`](AgentConfig::ALPHA),
+/// [`DISCOUNT`](AgentConfig::DISCOUNT),
+/// [`CONVERGENCE_WINDOW`](AgentConfig::CONVERGENCE_WINDOW) and the
+/// optimistic initial-Q gradient of [`QLearningAgent::new`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
-    /// Learning rate α of the Bellman update (Eq. 3).
-    pub alpha: f64,
-    /// Discount factor γ of the Bellman update (Eq. 3).
-    pub discount: f64,
     /// The exploration probability schedule (Eq. 6).
     pub epsilon: DecayingEpsilon,
-    /// Quiet-window length for convergence detection (epochs).
-    pub convergence_window: u64,
-    /// Optimistic initial-Q gradient towards the highest action: cell
-    /// `(s, a)` starts at `optimistic_gradient · a / (actions − 1)`.
-    /// An untouched state then greedily picks the safest (fastest)
-    /// action and crawls downward through mild energy penalties instead
-    /// of upward through deadline misses. Zero disables the bias.
-    pub optimistic_gradient: f64,
     /// The exploration rule (Eq. 2's EPD by default).
     pub exploration: ExplorationKind,
 }
 
 impl AgentConfig {
+    /// Learning rate α of the Bellman update (Eq. 3).
+    pub const ALPHA: f64 = 0.3;
+    /// Discount factor γ of the Bellman update (Eq. 3).
+    pub const DISCOUNT: f64 = 0.5;
+    /// Quiet-window length for convergence detection (epochs).
+    pub const CONVERGENCE_WINDOW: u64 = 20;
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns an error if `alpha` or `discount` lies outside `[0, 1]`,
-    /// the convergence window is zero, the optimistic gradient is
-    /// negative, or an EPD `lambda`/`beta` is not positive.
+    /// Returns an error if an EPD `lambda`/`beta` is not positive.
     pub fn validate(&self) -> Result<(), RlError> {
-        RlError::check_probability("alpha", self.alpha)?;
-        RlError::check_probability("discount", self.discount)?;
-        RlError::check_nonempty("convergence_window", self.convergence_window as usize)?;
-        if !(self.optimistic_gradient.is_finite() && self.optimistic_gradient >= 0.0) {
-            return Err(RlError::NotPositive {
-                name: "optimistic_gradient",
-                value: self.optimistic_gradient.to_string(),
-            });
-        }
         if let ExplorationKind::Epd { lambda, beta } = self.exploration {
             RlError::check_positive("lambda", lambda)?;
             RlError::check_positive("beta", beta)?;
@@ -105,16 +94,11 @@ impl AgentConfig {
 }
 
 impl Default for AgentConfig {
-    /// α = 0.3, γ = 0.5, the paper's ε schedule, 20-epoch convergence
-    /// window, no optimistic bias, and EPD exploration with λ = 1/19
-    /// (the XU3's 19-action space) and β = 2.
+    /// The paper's ε schedule and EPD exploration with λ = 1/19 (the
+    /// XU3's 19-action space) and β = 2.
     fn default() -> Self {
         AgentConfig {
-            alpha: 0.3,
-            discount: 0.5,
             epsilon: DecayingEpsilon::paper(),
-            convergence_window: 20,
-            optimistic_gradient: 0.0,
             exploration: ExplorationKind::Epd {
                 lambda: 1.0 / 19.0,
                 beta: 2.0,
@@ -122,6 +106,14 @@ impl Default for AgentConfig {
         }
     }
 }
+
+/// Optimistic initial-Q gradient towards the highest action: cell
+/// `(s, a)` starts at `OPTIMISTIC_GRADIENT · a / (actions − 1)`. An
+/// untouched state then greedily picks the safest (fastest) action and
+/// crawls downward through mild energy penalties instead of upward
+/// through deadline misses — the learning analogue of booting a
+/// governor at maximum frequency.
+const OPTIMISTIC_GRADIENT: f64 = 0.05;
 
 /// An epoch-driven Q-learning agent: Q-table + exploration rule +
 /// ε schedule + convergence tracking.
@@ -133,12 +125,7 @@ impl Default for AgentConfig {
 /// given the (predicted) state.
 pub struct QLearningAgent {
     q: QTable,
-    /// Pristine copy of the initial table (restored on reset, so the
-    /// optimistic bias survives a learning restart).
-    pristine: QTable,
     actions: ActionSpace,
-    alpha: f64,
-    discount: f64,
     epsilon: DecayingEpsilon,
     exploration: ExplorationKind,
     rng: StdRng,
@@ -153,8 +140,6 @@ impl core::fmt::Debug for QLearningAgent {
         f.debug_struct("QLearningAgent")
             .field("states", &self.q.states())
             .field("actions", &self.q.actions())
-            .field("alpha", &self.alpha)
-            .field("discount", &self.discount)
             .field("epsilon", &self.epsilon.value())
             .field("exploration", &self.exploration)
             .field("explorations", &self.explorations)
@@ -164,7 +149,9 @@ impl core::fmt::Debug for QLearningAgent {
 }
 
 impl QLearningAgent {
-    /// Creates an agent exploring by `config.exploration`.
+    /// Creates an agent exploring by `config.exploration`. Every Q-table
+    /// row starts with a small optimistic bias rising towards the
+    /// highest (safest) action.
     ///
     /// # Panics
     ///
@@ -173,27 +160,19 @@ impl QLearningAgent {
     #[must_use]
     pub fn new(config: AgentConfig, states: usize, actions: ActionSpace, seed: u64) -> Self {
         config.validate().expect("invalid agent configuration");
-        let q = if config.optimistic_gradient > 0.0 {
-            let n = actions.len();
-            let bias: Vec<f64> = (0..n)
-                .map(|a| {
-                    if n == 1 {
-                        0.0
-                    } else {
-                        config.optimistic_gradient * a as f64 / (n - 1) as f64
-                    }
-                })
-                .collect();
-            QTable::with_action_bias(states, n, &bias).expect("non-zero dimensions")
-        } else {
-            QTable::new(states, actions.len()).expect("non-zero dimensions")
-        };
+        let n = actions.len();
+        let bias: Vec<f64> = (0..n)
+            .map(|a| {
+                if n == 1 {
+                    0.0
+                } else {
+                    OPTIMISTIC_GRADIENT * a as f64 / (n - 1) as f64
+                }
+            })
+            .collect();
         QLearningAgent {
-            pristine: q.clone(),
-            q,
+            q: QTable::with_action_bias(states, n, &bias).expect("non-zero dimensions"),
             actions,
-            alpha: config.alpha,
-            discount: config.discount,
             epsilon: config.epsilon,
             exploration: config.exploration,
             rng: StdRng::seed_from_u64(seed),
@@ -202,10 +181,7 @@ impl QLearningAgent {
             explorations_at_convergence: None,
             // One tolerated flip inside the window keeps the detector
             // robust against isolated stochastic-reward glitches.
-            tracker: ConvergenceTracker::with_tolerance(
-                config.convergence_window,
-                u64::from(config.convergence_window > 1),
-            ),
+            tracker: ConvergenceTracker::with_tolerance(AgentConfig::CONVERGENCE_WINDOW, 1),
         }
     }
 
@@ -226,8 +202,8 @@ impl QLearningAgent {
         assert!(reward.is_finite(), "reward must be finite, got {reward}");
         assert!(slack.is_finite(), "slack must be finite, got {slack}");
         // (1) + (2): pay-off and Bellman update for the previous pair.
-        // `alpha`/`discount` were validated at construction, so the
-        // unchecked fast path applies. The update writes only the
+        // α and γ are valid constants, so the unchecked fast path
+        // applies. The update writes only the
         // previous state's row, so each row is scanned once before it
         // and once after: two scans when the state repeats (the
         // pre-update scan gives the future term, the post-update scan
@@ -242,8 +218,8 @@ impl QLearningAgent {
                 prev_action,
                 reward,
                 future,
-                self.alpha,
-                self.discount,
+                AgentConfig::ALPHA,
+                AgentConfig::DISCOUNT,
             );
             let (greedy_after, _) = self.q.row_best(prev_state);
             let changed = greedy_after != greedy_before;
@@ -322,18 +298,6 @@ impl QLearningAgent {
     #[must_use]
     pub fn is_exploitation(&self) -> bool {
         self.epsilon.is_exploitation()
-    }
-
-    /// Resets all learning state (table, ε, counters), e.g. on a
-    /// performance-requirement change. The optimistic initialisation is
-    /// restored, not zeroed.
-    pub fn reset(&mut self) {
-        self.q = self.pristine.clone();
-        self.epsilon.reset();
-        self.tracker.reset();
-        self.last = None;
-        self.explorations = 0;
-        self.explorations_at_convergence = None;
     }
 }
 
@@ -432,19 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_pristine_state() {
-        let mut agent = QLearningAgent::new(AgentConfig::default(), 1, small_actions(), 1);
-        for _ in 0..50 {
-            agent.begin_epoch(0, 1.0, 0.0);
-        }
-        agent.reset();
-        assert_eq!(agent.exploration_count(), 0);
-        assert_eq!(agent.epochs(), 0);
-        assert_eq!(agent.epsilon(), 1.0);
-        assert_eq!(agent.q_table().update_count(), 0);
-    }
-
-    #[test]
     fn action_space_validation() {
         // Not ascending.
         let r = std::panic::catch_unwind(|| ActionSpace::from_freqs_ghz(&[1.0, 0.5]));
@@ -459,26 +410,6 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let bad_alpha = AgentConfig {
-            alpha: 1.5,
-            ..AgentConfig::default()
-        };
-        assert!(bad_alpha.validate().is_err());
-        let bad_discount = AgentConfig {
-            discount: -0.1,
-            ..AgentConfig::default()
-        };
-        assert!(bad_discount.validate().is_err());
-        let bad_window = AgentConfig {
-            convergence_window: 0,
-            ..AgentConfig::default()
-        };
-        assert!(bad_window.validate().is_err());
-        let bad_gradient = AgentConfig {
-            optimistic_gradient: -1.0,
-            ..AgentConfig::default()
-        };
-        assert!(bad_gradient.validate().is_err());
         let bad_lambda = AgentConfig {
             exploration: ExplorationKind::Epd {
                 lambda: 0.0,

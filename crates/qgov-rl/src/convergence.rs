@@ -84,13 +84,6 @@ impl ConvergenceTracker {
     pub(crate) fn epochs(&self) -> u64 {
         self.epochs
     }
-
-    /// Forgets all history (e.g. after a performance-requirement change).
-    pub(crate) fn reset(&mut self) {
-        self.epochs = 0;
-        self.recent_changes.clear();
-        self.converged_at = None;
-    }
 }
 
 #[cfg(test)]
@@ -133,16 +126,6 @@ mod tests {
         assert_eq!(t.converged_at(), Some(2));
         t.record_epoch(true); // diverges again
         assert_eq!(t.converged_at(), Some(2), "first convergence is remembered");
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut t = strict(2);
-        t.record_epoch(false);
-        t.record_epoch(false);
-        t.reset();
-        assert_eq!(t.epochs(), 0);
-        assert_eq!(t.converged_at(), None);
     }
 
     #[test]

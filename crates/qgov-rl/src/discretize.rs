@@ -3,11 +3,9 @@
 //! "The size of the Q-table is limited by discretising the range of
 //! workloads (slack and cycle count) into N levels. Here we have used N
 //! as 5 in view of a pre-characterisation of the applications" (Section
-//! II-A). [`UniformDiscretizer`] splits a fixed range evenly;
-//! [`QuantileDiscretizer`] derives level boundaries from
-//! pre-characterisation samples so each level is visited equally often.
+//! II-A). [`UniformDiscretizer`] splits a fixed range evenly.
 //!
-//! Both map a measurement to one of `levels()` discrete levels
+//! It maps a measurement to one of `levels()` discrete levels
 //! (`0 ..= levels() - 1`), clamping out-of-range inputs to the extreme
 //! levels; NaN maps to level 0 (callers should prevent NaN upstream).
 
@@ -76,73 +74,6 @@ impl UniformDiscretizer {
     }
 }
 
-/// Derives level boundaries from the empirical quantiles of
-/// pre-characterisation samples, mirroring the paper's "design space
-/// exploration" used to pick N.
-///
-/// With quantile boundaries each level is visited roughly equally often
-/// during characterisation, so no Q-table row starves.
-///
-/// # Examples
-///
-/// ```
-/// use qgov_rl::QuantileDiscretizer;
-///
-/// let samples: Vec<f64> = (0..100).map(f64::from).collect();
-/// let d = QuantileDiscretizer::from_samples(&samples, 4).unwrap();
-/// assert_eq!(d.level_of(10.0), 0);
-/// assert_eq!(d.level_of(30.0), 1);
-/// assert_eq!(d.level_of(60.0), 2);
-/// assert_eq!(d.level_of(99.0), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantileDiscretizer {
-    /// Ascending inner boundaries; `boundaries.len() == levels - 1`.
-    boundaries: Vec<f64>,
-}
-
-impl QuantileDiscretizer {
-    /// Builds boundaries at the `k/levels` quantiles of `samples`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `levels` is zero, `samples` is empty, or any
-    /// sample is not finite.
-    pub fn from_samples(samples: &[f64], levels: usize) -> Result<Self, RlError> {
-        RlError::check_nonempty("levels", levels)?;
-        RlError::check_nonempty("samples", samples.len())?;
-        if samples.iter().any(|s| !s.is_finite()) {
-            return Err(RlError::NotFinite { name: "samples" });
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples compare"));
-        let boundaries = (1..levels)
-            .map(|k| {
-                let rank = k * sorted.len() / levels;
-                sorted[rank.min(sorted.len() - 1)]
-            })
-            .collect();
-        Ok(QuantileDiscretizer { boundaries })
-    }
-
-    /// Number of levels N.
-    #[must_use]
-    pub fn levels(&self) -> usize {
-        self.boundaries.len() + 1
-    }
-
-    /// The level of `value`: the number of inner boundaries at or
-    /// below it.
-    #[must_use]
-    pub fn level_of(&self, value: f64) -> usize {
-        if value.is_nan() {
-            return 0;
-        }
-        // First boundary strictly greater than value determines the level.
-        self.boundaries.partition_point(|&b| b <= value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,47 +111,5 @@ mod tests {
         assert_eq!(d.level_of(0.0), 2);
         assert_eq!(d.level_of(-0.9), 0);
         assert_eq!(d.level_of(0.9), 4);
-    }
-
-    #[test]
-    fn quantile_balances_visits() {
-        // Heavily skewed samples: uniform binning would starve high bins.
-        let samples: Vec<f64> = (0..1000).map(|i| (i as f64 / 10.0).powi(3)).collect();
-        let d = QuantileDiscretizer::from_samples(&samples, 5).unwrap();
-        let mut counts = [0usize; 5];
-        for &s in &samples {
-            counts[d.level_of(s)] += 1;
-        }
-        for &c in &counts {
-            // Each level should hold about 200 of 1000 samples.
-            assert!((150..=250).contains(&c), "unbalanced counts {counts:?}");
-        }
-    }
-
-    #[test]
-    fn quantile_rejects_bad_inputs() {
-        assert!(QuantileDiscretizer::from_samples(&[], 5).is_err());
-        assert!(QuantileDiscretizer::from_samples(&[1.0], 0).is_err());
-        assert!(QuantileDiscretizer::from_samples(&[f64::INFINITY], 2).is_err());
-    }
-
-    #[test]
-    fn quantile_single_level_maps_everything_to_zero() {
-        let d = QuantileDiscretizer::from_samples(&[1.0, 2.0, 3.0], 1).unwrap();
-        assert_eq!(d.levels(), 1);
-        assert_eq!(d.level_of(-10.0), 0);
-        assert_eq!(d.level_of(10.0), 0);
-    }
-
-    #[test]
-    fn quantile_is_monotone() {
-        let samples: Vec<f64> = (0..50).map(|i| f64::from(i) * 2.0).collect();
-        let d = QuantileDiscretizer::from_samples(&samples, 5).unwrap();
-        let mut prev = 0;
-        for i in 0..100 {
-            let l = d.level_of(f64::from(i));
-            assert!(l >= prev, "level decreased at {i}");
-            prev = l;
-        }
     }
 }

@@ -81,12 +81,6 @@ impl DecayingEpsilon {
         self.current
     }
 
-    /// Restarts the schedule from its initial value (used when the
-    /// performance requirement changes and learning must restart).
-    pub fn reset(&mut self) {
-        self.current = self.initial;
-    }
-
     /// Exploration probabilities below this are treated as "at the
     /// floor" even when the configured floor is lower (a floor of
     /// exactly zero is only reached asymptotically, which would make
@@ -146,17 +140,6 @@ mod tests {
             steps += 1;
         }
         assert_eq!(steps, analytic);
-    }
-
-    #[test]
-    fn reset_restores_initial() {
-        let mut eps = DecayingEpsilon::paper();
-        for _ in 0..50 {
-            eps.step();
-        }
-        eps.reset();
-        assert_eq!(eps.value(), 1.0);
-        assert!(!eps.is_exploitation());
     }
 
     #[test]

@@ -6,18 +6,24 @@
 //! * [`QTable`] — the dense state × action value table updated by
 //!   Bellman's optimality equation (Eq. 3 of the paper);
 //! * [`EwmaPredictor`] — the EWMA workload predictor of Eq. 1;
-//! * [`UniformDiscretizer`] and [`QuantileDiscretizer`] — map continuous
-//!   workload/slack measurements onto the N discrete levels that index
-//!   the Q-table;
+//! * [`UniformDiscretizer`] — maps a continuous measurement onto the N
+//!   discrete levels that index the Q-table (the RTM's workload
+//!   dimension is binned by `qgov_core::StateMapper` instead, at
+//!   boundaries on a grid of `max(16N, 64)` steps: N-ths of the range
+//!   for N = 4, 5, 7 and 9, but 21/64 and 43/64 rather than thirds for
+//!   N = 3);
 //! * [`ExplorationKind`] — the paper's slack-aware discrete Exponential
 //!   Probability Distribution (Eq. 2, `Epd`) and the uniform baseline of
 //!   prior work (`Upd`);
 //! * [`DecayingEpsilon`] — the accelerated exploration → exploitation
 //!   transition of Eq. 6;
-//! * [`SlackReward`] — the slack-ratio pay-off of Eq. 4;
+//! * [`slack_reward`] — the slack-ratio pay-off of Eq. 4;
 //! * [`QLearningAgent`] — glue combining all of the above into a
 //!   ready-to-use epoch-driven agent, with exploration counting and
-//!   convergence detection, configured by one [`AgentConfig`].
+//!   convergence detection. Its [`AgentConfig`] holds what experiments
+//!   vary, the ε schedule and the exploration rule; α, γ and the
+//!   convergence window are the constants [`AgentConfig::ALPHA`],
+//!   [`AgentConfig::DISCOUNT`] and [`AgentConfig::CONVERGENCE_WINDOW`].
 //!
 //! # Example: a tiny agent learning to pick the best action
 //!
@@ -51,10 +57,10 @@ mod qtable;
 mod reward;
 
 pub use agent::{ActionSpace, AgentConfig, QLearningAgent};
-pub use discretize::{QuantileDiscretizer, UniformDiscretizer};
+pub use discretize::UniformDiscretizer;
 pub use epsilon::DecayingEpsilon;
 pub use error::RlError;
 pub use policy::{sample_weighted, uniform_f64, ExplorationKind};
 pub use predictor::EwmaPredictor;
 pub use qtable::QTable;
-pub use reward::SlackReward;
+pub use reward::{slack_reward, PEAK_REWARD};

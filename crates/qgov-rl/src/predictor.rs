@@ -85,11 +85,6 @@ impl EwmaPredictor {
             Some(prev) => self.smoothing * actual + (1.0 - self.smoothing) * prev,
         });
     }
-
-    /// Forgets all history.
-    pub fn reset(&mut self) {
-        self.prediction = None;
-    }
 }
 
 #[cfg(test)]
@@ -128,14 +123,6 @@ mod tests {
             p.observe(42.0);
         }
         assert!((p.predict() - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_reset_forgets() {
-        let mut p = EwmaPredictor::paper();
-        p.observe(10.0);
-        p.reset();
-        assert_eq!(p.predict(), 0.0);
     }
 
     #[test]

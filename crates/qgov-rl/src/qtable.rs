@@ -32,7 +32,6 @@ pub struct QTable {
     states: usize,
     actions: usize,
     values: Vec<f64>,
-    updates: u64,
 }
 
 impl QTable {
@@ -49,7 +48,6 @@ impl QTable {
             states,
             actions,
             values: vec![0.0; states * actions],
-            updates: 0,
         })
     }
 
@@ -106,12 +104,6 @@ impl QTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Total number of Bellman updates applied so far.
-    #[must_use]
-    pub fn update_count(&self) -> u64 {
-        self.updates
     }
 
     #[inline]
@@ -301,14 +293,6 @@ impl QTable {
         debug_assert!(reward.is_finite(), "reward must be finite, got {reward}");
         let i = self.idx_fast(state, action);
         self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
-        self.updates += 1;
-    }
-
-    /// Resets all values to zero, forgetting everything learnt (used
-    /// when an application's performance requirement changes).
-    pub fn reset(&mut self) {
-        self.values.fill(0.0);
-        self.updates = 0;
     }
 }
 
@@ -355,25 +339,6 @@ mod tests {
         q.update(0, 1, 3.0, 0, 1.0, 0.0);
         assert_eq!(q.greedy_action(0), 1);
         assert_eq!(q.max_value(0), q.value(0, 1));
-    }
-
-    #[test]
-    fn updates_are_counted() {
-        let mut q = QTable::new(2, 2).unwrap();
-        q.update(0, 0, 0.0, 0, 0.1, 0.9);
-        q.update(0, 0, 0.0, 0, 0.1, 0.9);
-        q.update(1, 1, 0.0, 0, 0.1, 0.9);
-        assert_eq!(q.update_count(), 3);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut q = QTable::with_action_bias(2, 2, &[1.0, 1.0]).unwrap();
-        q.update(0, 0, 5.0, 1, 0.5, 0.9);
-        q.reset();
-        assert_eq!(q.value(0, 0), 0.0);
-        assert_eq!(q.value(1, 1), 0.0);
-        assert_eq!(q.update_count(), 0);
     }
 
     #[test]

@@ -832,12 +832,14 @@ mod tests {
             let active = if core == 0 { busy + overhead } else { busy };
             let active = active.min(wall_time);
             let idle = wall_time - active;
-            let p_busy = model.core_power(opp, 1.0, temp).total();
-            let p_idle = model.core_power(opp, 0.0, temp).total();
+            let (opp, scale) = (model.opp_power(opp), model.leakage_scale(temp));
+            let p_busy = model.core_power_at(&opp, 1.0, scale).total();
+            let p_idle = model.core_power_at(&opp, 0.0, scale).total();
             energy += p_busy * active + p_idle * idle;
         }
+        let uncore = model.opp_power(table.get(opps[0]).unwrap());
         energy += model
-            .uncore_power(table.get(opps[0]).unwrap(), temp)
+            .uncore_power_at(&uncore, model.leakage_scale(temp))
             .total()
             * wall_time;
         energy

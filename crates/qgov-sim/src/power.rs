@@ -33,20 +33,29 @@ impl PowerBreakdown {
 }
 
 /// The analytical CMOS power model: maps (operating point, activity,
-/// temperature) to power.
+/// temperature) to power. A [`Platform`](crate::Platform) evaluates it
+/// for every frame it runs.
 ///
 /// # Examples
 ///
 /// ```
-/// use qgov_sim::{CmosPowerModel, OppTable};
-/// use qgov_units::Temp;
+/// use qgov_sim::{Platform, PlatformConfig, SensorConfig, WorkSlice};
+/// use qgov_units::{Cycles, SimTime};
 ///
-/// let model = CmosPowerModel::a15();
-/// let table = OppTable::odroid_xu3_a15();
-/// let low = model.core_power(table.get(0).unwrap(), 1.0, Temp::default());
-/// let high = model.core_power(table.get(18).unwrap(), 1.0, Temp::default());
+/// // A fully busy quad A15 at the lowest and at the highest OPP.
+/// let avg_power_at = |opp: usize| {
+///     let mut platform = Platform::new(PlatformConfig {
+///         sensor: SensorConfig::ideal(),
+///         ..PlatformConfig::odroid_xu3_a15()
+///     })
+///     .unwrap();
+///     platform.set_cluster_opp(opp);
+///     let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(100)); 4];
+///     let frame = platform.run_frame(&work, SimTime::from_ms(10)).unwrap();
+///     frame.avg_power.as_watts()
+/// };
 /// // An order of magnitude or more between the extremes.
-/// assert!(high.total().as_watts() > 8.0 * low.total().as_watts());
+/// assert!(avg_power_at(18) > 8.0 * avg_power_at(0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmosPowerModel {
@@ -123,12 +132,6 @@ impl CmosPowerModel {
         Self::new(0.06e-9, 0.03e-9, 0.01, 0.012, 0.012, 0.05)
     }
 
-    /// The residual activity factor applied when a core idles.
-    #[must_use]
-    pub fn idle_activity(&self) -> f64 {
-        self.idle_activity
-    }
-
     /// The parts of the model that depend only on the operating point,
     /// evaluated once: see [`OppPower`].
     #[must_use]
@@ -177,34 +180,16 @@ impl CmosPowerModel {
         }
     }
 
-    /// Cluster-level uncore power at the operating point `opp` was
-    /// evaluated for, with leakage scaled by `leakage_scale`: half a
-    /// core's leakage plus the uncore's own switching.
+    /// Cluster-level uncore power (L2, interconnect, clock tree),
+    /// dissipated however many cores are busy, at the operating point
+    /// `opp` was evaluated for, with leakage scaled by `leakage_scale`:
+    /// half a core's leakage plus the uncore's own switching.
     #[must_use]
     pub(crate) fn uncore_power_at(&self, opp: &OppPower, leakage_scale: f64) -> PowerBreakdown {
         PowerBreakdown {
             dynamic: Power::from_watts(opp.uncore_switching),
             statik: Power::from_watts(opp.leakage * leakage_scale) * 0.5,
         }
-    }
-
-    /// Power of one core at `opp` with switching `activity ∈ [0, 1]`
-    /// (1 = fully busy, 0 = clock-gated idle) and die temperature
-    /// `temp`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `activity` lies outside `[0, 1]`.
-    #[must_use]
-    pub fn core_power(&self, opp: Opp, activity: f64, temp: Temp) -> PowerBreakdown {
-        self.core_power_at(&self.opp_power(opp), activity, self.leakage_scale(temp))
-    }
-
-    /// Cluster-level uncore power (L2, interconnect, clock tree) at
-    /// `opp` — dissipated regardless of how many cores are busy.
-    #[must_use]
-    pub fn uncore_power(&self, opp: Opp, temp: Temp) -> PowerBreakdown {
-        self.uncore_power_at(&self.opp_power(opp), self.leakage_scale(temp))
     }
 }
 
@@ -231,9 +216,10 @@ mod tests {
     fn a15_cluster_power_at(index: usize, activity: f64) -> f64 {
         let model = CmosPowerModel::a15();
         let table = OppTable::odroid_xu3_a15();
-        let opp = table.get(index).unwrap();
-        let core = model.core_power(opp, activity, Temp::default()).total();
-        let uncore = model.uncore_power(opp, Temp::default()).total();
+        let opp = model.opp_power(table.get(index).unwrap());
+        let scale = model.leakage_scale(Temp::default());
+        let core = model.core_power_at(&opp, activity, scale).total();
+        let uncore = model.uncore_power_at(&opp, scale).total();
         4.0 * core.as_watts() + uncore.as_watts()
     }
 
@@ -275,9 +261,9 @@ mod tests {
     #[test]
     fn leakage_grows_with_temperature() {
         let model = CmosPowerModel::a15();
-        let opp = OppTable::odroid_xu3_a15().get(18).unwrap();
-        let cold = model.core_power(opp, 0.0, Temp::from_celsius(25.0));
-        let hot = model.core_power(opp, 0.0, Temp::from_celsius(85.0));
+        let opp = model.opp_power(OppTable::odroid_xu3_a15().get(18).unwrap());
+        let cold = model.core_power_at(&opp, 0.0, model.leakage_scale(Temp::from_celsius(25.0)));
+        let hot = model.core_power_at(&opp, 0.0, model.leakage_scale(Temp::from_celsius(85.0)));
         assert!(hot.statik > cold.statik);
         assert_eq!(hot.dynamic, cold.dynamic);
     }
@@ -289,12 +275,12 @@ mod tests {
         // reduction motivation).
         let model = CmosPowerModel::a15();
         let table = OppTable::odroid_xu3_a15();
-        let p2000 = model
-            .core_power(table.get(18).unwrap(), 1.0, Temp::default())
-            .dynamic;
-        let p1000 = model
-            .core_power(table.get(8).unwrap(), 1.0, Temp::default())
-            .dynamic;
+        let scale = model.leakage_scale(Temp::default());
+        let dynamic_at = |index| {
+            let opp = model.opp_power(table.get(index).unwrap());
+            model.core_power_at(&opp, 1.0, scale).dynamic
+        };
+        let (p2000, p1000) = (dynamic_at(18), dynamic_at(8));
         let ratio = p2000.as_watts() / p1000.as_watts();
         assert!(ratio > 3.0, "expected >3x dynamic drop, got {ratio:.2}x");
     }
@@ -304,13 +290,18 @@ mod tests {
         let a15 = CmosPowerModel::a15();
         let a7 = CmosPowerModel::a7();
         let opp = OppTable::odroid_xu3_a7().get(12).unwrap();
-        let pa15 = a15.core_power(opp, 1.0, Temp::default()).total();
-        let pa7 = a7.core_power(opp, 1.0, Temp::default()).total();
+        let busy = |model: &CmosPowerModel| {
+            let scale = model.leakage_scale(Temp::default());
+            model
+                .core_power_at(&model.opp_power(opp), 1.0, scale)
+                .total()
+        };
+        let (pa15, pa7) = (busy(&a15), busy(&a7));
         assert!(pa7.as_watts() < 0.5 * pa15.as_watts());
     }
 
-    /// `core_power` and `uncore_power` as they were written before the
-    /// per-OPP constants: the closed form, straight from the fields.
+    /// Core and uncore power in closed form, straight from the fields:
+    /// the reference for the per-OPP constants.
     fn closed_form(
         model: &CmosPowerModel,
         opp: Opp,
@@ -361,13 +352,14 @@ mod tests {
                     for &c in &temps {
                         let temp = Temp::from_celsius(c);
                         let (core, uncore) = closed_form(&model, opp, activity, temp);
+                        let (per_opp, scale) = (model.opp_power(opp), model.leakage_scale(temp));
                         assert_eq!(
-                            bits(model.core_power(opp, activity, temp)),
+                            bits(model.core_power_at(&per_opp, activity, scale)),
                             bits(core),
                             "core power at {opp}, activity {activity}, {c} degC"
                         );
                         assert_eq!(
-                            bits(model.uncore_power(opp, temp)),
+                            bits(model.uncore_power_at(&per_opp, scale)),
                             bits(uncore),
                             "uncore power at {opp}, {c} degC"
                         );
@@ -381,8 +373,8 @@ mod tests {
     #[should_panic(expected = "activity")]
     fn activity_out_of_range_panics() {
         let model = CmosPowerModel::a15();
-        let opp = OppTable::odroid_xu3_a15().get(0).unwrap();
-        let _ = model.core_power(opp, 1.5, Temp::default());
+        let opp = model.opp_power(OppTable::odroid_xu3_a15().get(0).unwrap());
+        let _ = model.core_power_at(&opp, 1.5, 1.0);
     }
 
     #[test]

@@ -73,7 +73,9 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::trace::{header_u64, header_values, read_csv, split_line, write_csv, FlatFrames};
+use crate::trace::{
+    header_u64, header_values, read_csv, split_line, widen_degenerate, write_csv, FlatFrames,
+};
 use crate::{Application, FrameDemand, ThreadDemand, WorkloadError};
 use qgov_units::SimTime;
 use std::fs;
@@ -561,21 +563,14 @@ impl ShardedTrace {
     }
 
     /// Pre-characterisation workload bounds `(min, max)` in cycles —
-    /// the same values `qgov_bench::harness::precharacterize` derives
-    /// from an in-memory trace, including its widening of degenerate
-    /// constant workloads, but computed during recording so no second
+    /// the values
+    /// [`WorkloadTrace::workload_bounds`](crate::WorkloadTrace::workload_bounds)
+    /// gives for the same recording, including its widening of a
+    /// constant workload, but computed during recording so no second
     /// pass over the frames is needed.
     #[must_use]
     pub fn workload_bounds(&self) -> (f64, f64) {
-        let mut min = self.min_cycles as f64;
-        let mut max = self.max_cycles as f64;
-        if min >= max {
-            // Degenerate constant workload: widen artificially,
-            // mirroring `precharacterize` bit-for-bit.
-            min *= 0.9;
-            max *= 1.1 + 1e-9;
-        }
-        (min, max)
+        widen_degenerate(self.min_cycles as f64, self.max_cycles as f64)
     }
 
     /// Index of the shard covering global frame `frame`.

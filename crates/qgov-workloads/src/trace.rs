@@ -442,6 +442,22 @@ impl WorkloadTrace {
         self.frames[index].total_cycles()
     }
 
+    /// Pre-characterisation workload bounds `(min, max)`: the smallest
+    /// and largest total cycles of any frame. A constant workload
+    /// (`min == max`) is widened to `(0.9·min, (1.1 + 10⁻⁹)·max)`, so
+    /// the range a learning governor bins is never empty.
+    #[must_use]
+    pub fn workload_bounds(&self) -> (f64, f64) {
+        let mut min = f64::INFINITY;
+        let mut max: f64 = 0.0;
+        for frame in &self.frames {
+            let c = frame.total_cycles().count() as f64;
+            min = min.min(c);
+            max = max.max(c);
+        }
+        widen_degenerate(min, max)
+    }
+
     /// Serialises to a self-describing CSV document in the
     /// [CSV format](WorkloadTrace#csv-format).
     #[must_use]
@@ -469,6 +485,18 @@ impl WorkloadTrace {
             frames,
             cursor: 0,
         })
+    }
+}
+
+/// The workload-bounds rule shared by [`WorkloadTrace::workload_bounds`]
+/// and [`ShardedTrace::workload_bounds`](crate::ShardedTrace::workload_bounds):
+/// a degenerate range (`min >= max`, a constant workload) widens to
+/// `(0.9·min, (1.1 + 10⁻⁹)·max)`.
+pub(crate) fn widen_degenerate(min: f64, max: f64) -> (f64, f64) {
+    if min >= max {
+        (min * 0.9, max * (1.1 + 1e-9))
+    } else {
+        (min, max)
     }
 }
 

@@ -108,7 +108,7 @@ pub mod prelude {
         PropertyVerdict, RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport, Series,
         Verdict, WindowSummary, WindowedStats,
     };
-    pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable, SlackReward};
+    pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable};
     pub use qgov_sim::{
         Actuation, ClusterConfig, DvfsConfig, Fault, FaultInjector, FaultKind, FaultPlan,
         FrameResult, ManyCoreFrameResult, ManyCorePlatform, Opp, OppTable, Platform,

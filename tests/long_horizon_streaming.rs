@@ -65,13 +65,30 @@ fn streamed_experiment_is_bit_identical_to_in_memory() {
 
 /// The streamed pre-characterisation bounds equal what
 /// `precharacterize` derives from the materialised trace — the
-/// learning governors see identical configuration either way.
+/// learning governors see identical configuration either way — for a
+/// varying workload and for a constant one, whose range both widen.
 #[test]
 fn streamed_bounds_match_precharacterize() {
     let (_dir, streamed, _whole) = recorded_traces(13, "bounds");
     let mut app = VideoDecoderModel::h264_football_15fps(13).with_frames(FRAMES);
     let (_trace, (min, max)) = precharacterize(&mut app);
     let (smin, smax) = streamed.workload_bounds();
+    assert_eq!(smin.to_bits(), min.to_bits());
+    assert_eq!(smax.to_bits(), max.to_bits());
+
+    let dir = test_dir("bounds-constant");
+    let mut constant = SyntheticWorkload::constant(
+        "constant",
+        Cycles::from_mcycles(160),
+        SimTime::from_ms(40),
+        300,
+        4,
+        5,
+    );
+    let streamed = ShardedTrace::record(&mut constant, dir.path(), 300, SHARD).unwrap();
+    let (_trace, (min, max)) = precharacterize(&mut constant);
+    let (smin, smax) = streamed.workload_bounds();
+    assert_eq!(min.to_bits(), (1.6e8 * 0.9f64).to_bits(), "widened");
     assert_eq!(smin.to_bits(), min.to_bits());
     assert_eq!(smax.to_bits(), max.to_bits());
 }
