@@ -14,7 +14,7 @@
 use criterion::Criterion;
 use qgov_bench::plan::RunPlan;
 use qgov_rl::{AgentConfig, EwmaPredictor, QTable, UniformDiscretizer};
-use qgov_sim::{FrameResult, Platform, PlatformConfig, SensorConfig, WorkSlice};
+use qgov_sim::{FrameResult, Platform, PlatformConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{VideoDecoderModel, WorkloadTrace};
 use rand::rngs::StdRng;
@@ -114,11 +114,7 @@ fn bench_platform_frame(c: &mut Criterion) {
     // One frame per iteration through the in-place kernel every harness
     // epoch calls, on a platform that stays warm across iterations.
     c.bench_function("platform_run_frame_4_cores", |b| {
-        let mut p = Platform::new(PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        })
-        .unwrap();
+        let mut p = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         p.set_cluster_opp(10);
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4];
         let mut frame = FrameResult::empty();
@@ -136,11 +132,7 @@ fn bench_full_decision_epoch(c: &mut Criterion) {
 
     c.bench_function("rtm_full_decision_epoch", |b| {
         let mut rtm = RtmGovernor::new(RtmConfig::paper(1).with_workload_bounds(1e7, 1e9)).unwrap();
-        let mut platform = Platform::new(PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        })
-        .unwrap();
+        let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         let ctx = GovernorContext::new(
             platform.opp_table().clone(),
             platform.cores(),
@@ -163,13 +155,7 @@ fn bench_full_decision_epoch(c: &mut Criterion) {
 
 /// The 16-cluster mesh of perfbench's `mesh16` workload: 16 A15 quads.
 fn mesh16() -> qgov_sim::Topology {
-    qgov_sim::Topology::homogeneous_mesh(
-        16,
-        PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        },
-    )
+    qgov_sim::Topology::homogeneous_mesh(16, PlatformConfig::odroid_xu3_a15())
 }
 
 /// One chip frame's work on the mesh: cluster `c` gets `8 + 3c`
@@ -259,10 +245,7 @@ fn bench_harness_throughput(c: &mut Criterion) {
     // number EXPERIMENTS.md tracks for the 100k-frame horizons.
     const FRAMES: u64 = 256;
     c.bench_function("harness_rtm_experiment_256_frames", |b| {
-        let config = PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        };
+        let config = PlatformConfig::odroid_xu3_a15();
         let mut app = qgov_workloads::SyntheticWorkload::constant(
             "throughput",
             Cycles::from_mcycles(160),

@@ -200,7 +200,6 @@ impl Experiment for FaultStorm {
                 frames,
                 &shares,
                 &faults,
-                seed,
                 &mut monitors,
             )
         };

@@ -162,10 +162,9 @@ fn faulted_decision(
 /// The epoch kernel's options — the only knobs it has.
 #[derive(Default)]
 pub(crate) struct EpochOptions<'a> {
-    /// The fault schedule and its injector seed. `None` runs without an
-    /// injector; an empty plan runs bit-identically to `None`
-    /// (`tests/fault_injection.rs`).
-    pub(crate) faults: Option<(&'a FaultPlan, u64)>,
+    /// The fault schedule. `None` runs without an injector; an empty
+    /// plan runs bit-identically to `None` (`tests/fault_injection.rs`).
+    pub(crate) faults: Option<&'a FaultPlan>,
     /// Streaming monitors fed one chip-level [`MonitorSample`] of ground
     /// truth per epoch; their verdicts are attached to the chip report.
     pub(crate) monitors: Option<&'a mut PropertySet<MonitorSample>>,
@@ -236,7 +235,7 @@ pub(crate) fn run_epochs(
     let ctxs: Vec<GovernorContext> = (0..n)
         .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], period))
         .collect();
-    let mut injector = faults.map(|(plan, seed)| FaultInjector::new(plan, seed, &cores));
+    let mut injector = faults.map(|plan| FaultInjector::new(plan, 0, &cores));
     let mut notified = vec![false; n];
 
     app.reset();
@@ -534,7 +533,7 @@ pub fn run_experiment_monitored(
 ///
 /// Timing channels (`frame_time`, `wall_time`, slack) are never
 /// faulted: the frame barrier is scheduler-observable, not a sensor.
-/// Only the sensed copy's power / temperature / PMU channels can lie.
+/// Only the sensed copy's temperature and PMU channels can lie.
 ///
 /// With an empty `plan` every injector step is a no-op and the run is
 /// bit-identical to [`run_experiment`] (`tests/fault_injection.rs` pins
@@ -551,7 +550,6 @@ pub fn run_experiment_faulted(
     platform_config: PlatformConfig,
     frames: u64,
     plan: &FaultPlan,
-    fault_seed: u64,
 ) -> ExperimentOutcome {
     run_flat(
         governor,
@@ -559,7 +557,7 @@ pub fn run_experiment_faulted(
         platform_config,
         frames,
         EpochOptions {
-            faults: Some((plan, fault_seed)),
+            faults: Some(plan),
             ..EpochOptions::default()
         },
     )
@@ -653,16 +651,8 @@ pub fn precharacterize(app: &mut dyn Application) -> (WorkloadTrace, (f64, f64))
 mod tests {
     use super::*;
     use qgov_governors::{OndemandGovernor, PerformanceGovernor, PowersaveGovernor};
-    use qgov_sim::SensorConfig;
     use qgov_units::{Cycles, SimTime};
     use qgov_workloads::SyntheticWorkload;
-
-    fn quiet_config() -> PlatformConfig {
-        PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        }
-    }
 
     fn medium_app(frames: u64) -> SyntheticWorkload {
         // 25 Mc/core in 40 ms: needs >= ~640 MHz.
@@ -679,7 +669,12 @@ mod tests {
     #[test]
     fn performance_governor_always_meets_feasible_deadlines() {
         let mut gov = PerformanceGovernor::new();
-        let outcome = run_experiment(&mut gov, &mut medium_app(50), quiet_config(), 50);
+        let outcome = run_experiment(
+            &mut gov,
+            &mut medium_app(50),
+            PlatformConfig::odroid_xu3_a15(),
+            50,
+        );
         assert_eq!(outcome.report.deadline_misses(), 0);
         assert_eq!(outcome.report.frames(), 50);
         assert!(outcome.report.normalized_performance() < 0.5);
@@ -688,7 +683,12 @@ mod tests {
     #[test]
     fn powersave_misses_what_performance_meets() {
         let mut gov = PowersaveGovernor::new();
-        let outcome = run_experiment(&mut gov, &mut medium_app(50), quiet_config(), 50);
+        let outcome = run_experiment(
+            &mut gov,
+            &mut medium_app(50),
+            PlatformConfig::odroid_xu3_a15(),
+            50,
+        );
         assert!(
             outcome.report.miss_rate() > 0.9,
             "200 MHz cannot hold 640 MHz of work"
@@ -699,9 +699,14 @@ mod tests {
     #[test]
     fn powersave_uses_less_energy_than_performance() {
         let run = |gov: &mut dyn Governor| {
-            run_experiment(gov, &mut medium_app(50), quiet_config(), 50)
-                .report
-                .total_energy()
+            run_experiment(
+                gov,
+                &mut medium_app(50),
+                PlatformConfig::odroid_xu3_a15(),
+                50,
+            )
+            .report
+            .total_energy()
         };
         let hi = run(&mut PerformanceGovernor::new());
         let lo = run(&mut PowersaveGovernor::new());
@@ -711,14 +716,24 @@ mod tests {
     #[test]
     fn frame_cap_respects_app_length() {
         let mut gov = PerformanceGovernor::new();
-        let outcome = run_experiment(&mut gov, &mut medium_app(10), quiet_config(), 1_000);
+        let outcome = run_experiment(
+            &mut gov,
+            &mut medium_app(10),
+            PlatformConfig::odroid_xu3_a15(),
+            1_000,
+        );
         assert_eq!(outcome.report.frames(), 10);
     }
 
     #[test]
     fn ondemand_tracks_load_between_extremes() {
         let mut gov = OndemandGovernor::linux_default();
-        let outcome = run_experiment(&mut gov, &mut medium_app(200), quiet_config(), 200);
+        let outcome = run_experiment(
+            &mut gov,
+            &mut medium_app(200),
+            PlatformConfig::odroid_xu3_a15(),
+            200,
+        );
         let mean_opp = outcome.report.mean_opp();
         assert!(
             mean_opp > 1.0,
@@ -791,7 +806,7 @@ mod tests {
     fn non_rewinding_app_is_caught_in_debug_builds() {
         let mut gov = PerformanceGovernor::new();
         let mut app = NonRewindingApp { counter: 0 };
-        let _ = run_experiment(&mut gov, &mut app, quiet_config(), 5);
+        let _ = run_experiment(&mut gov, &mut app, PlatformConfig::odroid_xu3_a15(), 5);
     }
 
     #[cfg(debug_assertions)]
@@ -851,7 +866,7 @@ mod tests {
             cursor: 0,
             drift: 0,
         };
-        let _ = run_experiment(&mut gov, &mut app, quiet_config(), 5);
+        let _ = run_experiment(&mut gov, &mut app, PlatformConfig::odroid_xu3_a15(), 5);
     }
 
     #[test]
@@ -863,7 +878,7 @@ mod tests {
         let mut app = medium_app(20);
         let run = |app: &mut SyntheticWorkload| {
             let mut gov = PerformanceGovernor::new();
-            run_experiment(&mut gov, app, quiet_config(), 20)
+            run_experiment(&mut gov, app, PlatformConfig::odroid_xu3_a15(), 20)
                 .report
                 .total_energy()
                 .as_joules()
@@ -876,7 +891,12 @@ mod tests {
     fn identical_runs_are_identical() {
         let run = || {
             let mut gov = OndemandGovernor::linux_default();
-            let outcome = run_experiment(&mut gov, &mut medium_app(80), quiet_config(), 80);
+            let outcome = run_experiment(
+                &mut gov,
+                &mut medium_app(80),
+                PlatformConfig::odroid_xu3_a15(),
+                80,
+            );
             outcome.report.total_energy().as_joules().to_bits()
         };
         assert_eq!(run(), run());
@@ -886,17 +906,21 @@ mod tests {
     fn empty_fault_plan_is_bit_identical_to_fault_free() {
         let plain = {
             let mut gov = OndemandGovernor::linux_default();
-            run_experiment(&mut gov, &mut medium_app(80), quiet_config(), 80)
+            run_experiment(
+                &mut gov,
+                &mut medium_app(80),
+                PlatformConfig::odroid_xu3_a15(),
+                80,
+            )
         };
         let faulted = {
             let mut gov = OndemandGovernor::linux_default();
             run_experiment_faulted(
                 &mut gov,
                 &mut medium_app(80),
-                quiet_config(),
+                PlatformConfig::odroid_xu3_a15(),
                 80,
                 &FaultPlan::none(),
-                0xFA17,
             )
         };
         assert_eq!(
@@ -918,10 +942,9 @@ mod tests {
         let outcome = run_experiment_faulted(
             &mut gov,
             &mut medium_app(100),
-            quiet_config(),
+            PlatformConfig::odroid_xu3_a15(),
             100,
             &plan,
-            1,
         );
         // Only the (pre-fault) init decision can ever land: the
         // platform's OPP is frozen for the whole run.
@@ -936,7 +959,7 @@ mod tests {
     fn latched_actuation_delays_requests_one_epoch() {
         use qgov_sim::{Fault, FaultKind};
         let plan = FaultPlan::none().with(Fault::window(FaultKind::ActuationLatched, 0, 0, 10));
-        let mut inj = FaultInjector::single(&plan, 1, 4);
+        let mut inj = FaultInjector::single(&plan, 4);
         inj.begin_epoch(0);
         // The first request is buffered; nothing lands yet.
         assert_eq!(

@@ -185,7 +185,6 @@ pub fn run_manycore_experiment_faulted(
     frames: u64,
     initial_shares: &[f64],
     plan: &FaultPlan,
-    fault_seed: u64,
 ) -> ManyCoreOutcome {
     run_epochs(
         coordinator,
@@ -194,7 +193,7 @@ pub fn run_manycore_experiment_faulted(
         frames,
         initial_shares,
         EpochOptions {
-            faults: Some((plan, fault_seed)),
+            faults: Some(plan),
             cluster_reports: true,
             ..EpochOptions::default()
         },
@@ -206,7 +205,6 @@ pub fn run_manycore_experiment_faulted(
 /// stream. The monitors observe **ground truth**, never the sensed
 /// copy — a thermal-cap property checks the real die even while the
 /// coordinator is fed a stuck sensor.
-#[allow(clippy::too_many_arguments)]
 pub fn run_manycore_experiment_faulted_monitored(
     coordinator: &mut dyn ManyCoreGovernor,
     app: &mut dyn Application,
@@ -214,7 +212,6 @@ pub fn run_manycore_experiment_faulted_monitored(
     frames: u64,
     initial_shares: &[f64],
     plan: &FaultPlan,
-    fault_seed: u64,
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ManyCoreOutcome {
     run_epochs(
@@ -224,7 +221,7 @@ pub fn run_manycore_experiment_faulted_monitored(
         frames,
         initial_shares,
         EpochOptions {
-            faults: Some((plan, fault_seed)),
+            faults: Some(plan),
             monitors: Some(monitors),
             cluster_reports: true,
         },
@@ -237,16 +234,9 @@ mod tests {
     use crate::harness::run_experiment;
     use qgov_core::ManyCoreRtm;
     use qgov_governors::{OndemandGovernor, PerClusterGovernors};
-    use qgov_sim::{PlatformConfig, SensorConfig};
+    use qgov_sim::PlatformConfig;
     use qgov_units::{Cycles, SimTime};
     use qgov_workloads::SyntheticWorkload;
-
-    fn quiet_config() -> PlatformConfig {
-        PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        }
-    }
 
     fn medium_app(frames: u64, threads: usize) -> SyntheticWorkload {
         SyntheticWorkload::constant(
@@ -262,7 +252,12 @@ mod tests {
     #[test]
     fn single_cluster_run_is_bit_identical_to_the_flat_harness() {
         let mut flat_gov = OndemandGovernor::linux_default();
-        let flat = run_experiment(&mut flat_gov, &mut medium_app(60, 4), quiet_config(), 60);
+        let flat = run_experiment(
+            &mut flat_gov,
+            &mut medium_app(60, 4),
+            PlatformConfig::odroid_xu3_a15(),
+            60,
+        );
 
         let mut chip_gov = PerClusterGovernors::new(
             "ondemand",
@@ -271,7 +266,7 @@ mod tests {
         let chip = run_manycore_experiment(
             &mut chip_gov,
             &mut medium_app(60, 4),
-            Topology::single(quiet_config()),
+            Topology::single(PlatformConfig::odroid_xu3_a15()),
             60,
             &[1.0],
         );
@@ -286,7 +281,7 @@ mod tests {
 
     #[test]
     fn two_cluster_split_meets_what_one_cluster_can_also_meet() {
-        let topology = Topology::homogeneous_mesh(2, quiet_config());
+        let topology = Topology::homogeneous_mesh(2, PlatformConfig::odroid_xu3_a15());
         let mut gov = PerClusterGovernors::performance(2);
         let outcome =
             run_manycore_experiment(&mut gov, &mut medium_app(40, 8), topology, 40, &[0.5, 0.5]);

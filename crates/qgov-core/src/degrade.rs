@@ -1,18 +1,18 @@
 //! Governor-side graceful degradation: sensor plausibility filtering
 //! and the quarantine / safe-state fallback.
 //!
-//! The RTM's learning loop trusts three sensed quantities — per-core
-//! PMU cycle counts (feeding the EWMA demand predictor), the die
-//! temperature, and the power reading. A faulty platform can feed it
-//! garbage on all three (see `qgov_sim::FaultInjector`), and a naive
-//! governor will happily learn from it: a stuck-at-low PMU collapses
-//! the demand prediction, the agent drops to a low OPP, and the
-//! application misses deadlines for as long as the fault lasts.
+//! The RTM's learning loop trusts two sensed quantities — per-core
+//! PMU cycle counts (feeding the EWMA demand predictor) and the die
+//! temperature. A faulty platform can feed it garbage on both (see
+//! `qgov_sim::FaultInjector`), and a naive governor will happily learn
+//! from it: a stuck-at-low PMU collapses the demand prediction, the
+//! agent drops to a low OPP, and the application misses deadlines for
+//! as long as the fault lasts.
 //!
 //! The hardened path ([`RtmGovernor::with_hardening`]) routes every
 //! observation through a [`PlausibilityFilter`] first:
 //!
-//! * **range gates** — temperature, power, and cycle readings outside
+//! * **range gates** — temperature and cycle readings outside
 //!   physically plausible bounds are rejected outright;
 //! * **rate-of-change gates** — readings that jump implausibly fast
 //!   relative to the last accepted value are rejected (a real die does
@@ -50,8 +50,6 @@ pub struct HardeningConfig {
     /// Largest credible temperature change (°C) between adjacent
     /// epochs.
     pub max_temp_step_c: f64,
-    /// Power readings above this (watts) are implausible.
-    pub max_power_w: f64,
     /// Largest credible ratio between adjacent epochs' total cycle
     /// counts (checked both ways: growth and collapse).
     pub max_cycle_ratio: f64,
@@ -75,16 +73,15 @@ pub struct HardeningConfig {
 
 impl HardeningConfig {
     /// Gates sized for the paper's platform: 110 °C / −10 °C absolute
-    /// temperature range, ≤ 15 °C per-epoch step, ≤ 50 W power, ≤ 4×
-    /// cycle-count movement per epoch, quarantine after 5 consecutive
-    /// rejections, re-anchor after 20, safe state at the top OPP.
+    /// temperature range, ≤ 15 °C per-epoch step, ≤ 4× cycle-count
+    /// movement per epoch, quarantine after 5 consecutive rejections,
+    /// re-anchor after 20, safe state at the top OPP.
     #[must_use]
     pub fn paper() -> Self {
         HardeningConfig {
             max_temperature_c: 110.0,
             min_temperature_c: -10.0,
             max_temp_step_c: 15.0,
-            max_power_w: 50.0,
             max_cycle_ratio: 4.0,
             quarantine_threshold: 5,
             rebaseline_after: 20,
@@ -145,10 +142,6 @@ impl PlausibilityFilter {
         let cfg = &self.config;
         let temp_c = frame.temperature.as_celsius();
         if !temp_c.is_finite() || temp_c > cfg.max_temperature_c || temp_c < cfg.min_temperature_c {
-            return false;
-        }
-        let watts = frame.measured_power.as_watts();
-        if !watts.is_finite() || watts < 0.0 || watts > cfg.max_power_w {
             return false;
         }
         let total: u64 = frame.per_core_cycles.iter().map(|c| c.count()).sum();
@@ -263,7 +256,7 @@ impl PlausibilityFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_units::{Power, SimTime};
+    use qgov_units::SimTime;
 
     fn healthy_frame() -> FrameResult {
         let mut f = FrameResult::empty();
@@ -271,7 +264,6 @@ mod tests {
         f.wall_time = SimTime::from_ms(40);
         f.period = SimTime::from_ms(40);
         f.per_core_cycles = vec![Cycles::from_mcycles(30); 4];
-        f.measured_power = Power::from_watts(2.5);
         f.temperature = Temp::from_celsius(55.0);
         f
     }
@@ -332,7 +324,7 @@ mod tests {
         for i in 0..k {
             assert!(!filter.quarantined(), "not yet at rejection {i}");
             let mut bad = healthy_frame();
-            bad.measured_power = Power::from_watts(500.0);
+            bad.temperature = Temp::from_celsius(400.0);
             filter.admit(&mut bad);
         }
         assert!(filter.quarantined());
@@ -340,7 +332,7 @@ mod tests {
 
         // Staying quarantined does not re-count entries.
         let mut bad = healthy_frame();
-        bad.measured_power = Power::from_watts(500.0);
+        bad.temperature = Temp::from_celsius(400.0);
         filter.admit(&mut bad);
         assert!(filter.quarantined());
         assert_eq!(filter.quarantine_entries(), 1);
@@ -382,7 +374,7 @@ mod tests {
 
         // A range-implausible reading can never become a baseline.
         let mut wild = healthy_frame();
-        wild.measured_power = Power::from_watts(500.0);
+        wild.temperature = Temp::from_celsius(400.0);
         for _ in 0..=cfg.rebaseline_after {
             assert!(!filter.admit(&mut wild.clone()));
         }

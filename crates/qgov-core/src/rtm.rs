@@ -470,7 +470,7 @@ impl Governor for RtmGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, WorkSlice};
+    use qgov_sim::{DvfsConfig, Platform, PlatformConfig, WorkSlice};
     use qgov_units::Cycles;
     use qgov_workloads::{Application, SyntheticWorkload};
 
@@ -482,7 +482,6 @@ mod tests {
 
     fn platform() -> Platform {
         Platform::new(PlatformConfig {
-            sensor: SensorConfig::ideal(),
             dvfs: DvfsConfig::typical(),
             ..PlatformConfig::odroid_xu3_a15()
         })

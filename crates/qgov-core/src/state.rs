@@ -1,9 +1,7 @@
 //! Q-table state formation: workload level × slack level.
 //!
-//! [`StateMapper`] bins the workload at boundaries on a fixed grid of
-//! `max(16N, 64)` steps over the pre-characterised range: N-ths of the
-//! range for N = 4, 5, 7 and 9, but 21/64 and 43/64 rather than thirds
-//! for N = 3.
+//! [`StateMapper`] bins the workload at N-ths of the pre-characterised
+//! range.
 
 use qgov_rl::{RlError, UniformDiscretizer};
 
@@ -12,12 +10,8 @@ use qgov_rl::{RlError, UniformDiscretizer};
 ///
 /// The workload dimension splits the offline pre-characterised range
 /// `[min, max]` of total cycles per frame (Section II-A's
-/// "pre-characterisation of the applications") into N levels at fixed
-/// boundaries: boundary `k` (of `N − 1`) sits at grid point
-/// `i = ⌊k(n + 1)/N⌋` of `n = max(16N, 64)` equal steps,
-/// `min + (max − min)·i/n`. For N = 4, 5, 7 and 9 they fall on N-ths
-/// of the range; for N = 3 they sit at 21/64 ≈ 0.328 and
-/// 43/64 ≈ 0.672, because 65 grid points do not split into thirds.
+/// "pre-characterisation of the applications") into N equal levels:
+/// boundary `k` (of `N − 1`) sits at `min + (max − min)·k/N`.
 /// The slack ratio `L ∈ [−1, 1]` is discretised uniformly. For the
 /// many-core formulation, per-core *shares* of the total workload
 /// (Eq. 7) are discretised uniformly over `[0, 2/C]` — twice the fair
@@ -66,12 +60,8 @@ impl StateMapper {
         }
         RlError::check_nonempty("cores", cores)?;
         RlError::check_nonempty("levels", workload_levels)?;
-        let n = (workload_levels * 16).max(64);
         let workload = (1..workload_levels)
-            .map(|k| {
-                let i = k * (n + 1) / workload_levels;
-                min + (max - min) * i as f64 / n as f64
-            })
+            .map(|k| min + (max - min) * k as f64 / workload_levels as f64)
             .collect();
         Ok(StateMapper {
             workload,
@@ -226,21 +216,34 @@ mod tests {
     }
 
     #[test]
-    fn workload_boundaries_sit_on_the_grid() {
-        // N = 5: n = 80 steps, boundaries at grid points 16, 32, 48, 64,
-        // exact fifths of the range.
+    fn workload_boundaries_split_the_range_evenly() {
+        // N = 5: boundaries at exact fifths of the range.
         let m = StateMapper::from_bounds(0.0, 100.0, 5, 1, 4).unwrap();
         for (value, level) in [(19.999, 0), (20.0, 1), (59.999, 2), (60.0, 3), (80.0, 4)] {
             assert_eq!(m.state_for_total(value, 0.0), level, "workload {value}");
         }
-        // N = 3: n = 64 steps, boundaries at grid points 21 and 43, not
-        // at thirds.
-        let m = StateMapper::from_bounds(0.0, 64.0, 3, 1, 4).unwrap();
-        for (value, level) in [(20.999, 0), (21.0, 1), (42.999, 1), (43.0, 2)] {
+        // N = 3: boundaries at thirds.
+        let m = StateMapper::from_bounds(0.0, 90.0, 3, 1, 4).unwrap();
+        for (value, level) in [(29.999, 0), (30.0, 1), (59.999, 1), (60.0, 2)] {
             assert_eq!(m.state_for_total(value, 0.0), level, "workload {value}");
         }
         assert_eq!(m.state_for_total(f64::NAN, 0.0), 0);
         assert_eq!(m.workload_levels(), 3);
+        // N = 2 and every level count the state-levels ablation runs,
+        // on a pre-characterised range: boundary k is exactly k/N of it.
+        let (min, max) = (5e7, 2.5e8);
+        for levels in [2usize, 3, 4, 5, 7, 9] {
+            let m = StateMapper::from_bounds(min, max, levels, 1, 4).unwrap();
+            assert_eq!(m.workload.len(), levels - 1);
+            for (k, &boundary) in (1..levels).zip(&m.workload) {
+                let expect = min + (max - min) * k as f64 / levels as f64;
+                assert_eq!(
+                    boundary.to_bits(),
+                    expect.to_bits(),
+                    "N = {levels}, k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use qgov_core::{ManyCoreRtm, MigrationConfig, RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{EpochObservation, Governor, GovernorContext};
 use qgov_rl::RlError;
-use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, WorkSlice};
+use qgov_sim::{DvfsConfig, Platform, PlatformConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{Application, FrameDemand, SyntheticWorkload, WorkloadTrace};
 
@@ -13,7 +13,6 @@ use qgov_workloads::{Application, FrameDemand, SyntheticWorkload, WorkloadTrace}
 /// pairs.
 fn drive(rtm: &mut RtmGovernor, app: &mut dyn Application, frames: u64) -> Vec<(usize, bool)> {
     let mut platform = Platform::new(PlatformConfig {
-        sensor: SensorConfig::ideal(),
         dvfs: DvfsConfig::typical(),
         ..PlatformConfig::odroid_xu3_a15()
     })

@@ -99,7 +99,7 @@ impl Governor for ConservativeGovernor {
 mod tests {
     use super::*;
     use qgov_sim::{FrameResult, OppTable};
-    use qgov_units::{Cycles, Energy, Power, SimTime, Temp};
+    use qgov_units::{Cycles, Energy, SimTime, Temp};
 
     fn frame_with_load(load: f64) -> FrameResult {
         let period = SimTime::from_ms(40);
@@ -111,9 +111,6 @@ mod tests {
             per_core_busy: vec![period.scale(load); 4],
             per_core_cycles: vec![Cycles::from_mcycles(1); 4],
             energy: Energy::from_joules(0.1),
-            avg_power: Power::from_watts(1.0),
-            measured_power: Power::from_watts(1.0),
-            measured_energy: Energy::from_joules(0.1),
             temperature: Temp::default(),
             cluster_opp: 0,
         }

@@ -192,7 +192,7 @@ impl Governor for GeQiuGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_sim::{OppTable, Platform, PlatformConfig, SensorConfig, WorkSlice};
+    use qgov_sim::{OppTable, Platform, PlatformConfig, WorkSlice};
     use qgov_units::Cycles;
 
     fn ctx() -> GovernorContext {
@@ -212,11 +212,7 @@ mod tests {
     fn decisions_are_per_core_and_legal() {
         let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(3));
         gov.init(&ctx());
-        let mut platform = Platform::new(PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        })
-        .unwrap();
+        let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         platform.set_cluster_opp(18);
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4];
         for epoch in 0..50u64 {
@@ -242,11 +238,7 @@ mod tests {
         let run = |seed: u64| {
             let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(seed));
             gov.init(&ctx());
-            let mut platform = Platform::new(PlatformConfig {
-                sensor: SensorConfig::ideal(),
-                ..PlatformConfig::odroid_xu3_a15()
-            })
-            .unwrap();
+            let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
             let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(30)); 4];
             let mut log = Vec::new();
             for epoch in 0..30u64 {
@@ -269,11 +261,7 @@ mod tests {
     fn cores_use_distinct_rng_streams() {
         let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(1));
         gov.init(&ctx());
-        let mut platform = Platform::new(PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        })
-        .unwrap();
+        let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         // Identical per-core states must still give diverse exploratory
         // choices across cores (different streams).
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4];

@@ -123,7 +123,7 @@ impl Governor for OndemandGovernor {
 mod tests {
     use super::*;
     use qgov_sim::{FrameResult, OppTable};
-    use qgov_units::{Cycles, Energy, Power, SimTime, Temp};
+    use qgov_units::{Cycles, Energy, SimTime, Temp};
 
     fn frame_with_utils(utils: &[f64], period_ms: u64) -> FrameResult {
         let period = SimTime::from_ms(period_ms);
@@ -137,9 +137,6 @@ mod tests {
             per_core_busy: busy,
             per_core_cycles: vec![Cycles::from_mcycles(1); utils.len()],
             energy: Energy::from_joules(0.1),
-            avg_power: Power::from_watts(1.0),
-            measured_power: Power::from_watts(1.0),
-            measured_energy: Energy::from_joules(0.1),
             temperature: Temp::default(),
             cluster_opp: 0,
         }

@@ -11,8 +11,7 @@
 //! * [`MispredictionStats`] — predicted-vs-actual workload error
 //!   analysis (whole-run and windowed, as Fig. 3 quotes);
 //! * [`MetricSummary`] — the one cross-run fold: order-invariant
-//!   mean, sample σ, extrema, p50/p95 quantiles and 95 % CI
-//!   half-width, rendered as `mean ± σ (n)` cells;
+//!   mean, sample σ and extrema, rendered as `mean ± σ (n)` cells;
 //! * [`WindowedStats`] — fixed-length windowed folds in O(windows)
 //!   memory, the convergence-over-time view long-horizon streamed
 //!   experiments report;
@@ -50,6 +49,6 @@ pub use monitor::{
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
 pub use report::{FrameStat, RunReport};
 pub use series::Series;
-pub use stats::{t_critical_975, MetricSummary};
+pub use stats::MetricSummary;
 pub use table::ComparisonTable;
 pub use window::{WindowSummary, WindowedStats};

@@ -176,8 +176,7 @@ impl RunReport {
     /// as passed to [`set_run_totals`](RunReport::set_run_totals). It
     /// counts the same energy as [`total_energy`](RunReport::total_energy),
     /// the sum of the recorded frames, so the two agree up to summation
-    /// order. Sensor readings are per frame, in
-    /// `qgov_sim::FrameResult::measured_energy`.
+    /// order.
     #[must_use]
     pub fn platform_energy(&self) -> Energy {
         self.platform_energy

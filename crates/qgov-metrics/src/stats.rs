@@ -3,49 +3,10 @@
 //! [`MetricSummary::from_samples`] is the one fold every cross-run
 //! aggregate goes through: an experiment runs once per seed and each
 //! metric's per-seed samples fold into one summary (mean, sample
-//! standard deviation, extrema, quantiles, 95 % confidence interval).
+//! standard deviation, extrema).
 //! Summaries are **invariant to sample order**: the fold sorts by [`f64::total_cmp`] first, so
 //! aggregating seeds `[5, 77]` is bit-identical to aggregating
 //! `[77, 5]` — the property `tests/sweep_determinism.rs` pins.
-
-/// Two-sided 97.5 % Student-t critical value for `df` degrees of
-/// freedom — the multiplier of a 95 % confidence interval on a mean of
-/// `df + 1` samples.
-///
-/// Exact table values for `df` ≤ 30; above that the asymptotic
-/// approximation `1.960 + 2.42 / df` (within ~0.002 of the true value
-/// just past the table, under 0.001 from df ≈ 35, converging to the
-/// normal quantile 1.960).
-///
-/// # Panics
-///
-/// Panics if `df` is zero — a CI over one sample is undefined; callers
-/// report it as zero spread instead (see [`MetricSummary::ci95`]).
-///
-/// # Examples
-///
-/// ```
-/// use qgov_metrics::t_critical_975;
-///
-/// assert_eq!(t_critical_975(4), 2.776); // n = 5 seeds
-/// assert!((t_critical_975(1_000_000) - 1.960).abs() < 1e-4);
-/// ```
-#[must_use]
-pub fn t_critical_975(df: u64) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    assert!(
-        df > 0,
-        "t critical value needs at least 1 degree of freedom"
-    );
-    match df {
-        1..=30 => TABLE[(df - 1) as usize],
-        _ => 1.960 + 2.42 / df as f64,
-    }
-}
 
 /// Numerically-stable streaming mean/variance/extrema (Welford's
 /// algorithm) — the accumulator under [`MetricSummary`], the windowed
@@ -117,17 +78,6 @@ impl OnlineStats {
         self.sample_variance().sqrt()
     }
 
-    /// Half-width of the 95 % confidence interval on the mean,
-    /// `t₀.₉₇₅,ₙ₋₁ · s / √n` with the Student-t critical value from
-    /// [`t_critical_975`]. Zero below two samples.
-    pub(crate) fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            t_critical_975(self.count - 1) * self.sample_std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
     /// Smallest sample (`None` when empty).
     pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -155,25 +105,13 @@ impl FromIterator<f64> for OnlineStats {
     }
 }
 
-/// Linearly interpolated `q`-quantile of an already-sorted, non-empty
-/// slice.
-fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
-}
-
 /// One metric's cross-run aggregate: sample count, mean, sample
-/// standard deviation, extrema, p50/p95 quantiles and the 95 %
-/// confidence half-width.
+/// standard deviation and extrema.
 ///
 /// Construction sorts the samples by [`f64::total_cmp`] before
 /// folding, so a summary is **bit-identical under any permutation of
 /// its samples** — what makes sweep aggregates invariant to seed-list
-/// order. The quantiles interpolate linearly between order statistics.
-/// With a single sample (`n = 1`) the spread fields are all zero and
+/// order. With a single sample (`n = 1`) σ is zero and
 /// [`MetricSummary::cell`] renders a bare mean: σ of one observation
 /// is undefined, not small.
 ///
@@ -186,7 +124,6 @@ fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
 /// assert_eq!(s.n, 5);
 /// assert_eq!(s.mean, 3.0);
 /// assert_eq!((s.min, s.max), (1.0, 5.0));
-/// assert_eq!((s.p50, s.p95), (3.0, 4.8));
 /// assert_eq!(s.cell(1), "3.0 ± 1.6 (n=5)");
 /// assert_eq!(MetricSummary::from_samples(&[2.5]).cell(2), "2.50 (n=1)");
 /// ```
@@ -202,13 +139,6 @@ pub struct MetricSummary {
     pub min: f64,
     /// Largest sample (zero when empty).
     pub max: f64,
-    /// Median (0.5-quantile, interpolated; zero when empty).
-    pub p50: f64,
-    /// 0.95-quantile (interpolated; zero when empty).
-    pub p95: f64,
-    /// Half-width of the 95 % Student-t confidence interval on the
-    /// mean, `t₀.₉₇₅,ₙ₋₁ · σ / √n`; zero when `n < 2`.
-    pub ci95: f64,
 }
 
 impl MetricSummary {
@@ -225,23 +155,12 @@ impl MetricSummary {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         let stats: OnlineStats = sorted.iter().copied().collect();
-        let (p50, p95) = if sorted.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (
-                quantile_of_sorted(&sorted, 0.5),
-                quantile_of_sorted(&sorted, 0.95),
-            )
-        };
         MetricSummary {
             n: stats.count(),
             mean: stats.mean(),
             std_dev: stats.sample_std_dev(),
             min: stats.min().unwrap_or(0.0),
             max: stats.max().unwrap_or(0.0),
-            p50,
-            p95,
-            ci95: stats.ci95_half_width(),
         }
     }
 
@@ -320,36 +239,13 @@ mod tests {
         let s: OnlineStats = [3.5].into_iter().collect();
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.sample_std_dev(), 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
-        assert!(OnlineStats::new().ci95_half_width() == 0.0);
     }
 
     #[test]
-    fn constant_series_has_zero_ci() {
+    fn constant_series_has_zero_sigma() {
         let s: OnlineStats = std::iter::repeat_n(7.25, 12).collect();
         assert_eq!(s.mean(), 7.25);
         assert_eq!(s.sample_std_dev(), 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
-    }
-
-    #[test]
-    fn t_table_is_monotone_decreasing_toward_the_normal_quantile() {
-        let mut prev = t_critical_975(1);
-        for df in 2..200 {
-            let t = t_critical_975(df);
-            assert!(t < prev, "df {df}: {t} !< {prev}");
-            assert!(t > 1.959, "df {df}: {t}");
-            prev = t;
-        }
-        assert_eq!(t_critical_975(30), 2.042);
-        assert!((t_critical_975(40) - 2.021).abs() < 0.001);
-        assert!((t_critical_975(120) - 1.980).abs() < 0.001);
-    }
-
-    #[test]
-    #[should_panic(expected = "degree of freedom")]
-    fn t_critical_rejects_zero_df() {
-        let _ = t_critical_975(0);
     }
 
     #[test]
@@ -361,7 +257,6 @@ mod tests {
         assert!((s.mean - mean).abs() < 1e-12);
         assert!((s.std_dev - var.sqrt()).abs() < 1e-12);
         assert_eq!((s.min, s.max, s.n), (1.0, 8.0, 5));
-        assert!((s.ci95 - 2.776 * var.sqrt() / 5f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -370,14 +265,9 @@ mod tests {
         let b = MetricSummary::from_samples(&[-7.5, 0.3, 0.1 + 0.2, 1e-9]);
         assert_eq!(a.mean.to_bits(), b.mean.to_bits());
         assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
-        assert_eq!(a.ci95.to_bits(), b.ci95.to_bits());
         assert_eq!(
             (a.min.to_bits(), a.max.to_bits()),
             (b.min.to_bits(), b.max.to_bits())
-        );
-        assert_eq!(
-            (a.p50.to_bits(), a.p95.to_bits()),
-            (b.p50.to_bits(), b.p95.to_bits())
         );
     }
 
@@ -385,7 +275,6 @@ mod tests {
     fn n1_renders_bare_mean_and_zero_spread() {
         let s = MetricSummary::from_samples(&[1.19]);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95, 0.0);
         assert_eq!(s.cell(2), "1.19 (n=1)");
     }
 
@@ -401,21 +290,5 @@ mod tests {
         let s = MetricSummary::from_samples(&[3.0; 6]);
         assert_eq!(s.cell(1), "3.0 ± 0.0 (n=6)");
         assert_eq!(s.min, s.max);
-    }
-
-    #[test]
-    fn summary_quantiles_interpolate() {
-        let s = MetricSummary::from_samples(&[40.0, 10.0, 30.0, 20.0]);
-        assert_eq!(s.p50, 25.0);
-        assert!((s.p95 - 38.5).abs() < 1e-9);
-        // Interpolated: p95 sits between the two largest order stats.
-        let s = MetricSummary::from_samples(&[5.0, 1.0, 9.0, 3.0, 7.0, 2.0]);
-        assert_eq!(s.p50, 4.0);
-        assert!(s.p95 > 7.0 && s.p95 < 9.0);
-        // Degenerate cases: one sample collapses, empty zeroes out.
-        let one = MetricSummary::from_samples(&[4.2]);
-        assert_eq!((one.p50, one.p95), (4.2, 4.2));
-        let none = MetricSummary::from_samples(&[]);
-        assert_eq!((none.p50, none.p95), (0.0, 0.0));
     }
 }

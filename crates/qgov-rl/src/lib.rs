@@ -9,9 +9,7 @@
 //! * [`UniformDiscretizer`] — maps a continuous measurement onto the N
 //!   discrete levels that index the Q-table (the RTM's workload
 //!   dimension is binned by `qgov_core::StateMapper` instead, at
-//!   boundaries on a grid of `max(16N, 64)` steps: N-ths of the range
-//!   for N = 4, 5, 7 and 9, but 21/64 and 43/64 rather than thirds for
-//!   N = 3);
+//!   N-ths of the pre-characterised range);
 //! * [`ExplorationKind`] — the paper's slack-aware discrete Exponential
 //!   Probability Distribution (Eq. 2, `Epd`) and the uniform baseline of
 //!   prior work (`Upd`);

@@ -5,7 +5,7 @@
 //! the paper's per-cluster run-time managers. This module composes those
 //! single-cluster platforms into a [`Topology`] of heterogeneous
 //! clusters ([`ManyCorePlatform`]): each cluster keeps its own core
-//! count, OPP table, V-F domain, power model, sensor, and thermal node,
+//! count, OPP table, V-F domain, power model and thermal node,
 //! and a frame executes on every cluster under a shared period before
 //! all clusters join at the global barrier.
 //!
@@ -24,7 +24,7 @@ pub struct ClusterConfig {
     /// Cluster name ("big", "LITTLE", "mesh3", ...).
     pub name: String,
     /// The cluster's platform: core count, OPP table, V-F domain, power
-    /// model, DVFS costs, sensor, thermal node.
+    /// model, DVFS costs, thermal node.
     pub platform: PlatformConfig,
 }
 
@@ -77,8 +77,8 @@ impl Topology {
     }
 
     /// The ODROID-XU3 board: a "big" Cortex-A15 quad next to a "LITTLE"
-    /// Cortex-A7 quad, each on its own V-F rail with its own sensor and
-    /// thermal node.
+    /// Cortex-A7 quad, each on its own V-F rail with its own thermal
+    /// node.
     #[must_use]
     pub fn odroid_xu3_biglittle() -> Self {
         Topology {
@@ -517,20 +517,12 @@ impl ManyCorePlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SensorConfig;
     use qgov_units::Cycles;
-
-    fn quiet(config: PlatformConfig) -> PlatformConfig {
-        PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..config
-        }
-    }
 
     fn biglittle() -> ManyCorePlatform {
         ManyCorePlatform::new(Topology::new(vec![
-            ClusterConfig::new("big", quiet(PlatformConfig::odroid_xu3_a15())),
-            ClusterConfig::new("LITTLE", quiet(PlatformConfig::odroid_xu3_little())),
+            ClusterConfig::new("big", PlatformConfig::odroid_xu3_a15()),
+            ClusterConfig::new("LITTLE", PlatformConfig::odroid_xu3_little()),
         ]))
         .unwrap()
     }
@@ -561,7 +553,7 @@ mod tests {
 
     #[test]
     fn single_cluster_topology_is_bit_identical_to_the_platform() {
-        let config = quiet(PlatformConfig::odroid_xu3_a15());
+        let config = PlatformConfig::odroid_xu3_a15();
         let mut flat = Platform::new(config.clone()).unwrap();
         let mut chip = ManyCorePlatform::new(Topology::single(config)).unwrap();
 

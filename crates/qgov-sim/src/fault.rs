@@ -1,12 +1,11 @@
-//! Deterministic, seeded fault injection.
+//! Deterministic fault injection.
 //!
-//! Real boards lie: INA231 readings glitch, thermal sensors stick,
-//! DVFS requests get lost between the governor and the regulator, and
-//! cores drop out of the mesh for good. A [`FaultPlan`] describes such
-//! a schedule declaratively; a [`FaultInjector`] replays it as a *pure
-//! function of the plan, a seed, and the epoch index* — no hidden RNG
-//! state — so any faulted run can be reproduced bit-for-bit from
-//! `(plan, seed)` alone.
+//! Real boards lie: thermal sensors stick or spike, PMUs freeze or read
+//! zero, DVFS requests get lost between the governor and the regulator,
+//! and cores drop out of the mesh for good. A [`FaultPlan`] describes
+//! such a schedule declaratively; a [`FaultInjector`] replays it as a
+//! *pure function of the plan and the epoch index* — no RNG at all — so
+//! any faulted run can be reproduced bit-for-bit from the plan alone.
 //!
 //! The injector sits *between* the platform and the governor in the
 //! harness loop:
@@ -30,7 +29,7 @@
 //! is allocation-free.
 
 use crate::platform::{FrameResult, WorkSlice};
-use qgov_units::{Cycles, Energy, Power, Temp};
+use qgov_units::{Cycles, Temp};
 
 /// What one fault does while its window is active.
 ///
@@ -40,21 +39,6 @@ use qgov_units::{Cycles, Energy, Power, Temp};
 /// service.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// The power sensor reports a constant `watts` regardless of the
-    /// true dissipation.
-    PowerStuck {
-        /// The stuck reading, in watts.
-        watts: f64,
-    },
-    /// Multiplicative noise on the power reading: the reported value is
-    /// scaled by `1 + fraction · u` with `u ∈ [-1, 1)` drawn
-    /// deterministically from the injector seed and epoch.
-    PowerNoise {
-        /// Peak relative perturbation (e.g. `0.5` for ±50 %).
-        fraction: f64,
-    },
-    /// The power sensor returns zero (reading dropped on the wire).
-    PowerDropped,
     /// The thermal sensor sticks at a constant `celsius`.
     TempStuck {
         /// The stuck reading, in °C.
@@ -210,7 +194,6 @@ pub enum Actuation {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     faults: Vec<Fault>,
-    seed: u64,
     /// Per-cluster core counts (fixed at construction).
     cores: Vec<usize>,
     /// Per-cluster dead-core bitmask, refreshed by [`begin_epoch`].
@@ -226,13 +209,17 @@ impl FaultInjector {
     /// Builds an injector for a chip with the given per-cluster core
     /// counts.
     ///
+    /// The seed is ignored: every fault kind is a pure function of the
+    /// plan and the epoch. The parameter stays so that existing callers
+    /// keep compiling; pass 0.
+    ///
     /// # Panics
     ///
     /// Panics if any fault names a cluster outside the topology, a
     /// [`FaultKind::CoreDrop`] names a core outside its cluster, or a
     /// cluster has more than 64 cores (the dead mask is a `u64`).
     #[must_use]
-    pub fn new(plan: &FaultPlan, seed: u64, cluster_cores: &[usize]) -> Self {
+    pub fn new(plan: &FaultPlan, _seed: u64, cluster_cores: &[usize]) -> Self {
         assert!(
             cluster_cores.iter().all(|&c| c <= 64),
             "dead-core masks support at most 64 cores per cluster"
@@ -255,7 +242,6 @@ impl FaultInjector {
         }
         FaultInjector {
             faults: plan.faults().to_vec(),
-            seed,
             cores: cluster_cores.to_vec(),
             dead: vec![0; cluster_cores.len()],
             latched: vec![None; cluster_cores.len()],
@@ -271,8 +257,8 @@ impl FaultInjector {
     ///
     /// Same conditions as [`FaultInjector::new`].
     #[must_use]
-    pub fn single(plan: &FaultPlan, seed: u64, cores: usize) -> Self {
-        Self::new(plan, seed, &[cores])
+    pub fn single(plan: &FaultPlan, cores: usize) -> Self {
+        Self::new(plan, 0, &[cores])
     }
 
     /// `true` if the plan schedules nothing (every method is a no-op).
@@ -357,25 +343,11 @@ impl FaultInjector {
     /// own state (and the truth-side report) is never touched — pass a
     /// *copy* of the true [`FrameResult`].
     pub fn perturb_sensing(&self, epoch: u64, cluster: usize, sensed: &mut FrameResult) {
-        for (index, fault) in self.faults.iter().enumerate() {
+        for fault in &self.faults {
             if !fault.active_at(epoch, cluster) {
                 continue;
             }
             match fault.kind {
-                FaultKind::PowerStuck { watts } => {
-                    sensed.measured_power = Power::from_watts(watts);
-                    sensed.measured_energy = sensed.measured_power * sensed.wall_time;
-                }
-                FaultKind::PowerNoise { fraction } => {
-                    let u = self.unit_draw(epoch, cluster, index);
-                    let scale = 1.0 + fraction * u;
-                    sensed.measured_power = sensed.measured_power * scale;
-                    sensed.measured_energy = sensed.measured_power * sensed.wall_time;
-                }
-                FaultKind::PowerDropped => {
-                    sensed.measured_power = Power::ZERO;
-                    sensed.measured_energy = Energy::ZERO;
-                }
                 FaultKind::TempStuck { celsius } => {
                     sensed.temperature = Temp::from_celsius(celsius);
                 }
@@ -433,21 +405,6 @@ impl FaultInjector {
     pub fn take_latched(&mut self, cluster: usize) -> Option<usize> {
         self.latched[cluster].take()
     }
-
-    /// A deterministic draw in `[-1, 1)`, a pure function of the
-    /// injector seed, epoch, cluster, and fault index (splitmix64).
-    fn unit_draw(&self, epoch: u64, cluster: usize, index: usize) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_add(epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((cluster as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add((index as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // 53 random mantissa bits → [0, 1) → [-1, 1).
-        ((z >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -459,15 +416,13 @@ mod tests {
         let mut f = FrameResult::empty();
         f.wall_time = SimTime::from_ms(40);
         f.per_core_cycles = vec![Cycles::from_mcycles(10); 4];
-        f.measured_power = Power::from_watts(2.0);
-        f.measured_energy = f.measured_power * f.wall_time;
         f.temperature = Temp::from_celsius(50.0);
         f
     }
 
     #[test]
     fn empty_plan_is_a_no_op() {
-        let mut inj = FaultInjector::single(&FaultPlan::none(), 42, 4);
+        let mut inj = FaultInjector::single(&FaultPlan::none(), 4);
         assert!(inj.is_empty());
         inj.begin_epoch(7);
         let mut sensed = frame();
@@ -483,52 +438,22 @@ mod tests {
 
     #[test]
     fn windows_bound_sensor_faults() {
-        let plan = FaultPlan::none().with(Fault::window(FaultKind::PowerDropped, 0, 10, 20));
-        let inj = FaultInjector::single(&plan, 1, 4);
+        let plan = FaultPlan::none().with(Fault::window(FaultKind::PmuDropped, 0, 10, 20));
+        let inj = FaultInjector::single(&plan, 4);
         let mut sensed = frame();
         inj.perturb_sensing(9, 0, &mut sensed);
-        assert!(sensed.measured_power.as_watts() > 0.0);
+        assert!(sensed.total_cycles() > Cycles::ZERO);
         inj.perturb_sensing(10, 0, &mut sensed);
-        assert_eq!(sensed.measured_power, Power::ZERO);
+        assert_eq!(sensed.total_cycles(), Cycles::ZERO);
         let mut sensed = frame();
         inj.perturb_sensing(20, 0, &mut sensed);
-        assert!(sensed.measured_power.as_watts() > 0.0);
-    }
-
-    #[test]
-    fn power_noise_is_deterministic_and_bounded() {
-        let plan = FaultPlan::none().with(Fault::permanent(
-            FaultKind::PowerNoise { fraction: 0.5 },
-            0,
-            0,
-        ));
-        let a = FaultInjector::single(&plan, 99, 4);
-        let b = FaultInjector::single(&plan, 99, 4);
-        for epoch in 0..50 {
-            let mut fa = frame();
-            let mut fb = frame();
-            a.perturb_sensing(epoch, 0, &mut fa);
-            b.perturb_sensing(epoch, 0, &mut fb);
-            assert_eq!(fa.measured_power.as_watts(), fb.measured_power.as_watts());
-            let w = fa.measured_power.as_watts();
-            assert!((1.0..=3.0).contains(&w), "noisy reading {w} out of range");
-        }
-        // A different seed perturbs differently somewhere.
-        let c = FaultInjector::single(&plan, 100, 4);
-        let differs = (0..50).any(|epoch| {
-            let mut fa = frame();
-            let mut fc = frame();
-            a.perturb_sensing(epoch, 0, &mut fa);
-            c.perturb_sensing(epoch, 0, &mut fc);
-            fa.measured_power != fc.measured_power
-        });
-        assert!(differs);
+        assert!(sensed.total_cycles() > Cycles::ZERO);
     }
 
     #[test]
     fn core_drop_is_permanent_and_redistributes_work() {
         let plan = FaultPlan::none().with(Fault::window(FaultKind::CoreDrop { core: 1 }, 0, 5, 6));
-        let mut inj = FaultInjector::single(&plan, 3, 4);
+        let mut inj = FaultInjector::single(&plan, 4);
         inj.begin_epoch(4);
         assert_eq!(inj.dead_core_count(0), 0);
         inj.begin_epoch(5);
@@ -553,7 +478,7 @@ mod tests {
         for core in 0..4 {
             plan.push(Fault::permanent(FaultKind::CoreDrop { core }, 0, 0));
         }
-        let mut inj = FaultInjector::single(&plan, 3, 4);
+        let mut inj = FaultInjector::single(&plan, 4);
         inj.begin_epoch(0);
         assert!(inj.cluster_dead(0));
         let mut work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(9)); 4];
@@ -571,7 +496,7 @@ mod tests {
                 15,
                 30,
             ));
-        let mut inj = FaultInjector::single(&plan, 0, 4);
+        let mut inj = FaultInjector::single(&plan, 4);
         assert_eq!(inj.actuation(5, 0), Actuation::Honest);
         assert_eq!(inj.actuation(10, 0), Actuation::Ignored);
         assert_eq!(inj.actuation(17, 0), Actuation::Ignored); // first wins
@@ -593,7 +518,7 @@ mod tests {
                 0,
             ))
             .with(Fault::permanent(FaultKind::PmuStuck { cycles: 1234 }, 0, 0));
-        let inj = FaultInjector::single(&plan, 0, 4);
+        let inj = FaultInjector::single(&plan, 4);
         let mut sensed = frame();
         inj.perturb_sensing(0, 0, &mut sensed);
         assert_eq!(sensed.temperature.as_celsius(), 42.0);
@@ -604,6 +529,6 @@ mod tests {
     #[should_panic(expected = "core drop targets core 9")]
     fn out_of_range_core_drop_is_rejected() {
         let plan = FaultPlan::none().with(Fault::permanent(FaultKind::CoreDrop { core: 9 }, 0, 0));
-        let _ = FaultInjector::single(&plan, 0, 4);
+        let _ = FaultInjector::single(&plan, 4);
     }
 }

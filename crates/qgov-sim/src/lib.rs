@@ -1,12 +1,14 @@
 //! Deterministic many-core platform simulator.
 //!
 //! This crate stands in for the ODROID-XU3 board the paper evaluates on
-//! (four ARM Cortex-A15 cores, 19 V-F operating points, on-board INA231
-//! power sensors, per-core performance monitoring units). A run-time
-//! manager only ever *observes* cycle counts, execution times, and power
-//! readings, and *actuates* operating-point changes — so a simulator
-//! exposing the same observation/actuation surface with realistic
-//! magnitudes exercises the full governor code path.
+//! (four ARM Cortex-A15 cores, 19 V-F operating points, per-core
+//! performance monitoring units). A run-time manager only ever
+//! *observes* cycle counts, execution times and temperature, and
+//! *actuates* operating-point changes — so a simulator exposing the same
+//! observation/actuation surface with realistic magnitudes exercises the
+//! full governor code path. Energy is the model's ground truth: the
+//! board's INA231 power sensors served only the paper's evaluation, and
+//! the simulator counts the energy itself.
 //!
 //! The pieces:
 //!
@@ -15,8 +17,6 @@
 //! * [`CmosPowerModel`] — dynamic `C·V²·f` switching power plus
 //!   temperature-dependent leakage, calibrated against published XU3
 //!   A15 measurements;
-//! * [`PowerSensor`] — quantised, optionally noisy power readings, as
-//!   delivered by the board's INA231 sensors;
 //! * [`ThermalModel`] — a lumped RC thermal network;
 //! * [`VfController`] — applies OPP changes with realistic transition
 //!   latency (voltage-regulator slew + PLL relock);
@@ -55,7 +55,6 @@ mod fault;
 mod opp;
 mod platform;
 mod power;
-mod sensor;
 mod thermal;
 
 pub use cluster::{ClusterConfig, ManyCoreFrameResult, ManyCorePlatform, Topology};
@@ -65,5 +64,4 @@ pub use fault::{Actuation, Fault, FaultInjector, FaultKind, FaultPlan};
 pub use opp::{Opp, OppTable};
 pub use platform::{FrameResult, Platform, PlatformConfig, WorkSlice};
 pub use power::{CmosPowerModel, PowerBreakdown};
-pub use sensor::{PowerSensor, SensorConfig};
 pub use thermal::{ThermalConfig, ThermalModel};

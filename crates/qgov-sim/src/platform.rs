@@ -1,10 +1,10 @@
-//! The frame-synchronous platform: cores + DVFS + power + sensors +
-//! thermal, driven one decision epoch at a time.
+//! The frame-synchronous platform: cores + DVFS + power + thermal,
+//! driven one decision epoch at a time.
 
 use crate::power::OppPower;
 use crate::{
-    CmosPowerModel, DvfsConfig, OppTable, PowerSensor, SensorConfig, SimError, ThermalConfig,
-    ThermalModel, VfController, VfDomain,
+    CmosPowerModel, DvfsConfig, OppTable, SimError, ThermalConfig, ThermalModel, VfController,
+    VfDomain,
 };
 use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
 
@@ -78,16 +78,13 @@ pub struct PlatformConfig {
     pub power_model: CmosPowerModel,
     /// V-F transition costs.
     pub dvfs: DvfsConfig,
-    /// Power-sensor characteristics.
-    pub sensor: SensorConfig,
     /// Thermal network parameters.
     pub thermal: ThermalConfig,
 }
 
 impl PlatformConfig {
     /// The paper's platform: the ODROID-XU3 A15 cluster — four cores,
-    /// 19 operating points on a shared V-F rail, INA231 sensing,
-    /// passive cooling.
+    /// 19 operating points on a shared V-F rail, passive cooling.
     #[must_use]
     pub fn odroid_xu3_a15() -> Self {
         PlatformConfig {
@@ -96,14 +93,13 @@ impl PlatformConfig {
             vf_domain: VfDomain::PerCluster,
             power_model: CmosPowerModel::a15(),
             dvfs: DvfsConfig::typical(),
-            sensor: SensorConfig::ina231(0xA15),
             thermal: ThermalConfig::odroid_xu3(),
         }
     }
 
     /// The ODROID-XU3's companion cluster: four Cortex-A7 LITTLE cores,
-    /// 13 operating points (200–1400 MHz) on a shared V-F rail, INA231
-    /// sensing, the same passive cooling as the big cluster.
+    /// 13 operating points (200–1400 MHz) on a shared V-F rail, the
+    /// same passive cooling as the big cluster.
     ///
     /// Together with [`odroid_xu3_a15`](PlatformConfig::odroid_xu3_a15)
     /// this completes the board's big.LITTLE pair (see
@@ -133,7 +129,6 @@ impl PlatformConfig {
             vf_domain: VfDomain::PerCluster,
             power_model: CmosPowerModel::a7(),
             dvfs: DvfsConfig::typical(),
-            sensor: SensorConfig::ina231(0xA7),
             thermal: ThermalConfig::odroid_xu3(),
         }
     }
@@ -179,12 +174,6 @@ pub struct FrameResult {
     pub per_core_cycles: Vec<Cycles>,
     /// Ground-truth energy dissipated over `wall_time`.
     pub energy: Energy,
-    /// Ground-truth average power over `wall_time`.
-    pub avg_power: Power,
-    /// The on-board sensor's (quantised, noisy) power reading.
-    pub measured_power: Power,
-    /// Energy as the paper computes it: sensor power × wall time.
-    pub measured_energy: Energy,
     /// Die temperature at frame end.
     pub temperature: Temp,
     /// Cluster OPP index the frame ran at.
@@ -206,9 +195,6 @@ impl FrameResult {
             per_core_busy: Vec::new(),
             per_core_cycles: Vec::new(),
             energy: Energy::ZERO,
-            avg_power: Power::ZERO,
-            measured_power: Power::ZERO,
-            measured_energy: Energy::ZERO,
             temperature: Temp::default(),
             cluster_opp: 0,
         }
@@ -230,9 +216,6 @@ impl FrameResult {
         self.per_core_cycles
             .extend_from_slice(&other.per_core_cycles);
         self.energy = other.energy;
-        self.avg_power = other.avg_power;
-        self.measured_power = other.measured_power;
-        self.measured_energy = other.measured_energy;
         self.temperature = other.temperature;
         self.cluster_opp = other.cluster_opp;
     }
@@ -280,7 +263,6 @@ pub struct Platform {
     opp_power: Vec<OppPower>,
     vf: VfController,
     cores: usize,
-    sensor: PowerSensor,
     thermal: ThermalModel,
     now: SimTime,
     pending_overhead: SimTime,
@@ -312,7 +294,6 @@ impl Platform {
             opp_power,
             vf,
             cores: config.cores,
-            sensor: PowerSensor::new(config.sensor),
             thermal: ThermalModel::new(config.thermal),
             now: SimTime::ZERO,
             pending_overhead: SimTime::ZERO,
@@ -538,10 +519,6 @@ impl Platform {
             * wall_time;
 
         let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
-        self.sensor.integrate(avg_power, wall_time);
-        let measured_power = self.sensor.read_frame_average();
-        let measured_energy = measured_power * wall_time;
-
         let temperature = self.thermal.step(avg_power, wall_time);
         self.now += wall_time;
         self.frames += 1;
@@ -552,9 +529,6 @@ impl Platform {
         out.period = period;
         out.overhead = overhead;
         out.energy = energy;
-        out.avg_power = avg_power;
-        out.measured_power = measured_power;
-        out.measured_energy = measured_energy;
         out.temperature = temperature;
         out.cluster_opp = cluster_opp_idx;
         Ok(())
@@ -568,7 +542,6 @@ mod tests {
 
     fn quiet_platform() -> Platform {
         let config = PlatformConfig {
-            sensor: SensorConfig::ideal(),
             dvfs: DvfsConfig::free(),
             ..PlatformConfig::odroid_xu3_a15()
         };
@@ -683,28 +656,12 @@ mod tests {
 
     #[test]
     fn dvfs_transition_cost_appears_as_overhead() {
-        let config = PlatformConfig {
-            sensor: SensorConfig::ideal(),
-            ..PlatformConfig::odroid_xu3_a15()
-        };
-        let mut p = Platform::new(config).unwrap();
+        let mut p = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         p.set_cluster_opp(18); // big swing from boot OPP 0
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(2)); 4];
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
         assert!(!r.overhead.is_zero(), "transition latency must be charged");
         assert_eq!(p.vf().transitions(), 1);
-    }
-
-    #[test]
-    fn energy_measured_matches_truth_with_ideal_sensor() {
-        let mut p = quiet_platform();
-        p.set_cluster_opp(10);
-        let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(15)); 4];
-        let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-        assert!(
-            (r.measured_energy.as_joules() - r.energy.as_joules()).abs()
-                < 1e-9 * r.energy.as_joules().max(1.0)
-        );
     }
 
     #[test]
@@ -801,7 +758,6 @@ mod tests {
     fn per_core_domain_lets_cores_run_at_different_speeds() {
         let config = PlatformConfig {
             vf_domain: VfDomain::PerCore,
-            sensor: SensorConfig::ideal(),
             dvfs: DvfsConfig::free(),
             ..PlatformConfig::odroid_xu3_a15()
         };
@@ -868,8 +824,8 @@ mod tests {
     }
 
     /// Runs `frames` through a platform and through the reference loop
-    /// side by side, comparing energy, average power and temperature
-    /// bit for bit on every frame.
+    /// side by side, comparing energy and temperature bit for bit on
+    /// every frame.
     fn check_against_reference(config: PlatformConfig, frames: &[FrameInput]) {
         let model = config.power_model.clone();
         let table = config.opp_table.clone();
@@ -925,11 +881,6 @@ mod tests {
                 "energy, frame {i}: {} vs {}",
                 out.energy,
                 energy
-            );
-            assert_eq!(
-                out.avg_power.as_watts().to_bits(),
-                avg_power.to_bits(),
-                "average power, frame {i}"
             );
             assert_eq!(
                 out.temperature.as_celsius().to_bits(),

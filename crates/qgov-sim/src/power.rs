@@ -39,20 +39,16 @@ impl PowerBreakdown {
 /// # Examples
 ///
 /// ```
-/// use qgov_sim::{Platform, PlatformConfig, SensorConfig, WorkSlice};
+/// use qgov_sim::{Platform, PlatformConfig, WorkSlice};
 /// use qgov_units::{Cycles, SimTime};
 ///
 /// // A fully busy quad A15 at the lowest and at the highest OPP.
 /// let avg_power_at = |opp: usize| {
-///     let mut platform = Platform::new(PlatformConfig {
-///         sensor: SensorConfig::ideal(),
-///         ..PlatformConfig::odroid_xu3_a15()
-///     })
-///     .unwrap();
+///     let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
 ///     platform.set_cluster_opp(opp);
 ///     let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(100)); 4];
 ///     let frame = platform.run_frame(&work, SimTime::from_ms(10)).unwrap();
-///     frame.avg_power.as_watts()
+///     frame.energy.as_joules() / frame.wall_time.as_secs_f64()
 /// };
 /// // An order of magnitude or more between the extremes.
 /// assert!(avg_power_at(18) > 8.0 * avg_power_at(0));

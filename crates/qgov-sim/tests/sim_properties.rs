@@ -2,12 +2,11 @@
 //! that must hold for arbitrary workloads and operating points.
 
 use proptest::prelude::*;
-use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, VfDomain, WorkSlice};
+use qgov_sim::{DvfsConfig, Platform, PlatformConfig, VfDomain, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 
 fn platform() -> Platform {
     Platform::new(PlatformConfig {
-        sensor: SensorConfig::ideal(),
         dvfs: DvfsConfig::free(),
         ..PlatformConfig::odroid_xu3_a15()
     })
@@ -101,8 +100,7 @@ proptest! {
             for &opp in &opps {
                 p.set_cluster_opp(opp);
                 let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-                log.push((r.frame_time, r.energy.as_joules().to_bits(),
-                          r.measured_power.as_watts().to_bits()));
+                log.push((r.frame_time, r.energy.as_joules().to_bits()));
             }
             log
         };
@@ -137,7 +135,6 @@ proptest! {
         let make = |boost: bool| {
             let mut p = Platform::new(PlatformConfig {
                 vf_domain: VfDomain::PerCore,
-                sensor: SensorConfig::ideal(),
                 dvfs: DvfsConfig::free(),
                 ..PlatformConfig::odroid_xu3_a15()
             })

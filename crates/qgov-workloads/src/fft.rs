@@ -1,131 +1,16 @@
-//! A real radix-2 FFT kernel and the workload model built on it.
+//! The FFT streaming workload model.
 //!
 //! The paper's FFT application "exhibits less workload variations
-//! resulting in faster learning by the algorithm" (Section III-C). To
-//! ground that workload in real computation rather than a synthetic
-//! constant, this module implements an actual iterative radix-2
-//! Cooley–Tukey FFT; the *counted butterfly operations* of the kernel
-//! drive the cycle demands of [`FftModel`].
+//! resulting in faster learning by the algorithm" (Section III-C). The
+//! cycle demand of [`FftModel`] follows the structure of an iterative
+//! radix-2 Cooley–Tukey FFT: an `N`-point transform performs exactly
+//! `N/2 · log₂N` butterfly operations.
 
 use crate::process::gaussian;
 use crate::{Application, FrameDemand, WorkloadError};
 use qgov_units::{Cycles, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// A bare-bones complex number for the FFT kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Complex {
-    /// Real part.
-    pub re: f64,
-    /// Imaginary part.
-    pub im: f64,
-}
-
-impl Complex {
-    /// Creates a complex number.
-    #[must_use]
-    pub const fn new(re: f64, im: f64) -> Self {
-        Complex { re, im }
-    }
-
-    /// The additive identity.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-
-    /// Complex magnitude.
-    #[must_use]
-    pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
-    }
-
-    fn mul(self, other: Complex) -> Complex {
-        Complex {
-            re: self.re * other.re - self.im * other.im,
-            im: self.re * other.im + self.im * other.re,
-        }
-    }
-
-    fn add(self, other: Complex) -> Complex {
-        Complex {
-            re: self.re + other.re,
-            im: self.im + other.im,
-        }
-    }
-
-    fn sub(self, other: Complex) -> Complex {
-        Complex {
-            re: self.re - other.re,
-            im: self.im - other.im,
-        }
-    }
-}
-
-/// In-place iterative radix-2 Cooley–Tukey FFT.
-///
-/// Returns the number of butterfly operations performed
-/// (`N/2 · log₂N`), which [`FftModel`] converts to cycle demands.
-///
-/// # Panics
-///
-/// Panics if the buffer length is not a power of two or is empty.
-///
-/// # Examples
-///
-/// ```
-/// use qgov_workloads::{fft_radix2, Complex};
-///
-/// // The FFT of an impulse is flat.
-/// let mut data = vec![Complex::ZERO; 8];
-/// data[0] = Complex::new(1.0, 0.0);
-/// let butterflies = fft_radix2(&mut data);
-/// assert_eq!(butterflies, 12); // 8/2 * log2(8)
-/// for bin in &data {
-///     assert!((bin.abs() - 1.0).abs() < 1e-12);
-/// }
-/// ```
-pub fn fft_radix2(data: &mut [Complex]) -> u64 {
-    let n = data.len();
-    assert!(
-        n > 0 && n.is_power_of_two(),
-        "FFT length must be a power of two"
-    );
-    if n == 1 {
-        return 0;
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u64).reverse_bits() >> (64 - bits) as u64;
-        let j = j as usize;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-
-    // Butterfly stages.
-    let mut butterflies = 0u64;
-    let mut len = 2;
-    while len <= n {
-        let ang = -std::f64::consts::TAU / len as f64;
-        let wlen = Complex::new(ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2].mul(w);
-                data[i + k] = u.add(v);
-                data[i + k + len / 2] = u.sub(v);
-                w = w.mul(wlen);
-                butterflies += 1;
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-    butterflies
-}
 
 /// An FFT streaming workload: each frame transforms one buffer of
 /// samples, split across worker threads.
@@ -160,16 +45,14 @@ pub struct FftModel {
 }
 
 impl FftModel {
-    /// Creates an FFT workload transforming `fft_size`-point buffers.
-    ///
-    /// The butterfly count is obtained by *running the kernel once* on a
-    /// deterministic input, not from the closed-form formula, so the
-    /// model stays truthful to the implementation.
+    /// Creates an FFT workload transforming `fft_size`-point buffers of
+    /// `fft_size/2 · log₂(fft_size)` butterflies each.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidConfig`] if `fft_size` is not a
-    /// power of two, or any count/rate is zero.
+    /// power of two, its butterfly count overflows `u64`, or any
+    /// count/rate is zero.
     #[allow(clippy::too_many_arguments)] // mirrors the preset's full parameter surface
     pub fn new(
         name: impl Into<String>,
@@ -188,6 +71,13 @@ impl FftModel {
                 "FFT size must be a power of two >= 2, got {fft_size}"
             ));
         }
+        let Some(butterflies) =
+            (fft_size as u64 / 2).checked_mul(u64::from(fft_size.trailing_zeros()))
+        else {
+            return fail(format!(
+                "an FFT of size {fft_size} has more butterflies than a u64 counts"
+            ));
+        };
         if !(cycles_per_butterfly.is_finite() && cycles_per_butterfly > 0.0) {
             return fail("cycles per butterfly must be positive".into());
         }
@@ -201,25 +91,10 @@ impl FftModel {
             return fail("frames and threads must be non-zero".into());
         }
 
-        // Measure the kernel once (on a small congruent buffer if the
-        // requested size is large, then scale exactly: butterflies are
-        // exactly N/2*log2(N), verified in tests).
-        let measured = {
-            let probe_n = fft_size.min(1 << 12);
-            let mut buf: Vec<Complex> = (0..probe_n)
-                .map(|i| Complex::new((i % 7) as f64, (i % 3) as f64))
-                .collect();
-            let measured_probe = fft_radix2(&mut buf);
-            // Scale to the requested size via the exact structure of the
-            // algorithm: butterflies(n) = n/2 * log2(n).
-            let scale = |n: usize| (n as u64 / 2) * u64::from(n.trailing_zeros());
-            measured_probe * scale(fft_size) / scale(probe_n)
-        };
-
         Ok(FftModel {
             name: name.into(),
             fft_size,
-            butterflies: measured,
+            butterflies,
             cycles_per_butterfly,
             jitter_cv,
             fps,
@@ -257,7 +132,7 @@ impl FftModel {
         self.fft_size
     }
 
-    /// Butterflies per transform, as measured from the kernel.
+    /// Butterflies per transform: `fft_size/2 · log₂(fft_size)`.
     #[must_use]
     pub fn butterflies(&self) -> u64 {
         self.butterflies
@@ -297,67 +172,22 @@ impl Application for FftModel {
 mod tests {
     use super::*;
 
-    /// Naive O(n²) DFT for validating the FFT kernel.
-    fn dft(data: &[Complex]) -> Vec<Complex> {
-        let n = data.len();
-        (0..n)
-            .map(|k| {
-                let mut acc = Complex::ZERO;
-                for (t, &x) in data.iter().enumerate() {
-                    let ang = -std::f64::consts::TAU * (k * t) as f64 / n as f64;
-                    acc = acc.add(x.mul(Complex::new(ang.cos(), ang.sin())));
-                }
-                acc
-            })
-            .collect()
-    }
-
     #[test]
-    fn fft_matches_naive_dft() {
-        for n in [2usize, 4, 8, 16, 32] {
-            let data: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-                .collect();
-            let expect = dft(&data);
-            let mut got = data.clone();
-            fft_radix2(&mut got);
-            for (g, e) in got.iter().zip(&expect) {
-                assert!(
-                    (g.re - e.re).abs() < 1e-9 && (g.im - e.im).abs() < 1e-9,
-                    "FFT mismatch at n = {n}"
-                );
+    fn butterflies_follow_the_closed_form_or_the_size_is_rejected() {
+        for bits in 1..usize::BITS {
+            let n = 1usize << bits;
+            let expect = u128::from(n as u64 / 2) * u128::from(bits);
+            match FftModel::new("x", n, 12.0, 0.0, 30.0, 10, 4, SimTime::ZERO, 0) {
+                Ok(app) => assert_eq!(u128::from(app.butterflies()), expect, "n = 2^{bits}"),
+                Err(WorkloadError::InvalidConfig { .. }) => {
+                    assert!(
+                        expect > u128::from(u64::MAX),
+                        "n = 2^{bits} wrongly rejected"
+                    );
+                }
+                Err(e) => panic!("n = 2^{bits}: unexpected error {e}"),
             }
         }
-    }
-
-    #[test]
-    fn fft_butterfly_count_is_exact() {
-        for bits in 1..=10u32 {
-            let n = 1usize << bits;
-            let mut data = vec![Complex::new(1.0, 0.0); n];
-            let count = fft_radix2(&mut data);
-            assert_eq!(count, (n as u64 / 2) * u64::from(bits));
-        }
-    }
-
-    #[test]
-    fn fft_parseval_energy_is_conserved() {
-        let n = 64;
-        let data: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64).sin(), 0.0))
-            .collect();
-        let time_energy: f64 = data.iter().map(|c| c.abs() * c.abs()).sum();
-        let mut freq = data.clone();
-        fft_radix2(&mut freq);
-        let freq_energy: f64 = freq.iter().map(|c| c.abs() * c.abs()).sum::<f64>() / n as f64;
-        assert!((time_energy - freq_energy).abs() < 1e-9 * time_energy);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_panics() {
-        let mut data = vec![Complex::ZERO; 6];
-        let _ = fft_radix2(&mut data);
     }
 
     #[test]

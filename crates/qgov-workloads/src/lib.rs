@@ -15,7 +15,7 @@
 //!   frame classes, AR(1) motion intensity and random or scripted scene
 //!   changes (presets: [`VideoDecoderModel::mpeg4_svga_24fps`],
 //!   [`VideoDecoderModel::h264_football_15fps`], ...);
-//! * [`FftModel`] — a *real* radix-2 FFT kernel whose counted butterfly
+//! * [`FftModel`] — radix-2 FFT frames whose `N/2 · log₂N` butterfly
 //!   operations drive the cycle demands (near-constant workload, as the
 //!   paper observes);
 //! * [`SyntheticWorkload`] — constant/ramp/square/sine + noise patterns
@@ -80,7 +80,7 @@ mod video;
 
 pub use app::Application;
 pub use error::WorkloadError;
-pub use fft::{fft_radix2, Complex, FftModel};
+pub use fft::FftModel;
 pub use frame::{FrameDemand, ThreadDemand};
 pub use process::Ar1Process;
 pub use shard::{ScratchDir, ShardWriter, ShardedTrace, TraceShard};

@@ -9,7 +9,7 @@ use qgov::prelude::*;
 
 fn main() {
     // 1. The platform of the paper: four ARM A15 cores with 19 V-F
-    //    operating points (200 MHz – 2 GHz), INA231-style power sensing.
+    //    operating points (200 MHz – 2 GHz) on one shared rail.
     let platform_config = PlatformConfig::odroid_xu3_a15();
 
     // 2. A workload: H.264 decode of a football sequence, 600 frames at

@@ -41,7 +41,7 @@
 //! |---|---|
 //! | [`units`] | `Freq`, `Volt`, `Power`, `Energy`, `SimTime`, `Cycles`, `Temp` newtypes |
 //! | [`rl`] | Q-table, EWMA predictor, discretisers, EPD/UPD exploration, slack reward, agent |
-//! | [`sim`] | OPP tables, CMOS power model, sensors, DVFS, thermal RC, platform, fault injection |
+//! | [`sim`] | OPP tables, CMOS power model, DVFS, thermal RC, platform, fault injection |
 //! | [`workloads`] | video / FFT / synthetic workloads, traces, demand splitting |
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
 //! | [`core`] | the paper's RTM: `RtmGovernor` + `RtmConfig` |
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use qgov_sim::{
         Actuation, ClusterConfig, DvfsConfig, Fault, FaultInjector, FaultKind, FaultPlan,
         FrameResult, ManyCoreFrameResult, ManyCorePlatform, Opp, OppTable, Platform,
-        PlatformConfig, SensorConfig, ThermalConfig, Topology, VfDomain, WorkSlice,
+        PlatformConfig, ThermalConfig, Topology, VfDomain, WorkSlice,
     };
     pub use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp, Volt};
     pub use qgov_workloads::{

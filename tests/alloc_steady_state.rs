@@ -123,11 +123,7 @@ fn steady_state_decision_epoch_is_allocation_free() {
     )
     .with_noise(0.1);
 
-    let mut platform = Platform::new(PlatformConfig {
-        sensor: SensorConfig::ideal(),
-        ..PlatformConfig::odroid_xu3_a15()
-    })
-    .expect("valid platform");
+    let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).expect("valid platform");
     let cores = platform.cores();
 
     // Offline bounds and a bounded history ring: the long-horizon
@@ -233,13 +229,7 @@ fn steady_state_decision_epoch_is_allocation_free() {
             5,
         )
         .with_noise(0.1);
-        let topology = Topology::homogeneous_mesh(
-            CLUSTERS,
-            PlatformConfig {
-                sensor: SensorConfig::ideal(),
-                ..PlatformConfig::odroid_xu3_a15()
-            },
-        );
+        let topology = Topology::homogeneous_mesh(CLUSTERS, PlatformConfig::odroid_xu3_a15());
         let shares = [1.0 / CLUSTERS as f64; CLUSTERS];
         let mut monitors = standard_pack("rtm", &PackConfig::paper());
         let before = allocation_count();
@@ -301,7 +291,6 @@ fn steady_state_decision_epoch_is_allocation_free() {
             frames,
             &shares,
             &plan,
-            7,
             &mut monitors,
         );
         let allocated = allocation_count() - before;

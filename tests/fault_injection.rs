@@ -74,7 +74,6 @@ proptest! {
     #[test]
     fn empty_plan_is_bit_identical_on_flat_harness(
         app in arbitrary_workload(),
-        fault_seed in 0u64..1_000_000,
         family in 0usize..3,
     ) {
         let mut probe = app.clone();
@@ -97,7 +96,6 @@ proptest! {
             PlatformConfig::odroid_xu3_a15(),
             frames,
             &FaultPlan::none(),
-            fault_seed,
         );
 
         prop_assert_eq!(flat_fingerprint(&plain), flat_fingerprint(&faulted));
@@ -106,7 +104,6 @@ proptest! {
     #[test]
     fn empty_plan_is_bit_identical_on_manycore_harness(
         app in arbitrary_workload(),
-        fault_seed in 0u64..1_000_000,
         family in 0usize..3,
     ) {
         let mut probe = app.clone();
@@ -161,7 +158,6 @@ proptest! {
             frames,
             &shares,
             &FaultPlan::none(),
-            fault_seed,
         );
 
         prop_assert_eq!(manycore_fingerprint(&plain), manycore_fingerprint(&faulted));
@@ -196,7 +192,6 @@ proptest! {
             PlatformConfig::odroid_xu3_a15(),
             frames,
             &plan,
-            99,
         );
         prop_assert_ne!(flat_fingerprint(&plain), flat_fingerprint(&faulted));
     }

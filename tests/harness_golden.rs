@@ -65,13 +65,6 @@ fn reference_run(
     (report, platform.total_energy().as_joules().to_bits())
 }
 
-fn quiet_config() -> PlatformConfig {
-    PlatformConfig {
-        sensor: SensorConfig::ideal(),
-        ..PlatformConfig::odroid_xu3_a15()
-    }
-}
-
 fn apply(platform: &mut Platform, decision: &VfDecision) {
     match decision {
         VfDecision::NoChange => {}
@@ -94,8 +87,9 @@ fn noisy_app(frames: u64) -> SyntheticWorkload {
 fn assert_bit_identical(gov_a: &mut dyn Governor, gov_b: &mut dyn Governor, frames: u64) {
     let mut app_a = noisy_app(frames);
     let mut app_b = noisy_app(frames);
-    let (reference, ref_energy_bits) = reference_run(gov_a, &mut app_a, quiet_config(), frames);
-    let outcome = run_experiment(gov_b, &mut app_b, quiet_config(), frames);
+    let (reference, ref_energy_bits) =
+        reference_run(gov_a, &mut app_a, PlatformConfig::odroid_xu3_a15(), frames);
+    let outcome = run_experiment(gov_b, &mut app_b, PlatformConfig::odroid_xu3_a15(), frames);
     assert_eq!(
         outcome.report,
         reference,
@@ -161,12 +155,17 @@ fn assert_manycore_bridge_identical(
     let mut app_flat = noisy_app(frames);
     let mut app_chip = noisy_app(frames);
 
-    let flat_outcome = run_experiment(flat, &mut app_flat, quiet_config(), frames);
+    let flat_outcome = run_experiment(
+        flat,
+        &mut app_flat,
+        PlatformConfig::odroid_xu3_a15(),
+        frames,
+    );
     let mut coordinator = PerClusterGovernors::new(name.clone(), vec![inner]);
     let chip_outcome = run_manycore_experiment(
         &mut coordinator,
         &mut app_chip,
-        Topology::single(quiet_config()),
+        Topology::single(PlatformConfig::odroid_xu3_a15()),
         frames,
         &[1.0],
     );
@@ -231,7 +230,12 @@ fn single_cluster_trace_replay_matches_the_flat_harness() {
     let config = || RtmConfig::paper(3).with_workload_bounds(bounds.0, bounds.1);
     let mut flat_rtm = RtmGovernor::new(config()).unwrap();
 
-    let flat_outcome = run_experiment(&mut flat_rtm, &mut replay_flat, quiet_config(), 200);
+    let flat_outcome = run_experiment(
+        &mut flat_rtm,
+        &mut replay_flat,
+        PlatformConfig::odroid_xu3_a15(),
+        200,
+    );
     let mut coordinator = PerClusterGovernors::new(
         flat_rtm.name().to_string(),
         vec![Box::new(RtmGovernor::new(config()).unwrap())],
@@ -239,7 +243,7 @@ fn single_cluster_trace_replay_matches_the_flat_harness() {
     let chip_outcome = run_manycore_experiment(
         &mut coordinator,
         &mut replay_chip,
-        Topology::single(quiet_config()),
+        Topology::single(PlatformConfig::odroid_xu3_a15()),
         200,
         &[1.0],
     );
@@ -271,13 +275,17 @@ fn monitored_harness_is_bit_identical_modulo_verdicts() {
     let mut app_ref = noisy_app(frames);
     let mut app_mon = noisy_app(frames);
 
-    let (reference, ref_energy_bits) =
-        reference_run(&mut rtm_ref, &mut app_ref, quiet_config(), frames);
+    let (reference, ref_energy_bits) = reference_run(
+        &mut rtm_ref,
+        &mut app_ref,
+        PlatformConfig::odroid_xu3_a15(),
+        frames,
+    );
     let mut pack = standard_pack("rtm", &PackConfig::paper());
     let outcome = run_experiment_monitored(
         &mut rtm_mon,
         &mut app_mon,
-        quiet_config(),
+        PlatformConfig::odroid_xu3_a15(),
         frames,
         &mut pack,
     );
@@ -311,8 +319,18 @@ fn trace_replay_is_bit_identical_to_the_reference_loop() {
     let mut rtm_b =
         RtmGovernor::new(RtmConfig::paper(3).with_workload_bounds(bounds.0, bounds.1)).unwrap();
 
-    let (reference, _) = reference_run(&mut rtm_a, &mut replay_a, quiet_config(), 200);
-    let outcome = run_experiment(&mut rtm_b, &mut replay_b, quiet_config(), 200);
+    let (reference, _) = reference_run(
+        &mut rtm_a,
+        &mut replay_a,
+        PlatformConfig::odroid_xu3_a15(),
+        200,
+    );
+    let outcome = run_experiment(
+        &mut rtm_b,
+        &mut replay_b,
+        PlatformConfig::odroid_xu3_a15(),
+        200,
+    );
     assert_eq!(outcome.report, reference);
 
     // The RTM-visible telemetry agrees frame-for-frame as well.
@@ -589,10 +607,9 @@ fn chip_and_faulted_outputs_match_their_recorded_bits() {
     let outcome = run_experiment_faulted(
         &mut rtm,
         &mut noisy_app(240),
-        quiet_config(),
+        PlatformConfig::odroid_xu3_a15(),
         240,
         &plan,
-        0xFA17,
     );
     let report = &outcome.report;
     assert_eq!(
