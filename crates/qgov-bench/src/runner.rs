@@ -4,11 +4,11 @@
 //! *cells* — independent (governor × seed × frames) experiment runs that
 //! share no mutable state. [`ExperimentBatch`] collects those cells as
 //! closures and [`ExperimentBatch::run`] drains them either inline on
-//! the calling thread ([`RunnerConfig::serial`]) or through a
-//! self-scheduling job queue worked by scoped threads
-//! ([`RunnerConfig::parallel`]): each idle worker claims the next
-//! unclaimed cell, so long cells never leave a worker parked the way a
-//! static round-robin split would.
+//! the calling thread ([`RunnerConfig::serial`], or any policy that
+//! resolves to one worker) or through a self-scheduling job queue
+//! worked by scoped threads ([`RunnerConfig::parallel`]): each idle
+//! worker claims the next unclaimed cell, so long cells never leave a
+//! worker parked the way a static round-robin split would.
 //!
 //! # Determinism guarantee
 //!
@@ -96,9 +96,10 @@ impl RunnerConfig {
         }
     }
 
-    /// Parallel execution with exactly `workers` worker threads
-    /// (`with_workers(1)` is the degenerate single-worker queue, useful
-    /// for isolating queue behaviour from concurrency).
+    /// Parallel execution with up to `workers` worker threads, one per
+    /// cell at most. `with_workers(1)` runs inline on the calling
+    /// thread, as [`RunnerConfig::serial`] does: one worker would only
+    /// take the cells in push order.
     ///
     /// # Panics
     ///
@@ -113,33 +114,39 @@ impl RunnerConfig {
         }
     }
 
-    /// `true` when [`ExperimentBatch::run`] will not spawn threads.
+    /// `true` for [`RunnerConfig::serial`]. A parallel policy that
+    /// resolves to one worker runs inline as well.
     #[must_use]
     pub fn is_serial(&self) -> bool {
         !self.parallel
     }
 
     /// Human-readable description for experiment banners, e.g.
-    /// `"serial"` or `"parallel (3 workers)"`.
+    /// `"serial"`, `"inline (1 worker)"` or `"parallel (3 workers)"`.
     #[must_use]
     pub fn describe(&self) -> String {
-        match (self.parallel, self.workers) {
-            (false, _) => "serial".to_owned(),
-            (true, Some(n)) => format!("parallel ({n} workers)"),
-            (true, None) => format!("parallel (auto: {} workers)", available_workers()),
+        let auto = if self.workers.is_some() { "" } else { "auto: " };
+        match self.workers() {
+            None => "serial".to_owned(),
+            Some(1) => format!("inline ({auto}1 worker)"),
+            Some(n) => format!("parallel ({auto}{n} workers)"),
         }
     }
 
-    /// Worker threads `run` will spawn for a batch of `jobs` cells:
-    /// `None` for serial, otherwise the configured (or detected) count
-    /// capped at the job count.
-    fn resolved_workers(&self, jobs: usize) -> Option<usize> {
+    /// The configured (or detected) worker count; `None` for serial.
+    fn workers(&self) -> Option<usize> {
         self.parallel.then(|| {
-            let n = self
-                .workers
-                .map_or_else(available_workers, NonZeroUsize::get);
-            n.min(jobs).max(1)
+            self.workers
+                .map_or_else(available_workers, NonZeroUsize::get)
         })
+    }
+
+    /// Worker threads `run` will spawn for a batch of `jobs` cells:
+    /// the configured (or detected) count capped at the job count, or
+    /// `None` when the batch runs inline — serial, or one worker after
+    /// the cap.
+    fn resolved_workers(&self, jobs: usize) -> Option<usize> {
+        self.workers().map(|n| n.min(jobs)).filter(|&n| n > 1)
     }
 }
 
@@ -189,8 +196,9 @@ impl<'a, R: Send> ExperimentBatch<'a, R> {
     }
 
     /// Runs every cell and returns the results **in push order**
-    /// regardless of completion order. An empty batch returns an empty
-    /// vector without spawning anything.
+    /// regardless of completion order. A batch that resolves to at most
+    /// one worker (serial, one worker, one cell or none) runs inline on
+    /// the calling thread without spawning anything.
     ///
     /// # Panics
     ///
@@ -200,12 +208,8 @@ impl<'a, R: Send> ExperimentBatch<'a, R> {
     pub fn run(self, config: &RunnerConfig) -> Vec<R> {
         let total = self.jobs.len();
         let Some(workers) = config.resolved_workers(total) else {
-            // Serial: drain inline, no threads.
             return self.jobs.into_iter().map(|job| job()).collect();
         };
-        if total == 0 {
-            return Vec::new();
-        }
 
         // Self-scheduling queue: `next` hands each claimed index to
         // exactly one worker; results land in their per-index slot, so
@@ -286,6 +290,24 @@ mod tests {
         assert_eq!(results, (0..12).collect::<Vec<_>>());
     }
 
+    /// One resolved worker, from the configuration or from a one-cell
+    /// batch, runs its cells on the calling thread.
+    #[test]
+    fn one_resolved_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |config: &RunnerConfig, cells: usize| {
+            let mut batch = ExperimentBatch::new();
+            for _ in 0..cells {
+                batch.push(|| std::thread::current().id());
+            }
+            batch.run(config).into_iter().all(|id| id == caller)
+        };
+        assert!(on_caller(&RunnerConfig::with_workers(1), 3));
+        assert!(on_caller(&RunnerConfig::parallel(), 1));
+        assert!(on_caller(&RunnerConfig::with_workers(4), 1));
+        assert!(!on_caller(&RunnerConfig::with_workers(2), 2));
+    }
+
     #[test]
     fn more_workers_than_jobs_is_fine() {
         let results = squares_batch(2).run(&RunnerConfig::with_workers(16));
@@ -299,7 +321,15 @@ mod tests {
             RunnerConfig::with_workers(3).describe(),
             "parallel (3 workers)"
         );
-        assert!(RunnerConfig::parallel().describe().starts_with("parallel"));
+        assert_eq!(
+            RunnerConfig::with_workers(1).describe(),
+            "inline (1 worker)"
+        );
+        let auto = RunnerConfig::parallel().describe();
+        assert!(
+            auto.starts_with("parallel (auto: ") || auto == "inline (auto: 1 worker)",
+            "{auto}"
+        );
     }
 
     #[test]

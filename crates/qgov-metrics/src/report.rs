@@ -4,20 +4,19 @@ use crate::monitor::MonitorReport;
 use crate::stats::OnlineStats;
 use qgov_units::{Energy, Power, SimTime, Temp};
 
-/// Minimal per-frame record kept by a run for downstream analysis.
+/// The per-frame record a run keeps: what windowed and post-fault
+/// analyses read frame by frame. Energy, wall time and OPP feed the
+/// report's running totals instead, so a long run keeps 16 bytes per
+/// frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameStat {
     /// Execution time of the frame (including overheads).
     pub frame_time: SimTime,
-    /// Wall-clock span of the epoch.
-    pub wall_time: SimTime,
-    /// Ground-truth energy of the epoch.
-    pub energy: Energy,
-    /// Cluster OPP index the frame ran at.
-    pub opp: usize,
     /// Whether the deadline was met.
     pub met_deadline: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<FrameStat>() == 16);
 
 /// Accumulated results of one governor × application run.
 ///
@@ -51,6 +50,8 @@ pub struct RunReport {
     total_energy: Energy,
     platform_energy: Energy,
     total_wall: SimTime,
+    /// Sum of the frames' OPP indices, for [`RunReport::mean_opp`].
+    opp_sum: u64,
     misses: u64,
     transitions: u64,
     transition_latency: SimTime,
@@ -79,6 +80,7 @@ impl RunReport {
             total_energy: Energy::ZERO,
             platform_energy: Energy::ZERO,
             total_wall: SimTime::ZERO,
+            opp_sum: 0,
             misses: 0,
             transitions: 0,
             transition_latency: SimTime::ZERO,
@@ -106,14 +108,12 @@ impl RunReport {
     ) {
         self.frames.push(FrameStat {
             frame_time,
-            wall_time,
-            energy,
-            opp,
             met_deadline,
         });
         self.frame_time_ratio.push(frame_time.ratio(self.period));
         self.total_energy += energy;
         self.total_wall += wall_time;
+        self.opp_sum += opp as u64;
         if !met_deadline {
             self.misses += 1;
         }
@@ -267,19 +267,21 @@ impl RunReport {
     }
 
     /// Mean OPP index over the run (a quick energy-behaviour summary).
+    /// The integer sum is exact, so below 2^53 it has the bits of a
+    /// left-to-right `f64` fold of the frames' OPPs.
     #[must_use]
     pub fn mean_opp(&self) -> f64 {
         if self.frames.is_empty() {
             return 0.0;
         }
-        let sum: f64 = self.frames.iter().map(|f| f.opp as f64).sum();
-        sum / self.frames.len() as f64
+        self.opp_sum as f64 / self.frames.len() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn report_with(ratios: &[f64], energies_j: &[f64], met: &[bool]) -> RunReport {
         let period = SimTime::from_ms(100);
@@ -346,6 +348,28 @@ mod tests {
         assert_ne!(monitored, plain);
         assert!(monitored.monitor_report().unwrap().is_clean());
         assert_eq!(monitored.without_monitor_report(), plain);
+    }
+
+    proptest! {
+        /// The running integer OPP sum gives `mean_opp` the bits of the
+        /// per-frame `f64` fold it replaces, for A15-sized OPP indices
+        /// and for indices up to 2^40.
+        #[test]
+        fn mean_opp_has_the_bits_of_the_f64_fold(
+            opps in proptest::collection::vec(
+                (0u8..2, 0usize..1 << 40).prop_map(|(wide, n)| if wide == 0 { n % 19 } else { n }),
+                0..300,
+            ),
+        ) {
+            let period = SimTime::from_ms(40);
+            let mut r = RunReport::new("g", "a", period);
+            for &opp in &opps {
+                r.record_frame(period, period, Energy::ZERO, opp, true);
+            }
+            let fold: f64 = opps.iter().map(|&opp| opp as f64).sum();
+            let expected = if opps.is_empty() { 0.0 } else { fold / opps.len() as f64 };
+            prop_assert_eq!(r.mean_opp().to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

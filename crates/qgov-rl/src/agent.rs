@@ -203,12 +203,10 @@ impl QLearningAgent {
         assert!(slack.is_finite(), "slack must be finite, got {slack}");
         // (1) + (2): pay-off and Bellman update for the previous pair.
         // α and γ are valid constants, so the unchecked fast path
-        // applies. The update writes only the
-        // previous state's row, so each row is scanned once before it
-        // and once after: two scans when the state repeats (the
-        // pre-update scan gives the future term, the post-update scan
-        // the selection), three when it moves (the coming state's scan
-        // gives both).
+        // applies. The update writes only the previous state's row, so
+        // its greedy pair is read before and after it; when the state
+        // moves, the coming state's pair gives both the future term and
+        // the selection.
         let greedy = if let Some((prev_state, prev_action)) = self.last {
             let (greedy_before, max_before) = self.q.row_best(prev_state);
             let next = (state != prev_state).then(|| self.q.row_best(state));

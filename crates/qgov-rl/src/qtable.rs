@@ -32,6 +32,9 @@ pub struct QTable {
     states: usize,
     actions: usize,
     values: Vec<f64>,
+    /// Each row's greedy action, as [`QTable::scan`] finds it; kept
+    /// current by every write, so [`QTable::row_best`] reads no row.
+    best: Vec<usize>,
 }
 
 impl QTable {
@@ -48,6 +51,7 @@ impl QTable {
             states,
             actions,
             values: vec![0.0; states * actions],
+            best: vec![0; states],
         })
     }
 
@@ -77,6 +81,7 @@ impl QTable {
         let mut t = Self::new(states, actions)?;
         for s in 0..states {
             t.values[s * actions..(s + 1) * actions].copy_from_slice(bias);
+            t.best[s] = t.scan(s);
         }
         Ok(t)
     }
@@ -161,22 +166,9 @@ impl QTable {
         &self.values[start..start + self.actions]
     }
 
-    /// The fused greedy-scan kernel: one pass over a state's row
-    /// returning both the argmax action and its value — the
-    /// `(greedy_action, max_value)` pair every decision epoch needs
-    /// (selection wants the argmax, the Bellman update the max).
-    /// Ties break towards the lowest action index, which for a
-    /// frequency-ordered action space means the lowest (most
-    /// energy-frugal) frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range (a debug-formatted message in
-    /// debug builds, the plain slice bounds check in release builds —
-    /// this is the hot path).
-    #[inline]
-    #[must_use]
-    pub fn row_best(&self, state: usize) -> (usize, f64) {
+    /// One pass over a state's row for its argmax: the lowest action
+    /// index holding the row's maximum.
+    fn scan(&self, state: usize) -> usize {
         let start = self.idx_fast(state, 0);
         let row = &self.values[start..start + self.actions];
         let mut best = 0;
@@ -187,13 +179,35 @@ impl QTable {
                 best_v = v;
             }
         }
-        (best, best_v)
+        best
+    }
+
+    /// The argmax action of a state's row and its value — the
+    /// `(greedy_action, max_value)` pair every decision epoch needs
+    /// (selection wants the argmax, the Bellman update the max).
+    /// Ties break towards the lowest action index, which for a
+    /// frequency-ordered action space means the lowest (most
+    /// energy-frugal) frequency. The argmax is cached per row, so this
+    /// reads one value, not the row, and equals a full row scan bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range (a debug-formatted message in
+    /// debug builds, the plain slice bounds check in release builds —
+    /// this is the hot path).
+    #[inline]
+    #[must_use]
+    pub fn row_best(&self, state: usize) -> (usize, f64) {
+        let start = self.idx_fast(state, 0);
+        let best = self.best[state];
+        (best, self.values[start + best])
     }
 
     /// The greedy (highest-value) action for a state. Ties break towards
     /// the lowest action index, which for a frequency-ordered action space
-    /// means the lowest (most energy-frugal) frequency. A single row
-    /// scan via [`QTable::row_best`].
+    /// means the lowest (most energy-frugal) frequency. The cached
+    /// argmax of [`QTable::row_best`].
     ///
     /// # Panics
     ///
@@ -204,11 +218,10 @@ impl QTable {
     }
 
     /// The maximum Q-value over all actions of a state — the
-    /// `max_a Q(sᵢ₊₁, a)` term of Eq. 3. A single row scan via
-    /// [`QTable::row_best`] (whose fold starts from the first entry, so
-    /// the identity element is correct for rows of any value range —
-    /// including rows more negative than the old `f64::MIN` fold seed
-    /// could have handled).
+    /// `max_a Q(sᵢ₊₁, a)` term of Eq. 3: the value at the cached argmax
+    /// of [`QTable::row_best`], whose scan starts from the first entry,
+    /// so it is right for rows of any value range — including rows more
+    /// negative than the old `f64::MIN` fold seed could have handled.
     ///
     /// # Panics
     ///
@@ -292,7 +305,25 @@ impl QTable {
         );
         debug_assert!(reward.is_finite(), "reward must be finite, got {reward}");
         let i = self.idx_fast(state, action);
-        self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
+        let old = self.values[i];
+        let new = (1.0 - alpha) * old + alpha * (reward + discount * future);
+        self.values[i] = new;
+        // Keep the row's cached argmax equal to what a scan finds (the
+        // values stay finite, as the rewards, α and γ are): a write to
+        // another action takes it when greater, or equal at a lower
+        // index; lowering the argmax's own value needs a rescan; any
+        // other write leaves it.
+        let best = self.best[state];
+        if action == best {
+            if new < old {
+                self.best[state] = self.scan(state);
+            }
+        } else {
+            let lead = self.values[self.idx_fast(state, best)];
+            if new > lead || (new == lead && action < best) {
+                self.best[state] = action;
+            }
+        }
     }
 }
 
@@ -394,7 +425,7 @@ mod tests {
     #[test]
     fn max_value_is_correct_for_all_negative_rows() {
         // The old fold seeded from f64::MIN, whose identity is wrong
-        // for rows at or below it; the fused kernel folds from the
+        // for rows at or below it; the argmax scan folds from the
         // first entry, so arbitrarily negative rows report their true
         // maximum.
         let q = QTable::with_action_bias(1, 3, &[-1.0e300; 3]).unwrap();
@@ -402,7 +433,8 @@ mod tests {
         assert_eq!(q.greedy_action(0), 0);
         let mut q = QTable::with_action_bias(1, 3, &[f64::MIN; 3]).unwrap();
         assert_eq!(q.max_value(0), f64::MIN);
-        q.values[1] = f64::MIN / 2.0;
+        // α = 1 and γ = 0 make the update `Q ← r`.
+        q.update_unchecked(0, 1, f64::MIN / 2.0, 0.0, 1.0, 0.0);
         assert_eq!(q.max_value(0), f64::MIN / 2.0);
         assert_eq!(q.greedy_action(0), 1);
     }

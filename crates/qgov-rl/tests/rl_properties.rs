@@ -62,6 +62,38 @@ proptest! {
         prop_assert_eq!(q.row_best(0).0, firsts[0]);
     }
 
+    /// The cached argmax equals a full scan of every row after every
+    /// write. Rewards drawn from a small set holding 0.0, −0.0 and
+    /// repeated values force ties; `Q ← r` writes (α = 1, γ = 0) lower,
+    /// raise and equal the argmax's own value at will, and the paper's
+    /// α and γ write through the checked update.
+    #[test]
+    fn cached_argmax_matches_a_full_scan_after_every_write(
+        shape in (1usize..4, 1usize..6),
+        bias in proptest::collection::vec(0usize..6, 6),
+        writes in proptest::collection::vec(
+            (0usize..4, 0usize..6, 0usize..6, 0usize..4, 0u8..3), 1..120),
+    ) {
+        const REWARDS: [f64; 6] = [0.0, -0.0, 1.0, -1.0, 0.5, 0.0];
+        let (states, actions) = shape;
+        let bias: Vec<f64> = bias[..actions].iter().map(|&r| REWARDS[r]).collect();
+        let mut q = QTable::with_action_bias(states, actions, &bias).unwrap();
+        for (s, a, r, next, rule) in writes {
+            let (s, a, next, reward) = (s % states, a % actions, next % states, REWARDS[r]);
+            if rule == 0 {
+                q.update(s, a, reward, next, AgentConfig::ALPHA, AgentConfig::DISCOUNT);
+            } else {
+                q.update_unchecked(s, a, reward, 0.0, 1.0, 0.0);
+            }
+            for state in 0..states {
+                let row = q.row(state);
+                let best = naive_two_pass(row).0;
+                let (action, value) = q.row_best(state);
+                prop_assert_eq!((action, value.to_bits()), (best, row[best].to_bits()));
+            }
+        }
+    }
+
     /// EWMA predictions always stay inside the convex hull of the
     /// observations (it is a convex combination).
     #[test]

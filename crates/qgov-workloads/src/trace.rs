@@ -154,6 +154,81 @@ fn read_row(rows: &[u8], pos: &mut usize) -> Result<[u64; 4], String> {
     Ok(values)
 }
 
+/// One in each byte lane of a little-endian word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+
+/// The 8 bytes at `rows[p..]` as a little-endian word, or `None` when
+/// fewer are left.
+fn word_at(rows: &[u8], p: usize) -> Option<u64> {
+    let bytes = rows.get(p..p + 8)?;
+    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// How many of `word`'s bytes, from the first, are ASCII digits (0–8).
+/// A byte is a digit iff its high nibble is 3 and its low nibble plus 6
+/// stays below 16.
+fn digit_run(word: u64) -> usize {
+    let high = (word & (0xF0 * LANES)) ^ (0x30 * LANES);
+    let low = ((word & (0x0F * LANES)) + 0x06 * LANES) & (0xF0 * LANES);
+    ((high | low).trailing_zeros() / 8) as usize
+}
+
+/// The value of the first `len` (1–8) digits of `word`. Their low
+/// nibbles move to the top `len` bytes, so the lanes below read as
+/// leading zeros; then adjacent lanes fold into pairs, pairs into
+/// fours and fours into the eight-digit value.
+fn fold_digits(word: u64, len: usize) -> u64 {
+    let v = (word & (0x0F * LANES)) << (8 * (8 - len));
+    let v = v * 10 + (v >> 8);
+    let pairs = 0x0000_00FF_0000_00FF;
+    ((v & pairs).wrapping_mul(100 + (1_000_000 << 32))
+        + ((v >> 16) & pairs).wrapping_mul(1 + (10_000 << 32)))
+        >> 32
+}
+
+/// The value and length of the digit run at `rows[p..]`, up to its
+/// first 16 digits, read a word at a time; `None` when the run is empty
+/// or fewer than 8 bytes are left to load.
+fn read_digits_fast(rows: &[u8], p: usize) -> Option<(u64, usize)> {
+    let word = word_at(rows, p)?;
+    match digit_run(word) {
+        0 => None,
+        len @ 1..=7 => Some((fold_digits(word, len), len)),
+        _ => {
+            let high = fold_digits(word, 8);
+            let next = word_at(rows, p + 8)?;
+            match digit_run(next) {
+                0 => Some((high, 8)),
+                len => Some((
+                    high * 10u64.pow(len as u32) + fold_digits(next, len),
+                    8 + len,
+                )),
+            }
+        }
+    }
+}
+
+/// The fast path of [`read_row`]: one row at `rows[pos..]` of four runs
+/// of 1–16 digits, each followed by its `,` or the row's LF, read a
+/// word at a time, with the position past the LF. `None` for any other
+/// row, a 17th digit, a CR or fewer than 8 bytes left at a field
+/// included: [`read_row`] then reads the row from its start, so it
+/// stays the one source of parse errors. At most 16 digits cannot
+/// overflow a `u64`.
+fn read_row_fast(rows: &[u8], mut pos: usize) -> Option<([u64; 4], usize)> {
+    let mut values = [0u64; 4];
+    for (value, end) in values.iter_mut().zip([b',', b',', b',', b'\n']) {
+        let (digits, len) = read_digits_fast(rows, pos)?;
+        pos += len;
+        if *rows.get(pos)? != end {
+            return None;
+        }
+        *value = digits;
+        pos += 1;
+    }
+    Some((values, pos))
+}
+
 /// Reads a trace CSV document ([grammar](WorkloadTrace#csv-format)) in
 /// one pass over its bytes: the header's name and period, and the frames.
 pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), WorkloadError> {
@@ -195,8 +270,13 @@ pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), Work
     let (mut open_cycles, mut open_mem_ns) = (0u64, 0u64);
     let (mut pos, mut line) = (0, 3);
     while pos < rows.len() {
-        let [frame, thread, cycles, mem_ns] =
-            read_row(rows, &mut pos).map_err(|reason| parse_error(line, reason))?;
+        let [frame, thread, cycles, mem_ns] = match read_row_fast(rows, pos) {
+            Some((values, end)) => {
+                pos = end;
+                values
+            }
+            None => read_row(rows, &mut pos).map_err(|reason| parse_error(line, reason))?,
+        };
         if frame >= frame_count as u64 {
             return Err(parse_error(line, "frame index beyond declared frame count"));
         }
@@ -538,6 +618,7 @@ impl Application for WorkloadTrace {
 mod tests {
     use super::*;
     use crate::{SyntheticWorkload, VideoDecoderModel};
+    use proptest::prelude::*;
 
     fn sample_app() -> SyntheticWorkload {
         SyntheticWorkload::constant(
@@ -668,6 +749,109 @@ mod tests {
                 got_line == line && got_reason.contains(reason),
                 "{rows:?}: line {got_line}: {got_reason}"
             );
+        }
+    }
+
+    #[test]
+    fn typical_rows_take_the_fast_path() {
+        let rows = b"4095,3,77937137,9325766\n4096,0,123456789012,0\n0,0,0,0\n";
+        assert_eq!(
+            read_row_fast(rows, 0),
+            Some(([4095, 3, 77_937_137, 9_325_766], 24))
+        );
+        assert_eq!(
+            read_row_fast(rows, 24),
+            Some(([4096, 0, 123_456_789_012, 0], 46))
+        );
+        // The last row leaves fewer than 8 bytes at its second field.
+        assert_eq!(read_row_fast(rows, 46), None);
+        // Sixteen digits are the most a field takes; a CR is left to
+        // the checked reader.
+        let widest = b"9999999999999999,0,0,0\n........";
+        assert_eq!(
+            read_row_fast(widest, 0),
+            Some(([9_999_999_999_999_999, 0, 0, 0], 23))
+        );
+        assert_eq!(read_row_fast(b"99999999999999999,0,0,0\n.......", 0), None);
+        assert_eq!(read_row_fast(b"1,2,3,4\r\n........", 0), None);
+    }
+
+    #[test]
+    fn the_digit_mask_classifies_every_byte_in_every_lane() {
+        for lane in 0..8 {
+            for byte in 0..=u8::MAX {
+                let mut bytes = [b'5'; 8];
+                bytes[lane] = byte;
+                let run = if byte.is_ascii_digit() { 8 } else { lane };
+                assert_eq!(
+                    digit_run(u64::from_le_bytes(bytes)),
+                    run,
+                    "{byte:#04x} at {lane}"
+                );
+            }
+        }
+    }
+
+    /// `kind` 0 is `u64::MAX`, kind 1 a run of `len` nines (past
+    /// `u64::MAX` at 20), any other kind the last `len` of `n`'s 20
+    /// zero-padded digits, so leading zeros are common.
+    fn digits(kind: u8, n: u64, len: usize) -> Vec<u8> {
+        match kind {
+            0 => u64::MAX.to_string().into_bytes(),
+            1 => vec![b'9'; len],
+            _ => format!("{n:020}").as_bytes()[20 - len..].to_vec(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Differential check of the word-at-a-time reader: on a row of
+        /// 1–20-digit fields, some with a byte next to the digits (`/`,
+        /// `:`, …) inside, whose separators are mostly right, then a
+        /// tail of digit runs, `,`, LF, CR and such bytes, read from
+        /// every offset, the fast reader either declines or returns
+        /// exactly the values and end position of the checked reader.
+        #[test]
+        fn fast_rows_match_the_checked_reader(
+            fields in proptest::collection::vec(
+                (0u8..6, 0u64..=u64::MAX, 1usize..21, 0u8..16, 0u8..6, 0usize..11), 4),
+            tail in proptest::collection::vec((0u8..8, 0u64..=u64::MAX, 1usize..21), 0..6),
+        ) {
+            const OTHER: [u8; 11] = [b'/', b':', b'?', b' ', b'a', b'p', 0x00, 0xB5, 0xFF, b'-', b'+'];
+            let mut bytes = Vec::new();
+            for (i, &(kind, n, len, sep, corrupt, other)) in fields.iter().enumerate() {
+                let mut run = digits(kind, n, len);
+                if corrupt == 0 {
+                    let at = n as usize % run.len();
+                    run[at] = OTHER[other];
+                }
+                bytes.extend(run);
+                bytes.push(match sep {
+                    0..=11 if i < 3 => b',',
+                    0..=11 => b'\n',
+                    12 => b',',
+                    13 => b'\n',
+                    14 => b'\r',
+                    _ => OTHER[other],
+                });
+            }
+            for &(kind, n, len) in &tail {
+                match kind {
+                    0..=2 => bytes.extend(digits(kind, n, len)),
+                    3 => bytes.push(b','),
+                    4 => bytes.push(b'\n'),
+                    5 => bytes.push(b'\r'),
+                    _ => bytes.push(OTHER[n as usize % OTHER.len()]),
+                }
+            }
+            for start in 0..bytes.len() {
+                if let Some((values, end)) = read_row_fast(&bytes, start) {
+                    let mut pos = start;
+                    prop_assert_eq!(read_row(&bytes, &mut pos), Ok(values), "{:?} at {}", bytes, start);
+                    prop_assert_eq!(pos, end, "{:?} at {}", bytes, start);
+                }
+            }
         }
     }
 
