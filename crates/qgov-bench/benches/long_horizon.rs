@@ -23,6 +23,7 @@
 use qgov_bench::experiments::{Experiment, LongHorizon};
 use qgov_bench::perf::{append_records, bench_target, BenchRecord};
 use qgov_bench::plan::RunPlan;
+use qgov_metrics::monitor::{MISS_WINDOW, THERMAL_CAP_C};
 use qgov_metrics::PackConfig;
 
 const TARGET: &str = "long_horizon";
@@ -64,7 +65,10 @@ fn main() {
     }
     println!(
         "temporal properties (seed {}, thermal cap {:.0} °C, miss bound {:.0}% per {}-epoch window):",
-        seeds[0], pack.thermal_cap_c, pack.miss_bound * 100.0, pack.miss_window
+        seeds[0],
+        THERMAL_CAP_C,
+        pack.miss_bound * 100.0,
+        MISS_WINDOW
     );
     for row in &first.rows {
         if let Some(monitor) = &row.monitor {

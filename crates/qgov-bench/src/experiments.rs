@@ -38,7 +38,7 @@ use crate::runner::ExperimentBatch;
 use crate::worklist::{slug, CellMetrics};
 use qgov_core::{EpochRecord, HistoryMode, RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{
-    ConservativeGovernor, GeQiuConfig, GeQiuGovernor, Governor, OndemandGovernor, OracleGovernor,
+    ConservativeGovernor, GeQiuGovernor, Governor, OndemandGovernor, OracleGovernor,
 };
 use qgov_metrics::{
     standard_pack, ComparisonTable, MispredictionStats, MonitorReport, RunReport, Series,
@@ -258,7 +258,7 @@ impl Experiment for Table1 {
     fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> RunReport {
         let mut gov: Box<dyn Governor> = match label {
             "ondemand" => Box::new(OndemandGovernor::linux_default()),
-            "geqiu" => Box::new(GeQiuGovernor::new(GeQiuConfig::paper(seed))),
+            "geqiu" => Box::new(GeQiuGovernor::new(seed)),
             "rtm" => Box::new(prep.rtm(RtmConfig::paper(seed))),
             "oracle" => Box::new(prep.oracle()),
             other => unreachable!("unknown Table I cell {other}"),
@@ -511,7 +511,7 @@ impl Experiment for Table3 {
     fn cell(plan: &RunPlan, label: &str, prep: &TracePrep, seed: u64) -> (u64, Option<u64>) {
         match label {
             "geqiu" => {
-                let mut geqiu = GeQiuGovernor::new(GeQiuConfig::paper(seed));
+                let mut geqiu = GeQiuGovernor::new(seed);
                 prep.replay(&mut geqiu, plan.frames);
                 (geqiu.exploration_phase_epochs(), geqiu.converged_at())
             }
@@ -833,8 +833,7 @@ impl Experiment for StateLevels {
         }
         let n = LEVELS[index_of(Self::LABELS, label) - 1];
         let mut config = RtmConfig::paper(seed);
-        config.workload_levels = n;
-        config.slack_levels = n;
+        config.levels = n;
         prep.rtm_cell(config, plan.frames)
     }
 
@@ -956,7 +955,7 @@ impl Experiment for SharedTable {
                 prep.rtm_cell(config, plan.frames)
             }
             "geqiu" => {
-                let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(seed));
+                let mut gov = GeQiuGovernor::new(seed);
                 let report = prep.replay(&mut gov, plan.frames);
                 (report, gov.converged_at(), gov.exploration_count())
             }

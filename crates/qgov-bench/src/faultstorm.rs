@@ -41,7 +41,7 @@ use crate::manycore::run_manycore_experiment_faulted_monitored;
 use crate::plan::RunPlan;
 use crate::worklist::{slug, CellMetrics};
 use qgov_core::{HardeningConfig, ManyCoreRtm, RtmConfig, RtmGovernor};
-use qgov_governors::{Governor, ManyCoreGovernor, OndemandGovernor, PerClusterGovernors};
+use qgov_governors::{Governor, ManyCoreGovernor, PerClusterGovernors};
 use qgov_metrics::{
     recovery_pack, ComparisonTable, MonitorReport, PackConfig, RecoveryConfig, RecoveryStats,
     RecoveryTracker, RunReport,
@@ -227,12 +227,11 @@ impl Experiment for FaultStorm {
                     .collect();
                 (run(&mut PerClusterGovernors::new(label, agents)), 0, 0)
             }
-            "ondemand" => {
-                let agents = (0..FAULTSTORM_CLUSTERS)
-                    .map(|_| Box::new(OndemandGovernor::linux_default()) as Box<dyn Governor>)
-                    .collect();
-                (run(&mut PerClusterGovernors::new(label, agents)), 0, 0)
-            }
+            "ondemand" => (
+                run(&mut PerClusterGovernors::ondemand(FAULTSTORM_CLUSTERS)),
+                0,
+                0,
+            ),
             other => unreachable!("unknown fault-storm cell {other}"),
         };
         let mut tracker = RecoveryTracker::new(RecoveryConfig {

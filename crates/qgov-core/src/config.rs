@@ -55,10 +55,9 @@ pub enum StateKind {
 /// Full parameterisation of the [`RtmGovernor`](crate::RtmGovernor).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtmConfig {
-    /// Discretisation levels N for the workload dimension (paper: 5).
-    pub workload_levels: usize,
-    /// Discretisation levels N for the slack dimension (paper: 5).
-    pub slack_levels: usize,
+    /// Discretisation levels N of both the workload and the slack
+    /// dimension (paper: 5).
+    pub levels: usize,
     /// The learner's exploration rule (Eq. 2) and ε schedule (Eq. 6).
     /// α and γ of the Bellman update (Eq. 3), the convergence window
     /// and the optimistic initial-Q gradient are constants of
@@ -90,8 +89,7 @@ impl RtmConfig {
     #[must_use]
     pub fn paper(seed: u64) -> Self {
         RtmConfig {
-            workload_levels: 5,
-            slack_levels: 5,
+            levels: 5,
             agent: AgentConfig::default(),
             smoothing: 0.6,
             workload_bounds: None,
@@ -122,10 +120,10 @@ impl RtmConfig {
     }
 
     /// Number of Q-table states this configuration spans
-    /// (`workload_levels × slack_levels`).
+    /// (`levels × levels`).
     #[must_use]
     pub fn state_count(&self) -> usize {
-        self.workload_levels * self.slack_levels
+        self.levels * self.levels
     }
 
     /// Sets the telemetry retention mode (see [`HistoryMode`]).
@@ -141,8 +139,7 @@ impl RtmConfig {
     ///
     /// Returns an [`RlError`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), RlError> {
-        RlError::check_nonempty("workload_levels", self.workload_levels)?;
-        RlError::check_nonempty("slack_levels", self.slack_levels)?;
+        RlError::check_nonempty("levels", self.levels)?;
         self.agent.validate()?;
         RlError::check_probability("smoothing", self.smoothing)?;
         RlError::check_positive("smoothing", self.smoothing)?;
@@ -174,8 +171,7 @@ mod tests {
     fn paper_config_is_valid_and_matches_reported_constants() {
         let c = bounded(0);
         assert!(c.validate().is_ok());
-        assert_eq!(c.workload_levels, 5, "paper uses N = 5");
-        assert_eq!(c.slack_levels, 5);
+        assert_eq!(c.levels, 5, "paper uses N = 5");
         assert_eq!(c.smoothing, 0.6, "paper determines gamma = 0.6");
         assert!(matches!(c.agent.exploration, ExplorationKind::Epd { .. }));
         assert_eq!(c.state_kind, StateKind::TotalWorkload);
@@ -186,7 +182,7 @@ mod tests {
         let ours = RtmConfig::paper(3);
         let upd = RtmConfig::upd_baseline(3);
         assert_eq!(upd.agent.exploration, ExplorationKind::Upd);
-        assert_eq!(ours.workload_levels, upd.workload_levels);
+        assert_eq!(ours.levels, upd.levels);
         assert_eq!(ours.smoothing, upd.smoothing);
     }
 
@@ -196,7 +192,7 @@ mod tests {
         assert!(RtmConfig::paper(0).validate().is_err());
 
         let mut c = bounded(0);
-        c.workload_levels = 0;
+        c.levels = 0;
         assert!(c.validate().is_err());
 
         let mut c = bounded(0);

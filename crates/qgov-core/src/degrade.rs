@@ -21,11 +21,9 @@
 //! * **last-good substitution** — a rejected reading is replaced by the
 //!   last accepted one, so the predictor keeps seeing a sane signal
 //!   through a transient glitch;
-//! * **quarantine → safe state** — after
-//!   [`quarantine_threshold`](HardeningConfig::quarantine_threshold)
-//!   *consecutive* rejections the filter declares the sensors
-//!   untrustworthy; the governor stops learning and parks the cluster
-//!   at the configured [`safe_opp`](HardeningConfig::safe_opp) (a
+//! * **quarantine → safe state** — after five *consecutive* rejections
+//!   the filter declares the sensors untrustworthy; the governor stops
+//!   learning and parks the cluster at its top OPP (the
 //!   deadline-conservative operating point) until a plausible reading
 //!   arrives again.
 //!
@@ -39,60 +37,50 @@
 use qgov_sim::FrameResult;
 use qgov_units::{Cycles, Temp};
 
-/// Gates and fallback policy for a hardened RTM. Construct via
-/// [`HardeningConfig::paper`] and adjust fields as needed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardeningConfig {
-    /// Temperature readings above this (°C) are implausible.
-    pub max_temperature_c: f64,
-    /// Temperature readings below this (°C) are implausible.
-    pub min_temperature_c: f64,
-    /// Largest credible temperature change (°C) between adjacent
-    /// epochs.
-    pub max_temp_step_c: f64,
-    /// Largest credible ratio between adjacent epochs' total cycle
-    /// counts (checked both ways: growth and collapse).
-    pub max_cycle_ratio: f64,
-    /// Consecutive implausible epochs before the sensors are
-    /// quarantined and the governor drops to the safe state.
-    pub quarantine_threshold: u32,
-    /// Consecutive rejections after which the filter re-anchors its
-    /// last-good reference to the next *range*-plausible reading even
-    /// if the rate gates still fail. A rate gate compares against the
-    /// last accepted reading; once that reference is many epochs stale
-    /// the comparison is meaningless, and without re-anchoring a
-    /// genuine persistent shift (a die that warmed 20 °C across a long
-    /// quarantine) would be rejected forever. This bounds how long any
-    /// single fault can hold the governor in the safe state.
-    pub rebaseline_after: u32,
-    /// OPP index to hold while quarantined. Values past the end of the
-    /// platform's table are clamped to the top OPP, so `usize::MAX`
-    /// means "fastest available" — the deadline-conservative choice.
-    pub safe_opp: usize,
-}
+/// Temperature readings above this (°C) are implausible.
+const MAX_TEMPERATURE_C: f64 = 110.0;
+
+/// Temperature readings below this (°C) are implausible.
+const MIN_TEMPERATURE_C: f64 = -10.0;
+
+/// Largest credible temperature change (°C) between adjacent epochs.
+const MAX_TEMP_STEP_C: f64 = 15.0;
+
+/// Largest credible ratio between adjacent epochs' total cycle counts
+/// (checked both ways: growth and collapse).
+const MAX_CYCLE_RATIO: f64 = 4.0;
+
+/// Consecutive implausible epochs before the sensors are quarantined
+/// and the governor drops to the safe state.
+const QUARANTINE_THRESHOLD: u32 = 5;
+
+/// Consecutive rejections after which the filter re-anchors its
+/// last-good reference to the next *range*-plausible reading even if
+/// the rate gates still fail. A rate gate compares against the last
+/// accepted reading; once that reference is many epochs stale the
+/// comparison is meaningless, and without re-anchoring a genuine
+/// persistent shift (a die that warmed 20 °C across a long quarantine)
+/// would be rejected forever. This bounds how long any single fault
+/// can hold the governor in the safe state.
+const REBASELINE_AFTER: u32 = 20;
+
+/// Selects the hardened RTM in
+/// [`RtmGovernor::with_hardening`](crate::RtmGovernor::with_hardening)
+/// and
+/// [`ManyCoreRtm::with_agent_hardening`](crate::ManyCoreRtm::with_agent_hardening).
+/// It has no settings: the filter's gates are sized for the paper's
+/// platform — a 110 °C / −10 °C absolute temperature range, ≤ 15 °C
+/// per-epoch step, ≤ 4× cycle-count movement per epoch, quarantine
+/// after 5 consecutive rejections, re-anchoring after 20 — and are
+/// constants of [`PlausibilityFilter`]; the safe state is the top OPP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HardeningConfig;
 
 impl HardeningConfig {
-    /// Gates sized for the paper's platform: 110 °C / −10 °C absolute
-    /// temperature range, ≤ 15 °C per-epoch step, ≤ 4× cycle-count
-    /// movement per epoch, quarantine after 5 consecutive rejections,
-    /// re-anchor after 20, safe state at the top OPP.
+    /// The gates sized for the paper's platform.
     #[must_use]
     pub fn paper() -> Self {
-        HardeningConfig {
-            max_temperature_c: 110.0,
-            min_temperature_c: -10.0,
-            max_temp_step_c: 15.0,
-            max_cycle_ratio: 4.0,
-            quarantine_threshold: 5,
-            rebaseline_after: 20,
-            safe_opp: usize::MAX,
-        }
-    }
-}
-
-impl Default for HardeningConfig {
-    fn default() -> Self {
-        Self::paper()
+        HardeningConfig
     }
 }
 
@@ -103,9 +91,8 @@ impl Default for HardeningConfig {
 /// fields with last-good substitutes. Counters track how often and how
 /// long the governor ran degraded; they feed the recovery metrics in
 /// `qgov-metrics`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlausibilityFilter {
-    config: HardeningConfig,
     last_good_cycles: Vec<Cycles>,
     last_good_temp: Option<Temp>,
     consecutive_rejections: u32,
@@ -118,30 +105,15 @@ impl PlausibilityFilter {
     /// A fresh filter (no last-good history yet; the first reading is
     /// range-checked only).
     #[must_use]
-    pub fn new(config: HardeningConfig) -> Self {
-        PlausibilityFilter {
-            config,
-            last_good_cycles: Vec::new(),
-            last_good_temp: None,
-            consecutive_rejections: 0,
-            degraded_epochs: 0,
-            quarantine_entries: 0,
-            rebaselines: 0,
-        }
-    }
-
-    /// The configured gates.
-    #[must_use]
-    pub fn config(&self) -> &HardeningConfig {
-        &self.config
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The absolute gates alone: values a healthy sensor could never
     /// report, regardless of history.
     fn range_plausible(&self, frame: &FrameResult) -> bool {
-        let cfg = &self.config;
         let temp_c = frame.temperature.as_celsius();
-        if !temp_c.is_finite() || temp_c > cfg.max_temperature_c || temp_c < cfg.min_temperature_c {
+        if !temp_c.is_finite() || !(MIN_TEMPERATURE_C..=MAX_TEMPERATURE_C).contains(&temp_c) {
             return false;
         }
         let total: u64 = frame.per_core_cycles.iter().map(|c| c.count()).sum();
@@ -157,10 +129,9 @@ impl PlausibilityFilter {
         if !self.range_plausible(frame) {
             return false;
         }
-        let cfg = &self.config;
         if let Some(last) = self.last_good_temp {
             let step = frame.temperature.as_celsius() - last.as_celsius();
-            if step.abs() > cfg.max_temp_step_c {
+            if step.abs() > MAX_TEMP_STEP_C {
                 return false;
             }
         }
@@ -169,7 +140,7 @@ impl PlausibilityFilter {
             let total: u64 = frame.per_core_cycles.iter().map(|c| c.count()).sum();
             if last_total > 0 && total > 0 {
                 let ratio = total as f64 / last_total as f64;
-                if ratio > cfg.max_cycle_ratio || ratio < 1.0 / cfg.max_cycle_ratio {
+                if !(1.0 / MAX_CYCLE_RATIO..=MAX_CYCLE_RATIO).contains(&ratio) {
                     return false;
                 }
             }
@@ -182,13 +153,12 @@ impl PlausibilityFilter {
     /// temperature fields overwritten with the last-good values (when
     /// any exist) and return `false`; timing fields are left alone.
     ///
-    /// After [`rebaseline_after`](HardeningConfig::rebaseline_after)
-    /// consecutive rejections the next range-plausible reading is
-    /// accepted as a fresh baseline even if the rate gates still fail —
+    /// After 20 consecutive rejections the next range-plausible reading
+    /// is accepted as a fresh baseline even if the rate gates still fail —
     /// the stale reference, not the reading, is presumed wrong.
     pub fn admit(&mut self, frame: &mut FrameResult) -> bool {
-        let rebaseline = self.consecutive_rejections >= self.config.rebaseline_after
-            && self.range_plausible(frame);
+        let rebaseline =
+            self.consecutive_rejections >= REBASELINE_AFTER && self.range_plausible(frame);
         if rebaseline || self.plausible(frame) {
             if rebaseline {
                 self.rebaselines += 1;
@@ -202,7 +172,7 @@ impl PlausibilityFilter {
         }
         self.degraded_epochs += 1;
         self.consecutive_rejections = self.consecutive_rejections.saturating_add(1);
-        if self.consecutive_rejections == self.config.quarantine_threshold {
+        if self.consecutive_rejections == QUARANTINE_THRESHOLD {
             self.quarantine_entries += 1;
         }
         if !self.last_good_cycles.is_empty() {
@@ -217,13 +187,11 @@ impl PlausibilityFilter {
         false
     }
 
-    /// `true` once [`quarantine_threshold`] consecutive readings have
-    /// been rejected; cleared by the next accepted reading.
-    ///
-    /// [`quarantine_threshold`]: HardeningConfig::quarantine_threshold
+    /// `true` once five consecutive readings have been rejected;
+    /// cleared by the next accepted reading.
     #[must_use]
     pub fn quarantined(&self) -> bool {
-        self.consecutive_rejections >= self.config.quarantine_threshold
+        self.consecutive_rejections >= QUARANTINE_THRESHOLD
     }
 
     /// Total epochs that ran on substituted (or safe-state) data.
@@ -270,7 +238,7 @@ mod tests {
 
     #[test]
     fn healthy_stream_is_admitted_untouched() {
-        let mut filter = PlausibilityFilter::new(HardeningConfig::paper());
+        let mut filter = PlausibilityFilter::new();
         for _ in 0..10 {
             let mut f = healthy_frame();
             let before = f.clone();
@@ -283,7 +251,7 @@ mod tests {
 
     #[test]
     fn stuck_pmu_is_rejected_and_substituted() {
-        let mut filter = PlausibilityFilter::new(HardeningConfig::paper());
+        let mut filter = PlausibilityFilter::new();
         let mut good = healthy_frame();
         assert!(filter.admit(&mut good));
 
@@ -299,7 +267,7 @@ mod tests {
 
     #[test]
     fn thermal_spike_and_out_of_range_are_rejected() {
-        let mut filter = PlausibilityFilter::new(HardeningConfig::paper());
+        let mut filter = PlausibilityFilter::new();
         let mut good = healthy_frame();
         assert!(filter.admit(&mut good));
 
@@ -315,9 +283,8 @@ mod tests {
 
     #[test]
     fn quarantine_engages_after_k_consecutive_and_clears_on_recovery() {
-        let cfg = HardeningConfig::paper();
-        let k = cfg.quarantine_threshold;
-        let mut filter = PlausibilityFilter::new(cfg);
+        let k = QUARANTINE_THRESHOLD;
+        let mut filter = PlausibilityFilter::new();
         let mut good = healthy_frame();
         assert!(filter.admit(&mut good));
 
@@ -345,8 +312,7 @@ mod tests {
 
     #[test]
     fn persistent_genuine_shift_rebaselines_after_stale_window() {
-        let cfg = HardeningConfig::paper();
-        let mut filter = PlausibilityFilter::new(cfg);
+        let mut filter = PlausibilityFilter::new();
         let mut good = healthy_frame();
         assert!(filter.admit(&mut good));
 
@@ -360,10 +326,10 @@ mod tests {
                 break;
             }
             rejected += 1;
-            assert!(rejected <= cfg.rebaseline_after, "filter latched forever");
+            assert!(rejected <= REBASELINE_AFTER, "filter latched forever");
         }
         // ...until the stale window elapses and the filter re-anchors.
-        assert_eq!(rejected, cfg.rebaseline_after);
+        assert_eq!(rejected, REBASELINE_AFTER);
         assert_eq!(filter.rebaselines(), 1);
         assert!(!filter.quarantined());
 
@@ -375,14 +341,14 @@ mod tests {
         // A range-implausible reading can never become a baseline.
         let mut wild = healthy_frame();
         wild.temperature = Temp::from_celsius(400.0);
-        for _ in 0..=cfg.rebaseline_after {
+        for _ in 0..=REBASELINE_AFTER {
             assert!(!filter.admit(&mut wild.clone()));
         }
     }
 
     #[test]
     fn first_reading_is_range_checked_only() {
-        let mut filter = PlausibilityFilter::new(HardeningConfig::paper());
+        let mut filter = PlausibilityFilter::new();
         // No history: a zero-cycle frame with real frame time is still
         // implausible by the range gate...
         let mut silent = healthy_frame();

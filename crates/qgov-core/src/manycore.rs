@@ -31,13 +31,14 @@ pub struct ManyCoreRtm {
 
 impl ManyCoreRtm {
     /// Builds one agent per configuration (cluster `c` runs
-    /// `configs[c]`) with the given migration policy.
+    /// `configs[c]`) under the greedy migration policy, which has no
+    /// settings: `migration` only names it.
     ///
     /// # Errors
     ///
     /// Returns [`RlError`] if any per-cluster configuration is invalid,
     /// or [`RlError::EmptyDimension`] if `configs` is empty.
-    pub fn new(configs: Vec<RtmConfig>, migration: MigrationConfig) -> Result<Self, RlError> {
+    pub fn new(configs: Vec<RtmConfig>, _migration: MigrationConfig) -> Result<Self, RlError> {
         if configs.is_empty() {
             return Err(RlError::EmptyDimension { name: "clusters" });
         }
@@ -48,14 +49,14 @@ impl ManyCoreRtm {
         let clusters = agents.len();
         Ok(ManyCoreRtm {
             agents,
-            migration: GreedyMigration::new(migration),
+            migration: GreedyMigration::new(),
             dead: vec![false; clusters],
         })
     }
 
     /// The paper's configuration on every cluster, with per-cluster
     /// decorrelated exploration seeds (`seed + c`), shared workload
-    /// bounds, and the default greedy migration policy.
+    /// bounds, and the greedy migration policy.
     ///
     /// The bounds should span the *chip-level* demand range: every
     /// cluster sees a migrating fraction of the total, so each agent's
@@ -76,9 +77,8 @@ impl ManyCoreRtm {
     }
 
     /// Puts every per-cluster agent behind a
-    /// [`PlausibilityFilter`](crate::PlausibilityFilter) with the given
-    /// hardening — the chip-level form of
-    /// [`RtmGovernor::with_hardening`].
+    /// [`PlausibilityFilter`](crate::PlausibilityFilter) — the
+    /// chip-level form of [`RtmGovernor::with_hardening`].
     #[must_use]
     pub fn with_agent_hardening(mut self, hardening: crate::HardeningConfig) -> Self {
         self.agents = self
@@ -144,7 +144,10 @@ impl ManyCoreGovernor for ManyCoreRtm {
     fn init(&mut self, ctxs: &[GovernorContext], decisions: &mut Vec<VfDecision>) {
         assert_eq!(ctxs.len(), self.agents.len(), "one context per cluster");
         decisions.clear();
+        // A new run restarts everything: the dead flags, the migration
+        // count and (below) every agent.
         self.dead.fill(false);
+        self.migration = GreedyMigration::new();
         for (agent, ctx) in self.agents.iter_mut().zip(ctxs) {
             decisions.push(agent.init(ctx));
         }

@@ -21,54 +21,47 @@
 //! first epoch and never touches the heap again.
 
 use qgov_sim::FrameResult;
-use qgov_units::Temp;
 
-/// Tuning knobs for [`GreedyMigration`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationConfig {
-    /// Fraction of the total work share moved per migration (0 < step ≤ 1).
-    pub step: f64,
-    /// A cluster only receives work while below this die temperature.
-    pub temp_cap: Temp,
-    /// A cluster with frame slack below this donates work (deadline
-    /// rescue); a rescue receiver must sit above it.
-    pub slack_floor: f64,
-    /// Energy consolidation only runs while every active cluster's
-    /// slack exceeds this guard, and only towards receivers that keep
-    /// exceeding it.
-    pub guard_slack: f64,
-    /// Consolidation hysteresis: the donor's J/cycle must exceed the
-    /// receiver's by this relative margin before work moves.
-    pub hysteresis: f64,
-}
+/// Fraction of the total work share moved per migration.
+const STEP: f64 = 0.05;
+
+/// A cluster only receives work while below this die temperature (°C).
+const TEMP_CAP_C: f64 = 85.0;
+
+/// A cluster with frame slack below this donates work (deadline
+/// rescue); a rescue receiver must sit above it.
+const SLACK_FLOOR: f64 = 0.02;
+
+/// Energy consolidation only runs while every active cluster's slack
+/// exceeds this guard, and only towards receivers that keep exceeding
+/// it.
+const GUARD_SLACK: f64 = 0.15;
+
+/// Consolidation hysteresis: the donor's J/cycle must exceed the
+/// receiver's by this relative margin before work moves.
+const HYSTERESIS: f64 = 0.10;
+
+/// Selects the greedy policy for
+/// [`ManyCoreRtm::new`](crate::ManyCoreRtm::new). It has no settings:
+/// the policy's 5 % share step, 85 °C receive cap, 2 % rescue floor,
+/// 15 % consolidation guard and 10 % efficiency hysteresis are
+/// constants of [`GreedyMigration`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationConfig;
 
 impl MigrationConfig {
-    /// The defaults used by the big.LITTLE experiments: 5 % share
-    /// steps, an 85 °C receive cap, rescue below 2 % slack, consolidate
-    /// only into ≥ 15 % slack, 10 % efficiency hysteresis.
+    /// The greedy policy the big.LITTLE, mesh and fault-storm
+    /// experiments run.
     #[must_use]
     pub fn greedy() -> Self {
-        MigrationConfig {
-            step: 0.05,
-            temp_cap: Temp::from_celsius(85.0),
-            slack_floor: 0.02,
-            guard_slack: 0.15,
-            hysteresis: 0.10,
-        }
-    }
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        Self::greedy()
+        MigrationConfig
     }
 }
 
 /// The greedy migration policy: inspects each epoch's per-cluster
 /// [`FrameResult`]s and nudges the work-share vector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GreedyMigration {
-    config: MigrationConfig,
     migrations: u64,
     /// This epoch's frame slack per cluster, read once by
     /// [`rebalance_masked`](GreedyMigration::rebalance_masked).
@@ -78,18 +71,8 @@ pub struct GreedyMigration {
 impl GreedyMigration {
     /// Creates the policy.
     #[must_use]
-    pub fn new(config: MigrationConfig) -> Self {
-        GreedyMigration {
-            config,
-            migrations: 0,
-            slack: Vec::new(),
-        }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &MigrationConfig {
-        &self.config
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of share moves performed so far.
@@ -102,16 +85,12 @@ impl GreedyMigration {
     /// Returns `true` if a share step moved. `frames` and `shares` are
     /// indexed by cluster; shares stay non-negative and their sum is
     /// preserved.
-    pub fn rebalance(&mut self, frames: &[FrameResult], shares: &mut [f64]) -> bool {
-        self.rebalance_masked(frames, shares, &[])
-    }
-
-    /// [`rebalance`](GreedyMigration::rebalance) with a dead-cluster
-    /// mask: clusters flagged in `dead` are excluded as both donors and
+    ///
+    /// Clusters flagged in `dead` are excluded as both donors and
     /// receivers (their frames report garbage or nothing at all, and
     /// work must never migrate onto them). `dead` may be shorter than
-    /// the cluster count — missing entries mean alive — so the unmasked
-    /// path passes `&[]` and behaves exactly as before.
+    /// the cluster count — missing entries mean alive — so `&[]` means
+    /// every cluster is alive.
     pub fn rebalance_masked(
         &mut self,
         frames: &[FrameResult],
@@ -126,9 +105,9 @@ impl GreedyMigration {
         self.slack
             .extend(frames[..n].iter().map(FrameResult::frame_slack));
 
-        let (config, slack) = (&self.config, &self.slack[..]);
-        let pair = Self::rescue_pair(config, slack, &frames[..n], &shares[..n], dead)
-            .or_else(|| Self::consolidation_pair(config, slack, &frames[..n], &shares[..n], dead));
+        let slack = &self.slack[..];
+        let pair = Self::rescue_pair(slack, &frames[..n], &shares[..n], dead)
+            .or_else(|| Self::consolidation_pair(slack, &frames[..n], &shares[..n], dead));
         match pair {
             Some((donor, receiver)) => self.transfer(shares, donor, receiver),
             None => false,
@@ -175,7 +154,6 @@ impl GreedyMigration {
     /// donates to the best-slack thermally-safe cluster above it.
     /// `slack[c]` is `frames[c]`'s frame slack.
     fn rescue_pair(
-        config: &MigrationConfig,
         slack: &[f64],
         frames: &[FrameResult],
         shares: &[f64],
@@ -184,7 +162,7 @@ impl GreedyMigration {
         let is_dead = |c: usize| dead.get(c).copied().unwrap_or(false);
         let mut donor: Option<usize> = None;
         for (c, &s) in slack.iter().enumerate() {
-            if is_dead(c) || shares[c] <= 0.0 || s >= config.slack_floor {
+            if is_dead(c) || shares[c] <= 0.0 || s >= SLACK_FLOOR {
                 continue;
             }
             if donor.is_none_or(|d| s < slack[d]) {
@@ -197,8 +175,8 @@ impl GreedyMigration {
         for (c, frame) in frames.iter().enumerate() {
             if c == donor
                 || is_dead(c)
-                || slack[c] <= config.slack_floor
-                || frame.temperature >= config.temp_cap
+                || slack[c] <= SLACK_FLOOR
+                || frame.temperature.as_celsius() >= TEMP_CAP_C
             {
                 continue;
             }
@@ -214,7 +192,6 @@ impl GreedyMigration {
     /// with thermal margin and slack headroom. `slack[c]` is
     /// `frames[c]`'s frame slack.
     fn consolidation_pair(
-        config: &MigrationConfig,
         slack: &[f64],
         frames: &[FrameResult],
         shares: &[f64],
@@ -222,7 +199,7 @@ impl GreedyMigration {
     ) -> Option<(usize, usize)> {
         let is_dead = |c: usize| dead.get(c).copied().unwrap_or(false);
         for (c, &s) in slack.iter().enumerate() {
-            if !is_dead(c) && shares[c] > 0.0 && s < config.guard_slack {
+            if !is_dead(c) && shares[c] > 0.0 && s < GUARD_SLACK {
                 return None;
             }
         }
@@ -241,8 +218,8 @@ impl GreedyMigration {
             if shares[c] > 0.0 && donor.is_none_or(|(_, worst)| cost > worst) {
                 donor = Some((c, cost));
             }
-            if slack[c] > config.guard_slack
-                && frame.temperature < config.temp_cap
+            if slack[c] > GUARD_SLACK
+                && frame.temperature.as_celsius() < TEMP_CAP_C
                 && receiver.is_none_or(|(_, best)| cost < best)
             {
                 receiver = Some((c, cost));
@@ -250,14 +227,14 @@ impl GreedyMigration {
         }
         let (donor, donor_cost) = donor?;
         let (receiver, receiver_cost) = receiver?;
-        if receiver == donor || donor_cost <= receiver_cost * (1.0 + config.hysteresis) {
+        if receiver == donor || donor_cost <= receiver_cost * (1.0 + HYSTERESIS) {
             return None;
         }
         Some((donor, receiver))
     }
 
     fn transfer(&mut self, shares: &mut [f64], donor: usize, receiver: usize) -> bool {
-        let delta = self.config.step.min(shares[donor]);
+        let delta = STEP.min(shares[donor]);
         if delta <= 0.0 {
             return false;
         }
@@ -271,7 +248,7 @@ impl GreedyMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_units::{Energy, SimTime};
+    use qgov_units::{Energy, SimTime, Temp};
 
     fn frame(slack: f64, joules_per_cycle: f64, temp_c: f64) -> FrameResult {
         let period = SimTime::from_ms(40);
@@ -286,10 +263,10 @@ mod tests {
 
     #[test]
     fn rescue_moves_share_from_missing_to_slack_cluster() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         let frames = [frame(-0.2, 1e-9, 60.0), frame(0.5, 1e-9, 60.0)];
         let mut shares = [0.5, 0.5];
-        assert!(policy.rebalance(&frames, &mut shares));
+        assert!(policy.rebalance_masked(&frames, &mut shares, &[]));
         assert!((shares[0] - 0.45).abs() < 1e-12);
         assert!((shares[1] - 0.55).abs() < 1e-12);
         assert_eq!(policy.migrations(), 1);
@@ -297,61 +274,59 @@ mod tests {
 
     #[test]
     fn rescue_respects_the_thermal_cap() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         let frames = [frame(-0.2, 1e-9, 60.0), frame(0.5, 1e-9, 95.0)];
         let mut shares = [0.5, 0.5];
-        assert!(!policy.rebalance(&frames, &mut shares));
+        assert!(!policy.rebalance_masked(&frames, &mut shares, &[]));
         assert_eq!(shares, [0.5, 0.5]);
     }
 
     #[test]
     fn consolidation_drifts_work_to_the_efficient_cluster() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         // Both comfortably slack; cluster 0 burns 4x the J/cycle.
         let frames = [frame(0.4, 4e-9, 60.0), frame(0.4, 1e-9, 60.0)];
         let mut shares = [0.6, 0.4];
-        assert!(policy.rebalance(&frames, &mut shares));
+        assert!(policy.rebalance_masked(&frames, &mut shares, &[]));
         assert!((shares[0] - 0.55).abs() < 1e-12);
         assert!((shares[1] - 0.45).abs() < 1e-12);
     }
 
     #[test]
     fn consolidation_waits_for_slack_everywhere() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         // Cluster 1 is efficient but tight on slack: nothing moves.
         let frames = [frame(0.4, 4e-9, 60.0), frame(0.05, 1e-9, 60.0)];
         let mut shares = [0.6, 0.4];
-        assert!(!policy.rebalance(&frames, &mut shares));
+        assert!(!policy.rebalance_masked(&frames, &mut shares, &[]));
     }
 
     #[test]
     fn hysteresis_blocks_near_tie_shuffling() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         let frames = [frame(0.4, 1.05e-9, 60.0), frame(0.4, 1e-9, 60.0)];
         let mut shares = [0.5, 0.5];
-        assert!(!policy.rebalance(&frames, &mut shares));
+        assert!(!policy.rebalance_masked(&frames, &mut shares, &[]));
     }
 
     #[test]
     fn shares_stay_normalised_and_non_negative() {
-        let mut policy = GreedyMigration::new(MigrationConfig {
-            step: 0.3,
-            ..MigrationConfig::greedy()
-        });
+        let mut policy = GreedyMigration::new();
         let frames = [frame(-0.5, 1e-9, 60.0), frame(0.6, 1e-9, 60.0)];
-        let mut shares = [0.1, 0.9];
-        // Donor only has 0.1 to give: the step clamps.
-        assert!(policy.rebalance(&frames, &mut shares));
+        let mut shares = [0.03, 0.97];
+        // Donor only has 0.03 to give, under the 5 % step: the step
+        // clamps.
+        assert!(policy.rebalance_masked(&frames, &mut shares, &[]));
         assert!((shares[0] - 0.0).abs() < 1e-12);
         assert!((shares[1] - 1.0).abs() < 1e-12);
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // Fully drained: nothing left to donate.
-        assert!(!policy.rebalance(&frames, &mut shares));
+        assert!(!policy.rebalance_masked(&frames, &mut shares, &[]));
     }
 
     #[test]
     fn dead_clusters_neither_donate_nor_receive() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         // Cluster 1 is the obvious rescue receiver — unless it is dead.
         let frames = [frame(-0.2, 1e-9, 60.0), frame(0.5, 1e-9, 60.0)];
         let mut shares = [0.5, 0.5];
@@ -367,7 +342,7 @@ mod tests {
 
     #[test]
     fn drain_dead_moves_share_to_survivors_proportionally() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         let mut shares = [0.4, 0.3, 0.3];
         assert!(policy.drain_dead(&mut shares, &[true, false, false]));
         assert_eq!(shares[0], 0.0);
@@ -392,10 +367,10 @@ mod tests {
 
     #[test]
     fn single_cluster_never_migrates() {
-        let mut policy = GreedyMigration::new(MigrationConfig::greedy());
+        let mut policy = GreedyMigration::new();
         let frames = [frame(-0.5, 1e-9, 60.0)];
         let mut shares = [1.0];
-        assert!(!policy.rebalance(&frames, &mut shares));
+        assert!(!policy.rebalance_masked(&frames, &mut shares, &[]));
         assert_eq!(policy.migrations(), 0);
     }
 }

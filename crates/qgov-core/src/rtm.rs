@@ -135,7 +135,7 @@ pub struct RtmGovernor {
     scratch_predicted: Vec<f64>,
     /// Set by [`with_hardening`](RtmGovernor::with_hardening): routes
     /// every observation through a plausibility filter first.
-    hardening: Option<HardeningConfig>,
+    hardened: bool,
     /// The live filter (rebuilt fresh on every `init`).
     filter: Option<PlausibilityFilter>,
     /// Reusable governor-side copy of the sensed frame, so filtering
@@ -168,7 +168,7 @@ impl RtmGovernor {
             last_frame_slack: 0.0,
             scratch_actual: Vec::new(),
             scratch_predicted: Vec::new(),
-            hardening: None,
+            hardened: false,
             filter: None,
             sensed_scratch: FrameResult::empty(),
             safe_state_epochs: 0,
@@ -178,23 +178,13 @@ impl RtmGovernor {
     /// Hardens the governor against faulty sensors: every observation
     /// passes a [`PlausibilityFilter`] before it reaches the learning
     /// loop (implausible readings are replaced by last-good values),
-    /// and after [`HardeningConfig::quarantine_threshold`] consecutive
-    /// rejections the governor parks the cluster at the configured
-    /// safe OPP — without learning from the garbage — until a
-    /// plausible reading arrives. See [`HardeningConfig`] and
-    /// [`PlausibilityFilter`].
+    /// and after five consecutive rejections the governor parks the
+    /// cluster at its top OPP — without learning from the garbage —
+    /// until a plausible reading arrives. See [`PlausibilityFilter`].
     #[must_use]
-    pub fn with_hardening(mut self, hardening: HardeningConfig) -> Self {
-        self.hardening = Some(hardening);
+    pub fn with_hardening(mut self, _hardening: HardeningConfig) -> Self {
+        self.hardened = true;
         self
-    }
-
-    /// The hardening gates, if [`with_hardening`] configured any.
-    ///
-    /// [`with_hardening`]: RtmGovernor::with_hardening
-    #[must_use]
-    pub fn hardening(&self) -> Option<&HardeningConfig> {
-        self.hardening.as_ref()
     }
 
     /// Epochs that ran on substituted or safe-state data (0 for a
@@ -206,18 +196,10 @@ impl RtmGovernor {
             .map_or(0, PlausibilityFilter::degraded_epochs)
     }
 
-    /// Epochs spent parked at the safe OPP while quarantined.
+    /// Epochs spent parked at the top OPP while quarantined.
     #[must_use]
     pub fn safe_state_epochs(&self) -> u64 {
         self.safe_state_epochs
-    }
-
-    /// How many times the governor escalated to the safe state.
-    #[must_use]
-    pub fn quarantine_entries(&self) -> u64 {
-        self.filter
-            .as_ref()
-            .map_or(0, PlausibilityFilter::quarantine_entries)
     }
 
     /// The learnt Q-table (empty rows until learning starts).
@@ -396,8 +378,7 @@ impl Governor for RtmGovernor {
         self.cores = cores;
         let (min, max) = config.workload_bounds.expect("validated bounds");
         self.mapper = Some(
-            StateMapper::from_bounds(min, max, config.workload_levels, config.slack_levels, cores)
-                .expect("validated bounds"),
+            StateMapper::from_bounds(min, max, config.levels, cores).expect("validated bounds"),
         );
         self.predictors = (0..cores)
             .map(|_| EwmaPredictor::new(config.smoothing).expect("validated"))
@@ -412,9 +393,9 @@ impl Governor for RtmGovernor {
         self.scratch_actual = Vec::with_capacity(cores);
         self.scratch_predicted = vec![0.0; cores];
 
-        // A hardened governor gets a fresh filter per run (the gates
-        // persist; last-good history and counters do not).
-        self.filter = self.hardening.map(PlausibilityFilter::new);
+        // A hardened governor gets a fresh filter per run: last-good
+        // history and counters do not persist.
+        self.filter = self.hardened.then(PlausibilityFilter::new);
         self.sensed_scratch = FrameResult::empty();
         self.safe_state_epochs = 0;
 
@@ -430,16 +411,12 @@ impl Governor for RtmGovernor {
         self.sensed_scratch.copy_from(obs.frame);
         filter.admit(&mut self.sensed_scratch);
         if filter.quarantined() {
-            // Sensors untrustworthy: park at the safe OPP and do not let
-            // the agent learn from garbage (ε stays frozen, which keeps
-            // its decay monotone).
+            // Sensors untrustworthy: park at the top OPP, the
+            // deadline-conservative safe state, and do not let the agent
+            // learn from garbage (ε stays frozen, which keeps its decay
+            // monotone).
             self.safe_state_epochs += 1;
-            let safe = self
-                .hardening
-                .as_ref()
-                .expect("filter implies hardening")
-                .safe_opp;
-            return VfDecision::Cluster(safe.min(self.table().max_index()));
+            return VfDecision::Cluster(self.table().max_index());
         }
         // Learn from the filtered copy, then put it back so its vectors
         // keep their capacity.

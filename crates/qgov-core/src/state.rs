@@ -22,7 +22,7 @@ use qgov_rl::{RlError, UniformDiscretizer};
 /// ```
 /// use qgov_core::StateMapper;
 ///
-/// let mapper = StateMapper::from_bounds(0.0, 1e8, 5, 5, 4).unwrap();
+/// let mapper = StateMapper::from_bounds(0.0, 1e8, 5, 4).unwrap();
 /// assert_eq!(mapper.states(), 25);
 /// let low = mapper.state_for_total(1e6, -0.5);
 /// let high = mapper.state_for_total(9.9e7, -0.5);
@@ -30,8 +30,7 @@ use qgov_rl::{RlError, UniformDiscretizer};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateMapper {
-    /// Ascending inner workload boundaries; `workload_levels − 1` of
-    /// them.
+    /// Ascending inner workload boundaries; `levels − 1` of them.
     workload: Vec<f64>,
     share: UniformDiscretizer,
     slack: UniformDiscretizer,
@@ -39,19 +38,15 @@ pub struct StateMapper {
 
 impl StateMapper {
     /// Builds a mapper from a `(min, max)` workload range in total
-    /// cycles per frame (offline pre-characterisation).
+    /// cycles per frame (offline pre-characterisation), with `levels`
+    /// levels (the paper's N) in both the workload and the slack
+    /// dimension.
     ///
     /// # Errors
     ///
     /// Returns an [`RlError`] for a non-finite, empty or inverted range
     /// or a zero level or core count.
-    pub fn from_bounds(
-        min: f64,
-        max: f64,
-        workload_levels: usize,
-        slack_levels: usize,
-        cores: usize,
-    ) -> Result<Self, RlError> {
+    pub fn from_bounds(min: f64, max: f64, levels: usize, cores: usize) -> Result<Self, RlError> {
         if !(min.is_finite() && max.is_finite() && (max - min).is_finite() && min < max) {
             return Err(RlError::NotPositive {
                 name: "workload range width",
@@ -59,33 +54,27 @@ impl StateMapper {
             });
         }
         RlError::check_nonempty("cores", cores)?;
-        RlError::check_nonempty("levels", workload_levels)?;
-        let workload = (1..workload_levels)
-            .map(|k| min + (max - min) * k as f64 / workload_levels as f64)
+        RlError::check_nonempty("levels", levels)?;
+        let workload = (1..levels)
+            .map(|k| min + (max - min) * k as f64 / levels as f64)
             .collect();
         Ok(StateMapper {
             workload,
-            share: UniformDiscretizer::new(0.0, 2.0 / cores as f64, workload_levels)?,
-            slack: UniformDiscretizer::new(-1.0, 1.0 + 1e-12, slack_levels)?,
+            share: UniformDiscretizer::new(0.0, 2.0 / cores as f64, levels)?,
+            slack: UniformDiscretizer::new(-1.0, 1.0 + 1e-12, levels)?,
         })
     }
 
-    /// Number of workload levels.
+    /// Number of levels N in each dimension.
     #[must_use]
-    pub fn workload_levels(&self) -> usize {
-        self.workload.len() + 1
-    }
-
-    /// Number of slack levels.
-    #[must_use]
-    pub fn slack_levels(&self) -> usize {
+    pub fn levels(&self) -> usize {
         self.slack.levels()
     }
 
-    /// Total number of Q-table states, `|S| = N_workload × N_slack`.
+    /// Total number of Q-table states, `|S| = N × N`.
     #[must_use]
     pub fn states(&self) -> usize {
-        self.workload_levels() * self.slack.levels()
+        self.levels() * self.levels()
     }
 
     /// State index for a predicted **total** workload (cycles) and
@@ -141,14 +130,14 @@ mod tests {
     use super::*;
 
     fn mapper() -> StateMapper {
-        StateMapper::from_bounds(0.0, 100.0, 5, 5, 4).unwrap()
+        StateMapper::from_bounds(0.0, 100.0, 5, 4).unwrap()
     }
 
     #[test]
     fn state_space_size_is_product() {
         assert_eq!(mapper().states(), 25);
-        let m = StateMapper::from_bounds(0.0, 1.0, 3, 7, 4).unwrap();
-        assert_eq!(m.states(), 21);
+        let m = StateMapper::from_bounds(0.0, 1.0, 3, 4).unwrap();
+        assert_eq!(m.states(), 9);
     }
 
     #[test]
@@ -179,7 +168,7 @@ mod tests {
         // Fair share on 4 cores = 0.25 over [0, 0.5]: level 2 of 5.
         let s = m.state_for_share(0.25, 0.0);
         let expected_level = 2;
-        assert_eq!(s / m.slack_levels(), expected_level);
+        assert_eq!(s / m.levels(), expected_level);
     }
 
     #[test]
@@ -217,23 +206,25 @@ mod tests {
 
     #[test]
     fn workload_boundaries_split_the_range_evenly() {
+        // A state is `workload level × N + slack level`.
+        let level = |m: &StateMapper, value: f64| m.state_for_total(value, 0.0) / m.levels();
         // N = 5: boundaries at exact fifths of the range.
-        let m = StateMapper::from_bounds(0.0, 100.0, 5, 1, 4).unwrap();
-        for (value, level) in [(19.999, 0), (20.0, 1), (59.999, 2), (60.0, 3), (80.0, 4)] {
-            assert_eq!(m.state_for_total(value, 0.0), level, "workload {value}");
+        let m = StateMapper::from_bounds(0.0, 100.0, 5, 4).unwrap();
+        for (value, expect) in [(19.999, 0), (20.0, 1), (59.999, 2), (60.0, 3), (80.0, 4)] {
+            assert_eq!(level(&m, value), expect, "workload {value}");
         }
         // N = 3: boundaries at thirds.
-        let m = StateMapper::from_bounds(0.0, 90.0, 3, 1, 4).unwrap();
-        for (value, level) in [(29.999, 0), (30.0, 1), (59.999, 1), (60.0, 2)] {
-            assert_eq!(m.state_for_total(value, 0.0), level, "workload {value}");
+        let m = StateMapper::from_bounds(0.0, 90.0, 3, 4).unwrap();
+        for (value, expect) in [(29.999, 0), (30.0, 1), (59.999, 1), (60.0, 2)] {
+            assert_eq!(level(&m, value), expect, "workload {value}");
         }
-        assert_eq!(m.state_for_total(f64::NAN, 0.0), 0);
-        assert_eq!(m.workload_levels(), 3);
+        assert_eq!(level(&m, f64::NAN), 0);
+        assert_eq!(m.levels(), 3);
         // N = 2 and every level count the state-levels ablation runs,
         // on a pre-characterised range: boundary k is exactly k/N of it.
         let (min, max) = (5e7, 2.5e8);
         for levels in [2usize, 3, 4, 5, 7, 9] {
-            let m = StateMapper::from_bounds(min, max, levels, 1, 4).unwrap();
+            let m = StateMapper::from_bounds(min, max, levels, 4).unwrap();
             assert_eq!(m.workload.len(), levels - 1);
             for (k, &boundary) in (1..levels).zip(&m.workload) {
                 let expect = min + (max - min) * k as f64 / levels as f64;
@@ -248,9 +239,8 @@ mod tests {
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(StateMapper::from_bounds(1.0, 1.0, 5, 5, 4).is_err());
-        assert!(StateMapper::from_bounds(0.0, 1.0, 0, 5, 4).is_err());
-        assert!(StateMapper::from_bounds(0.0, 1.0, 5, 0, 4).is_err());
-        assert!(StateMapper::from_bounds(0.0, 1.0, 5, 5, 0).is_err());
+        assert!(StateMapper::from_bounds(1.0, 1.0, 5, 4).is_err());
+        assert!(StateMapper::from_bounds(0.0, 1.0, 0, 4).is_err());
+        assert!(StateMapper::from_bounds(0.0, 1.0, 5, 0).is_err());
     }
 }

@@ -3,11 +3,15 @@
 //! integrity.
 
 use qgov_core::{ManyCoreRtm, MigrationConfig, RtmConfig, RtmGovernor, StateKind};
-use qgov_governors::{EpochObservation, Governor, GovernorContext};
+use qgov_governors::{
+    EpochObservation, Governor, GovernorContext, ManyCoreGovernor, ManyCoreObservation,
+};
 use qgov_rl::RlError;
-use qgov_sim::{DvfsConfig, Platform, PlatformConfig, WorkSlice};
+use qgov_sim::{DvfsConfig, ManyCorePlatform, Platform, PlatformConfig, Topology, WorkSlice};
 use qgov_units::{Cycles, SimTime};
-use qgov_workloads::{Application, FrameDemand, SyntheticWorkload, WorkloadTrace};
+use qgov_workloads::{
+    split_demand_into, Application, FrameDemand, SyntheticWorkload, WorkloadTrace,
+};
 
 /// Drives an RTM against a live platform; returns per-epoch (opp, met)
 /// pairs.
@@ -206,6 +210,83 @@ fn second_init_fully_resets_learning() {
     assert_eq!(first, second, "identical app + fresh init = identical run");
 }
 
+/// Drives a chip-level RTM on the big.LITTLE chip from even shares;
+/// returns the bits of every frame's chip energy and frame time, then
+/// of the final shares.
+fn drive_chip(rtm: &mut ManyCoreRtm, app: &mut dyn Application, frames: u64) -> Vec<u64> {
+    let mut chip = ManyCorePlatform::new(Topology::odroid_xu3_biglittle()).unwrap();
+    let clusters = chip.cluster_count();
+    let cores: Vec<usize> = (0..clusters).map(|c| chip.cores(c)).collect();
+    let ctxs: Vec<GovernorContext> = (0..clusters)
+        .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], app.period()))
+        .collect();
+    let mut decisions = Vec::new();
+    rtm.init(&ctxs, &mut decisions);
+    app.reset();
+
+    let mut shares = vec![1.0 / clusters as f64; clusters];
+    let mut split = vec![FrameDemand::new(Vec::new()); clusters];
+    let mut log = Vec::new();
+    for epoch in 0..frames {
+        for (c, d) in decisions.iter().enumerate() {
+            chip.set_cluster_opp(c, d.resolve_cluster(chip.current_opp(c)));
+        }
+        split_demand_into(&app.next_frame(), &shares, &cores, &mut split);
+        let work: Vec<Vec<WorkSlice>> = split
+            .iter()
+            .zip(&cores)
+            .map(|(demand, &n)| {
+                (0..n)
+                    .map(|core| {
+                        demand.threads.get(core).map_or(WorkSlice::IDLE, |t| {
+                            WorkSlice::new(t.cpu_cycles, t.mem_time)
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let frame = chip.run_frame(&work, app.period()).unwrap();
+        log.push(frame.energy.as_joules().to_bits());
+        log.push(frame.frame_time.as_ns());
+        rtm.decide_into(
+            &ManyCoreObservation {
+                frames: &frame.clusters,
+                epoch,
+            },
+            &mut decisions,
+            &mut shares,
+        );
+        for c in 0..clusters {
+            chip.add_overhead(c, rtm.processing_overhead(c));
+        }
+    }
+    log.extend(shares.iter().map(|s| s.to_bits()));
+    log
+}
+
+#[test]
+fn second_init_fully_resets_the_chip_coordinator() {
+    let mut app = SyntheticWorkload::constant(
+        "c",
+        Cycles::from_mcycles(300),
+        SimTime::from_ms(40),
+        300,
+        4,
+        2017,
+    )
+    .with_noise(0.1);
+    let mut rtm = ManyCoreRtm::paper(2017, 2, (2.4e8, 3.6e8)).unwrap();
+    let first = drive_chip(&mut rtm, &mut app, 300);
+    let migrations = rtm.migrations();
+    assert!(migrations > 0, "the run must migrate work");
+
+    // Re-init: the agents, the dead flags and the migration policy all
+    // restart.
+    let second = drive_chip(&mut rtm, &mut app, 300);
+    assert_eq!(first, second, "identical app + fresh init = identical run");
+    assert_eq!(rtm.migrations(), migrations, "the migration count restarts");
+}
+
 /// Two 2-thread applications sharing the 4-core cluster, each frame
 /// their threads side by side: a steady filter pipeline on cores 0–1
 /// and a bursty tracker on cores 2–3.
@@ -254,7 +335,7 @@ fn per_core_share_state_distinguishes_asymmetric_members() {
     let workload_levels: std::collections::BTreeSet<usize> = rtm
         .history()
         .iter()
-        .map(|r| r.state / mapper.slack_levels())
+        .map(|r| r.state / mapper.levels())
         .collect();
     assert!(
         workload_levels.len() > 1,

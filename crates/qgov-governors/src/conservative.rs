@@ -10,51 +10,32 @@ use crate::{EpochObservation, Governor, GovernorContext, VfDecision};
 use qgov_sim::OppTable;
 use qgov_units::{Freq, SimTime};
 
+/// Load fraction at or above which the frequency steps up (kernel
+/// default 80 %).
+const UP_THRESHOLD: f64 = 0.80;
+
+/// Load fraction at or below which the frequency steps down (kernel
+/// default 20 %).
+const DOWN_THRESHOLD: f64 = 0.20;
+
+/// One step as a fraction of the maximum frequency (kernel default 5 %).
+const FREQ_STEP: f64 = 0.05;
+
 /// The conservative governor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConservativeGovernor {
-    up_threshold: f64,
-    down_threshold: f64,
-    /// Step as a fraction of the maximum frequency (kernel default 5 %).
-    freq_step: f64,
     table: Option<OppTable>,
     current: usize,
 }
 
 impl ConservativeGovernor {
-    /// Creates a conservative governor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < down_threshold < up_threshold <= 1` and
-    /// `0 < freq_step <= 1`.
-    #[must_use]
-    pub fn new(up_threshold: f64, down_threshold: f64, freq_step: f64) -> Self {
-        assert!(
-            up_threshold.is_finite() && down_threshold.is_finite() && freq_step.is_finite(),
-            "thresholds must be finite"
-        );
-        assert!(
-            0.0 < down_threshold && down_threshold < up_threshold && up_threshold <= 1.0,
-            "need 0 < down_threshold < up_threshold <= 1"
-        );
-        assert!(
-            0.0 < freq_step && freq_step <= 1.0,
-            "freq_step must lie in (0, 1]"
-        );
-        ConservativeGovernor {
-            up_threshold,
-            down_threshold,
-            freq_step,
-            table: None,
-            current: 0,
-        }
-    }
-
     /// Kernel defaults: up 80 %, down 20 %, step 5 % of max frequency.
     #[must_use]
     pub fn linux_default() -> Self {
-        Self::new(0.80, 0.20, 0.05)
+        ConservativeGovernor {
+            table: None,
+            current: 0,
+        }
     }
 }
 
@@ -77,13 +58,13 @@ impl Governor for ConservativeGovernor {
             .map(|c| obs.frame.utilization(c))
             .fold(0.0f64, f64::max);
 
-        let step_khz = (table.max_freq().khz() as f64 * self.freq_step) as u64;
+        let step_khz = (table.max_freq().khz() as f64 * FREQ_STEP) as u64;
         let cur_freq = table.get(self.current).expect("current index valid").freq;
 
-        if load >= self.up_threshold {
+        if load >= UP_THRESHOLD {
             let target = Freq::from_khz(cur_freq.khz() + step_khz);
             self.current = table.index_at_or_above(target);
-        } else if load <= self.down_threshold {
+        } else if load <= DOWN_THRESHOLD {
             let target = Freq::from_khz(cur_freq.khz().saturating_sub(step_khz));
             self.current = table.index_at_or_below(target);
         }
@@ -201,11 +182,5 @@ mod tests {
             VfDecision::Cluster(18),
             "cannot go above the top"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "down_threshold")]
-    fn inverted_thresholds_panic() {
-        let _ = ConservativeGovernor::new(0.2, 0.8, 0.05);
     }
 }

@@ -30,30 +30,14 @@ const UTIL_LEVELS: usize = 8;
 /// Epochs in the sliding window of the average slack ratio `L`.
 const SLACK_WINDOW: usize = 10;
 
-/// Configuration of the per-core learners.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeQiuConfig {
-    /// The per-core learner; the preset explores uniformly on a
-    /// standard (not the accelerated Eq. 6) ε schedule. Every agent
-    /// starts with an optimistic gradient towards high frequencies,
-    /// matching the scheme's performance-first boot.
-    pub agent: AgentConfig,
-    /// RNG seed (each core derives its own stream).
-    pub seed: u64,
-}
-
-impl GeQiuConfig {
-    /// The configuration used for the paper-comparison experiments.
-    #[must_use]
-    pub fn paper(seed: u64) -> Self {
-        GeQiuConfig {
-            agent: AgentConfig {
-                // Slower decay than the RTM's accelerated schedule.
-                epsilon: DecayingEpsilon::new(1.0, 0.02, 0.01).expect("valid schedule"),
-                exploration: ExplorationKind::Upd,
-            },
-            seed,
-        }
+/// The per-core learner: uniform exploration on a standard ε schedule,
+/// slower than the RTM's accelerated Eq. 6 decay. Every agent starts
+/// with an optimistic gradient towards high frequencies, matching the
+/// scheme's performance-first boot.
+fn agent_config() -> AgentConfig {
+    AgentConfig {
+        epsilon: DecayingEpsilon::new(1.0, 0.02, 0.01).expect("valid schedule"),
+        exploration: ExplorationKind::Upd,
     }
 }
 
@@ -62,18 +46,19 @@ impl GeQiuConfig {
 /// # Examples
 ///
 /// ```
-/// use qgov_governors::{GeQiuConfig, GeQiuGovernor, Governor, GovernorContext};
+/// use qgov_governors::{GeQiuGovernor, Governor, GovernorContext};
 /// use qgov_sim::OppTable;
 /// use qgov_units::SimTime;
 ///
-/// let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(1));
+/// let mut gov = GeQiuGovernor::new(1);
 /// let ctx = GovernorContext::new(OppTable::odroid_xu3_a15(), 4, SimTime::from_ms(40));
 /// gov.init(&ctx);
 /// assert_eq!(gov.name(), "geqiu");
 /// ```
 #[derive(Debug)]
 pub struct GeQiuGovernor {
-    config: GeQiuConfig,
+    /// RNG seed (each core derives its own stream).
+    seed: u64,
     agents: Vec<QLearningAgent>,
     util_levels: Option<UniformDiscretizer>,
     slack: SlackTracker,
@@ -84,11 +69,12 @@ pub struct GeQiuGovernor {
 impl GeQiuGovernor {
     /// Creates the governor (agents are built in
     /// [`init`](Governor::init), when the core count and action space
-    /// are known).
+    /// are known). Core `c` explores on its own stream derived from
+    /// `seed`.
     #[must_use]
-    pub fn new(config: GeQiuConfig) -> Self {
+    pub fn new(seed: u64) -> Self {
         GeQiuGovernor {
-            config,
+            seed,
             agents: Vec::new(),
             util_levels: None,
             slack: SlackTracker::new(SLACK_WINDOW),
@@ -122,7 +108,7 @@ impl GeQiuGovernor {
     /// every epoch pays the full learning overhead.
     #[must_use]
     pub fn exploration_phase_epochs(&self) -> u64 {
-        self.config.agent.epsilon.epochs_to_floor()
+        agent_config().epsilon.epochs_to_floor()
     }
 }
 
@@ -135,14 +121,14 @@ impl Governor for GeQiuGovernor {
         let freqs = ctx.opp_table().freqs_ghz();
         self.actions = freqs.len();
         let action_space = ActionSpace::from_freqs_ghz(&freqs);
+        let agent = agent_config();
         self.agents = (0..ctx.cores())
             .map(|core| {
                 QLearningAgent::new(
-                    self.config.agent.clone(),
+                    agent.clone(),
                     UTIL_LEVELS,
                     action_space.clone(),
-                    self.config
-                        .seed
+                    self.seed
                         .wrapping_add(core as u64)
                         .wrapping_mul(0x9E37_79B9),
                 )
@@ -201,7 +187,7 @@ mod tests {
 
     #[test]
     fn init_builds_one_agent_per_core() {
-        let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(3));
+        let mut gov = GeQiuGovernor::new(3);
         let d = gov.init(&ctx());
         assert_eq!(d, VfDecision::Cluster(18));
         assert_eq!(gov.agents.len(), 4);
@@ -210,7 +196,7 @@ mod tests {
 
     #[test]
     fn decisions_are_per_core_and_legal() {
-        let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(3));
+        let mut gov = GeQiuGovernor::new(3);
         gov.init(&ctx());
         let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         platform.set_cluster_opp(18);
@@ -236,7 +222,7 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let run = |seed: u64| {
-            let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(seed));
+            let mut gov = GeQiuGovernor::new(seed);
             gov.init(&ctx());
             let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
             let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(30)); 4];
@@ -259,7 +245,7 @@ mod tests {
 
     #[test]
     fn cores_use_distinct_rng_streams() {
-        let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(1));
+        let mut gov = GeQiuGovernor::new(1);
         gov.init(&ctx());
         let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
         // Identical per-core states must still give diverse exploratory

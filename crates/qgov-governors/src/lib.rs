@@ -49,7 +49,7 @@ mod slack;
 mod traits;
 
 pub use conservative::ConservativeGovernor;
-pub use ge_qiu::{GeQiuConfig, GeQiuGovernor};
+pub use ge_qiu::GeQiuGovernor;
 pub use multi::{ManyCoreGovernor, ManyCoreObservation, PerClusterGovernors};
 pub use ondemand::OndemandGovernor;
 pub use oracle::OracleGovernor;

@@ -10,8 +10,7 @@
 //! heterogeneous topologies.
 
 use crate::{
-    ConservativeGovernor, EpochObservation, Governor, GovernorContext, OndemandGovernor,
-    PerformanceGovernor, PowersaveGovernor, VfDecision,
+    EpochObservation, Governor, GovernorContext, OndemandGovernor, PerformanceGovernor, VfDecision,
 };
 use qgov_sim::FrameResult;
 use qgov_units::SimTime;
@@ -139,17 +138,6 @@ impl PerClusterGovernors {
         )
     }
 
-    /// Linux-default conservative on every cluster.
-    #[must_use]
-    pub fn conservative(clusters: usize) -> Self {
-        Self::new(
-            "conservative",
-            (0..clusters)
-                .map(|_| Box::new(ConservativeGovernor::linux_default()) as Box<dyn Governor>)
-                .collect(),
-        )
-    }
-
     /// Top operating point on every cluster.
     #[must_use]
     pub fn performance(clusters: usize) -> Self {
@@ -157,17 +145,6 @@ impl PerClusterGovernors {
             "performance",
             (0..clusters)
                 .map(|_| Box::new(PerformanceGovernor::new()) as Box<dyn Governor>)
-                .collect(),
-        )
-    }
-
-    /// Bottom operating point on every cluster.
-    #[must_use]
-    pub fn powersave(clusters: usize) -> Self {
-        Self::new(
-            "powersave",
-            (0..clusters)
-                .map(|_| Box::new(PowersaveGovernor::new()) as Box<dyn Governor>)
                 .collect(),
         )
     }
@@ -262,6 +239,7 @@ impl ManyCoreGovernor for PerClusterGovernors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PowersaveGovernor;
     use qgov_sim::OppTable;
     use qgov_units::SimTime;
 

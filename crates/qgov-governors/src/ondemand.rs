@@ -12,66 +12,37 @@ use crate::{EpochObservation, Governor, GovernorContext, VfDecision};
 use qgov_sim::OppTable;
 use qgov_units::SimTime;
 
-/// The ondemand governor.
+/// The load fraction at or above which ondemand jumps straight to the
+/// maximum frequency (the kernel default, 80 %).
+const UP_THRESHOLD: f64 = 0.80;
+
+/// The ondemand governor at the kernel defaults: an 80 % up-threshold
+/// and a sampling-down factor of 1, so a maximum-frequency decision is
+/// re-evaluated at the very next sample.
 ///
 /// # Examples
 ///
 /// ```
-/// use qgov_governors::OndemandGovernor;
+/// use qgov_governors::{Governor, GovernorContext, OndemandGovernor, VfDecision};
+/// use qgov_sim::OppTable;
+/// use qgov_units::SimTime;
 ///
-/// let gov = OndemandGovernor::linux_default();
-/// assert_eq!(gov.up_threshold(), 0.80);
+/// let mut gov = OndemandGovernor::linux_default();
+/// let ctx = GovernorContext::new(OppTable::odroid_xu3_a15(), 4, SimTime::from_ms(40));
+/// // Like the kernel, it starts at the top and lets load drag it down.
+/// assert_eq!(gov.init(&ctx), VfDecision::Cluster(18));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OndemandGovernor {
-    up_threshold: f64,
-    sampling_down_factor: u32,
     table: Option<OppTable>,
-    /// Remaining epochs to hold max frequency (sampling_down_factor).
-    hold: u32,
 }
 
 impl OndemandGovernor {
-    /// Creates an ondemand governor.
-    ///
-    /// `up_threshold` is the load fraction above which the governor
-    /// jumps to maximum frequency; `sampling_down_factor` is the number
-    /// of sampling periods the governor stays at maximum before
-    /// re-evaluating (kernel default 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < up_threshold <= 1` and
-    /// `sampling_down_factor >= 1`.
-    #[must_use]
-    pub fn new(up_threshold: f64, sampling_down_factor: u32) -> Self {
-        assert!(
-            up_threshold.is_finite() && up_threshold > 0.0 && up_threshold <= 1.0,
-            "up_threshold must lie in (0, 1], got {up_threshold}"
-        );
-        assert!(
-            sampling_down_factor >= 1,
-            "sampling_down_factor must be >= 1"
-        );
-        OndemandGovernor {
-            up_threshold,
-            sampling_down_factor,
-            table: None,
-            hold: 0,
-        }
-    }
-
-    /// The kernel defaults: `up_threshold = 80 %`,
-    /// `sampling_down_factor = 1`.
+    /// The governor at the kernel's default tunables (`up_threshold`
+    /// 80, `sampling_down_factor` 1).
     #[must_use]
     pub fn linux_default() -> Self {
-        Self::new(0.80, 1)
-    }
-
-    /// The configured up-threshold.
-    #[must_use]
-    pub fn up_threshold(&self) -> f64 {
-        self.up_threshold
+        OndemandGovernor { table: None }
     }
 }
 
@@ -82,7 +53,6 @@ impl Governor for OndemandGovernor {
 
     fn init(&mut self, ctx: &GovernorContext) -> VfDecision {
         self.table = Some(ctx.opp_table().clone());
-        self.hold = 0;
         // Like the kernel: start at the highest frequency and let load
         // drag it down.
         VfDecision::Cluster(ctx.opp_table().max_index())
@@ -96,16 +66,9 @@ impl Governor for OndemandGovernor {
             .map(|c| obs.frame.utilization(c))
             .fold(0.0f64, f64::max);
 
-        if load >= self.up_threshold {
-            self.hold = self.sampling_down_factor;
+        if load >= UP_THRESHOLD {
             return VfDecision::Cluster(table.max_index());
         }
-        if self.hold > 1 {
-            // Recently maxed: hold before scaling down.
-            self.hold -= 1;
-            return VfDecision::Cluster(table.max_index());
-        }
-        self.hold = 0;
         // freq_next = max_freq * load, mapped up onto the table
         // (CPUFREQ_RELATION_L: lowest frequency at or above target).
         let target = table.max_freq().scale(load);
@@ -195,47 +158,5 @@ mod tests {
             }),
             VfDecision::Cluster(0)
         );
-    }
-
-    #[test]
-    fn sampling_down_factor_holds_max() {
-        let mut g = OndemandGovernor::new(0.8, 3);
-        g.init(&ctx());
-        let hot = frame_with_utils(&[1.0, 1.0, 1.0, 1.0], 40);
-        let cold = frame_with_utils(&[0.1, 0.1, 0.1, 0.1], 40);
-        assert_eq!(
-            g.decide(&EpochObservation {
-                frame: &hot,
-                epoch: 0
-            }),
-            VfDecision::Cluster(18)
-        );
-        // Two more epochs of holding despite low load...
-        assert_eq!(
-            g.decide(&EpochObservation {
-                frame: &cold,
-                epoch: 1
-            }),
-            VfDecision::Cluster(18)
-        );
-        assert_eq!(
-            g.decide(&EpochObservation {
-                frame: &cold,
-                epoch: 2
-            }),
-            VfDecision::Cluster(18)
-        );
-        // ...then scaling down resumes.
-        let down = g.decide(&EpochObservation {
-            frame: &cold,
-            epoch: 3,
-        });
-        assert_ne!(down, VfDecision::Cluster(18));
-    }
-
-    #[test]
-    #[should_panic(expected = "up_threshold")]
-    fn bad_threshold_panics() {
-        let _ = OndemandGovernor::new(1.5, 1);
     }
 }

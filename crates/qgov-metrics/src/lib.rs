@@ -42,9 +42,8 @@ mod window;
 
 pub use misprediction::MispredictionStats;
 pub use monitor::{
-    converged_miss_rate, epsilon_monotone, epsilon_reaches_floor, opp_step_bound, recovers_within,
-    recovery_pack, standard_pack, thermal_cap, MonitorReport, MonitorSample, PackConfig, Property,
-    PropertySet, PropertyVerdict, Verdict,
+    recovery_pack, standard_pack, MonitorReport, MonitorSample, PackConfig, Property, PropertySet,
+    PropertyVerdict, Verdict,
 };
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
 pub use report::{FrameStat, RunReport};

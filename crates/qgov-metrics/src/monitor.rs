@@ -454,23 +454,31 @@ pub struct MonitorSample {
     pub converged: bool,
 }
 
-/// Tunable bounds for the [standard property pack](standard_pack).
+/// Thermal cap in °C that no frame may exceed (the ODROID-XU3
+/// throttling envelope).
+pub const THERMAL_CAP_C: f64 = 90.0;
+
+/// Tumbling-window length (epochs) for the post-convergence and
+/// post-fault miss checks.
+pub const MISS_WINDOW: u64 = 150;
+
+/// Maximum OPP-index step per epoch for conservative governors.
+const MAX_OPP_STEP: usize = 1;
+
+/// The ε floor the decay schedule must respect and reach (the paper's).
+const EPSILON_FLOOR: f64 = 0.01;
+
+/// The settings of the [standard property pack](standard_pack) that
+/// runs vary. The rest are constants: the [`THERMAL_CAP_C`] cap, the
+/// [`MISS_WINDOW`]-epoch miss window, one OPP step per epoch for
+/// `conservative` and the paper's ε floor of 0.01.
 ///
 /// [`PackConfig::paper`] encodes the claims of Biswas et al. (DATE 2017)
 /// at bounds the recorded experiment sweeps satisfy with margin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackConfig {
-    /// Thermal cap in °C that no frame may exceed.
-    pub thermal_cap_c: f64,
-    /// Tumbling-window length (epochs) for the post-convergence miss
-    /// check.
-    pub miss_window: u64,
     /// Maximum post-convergence miss rate per window.
     pub miss_bound: f64,
-    /// Maximum OPP-index step per epoch for conservative governors.
-    pub max_opp_step: usize,
-    /// The ε floor the decay schedule must respect and reach.
-    pub epsilon_floor: f64,
     /// Whether to require ε to actually *reach* the floor (needs runs
     /// longer than the decay horizon, ≈ 92 epochs at the paper's rate;
     /// disable for short smokes, where the check would fail spuriously).
@@ -478,18 +486,12 @@ pub struct PackConfig {
 }
 
 impl PackConfig {
-    /// The paper-claims configuration: 90 °C cap (the ODROID-XU3
-    /// throttling envelope), post-convergence misses under 35 % per
-    /// 150-epoch window, one OPP step per epoch for `conservative`, and
-    /// the paper's ε floor of 0.01.
+    /// The paper-claims configuration: post-convergence misses under
+    /// 35 % per window, and ε must reach its floor.
     #[must_use]
     pub fn paper() -> Self {
         Self {
-            thermal_cap_c: 90.0,
-            miss_window: 150,
             miss_bound: 0.35,
-            max_opp_step: 1,
-            epsilon_floor: 0.01,
             require_epsilon_floor: true,
         }
     }
@@ -505,20 +507,20 @@ impl PackConfig {
     }
 }
 
-/// `always (temperature ≤ cap)` — the thermal envelope is never
-/// exceeded.
+/// `always (temperature ≤ THERMAL_CAP_C)` — the thermal envelope is
+/// never exceeded.
 #[must_use]
-pub fn thermal_cap(cap_c: f64) -> Property<MonitorSample> {
-    Property::always(move |s: &MonitorSample| s.temperature_c <= cap_c)
+pub(crate) fn thermal_cap() -> Property<MonitorSample> {
+    Property::always(|s: &MonitorSample| s.temperature_c <= THERMAL_CAP_C)
 }
 
-/// `always (|Δopp| ≤ max_step)` between consecutive epochs — the
+/// `always (|Δopp| ≤ MAX_OPP_STEP)` between consecutive epochs — the
 /// conservative-governor claim that frequency only ramps stepwise.
 #[must_use]
-pub fn opp_step_bound(max_step: usize) -> Property<MonitorSample> {
+pub(crate) fn opp_step_bound() -> Property<MonitorSample> {
     let mut prev: Option<usize> = None;
     Property::always(move |s: &MonitorSample| {
-        let ok = prev.is_none_or(|p| s.opp.abs_diff(p) <= max_step);
+        let ok = prev.is_none_or(|p| s.opp.abs_diff(p) <= MAX_OPP_STEP);
         prev = Some(s.opp);
         ok
     })
@@ -529,7 +531,7 @@ pub fn opp_step_bound(max_step: usize) -> Property<MonitorSample> {
 /// `window` epochs stays at or under `bound` misses. Vacuous if
 /// convergence never occurs (heuristic governors, short runs).
 #[must_use]
-pub fn converged_miss_rate(window: u64, bound: f64) -> Property<MonitorSample> {
+pub(crate) fn converged_miss_rate(window: u64, bound: f64) -> Property<MonitorSample> {
     Property::after(
         |s: &MonitorSample| s.converged,
         windowed_miss_bound(window, bound),
@@ -559,30 +561,30 @@ fn windowed_miss_bound(window: u64, bound: f64) -> Property<MonitorSample> {
     })
 }
 
-/// `after(ε known, always (ε non-increasing ∧ ε ≥ floor))` — the decay
-/// schedule never rises and never undershoots its floor. Vacuous for
-/// governors that expose no ε.
+/// `after(ε known, always (ε non-increasing ∧ ε ≥ EPSILON_FLOOR))` —
+/// the decay schedule never rises and never undershoots its floor.
+/// Vacuous for governors that expose no ε.
 #[must_use]
-pub fn epsilon_monotone(floor: f64) -> Property<MonitorSample> {
+pub(crate) fn epsilon_monotone() -> Property<MonitorSample> {
     let mut prev = f64::INFINITY;
     Property::after(
         |s: &MonitorSample| s.epsilon.is_finite(),
         Property::always(move |s: &MonitorSample| {
-            let ok = s.epsilon <= prev + 1e-12 && s.epsilon >= floor - 1e-12;
+            let ok = s.epsilon <= prev + 1e-12 && s.epsilon >= EPSILON_FLOOR - 1e-12;
             prev = s.epsilon;
             ok
         }),
     )
 }
 
-/// `after(ε known, eventually (ε ≤ floor))` — the decay actually
-/// reaches its floor. Vacuous for governors that expose no ε; violated
-/// on runs shorter than the decay horizon.
+/// `after(ε known, eventually (ε ≤ EPSILON_FLOOR))` — the decay
+/// actually reaches its floor. Vacuous for governors that expose no ε;
+/// violated on runs shorter than the decay horizon.
 #[must_use]
-pub fn epsilon_reaches_floor(floor: f64) -> Property<MonitorSample> {
+pub(crate) fn epsilon_reaches_floor() -> Property<MonitorSample> {
     Property::after(
         |s: &MonitorSample| s.epsilon.is_finite(),
-        Property::eventually(move |s: &MonitorSample| s.epsilon <= floor + 1e-9),
+        Property::eventually(|s: &MonitorSample| s.epsilon <= EPSILON_FLOOR + 1e-9),
     )
 }
 
@@ -595,7 +597,7 @@ pub fn epsilon_reaches_floor(floor: f64) -> Property<MonitorSample> {
 /// the grace period and kept it there. Vacuous if the stream ends
 /// before the grace period does.
 #[must_use]
-pub fn recovers_within(
+pub(crate) fn recovers_within(
     fault_epoch: u64,
     grace: u64,
     window: u64,
@@ -612,18 +614,18 @@ pub fn recovers_within(
 /// hold on the *truth-side* temperature stream throughout (sensor
 /// faults are no excuse for cooking the die), the windowed miss rate
 /// must return under the configured bound within `grace` epochs of the
-/// fault at `fault_epoch` ([`recovers_within`]), and ε decay must stay
-/// monotone (a hardened governor freezing ε during quarantine
-/// satisfies this; a governor whose ε jumps around does not).
+/// fault at `fault_epoch`, and ε decay must stay monotone (a hardened
+/// governor freezing ε during quarantine satisfies this; a governor
+/// whose ε jumps around does not).
 #[must_use]
 pub fn recovery_pack(fault_epoch: u64, grace: u64, cfg: &PackConfig) -> PropertySet<MonitorSample> {
     PropertySet::new()
-        .with("thermal-cap-under-faults", thermal_cap(cfg.thermal_cap_c))
+        .with("thermal-cap-under-faults", thermal_cap())
         .with(
             "post-drop-miss-recovery",
-            recovers_within(fault_epoch, grace, cfg.miss_window, cfg.miss_bound),
+            recovers_within(fault_epoch, grace, MISS_WINDOW, cfg.miss_bound),
         )
-        .with("epsilon-monotone", epsilon_monotone(cfg.epsilon_floor))
+        .with("epsilon-monotone", epsilon_monotone())
 }
 
 /// The standard property pack for one experiment cell, keyed by the
@@ -634,20 +636,17 @@ pub fn recovery_pack(fault_epoch: u64, grace: u64, cfg: &PackConfig) -> Property
 #[must_use]
 pub fn standard_pack(governor: &str, cfg: &PackConfig) -> PropertySet<MonitorSample> {
     let mut set = PropertySet::new()
-        .with("thermal-cap", thermal_cap(cfg.thermal_cap_c))
+        .with("thermal-cap", thermal_cap())
         .with(
             "post-convergence-miss",
-            converged_miss_rate(cfg.miss_window, cfg.miss_bound),
+            converged_miss_rate(MISS_WINDOW, cfg.miss_bound),
         )
-        .with("epsilon-monotone", epsilon_monotone(cfg.epsilon_floor));
+        .with("epsilon-monotone", epsilon_monotone());
     if cfg.require_epsilon_floor {
-        set.push(
-            "epsilon-reaches-floor",
-            epsilon_reaches_floor(cfg.epsilon_floor),
-        );
+        set.push("epsilon-reaches-floor", epsilon_reaches_floor());
     }
     if governor == "conservative" {
-        set.push("opp-step-bound", opp_step_bound(cfg.max_opp_step));
+        set.push("opp-step-bound", opp_step_bound());
     }
     set
 }
@@ -808,7 +807,7 @@ mod tests {
 
     #[test]
     fn thermal_cap_flags_the_first_hot_frame() {
-        let mut set = PropertySet::new().with("thermal-cap", thermal_cap(90.0));
+        let mut set = PropertySet::new().with("thermal-cap", thermal_cap());
         for epoch in 0..5 {
             let mut s = sample(epoch);
             if epoch == 3 {
@@ -824,8 +823,8 @@ mod tests {
 
     #[test]
     fn opp_step_bound_tracks_consecutive_deltas() {
-        let mut ok = opp_step_bound(1);
-        let mut bad = opp_step_bound(1);
+        let mut ok = opp_step_bound();
+        let mut bad = opp_step_bound();
         for (epoch, opp) in [5usize, 6, 6, 5].iter().enumerate() {
             let mut s = sample(epoch as u64);
             s.opp = *opp;
@@ -873,8 +872,8 @@ mod tests {
 
     #[test]
     fn epsilon_properties_self_gate_on_nan() {
-        let mut mono = epsilon_monotone(0.01);
-        let mut floor = epsilon_reaches_floor(0.01);
+        let mut mono = epsilon_monotone();
+        let mut floor = epsilon_reaches_floor();
         for epoch in 0..50 {
             let s = sample(epoch); // ε stays NaN
             mono.observe(epoch, &s);
@@ -887,7 +886,7 @@ mod tests {
     #[test]
     fn epsilon_monotone_accepts_decay_and_rejects_a_rise() {
         let feed = |values: &[f64]| {
-            let mut p = epsilon_monotone(0.01);
+            let mut p = epsilon_monotone();
             for (epoch, eps) in values.iter().enumerate() {
                 let mut s = sample(epoch as u64);
                 s.epsilon = *eps;
@@ -903,7 +902,7 @@ mod tests {
     #[test]
     fn epsilon_reaches_floor_requires_the_decay_to_finish() {
         let feed = |values: &[f64]| {
-            let mut p = epsilon_reaches_floor(0.01);
+            let mut p = epsilon_reaches_floor();
             for (epoch, eps) in values.iter().enumerate() {
                 let mut s = sample(epoch as u64);
                 s.epsilon = *eps;

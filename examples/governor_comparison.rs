@@ -23,7 +23,7 @@ fn main() {
         Box::new(UserspaceGovernor::pinned(12)),
         Box::new(ConservativeGovernor::linux_default()),
         Box::new(OndemandGovernor::linux_default()),
-        Box::new(GeQiuGovernor::new(GeQiuConfig::paper(seed))),
+        Box::new(GeQiuGovernor::new(seed)),
         Box::new(
             RtmGovernor::new(RtmConfig::paper(seed).with_workload_bounds(bounds.0, bounds.1))
                 .expect("valid config"),

@@ -96,17 +96,16 @@ pub mod prelude {
         MigrationConfig, PlausibilityFilter, RtmConfig, RtmGovernor, StateKind,
     };
     pub use qgov_governors::{
-        ConservativeGovernor, EpochObservation, GeQiuConfig, GeQiuGovernor, Governor,
-        GovernorContext, ManyCoreGovernor, ManyCoreObservation, OndemandGovernor, OracleGovernor,
+        ConservativeGovernor, EpochObservation, GeQiuGovernor, Governor, GovernorContext,
+        ManyCoreGovernor, ManyCoreObservation, OndemandGovernor, OracleGovernor,
         PerClusterGovernors, PerformanceGovernor, PowersaveGovernor, SlackTracker,
         UserspaceGovernor, VfDecision,
     };
     pub use qgov_metrics::{
-        converged_miss_rate, epsilon_monotone, epsilon_reaches_floor, opp_step_bound,
-        recovery_pack, standard_pack, thermal_cap, ComparisonTable, MetricSummary,
-        MispredictionStats, MonitorReport, MonitorSample, PackConfig, Property, PropertySet,
-        PropertyVerdict, RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport, Series,
-        Verdict, WindowSummary, WindowedStats,
+        recovery_pack, standard_pack, ComparisonTable, MetricSummary, MispredictionStats,
+        MonitorReport, MonitorSample, PackConfig, Property, PropertySet, PropertyVerdict,
+        RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport, Series, Verdict, WindowSummary,
+        WindowedStats,
     };
     pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable};
     pub use qgov_sim::{

@@ -1,6 +1,8 @@
 //! Property tests on the governor contract: every governor must produce
 //! legal decisions for arbitrary (feasible and infeasible) workloads,
-//! never panic, and keep the platform invariants intact.
+//! never panic, and keep the platform invariants intact; the chip
+//! coordinator's migration policy must keep the work shares a valid
+//! split.
 
 use proptest::prelude::*;
 use qgov::prelude::*;
@@ -67,7 +69,7 @@ proptest! {
 
     #[test]
     fn geqiu_survives_any_workload(mut app in arbitrary_workload()) {
-        let mut gov = GeQiuGovernor::new(GeQiuConfig::paper(1));
+        let mut gov = GeQiuGovernor::new(1);
         check_governor(&mut gov, &mut app);
     }
 
@@ -107,5 +109,69 @@ proptest! {
         let report = run_experiment(&mut oracle, &mut trace.clone(),
                                     PlatformConfig::odroid_xu3_a15(), 40).report;
         prop_assert_eq!(report.deadline_misses(), 0);
+    }
+}
+
+/// Epochs of `drain_dead` + `rebalance_masked` per migration case.
+const MIGRATION_EPOCHS: usize = 6;
+
+/// The most clusters a migration case places work on.
+const MAX_CLUSTERS: usize = 16;
+
+/// One cluster in one epoch as the migration policy sees it: a frame
+/// with slack in [−1, 1), some J/cycle and die temperature, zero or
+/// non-zero retired cycles, and whether the cluster is dead.
+fn cluster_epoch() -> impl Strategy<Value = (FrameResult, bool)> {
+    (-1.0f64..1.0, 1e-10f64..1e-8, 20.0f64..110.0, 0u8..2, 0u8..2).prop_map(
+        |(slack, joules_per_cycle, temp_c, busy, dead)| {
+            let mut frame = FrameResult::empty();
+            frame.period = SimTime::from_ms(40);
+            frame.frame_time = SimTime::from_secs_f64(0.040 * (1.0 - slack));
+            frame.per_core_cycles = vec![Cycles::new(u64::from(busy) * 1_000_000); 4];
+            frame.energy = Energy::from_joules(joules_per_cycle * 4e6);
+            frame.temperature = Temp::from_celsius(temp_c);
+            (frame, dead == 1)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Whatever the clusters report, migration keeps the shares a
+    /// split of the same work: non-negative, summing to what they
+    /// summed to, never growing on a dead cluster while any cluster
+    /// lives, and moved at most twice per epoch (one drain, one step).
+    #[test]
+    fn greedy_migration_keeps_shares_a_valid_split(
+        clusters in 1usize..MAX_CLUSTERS + 1,
+        weights in proptest::collection::vec(0u32..1001, MAX_CLUSTERS),
+        epochs in proptest::collection::vec(cluster_epoch(), MAX_CLUSTERS * MIGRATION_EPOCHS),
+    ) {
+        let total: u32 = weights[..clusters].iter().sum();
+        let mut shares: Vec<f64> = weights[..clusters]
+            .iter()
+            .map(|&w| if total == 0 { 1.0 / clusters as f64 } else { f64::from(w) / f64::from(total) })
+            .collect();
+        let sum: f64 = shares.iter().sum();
+        let mut policy = GreedyMigration::new();
+        for epoch in epochs.chunks(MAX_CLUSTERS) {
+            let (frames, dead): (Vec<FrameResult>, Vec<bool>) =
+                epoch[..clusters].iter().cloned().unzip();
+            let before = shares.clone();
+            let migrations = policy.migrations();
+            policy.drain_dead(&mut shares, &dead);
+            policy.rebalance_masked(&frames, &mut shares, &dead);
+
+            prop_assert!(policy.migrations() - migrations <= 2, "{} moves", policy.migrations() - migrations);
+            prop_assert!(shares.iter().all(|&s| s >= 0.0), "negative share: {shares:?}");
+            let now: f64 = shares.iter().sum();
+            prop_assert!((now - sum).abs() <= 1e-12, "share sum {sum} became {now}");
+            if dead.contains(&false) {
+                for c in (0..clusters).filter(|&c| dead[c]) {
+                    prop_assert!(shares[c] <= before[c], "dead cluster {c} grew: {before:?} -> {shares:?}");
+                }
+            }
+        }
     }
 }

@@ -136,11 +136,7 @@ fn learning_governors_are_bit_identical_to_the_reference_loop() {
         &mut RtmGovernor::new(config()).unwrap(),
         400,
     );
-    assert_bit_identical(
-        &mut GeQiuGovernor::new(GeQiuConfig::paper(7)),
-        &mut GeQiuGovernor::new(GeQiuConfig::paper(7)),
-        300,
-    );
+    assert_bit_identical(&mut GeQiuGovernor::new(7), &mut GeQiuGovernor::new(7), 300);
 }
 
 /// A single-cluster [`Topology`] routed through the many-core harness
@@ -212,8 +208,8 @@ fn single_cluster_topology_is_bit_identical_to_the_flat_harness() {
         400,
     );
     assert_manycore_bridge_identical(
-        &mut GeQiuGovernor::new(GeQiuConfig::paper(7)),
-        Box::new(GeQiuGovernor::new(GeQiuConfig::paper(7))),
+        &mut GeQiuGovernor::new(7),
+        Box::new(GeQiuGovernor::new(7)),
         300,
     );
 }

@@ -37,7 +37,7 @@ fn every_prelude_governor_runs_ten_epochs() {
         Box::new(PerformanceGovernor::new()),
         Box::new(PowersaveGovernor::new()),
         Box::new(UserspaceGovernor::pinned(9)),
-        Box::new(GeQiuGovernor::new(GeQiuConfig::paper(42))),
+        Box::new(GeQiuGovernor::new(42)),
         Box::new(OracleGovernor::from_trace(
             &trace,
             &OppTable::odroid_xu3_a15(),
