@@ -45,7 +45,7 @@ use qgov_governors::{
 use qgov_metrics::{MonitorSample, PropertySet, RunReport};
 use qgov_sim::{
     Actuation, FaultInjector, FaultPlan, ManyCoreFrameResult, ManyCorePlatform, Platform,
-    PlatformConfig, SimError, Topology, VfDomain, WorkSlice,
+    PlatformConfig, SimError, Topology, WorkSlice,
 };
 use qgov_units::{Cycles, SimTime, Temp};
 use qgov_workloads::{split_demand_into, Application, FrameDemand, WorkloadTrace};
@@ -61,22 +61,15 @@ pub struct ExperimentOutcome {
     pub platform: Platform,
 }
 
-/// Applies a governor decision to the platform, resolving per-core
-/// requests to the cluster maximum on shared-rail hardware (the same
-/// arbitration `cpufreq` applies within a frequency policy).
+/// Applies a governor decision to the platform's shared rail, resolving
+/// per-core requests to their maximum (the same arbitration `cpufreq`
+/// applies within a frequency policy).
 fn apply_decision(platform: &mut Platform, decision: &VfDecision) -> Result<(), SimError> {
-    match (platform.vf().domain(), decision) {
-        (_, VfDecision::NoChange) => Ok(()),
-        (_, VfDecision::Cluster(i)) => platform.try_set_cluster_opp(*i),
-        (VfDomain::PerCore, VfDecision::PerCore(per)) => {
-            for (core, &opp) in per.iter().enumerate() {
-                platform.try_set_core_opp(core, opp)?;
-            }
-            Ok(())
-        }
-        (VfDomain::PerCluster, VfDecision::PerCore(_)) => {
-            let resolved = decision.resolve_cluster(platform.current_opp());
-            platform.try_set_cluster_opp(resolved)
+    match decision {
+        VfDecision::NoChange => Ok(()),
+        VfDecision::Cluster(i) => platform.try_set_cluster_opp(*i),
+        VfDecision::PerCore(_) => {
+            platform.try_set_cluster_opp(decision.resolve_cluster(platform.current_opp()))
         }
     }
 }

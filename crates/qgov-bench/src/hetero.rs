@@ -33,7 +33,7 @@ use crate::worklist::{slug, CellMetrics};
 use qgov_core::{ManyCoreRtm, RtmConfig};
 use qgov_governors::{Governor, ManyCoreGovernor, PerClusterGovernors, PowersaveGovernor};
 use qgov_metrics::{standard_pack, ComparisonTable, MonitorReport, RunReport};
-use qgov_sim::{ClusterConfig, PlatformConfig, Topology};
+use qgov_sim::{ClusterConfig, Platform, PlatformConfig, Topology};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{capacity_shares, SyntheticWorkload, VideoDecoderModel};
 
@@ -78,7 +78,7 @@ fn run_chip(
 fn cluster_capacities(clusters: &[ClusterConfig]) -> Vec<f64> {
     clusters
         .iter()
-        .map(|c| c.platform.cores as f64 * c.platform.opp_table.max_freq().as_ghz())
+        .map(|c| Platform::CORES as f64 * c.platform.opp_table.max_freq().as_ghz())
         .collect()
 }
 

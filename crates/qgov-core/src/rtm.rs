@@ -447,7 +447,7 @@ impl Governor for RtmGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_sim::{DvfsConfig, Platform, PlatformConfig, WorkSlice};
+    use qgov_sim::{Platform, PlatformConfig, WorkSlice};
     use qgov_units::Cycles;
     use qgov_workloads::{Application, SyntheticWorkload};
 
@@ -458,11 +458,7 @@ mod tests {
     }
 
     fn platform() -> Platform {
-        Platform::new(PlatformConfig {
-            dvfs: DvfsConfig::typical(),
-            ..PlatformConfig::odroid_xu3_a15()
-        })
-        .unwrap()
+        Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap()
     }
 
     /// Drives the RTM against a live platform + application for `frames`

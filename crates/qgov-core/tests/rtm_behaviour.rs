@@ -7,7 +7,7 @@ use qgov_governors::{
     EpochObservation, Governor, GovernorContext, ManyCoreGovernor, ManyCoreObservation,
 };
 use qgov_rl::RlError;
-use qgov_sim::{DvfsConfig, ManyCorePlatform, Platform, PlatformConfig, Topology, WorkSlice};
+use qgov_sim::{ManyCorePlatform, Platform, PlatformConfig, Topology, WorkSlice};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{
     split_demand_into, Application, FrameDemand, SyntheticWorkload, WorkloadTrace,
@@ -16,11 +16,7 @@ use qgov_workloads::{
 /// Drives an RTM against a live platform; returns per-epoch (opp, met)
 /// pairs.
 fn drive(rtm: &mut RtmGovernor, app: &mut dyn Application, frames: u64) -> Vec<(usize, bool)> {
-    let mut platform = Platform::new(PlatformConfig {
-        dvfs: DvfsConfig::typical(),
-        ..PlatformConfig::odroid_xu3_a15()
-    })
-    .unwrap();
+    let mut platform = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
     let ctx = GovernorContext::new(platform.opp_table().clone(), platform.cores(), app.period());
     let first = rtm.init(&ctx);
     platform.set_cluster_opp(first.resolve_cluster(platform.current_opp()));

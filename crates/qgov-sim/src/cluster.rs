@@ -1,13 +1,13 @@
 //! Cluster topologies: from one V-F island to a true many-core chip.
 //!
-//! The base [`Platform`] models a single cluster — one core group on one
+//! The base [`Platform`] models a single cluster — one core quad on one
 //! V-F rail with one thermal node, which is exactly the scope of each of
 //! the paper's per-cluster run-time managers. This module composes those
 //! single-cluster platforms into a [`Topology`] of heterogeneous
-//! clusters ([`ManyCorePlatform`]): each cluster keeps its own core
-//! count, OPP table, V-F domain, power model and thermal node,
-//! and a frame executes on every cluster under a shared period before
-//! all clusters join at the global barrier.
+//! clusters ([`ManyCorePlatform`]): each cluster keeps its own OPP
+//! table, power model, V-F rail and thermal node, and a frame executes
+//! on every cluster under a shared period before all clusters join at
+//! the global barrier.
 //!
 //! A one-cluster topology is *literally* the wrapped [`Platform`]: every
 //! frame routes through the unchanged [`Platform::run_frame_into`]
@@ -23,8 +23,7 @@ use qgov_units::{Energy, SimTime, Temp};
 pub struct ClusterConfig {
     /// Cluster name ("big", "LITTLE", "mesh3", ...).
     pub name: String,
-    /// The cluster's platform: core count, OPP table, V-F domain, power
-    /// model, DVFS costs, thermal node.
+    /// The cluster's platform: OPP table and power model.
     pub platform: PlatformConfig,
 }
 
@@ -92,6 +91,9 @@ impl Topology {
     /// A synthetic homogeneous mesh: `clusters` replicas of `template`,
     /// named `mesh0`, `mesh1`, ... — e.g. 4/8/16 A15 quads give the
     /// 16/32/64-core scaling points.
+    ///
+    /// Every caller passes the A15 preset. The `template` parameter stays
+    /// because perfbench builds its meshes through this signature.
     #[must_use]
     pub fn homogeneous_mesh(clusters: usize, template: PlatformConfig) -> Self {
         Topology {
@@ -110,23 +112,19 @@ impl Topology {
     /// Total cores across all clusters.
     #[must_use]
     pub fn total_cores(&self) -> usize {
-        self.clusters.iter().map(|c| c.platform.cores).sum()
+        self.clusters.len() * Platform::CORES
     }
 
     /// Validates the topology.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if there are no clusters or
-    /// any cluster's platform configuration is invalid.
+    /// Returns [`SimError::InvalidConfig`] if there are no clusters.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.clusters.is_empty() {
             return Err(SimError::InvalidConfig {
                 reason: "a topology needs at least one cluster".into(),
             });
-        }
-        for cluster in &self.clusters {
-            cluster.platform.validate()?;
         }
         Ok(())
     }
@@ -265,7 +263,7 @@ impl ManyCorePlatform {
     /// Total cores across all clusters.
     #[must_use]
     pub fn total_cores(&self) -> usize {
-        self.clusters.iter().map(Platform::cores).sum()
+        self.clusters.len() * Platform::CORES
     }
 
     /// One cluster's name.
@@ -289,7 +287,7 @@ impl ManyCorePlatform {
     }
 
     /// Exclusive access to one cluster's platform (per-cluster OPP
-    /// control, overhead charging, per-core DVFS on `PerCore` domains).
+    /// control, overhead charging).
     ///
     /// # Panics
     ///
@@ -434,9 +432,10 @@ impl ManyCorePlatform {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::WorkLengthMismatch`] if `work.len()` differs
-    /// from the cluster count or any `work[c].len()` differs from
-    /// cluster `c`'s core count, or [`SimError::InvalidConfig`] if
+    /// Returns [`SimError::ClusterCountMismatch`] if `work.len()`
+    /// differs from the cluster count,
+    /// [`SimError::WorkLengthMismatch`] if any `work[c].len()` differs
+    /// from [`Platform::CORES`], or [`SimError::InvalidConfig`] if
     /// `period` is zero. All lengths are validated before any cluster
     /// runs, so no cluster state is mutated and `out` is left untouched
     /// on error.
@@ -447,8 +446,8 @@ impl ManyCorePlatform {
         out: &mut ManyCoreFrameResult,
     ) -> Result<(), SimError> {
         if work.len() != self.clusters.len() {
-            return Err(SimError::WorkLengthMismatch {
-                cores: self.clusters.len(),
+            return Err(SimError::ClusterCountMismatch {
+                clusters: self.clusters.len(),
                 got: work.len(),
             });
         }
@@ -457,13 +456,11 @@ impl ManyCorePlatform {
                 reason: "frame period must be non-zero".into(),
             });
         }
-        for (cluster, slices) in work.iter().enumerate() {
-            if slices.len() != self.clusters[cluster].cores() {
-                return Err(SimError::WorkLengthMismatch {
-                    cores: self.clusters[cluster].cores(),
-                    got: slices.len(),
-                });
-            }
+        if let Some(slices) = work.iter().find(|s| s.len() != Platform::CORES) {
+            return Err(SimError::WorkLengthMismatch {
+                cores: Platform::CORES,
+                got: slices.len(),
+            });
         }
 
         out.clusters.truncate(self.clusters.len());
@@ -650,12 +647,24 @@ mod tests {
         // all rejected with no cluster stepped and the slot untouched.
         let wrong_clusters = vec![good[0].clone()];
         let wrong_cores = vec![good[0].clone(), vec![WorkSlice::IDLE; 3]];
-        assert!(chip
+        let err = chip
             .run_frame_into(&wrong_clusters, SimTime::from_ms(40), &mut slot)
-            .is_err());
-        assert!(chip
-            .run_frame_into(&wrong_cores, SimTime::from_ms(40), &mut slot)
-            .is_err());
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ClusterCountMismatch {
+                clusters: 2,
+                got: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "work vector count 1 does not match cluster count 2"
+        );
+        assert!(matches!(
+            chip.run_frame_into(&wrong_cores, SimTime::from_ms(40), &mut slot),
+            Err(SimError::WorkLengthMismatch { cores: 4, got: 3 })
+        ));
         assert!(chip
             .run_frame_into(&good, SimTime::ZERO, &mut slot)
             .is_err());

@@ -19,6 +19,14 @@ pub enum SimError {
         /// Length of the work vector supplied.
         got: usize,
     },
+    /// A chip frame's work held a different number of per-cluster work
+    /// vectors than the topology has clusters.
+    ClusterCountMismatch {
+        /// Number of clusters in the topology.
+        clusters: usize,
+        /// Number of per-cluster work vectors supplied.
+        got: usize,
+    },
     /// An operating-point index was out of table range.
     OppOutOfRange {
         /// The requested index.
@@ -51,6 +59,10 @@ impl fmt::Display for SimError {
             SimError::WorkLengthMismatch { cores, got } => write!(
                 f,
                 "work vector length {got} does not match core count {cores}"
+            ),
+            SimError::ClusterCountMismatch { clusters, got } => write!(
+                f,
+                "work vector count {got} does not match cluster count {clusters}"
             ),
             SimError::OppOutOfRange { index, len } => {
                 write!(f, "operating point {index} out of range (table has {len})")

@@ -17,12 +17,16 @@
 //! * [`CmosPowerModel`] — dynamic `C·V²·f` switching power plus
 //!   temperature-dependent leakage, calibrated against published XU3
 //!   A15 measurements;
-//! * [`ThermalModel`] — a lumped RC thermal network;
-//! * [`VfController`] — applies OPP changes with realistic transition
-//!   latency (voltage-regulator slew + PLL relock);
+//! * a lumped RC thermal node per cluster, with the board's passive
+//!   cooling (8 °C/W, τ = 4 s, 25 °C ambient) as constants;
+//! * [`VfController`] — the cluster's one shared V-F rail, as on the
+//!   XU3's A15 and A7 quads: applies OPP changes with a fixed
+//!   transition latency (30 µs PLL relock plus 100 ns/mV of
+//!   voltage-regulator slew);
 //! * [`Platform`] — ties everything together with frame-synchronous
-//!   execution: the governor assigns per-core [`WorkSlice`]s, the
-//!   platform runs them to the barrier and returns a [`FrameResult`];
+//!   execution on [`Platform::CORES`] cores: the governor assigns
+//!   per-core [`WorkSlice`]s, the platform runs them to the barrier and
+//!   returns a [`FrameResult`];
 //! * [`FaultPlan`] / [`FaultInjector`] — deterministic, seeded fault
 //!   injection between the platform and the governor: sensor
 //!   corruption, actuation faults, and permanent core drop-outs.
@@ -58,10 +62,9 @@ mod power;
 mod thermal;
 
 pub use cluster::{ClusterConfig, ManyCoreFrameResult, ManyCorePlatform, Topology};
-pub use dvfs::{DvfsConfig, VfController, VfDomain};
+pub use dvfs::{VfController, VfDomain};
 pub use error::SimError;
 pub use fault::{Actuation, Fault, FaultInjector, FaultKind, FaultPlan};
 pub use opp::{Opp, OppTable};
 pub use platform::{FrameResult, Platform, PlatformConfig, WorkSlice};
 pub use power::{CmosPowerModel, PowerBreakdown};
-pub use thermal::{ThermalConfig, ThermalModel};

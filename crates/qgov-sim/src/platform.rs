@@ -2,10 +2,8 @@
 //! driven one decision epoch at a time.
 
 use crate::power::OppPower;
-use crate::{
-    CmosPowerModel, DvfsConfig, OppTable, SimError, ThermalConfig, ThermalModel, VfController,
-    VfDomain,
-};
+use crate::thermal::ThermalModel;
+use crate::{CmosPowerModel, OppTable, SimError, VfController};
 use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
 
 /// One frame's worth of work for one core.
@@ -65,35 +63,29 @@ impl WorkSlice {
     }
 }
 
-/// Full description of a platform to simulate.
+/// The two things that differ between the board's clusters. Everything
+/// else is the board's: [`Platform::CORES`] cores on one shared V-F rail,
+/// the regulator's transition latency and a passively cooled thermal
+/// node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
-    /// Number of cores in the cluster.
-    pub cores: usize,
     /// The V-F operating-point table.
     pub opp_table: OppTable,
-    /// Shared-rail or per-core V-F control.
-    pub vf_domain: VfDomain,
     /// The power model.
     pub power_model: CmosPowerModel,
-    /// V-F transition costs.
-    pub dvfs: DvfsConfig,
-    /// Thermal network parameters.
-    pub thermal: ThermalConfig,
 }
 
 impl PlatformConfig {
     /// The paper's platform: the ODROID-XU3 A15 cluster — four cores,
     /// 19 operating points on a shared V-F rail, passive cooling.
+    ///
+    /// perfbench builds every chip it measures from this preset, so its
+    /// name and shape stay as they are.
     #[must_use]
     pub fn odroid_xu3_a15() -> Self {
         PlatformConfig {
-            cores: 4,
             opp_table: OppTable::odroid_xu3_a15(),
-            vf_domain: VfDomain::PerCluster,
             power_model: CmosPowerModel::a15(),
-            dvfs: DvfsConfig::typical(),
-            thermal: ThermalConfig::odroid_xu3(),
         }
     }
 
@@ -124,33 +116,9 @@ impl PlatformConfig {
     #[must_use]
     pub fn odroid_xu3_little() -> Self {
         PlatformConfig {
-            cores: 4,
             opp_table: OppTable::odroid_xu3_a7(),
-            vf_domain: VfDomain::PerCluster,
             power_model: CmosPowerModel::a7(),
-            dvfs: DvfsConfig::typical(),
-            thermal: ThermalConfig::odroid_xu3(),
         }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `cores` is zero.
-    pub fn validate(&self) -> Result<(), SimError> {
-        if self.cores == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "a platform needs at least one core".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Default for PlatformConfig {
-    fn default() -> Self {
-        Self::odroid_xu3_a15()
     }
 }
 
@@ -262,7 +230,6 @@ pub struct Platform {
     /// The power model's per-OPP constants, one per table entry.
     opp_power: Vec<OppPower>,
     vf: VfController,
-    cores: usize,
     thermal: ThermalModel,
     now: SimTime,
     pending_overhead: SimTime,
@@ -271,19 +238,17 @@ pub struct Platform {
 }
 
 impl Platform {
+    /// Cores per cluster: the board's A15 and A7 quads.
+    pub const CORES: usize = 4;
+
     /// Builds a platform from a configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an invalid configuration.
+    /// None: every [`PlatformConfig`] is valid. The `Result` stays
+    /// because perfbench's traced mirror of the harness unwraps it.
     pub fn new(config: PlatformConfig) -> Result<Self, SimError> {
-        config.validate()?;
-        let vf = VfController::new(
-            config.opp_table.clone(),
-            config.vf_domain,
-            config.cores,
-            config.dvfs.clone(),
-        )?;
+        let vf = VfController::new(config.opp_table.clone());
         let opp_power = config
             .opp_table
             .iter()
@@ -293,8 +258,7 @@ impl Platform {
             power_model: config.power_model,
             opp_power,
             vf,
-            cores: config.cores,
-            thermal: ThermalModel::new(config.thermal),
+            thermal: ThermalModel::new(),
             now: SimTime::ZERO,
             pending_overhead: SimTime::ZERO,
             frames: 0,
@@ -302,10 +266,10 @@ impl Platform {
         })
     }
 
-    /// Number of cores.
+    /// Number of cores: [`Platform::CORES`].
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.cores
+        Self::CORES
     }
 
     /// The operating-point table.
@@ -330,15 +294,6 @@ impl Platform {
     #[must_use]
     pub fn current_opp(&self) -> usize {
         self.vf.cluster_opp()
-    }
-
-    /// Current OPP index of one core.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CoreOutOfRange`] for a bad core index.
-    pub fn core_opp(&self, core: usize) -> Result<usize, SimError> {
-        self.vf.core_opp(core)
     }
 
     /// Retargets the whole cluster to OPP `index`. The transition
@@ -366,17 +321,23 @@ impl Platform {
         Ok(())
     }
 
-    /// Retargets one core's V-F domain (the whole cluster on shared-rail
-    /// hardware). The transition latency is charged to the next frame.
+    /// Retargets the V-F domain of `core`, which on the shared rail is
+    /// the whole cluster: after the core check this is
+    /// [`try_set_cluster_opp`](Platform::try_set_cluster_opp). Kept
+    /// because perfbench's traced mirror of the harness calls it.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::OppOutOfRange`] or
-    /// [`SimError::CoreOutOfRange`] for bad indices.
+    /// Returns [`SimError::CoreOutOfRange`] or
+    /// [`SimError::OppOutOfRange`] for bad indices.
     pub fn try_set_core_opp(&mut self, core: usize, index: usize) -> Result<(), SimError> {
-        let latency = self.vf.set_core_opp(core, index)?;
-        self.pending_overhead += latency;
-        Ok(())
+        if core >= Self::CORES {
+            return Err(SimError::CoreOutOfRange {
+                core,
+                cores: Self::CORES,
+            });
+        }
+        self.try_set_cluster_opp(index)
     }
 
     /// Charges additional overhead time (e.g. the governor's own
@@ -410,8 +371,8 @@ impl Platform {
         &self.vf
     }
 
-    /// Runs one frame: each core executes its [`WorkSlice`] at its
-    /// current operating point, all cores join at the barrier, and the
+    /// Runs one frame: each core executes its [`WorkSlice`] at the
+    /// cluster's operating point, all cores join at the barrier, and the
     /// epoch closes at `max(frame_time, period)`.
     ///
     /// Any pending overhead (V-F transitions, governor processing) is
@@ -455,9 +416,9 @@ impl Platform {
         period: SimTime,
         out: &mut FrameResult,
     ) -> Result<(), SimError> {
-        if work.len() != self.cores {
+        if work.len() != Self::CORES {
             return Err(SimError::WorkLengthMismatch {
-                cores: self.cores,
+                cores: Self::CORES,
                 got: work.len(),
             });
         }
@@ -470,18 +431,18 @@ impl Platform {
         let overhead = self.pending_overhead;
         self.pending_overhead = SimTime::ZERO;
 
-        // Execute to the barrier.
+        // Execute to the barrier at the rail's one frequency.
+        let opp_idx = self.vf.cluster_opp();
+        let freq = self
+            .vf
+            .table()
+            .get(opp_idx)
+            .expect("opp index in range")
+            .freq;
         out.per_core_busy.clear();
         out.per_core_cycles.clear();
         let mut compute_time = SimTime::ZERO;
-        for (core, slice) in work.iter().enumerate() {
-            let opp_idx = self.vf.core_opp(core).expect("core index in range");
-            let freq = self
-                .vf
-                .table()
-                .get(opp_idx)
-                .expect("opp index in range")
-                .freq;
+        for slice in work {
             let busy = slice.time_at(freq);
             compute_time = compute_time.max(busy);
             out.per_core_busy.push(busy);
@@ -491,32 +452,22 @@ impl Platform {
         let wall_time = frame_time.max(period);
 
         // Energy accounting at the temperature of frame start: one
-        // leakage scale per frame, one busy/idle power pair per run of
-        // cores at the same OPP (the whole cluster on a shared rail).
+        // leakage scale and one busy/idle power pair per frame, summed
+        // core by core.
         let model = &self.power_model;
         let leakage_scale = model.leakage_scale(self.thermal.temperature());
-        let mut pair_opp = usize::MAX;
-        let (mut p_busy, mut p_idle) = (Power::ZERO, Power::ZERO);
+        let opp = &self.opp_power[opp_idx];
+        let p_busy = model.core_power_at(opp, 1.0, leakage_scale).total();
+        let p_idle = model.core_power_at(opp, 0.0, leakage_scale).total();
         let mut energy = Energy::ZERO;
         for (core, &busy) in out.per_core_busy.iter().enumerate() {
-            let opp_idx = self.vf.core_opp(core).expect("core index in range");
-            if opp_idx != pair_opp {
-                let opp = &self.opp_power[opp_idx];
-                p_busy = model.core_power_at(opp, 1.0, leakage_scale).total();
-                p_idle = model.core_power_at(opp, 0.0, leakage_scale).total();
-                pair_opp = opp_idx;
-            }
             // The governor's serial overhead section runs on core 0.
             let active = if core == 0 { busy + overhead } else { busy };
             let active = active.min(wall_time);
             let idle = wall_time - active;
             energy += p_busy * active + p_idle * idle;
         }
-        let cluster_opp_idx = self.vf.cluster_opp();
-        energy += model
-            .uncore_power_at(&self.opp_power[cluster_opp_idx], leakage_scale)
-            .total()
-            * wall_time;
+        energy += model.uncore_power_at(opp, leakage_scale).total() * wall_time;
 
         let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
         let temperature = self.thermal.step(avg_power, wall_time);
@@ -530,7 +481,7 @@ impl Platform {
         out.overhead = overhead;
         out.energy = energy;
         out.temperature = temperature;
-        out.cluster_opp = cluster_opp_idx;
+        out.cluster_opp = opp_idx;
         Ok(())
     }
 }
@@ -538,46 +489,49 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thermal::{AMBIENT_C, R_TH, TAU};
     use proptest::prelude::*;
 
-    fn quiet_platform() -> Platform {
-        let config = PlatformConfig {
-            dvfs: DvfsConfig::free(),
-            ..PlatformConfig::odroid_xu3_a15()
-        };
-        Platform::new(config).unwrap()
+    fn a15() -> Platform {
+        Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap()
+    }
+
+    /// The barrier time without the overhead charged to the frame
+    /// (governor processing and V-F transition latency).
+    fn compute_time(frame: &FrameResult) -> SimTime {
+        frame.frame_time - frame.overhead
     }
 
     #[test]
     fn frame_time_follows_frequency() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4];
         let period = SimTime::from_ms(200);
 
         p.set_cluster_opp(0); // 200 MHz: 20 Mcycles take 100 ms
         let slow = p.run_frame(&work, period).unwrap();
-        assert_eq!(slow.frame_time, SimTime::from_ms(100));
+        assert_eq!(compute_time(&slow), SimTime::from_ms(100));
 
         p.set_cluster_opp(18); // 2 GHz: 10 ms
         let fast = p.run_frame(&work, period).unwrap();
-        assert_eq!(fast.frame_time, SimTime::from_ms(10));
+        assert_eq!(compute_time(&fast), SimTime::from_ms(10));
     }
 
     #[test]
     fn memory_time_does_not_scale() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         let work = vec![WorkSlice::new(Cycles::from_mcycles(10), SimTime::from_ms(5)); 4];
         p.set_cluster_opp(18); // 2 GHz: cpu 5 ms + mem 5 ms
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-        assert_eq!(r.frame_time, SimTime::from_ms(10));
+        assert_eq!(compute_time(&r), SimTime::from_ms(10));
         p.set_cluster_opp(8); // 1 GHz: cpu 10 ms + mem 5 ms
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-        assert_eq!(r.frame_time, SimTime::from_ms(15));
+        assert_eq!(compute_time(&r), SimTime::from_ms(15));
     }
 
     #[test]
     fn barrier_takes_slowest_core() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         p.set_cluster_opp(8); // 1 GHz
         let work = vec![
             WorkSlice::cpu_only(Cycles::from_mcycles(5)),
@@ -586,14 +540,14 @@ mod tests {
             WorkSlice::cpu_only(Cycles::from_mcycles(1)),
         ];
         let r = p.run_frame(&work, SimTime::from_ms(100)).unwrap();
-        assert_eq!(r.frame_time, SimTime::from_ms(30));
+        assert_eq!(compute_time(&r), SimTime::from_ms(30));
         assert_eq!(r.per_core_busy[1], SimTime::from_ms(30));
         assert_eq!(r.per_core_busy[2], SimTime::ZERO);
     }
 
     #[test]
     fn early_frames_idle_until_period() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         p.set_cluster_opp(18);
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(2)); 4]; // 1 ms
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
@@ -605,7 +559,7 @@ mod tests {
 
     #[test]
     fn late_frames_extend_the_wall_clock() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         p.set_cluster_opp(0); // 200 MHz
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4]; // 100 ms
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
@@ -621,12 +575,12 @@ mod tests {
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(20)); 4];
         let period = SimTime::from_ms(100);
 
-        let mut racer = quiet_platform();
+        let mut racer = a15();
         racer.set_cluster_opp(18);
         let fast = racer.run_frame(&work, period).unwrap();
         assert!(fast.met_deadline());
 
-        let mut crawler = quiet_platform();
+        let mut crawler = a15();
         crawler.set_cluster_opp(1); // 300 MHz: 66.7 ms, still meets 100 ms
         let slow = crawler.run_frame(&work, period).unwrap();
         assert!(slow.met_deadline());
@@ -641,13 +595,14 @@ mod tests {
 
     #[test]
     fn overhead_is_charged_once_and_stalls_the_frame() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         p.set_cluster_opp(8);
+        let latency = p.vf().total_latency();
         p.add_overhead(SimTime::from_ms(3));
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(10)); 4]; // 10 ms
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
-        assert_eq!(r.frame_time, SimTime::from_ms(13));
-        assert_eq!(r.overhead, SimTime::from_ms(3));
+        assert_eq!(r.overhead, SimTime::from_ms(3) + latency);
+        assert_eq!(r.frame_time, SimTime::from_ms(10) + r.overhead);
         // Consumed: next frame is clean.
         let r2 = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
         assert_eq!(r2.frame_time, SimTime::from_ms(10));
@@ -656,17 +611,44 @@ mod tests {
 
     #[test]
     fn dvfs_transition_cost_appears_as_overhead() {
-        let mut p = Platform::new(PlatformConfig::odroid_xu3_a15()).unwrap();
+        let mut p = a15();
         p.set_cluster_opp(18); // big swing from boot OPP 0
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(2)); 4];
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
         assert!(!r.overhead.is_zero(), "transition latency must be charged");
+        assert_eq!(r.overhead, p.vf().total_latency());
         assert_eq!(p.vf().transitions(), 1);
     }
 
     #[test]
+    fn core_set_retargets_the_whole_rail() {
+        let (mut by_core, mut by_cluster) = (a15(), a15());
+        assert!(matches!(
+            by_core.try_set_core_opp(4, 10),
+            Err(SimError::CoreOutOfRange { core: 4, cores: 4 })
+        ));
+        assert!(matches!(
+            by_core.try_set_core_opp(0, 19),
+            Err(SimError::OppOutOfRange { index: 19, len: 19 })
+        ));
+        let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(8)); 4];
+        for (core, opp) in [(2, 10), (0, 10), (3, 18), (1, 0)] {
+            by_core.try_set_core_opp(core, opp).unwrap();
+            by_cluster.try_set_cluster_opp(opp).unwrap();
+            // Same OPP, transition count and cumulated latency, and the
+            // same latency charged to the next frame.
+            assert_eq!(by_core.vf(), by_cluster.vf());
+            assert_eq!(
+                by_core.run_frame(&work, SimTime::from_ms(40)).unwrap(),
+                by_cluster.run_frame(&work, SimTime::from_ms(40)).unwrap()
+            );
+        }
+        assert_eq!(by_core.vf().transitions(), 3);
+    }
+
+    #[test]
     fn temperature_rises_under_sustained_load() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         p.set_cluster_opp(18);
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(60)); 4];
         let t0 = p.temperature();
@@ -687,9 +669,9 @@ mod tests {
         ];
         let period = SimTime::from_ms(40);
 
-        let mut alloc = quiet_platform();
+        let mut alloc = a15();
         alloc.set_cluster_opp(8);
-        let mut reuse = quiet_platform();
+        let mut reuse = a15();
         reuse.set_cluster_opp(8);
 
         let mut slot = FrameResult::empty();
@@ -708,7 +690,7 @@ mod tests {
 
     #[test]
     fn run_frame_into_leaves_slot_untouched_on_error() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         let mut slot = FrameResult::empty();
         p.run_frame_into(
             &[WorkSlice::cpu_only(Cycles::from_mcycles(1)); 4],
@@ -728,7 +710,7 @@ mod tests {
 
     #[test]
     fn work_length_mismatch_is_rejected() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         let work = vec![WorkSlice::IDLE; 3];
         assert!(matches!(
             p.run_frame(&work, SimTime::from_ms(40)),
@@ -738,14 +720,14 @@ mod tests {
 
     #[test]
     fn zero_period_is_rejected() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         let work = vec![WorkSlice::IDLE; 4];
         assert!(p.run_frame(&work, SimTime::ZERO).is_err());
     }
 
     #[test]
     fn total_energy_accumulates() {
-        let mut p = quiet_platform();
+        let mut p = a15();
         p.set_cluster_opp(5);
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(5)); 4];
         let r1 = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
@@ -754,29 +736,13 @@ mod tests {
         assert!((total - r1.energy.as_joules() - r2.energy.as_joules()).abs() < 1e-12);
     }
 
-    #[test]
-    fn per_core_domain_lets_cores_run_at_different_speeds() {
-        let config = PlatformConfig {
-            vf_domain: VfDomain::PerCore,
-            dvfs: DvfsConfig::free(),
-            ..PlatformConfig::odroid_xu3_a15()
-        };
-        let mut p = Platform::new(config).unwrap();
-        p.try_set_core_opp(0, 18).unwrap(); // 2 GHz
-        p.try_set_core_opp(1, 0).unwrap(); // 200 MHz
-        let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(10)); 4];
-        let r = p.run_frame(&work, SimTime::from_ms(100)).unwrap();
-        assert_eq!(r.per_core_busy[0], SimTime::from_ms(5));
-        assert_eq!(r.per_core_busy[1], SimTime::from_ms(50));
-    }
-
     /// The frame kernel's energy as it was computed before the per-OPP
     /// table: both core powers evaluated per core from the model, the
     /// uncore at the cluster OPP, all at the frame-start temperature.
     fn reference_energy(
         model: &CmosPowerModel,
         table: &OppTable,
-        opps: &[usize],
+        opp: usize,
         busy: &[SimTime],
         overhead: SimTime,
         wall_time: SimTime,
@@ -784,7 +750,7 @@ mod tests {
     ) -> Energy {
         let mut energy = Energy::ZERO;
         for (core, &busy) in busy.iter().enumerate() {
-            let opp = table.get(opps[core]).unwrap();
+            let opp = table.get(opp).unwrap();
             let active = if core == 0 { busy + overhead } else { busy };
             let active = active.min(wall_time);
             let idle = wall_time - active;
@@ -793,7 +759,7 @@ mod tests {
             let p_idle = model.core_power_at(&opp, 0.0, scale).total();
             energy += p_busy * active + p_idle * idle;
         }
-        let uncore = model.opp_power(table.get(opps[0]).unwrap());
+        let uncore = model.opp_power(table.get(opp).unwrap());
         energy += model
             .uncore_power_at(&uncore, model.leakage_scale(temp))
             .total()
@@ -804,7 +770,7 @@ mod tests {
     /// One frame's inputs: an OPP draw, CPU megacycles and memory
     /// microseconds per core, governor overhead in microseconds, and a
     /// period index into `PERIODS_MS`.
-    type FrameInput = (Vec<usize>, Vec<u64>, Vec<u64>, u64, usize);
+    type FrameInput = (usize, Vec<u64>, Vec<u64>, u64, usize);
 
     /// Mostly the same period, so the thermal memo hits on on-time
     /// frames; overrunning frames and the odd period change miss it.
@@ -813,7 +779,7 @@ mod tests {
     fn frame_inputs() -> impl Strategy<Value = Vec<FrameInput>> {
         proptest::collection::vec(
             (
-                proptest::collection::vec(0usize..64, 4),
+                0usize..64,
                 proptest::collection::vec(0u64..120, 4),
                 proptest::collection::vec(0u64..8_000, 4),
                 0u64..3_000,
@@ -829,19 +795,12 @@ mod tests {
     fn check_against_reference(config: PlatformConfig, frames: &[FrameInput]) {
         let model = config.power_model.clone();
         let table = config.opp_table.clone();
-        let thermal = config.thermal.clone();
-        let domain = config.vf_domain;
         let mut platform = Platform::new(config).unwrap();
-        let mut temp_c = thermal.ambient.as_celsius();
+        let mut temp_c = AMBIENT_C;
         let mut out = FrameResult::empty();
         for (i, (draw, mcycles, mem_us, overhead_us, period)) in frames.iter().enumerate() {
-            let opps: Vec<usize> = match domain {
-                VfDomain::PerCluster => vec![draw[0] % table.len(); 4],
-                VfDomain::PerCore => draw.iter().map(|d| d % table.len()).collect(),
-            };
-            for (core, &opp) in opps.iter().enumerate() {
-                platform.try_set_core_opp(core, opp).unwrap();
-            }
+            let opp = draw % table.len();
+            platform.set_cluster_opp(opp);
             platform.add_overhead(SimTime::from_us(*overhead_us));
             let work: Vec<WorkSlice> = mcycles
                 .iter()
@@ -852,11 +811,10 @@ mod tests {
             platform.run_frame_into(&work, period, &mut out).unwrap();
 
             // Busy times from the exact u128 division, not `time_at`.
+            let khz = u128::from(table.get(opp).unwrap().freq.khz());
             let busy: Vec<SimTime> = work
                 .iter()
-                .zip(&opps)
-                .map(|(slice, &opp)| {
-                    let khz = u128::from(table.get(opp).unwrap().freq.khz());
+                .map(|slice| {
                     let cycles = u128::from(slice.cpu_cycles.count());
                     let ns = (cycles * 1_000_000).div_ceil(khz);
                     SimTime::from_ns(u64::try_from(ns).unwrap()) + slice.mem_time
@@ -869,10 +827,10 @@ mod tests {
 
             let temp = Temp::from_celsius(temp_c);
             let energy =
-                reference_energy(&model, &table, &opps, &busy, out.overhead, wall_time, temp);
+                reference_energy(&model, &table, opp, &busy, out.overhead, wall_time, temp);
             let avg_power = energy.as_joules() / wall_time.as_secs_f64();
-            let target = thermal.ambient.as_celsius() + avg_power * thermal.r_th;
-            let decay = (-wall_time.as_secs_f64() / thermal.tau.as_secs_f64()).exp();
+            let target = AMBIENT_C + avg_power * R_TH;
+            let decay = (-wall_time.as_secs_f64() / TAU.as_secs_f64()).exp();
             temp_c = target + (temp_c - target) * decay;
 
             assert_eq!(
@@ -893,18 +851,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The per-OPP table, the one-pair-per-OPP energy loop and the
+        /// The per-OPP table, the one power pair per frame and the
         /// thermal memo reproduce the per-core reference loop bit for
-        /// bit, on a shared rail and per-core domains, A15 and A7.
+        /// bit, A15 and A7.
         #[test]
         fn frame_kernel_matches_the_per_core_reference_loop(frames in frame_inputs()) {
-            for domain in [VfDomain::PerCluster, VfDomain::PerCore] {
-                for base in [PlatformConfig::odroid_xu3_a15(), PlatformConfig::odroid_xu3_little()] {
-                    check_against_reference(
-                        PlatformConfig { vf_domain: domain, ..base },
-                        &frames,
-                    );
-                }
+            for config in [PlatformConfig::odroid_xu3_a15(), PlatformConfig::odroid_xu3_little()] {
+                check_against_reference(config, &frames);
             }
         }
     }

@@ -10,58 +10,25 @@
 //! ```text
 //! T(t + Δt) = T_amb + P·R_th + (T(t) − T_amb − P·R_th)·exp(−Δt/τ)
 //! ```
+//!
+//! Its parameters are the XU3's passively cooled SoC: 8 °C/W, τ = 4 s,
+//! 25 °C ambient (quad-A15 full load settles near 70–80 °C, where the
+//! stock board starts throttling).
 
 use qgov_units::{Power, SimTime, Temp};
 
-/// Thermal network parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermalConfig {
-    /// Thermal resistance junction→ambient in °C per watt.
-    pub r_th: f64,
-    /// Thermal time constant τ.
-    pub tau: SimTime,
-    /// Ambient temperature.
-    pub ambient: Temp,
-}
+/// Thermal resistance junction→ambient, in °C per watt.
+pub(crate) const R_TH: f64 = 8.0;
 
-impl ThermalConfig {
-    /// XU3-like passively-cooled SoC: 8 °C/W, τ = 4 s, 25 °C ambient
-    /// (quad-A15 full load settles near 70–80 °C, where the stock board
-    /// starts throttling).
-    #[must_use]
-    pub fn odroid_xu3() -> Self {
-        ThermalConfig {
-            r_th: 8.0,
-            tau: SimTime::from_secs(4),
-            ambient: Temp::from_celsius(25.0),
-        }
-    }
-}
+/// Thermal time constant τ.
+pub(crate) const TAU: SimTime = SimTime::from_secs(4);
 
-impl Default for ThermalConfig {
-    fn default() -> Self {
-        Self::odroid_xu3()
-    }
-}
+/// Ambient temperature, in °C.
+pub(crate) const AMBIENT_C: f64 = 25.0;
 
 /// Integrates the RC network over frame-sized steps.
-///
-/// # Examples
-///
-/// ```
-/// use qgov_sim::{ThermalConfig, ThermalModel};
-/// use qgov_units::{Power, SimTime, Temp};
-///
-/// let mut t = ThermalModel::new(ThermalConfig::odroid_xu3());
-/// for _ in 0..10_000 {
-///     t.step(Power::from_watts(5.0), SimTime::from_ms(40));
-/// }
-/// // Steady state: 25 + 5 W * 8 degC/W = 65 degC.
-/// assert!((t.temperature().as_celsius() - 65.0).abs() < 0.5);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermalModel {
-    config: ThermalConfig,
+#[derive(Debug)]
+pub(crate) struct ThermalModel {
     temperature: Temp,
     peak: Temp,
     /// The last step's `dt` and its `exp(−dt/τ)`: every on-time frame
@@ -71,69 +38,47 @@ pub struct ThermalModel {
 
 impl ThermalModel {
     /// Creates a model starting at ambient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r_th` is not finite/positive or `tau` is zero.
-    #[must_use]
-    pub fn new(config: ThermalConfig) -> Self {
-        assert!(
-            config.r_th.is_finite() && config.r_th > 0.0,
-            "thermal resistance must be finite and positive"
-        );
-        assert!(
-            !config.tau.is_zero(),
-            "thermal time constant must be non-zero"
-        );
+    pub(crate) fn new() -> Self {
+        let ambient = Temp::from_celsius(AMBIENT_C);
         ThermalModel {
-            temperature: config.ambient,
-            peak: config.ambient,
-            decay_memo: (SimTime::ZERO, decay(SimTime::ZERO, config.tau)),
-            config,
+            temperature: ambient,
+            peak: ambient,
+            decay_memo: (SimTime::ZERO, decay(SimTime::ZERO)),
         }
     }
 
     /// Current die temperature.
-    #[must_use]
-    pub fn temperature(&self) -> Temp {
+    pub(crate) fn temperature(&self) -> Temp {
         self.temperature
     }
 
     /// Highest die temperature seen so far.
-    #[must_use]
-    pub fn peak(&self) -> Temp {
+    pub(crate) fn peak(&self) -> Temp {
         self.peak
     }
 
     /// The temperature the die would settle at under constant `power`.
-    #[must_use]
-    pub fn steady_state(&self, power: Power) -> Temp {
-        Temp::from_celsius(self.config.ambient.as_celsius() + power.as_watts() * self.config.r_th)
+    fn steady_state(power: Power) -> Temp {
+        Temp::from_celsius(AMBIENT_C + power.as_watts() * R_TH)
     }
 
     /// Advances the network by `dt` under dissipated `power`, returning
     /// the new die temperature.
-    pub fn step(&mut self, power: Power, dt: SimTime) -> Temp {
-        let target = self.steady_state(power).as_celsius();
+    pub(crate) fn step(&mut self, power: Power, dt: SimTime) -> Temp {
+        let target = Self::steady_state(power).as_celsius();
         let t = self.temperature.as_celsius();
         if self.decay_memo.0 != dt {
-            self.decay_memo = (dt, decay(dt, self.config.tau));
+            self.decay_memo = (dt, decay(dt));
         }
         self.temperature = Temp::from_celsius(target + (t - target) * self.decay_memo.1);
         self.peak = self.peak.max(self.temperature);
         self.temperature
     }
-
-    /// Resets the die to ambient.
-    pub fn reset(&mut self) {
-        self.temperature = self.config.ambient;
-        self.peak = self.config.ambient;
-    }
 }
 
 /// The RC network's decay factor `exp(−dt/τ)` over one step.
-fn decay(dt: SimTime, tau: SimTime) -> f64 {
-    (-dt.as_secs_f64() / tau.as_secs_f64()).exp()
+fn decay(dt: SimTime) -> f64 {
+    (-dt.as_secs_f64() / TAU.as_secs_f64()).exp()
 }
 
 #[cfg(test)]
@@ -142,13 +87,13 @@ mod tests {
 
     #[test]
     fn starts_at_ambient() {
-        let t = ThermalModel::new(ThermalConfig::odroid_xu3());
+        let t = ThermalModel::new();
         assert_eq!(t.temperature().as_celsius(), 25.0);
     }
 
     #[test]
     fn heats_towards_steady_state_monotonically() {
-        let mut t = ThermalModel::new(ThermalConfig::odroid_xu3());
+        let mut t = ThermalModel::new();
         let mut prev = t.temperature().as_celsius();
         for _ in 0..100 {
             let now = t
@@ -158,11 +103,16 @@ mod tests {
             assert!(now <= 65.0 + 1e-9, "must not overshoot steady state");
             prev = now;
         }
+        // After 100 τ at 5 W: 25 + 5 W * 8 degC/W = 65 degC.
+        for _ in 0..10_000 {
+            t.step(Power::from_watts(5.0), SimTime::from_ms(40));
+        }
+        assert!((t.temperature().as_celsius() - 65.0).abs() < 0.5);
     }
 
     #[test]
     fn cools_when_power_drops() {
-        let mut t = ThermalModel::new(ThermalConfig::odroid_xu3());
+        let mut t = ThermalModel::new();
         for _ in 0..1000 {
             t.step(Power::from_watts(6.0), SimTime::from_ms(100));
         }
@@ -179,32 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn time_constant_governs_speed() {
-        let fast_cfg = ThermalConfig {
-            tau: SimTime::from_ms(500),
-            ..ThermalConfig::odroid_xu3()
-        };
-        let mut fast = ThermalModel::new(fast_cfg);
-        let mut slow = ThermalModel::new(ThermalConfig::odroid_xu3());
-        for _ in 0..10 {
-            fast.step(Power::from_watts(5.0), SimTime::from_ms(100));
-            slow.step(Power::from_watts(5.0), SimTime::from_ms(100));
-        }
-        assert!(fast.temperature() > slow.temperature());
-    }
-
-    #[test]
-    fn reset_returns_to_ambient() {
-        let mut t = ThermalModel::new(ThermalConfig::odroid_xu3());
-        t.step(Power::from_watts(6.0), SimTime::from_secs(10));
-        t.reset();
-        assert_eq!(t.temperature().as_celsius(), 25.0);
-        assert_eq!(t.peak().as_celsius(), 25.0);
-    }
-
-    #[test]
     fn steady_state_formula() {
-        let t = ThermalModel::new(ThermalConfig::odroid_xu3());
-        assert_eq!(t.steady_state(Power::from_watts(2.0)).as_celsius(), 41.0);
+        assert_eq!(
+            ThermalModel::steady_state(Power::from_watts(2.0)).as_celsius(),
+            41.0
+        );
     }
 }

@@ -109,9 +109,9 @@ pub mod prelude {
     };
     pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable};
     pub use qgov_sim::{
-        Actuation, ClusterConfig, DvfsConfig, Fault, FaultInjector, FaultKind, FaultPlan,
-        FrameResult, ManyCoreFrameResult, ManyCorePlatform, Opp, OppTable, Platform,
-        PlatformConfig, ThermalConfig, Topology, VfDomain, WorkSlice,
+        Actuation, ClusterConfig, Fault, FaultInjector, FaultKind, FaultPlan, FrameResult,
+        ManyCoreFrameResult, ManyCorePlatform, Opp, OppTable, Platform, PlatformConfig, Topology,
+        WorkSlice,
     };
     pub use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp, Volt};
     pub use qgov_workloads::{

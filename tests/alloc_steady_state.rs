@@ -14,24 +14,34 @@
 //! injector, the plausibility filter with its sensed-frame copy, and
 //! migration's per-cluster slack buffer.
 //!
-//! This file deliberately holds a single `#[test]` function: the
-//! counter is process-global, and a sibling test allocating
-//! concurrently would make the measurement meaningless.
+//! The counter is per thread: every measured loop runs serially on the
+//! test's own thread, so an allocation by any other thread of the test
+//! process cannot leak into a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use qgov::prelude::*;
 
 /// Counts every allocation and reallocation passed to the system
-/// allocator.
+/// allocator, on the thread that asks for it.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so reading it never
+    // allocates (the allocator itself cannot recurse through it).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread; a thread whose locals
+/// are already torn down is not being measured.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// One harness epoch, identical to `run_experiment_monitored`'s loop
