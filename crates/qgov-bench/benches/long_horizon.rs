@@ -1,6 +1,6 @@
 //! **Long-horizon streaming experiment**: the Q-learning RTM versus
 //! the Linux ondemand and conservative heuristics over a horizon far
-//! beyond the paper's ~3000-frame clips, streamed from CSV shards on
+//! beyond the paper's ~3000-frame clips, streamed from binary shards on
 //! disk (`qgov_workloads::ShardedTrace`) so the trace never
 //! materialises in memory. Reports convergence over time as windowed
 //! miss-rate and frame-time folds.
@@ -41,7 +41,7 @@ fn main() {
     );
     let (seeds, first) = (&run.plan.seeds, &run.outputs[0]);
     println!(
-        "\nstreamed from {} CSV shards of {} frames (≤ {} frames resident per replay)",
+        "\nstreamed from {} binary shards of {} frames (≤ {} frames resident per replay)",
         first.shard_count, first.shard_frames, first.shard_frames
     );
     println!(

@@ -2,7 +2,7 @@
 //! paper decomposes in Section III-D: sensor sampling, processing
 //! (prediction, state mapping, Bellman update, action selection) and a
 //! full simulated decision epoch; the platform and decision layers of a
-//! 16-cluster mesh epoch; plus the trace CSV codec that feeds
+//! 16-cluster mesh epoch; plus the binary trace-shard codec that feeds
 //! long-horizon replay.
 //!
 //! Run with `cargo bench -p qgov-bench --bench micro`. `QGOV_SEEDS`
@@ -16,7 +16,7 @@ use qgov_bench::plan::RunPlan;
 use qgov_rl::{AgentConfig, EwmaPredictor, QTable, UniformDiscretizer};
 use qgov_sim::{FrameResult, Platform, PlatformConfig, WorkSlice};
 use qgov_units::{Cycles, SimTime};
-use qgov_workloads::{VideoDecoderModel, WorkloadTrace};
+use qgov_workloads::{ScratchDir, ShardedTrace, VideoDecoderModel, WorkloadTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -266,28 +266,32 @@ fn bench_harness_throughput(c: &mut Criterion) {
     });
 }
 
-/// One shard of the long-horizon recordings, in memory: 4096 frames of
-/// the H.264 football model.
+/// The frames of one shard of the long-horizon recordings, in memory:
+/// 4096 frames of the H.264 football model.
 fn h264_shard() -> WorkloadTrace {
     WorkloadTrace::record(&mut VideoDecoderModel::h264_football_15fps(1).with_frames(4096))
 }
 
-fn bench_trace_csv_parse(c: &mut Criterion) {
-    // The codec's reader on one shard's CSV document, no disk access.
-    // `from_csv` also splits the flat rows into one `Vec` per frame,
-    // which a streamed shard load does not.
-    let csv = h264_shard().to_csv();
-    c.bench_function("trace_csv_parse_4096_frames", |b| {
-        b.iter(|| black_box(WorkloadTrace::from_csv(black_box(&csv)).unwrap().len()));
+fn bench_trace_shard_load(c: &mut Criterion) {
+    // What streamed replay pays per shard: one recorded 4096-frame
+    // shard file read from disk and decoded into a flat `TraceShard`.
+    let scratch = ScratchDir::unique("qgov-micro-shard-load");
+    let trace = ShardedTrace::record(&mut h264_shard(), scratch.path(), 4096, 4096).unwrap();
+    c.bench_function("trace_shard_load_4096_frames", |b| {
+        b.iter(|| black_box(trace.load_shard(black_box(0)).unwrap().len()));
     });
 }
 
-fn bench_trace_csv_write(c: &mut Criterion) {
-    // The codec's writer on the same shard: what recording pays to
-    // format one shard file, no disk access.
-    let trace = h264_shard();
-    c.bench_function("trace_csv_write_4096_frames", |b| {
-        b.iter(|| black_box(black_box(&trace).to_csv().len()));
+fn bench_trace_shard_record(c: &mut Criterion) {
+    // What recording pays per shard: the same frames encoded and
+    // written as one shard file plus the manifest.
+    let scratch = ScratchDir::unique("qgov-micro-shard-record");
+    let mut frames = h264_shard();
+    c.bench_function("trace_shard_record_4096_frames", |b| {
+        b.iter(|| {
+            let trace = ShardedTrace::record(&mut frames, scratch.path(), 4096, 4096).unwrap();
+            black_box(trace.shard_count())
+        });
     });
 }
 
@@ -321,8 +325,8 @@ fn main() {
         bench_manycore_frame,
         bench_manycore_decide,
         bench_harness_throughput,
-        bench_trace_csv_parse,
-        bench_trace_csv_write,
+        bench_trace_shard_load,
+        bench_trace_shard_record,
     ] {
         bench(&mut criterion);
     }

@@ -1059,7 +1059,7 @@ const LONG_HORIZON_HISTORY: usize = 1024;
 /// never materialises in memory.
 ///
 /// The workload (the H.264 football model looped to the horizon) is
-/// recorded once per seed into CSV shards on a scratch directory;
+/// recorded once per seed into binary shards on a scratch directory;
 /// every methodology cell streams its own [`ShardedTrace`] clone, so
 /// memory stays bounded by one shard per live cell while the replay is
 /// frame-identical across methodologies (and bit-identical to an
@@ -1078,7 +1078,7 @@ const LONG_HORIZON_HISTORY: usize = 1024;
 pub struct LongHorizon;
 
 /// The long-horizon experiment's per-seed preparation: the workload
-/// recorded once into CSV shards on a private scratch directory, which
+/// recorded once into binary shards on a private scratch directory, which
 /// lives as long as this value (dropping it removes the directory).
 #[derive(Debug)]
 pub struct LongHorizonPrep {

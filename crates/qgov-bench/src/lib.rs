@@ -26,7 +26,7 @@
 //! | Fault storm (beyond the paper) | [`faultstorm::FaultStorm`] | `fault_storm` |
 //!
 //! The long-horizon experiment goes beyond the paper's ~3000-frame
-//! clips: it streams its workload from CSV shards on disk
+//! clips: it streams its workload from binary shards on disk
 //! ([`ShardedTrace`](qgov_workloads::ShardedTrace)), so horizons of
 //! 100k+ frames replay in bounded memory, and reports convergence over
 //! time as windowed [`qgov_metrics::WindowedStats`] folds.

@@ -11,11 +11,27 @@ pub enum WorkloadError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// A CSV trace line could not be parsed.
+    /// A line of a CSV trace document, or the header line of a shard
+    /// file or manifest, could not be parsed.
     ParseTraceError {
         /// 1-based line number.
         line: usize,
         /// What went wrong.
+        reason: String,
+    },
+    /// A frame cannot be recorded into a sharded trace: it has no
+    /// threads, or its `cpu_cycles` or `mem_ns` total overflows `u64`.
+    InvalidFrame {
+        /// Index of the frame in the recording.
+        frame: u64,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// The body of a trace shard file could not be decoded.
+    CorruptShard {
+        /// Byte offset in the shard file where the problem starts.
+        offset: u64,
+        /// What went wrong, naming the shard's frame.
         reason: String,
     },
     /// A filesystem operation on a sharded trace failed.
@@ -49,6 +65,12 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::ParseTraceError { line, reason } => {
                 write!(f, "trace parse error at line {line}: {reason}")
+            }
+            WorkloadError::InvalidFrame { frame, reason } => {
+                write!(f, "frame {frame} cannot be recorded: {reason}")
+            }
+            WorkloadError::CorruptShard { offset, reason } => {
+                write!(f, "corrupt trace shard at byte {offset}: {reason}")
             }
             WorkloadError::Io { path, reason } => {
                 write!(f, "trace I/O error on {path}: {reason}")

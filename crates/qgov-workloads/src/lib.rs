@@ -22,7 +22,7 @@
 //!   for targeted tests and ablations;
 //! * [`WorkloadTrace`] — record/replay with CSV round-trip;
 //! * [`ShardedTrace`] / [`ShardWriter`] — the streaming counterpart:
-//!   record and replay in bounded-memory CSV shards on disk, for
+//!   record and replay in bounded-memory binary shards on disk, for
 //!   long-horizon experiments whose traces must never materialise in
 //!   memory (see [`shard`]).
 //!
@@ -38,7 +38,7 @@
 //! assert!(frame.total_cycles().count() > 0);
 //! ```
 //!
-//! # Streaming example: record → shard to CSV → stream-replay
+//! # Streaming example: record → shard to disk → stream-replay
 //!
 //! A recording streamed through [`ShardedTrace`] replays bit-identically
 //! to the in-memory [`WorkloadTrace`] while holding at most one shard
@@ -50,7 +50,7 @@
 //! let dir = std::env::temp_dir().join(format!("qgov-stream-doc-{}", std::process::id()));
 //! let mut app = VideoDecoderModel::mpeg4_svga_24fps(7).with_frames(90);
 //!
-//! // Record 90 frames into CSV shards of 25 frames (4 shards on disk)...
+//! // Record 90 frames into shards of 25 frames (4 shard files on disk)...
 //! let mut streamed = ShardedTrace::record(&mut app, &dir, 90, 25).unwrap();
 //! assert_eq!(streamed.shard_count(), 4);
 //!

@@ -8,7 +8,7 @@
 //! the static heuristics it is compared against. This module provides
 //! the bounded-memory counterpart:
 //!
-//! * [`ShardWriter`] — records a frame stream to a directory of CSV
+//! * [`ShardWriter`] — records a frame stream to a directory of binary
 //!   *shard files*, flushing every `frames_per_shard` frames, so the
 //!   writer never holds more than one shard of frames;
 //! * [`TraceShard`] — one loaded shard: a contiguous slice of the
@@ -20,15 +20,34 @@
 //!
 //! # File format
 //!
-//! Every shard file is itself a complete
-//! [`WorkloadTrace`](crate::WorkloadTrace) CSV document (the shard's
-//! frames, the trace's name and period), written as `shard-NNNNNN.csv`
-//! and read back by the same codec, whose grammar is
-//! [`WorkloadTrace`'s CSV format](crate::WorkloadTrace#csv-format),
-//! straight into a flat [`TraceShard`]. A `manifest.csv` header line
-//! ties them together and carries the pre-characterisation workload
-//! bounds measured during recording, so the learning governors can be
-//! configured without a second pass over the data:
+//! A shard file, `shard-NNNNNN.bin`, opens with the metadata line of a
+//! [`WorkloadTrace` CSV document](crate::WorkloadTrace#csv-format) (the
+//! trace's name and period, and the shard's frame count), followed by a
+//! binary body: for each frame, its thread count (at least 1), then
+//! that many `(cpu_cycles, mem_ns)` pairs, every field a little-endian
+//! `u64`.
+//!
+//! ```text
+//! # name=h264 period_ns=66666666 frames=4096\n
+//! <threads> <cpu_cycles> <mem_ns> <cpu_cycles> <mem_ns> ...    frame 0
+//! <threads> <cpu_cycles> <mem_ns> ...                          frame 1
+//! ```
+//!
+//! One encoder ([`ShardWriter::push`]) and one decoder
+//! ([`ShardedTrace::load_shard`]) handle the format; a load is a
+//! bounds-checked copy into a flat [`TraceShard`], not a decimal parse.
+//! A header problem is a [`WorkloadError::ParseTraceError`] at line 1.
+//! A body that ends early, a thread count of 0 or past the bytes left,
+//! a frame whose `cpu_cycles` or `mem_ns` total overflows `u64` and
+//! trailing bytes are a [`WorkloadError::CorruptShard`] at their byte
+//! offset. Shard directories are a derived cache, regenerated bit for
+//! bit by recording the same workload again; directories of CSV shards
+//! (`shard-NNNNNN.csv`) are no longer read and must be re-recorded.
+//!
+//! A `manifest.csv` header line ties the shards together and carries
+//! the pre-characterisation workload bounds measured during recording,
+//! so the learning governors can be configured without a second pass
+//! over the data:
 //!
 //! ```text
 //! # name=h264 period_ns=66666666 frames=100000 frames_per_shard=4096 shards=25 min_cycles=... max_cycles=...
@@ -74,11 +93,12 @@
 //! ```
 
 use crate::trace::{
-    header_u64, header_values, read_csv, split_line, widen_degenerate, write_csv, FlatFrames,
+    header_line, header_u64, header_values, read_header, split_line, widen_degenerate,
 };
 use crate::{Application, FrameDemand, ThreadDemand, WorkloadError};
-use qgov_units::SimTime;
+use qgov_units::{Cycles, SimTime};
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a sharded-trace directory.
@@ -149,7 +169,128 @@ impl Drop for ScratchDir {
 /// File name of shard `index` inside a sharded-trace directory.
 #[must_use]
 pub fn shard_file_name(index: usize) -> String {
-    format!("shard-{index:06}.csv")
+    format!("shard-{index:06}.bin")
+}
+
+/// The total cycles of a frame a shard can hold: at least one thread,
+/// and `cpu_cycles` and `mem_ns` totals that fit in a `u64`, since
+/// replay sums a frame's threads onto its cores. The writer and the
+/// loader both check a frame with this rule.
+fn frame_cycles(threads: &[ThreadDemand]) -> Result<u64, &'static str> {
+    if threads.is_empty() {
+        return Err("the frame has no threads");
+    }
+    let (mut cycles, mut mem_ns) = (0u64, 0u64);
+    for t in threads {
+        cycles = cycles
+            .checked_add(t.cpu_cycles.count())
+            .ok_or("the frame's cpu_cycles total overflows u64")?;
+        mem_ns = mem_ns
+            .checked_add(t.mem_time.as_ns())
+            .ok_or("the frame's mem_ns total overflows u64")?;
+    }
+    Ok(cycles)
+}
+
+/// The little-endian `u64` of an 8-byte field.
+fn le_u64(field: &[u8]) -> u64 {
+    u64::from_le_bytes(field.try_into().expect("callers pass 8-byte fields"))
+}
+
+/// Decodes a shard file ([format](self#file-format)) into the header's
+/// name and period and the frames, stored flat, with O(1) allocations.
+/// Error offsets count from the start of the file.
+fn decode_shard(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), WorkloadError> {
+    let (header, body) = split_line(bytes);
+    let (name, period, frame_count) = read_header(header)?;
+    let corrupt = |at: &[u8], reason: String| WorkloadError::CorruptShard {
+        offset: (bytes.len() - at.len()) as u64,
+        reason,
+    };
+    // A frame takes at least 24 bytes, its thread count and one thread,
+    // so the body's length bounds what the header can make this
+    // allocate; a valid body fills both buffers exactly.
+    let frames = usize::try_from(frame_count)
+        .unwrap_or(usize::MAX)
+        .min(body.len() / 24);
+    let mut flat = FlatFrames {
+        threads: Vec::with_capacity((body.len() / 8).saturating_sub(frames) / 2),
+        ends: Vec::with_capacity(frames),
+    };
+    let mut rest = body;
+    for frame in 0..frame_count {
+        let Some((count, records)) = rest.split_first_chunk::<8>() else {
+            return Err(corrupt(
+                rest,
+                format!("frame {frame}: the body ends before its thread count"),
+            ));
+        };
+        let count = u64::from_le_bytes(*count);
+        let max = records.len() / 16;
+        let Some(len) = usize::try_from(count)
+            .ok()
+            .filter(|&n| (1..=max).contains(&n))
+            .map(|n| n * 16)
+        else {
+            return Err(corrupt(
+                rest,
+                format!(
+                    "frame {frame}: thread count {count} outside 1..={max}, \
+                     the range the bytes left allow"
+                ),
+            ));
+        };
+        let (records, tail) = records.split_at(len);
+        let start = flat.threads.len();
+        flat.threads.extend(records.chunks_exact(16).map(|record| {
+            let (cycles, mem_ns) = record.split_at(8);
+            ThreadDemand::new(
+                Cycles::new(le_u64(cycles)),
+                SimTime::from_ns(le_u64(mem_ns)),
+            )
+        }));
+        frame_cycles(&flat.threads[start..])
+            .map_err(|reason| corrupt(rest, format!("frame {frame}: {reason}")))?;
+        flat.ends.push(flat.threads.len());
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(corrupt(
+            rest,
+            format!(
+                "{} trailing bytes after the {frame_count} frames the header declares",
+                rest.len()
+            ),
+        ));
+    }
+    Ok((name, period, flat))
+}
+
+/// Frames stored flat, as the shard loader fills them: every thread
+/// demand in one buffer, frame `i` spanning `threads[ends[i - 1]..ends[i]]`
+/// (from 0 for frame 0). A whole shard takes O(1) allocations, not one
+/// per frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FlatFrames {
+    threads: Vec<ThreadDemand>,
+    ends: Vec<usize>,
+}
+
+impl FlatFrames {
+    /// Number of frames.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The thread demands of frame `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    fn frame(&self, index: usize) -> &[ThreadDemand] {
+        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.threads[start..self.ends[index]]
+    }
 }
 
 /// One loaded shard: a contiguous run of recorded frames together with
@@ -217,9 +358,10 @@ impl TraceShard {
     }
 }
 
-/// Incremental writer for a sharded trace: buffers frames and flushes a
-/// shard file every `frames_per_shard` frames, so recording a
-/// million-frame trace never holds more than one shard in memory.
+/// Incremental writer for a sharded trace: encodes each frame into the
+/// binary body of the open shard and flushes a shard file every
+/// `frames_per_shard` frames, so recording a million-frame trace never
+/// holds more than one shard's bytes in memory.
 ///
 /// [`ShardWriter::finish`] flushes the (possibly shorter) final shard,
 /// writes the manifest and reopens the directory as a [`ShardedTrace`].
@@ -233,7 +375,10 @@ pub struct ShardWriter {
     name: String,
     period: SimTime,
     frames_per_shard: usize,
-    buffer: Vec<FrameDemand>,
+    /// The encoded frames of the open shard: its file's body.
+    body: Vec<u8>,
+    /// Frames encoded in `body`.
+    buffered: usize,
     frames_written: u64,
     shards_written: usize,
     min_cycles: u64,
@@ -253,9 +398,8 @@ impl ShardWriter {
     /// Panics if `frames_per_shard` is zero, `period` is zero, or
     /// `name` is empty or contains whitespace — all programming
     /// errors, caught *before* any shard I/O happens. (The name is
-    /// embedded in the space-delimited CSV metadata headers, where
-    /// whitespace would corrupt the document the writer is about to
-    /// produce.)
+    /// embedded in the space-delimited metadata lines of the shard
+    /// files and the manifest, where whitespace would corrupt them.)
     pub fn create(
         dir: impl Into<PathBuf>,
         name: impl Into<String>,
@@ -268,7 +412,7 @@ impl ShardWriter {
         assert!(
             !name.is_empty() && !name.chars().any(char::is_whitespace),
             "workload name {name:?} must be non-empty without whitespace: \
-             it is embedded in space-delimited CSV headers"
+             it is embedded in space-delimited metadata lines"
         );
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| WorkloadError::io(&dir, &e))?;
@@ -277,7 +421,8 @@ impl ShardWriter {
             name,
             period,
             frames_per_shard,
-            buffer: Vec::with_capacity(frames_per_shard),
+            body: Vec::new(),
+            buffered: 0,
             frames_written: 0,
             shards_written: 0,
             min_cycles: u64::MAX,
@@ -285,18 +430,35 @@ impl ShardWriter {
         })
     }
 
-    /// Appends one frame, flushing a shard file when the buffer fills.
+    /// Appends one frame to the open shard's body, flushing a shard
+    /// file when the shard is full.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::Io`] if a full shard fails to write.
-    pub fn push(&mut self, frame: FrameDemand) -> Result<(), WorkloadError> {
-        let cycles = frame.total_cycles().count();
+    /// Returns [`WorkloadError::InvalidFrame`], before anything is
+    /// buffered, if the frame has no threads or its `cpu_cycles` or
+    /// `mem_ns` total overflows `u64` (a frame the shard loader would
+    /// refuse), and [`WorkloadError::Io`] if a full shard fails to
+    /// write.
+    pub fn push(&mut self, frame: &FrameDemand) -> Result<(), WorkloadError> {
+        let cycles =
+            frame_cycles(&frame.threads).map_err(|reason| WorkloadError::InvalidFrame {
+                frame: self.frames_written,
+                reason: reason.to_owned(),
+            })?;
         self.min_cycles = self.min_cycles.min(cycles);
         self.max_cycles = self.max_cycles.max(cycles);
-        self.buffer.push(frame);
+        self.body
+            .extend_from_slice(&(frame.threads.len() as u64).to_le_bytes());
+        for t in &frame.threads {
+            self.body
+                .extend_from_slice(&t.cpu_cycles.count().to_le_bytes());
+            self.body
+                .extend_from_slice(&t.mem_time.as_ns().to_le_bytes());
+        }
+        self.buffered += 1;
         self.frames_written += 1;
-        if self.buffer.len() == self.frames_per_shard {
+        if self.buffered == self.frames_per_shard {
             self.flush_shard()?;
         }
         Ok(())
@@ -315,12 +477,16 @@ impl ShardWriter {
     }
 
     fn flush_shard(&mut self) -> Result<(), WorkloadError> {
-        // A shard file is a complete WorkloadTrace CSV document: the
-        // in-memory codec is the single source of truth for the format.
-        let csv = write_csv(&self.name, self.period, &self.buffer);
         let path = self.dir.join(shard_file_name(self.shards_written));
-        fs::write(&path, csv).map_err(|e| WorkloadError::io(&path, &e))?;
-        self.buffer.clear();
+        let header = header_line(&self.name, self.period, self.buffered);
+        fs::File::create(&path)
+            .and_then(|mut file| {
+                file.write_all(header.as_bytes())?;
+                file.write_all(&self.body)
+            })
+            .map_err(|e| WorkloadError::io(&path, &e))?;
+        self.body.clear();
+        self.buffered = 0;
         self.shards_written += 1;
         Ok(())
     }
@@ -342,7 +508,7 @@ impl ShardWriter {
             self.frames_written > 0,
             "a sharded trace needs at least one frame"
         );
-        if !self.buffer.is_empty() {
+        if self.buffered > 0 {
             self.flush_shard()?;
         }
         let manifest = format!(
@@ -362,7 +528,7 @@ impl ShardWriter {
     }
 }
 
-/// A recorded trace streamed from CSV shards on disk: replayable as an
+/// A recorded trace streamed from binary shards on disk: replayable as an
 /// [`Application`] while holding at most one shard of frames in
 /// memory, however many frames the trace spans.
 ///
@@ -423,7 +589,9 @@ impl ShardedTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::Io`] on any filesystem failure.
+    /// Returns [`WorkloadError::InvalidFrame`] for a frame a shard
+    /// cannot hold (see [`ShardWriter::push`]) and
+    /// [`WorkloadError::Io`] on any filesystem failure.
     ///
     /// # Panics
     ///
@@ -437,8 +605,10 @@ impl ShardedTrace {
         assert!(frames > 0, "a sharded trace needs at least one frame");
         app.reset();
         let mut writer = ShardWriter::create(dir, app.name(), app.period(), frames_per_shard)?;
+        let mut frame = FrameDemand::default();
         for _ in 0..frames {
-            writer.push(app.next_frame())?;
+            app.next_frame_into(&mut frame);
+            writer.push(&frame)?;
         }
         app.reset();
         writer.finish()
@@ -453,7 +623,8 @@ impl ShardedTrace {
     /// # Errors
     ///
     /// Returns [`WorkloadError::Io`] if the manifest is unreadable or
-    /// a shard file is missing, and [`WorkloadError::ParseTraceError`]
+    /// a shard file is missing (as in a directory of CSV shards, which
+    /// must be re-recorded), and [`WorkloadError::ParseTraceError`]
     /// if the manifest is malformed or internally inconsistent.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WorkloadError> {
         let dir = dir.into();
@@ -497,7 +668,10 @@ impl ShardedTrace {
             if !shard.exists() {
                 return Err(WorkloadError::Io {
                     path: shard.display().to_string(),
-                    reason: "shard file declared in the manifest is missing".to_owned(),
+                    reason: "shard file declared in the manifest is missing \
+                             (CSV shards are no longer read: re-record the trace \
+                             with `qgov record`)"
+                        .to_owned(),
                 });
             }
         }
@@ -579,15 +753,17 @@ impl ShardedTrace {
         (frame / self.frames_per_shard as u64) as usize
     }
 
-    /// Loads shard `index` from disk, validating it against the
+    /// Loads shard `index` from disk, decoding its
+    /// [binary body](self#file-format) and validating it against the
     /// manifest (name, period and the exact frame count the geometry
     /// demands — a truncated or padded shard file is rejected here).
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::Io`] if the file is unreadable and
-    /// [`WorkloadError::ParseTraceError`] if it is malformed or
-    /// inconsistent with the manifest.
+    /// Returns [`WorkloadError::Io`] if the file is unreadable,
+    /// [`WorkloadError::ParseTraceError`] at line 1 if its header is
+    /// malformed or inconsistent with the manifest, and
+    /// [`WorkloadError::CorruptShard`] if its body is.
     ///
     /// # Panics
     ///
@@ -600,7 +776,7 @@ impl ShardedTrace {
         );
         let path = self.dir.join(shard_file_name(index));
         let bytes = fs::read(&path).map_err(|e| WorkloadError::io(&path, &e))?;
-        let (name, period, frames) = read_csv(&bytes)?;
+        let (name, period, frames) = decode_shard(&bytes)?;
         let mismatch = |reason: String| WorkloadError::ParseTraceError { line: 1, reason };
         if name != self.name || period != self.period {
             return Err(mismatch(format!(
@@ -891,6 +1067,97 @@ mod tests {
     }
 
     #[test]
+    fn csv_shard_directories_must_be_re_recorded() {
+        // The layout older releases wrote: a manifest and CSV shards.
+        let dir = test_dir("csv-layout");
+        let mut app = sample_app(4);
+        let _ = ShardedTrace::record(&mut app, dir.path(), 4, 4).unwrap();
+        let bin = dir.path().join(shard_file_name(0));
+        fs::rename(&bin, dir.path().join("shard-000000.csv")).unwrap();
+        match ShardedTrace::open(dir.path()) {
+            Err(WorkloadError::Io { path, reason }) => {
+                assert_eq!(path, bin.display().to_string());
+                assert!(reason.contains("re-record the trace"), "{reason}");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn writer_and_loader_refuse_the_same_frames() {
+        let cpu = |cycles: &[u64]| {
+            FrameDemand::new(
+                cycles
+                    .iter()
+                    .map(|&c| ThreadDemand::cpu_only(Cycles::new(c)))
+                    .collect(),
+            )
+        };
+        let mem = |ns: &[u64]| {
+            FrameDemand::new(
+                ns.iter()
+                    .map(|&n| ThreadDemand::new(Cycles::new(1), SimTime::from_ns(n)))
+                    .collect(),
+            )
+        };
+        for (bad, reason) in [
+            (cpu(&[u64::MAX, 1]), "cpu_cycles total overflows u64"),
+            (mem(&[u64::MAX, 1]), "mem_ns total overflows u64"),
+            (FrameDemand::default(), "no threads"),
+        ] {
+            // Recording stops at the frame with a typed error naming it.
+            let dir = test_dir("bad-frame");
+            let mut trace = WorkloadTrace::from_frames(
+                "bad",
+                SimTime::from_ms(40),
+                vec![cpu(&[7, 3]), bad.clone()],
+            );
+            match ShardedTrace::record(&mut trace, dir.path(), 2, 4) {
+                Err(WorkloadError::InvalidFrame {
+                    frame: 1,
+                    reason: got,
+                }) => {
+                    assert!(got.contains(reason), "{got}");
+                }
+                other => panic!("{bad:?}: expected InvalidFrame, got {other:?}"),
+            }
+
+            // The refused frame leaves the buffer and the bounds as
+            // they were: the shard holds the good frame alone.
+            let mut writer =
+                ShardWriter::create(dir.path(), "bad", SimTime::from_ms(40), 4).unwrap();
+            writer.push(&cpu(&[7, 3])).unwrap();
+            assert!(writer.push(&bad).is_err());
+            assert_eq!(writer.frames_written(), 1);
+            let trace = writer.finish().unwrap();
+            assert_eq!((trace.min_cycles, trace.max_cycles), (10, 10));
+            assert_eq!(trace.load_shard(0).unwrap().frame(0), cpu(&[7, 3]).threads);
+
+            // The loader refuses the same frame, encoded by hand, at
+            // its thread count's offset.
+            let mut bytes = header_line("bad", SimTime::from_ms(40), 1).into_bytes();
+            let offset = bytes.len() as u64;
+            bytes.extend_from_slice(&(bad.threads.len() as u64).to_le_bytes());
+            for t in &bad.threads {
+                bytes.extend_from_slice(&t.cpu_cycles.count().to_le_bytes());
+                bytes.extend_from_slice(&t.mem_time.as_ns().to_le_bytes());
+            }
+            fs::write(dir.path().join(shard_file_name(0)), bytes).unwrap();
+            match trace.load_shard(0) {
+                Err(WorkloadError::CorruptShard {
+                    offset: at,
+                    reason: got,
+                }) => {
+                    assert_eq!(at, offset);
+                    assert!(got.starts_with("frame 0: "), "{got}");
+                    assert!(bad.threads.is_empty() || got.contains(reason), "{got}");
+                }
+                other => panic!("{bad:?}: expected CorruptShard, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_frame_record_panics() {
         let dir = test_dir("zero");
@@ -901,7 +1168,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "without whitespace")]
     fn whitespace_in_workload_name_is_rejected_before_any_io() {
-        // The name is embedded in space-delimited CSV headers: a name
+        // The name is embedded in space-delimited metadata lines: a name
         // like "my app" would corrupt the manifest the writer is about
         // to produce, so it must fail up front, not after shard I/O.
         let _ = ShardWriter::create(

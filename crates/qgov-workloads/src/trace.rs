@@ -1,4 +1,4 @@
-//! Workload trace record and replay, and the one trace CSV codec.
+//! Workload trace record and replay, and the trace CSV document codec.
 //!
 //! The Oracle baseline of Table I requires "offline determination of
 //! optimized V-F for the observed CPU workloads": it must see the exact
@@ -7,10 +7,11 @@
 //! and replaying the trace guarantees every governor is evaluated on the
 //! *identical* frame sequence.
 //!
-//! This module also holds the one trace CSV codec: [`read_csv`] and
-//! [`write_csv`] read and write every trace document, in memory
-//! ([`WorkloadTrace::from_csv`] / [`WorkloadTrace::to_csv`]) and on disk
-//! (the shard files of [`crate::shard`]).
+//! This module also holds the trace CSV codec, the human-readable
+//! whole-trace interchange: [`read_csv`] and [`write_csv`] sit behind
+//! [`WorkloadTrace::from_csv`] and [`WorkloadTrace::to_csv`]. The shard
+//! files of [`crate::shard`] share its metadata header line
+//! ([`read_header`], [`header_line`]) and store their frames in binary.
 
 use crate::{Application, FrameDemand, ThreadDemand, WorkloadError};
 use qgov_units::{Cycles, SimTime};
@@ -64,8 +65,8 @@ pub(crate) fn split_line(bytes: &[u8]) -> (&[u8], &[u8]) {
 }
 
 /// Parses a `# key=value key=value …` metadata line, the first line of
-/// both a trace document and a shard manifest, into the values of
-/// `keys` in that order. Every key must appear exactly once and no
+/// a trace document, a shard file and a shard manifest, into the values
+/// of `keys` in that order. Every key must appear exactly once and no
 /// other key may appear; errors point at line 1.
 pub(crate) fn header_values<'a, const N: usize>(
     line: &'a [u8],
@@ -105,31 +106,25 @@ pub(crate) fn header_u64(key: &str, value: &str) -> Result<u64, WorkloadError> {
     }
 }
 
-/// Frames stored flat, as the reader fills them: every thread demand in
-/// one buffer, frame `i` spanning `threads[ends[i - 1]..ends[i]]` (from
-/// 0 for frame 0). A whole document takes O(1) allocations, not one
-/// per frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct FlatFrames {
-    threads: Vec<ThreadDemand>,
-    ends: Vec<usize>,
+/// The metadata line that opens a trace document and a shard file,
+/// ending in LF.
+pub(crate) fn header_line(name: &str, period: SimTime, frames: usize) -> String {
+    format!(
+        "# name={name} period_ns={} frames={frames}\n",
+        period.as_ns()
+    )
 }
 
-impl FlatFrames {
-    /// Number of frames.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+/// Parses a [`header_line`] (without its line ending) into the name,
+/// the non-zero period and the declared frame count.
+pub(crate) fn read_header(line: &[u8]) -> Result<(&str, SimTime, u64), WorkloadError> {
+    let [name, period_ns, frames] = header_values(line, ["name", "period_ns", "frames"])?;
+    let period = SimTime::from_ns(header_u64("period_ns", period_ns)?);
+    let frames = header_u64("frames", frames)?;
+    if period.is_zero() {
+        return Err(parse_error(1, "period must be non-zero"));
     }
-
-    /// The thread demands of frame `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub(crate) fn frame(&self, index: usize) -> &[ThreadDemand] {
-        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.threads[start..self.ends[index]]
-    }
+    Ok((name, period, frames))
 }
 
 /// Reads one row at `rows[*pos..]`, advancing `pos` past its line
@@ -154,94 +149,14 @@ fn read_row(rows: &[u8], pos: &mut usize) -> Result<[u64; 4], String> {
     Ok(values)
 }
 
-/// One in each byte lane of a little-endian word.
-const LANES: u64 = 0x0101_0101_0101_0101;
-
-/// The 8 bytes at `rows[p..]` as a little-endian word, or `None` when
-/// fewer are left.
-fn word_at(rows: &[u8], p: usize) -> Option<u64> {
-    let bytes = rows.get(p..p + 8)?;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
-/// How many of `word`'s bytes, from the first, are ASCII digits (0–8).
-/// A byte is a digit iff its high nibble is 3 and its low nibble plus 6
-/// stays below 16.
-fn digit_run(word: u64) -> usize {
-    let high = (word & (0xF0 * LANES)) ^ (0x30 * LANES);
-    let low = ((word & (0x0F * LANES)) + 0x06 * LANES) & (0xF0 * LANES);
-    ((high | low).trailing_zeros() / 8) as usize
-}
-
-/// The value of the first `len` (1–8) digits of `word`. Their low
-/// nibbles move to the top `len` bytes, so the lanes below read as
-/// leading zeros; then adjacent lanes fold into pairs, pairs into
-/// fours and fours into the eight-digit value.
-fn fold_digits(word: u64, len: usize) -> u64 {
-    let v = (word & (0x0F * LANES)) << (8 * (8 - len));
-    let v = v * 10 + (v >> 8);
-    let pairs = 0x0000_00FF_0000_00FF;
-    ((v & pairs).wrapping_mul(100 + (1_000_000 << 32))
-        + ((v >> 16) & pairs).wrapping_mul(1 + (10_000 << 32)))
-        >> 32
-}
-
-/// The value and length of the digit run at `rows[p..]`, up to its
-/// first 16 digits, read a word at a time; `None` when the run is empty
-/// or fewer than 8 bytes are left to load.
-fn read_digits_fast(rows: &[u8], p: usize) -> Option<(u64, usize)> {
-    let word = word_at(rows, p)?;
-    match digit_run(word) {
-        0 => None,
-        len @ 1..=7 => Some((fold_digits(word, len), len)),
-        _ => {
-            let high = fold_digits(word, 8);
-            let next = word_at(rows, p + 8)?;
-            match digit_run(next) {
-                0 => Some((high, 8)),
-                len => Some((
-                    high * 10u64.pow(len as u32) + fold_digits(next, len),
-                    8 + len,
-                )),
-            }
-        }
-    }
-}
-
-/// The fast path of [`read_row`]: one row at `rows[pos..]` of four runs
-/// of 1–16 digits, each followed by its `,` or the row's LF, read a
-/// word at a time, with the position past the LF. `None` for any other
-/// row, a 17th digit, a CR or fewer than 8 bytes left at a field
-/// included: [`read_row`] then reads the row from its start, so it
-/// stays the one source of parse errors. At most 16 digits cannot
-/// overflow a `u64`.
-fn read_row_fast(rows: &[u8], mut pos: usize) -> Option<([u64; 4], usize)> {
-    let mut values = [0u64; 4];
-    for (value, end) in values.iter_mut().zip([b',', b',', b',', b'\n']) {
-        let (digits, len) = read_digits_fast(rows, pos)?;
-        pos += len;
-        if *rows.get(pos)? != end {
-            return None;
-        }
-        *value = digits;
-        pos += 1;
-    }
-    Some((values, pos))
-}
-
 /// Reads a trace CSV document ([grammar](WorkloadTrace#csv-format)) in
 /// one pass over its bytes: the header's name and period, and the frames.
-pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), WorkloadError> {
+pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, Vec<FrameDemand>), WorkloadError> {
     if bytes.is_empty() {
         return Err(parse_error(1, "empty document"));
     }
     let (header, rest) = split_line(bytes);
-    let [name, period_ns, frames] = header_values(header, ["name", "period_ns", "frames"])?;
-    let period = SimTime::from_ns(header_u64("period_ns", period_ns)?);
-    let frame_count = header_u64("frames", frames)?;
-    if period.is_zero() {
-        return Err(parse_error(1, "period must be non-zero"));
-    }
+    let (name, period, frame_count) = read_header(header)?;
     if rest.is_empty() {
         return Err(parse_error(2, "missing column header"));
     }
@@ -260,35 +175,26 @@ pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), Work
         .filter(|&n| n <= bytes.len() / 8)
         .ok_or_else(|| parse_error(1, "frames exceeds what the document can hold"))?;
 
-    let mut flat = FlatFrames {
-        threads: Vec::with_capacity(frame_count),
-        ends: Vec::with_capacity(frame_count),
-    };
-    // The frame the rows are filling, the offset of its first thread,
-    // and its running cycle and memory-time totals.
-    let (mut open, mut open_start) = (0u64, 0usize);
+    let mut frames: Vec<FrameDemand> = Vec::with_capacity(frame_count);
+    // The running cycle and memory-time totals of the last frame.
     let (mut open_cycles, mut open_mem_ns) = (0u64, 0u64);
     let (mut pos, mut line) = (0, 3);
     while pos < rows.len() {
-        let [frame, thread, cycles, mem_ns] = match read_row_fast(rows, pos) {
-            Some((values, end)) => {
-                pos = end;
-                values
-            }
-            None => read_row(rows, &mut pos).map_err(|reason| parse_error(line, reason))?,
-        };
+        let [frame, thread, cycles, mem_ns] =
+            read_row(rows, &mut pos).map_err(|reason| parse_error(line, reason))?;
         if frame >= frame_count as u64 {
             return Err(parse_error(line, "frame index beyond declared frame count"));
         }
-        if frame != open {
-            if frame != open + 1 || flat.threads.len() == open_start {
-                return Err(parse_error(line, "frame index out of order"));
-            }
-            flat.ends.push(flat.threads.len());
-            (open, open_start) = (frame, flat.threads.len());
+        // A row either opens the next frame or continues the last one.
+        let started = frames.len() as u64;
+        if frame == started {
+            frames.push(FrameDemand::default());
             (open_cycles, open_mem_ns) = (0, 0);
+        } else if frame + 1 != started {
+            return Err(parse_error(line, "frame index out of order"));
         }
-        if thread != (flat.threads.len() - open_start) as u64 {
+        let threads = &mut frames[frame as usize].threads;
+        if thread != threads.len() as u64 {
             return Err(parse_error(
                 line,
                 "thread indices must be consecutive from 0",
@@ -302,25 +208,22 @@ pub(crate) fn read_csv(bytes: &[u8]) -> Result<(&str, SimTime, FlatFrames), Work
         open_mem_ns = open_mem_ns
             .checked_add(mem_ns)
             .ok_or_else(|| parse_error(line, "the frame's mem_ns total overflows u64"))?;
-        flat.threads.push(ThreadDemand::new(
+        threads.push(ThreadDemand::new(
             Cycles::new(cycles),
             SimTime::from_ns(mem_ns),
         ));
         line += 1;
     }
-    if flat.threads.len() > open_start {
-        flat.ends.push(flat.threads.len());
-    }
-    if flat.len() != frame_count {
+    if frames.len() != frame_count {
         return Err(parse_error(
             1,
             format!(
                 "header declares {frame_count} frames but the document holds {}",
-                flat.len()
+                frames.len()
             ),
         ));
     }
-    Ok((name, period, flat))
+    Ok((name, period, frames))
 }
 
 /// Number of decimal digits in `n`.
@@ -357,15 +260,11 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[start..]);
 }
 
-/// Writes `frames` as a trace CSV document: the one writer, behind
-/// [`WorkloadTrace::to_csv`] and every shard file. The integers go
-/// straight into one buffer, sized exactly before the first byte.
+/// Writes `frames` as a trace CSV document, behind
+/// [`WorkloadTrace::to_csv`]. The integers go straight into one buffer,
+/// sized exactly before the first byte.
 pub(crate) fn write_csv(name: &str, period: SimTime, frames: &[FrameDemand]) -> Vec<u8> {
-    let header = format!(
-        "# name={name} period_ns={} frames={}\n{COLUMNS}\n",
-        period.as_ns(),
-        frames.len()
-    );
+    let header = header_line(name, period, frames.len()) + COLUMNS + "\n";
     let rows = frames.iter().enumerate().flat_map(|(fi, frame)| {
         frame
             .threads
@@ -404,9 +303,11 @@ pub(crate) fn write_csv(name: &str, period: SimTime, frames: &[FrameDemand]) -> 
 ///
 /// # CSV format
 ///
-/// One reader and one writer handle every trace document: this type's
-/// [`to_csv`](WorkloadTrace::to_csv) / [`from_csv`](WorkloadTrace::from_csv)
-/// and the shard files of [`ShardedTrace`](crate::ShardedTrace).
+/// The human-readable whole-trace interchange, written by
+/// [`to_csv`](WorkloadTrace::to_csv) and read by
+/// [`from_csv`](WorkloadTrace::from_csv). (The shard files of
+/// [`ShardedTrace`](crate::ShardedTrace) open with the same header line
+/// and store their frames in [binary](crate::shard#file-format).)
 ///
 /// ```text
 /// # name=<name> period_ns=<u64> frames=<u64>
@@ -555,10 +456,7 @@ impl WorkloadTrace {
     /// including a header that declares zero frames or more frames than
     /// the document is long enough to hold.
     pub fn from_csv(text: &str) -> Result<Self, WorkloadError> {
-        let (name, period, flat) = read_csv(text.as_bytes())?;
-        let frames = (0..flat.len())
-            .map(|i| FrameDemand::new(flat.frame(i).to_vec()))
-            .collect();
+        let (name, period, frames) = read_csv(text.as_bytes())?;
         Ok(WorkloadTrace {
             name: name.to_owned(),
             period,
@@ -618,7 +516,6 @@ impl Application for WorkloadTrace {
 mod tests {
     use super::*;
     use crate::{SyntheticWorkload, VideoDecoderModel};
-    use proptest::prelude::*;
 
     fn sample_app() -> SyntheticWorkload {
         SyntheticWorkload::constant(
@@ -749,109 +646,6 @@ mod tests {
                 got_line == line && got_reason.contains(reason),
                 "{rows:?}: line {got_line}: {got_reason}"
             );
-        }
-    }
-
-    #[test]
-    fn typical_rows_take_the_fast_path() {
-        let rows = b"4095,3,77937137,9325766\n4096,0,123456789012,0\n0,0,0,0\n";
-        assert_eq!(
-            read_row_fast(rows, 0),
-            Some(([4095, 3, 77_937_137, 9_325_766], 24))
-        );
-        assert_eq!(
-            read_row_fast(rows, 24),
-            Some(([4096, 0, 123_456_789_012, 0], 46))
-        );
-        // The last row leaves fewer than 8 bytes at its second field.
-        assert_eq!(read_row_fast(rows, 46), None);
-        // Sixteen digits are the most a field takes; a CR is left to
-        // the checked reader.
-        let widest = b"9999999999999999,0,0,0\n........";
-        assert_eq!(
-            read_row_fast(widest, 0),
-            Some(([9_999_999_999_999_999, 0, 0, 0], 23))
-        );
-        assert_eq!(read_row_fast(b"99999999999999999,0,0,0\n.......", 0), None);
-        assert_eq!(read_row_fast(b"1,2,3,4\r\n........", 0), None);
-    }
-
-    #[test]
-    fn the_digit_mask_classifies_every_byte_in_every_lane() {
-        for lane in 0..8 {
-            for byte in 0..=u8::MAX {
-                let mut bytes = [b'5'; 8];
-                bytes[lane] = byte;
-                let run = if byte.is_ascii_digit() { 8 } else { lane };
-                assert_eq!(
-                    digit_run(u64::from_le_bytes(bytes)),
-                    run,
-                    "{byte:#04x} at {lane}"
-                );
-            }
-        }
-    }
-
-    /// `kind` 0 is `u64::MAX`, kind 1 a run of `len` nines (past
-    /// `u64::MAX` at 20), any other kind the last `len` of `n`'s 20
-    /// zero-padded digits, so leading zeros are common.
-    fn digits(kind: u8, n: u64, len: usize) -> Vec<u8> {
-        match kind {
-            0 => u64::MAX.to_string().into_bytes(),
-            1 => vec![b'9'; len],
-            _ => format!("{n:020}").as_bytes()[20 - len..].to_vec(),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(1024))]
-
-        /// Differential check of the word-at-a-time reader: on a row of
-        /// 1–20-digit fields, some with a byte next to the digits (`/`,
-        /// `:`, …) inside, whose separators are mostly right, then a
-        /// tail of digit runs, `,`, LF, CR and such bytes, read from
-        /// every offset, the fast reader either declines or returns
-        /// exactly the values and end position of the checked reader.
-        #[test]
-        fn fast_rows_match_the_checked_reader(
-            fields in proptest::collection::vec(
-                (0u8..6, 0u64..=u64::MAX, 1usize..21, 0u8..16, 0u8..6, 0usize..11), 4),
-            tail in proptest::collection::vec((0u8..8, 0u64..=u64::MAX, 1usize..21), 0..6),
-        ) {
-            const OTHER: [u8; 11] = [b'/', b':', b'?', b' ', b'a', b'p', 0x00, 0xB5, 0xFF, b'-', b'+'];
-            let mut bytes = Vec::new();
-            for (i, &(kind, n, len, sep, corrupt, other)) in fields.iter().enumerate() {
-                let mut run = digits(kind, n, len);
-                if corrupt == 0 {
-                    let at = n as usize % run.len();
-                    run[at] = OTHER[other];
-                }
-                bytes.extend(run);
-                bytes.push(match sep {
-                    0..=11 if i < 3 => b',',
-                    0..=11 => b'\n',
-                    12 => b',',
-                    13 => b'\n',
-                    14 => b'\r',
-                    _ => OTHER[other],
-                });
-            }
-            for &(kind, n, len) in &tail {
-                match kind {
-                    0..=2 => bytes.extend(digits(kind, n, len)),
-                    3 => bytes.push(b','),
-                    4 => bytes.push(b'\n'),
-                    5 => bytes.push(b'\r'),
-                    _ => bytes.push(OTHER[n as usize % OTHER.len()]),
-                }
-            }
-            for start in 0..bytes.len() {
-                if let Some((values, end)) = read_row_fast(&bytes, start) {
-                    let mut pos = start;
-                    prop_assert_eq!(read_row(&bytes, &mut pos), Ok(values), "{:?} at {}", bytes, start);
-                    prop_assert_eq!(pos, end, "{:?} at {}", bytes, start);
-                }
-            }
         }
     }
 

@@ -7,15 +7,17 @@
 //! wrap-around, after resets at arbitrary cursor positions — while
 //! never holding more than one shard of frames resident. The edge
 //! cases (truncated final shard, header-only shard file, corrupted
-//! geometry, bytes that are not UTF-8) are pinned alongside, and the
-//! manifest reader is checked total on arbitrary and near-valid input.
+//! geometry, a header that is not UTF-8, a zero thread count) are
+//! pinned alongside; the manifest reader and the shard decoder are
+//! checked total on arbitrary and near-valid input, and the shard codec
+//! round-trips edge values.
 
 use proptest::prelude::*;
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::shard::{shard_file_name, ScratchDir, MANIFEST_FILE};
 use qgov_workloads::{
-    Application, FftModel, ShardedTrace, SyntheticWorkload, VideoDecoderModel, WorkloadError,
-    WorkloadTrace,
+    Application, FftModel, FrameDemand, ShardWriter, ShardedTrace, SyntheticWorkload, ThreadDemand,
+    VideoDecoderModel, WorkloadError, WorkloadTrace,
 };
 use std::path::Path;
 
@@ -85,6 +87,39 @@ fn assert_open_is_total(dir: &Path, manifest: &[u8]) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// The byte offset of every frame's thread count in a shard file, then
+/// the offset where the frames end.
+fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut at = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut offsets = vec![at];
+    while at < bytes.len() {
+        let threads = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        at += 8 + 16 * threads as usize;
+        offsets.push(at);
+    }
+    offsets
+}
+
+/// `load_shard(index)` is total: a shard with the manifest's geometry,
+/// a line-1 parse error or a corrupt-shard error, never a panic.
+fn assert_load_is_total(trace: &ShardedTrace, index: usize) -> Result<(), TestCaseError> {
+    match trace.load_shard(index) {
+        Ok(shard) => {
+            let start = index as u64 * trace.frames_per_shard() as u64;
+            prop_assert_eq!(shard.start_frame(), start);
+            prop_assert_eq!(
+                shard.len() as u64,
+                (trace.len() - start).min(trace.frames_per_shard() as u64)
+            );
+        }
+        Err(
+            WorkloadError::CorruptShard { .. } | WorkloadError::ParseTraceError { line: 1, .. },
+        ) => {}
+        Err(e) => prop_assert!(false, "unexpected error {e}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -136,6 +171,155 @@ proptest! {
         let body: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
         let manifest = format!("# {}\n", body.join(" "));
         assert_open_is_total(dir.path(), manifest.as_bytes())?;
+    }
+
+    /// A valid header line followed by arbitrary bytes never panics the
+    /// shard decoder. The body's words lean towards small thread
+    /// counts, 0 and `u64::MAX`, so every decoder check is reached, and
+    /// a tail of loose bytes leaves the body's length arbitrary.
+    #[test]
+    fn load_shard_is_total_on_arbitrary_bodies(
+        frames in 0u64..7,
+        words in proptest::collection::vec((0u8..4, 0u64..=u64::MAX), 0..48),
+        tail in proptest::collection::vec(0u8..=255, 0..12),
+    ) {
+        let dir = test_dir("arbitrary-body");
+        let mut app = make_app(3, 1);
+        let trace = ShardedTrace::record(app.as_mut(), dir.path(), 8, 4).unwrap();
+        let frames = if frames == 6 { u64::MAX } else { frames };
+        let mut bytes = format!(
+            "# name={} period_ns={} frames={frames}\n",
+            trace.name(),
+            trace.period().as_ns()
+        )
+        .into_bytes();
+        for (kind, value) in words {
+            let word = [value % 6, 0, u64::MAX, value][usize::from(kind)];
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend(tail);
+        std::fs::write(dir.path().join(shard_file_name(0)), &bytes).unwrap();
+        assert_load_is_total(&trace, 0)?;
+    }
+
+    /// One edit to a real recorded shard: truncated at any offset, any
+    /// one byte replaced, a thread count set to 0, `u64::MAX` or one
+    /// more than the body holds, bytes appended, or the header's
+    /// `frames` changed. The decoder never panics, and any shard it
+    /// accepts has the manifest's geometry. A truncated shard is always
+    /// refused, and an edited thread count or appended bytes are a
+    /// corrupt shard at their offset.
+    #[test]
+    fn load_shard_is_total_on_near_valid_shards(
+        kind in 0u8..4,
+        seed in 0u64..50,
+        index in 0usize..3,
+        edit in 0u8..7,
+        at in 0usize..=usize::MAX,
+        value in 0u64..=u64::MAX,
+    ) {
+        let dir = test_dir("near-valid-shard");
+        let mut app = make_app(kind, seed);
+        // Shards of 5, 5 and 2 frames.
+        let trace = ShardedTrace::record(app.as_mut(), dir.path(), 12, 5).unwrap();
+        let path = dir.path().join(shard_file_name(index));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let offsets = frame_offsets(&bytes);
+        let corrupt_at = match edit {
+            0 => {
+                bytes.truncate(at % bytes.len());
+                None
+            }
+            1 => {
+                let i = at % bytes.len();
+                bytes[i] = value as u8;
+                None
+            }
+            2..=4 => {
+                let count_at = offsets[at % (offsets.len() - 1)];
+                let count = match edit {
+                    2 => 0,
+                    3 => u64::MAX,
+                    _ => ((bytes.len() - count_at - 8) / 16 + 1) as u64,
+                };
+                bytes[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+                Some(count_at)
+            }
+            5 => {
+                let end = bytes.len();
+                bytes.extend(&value.to_le_bytes()[..at % 8 + 1]);
+                Some(end)
+            }
+            _ => {
+                let header = std::str::from_utf8(&bytes[..offsets[0]]).unwrap();
+                let (head, _) = header.split_once(" frames=").unwrap();
+                let frames = [0, 1, value % 8, u64::MAX][at % 4];
+                let mut edited = format!("{head} frames={frames}\n").into_bytes();
+                edited.extend_from_slice(&bytes[offsets[0]..]);
+                bytes = edited;
+                None
+            }
+        };
+        std::fs::write(&path, &bytes).unwrap();
+        assert_load_is_total(&trace, index)?;
+        let loaded = trace.load_shard(index);
+        if edit == 0 {
+            prop_assert!(loaded.is_err(), "a truncated shard loaded");
+        }
+        if let Some(offset) = corrupt_at {
+            match loaded {
+                Err(WorkloadError::CorruptShard { offset: got, .. }) => {
+                    prop_assert_eq!(got, offset as u64);
+                }
+                other => prop_assert!(false, "expected a corrupt shard at byte {offset}, got {other:?}"),
+            }
+        }
+    }
+
+    /// Frames of 1–8 threads whose fields are 0, 1, `u64::MAX` or any
+    /// value, clamped so each frame's totals fit in a `u64`, record
+    /// through `ShardWriter` and load back through `load_shard` equal
+    /// to the input.
+    #[test]
+    fn shard_codec_round_trips_edge_values(
+        frames in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, 0u64..=u64::MAX, 0u8..4, 0u64..=u64::MAX), 1..=8),
+            1..24,
+        ),
+        frames_per_shard in 1usize..8,
+    ) {
+        let edge = |kind: u8, value: u64| [0, 1, u64::MAX, value][usize::from(kind)];
+        let input: Vec<FrameDemand> = frames
+            .iter()
+            .map(|threads| {
+                let (mut cycles, mut mem_ns) = (0u64, 0u64);
+                FrameDemand::new(
+                    threads
+                        .iter()
+                        .map(|&(ck, c, mk, m)| {
+                            let c = edge(ck, c).min(u64::MAX - cycles);
+                            let m = edge(mk, m).min(u64::MAX - mem_ns);
+                            (cycles, mem_ns) = (cycles + c, mem_ns + m);
+                            ThreadDemand::new(Cycles::new(c), SimTime::from_ns(m))
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let dir = test_dir("edge-values");
+        let mut writer =
+            ShardWriter::create(dir.path(), "edge", SimTime::from_ms(40), frames_per_shard)
+                .unwrap();
+        for frame in &input {
+            writer.push(frame).unwrap();
+        }
+        let trace = writer.finish().unwrap();
+        for index in 0..trace.shard_count() {
+            let shard = trace.load_shard(index).unwrap();
+            for i in shard.start_frame()..shard.start_frame() + shard.len() as u64 {
+                prop_assert_eq!(shard.frame(i), &input[i as usize].threads[..], "frame {}", i);
+            }
+        }
     }
 }
 
@@ -234,23 +418,28 @@ fn truncated_shard_file_is_rejected_at_load() {
     let mut app = VideoDecoderModel::mpeg4_svga_24fps(5).with_frames(30);
     let streamed = ShardedTrace::record(&mut app, dir.path(), 30, 10).unwrap();
 
-    // Chop the last frame's rows off shard 1: its header still
-    // declares 10 frames, so the CSV parser itself rejects it.
+    // Cut the last frame's bytes off shard 1: its header still
+    // declares 10 frames, so the decoder itself rejects it where the
+    // body ends.
     let path = dir.path().join(shard_file_name(1));
-    let text = std::fs::read_to_string(&path).unwrap();
-    let truncated: Vec<&str> = text.lines().filter(|l| !l.starts_with("9,")).collect();
-    std::fs::write(&path, truncated.join("\n")).unwrap();
-    assert!(matches!(
-        streamed.load_shard(1),
-        Err(WorkloadError::ParseTraceError { .. })
-    ));
+    let bytes = std::fs::read(&path).unwrap();
+    let last = frame_offsets(&bytes)[9];
+    std::fs::write(&path, &bytes[..last]).unwrap();
+    match streamed.load_shard(1) {
+        Err(WorkloadError::CorruptShard { offset, reason }) => {
+            assert_eq!(offset, last as u64);
+            assert!(reason.starts_with("frame 9:"), "{reason}");
+        }
+        other => panic!("expected a corrupt shard, got {other:?}"),
+    }
 
-    // A shard that parses but disagrees with the manifest geometry —
-    // rewrite shard 1 as a valid 3-frame document — is rejected by the
-    // geometry check instead.
+    // A shard that decodes but disagrees with the manifest geometry —
+    // the shard file of a 3-frame recording of the same model — is
+    // rejected by the geometry check instead.
+    let short_dir = test_dir("truncated-file-short");
     let mut short = VideoDecoderModel::mpeg4_svga_24fps(5).with_frames(3);
-    let replacement = WorkloadTrace::record(&mut short);
-    std::fs::write(&path, replacement.to_csv()).unwrap();
+    ShardedTrace::record(&mut short, short_dir.path(), 3, 10).unwrap();
+    std::fs::copy(short_dir.path().join(shard_file_name(0)), &path).unwrap();
     let err = streamed.load_shard(1).unwrap_err();
     assert!(
         err.to_string().contains("truncated or padded"),
@@ -263,24 +452,31 @@ fn non_utf8_shard_bytes_are_a_located_parse_error() {
     let dir = test_dir("non-utf8");
     let mut app = VideoDecoderModel::mpeg4_svga_24fps(5).with_frames(30);
     let streamed = ShardedTrace::record(&mut app, dir.path(), 30, 10).unwrap();
-
-    // Overwrite the last digit of line 5, a data row, with 0xFF.
     let path = dir.path().join(shard_file_name(1));
-    let mut bytes = std::fs::read(&path).unwrap();
-    let line_5_end = bytes
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b == b'\n')
-        .nth(4)
-        .unwrap()
-        .0;
-    bytes[line_5_end - 1] = 0xFF;
-    std::fs::write(&path, bytes).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+
+    // A 0xFF byte in the header line is a parse error at line 1.
+    let mut bad = bytes.clone();
+    bad[7] = 0xFF;
+    std::fs::write(&path, &bad).unwrap();
     match streamed.load_shard(1) {
-        Err(WorkloadError::ParseTraceError { line: 5, reason }) => {
-            assert_eq!(reason, "mem_ns is not an integer");
+        Err(WorkloadError::ParseTraceError { line: 1, reason }) => {
+            assert_eq!(reason, "metadata header is not UTF-8");
         }
-        other => panic!("expected a parse error at line 5, got {other:?}"),
+        other => panic!("expected a parse error at line 1, got {other:?}"),
+    }
+
+    // A zero thread count in the body is a corrupt shard at its offset.
+    let count_at = frame_offsets(&bytes)[4];
+    let mut bad = bytes;
+    bad[count_at..count_at + 8].copy_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&path, &bad).unwrap();
+    match streamed.load_shard(1) {
+        Err(WorkloadError::CorruptShard { offset, reason }) => {
+            assert_eq!(offset, count_at as u64);
+            assert!(reason.starts_with("frame 4: thread count 0"), "{reason}");
+        }
+        other => panic!("expected a corrupt shard at byte {count_at}, got {other:?}"),
     }
 }
 
@@ -290,17 +486,16 @@ fn header_only_shard_file_is_rejected() {
     let mut app = VideoDecoderModel::mpeg4_svga_24fps(7).with_frames(20);
     let streamed = ShardedTrace::record(&mut app, dir.path(), 20, 8).unwrap();
 
-    // A header-only CSV: metadata + column header, zero data rows.
-    let path = dir.path().join(shard_file_name(0));
-    std::fs::write(
-        &path,
-        "# name=mpeg4 period_ns=41666666 frames=8\nframe,thread,cpu_cycles,mem_ns\n",
-    )
-    .unwrap();
-    assert!(matches!(
-        streamed.load_shard(0),
-        Err(WorkloadError::ParseTraceError { .. })
-    ));
+    // A header line with no body: the first frame is missing.
+    let header = "# name=mpeg4 period_ns=41666666 frames=8\n";
+    std::fs::write(dir.path().join(shard_file_name(0)), header).unwrap();
+    match streamed.load_shard(0) {
+        Err(WorkloadError::CorruptShard { offset, reason }) => {
+            assert_eq!(offset, header.len() as u64);
+            assert_eq!(reason, "frame 0: the body ends before its thread count");
+        }
+        other => panic!("expected a corrupt shard, got {other:?}"),
+    }
 }
 
 #[test]

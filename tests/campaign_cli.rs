@@ -642,41 +642,49 @@ fn replay_rtm(trace: &Path) -> Output {
         .unwrap()
 }
 
+/// The byte offset of the first frame in a shard file: the end of its
+/// header line.
+fn body_offset(shard: &[u8]) -> usize {
+    shard.iter().position(|&b| b == b'\n').unwrap() + 1
+}
+
 #[test]
 fn replay_of_a_corrupt_shard_exits_with_the_state_error() {
     let scratch = ScratchDir::unique("qgov-cli-corrupt-shard");
     let trace = record_trace(&scratch, "50", "20");
-    // Corrupt the first data row of the middle shard.
-    let shard = trace.join("shard-000001.csv");
-    let text = std::fs::read_to_string(&shard).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    lines[2] = "0,0,notanumber,0";
-    std::fs::write(&shard, lines.join("\n") + "\n").unwrap();
+    // Zero the first frame's thread count in the middle shard.
+    let shard = trace.join("shard-000001.bin");
+    let bytes = std::fs::read(&shard).unwrap();
+    let at = body_offset(&bytes);
+    let mut bad = bytes.clone();
+    bad[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&shard, &bad).unwrap();
 
     let output = replay_rtm(&trace);
     assert_exit(&output, 4, "replay of a corrupt shard");
     let stderr = stderr_of(&output);
-    assert!(stderr.contains("shard-000001.csv"), "{stderr}");
-    assert!(stderr.contains("line 3"), "{stderr}");
+    assert!(stderr.contains("shard-000001.bin"), "{stderr}");
+    assert!(stderr.contains(&format!("at byte {at}")), "{stderr}");
     assert!(output.stdout.is_empty(), "no run may start");
 
-    // Every row parses, but one more thread of u64::MAX cycles pushes
-    // frame 0's cycle total past the counter.
-    let mut lines: Vec<&str> = text.lines().collect();
-    let threads = lines[2..]
-        .iter()
-        .take_while(|l| l.starts_with("0,"))
-        .count();
-    let row = format!("0,{threads},18446744073709551615,1");
-    lines.insert(2 + threads, &row);
-    std::fs::write(&shard, lines.join("\n") + "\n").unwrap();
+    // Every field decodes, but one more thread of u64::MAX cycles
+    // pushes frame 0's cycle total past the counter.
+    let threads = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut bad = bytes[..at].to_vec();
+    bad.extend_from_slice(&(threads + 1).to_le_bytes());
+    let first_end = at + 8 + 16 * threads as usize;
+    bad.extend_from_slice(&bytes[at + 8..first_end]);
+    bad.extend_from_slice(&u64::MAX.to_le_bytes());
+    bad.extend_from_slice(&1u64.to_le_bytes());
+    bad.extend_from_slice(&bytes[first_end..]);
+    std::fs::write(&shard, &bad).unwrap();
 
     let output = replay_rtm(&trace);
     assert_exit(&output, 4, "replay of a shard whose frame overflows");
     let stderr = stderr_of(&output);
-    assert!(stderr.contains("shard-000001.csv"), "{stderr}");
+    assert!(stderr.contains("shard-000001.bin"), "{stderr}");
     assert!(
-        stderr.contains(&format!("line {}", 3 + threads)),
+        stderr.contains(&format!("at byte {at}: frame 0")),
         "{stderr}"
     );
     assert!(
@@ -690,19 +698,17 @@ fn replay_of_a_corrupt_shard_exits_with_the_state_error() {
 fn replay_of_a_non_utf8_shard_exits_with_a_located_parse_error() {
     let scratch = ScratchDir::unique("qgov-cli-non-utf8-shard");
     let trace = record_trace(&scratch, "50", "20");
-    // One 0xFF byte in the first data row (line 3) of the middle shard.
-    let shard = trace.join("shard-000001.csv");
+    // One 0xFF byte in the header line (line 1) of the middle shard.
+    let shard = trace.join("shard-000001.bin");
     let mut bytes = std::fs::read(&shard).unwrap();
-    let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-    let row_start = header_end + "frame,thread,cpu_cycles,mem_ns\n".len() + 1;
-    bytes[row_start + 2] = 0xFF;
+    bytes[7] = 0xFF;
     std::fs::write(&shard, bytes).unwrap();
 
     let output = replay_rtm(&trace);
     assert_exit(&output, 4, "replay of a shard that is not UTF-8");
     let stderr = stderr_of(&output);
-    assert!(stderr.contains("shard-000001.csv"), "{stderr}");
-    assert!(stderr.contains("parse error at line 3"), "{stderr}");
+    assert!(stderr.contains("shard-000001.bin"), "{stderr}");
+    assert!(stderr.contains("parse error at line 1"), "{stderr}");
     assert!(output.stdout.is_empty(), "no run may start");
 }
 
@@ -723,6 +729,6 @@ fn replay_of_a_manifest_larger_than_its_shards_exits_with_the_state_error() {
     let output = replay_rtm(&trace);
     assert_exit(&output, 4, "replay of an oversized manifest");
     let stderr = stderr_of(&output);
-    assert!(stderr.contains("shard-000000.csv"), "{stderr}");
+    assert!(stderr.contains("shard-000000.bin"), "{stderr}");
     assert!(stderr.contains("1099511627776"), "{stderr}");
 }
