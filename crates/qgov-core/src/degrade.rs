@@ -34,7 +34,7 @@
 //!
 //! [`RtmGovernor::with_hardening`]: crate::RtmGovernor::with_hardening
 
-use qgov_sim::FrameResult;
+use qgov_sim::{FrameResult, Platform};
 use qgov_units::{Cycles, Temp};
 
 /// Temperature readings above this (°C) are implausible.
@@ -93,7 +93,7 @@ impl HardeningConfig {
 /// `qgov-metrics`.
 #[derive(Debug, Clone, Default)]
 pub struct PlausibilityFilter {
-    last_good_cycles: Vec<Cycles>,
+    last_good_cycles: Option<[Cycles; Platform::CORES]>,
     last_good_temp: Option<Temp>,
     consecutive_rejections: u32,
     degraded_epochs: u64,
@@ -135,8 +135,8 @@ impl PlausibilityFilter {
                 return false;
             }
         }
-        if !self.last_good_cycles.is_empty() {
-            let last_total: u64 = self.last_good_cycles.iter().map(|c| c.count()).sum();
+        if let Some(last_good) = &self.last_good_cycles {
+            let last_total: u64 = last_good.iter().map(|c| c.count()).sum();
             let total: u64 = frame.per_core_cycles.iter().map(|c| c.count()).sum();
             if last_total > 0 && total > 0 {
                 let ratio = total as f64 / last_total as f64;
@@ -163,9 +163,7 @@ impl PlausibilityFilter {
             if rebaseline {
                 self.rebaselines += 1;
             }
-            self.last_good_cycles.clear();
-            self.last_good_cycles
-                .extend_from_slice(&frame.per_core_cycles);
+            self.last_good_cycles = Some(frame.per_core_cycles);
             self.last_good_temp = Some(frame.temperature);
             self.consecutive_rejections = 0;
             return true;
@@ -175,11 +173,8 @@ impl PlausibilityFilter {
         if self.consecutive_rejections == QUARANTINE_THRESHOLD {
             self.quarantine_entries += 1;
         }
-        if !self.last_good_cycles.is_empty() {
-            frame.per_core_cycles.clear();
-            frame
-                .per_core_cycles
-                .extend_from_slice(&self.last_good_cycles);
+        if let Some(last_good) = self.last_good_cycles {
+            frame.per_core_cycles = last_good;
         }
         if let Some(last) = self.last_good_temp {
             frame.temperature = last;
@@ -231,7 +226,7 @@ mod tests {
         f.frame_time = SimTime::from_ms(30);
         f.wall_time = SimTime::from_ms(40);
         f.period = SimTime::from_ms(40);
-        f.per_core_cycles = vec![Cycles::from_mcycles(30); 4];
+        f.per_core_cycles = [Cycles::from_mcycles(30); Platform::CORES];
         f.temperature = Temp::from_celsius(55.0);
         f
     }

@@ -268,7 +268,7 @@ mod tests {
         live_frame.period = SimTime::from_ms(40);
         live_frame.frame_time = SimTime::from_ms(30);
         live_frame.wall_time = SimTime::from_ms(40);
-        live_frame.per_core_cycles = vec![qgov_units::Cycles::from_mcycles(30); 4];
+        live_frame.per_core_cycles = [qgov_units::Cycles::from_mcycles(30); 4];
         let frames = vec![live_frame.clone(), live_frame];
         let mut shares = vec![0.6, 0.4];
         rtm.decide_into(

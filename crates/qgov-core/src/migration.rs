@@ -255,7 +255,7 @@ mod tests {
         let mut f = FrameResult::empty();
         f.period = period;
         f.frame_time = SimTime::from_secs_f64(period.as_secs_f64() * (1.0 - slack));
-        f.per_core_cycles = vec![qgov_units::Cycles::new(1_000_000)];
+        f.per_core_cycles[0] = qgov_units::Cycles::new(1_000_000);
         f.energy = Energy::from_joules(joules_per_cycle * 1_000_000.0);
         f.temperature = Temp::from_celsius(temp_c);
         f

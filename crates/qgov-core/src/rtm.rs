@@ -138,10 +138,6 @@ pub struct RtmGovernor {
     hardened: bool,
     /// The live filter (rebuilt fresh on every `init`).
     filter: Option<PlausibilityFilter>,
-    /// Reusable governor-side copy of the sensed frame, so filtering
-    /// never mutates the caller's observation and never allocates in
-    /// steady state.
-    sensed_scratch: FrameResult,
     /// Epochs spent parked in the quarantined safe state.
     safe_state_epochs: u64,
 }
@@ -170,7 +166,6 @@ impl RtmGovernor {
             scratch_predicted: Vec::new(),
             hardened: false,
             filter: None,
-            sensed_scratch: FrameResult::empty(),
             safe_state_epochs: 0,
         })
     }
@@ -396,7 +391,6 @@ impl Governor for RtmGovernor {
         // A hardened governor gets a fresh filter per run: last-good
         // history and counters do not persist.
         self.filter = self.hardened.then(PlausibilityFilter::new);
-        self.sensed_scratch = FrameResult::empty();
         self.safe_state_epochs = 0;
 
         // Conservative start: the highest point, as a fresh governor
@@ -408,8 +402,10 @@ impl Governor for RtmGovernor {
         let Some(filter) = self.filter.as_mut() else {
             return self.learn(obs.frame, obs.epoch);
         };
-        self.sensed_scratch.copy_from(obs.frame);
-        filter.admit(&mut self.sensed_scratch);
+        // Filter a governor-side copy, so the caller's observation is
+        // never mutated (a frame result holds no heap data).
+        let mut sensed = obs.frame.clone();
+        filter.admit(&mut sensed);
         if filter.quarantined() {
             // Sensors untrustworthy: park at the top OPP, the
             // deadline-conservative safe state, and do not let the agent
@@ -418,12 +414,7 @@ impl Governor for RtmGovernor {
             self.safe_state_epochs += 1;
             return VfDecision::Cluster(self.table().max_index());
         }
-        // Learn from the filtered copy, then put it back so its vectors
-        // keep their capacity.
-        let sensed = std::mem::replace(&mut self.sensed_scratch, FrameResult::empty());
-        let decision = self.learn(&sensed, obs.epoch);
-        self.sensed_scratch = sensed;
-        decision
+        self.learn(&sensed, obs.epoch)
     }
 
     fn processing_overhead(&self) -> SimTime {

@@ -89,8 +89,8 @@ mod tests {
             wall_time: period,
             period,
             overhead: SimTime::ZERO,
-            per_core_busy: vec![period.scale(load); 4],
-            per_core_cycles: vec![Cycles::from_mcycles(1); 4],
+            per_core_busy: [period.scale(load); 4],
+            per_core_cycles: [Cycles::from_mcycles(1); 4],
             energy: Energy::from_joules(0.1),
             temperature: Temp::default(),
             cluster_opp: 0,

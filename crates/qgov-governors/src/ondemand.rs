@@ -88,9 +88,9 @@ mod tests {
     use qgov_sim::{FrameResult, OppTable};
     use qgov_units::{Cycles, Energy, SimTime, Temp};
 
-    fn frame_with_utils(utils: &[f64], period_ms: u64) -> FrameResult {
+    fn frame_with_utils(utils: [f64; 4], period_ms: u64) -> FrameResult {
         let period = SimTime::from_ms(period_ms);
-        let busy: Vec<SimTime> = utils.iter().map(|&u| period.scale(u)).collect();
+        let busy = utils.map(|u| period.scale(u));
         let frame_time = busy.iter().copied().fold(SimTime::ZERO, SimTime::max);
         FrameResult {
             frame_time,
@@ -98,7 +98,7 @@ mod tests {
             period,
             overhead: SimTime::ZERO,
             per_core_busy: busy,
-            per_core_cycles: vec![Cycles::from_mcycles(1); utils.len()],
+            per_core_cycles: [Cycles::from_mcycles(1); 4],
             energy: Energy::from_joules(0.1),
             temperature: Temp::default(),
             cluster_opp: 0,
@@ -119,7 +119,7 @@ mod tests {
     fn high_load_jumps_to_max() {
         let mut g = OndemandGovernor::linux_default();
         g.init(&ctx());
-        let f = frame_with_utils(&[0.2, 0.95, 0.1, 0.3], 40);
+        let f = frame_with_utils([0.2, 0.95, 0.1, 0.3], 40);
         assert_eq!(
             g.decide(&EpochObservation {
                 frame: &f,
@@ -134,7 +134,7 @@ mod tests {
     fn moderate_load_scales_proportionally() {
         let mut g = OndemandGovernor::linux_default();
         g.init(&ctx());
-        let f = frame_with_utils(&[0.5, 0.4, 0.3, 0.2], 40);
+        let f = frame_with_utils([0.5, 0.4, 0.3, 0.2], 40);
         // target = 2000 MHz * 0.5 = 1000 MHz -> index 8.
         assert_eq!(
             g.decide(&EpochObservation {
@@ -149,7 +149,7 @@ mod tests {
     fn tiny_load_goes_to_bottom() {
         let mut g = OndemandGovernor::linux_default();
         g.init(&ctx());
-        let f = frame_with_utils(&[0.01, 0.0, 0.0, 0.0], 40);
+        let f = frame_with_utils([0.01, 0.0, 0.0, 0.0], 40);
         // target = 20 MHz -> lowest point (200 MHz).
         assert_eq!(
             g.decide(&EpochObservation {

@@ -162,18 +162,10 @@ impl ManyCoreFrameResult {
         }
     }
 
-    /// Copies `other` into `self`, reusing the per-cluster
-    /// [`FrameResult`] slots and their vector capacity (see
-    /// [`FrameResult::copy_from`]) — allocation-free once `self` has
-    /// grown to the chip's shape.
+    /// Copies `other` into `self`, reusing the per-cluster slots —
+    /// allocation-free once `self` has grown to the chip's shape.
     pub fn copy_from(&mut self, other: &ManyCoreFrameResult) {
-        self.clusters.truncate(other.clusters.len());
-        while self.clusters.len() < other.clusters.len() {
-            self.clusters.push(FrameResult::empty());
-        }
-        for (dst, src) in self.clusters.iter_mut().zip(&other.clusters) {
-            dst.copy_from(src);
-        }
+        self.clusters.clone_from(&other.clusters);
         self.frame_time = other.frame_time;
         self.wall_time = other.wall_time;
         self.period = other.period;

@@ -415,7 +415,7 @@ mod tests {
     fn frame() -> FrameResult {
         let mut f = FrameResult::empty();
         f.wall_time = SimTime::from_ms(40);
-        f.per_core_cycles = vec![Cycles::from_mcycles(10); 4];
+        f.per_core_cycles = [Cycles::from_mcycles(10); 4];
         f.temperature = Temp::from_celsius(50.0);
         f
     }

@@ -137,9 +137,9 @@ pub struct FrameResult {
     /// `T_OVH`).
     pub overhead: SimTime,
     /// Per-core busy time (work execution only).
-    pub per_core_busy: Vec<SimTime>,
+    pub per_core_busy: [SimTime; Platform::CORES],
     /// Per-core cycles retired.
-    pub per_core_cycles: Vec<Cycles>,
+    pub per_core_cycles: [Cycles; Platform::CORES],
     /// Ground-truth energy dissipated over `wall_time`.
     pub energy: Energy,
     /// Die temperature at frame end.
@@ -150,9 +150,7 @@ pub struct FrameResult {
 
 impl FrameResult {
     /// An all-zero result suitable as the reusable output slot of
-    /// [`Platform::run_frame_into`] (its per-core vectors grow to the
-    /// core count on first use and are reused — allocation-free —
-    /// thereafter).
+    /// [`Platform::run_frame_into`].
     #[must_use]
     pub fn empty() -> Self {
         FrameResult {
@@ -160,32 +158,12 @@ impl FrameResult {
             wall_time: SimTime::ZERO,
             period: SimTime::ZERO,
             overhead: SimTime::ZERO,
-            per_core_busy: Vec::new(),
-            per_core_cycles: Vec::new(),
+            per_core_busy: [SimTime::ZERO; Platform::CORES],
+            per_core_cycles: [Cycles::ZERO; Platform::CORES],
             energy: Energy::ZERO,
             temperature: Temp::default(),
             cluster_opp: 0,
         }
-    }
-
-    /// Copies `other` into `self`, reusing the per-core vector
-    /// capacity (unlike the derived `clone_from`, this never allocates
-    /// once the vectors have reached the core count — which keeps the
-    /// sensed-copy step of a faulted run inside the zero-allocation
-    /// steady-state envelope).
-    pub fn copy_from(&mut self, other: &FrameResult) {
-        self.frame_time = other.frame_time;
-        self.wall_time = other.wall_time;
-        self.period = other.period;
-        self.overhead = other.overhead;
-        self.per_core_busy.clear();
-        self.per_core_busy.extend_from_slice(&other.per_core_busy);
-        self.per_core_cycles.clear();
-        self.per_core_cycles
-            .extend_from_slice(&other.per_core_cycles);
-        self.energy = other.energy;
-        self.temperature = other.temperature;
-        self.cluster_opp = other.cluster_opp;
     }
 
     /// `true` if the frame met its deadline.
@@ -396,14 +374,12 @@ impl Platform {
     }
 
     /// [`run_frame`](Platform::run_frame) into a caller-provided result
-    /// slot, reusing its per-core vectors.
+    /// slot.
     ///
-    /// This is the allocation-free form of the frame kernel: the
-    /// experiment harness keeps one [`FrameResult`] alive across the
-    /// whole run, so the steady-state loop never touches the heap
-    /// (after the slot's vectors have grown to the core count once).
-    /// Bit-identical to [`run_frame`](Platform::run_frame) — the
-    /// allocating form is a thin wrapper over this one.
+    /// The experiment harness keeps one [`FrameResult`] alive across the
+    /// whole run and overwrites it frame by frame. Bit-identical to
+    /// [`run_frame`](Platform::run_frame), which is a thin wrapper over
+    /// this one.
     ///
     /// # Errors
     ///
@@ -439,14 +415,12 @@ impl Platform {
             .get(opp_idx)
             .expect("opp index in range")
             .freq;
-        out.per_core_busy.clear();
-        out.per_core_cycles.clear();
         let mut compute_time = SimTime::ZERO;
-        for slice in work {
+        for (core, slice) in work.iter().enumerate() {
             let busy = slice.time_at(freq);
             compute_time = compute_time.max(busy);
-            out.per_core_busy.push(busy);
-            out.per_core_cycles.push(slice.cpu_cycles);
+            out.per_core_busy[core] = busy;
+            out.per_core_cycles[core] = slice.cpu_cycles;
         }
         let frame_time = compute_time + overhead;
         let wall_time = frame_time.max(period);
@@ -822,7 +796,7 @@ mod tests {
                 .collect();
             let frame_time = busy.iter().copied().max().unwrap() + out.overhead;
             let wall_time = frame_time.max(period);
-            assert_eq!(out.per_core_busy, busy, "frame {i}");
+            assert_eq!(out.per_core_busy[..], busy[..], "frame {i}");
             assert_eq!((out.frame_time, out.wall_time), (frame_time, wall_time));
 
             let temp = Temp::from_celsius(temp_c);

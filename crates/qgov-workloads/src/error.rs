@@ -11,16 +11,17 @@ pub enum WorkloadError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// A line of a CSV trace document, or the header line of a shard
-    /// file or manifest, could not be parsed.
+    /// The header line of a shard file or manifest could not be
+    /// parsed.
     ParseTraceError {
         /// 1-based line number.
         line: usize,
         /// What went wrong.
         reason: String,
     },
-    /// A frame cannot be recorded into a sharded trace: it has no
-    /// threads, or its `cpu_cycles` or `mem_ns` total overflows `u64`.
+    /// A frame cannot be recorded into a trace: it has no threads, or
+    /// its `cpu_cycles` or `mem_ns` total overflows `u64`. The shard
+    /// writer returns it; [`crate::WorkloadTrace`] panics with it.
     InvalidFrame {
         /// Index of the frame in the recording.
         frame: u64,

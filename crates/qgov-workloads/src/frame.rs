@@ -110,16 +110,27 @@ impl FrameDemand {
     pub fn total_cycles(&self) -> Cycles {
         self.threads.iter().map(|t| t.cpu_cycles).sum()
     }
+}
 
-    /// The largest single-thread demand (the barrier's critical path).
-    #[must_use]
-    pub fn max_thread_cycles(&self) -> Cycles {
-        self.threads
-            .iter()
-            .map(|t| t.cpu_cycles)
-            .max()
-            .unwrap_or(Cycles::ZERO)
+/// The total cycles of a frame a trace can hold: at least one thread,
+/// and `cpu_cycles` and `mem_ns` totals that fit in a `u64`, since
+/// replay sums a frame's threads onto its cores. Both trace kinds check
+/// their frames with this rule: [`WorkloadTrace`](crate::WorkloadTrace)
+/// when it is built, the shard writer and loader frame by frame.
+pub(crate) fn frame_cycles(threads: &[ThreadDemand]) -> Result<u64, &'static str> {
+    if threads.is_empty() {
+        return Err("the frame has no threads");
     }
+    let (mut cycles, mut mem_ns) = (0u64, 0u64);
+    for t in threads {
+        cycles = cycles
+            .checked_add(t.cpu_cycles.count())
+            .ok_or("the frame's cpu_cycles total overflows u64")?;
+        mem_ns = mem_ns
+            .checked_add(t.mem_time.as_ns())
+            .ok_or("the frame's mem_ns total overflows u64")?;
+    }
+    Ok(cycles)
 }
 
 #[cfg(test)]
@@ -156,21 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn max_thread_cycles_finds_critical_path() {
-        let f = FrameDemand::new(vec![
-            ThreadDemand::cpu_only(Cycles::new(10)),
-            ThreadDemand::cpu_only(Cycles::new(99)),
-            ThreadDemand::cpu_only(Cycles::new(5)),
-        ]);
-        assert_eq!(f.max_thread_cycles(), Cycles::new(99));
-    }
-
-    #[test]
     fn empty_frame_is_all_zero() {
         let f = FrameDemand::default();
         assert_eq!(f.thread_count(), 0);
         assert_eq!(f.total_cycles(), Cycles::ZERO);
-        assert_eq!(f.max_thread_cycles(), Cycles::ZERO);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   paper observes);
 //! * [`SyntheticWorkload`] — constant/ramp/square/sine + noise patterns
 //!   for targeted tests and ablations;
-//! * [`WorkloadTrace`] — record/replay with CSV round-trip;
+//! * [`WorkloadTrace`] — in-memory record/replay;
 //! * [`ShardedTrace`] / [`ShardWriter`] — the streaming counterpart:
 //!   record and replay in bounded-memory binary shards on disk, for
 //!   long-horizon experiments whose traces must never materialise in
@@ -82,9 +82,8 @@ pub use app::Application;
 pub use error::WorkloadError;
 pub use fft::FftModel;
 pub use frame::{FrameDemand, ThreadDemand};
-pub use process::Ar1Process;
 pub use shard::{ScratchDir, ShardWriter, ShardedTrace, TraceShard};
 pub use split::{capacity_shares, split_demand_into};
 pub use synthetic::SyntheticWorkload;
 pub use trace::WorkloadTrace;
-pub use video::{FrameClass, VideoDecoderModel, VideoParams};
+pub use video::{VideoDecoderModel, VideoParams};

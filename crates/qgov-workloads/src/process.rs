@@ -20,22 +20,8 @@ pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
 /// Models smoothly varying workload intensity such as video motion: the
 /// process is correlated frame-to-frame (persistence `phi`) with
 /// Gaussian innovations.
-///
-/// # Examples
-///
-/// ```
-/// use qgov_workloads::Ar1Process;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let mut p = Ar1Process::new(1.0, 0.9, 0.05, 0.5, 1.5);
-/// for _ in 0..100 {
-///     let v = p.step(&mut rng);
-///     assert!((0.5..=1.5).contains(&v));
-/// }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ar1Process {
+pub(crate) struct Ar1Process {
     mean: f64,
     phi: f64,
     sigma: f64,
@@ -52,7 +38,7 @@ impl Ar1Process {
     /// Panics unless `0 ≤ phi < 1`, `sigma ≥ 0`, `min < max`, and the
     /// mean lies inside `[min, max]`.
     #[must_use]
-    pub fn new(mean: f64, phi: f64, sigma: f64, min: f64, max: f64) -> Self {
+    pub(crate) fn new(mean: f64, phi: f64, sigma: f64, min: f64, max: f64) -> Self {
         assert!((0.0..1.0).contains(&phi), "phi must lie in [0, 1)");
         assert!(
             sigma >= 0.0 && sigma.is_finite(),
@@ -73,14 +59,8 @@ impl Ar1Process {
         }
     }
 
-    /// Current value without advancing.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.current
-    }
-
     /// Advances one step and returns the new value.
-    pub fn step(&mut self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn step(&mut self, rng: &mut StdRng) -> f64 {
         let innovation = self.sigma * gaussian(rng);
         let next = self.mean + self.phi * (self.current - self.mean) + innovation;
         self.current = next.clamp(self.min, self.max);
@@ -88,12 +68,12 @@ impl Ar1Process {
     }
 
     /// Jumps the process to `value` (clamped), e.g. on a scene change.
-    pub fn jump_to(&mut self, value: f64) {
+    pub(crate) fn jump_to(&mut self, value: f64) {
         self.current = value.clamp(self.min, self.max);
     }
 
     /// Restarts from the mean.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.current = self.mean;
     }
 }
@@ -122,9 +102,9 @@ mod tests {
     fn ar1_jump_and_reset() {
         let mut p = Ar1Process::new(1.0, 0.9, 0.0, 0.0, 2.0);
         p.jump_to(5.0);
-        assert_eq!(p.value(), 2.0, "jump clamps to range");
+        assert_eq!(p.current, 2.0, "jump clamps to range");
         p.reset();
-        assert_eq!(p.value(), 1.0);
+        assert_eq!(p.current, 1.0);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!
 //! # File format
 //!
-//! A shard file, `shard-NNNNNN.bin`, opens with the metadata line of a
-//! [`WorkloadTrace` CSV document](crate::WorkloadTrace#csv-format) (the
+//! A shard file, `shard-NNNNNN.bin`, opens with a metadata line (the
 //! trace's name and period, and the shard's frame count), followed by a
 //! binary body: for each frame, its thread count (at least 1), then
 //! that many `(cpu_cycles, mem_ns)` pairs, every field a little-endian
@@ -36,7 +35,9 @@
 //! One encoder ([`ShardWriter::push`]) and one decoder
 //! ([`ShardedTrace::load_shard`]) handle the format; a load is a
 //! bounds-checked copy into a flat [`TraceShard`], not a decimal parse.
-//! A header problem is a [`WorkloadError::ParseTraceError`] at line 1.
+//! The metadata line is `key=value` fields after `# `, each key exactly
+//! once, the numbers ASCII digits (no sign, no spaces) of a `u64`; a
+//! header problem is a [`WorkloadError::ParseTraceError`] at line 1.
 //! A body that ends early, a thread count of 0 or past the bytes left,
 //! a frame whose `cpu_cycles` or `mem_ns` total overflows `u64` and
 //! trailing bytes are a [`WorkloadError::CorruptShard`] at their byte
@@ -92,9 +93,8 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::trace::{
-    header_line, header_u64, header_values, read_header, split_line, widen_degenerate,
-};
+use crate::frame::frame_cycles;
+use crate::trace::widen_degenerate;
 use crate::{Application, FrameDemand, ThreadDemand, WorkloadError};
 use qgov_units::{Cycles, SimTime};
 use std::fs;
@@ -172,24 +172,87 @@ pub fn shard_file_name(index: usize) -> String {
     format!("shard-{index:06}.bin")
 }
 
-/// The total cycles of a frame a shard can hold: at least one thread,
-/// and `cpu_cycles` and `mem_ns` totals that fit in a `u64`, since
-/// replay sums a frame's threads onto its cores. The writer and the
-/// loader both check a frame with this rule.
-fn frame_cycles(threads: &[ThreadDemand]) -> Result<u64, &'static str> {
-    if threads.is_empty() {
-        return Err("the frame has no threads");
+/// A metadata-line problem, which is always on line 1.
+fn parse_error(reason: impl Into<String>) -> WorkloadError {
+    WorkloadError::ParseTraceError {
+        line: 1,
+        reason: reason.into(),
     }
-    let (mut cycles, mut mem_ns) = (0u64, 0u64);
-    for t in threads {
-        cycles = cycles
-            .checked_add(t.cpu_cycles.count())
-            .ok_or("the frame's cpu_cycles total overflows u64")?;
-        mem_ns = mem_ns
-            .checked_add(t.mem_time.as_ns())
-            .ok_or("the frame's mem_ns total overflows u64")?;
+}
+
+/// Splits `bytes` after its first line: the line without its LF or
+/// CRLF ending, and everything after the ending.
+fn split_line(bytes: &[u8]) -> (&[u8], &[u8]) {
+    match bytes.iter().position(|&b| b == b'\n') {
+        Some(end) => {
+            let line = &bytes[..end];
+            (line.strip_suffix(b"\r").unwrap_or(line), &bytes[end + 1..])
+        }
+        None => (bytes, &[]),
     }
-    Ok(cycles)
+}
+
+/// Parses a `# key=value key=value …` metadata line, the first line of
+/// a shard file and of a manifest, into the values of `keys` in that
+/// order. Every key must appear exactly once and no other key may
+/// appear; errors point at line 1.
+fn header_values<'a, const N: usize>(
+    line: &'a [u8],
+    keys: [&str; N],
+) -> Result<[&'a str; N], WorkloadError> {
+    let header = std::str::from_utf8(line)
+        .map_err(|_| parse_error("metadata header is not UTF-8"))?
+        .strip_prefix("# ")
+        .ok_or_else(|| parse_error("missing `# ` metadata header"))?;
+    let mut found = [None; N];
+    for field in header.split_whitespace() {
+        let (key, value) = field
+            .split_once('=')
+            .ok_or_else(|| parse_error("metadata field without `=`"))?;
+        let slot = keys
+            .iter()
+            .position(|&k| k == key)
+            .ok_or_else(|| parse_error(format!("unknown metadata key `{key}`")))?;
+        if found[slot].replace(value).is_some() {
+            return Err(parse_error(format!("duplicate metadata key `{key}`")));
+        }
+    }
+    let mut values = [""; N];
+    for ((value, found), key) in values.iter_mut().zip(found).zip(keys) {
+        *value = found.ok_or_else(|| parse_error(format!("missing {key}")))?;
+    }
+    Ok(values)
+}
+
+/// A header value as a `u64`: ASCII digits only (no sign, no spaces),
+/// at most `u64::MAX`.
+fn header_u64(key: &str, value: &str) -> Result<u64, WorkloadError> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(parse_error(format!("{key} is not an integer")));
+    }
+    value
+        .parse()
+        .map_err(|_| parse_error(format!("{key} overflows u64")))
+}
+
+/// The metadata line that opens a shard file, ending in LF.
+fn header_line(name: &str, period: SimTime, frames: usize) -> String {
+    format!(
+        "# name={name} period_ns={} frames={frames}\n",
+        period.as_ns()
+    )
+}
+
+/// Parses a [`header_line`] (without its line ending) into the name,
+/// the non-zero period and the declared frame count.
+fn read_header(line: &[u8]) -> Result<(&str, SimTime, u64), WorkloadError> {
+    let [name, period_ns, frames] = header_values(line, ["name", "period_ns", "frames"])?;
+    let period = SimTime::from_ns(header_u64("period_ns", period_ns)?);
+    let frames = header_u64("frames", frames)?;
+    if period.is_zero() {
+        return Err(parse_error("period must be non-zero"));
+    }
+    Ok((name, period, frames))
 }
 
 /// The little-endian `u64` of an 8-byte field.
@@ -464,18 +527,6 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Frames pushed so far (buffered or flushed).
-    #[must_use]
-    pub fn frames_written(&self) -> u64 {
-        self.frames_written
-    }
-
-    /// Shard files flushed so far.
-    #[must_use]
-    pub fn shards_written(&self) -> usize {
-        self.shards_written
-    }
-
     fn flush_shard(&mut self) -> Result<(), WorkloadError> {
         let path = self.dir.join(shard_file_name(self.shards_written));
         let header = header_line(&self.name, self.period, self.buffered);
@@ -630,34 +681,31 @@ impl ShardedTrace {
         let dir = dir.into();
         let path = dir.join(MANIFEST_FILE);
         let bytes = fs::read(&path).map_err(|e| WorkloadError::io(&path, &e))?;
-        let err = |reason: &str| WorkloadError::ParseTraceError {
-            line: 1,
-            reason: reason.to_owned(),
-        };
         let [name, period_ns, total_frames, frames_per_shard, shard_count, min_cycles, max_cycles] =
             header_values(split_line(&bytes).0, MANIFEST_KEYS)?;
         let name = name.to_owned();
         let period = SimTime::from_ns(header_u64("period_ns", period_ns)?);
         let total_frames = header_u64("frames", total_frames)?;
-        let frames_per_shard = usize::try_from(header_u64("frames_per_shard", frames_per_shard)?)
-            .map_err(|_| err("frames_per_shard exceeds the address space"))?;
+        let frames_per_shard =
+            usize::try_from(header_u64("frames_per_shard", frames_per_shard)?)
+                .map_err(|_| parse_error("frames_per_shard exceeds the address space"))?;
         let shard_count = usize::try_from(header_u64("shards", shard_count)?)
-            .map_err(|_| err("shards exceeds the address space"))?;
+            .map_err(|_| parse_error("shards exceeds the address space"))?;
         let min_cycles = header_u64("min_cycles", min_cycles)?;
         let max_cycles = header_u64("max_cycles", max_cycles)?;
 
         if period.is_zero() {
-            return Err(err("period must be non-zero"));
+            return Err(parse_error("period must be non-zero"));
         }
         if total_frames == 0 {
-            return Err(err("a sharded trace needs at least one frame"));
+            return Err(parse_error("a sharded trace needs at least one frame"));
         }
         if frames_per_shard == 0 {
-            return Err(err("frames_per_shard must be non-zero"));
+            return Err(parse_error("frames_per_shard must be non-zero"));
         }
         let expected_shards = total_frames.div_ceil(frames_per_shard as u64) as usize;
         if shard_count != expected_shards {
-            return Err(err(&format!(
+            return Err(parse_error(format!(
                 "manifest declares {shard_count} shards but \
                  {total_frames} frames at {frames_per_shard} per shard \
                  need {expected_shards}"
@@ -777,9 +825,8 @@ impl ShardedTrace {
         let path = self.dir.join(shard_file_name(index));
         let bytes = fs::read(&path).map_err(|e| WorkloadError::io(&path, &e))?;
         let (name, period, frames) = decode_shard(&bytes)?;
-        let mismatch = |reason: String| WorkloadError::ParseTraceError { line: 1, reason };
         if name != self.name || period != self.period {
-            return Err(mismatch(format!(
+            return Err(parse_error(format!(
                 "shard {index} metadata ({name}, {} ns) does not match the \
                  manifest ({}, {} ns)",
                 period.as_ns(),
@@ -790,7 +837,7 @@ impl ShardedTrace {
         let start_frame = index as u64 * self.frames_per_shard as u64;
         let expected = (self.total_frames - start_frame).min(self.frames_per_shard as u64);
         if frames.len() as u64 != expected {
-            return Err(mismatch(format!(
+            return Err(parse_error(format!(
                 "shard {index} holds {} frames but the manifest geometry \
                  expects {expected} (truncated or padded shard file?)",
                 frames.len()
@@ -888,6 +935,38 @@ mod tests {
         )
         .with_noise(0.1)
         .with_mem_time(SimTime::from_us(500))
+    }
+
+    /// A two-frame application whose second frame may break the frame
+    /// rule: the built-in models never produce one, but any
+    /// [`Application`] can.
+    struct BadSecondFrame {
+        frames: [FrameDemand; 2],
+        cursor: usize,
+    }
+
+    impl Application for BadSecondFrame {
+        fn name(&self) -> &str {
+            "bad"
+        }
+
+        fn period(&self) -> SimTime {
+            SimTime::from_ms(40)
+        }
+
+        fn frames(&self) -> u64 {
+            2
+        }
+
+        fn next_frame(&mut self) -> FrameDemand {
+            let frame = self.frames[self.cursor % 2].clone();
+            self.cursor += 1;
+            frame
+        }
+
+        fn reset(&mut self) {
+            self.cursor = 0;
+        }
     }
 
     #[test]
@@ -1055,6 +1134,54 @@ mod tests {
     }
 
     #[test]
+    fn headers_take_each_key_once_with_digit_values() {
+        let dir = test_dir("header-grammar");
+        let mut app = sample_app(1);
+        let trace = ShardedTrace::record(&mut app, dir.path(), 1, 4).unwrap();
+        let path = dir.path().join(shard_file_name(0));
+        let bytes = fs::read(&path).unwrap();
+        let (valid, body) = split_line(&bytes);
+        assert_eq!(valid, &b"# name=sample period_ns=40000000 frames=1"[..]);
+        let mut non_utf8 = valid.to_vec();
+        non_utf8[7] = 0xFF;
+        for (header, reason) in [
+            (
+                &b"# name=sample period_ns=40000000 frames=1 frames=1"[..],
+                "duplicate metadata key `frames`",
+            ),
+            (
+                &b"# name=sample period_ns=+40000000 frames=1"[..],
+                "period_ns is not an integer",
+            ),
+            (
+                &b"# name=sample period_ns=40000000 frames=1 extra=2"[..],
+                "unknown metadata key `extra`",
+            ),
+            (&b"# name=sample frames=1"[..], "missing period_ns"),
+            (&non_utf8[..], "metadata header is not UTF-8"),
+            (
+                &b"# name=sample period_ns=0 frames=1"[..],
+                "period must be non-zero",
+            ),
+        ] {
+            let file = [header, b"\n", body].concat();
+            fs::write(&path, &file).unwrap();
+            match trace.load_shard(0) {
+                Err(WorkloadError::ParseTraceError {
+                    line: 1,
+                    reason: got,
+                }) => {
+                    assert_eq!(got, reason);
+                }
+                other => panic!(
+                    "{:?}: expected a parse error at line 1, got {other:?}",
+                    String::from_utf8_lossy(header)
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn open_rejects_missing_shard_files() {
         let dir = test_dir("missing-shard");
         let mut app = sample_app(12);
@@ -1107,12 +1234,11 @@ mod tests {
         ] {
             // Recording stops at the frame with a typed error naming it.
             let dir = test_dir("bad-frame");
-            let mut trace = WorkloadTrace::from_frames(
-                "bad",
-                SimTime::from_ms(40),
-                vec![cpu(&[7, 3]), bad.clone()],
-            );
-            match ShardedTrace::record(&mut trace, dir.path(), 2, 4) {
+            let mut app = BadSecondFrame {
+                frames: [cpu(&[7, 3]), bad.clone()],
+                cursor: 0,
+            };
+            match ShardedTrace::record(&mut app, dir.path(), 2, 4) {
                 Err(WorkloadError::InvalidFrame {
                     frame: 1,
                     reason: got,
@@ -1122,13 +1248,22 @@ mod tests {
                 other => panic!("{bad:?}: expected InvalidFrame, got {other:?}"),
             }
 
-            // The refused frame leaves the buffer and the bounds as
-            // they were: the shard holds the good frame alone.
+            // The writer refuses the frame with a typed error naming it,
+            // and leaves the buffer and the bounds as they were: the
+            // shard holds the good frame alone.
             let mut writer =
                 ShardWriter::create(dir.path(), "bad", SimTime::from_ms(40), 4).unwrap();
             writer.push(&cpu(&[7, 3])).unwrap();
-            assert!(writer.push(&bad).is_err());
-            assert_eq!(writer.frames_written(), 1);
+            match writer.push(&bad) {
+                Err(WorkloadError::InvalidFrame {
+                    frame: 1,
+                    reason: got,
+                }) => {
+                    assert!(got.contains(reason), "{got}");
+                }
+                other => panic!("{bad:?}: expected InvalidFrame, got {other:?}"),
+            }
+            assert_eq!(writer.frames_written, 1);
             let trace = writer.finish().unwrap();
             assert_eq!((trace.min_cycles, trace.max_cycles), (10, 10));
             assert_eq!(trace.load_shard(0).unwrap().frame(0), cpu(&[7, 3]).threads);

@@ -1,7 +1,7 @@
 //! Synthetic workload patterns for targeted tests and ablations.
 
 use crate::process::gaussian;
-use crate::{Application, FrameDemand, WorkloadError};
+use crate::{Application, FrameDemand};
 use qgov_units::{Cycles, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -272,16 +272,6 @@ impl SyntheticWorkload {
     pub fn with_mem_time(mut self, mem_time: SimTime) -> Self {
         self.mem_time = mem_time;
         self
-    }
-
-    /// Validates an external configuration (mirrors the panics of the
-    /// constructors as a fallible check).
-    ///
-    /// # Errors
-    ///
-    /// Currently always `Ok`; kept for forward compatibility.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
-        Ok(())
     }
 
     fn multiplier_at(&self, frame: u64) -> f64 {

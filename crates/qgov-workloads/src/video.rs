@@ -21,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The coding class of a video frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrameClass {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameClass {
     /// Intra-coded frame (most expensive to decode).
     I,
     /// Predicted frame.
@@ -30,6 +30,24 @@ pub enum FrameClass {
     /// Bidirectionally predicted frame (cheapest).
     B,
 }
+
+/// The classic 12-frame `IBBPBBPBBPBB` GOP, repeated over the sequence.
+const GOP: [FrameClass; 12] = {
+    use FrameClass::{B, I, P};
+    [I, B, B, P, B, B, P, B, B, P, B, B]
+};
+
+/// B-frame cost multiplier relative to P.
+const B_FACTOR: f64 = 0.9;
+
+/// Decoder threads spawned per frame (slice-parallel decode).
+const THREADS: usize = 4;
+
+/// Video frames decoded per iteration (decision epoch). The paper's own
+/// overhead experiment runs "ffmpeg decoding three frames" per 31 ms
+/// iteration; batching a GOP-aligned chunk per epoch is what makes the
+/// workload EWMA-predictable at the 3–8 % error levels Fig. 3 reports.
+const FRAMES_PER_ITERATION: usize = 3;
 
 /// Full parameterisation of a [`VideoDecoderModel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -40,22 +58,10 @@ pub struct VideoParams {
     pub fps: f64,
     /// Total frames in the sequence.
     pub frames: u64,
-    /// Decoder threads spawned per frame (slice-parallel decode).
-    pub threads: usize,
-    /// Video frames decoded per iteration (decision epoch). The paper's
-    /// own overhead experiment runs "ffmpeg decoding three frames" per
-    /// 31 ms iteration; batching a GOP-aligned chunk per epoch is what
-    /// makes the workload EWMA-predictable at the 3–8 % error levels
-    /// Fig. 3 reports.
-    pub frames_per_iteration: usize,
     /// Decode cost of a nominal P-frame, summed over all threads.
     pub base_cycles: Cycles,
     /// I-frame cost multiplier relative to P.
     pub i_factor: f64,
-    /// B-frame cost multiplier relative to P.
-    pub b_factor: f64,
-    /// GOP pattern repeated over the sequence.
-    pub gop: Vec<FrameClass>,
     /// AR(1) persistence of the motion-intensity multiplier.
     pub motion_phi: f64,
     /// AR(1) innovation scale of the motion multiplier.
@@ -74,30 +80,15 @@ pub struct VideoParams {
 }
 
 impl VideoParams {
-    /// The classic 12-frame `IBBPBBPBBPBB` GOP.
-    #[must_use]
-    pub fn gop_ibbp() -> Vec<FrameClass> {
-        use FrameClass::{B, I, P};
-        vec![I, B, B, P, B, B, P, B, B, P, B, B]
-    }
-
     /// Validates the parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::InvalidConfig`] for empty GOPs, zero
-    /// threads/frames, non-positive factors or invalid probabilities.
+    /// Returns [`WorkloadError::InvalidConfig`] for zero frames, a
+    /// non-positive rate, cost or I-frame factor, or invalid
+    /// probabilities.
     pub fn validate(&self) -> Result<(), WorkloadError> {
         let fail = |reason: String| Err(WorkloadError::InvalidConfig { reason });
-        if self.gop.is_empty() {
-            return fail("GOP pattern must be non-empty".into());
-        }
-        if self.threads == 0 {
-            return fail("decoder needs at least one thread".into());
-        }
-        if self.frames_per_iteration == 0 {
-            return fail("an iteration must decode at least one video frame".into());
-        }
         if self.frames == 0 {
             return fail("sequence needs at least one frame".into());
         }
@@ -107,9 +98,8 @@ impl VideoParams {
         if self.base_cycles.is_zero() {
             return fail("base cycles must be non-zero".into());
         }
-        let factor_ok = |f: f64| f.is_finite() && f > 0.0;
-        if !factor_ok(self.i_factor) || !factor_ok(self.b_factor) {
-            return fail("frame-class factors must be positive".into());
+        if !(self.i_factor.is_finite() && self.i_factor > 0.0) {
+            return fail("the I-frame factor must be positive".into());
         }
         if !(0.0..=1.0).contains(&self.scene_change_prob) {
             return fail(format!(
@@ -183,12 +173,8 @@ impl VideoDecoderModel {
             name: "mpeg4".into(),
             fps: 24.0,
             frames: 3_000,
-            threads: 4,
-            frames_per_iteration: 3,
             base_cycles: Cycles::from_mcycles(57),
             i_factor: 1.2,
-            b_factor: 0.9,
-            gop: VideoParams::gop_ibbp(),
             motion_phi: 0.97,
             motion_sigma: 0.025,
             scene_change_prob: 0.001,
@@ -220,12 +206,8 @@ impl VideoDecoderModel {
             name: "h264".into(),
             fps: 15.0,
             frames: 3_000,
-            threads: 4,
-            frames_per_iteration: 3,
             base_cycles: Cycles::from_mcycles(90),
             i_factor: 1.25,
-            b_factor: 0.9,
-            gop: VideoParams::gop_ibbp(),
             motion_phi: 0.96,
             motion_sigma: 0.045,
             scene_change_prob: 0.01,
@@ -288,13 +270,13 @@ impl Application for VideoDecoderModel {
             self.pending_scene_iframe = true;
         }
 
-        // Decode `frames_per_iteration` consecutive video-frame slots.
-        let chunk = self.params.frames_per_iteration as u64;
-        let gop_len = self.params.gop.len() as u64;
+        // Decode `FRAMES_PER_ITERATION` consecutive video-frame slots.
+        let chunk = FRAMES_PER_ITERATION as u64;
+        let gop_len = GOP.len() as u64;
         let start_slot = self.frame_index * chunk;
         let mut complexity_sum = 0.0;
         for k in 0..chunk {
-            let gop_class = self.params.gop[((start_slot + k) % gop_len) as usize];
+            let gop_class = GOP[((start_slot + k) % gop_len) as usize];
             let class = if self.pending_scene_iframe {
                 self.pending_scene_iframe = false;
                 FrameClass::I
@@ -304,7 +286,7 @@ impl Application for VideoDecoderModel {
             let class_factor = match class {
                 FrameClass::I => self.params.i_factor,
                 FrameClass::P => 1.0,
-                FrameClass::B => self.params.b_factor,
+                FrameClass::B => B_FACTOR,
             };
             let motion = self.motion.step(&mut self.rng);
             complexity_sum += class_factor * motion;
@@ -316,8 +298,7 @@ impl Application for VideoDecoderModel {
             .scale(complexity_sum.min(1.3 * chunk as f64));
 
         // Slice-parallel split with mild imbalance.
-        let n = self.params.threads;
-        let mut weights: Vec<f64> = (0..n)
+        let mut weights: Vec<f64> = (0..THREADS)
             .map(|_| (1.0 + self.params.thread_imbalance * gaussian(&mut self.rng)).max(0.3))
             .collect();
         let wsum: f64 = weights.iter().sum();
@@ -462,7 +443,12 @@ mod tests {
             let f = app.next_frame();
             assert_eq!(f.thread_count(), 4);
             let total = f.total_cycles().count();
-            let max = f.max_thread_cycles().count();
+            let max = f
+                .threads
+                .iter()
+                .map(|t| t.cpu_cycles.count())
+                .max()
+                .unwrap();
             // With 8 % imbalance no thread should carry more than half.
             assert!(max < total / 2 + total / 10, "extreme imbalance");
         }
@@ -473,21 +459,15 @@ mod tests {
         let good = VideoDecoderModel::mpeg4_svga_24fps(0).params().clone();
         for (mutate, _desc) in [
             (
-                Box::new(|p: &mut VideoParams| p.gop.clear()) as Box<dyn Fn(&mut VideoParams)>,
-                "empty gop",
+                Box::new(|p: &mut VideoParams| p.frames = 0) as Box<dyn Fn(&mut VideoParams)>,
+                "no frames",
             ),
-            (Box::new(|p: &mut VideoParams| p.threads = 0), "no threads"),
-            (Box::new(|p: &mut VideoParams| p.frames = 0), "no frames"),
             (Box::new(|p: &mut VideoParams| p.fps = 0.0), "zero fps"),
             (
                 Box::new(|p: &mut VideoParams| p.scene_change_prob = 1.5),
                 "bad prob",
             ),
             (Box::new(|p: &mut VideoParams| p.motion_phi = 1.0), "phi 1"),
-            (
-                Box::new(|p: &mut VideoParams| p.frames_per_iteration = 0),
-                "zero chunk",
-            ),
             (
                 Box::new(|p: &mut VideoParams| p.base_cycles = Cycles::ZERO),
                 "zero cycles",

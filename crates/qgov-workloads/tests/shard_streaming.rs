@@ -49,7 +49,7 @@ fn make_app(kind: u8, seed: u64) -> Box<dyn Application> {
 
 /// The characters manifests are made of, plus a few that never belong
 /// in one.
-const CSV_ALPHABET: &[char] = &[
+const MANIFEST_ALPHABET: &[char] = &[
     '#', ' ', '=', ',', '\n', '0', '1', '7', '9', '-', 'a', 'e', 'f', 'm', 'n', 'r', 's', '_',
     '\t', 'é',
 ];
@@ -123,15 +123,15 @@ fn assert_load_is_total(trace: &ShardedTrace, index: usize) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Arbitrary text over the CSV alphabet never panics the manifest
+    /// Arbitrary text over the manifest alphabet never panics the manifest
     /// reader.
     #[test]
     fn open_is_total_on_arbitrary_manifests(
-        chars in proptest::collection::vec(0usize..CSV_ALPHABET.len(), 0..160)
+        chars in proptest::collection::vec(0usize..MANIFEST_ALPHABET.len(), 0..160)
     ) {
         let dir = test_dir("manifest-text");
         std::fs::create_dir_all(dir.path()).unwrap();
-        let text: String = chars.iter().map(|&i| CSV_ALPHABET[i]).collect();
+        let text: String = chars.iter().map(|&i| MANIFEST_ALPHABET[i]).collect();
         assert_open_is_total(dir.path(), text.as_bytes())?;
     }
 

@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{
-    Application, FftModel, FrameDemand, SyntheticWorkload, ThreadDemand, VideoDecoderModel,
-    WorkloadError, WorkloadTrace,
+    Application, FftModel, FrameDemand, SyntheticWorkload, VideoDecoderModel, WorkloadTrace,
 };
 
 /// Builds one of the library's applications from a compact selector.
@@ -25,100 +24,6 @@ fn make_app(kind: u8, seed: u64) -> Box<dyn Application> {
             )
             .with_noise(0.2),
         ),
-    }
-}
-
-/// The characters trace CSV documents are made of, plus a few that
-/// never belong in one.
-const CSV_ALPHABET: &[char] = &[
-    '#', ' ', '=', ',', '\n', '0', '1', '7', '9', '-', 'a', 'e', 'f', 'm', 'n', 'r', 's', '_',
-    '\t', 'é',
-];
-
-/// A header value: a well-formed `n` most of the time, otherwise zero,
-/// the largest `u64`, an overflowing, negative or non-numeric token.
-fn header_value(choice: u8, n: u64) -> String {
-    match choice % 8 {
-        0 => "0".into(),
-        1 => u64::MAX.to_string(),
-        2 => "18446744073709551616".into(),
-        3 => "-1".into(),
-        4 => "x".into(),
-        _ => n.to_string(),
-    }
-}
-
-/// A `u64` from the whole range, with 0, `u64::MAX` and short values
-/// each drawn about a quarter of the time.
-fn full_u64() -> impl Strategy<Value = u64> {
-    (0u8..4, 0u64..=u64::MAX).prop_map(|(kind, n)| match kind {
-        0 => 0,
-        1 => u64::MAX,
-        2 => n % 1000,
-        _ => n,
-    })
-}
-
-/// `from_csv` is total: any text yields a trace no longer than the
-/// document or a located `ParseTraceError`, never a panic or an abort.
-fn assert_parse_is_total(text: &str) -> Result<(), TestCaseError> {
-    match WorkloadTrace::from_csv(text) {
-        Ok(trace) => prop_assert!(
-            (1..=text.lines().count()).contains(&trace.len()),
-            "{} frames parsed from {:?}",
-            trace.len(),
-            text
-        ),
-        Err(WorkloadError::ParseTraceError { .. }) => {}
-        Err(e) => prop_assert!(false, "unexpected error {e} for {text:?}"),
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Arbitrary text over the CSV alphabet never panics the parser.
-    #[test]
-    fn from_csv_is_total_on_arbitrary_text(
-        chars in proptest::collection::vec(0usize..CSV_ALPHABET.len(), 0..160)
-    ) {
-        let text: String = chars.iter().map(|&i| CSV_ALPHABET[i]).collect();
-        assert_parse_is_total(&text)?;
-    }
-
-    /// Near-valid documents: arbitrary header values (zero, huge and
-    /// overflowing frame counts included), missing, unknown or
-    /// mis-prefixed header fields, and rows of two threads per frame
-    /// with arbitrary values, some corrupted.
-    #[test]
-    fn from_csv_is_total_on_near_valid_documents(
-        header in (0u8..16, 0u8..16, 0u64..2_000_000, 0u8..5),
-        rows in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u8..16), 0..24),
-    ) {
-        let (frames_choice, period_choice, period_ns, layout) = header;
-        let frames = header_value(frames_choice, rows.len().div_ceil(2) as u64);
-        let period = header_value(period_choice, period_ns);
-        let mut text = match layout {
-            0 => format!("# name=t frames={frames}\n"),
-            1 => format!("# name=t period_ns={period} frames={frames} bogus=1\n"),
-            2 => format!("name=t period_ns={period} frames={frames}\n"),
-            _ => format!("# name=t period_ns={period} frames={frames}\n"),
-        };
-        text.push_str(if layout == 3 { "frame,thread\n" } else { "frame,thread,cpu_cycles,mem_ns\n" });
-        for (k, &(cycles, mem_ns, corrupt)) in rows.iter().enumerate() {
-            let (frame, thread) = (k / 2, k % 2);
-            text.push_str(&match corrupt {
-                0 => format!("{frame},{thread},notanumber,{mem_ns}\n"),
-                1 => format!("{frame},{thread},{cycles}\n"),
-                2 => "\n".to_owned(),
-                3 => format!("{frame},{thread},{cycles},{mem_ns},9\n"),
-                4 => format!("{},{thread},{cycles},{mem_ns}\n", u64::MAX),
-                5 => format!("{frame},{},{cycles},{mem_ns}\n", thread + 1),
-                _ => format!("{frame},{thread},{cycles},{mem_ns}\n"),
-            });
-        }
-        assert_parse_is_total(&text)?;
     }
 }
 
@@ -163,8 +68,7 @@ proptest! {
         }
     }
 
-    /// Traces replay exactly what they recorded, and survive the CSV
-    /// round trip bit-exactly, for every model.
+    /// Traces replay exactly what they recorded, for every model.
     #[test]
     fn trace_roundtrip_for_all_models(kind in 0u8..4, seed in 0u64..200) {
         let mut app = make_app(kind, seed);
@@ -172,87 +76,6 @@ proptest! {
         app.reset();
         for _ in 0..trace.frames().min(25) {
             prop_assert_eq!(trace.next_frame(), app.next_frame());
-        }
-        let back = WorkloadTrace::from_csv(&trace.to_csv()).unwrap();
-        prop_assert_eq!(&back, &{ trace });
-    }
-
-    /// The codec against a reference built with `format!`, in both
-    /// directions and over the whole `u64` range: `to_csv` writes the
-    /// reference byte for byte, and `from_csv` reads back exactly the
-    /// demands the reference was built from when every frame's totals
-    /// fit in a `u64`, and otherwise rejects the first row that pushes
-    /// one past it, at that row's line. Checking each direction against
-    /// the reference, not only the round trip, catches a writer and a
-    /// reader that drift together.
-    #[test]
-    fn csv_codec_matches_the_format_reference(
-        frames in proptest::collection::vec(
-            proptest::collection::vec((full_u64(), full_u64()), 1..6),
-            1..20,
-        ),
-        period_ns in full_u64(),
-    ) {
-        let period_ns = period_ns.max(1);
-        let reference = |frames: &[Vec<(u64, u64)>]| {
-            let mut text = format!(
-                "# name=prop period_ns={period_ns} frames={}\nframe,thread,cpu_cycles,mem_ns\n",
-                frames.len()
-            );
-            for (fi, threads) in frames.iter().enumerate() {
-                for (ti, (cycles, mem_ns)) in threads.iter().enumerate() {
-                    text.push_str(&format!("{fi},{ti},{cycles},{mem_ns}\n"));
-                }
-            }
-            text
-        };
-        let demands = |frames: &[Vec<(u64, u64)>]| -> Vec<FrameDemand> {
-            frames
-                .iter()
-                .map(|threads| {
-                    FrameDemand::new(
-                        threads
-                            .iter()
-                            .map(|&(c, m)| ThreadDemand::new(Cycles::new(c), SimTime::from_ns(m)))
-                            .collect(),
-                    )
-                })
-                .collect()
-        };
-        let trace = WorkloadTrace::from_frames("prop", SimTime::from_ns(period_ns), demands(&frames));
-        prop_assert_eq!(trace.to_csv(), reference(&frames));
-
-        // Each value capped to what its frame's running totals leave.
-        let fitting: Vec<Vec<(u64, u64)>> = frames
-            .iter()
-            .map(|threads| {
-                let (mut cycles, mut mem_ns) = (0u64, 0u64);
-                threads
-                    .iter()
-                    .map(|&(c, m)| {
-                        let row = (c.min(u64::MAX - cycles), m.min(u64::MAX - mem_ns));
-                        (cycles, mem_ns) = (cycles + row.0, mem_ns + row.1);
-                        row
-                    })
-                    .collect()
-            })
-            .collect();
-        let back = WorkloadTrace::from_csv(&reference(&fitting)).unwrap();
-        prop_assert_eq!(back.frame_demands(), &demands(&fitting)[..]);
-        prop_assert_eq!(back.period(), SimTime::from_ns(period_ns));
-        prop_assert_eq!(back.name(), "prop");
-        // The first capped row is the first whose frame total overflows.
-        let first_overflow = frames
-            .iter()
-            .flatten()
-            .zip(fitting.iter().flatten())
-            .position(|(row, capped)| row != capped);
-        if let Some(row) = first_overflow {
-            let err = WorkloadTrace::from_csv(&reference(&frames)).unwrap_err();
-            prop_assert!(
-                matches!(err, WorkloadError::ParseTraceError { line, .. } if line == row + 3),
-                "row {} (line {}): {}", row, row + 3, err
-            );
         }
     }
 

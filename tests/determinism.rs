@@ -52,7 +52,4 @@ fn trace_recording_is_stable_across_replays() {
     let t1 = WorkloadTrace::record(&mut app);
     let t2 = WorkloadTrace::record(&mut app);
     assert_eq!(t1, t2, "recording twice from the same app is identical");
-    // CSV round trip preserves bit-exact demands.
-    let back = WorkloadTrace::from_csv(&t1.to_csv()).unwrap();
-    assert_eq!(t1, back);
 }

@@ -127,7 +127,7 @@ fn cluster_epoch() -> impl Strategy<Value = (FrameResult, bool)> {
             let mut frame = FrameResult::empty();
             frame.period = SimTime::from_ms(40);
             frame.frame_time = SimTime::from_secs_f64(0.040 * (1.0 - slack));
-            frame.per_core_cycles = vec![Cycles::new(u64::from(busy) * 1_000_000); 4];
+            frame.per_core_cycles = [Cycles::new(u64::from(busy) * 1_000_000); 4];
             frame.energy = Energy::from_joules(joules_per_cycle * 4e6);
             frame.temperature = Temp::from_celsius(temp_c);
             (frame, dead == 1)
