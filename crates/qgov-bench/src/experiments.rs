@@ -32,19 +32,20 @@
 //! assert_eq!(result.rows.len(), 3);
 //! ```
 
-use crate::harness::{precharacterize, run_experiment, run_experiment_monitored};
+use crate::harness::{precharacterize, run_experiment, run_manycore_experiment, EpochOptions};
 use crate::plan::RunPlan;
 use crate::runner::ExperimentBatch;
 use crate::worklist::{slug, CellMetrics};
 use qgov_core::{EpochRecord, HistoryMode, RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{
     ConservativeGovernor, GeQiuGovernor, Governor, OndemandGovernor, OracleGovernor,
+    PerClusterGovernors,
 };
 use qgov_metrics::{
-    standard_pack, ComparisonTable, MispredictionStats, MonitorReport, RunReport, Series,
-    WindowSummary, WindowedStats,
+    standard_pack, ComparisonTable, MispredictionStats, MonitorReport, RunReport, WindowSummary,
+    WindowedStats,
 };
-use qgov_sim::{OppTable, PlatformConfig};
+use qgov_sim::{OppTable, PlatformConfig, Topology};
 use qgov_workloads::shard::ScratchDir;
 use qgov_workloads::{Application, FftModel, ShardedTrace, VideoDecoderModel, WorkloadTrace};
 
@@ -54,6 +55,17 @@ pub(crate) fn fmt2(v: f64) -> String {
 
 pub(crate) fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
+}
+
+/// Formats a float compactly for CSV: integers bare, otherwise six
+/// decimals with trailing zeros trimmed.
+fn trim_float(v: f64) -> String {
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        let s = format!("{v:.6}");
+        s.trim_end_matches('0').trim_end_matches('.').to_owned()
+    }
 }
 
 /// One experiment family: its methodology cells, how one seed's
@@ -574,17 +586,10 @@ impl Experiment for Table3 {
     }
 }
 
-/// The Fig. 3 experiment bundle: series plus headline statistics.
+/// The Fig. 3 experiment bundle: the plotted series as CSV plus
+/// headline statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
-    /// Predicted workload per frame (cycles).
-    pub predicted: Series,
-    /// Actual workload per frame (cycles).
-    pub actual: Series,
-    /// Average slack ratio `L` per frame.
-    pub avg_slack: Series,
-    /// Raw per-frame slack.
-    pub frame_slack: Series,
     /// Mean relative misprediction over the first 100 frames (paper:
     /// ≈ 8 %).
     pub early_misprediction: f64,
@@ -592,7 +597,8 @@ pub struct Fig3Result {
     pub late_misprediction: f64,
     /// Frames whose error exceeds 15 % (the visible mispredictions).
     pub mispredicted_frames: Vec<usize>,
-    /// The aligned CSV document for plotting.
+    /// The plotted series, one row per frame from epoch 1:
+    /// `frame,predicted_cc,actual_cc,avg_slack,frame_slack`.
     pub csv: String,
 }
 
@@ -634,8 +640,6 @@ impl Experiment for Fig3 {
             .map(|r| r.predicted_total_cycles)
             .collect();
         let actual: Vec<f64> = history[1..].iter().map(|r| r.actual_total_cycles).collect();
-        let avg_slack: Vec<f64> = history[1..].iter().map(|r| r.avg_slack).collect();
-        let frame_slack: Vec<f64> = history[1..].iter().map(|r| r.frame_slack).collect();
 
         let stats = MispredictionStats::from_series(&predicted, &actual);
         let split = 100.min(stats.len().saturating_sub(1)).max(1);
@@ -646,19 +650,22 @@ impl Experiment for Fig3 {
             early
         };
 
-        let predicted = Series::from_ys("predicted_cc", &predicted);
-        let actual = Series::from_ys("actual_cc", &actual);
-        let avg_slack_s = Series::from_ys("avg_slack", &avg_slack);
-        let frame_slack_s = Series::from_ys("frame_slack", &frame_slack);
-        let csv = Series::to_csv_aligned(
-            "frame",
-            &[&predicted, &actual, &avg_slack_s, &frame_slack_s],
-        );
+        let mut csv = String::from("frame,predicted_cc,actual_cc,avg_slack,frame_slack\n");
+        for (frame, r) in history[1..].iter().enumerate() {
+            let row = [
+                r.predicted_total_cycles,
+                r.actual_total_cycles,
+                r.avg_slack,
+                r.frame_slack,
+            ];
+            csv.push_str(&frame.to_string());
+            for value in row {
+                csv.push(',');
+                csv.push_str(&trim_float(value));
+            }
+            csv.push('\n');
+        }
         Fig3Result {
-            predicted,
-            actual,
-            avg_slack: avg_slack_s,
-            frame_slack: frame_slack_s,
             early_misprediction: early,
             late_misprediction: late,
             mispredicted_frames: stats.mispredicted_frames(0.15),
@@ -1116,9 +1123,7 @@ impl Experiment for LongHorizon {
     }
 
     fn cell(plan: &RunPlan, label: &str, prep: &LongHorizonPrep, seed: u64) -> RunReport {
-        let config = PlatformConfig::odroid_xu3_a15();
-        let mut replay = prep.trace.clone();
-        let mut gov: Box<dyn Governor> = match label {
+        let gov: Box<dyn Governor> = match label {
             "ondemand" => Box::new(OndemandGovernor::linux_default()),
             "conservative" => Box::new(ConservativeGovernor::linux_default()),
             "rtm" => Box::new(
@@ -1131,20 +1136,23 @@ impl Experiment for LongHorizon {
             ),
             other => unreachable!("unknown long-horizon cell {other}"),
         };
-        match &plan.pack {
-            Some(cfg) => {
-                let mut monitors = standard_pack(label, cfg);
-                run_experiment_monitored(
-                    gov.as_mut(),
-                    &mut replay,
-                    config,
-                    plan.frames,
-                    &mut monitors,
-                )
-                .report
-            }
-            None => run_experiment(gov.as_mut(), &mut replay, config, plan.frames).report,
-        }
+        // The flat run through the one entry: a one-governor coordinator
+        // over a one-cluster chip reproduces `run_experiment` bit for bit.
+        let mut coordinator = PerClusterGovernors::new(gov.name().to_owned(), vec![gov]);
+        let mut monitors = plan.pack.as_ref().map(|cfg| standard_pack(label, cfg));
+        run_manycore_experiment(
+            &mut coordinator,
+            &mut prep.trace.clone(),
+            Topology::single(PlatformConfig::odroid_xu3_a15()),
+            plan.frames,
+            &[1.0],
+            EpochOptions {
+                faults: None,
+                monitors: monitors.as_mut(),
+                cluster_reports: false,
+            },
+        )
+        .report
     }
 
     fn assemble(
@@ -1311,10 +1319,23 @@ mod tests {
     #[test]
     fn fig3_produces_aligned_series() {
         let result = Fig3::run(&serial(1, 150)).remove(0);
-        assert_eq!(result.predicted.len(), result.actual.len());
-        assert_eq!(result.predicted.len(), 149);
+        // A header and one row per frame from epoch 1, every row full.
+        let lines: Vec<&str> = result.csv.lines().collect();
+        assert_eq!(lines.len(), 150);
+        assert_eq!(
+            lines[0],
+            "frame,predicted_cc,actual_cc,avg_slack,frame_slack"
+        );
+        assert!(lines[1..].iter().all(|l| l.split(',').count() == 5));
+        assert!(lines[149].starts_with("148,"));
         assert!(result.early_misprediction > 0.0);
-        assert!(result.csv.starts_with("frame,predicted_cc,actual_cc"));
+    }
+
+    #[test]
+    fn floats_are_trimmed() {
+        assert_eq!(trim_float(2.0), "2");
+        assert_eq!(trim_float(2.5), "2.5");
+        assert_eq!(trim_float(0.333333333), "0.333333");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! naive RTM's recovery property is violated.
 
 use crate::experiments::{Experiment, TracePrep};
-use crate::manycore::run_manycore_experiment_faulted_monitored;
+use crate::harness::{run_manycore_experiment, EpochOptions};
 use crate::plan::RunPlan;
 use crate::worklist::{slug, CellMetrics};
 use qgov_core::{HardeningConfig, ManyCoreRtm, RtmConfig, RtmGovernor};
@@ -193,14 +193,17 @@ impl Experiment for FaultStorm {
         let mut replay = prep.trace.clone();
         let mut monitors = recovery_pack(drop, FAULTSTORM_GRACE, &pack);
         let run = |gov: &mut dyn ManyCoreGovernor| {
-            run_manycore_experiment_faulted_monitored(
+            run_manycore_experiment(
                 gov,
                 &mut replay,
                 topology,
                 frames,
                 &shares,
-                &faults,
-                &mut monitors,
+                EpochOptions {
+                    faults: Some(&faults),
+                    monitors: Some(&mut monitors),
+                    cluster_reports: true,
+                },
             )
         };
         let (outcome, degraded, safe_state) = match label {

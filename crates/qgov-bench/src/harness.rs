@@ -1,18 +1,20 @@
-//! The experiment loop: governor × application × platform → report.
+//! The experiment loop: coordinator × application × chip → report.
 //!
-//! Every public `run_*` entry point of this crate is a one-line wrapper
-//! over one private epoch kernel, which steps a [`ManyCoreGovernor`]
-//! over a freshly built [`ManyCorePlatform`]. The kernel has three
-//! options and no others: a fault plan, a monitor set, and whether
-//! per-cluster reports are kept. The flat entry points here
-//! ([`run_experiment`], [`run_experiment_monitored`],
-//! [`run_experiment_faulted`]) run a one-cluster [`Topology`] through an
-//! adapter over the borrowed [`Governor`] and return that cluster's
-//! [`Platform`]; the chip-level entry points live in
-//! [`crate::manycore`].
+//! One epoch kernel, [`run_manycore_experiment`], steps a
+//! [`ManyCoreGovernor`] over a freshly built [`ManyCorePlatform`]. It
+//! has three options and no others, the public fields of
+//! [`EpochOptions`]: a fault plan, a monitor set, and whether
+//! per-cluster reports are kept. [`run_experiment`] is its flat
+//! convenience: one borrowed [`Governor`] on a one-cluster
+//! [`Topology`], no option set, and that cluster's [`Platform`]
+//! returned. A flat run that needs an option wraps its governor in a
+//! [`PerClusterGovernors`](qgov_governors::PerClusterGovernors) over
+//! [`Topology::single`] with the whole share on cluster 0, which
+//! reproduces [`run_experiment`] bit for bit
+//! (`tests/harness_golden.rs` pins it for six governor families).
 //!
-//! [`run_experiment`] is the single-cell kernel every batched sweep in
-//! [`crate::runner`] bottoms out in: one governor driving one
+//! [`run_experiment`] is the single-cell run most batched sweeps in
+//! [`crate::runner`] bottom out in: one governor driving one
 //! application on one freshly built platform. It takes `&mut` to both
 //! the governor and the application, and [`precharacterize`] likewise
 //! **mutates the application in place** (recording resets it and
@@ -152,25 +154,58 @@ fn faulted_decision(
     }
 }
 
-/// The epoch kernel's options — the only knobs it has.
-#[derive(Default)]
-pub(crate) struct EpochOptions<'a> {
-    /// The fault schedule. `None` runs without an injector; an empty
-    /// plan runs bit-identically to `None` (`tests/fault_injection.rs`).
-    pub(crate) faults: Option<&'a FaultPlan>,
-    /// Streaming monitors fed one chip-level [`MonitorSample`] of ground
-    /// truth per epoch; their verdicts are attached to the chip report.
-    pub(crate) monitors: Option<&'a mut PropertySet<MonitorSample>>,
-    /// Keep one report per cluster. The flat entry points do not: at
+/// The options of [`run_manycore_experiment`] — the only knobs the
+/// epoch kernel has. The default sets none of them: no faults, no
+/// monitors, no per-cluster reports.
+#[derive(Debug, Default)]
+pub struct EpochOptions<'a> {
+    /// The fault schedule. With a plan, an injector perturbs what the
+    /// coordinator *senses*, rewrites what it *actuates* and moves dead
+    /// cores' work, while every report and monitor keeps seeing ground
+    /// truth:
+    /// * sensing faults lie only in the copy of each cluster's frame
+    ///   result the coordinator observes
+    ///   ([`FaultInjector::perturb_sensing`]), and only in its
+    ///   temperature and PMU channels. Timing channels (`frame_time`,
+    ///   `wall_time`, slack) are never faulted: the frame barrier is
+    ///   scheduler-observable, not a sensor;
+    /// * actuation faults rewrite each cluster's decision before it is
+    ///   applied: dropped, clamped to a ceiling, or latched one epoch
+    ///   late;
+    /// * a dead core's work moves onto its cluster's survivors
+    ///   ([`FaultInjector::redistribute_dead`]). A wholly dead
+    ///   cluster's work never executes, so its share misses every
+    ///   deadline until the coordinator drains it.
+    ///
+    /// An empty plan makes every injector step a no-op, so the run is
+    /// bit-identical to `None` (`tests/fault_injection.rs` pins this
+    /// for every governor family).
+    pub faults: Option<&'a FaultPlan>,
+    /// Streaming monitors fed one chip-level [`MonitorSample`] per
+    /// epoch, after the coordinator's decision: the barrier aggregates
+    /// (slowest cluster's frame time, summed energy, chip-wide peak
+    /// temperature, cluster 0's OPP) plus the coordinator's
+    /// ε/convergence state. Samples are ground truth, never the sensed
+    /// copy, so a thermal-cap property checks the real die even while
+    /// the coordinator is fed a stuck sensor. Their verdicts are
+    /// attached to the chip report
+    /// ([`monitor_report`](RunReport::monitor_report)), and the caller
+    /// keeps the set for further inspection.
+    ///
+    /// Monitoring never perturbs the run: the report equals the
+    /// unmonitored run's bit for bit except for the attached verdicts,
+    /// and the steady-state epoch stays allocation-free.
+    pub monitors: Option<&'a mut PropertySet<MonitorSample>>,
+    /// Keep one report per cluster. [`run_experiment`] keeps none: at
     /// long horizons a second report would double a run's resident
     /// frame stats.
-    pub(crate) cluster_reports: bool,
+    pub cluster_reports: bool,
 }
 
-/// The epoch kernel behind every public `run_*` entry point: runs
-/// `coordinator` against `app` for `frames` epochs (capped at the
+/// Runs `coordinator` against `app` for `frames` epochs (capped at the
 /// application's own length) on a chip built from `topology`, starting
-/// from the `initial_shares` placement.
+/// from the `initial_shares` placement — the one epoch kernel every run
+/// goes through.
 ///
 /// The loop per decision epoch:
 /// 1. split the frame's demand across clusters by the current share
@@ -193,11 +228,16 @@ pub(crate) struct EpochOptions<'a> {
 /// frame is a missed deadline however fast the survivors cross the
 /// barrier. The first epoch on which a whole cluster is dead is
 /// reported once to the coordinator
-/// ([`ManyCoreGovernor::notify_cluster_dead`]).
+/// ([`ManyCoreGovernor::notify_cluster_dead`]): the hardened RTM
+/// freezes that agent and drains its share, a naive coordinator keeps
+/// feeding the corpse.
 ///
-/// Steady state is allocation-free: every buffer is built before the
-/// first epoch and refilled in place, and every report pre-reserves its
-/// frame stats (`tests/alloc_steady_state.rs`).
+/// The application is mutated in place (reset, then driven to the
+/// frame cap), so a batched sweep must hand every cell its own
+/// instance — see the module docs and [`crate::runner`]. Steady state
+/// is allocation-free: every buffer is built before the first epoch and
+/// refilled in place, and every report pre-reserves its frame stats
+/// (`tests/alloc_steady_state.rs`).
 ///
 /// # Panics
 ///
@@ -206,7 +246,7 @@ pub(crate) struct EpochOptions<'a> {
 /// topology, or a decision is out of range — programming errors in the
 /// experiment setup. Debug builds additionally panic if the application
 /// does not rewind deterministically on `reset()`.
-pub(crate) fn run_epochs(
+pub fn run_manycore_experiment(
     coordinator: &mut dyn ManyCoreGovernor,
     app: &mut dyn Application,
     topology: Topology,
@@ -412,148 +452,35 @@ impl ManyCoreGovernor for OneCluster<'_> {
     }
 }
 
-/// Runs the epoch kernel on a one-cluster chip built from
-/// `platform_config` and returns that cluster's platform. The cluster
-/// holds the whole share, so the demand split passes every thread
-/// through and each frame runs the unchanged [`Platform`] kernel.
-fn run_flat(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    options: EpochOptions<'_>,
-) -> ExperimentOutcome {
-    let outcome = run_epochs(
-        &mut OneCluster(governor),
-        app,
-        Topology::single(platform_config),
-        frames,
-        &[1.0],
-        options,
-    );
-    let platform = outcome.platform.into_clusters().pop().expect("one cluster");
-    ExperimentOutcome {
-        report: outcome.report,
-        platform,
-    }
-}
-
 /// Runs `governor` against `app` for `frames` epochs (capped at the
-/// application's own length if shorter than requested) on a platform
-/// built from `platform_config`.
-///
-/// The loop per decision epoch:
-/// 1. fetch the frame's work demand and execute it to the barrier;
-/// 2. record metrics;
-/// 3. let the governor observe the completed frame and decide the next
-///    operating point;
-/// 4. charge the governor's processing overhead and the V-F transition
-///    latency to the next frame (the paper's `T_OVH`).
-///
-/// The application is mutated in place (reset, then driven to the
-/// frame cap), so a batched sweep must hand every cell its own
-/// instance — see the module docs and [`crate::runner`].
+/// application's own length) on a one-cluster chip built from
+/// `platform_config`, with no [`EpochOptions`] set, and returns that
+/// cluster's platform. The cluster holds the whole share, so the demand
+/// split passes every thread through and each frame runs the unchanged
+/// [`Platform`] kernel; [`run_manycore_experiment`] documents the loop.
 ///
 /// # Panics
 ///
-/// Panics if the platform configuration is invalid or a decision is out
-/// of range — both indicate programming errors in the experiment setup.
-/// Debug builds additionally panic if the application does not rewind
-/// deterministically on `reset()` (the symptom of a cell sharing — or
-/// having inherited dirty state from — another cell's application).
+/// Panics as [`run_manycore_experiment`] does.
 pub fn run_experiment(
     governor: &mut dyn Governor,
     app: &mut dyn Application,
     platform_config: PlatformConfig,
     frames: u64,
 ) -> ExperimentOutcome {
-    run_flat(
-        governor,
+    let outcome = run_manycore_experiment(
+        &mut OneCluster(governor),
         app,
-        platform_config,
+        Topology::single(platform_config),
         frames,
+        &[1.0],
         EpochOptions::default(),
-    )
-}
-
-/// [`run_experiment`] with a streaming temporal-property monitor riding
-/// along: after every epoch's decision the loop fills one
-/// [`MonitorSample`] in place (frame timing, OPP, temperature, energy,
-/// plus the governor's ε/convergence state via
-/// [`Governor::exploration_epsilon`] /
-/// [`Governor::has_converged`]) and feeds it to `monitors`.
-///
-/// Monitoring never perturbs the run — the returned report equals the
-/// unmonitored run's bit-for-bit except for the attached
-/// [`monitor_report`](RunReport::monitor_report) — and adds no heap
-/// allocations to the steady-state epoch (`tests/alloc_steady_state.rs`
-/// pins this). The caller keeps `monitors` for further inspection; the
-/// verdicts at end of run are also folded into the report.
-pub fn run_experiment_monitored(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    monitors: &mut PropertySet<MonitorSample>,
-) -> ExperimentOutcome {
-    run_flat(
-        governor,
-        app,
-        platform_config,
-        frames,
-        EpochOptions {
-            monitors: Some(monitors),
-            ..EpochOptions::default()
-        },
-    )
-}
-
-/// [`run_experiment`] under a deterministic fault schedule: the
-/// injector perturbs what the governor *senses*, rewrites what it
-/// *actuates*, and redistributes the work of dropped cores — while the
-/// report keeps observing ground truth.
-///
-/// Per epoch the loop:
-/// 1. builds the frame's work slices, then moves any dead core's work
-///    onto the survivors ([`FaultInjector::redistribute_dead`] — the
-///    scheduler sees the drop-out, so its cycles land elsewhere);
-/// 2. executes the frame and records **truth** in the report;
-/// 3. copies the frame result and perturbs the copy
-///    ([`FaultInjector::perturb_sensing`]) — the governor decides on
-///    the faulted view;
-/// 4. rewrites the decision through the actuation fault before
-///    applying it.
-///
-/// Timing channels (`frame_time`, `wall_time`, slack) are never
-/// faulted: the frame barrier is scheduler-observable, not a sensor.
-/// Only the sensed copy's temperature and PMU channels can lie.
-///
-/// With an empty `plan` every injector step is a no-op and the run is
-/// bit-identical to [`run_experiment`] (`tests/fault_injection.rs` pins
-/// this property across governor families).
-///
-/// # Panics
-///
-/// Panics as [`run_experiment`] does, and if `plan` names a cluster
-/// other than 0 or a core outside the platform (flat harness = one
-/// cluster).
-pub fn run_experiment_faulted(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    plan: &FaultPlan,
-) -> ExperimentOutcome {
-    run_flat(
-        governor,
-        app,
-        platform_config,
-        frames,
-        EpochOptions {
-            faults: Some(plan),
-            ..EpochOptions::default()
-        },
-    )
+    );
+    let platform = outcome.platform.into_clusters().pop().expect("one cluster");
+    ExperimentOutcome {
+        report: outcome.report,
+        platform,
+    }
 }
 
 /// Debug-build guard for the serial/parallel seam: every batch cell
@@ -643,7 +570,9 @@ pub fn precharacterize(app: &mut dyn Application) -> (WorkloadTrace, (f64, f64))
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_governors::{OndemandGovernor, PerformanceGovernor, PowersaveGovernor};
+    use qgov_governors::{
+        OndemandGovernor, PerClusterGovernors, PerformanceGovernor, PowersaveGovernor,
+    };
     use qgov_units::{Cycles, SimTime};
     use qgov_workloads::SyntheticWorkload;
 
@@ -895,6 +824,26 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Linux-default ondemand on a one-cluster chip through the entry,
+    /// under `faults`.
+    fn ondemand_on_one_cluster(frames: u64, faults: &FaultPlan) -> ManyCoreOutcome {
+        let mut gov = PerClusterGovernors::new(
+            "ondemand",
+            vec![Box::new(OndemandGovernor::linux_default())],
+        );
+        run_manycore_experiment(
+            &mut gov,
+            &mut medium_app(frames),
+            Topology::single(PlatformConfig::odroid_xu3_a15()),
+            frames,
+            &[1.0],
+            EpochOptions {
+                faults: Some(faults),
+                ..EpochOptions::default()
+            },
+        )
+    }
+
     #[test]
     fn empty_fault_plan_is_bit_identical_to_fault_free() {
         let plain = {
@@ -906,16 +855,7 @@ mod tests {
                 80,
             )
         };
-        let faulted = {
-            let mut gov = OndemandGovernor::linux_default();
-            run_experiment_faulted(
-                &mut gov,
-                &mut medium_app(80),
-                PlatformConfig::odroid_xu3_a15(),
-                80,
-                &FaultPlan::none(),
-            )
-        };
+        let faulted = ondemand_on_one_cluster(80, &FaultPlan::none());
         assert_eq!(
             plain.report.total_energy().as_joules().to_bits(),
             faulted.report.total_energy().as_joules().to_bits()
@@ -923,7 +863,7 @@ mod tests {
         assert_eq!(plain.report.mean_opp(), faulted.report.mean_opp());
         assert_eq!(
             plain.platform.vf().transitions(),
-            faulted.platform.vf().transitions()
+            faulted.platform.cluster(0).vf().transitions()
         );
     }
 
@@ -931,20 +871,13 @@ mod tests {
     fn ignored_actuation_pins_the_governor_out_of_the_loop() {
         use qgov_sim::{Fault, FaultKind};
         let plan = FaultPlan::none().with(Fault::permanent(FaultKind::ActuationIgnored, 0, 0));
-        let mut gov = OndemandGovernor::linux_default();
-        let outcome = run_experiment_faulted(
-            &mut gov,
-            &mut medium_app(100),
-            PlatformConfig::odroid_xu3_a15(),
-            100,
-            &plan,
-        );
+        let outcome = ondemand_on_one_cluster(100, &plan);
         // Only the (pre-fault) init decision can ever land: the
         // platform's OPP is frozen for the whole run.
+        let transitions = outcome.platform.cluster(0).vf().transitions();
         assert!(
-            outcome.platform.vf().transitions() <= 1,
-            "ignored actuation must freeze the OPP ({} transitions)",
-            outcome.platform.vf().transitions()
+            transitions <= 1,
+            "ignored actuation must freeze the OPP ({transitions} transitions)"
         );
     }
 

@@ -25,9 +25,8 @@
 //! chip-level monitor. Recorded baselines live in `EXPERIMENTS.md`.
 
 use crate::experiments::{fmt2, fmt_pct, index_of, Experiment, TracePrep};
-use crate::manycore::{
-    run_manycore_experiment, run_manycore_experiment_monitored, ManyCoreOutcome,
-};
+use crate::harness::{run_manycore_experiment, EpochOptions};
+use crate::manycore::ManyCoreOutcome;
 use crate::plan::RunPlan;
 use crate::worklist::{slug, CellMetrics};
 use qgov_core::{ManyCoreRtm, RtmConfig};
@@ -56,21 +55,19 @@ fn run_chip(
     topology: Topology,
     shares: &[f64],
 ) -> ManyCoreOutcome {
-    let mut replay = prep.trace.clone();
-    match &plan.pack {
-        Some(cfg) => {
-            let mut monitors = standard_pack(label, cfg);
-            run_manycore_experiment_monitored(
-                gov,
-                &mut replay,
-                topology,
-                plan.frames,
-                shares,
-                &mut monitors,
-            )
-        }
-        None => run_manycore_experiment(gov, &mut replay, topology, plan.frames, shares),
-    }
+    let mut monitors = plan.pack.as_ref().map(|cfg| standard_pack(label, cfg));
+    run_manycore_experiment(
+        gov,
+        &mut prep.trace.clone(),
+        topology,
+        plan.frames,
+        shares,
+        EpochOptions {
+            faults: None,
+            monitors: monitors.as_mut(),
+            cluster_reports: true,
+        },
+    )
 }
 
 /// Per-cluster compute capacities (cores × top frequency in GHz) — the

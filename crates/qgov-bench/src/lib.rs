@@ -1,10 +1,15 @@
 //! Experiment harness and regeneration targets for every table and
 //! figure of Biswas et al., DATE 2017.
 //!
-//! The [`harness`] module drives any [`Governor`](qgov_governors::Governor)
-//! against any [`Application`](qgov_workloads::Application) on the
-//! simulated platform and produces a
-//! [`RunReport`](qgov_metrics::RunReport). Every table, figure and
+//! Every run goes through one entry, [`run_manycore_experiment`]: the
+//! [`harness`] module's epoch kernel, which drives any
+//! [`ManyCoreGovernor`](qgov_governors::ManyCoreGovernor) against any
+//! [`Application`](qgov_workloads::Application) on a simulated chip and
+//! produces a [`RunReport`](qgov_metrics::RunReport). Its three options
+//! (faults, monitors, per-cluster reports) are the public fields of
+//! [`EpochOptions`]; [`run_experiment`] is the flat convenience for one
+//! [`Governor`](qgov_governors::Governor) on one cluster with none of
+//! them set. Every table, figure and
 //! extension is one [`Experiment`] (the registry in [`experiments`],
 //! plus [`hetero`] and [`faultstorm`]) driven by one
 //! [`RunPlan`]; the `benches/` targets are one call each to the shared
@@ -86,16 +91,11 @@ pub use faultstorm::{
     fault_storm_app, fault_storm_drop_epoch, standard_fault_schedule, FaultStorm, FaultStormResult,
     FaultStormRow, FAULTSTORM_GRACE,
 };
-pub use harness::{
-    run_experiment, run_experiment_faulted, run_experiment_monitored, ExperimentOutcome,
-};
+pub use harness::{run_experiment, run_manycore_experiment, EpochOptions, ExperimentOutcome};
 pub use hetero::{
     BigLittle, BigLittleResult, BigLittleRow, MeshRow, MeshScaling, MeshScalingResult,
 };
-pub use manycore::{
-    run_manycore_experiment, run_manycore_experiment_faulted,
-    run_manycore_experiment_faulted_monitored, run_manycore_experiment_monitored, ManyCoreOutcome,
-};
+pub use manycore::{run_manycore_experiment_monitored, ManyCoreOutcome};
 pub use perf::BenchRecord;
 pub use plan::{PlanError, RunPlan};
 pub use runner::{ExperimentBatch, RunnerConfig};

@@ -1,18 +1,17 @@
-//! The many-core entry points: chip-level coordinator × application ×
+//! The many-core outcome: chip-level coordinator × application ×
 //! topology → chip and per-cluster reports.
 //!
-//! [`run_manycore_experiment`] and its monitored and faulted forms are
-//! one-line wrappers over the epoch kernel of [`crate::harness`], the
-//! loop the flat [`run_experiment`](crate::run_experiment) runs on a
-//! one-cluster chip. Each epoch the frame's demand is split across
-//! clusters by the coordinator's work-share vector
+//! [`run_manycore_experiment`] is the epoch kernel of
+//! [`crate::harness`] itself, the loop the flat
+//! [`run_experiment`](crate::run_experiment) runs on a one-cluster
+//! chip. Each epoch the frame's demand is split across clusters by the
+//! coordinator's work-share vector
 //! ([`split_demand_into`](qgov_workloads::split_demand_into)), every
 //! cluster runs its slice to the chip-wide frame barrier, and the
 //! coordinator observes all per-cluster
 //! [`FrameResult`](qgov_sim::FrameResult)s at once — the seam where
 //! per-cluster Q-agents learn frequencies and the migration policy
-//! rebalances placement. These entry points keep one report per
-//! cluster.
+//! rebalances placement. A run returns a [`ManyCoreOutcome`].
 //!
 //! # Bit-identity bridge
 //!
@@ -25,7 +24,7 @@
 //! bit-for-bit (`tests/harness_golden.rs` pins it).
 //!
 //! ```
-//! use qgov_bench::manycore::run_manycore_experiment;
+//! use qgov_bench::{run_manycore_experiment, EpochOptions};
 //! use qgov_governors::PerClusterGovernors;
 //! use qgov_sim::{PlatformConfig, Topology};
 //! use qgov_units::{Cycles, SimTime};
@@ -36,16 +35,20 @@
 //! let mut app = SyntheticWorkload::constant(
 //!     "demo", Cycles::from_mcycles(80), SimTime::from_ms(40), 30, 8, 0,
 //! );
-//! let outcome = run_manycore_experiment(&mut gov, &mut app, topology, 30, &[0.5, 0.5]);
+//! let options = EpochOptions {
+//!     cluster_reports: true,
+//!     ..EpochOptions::default()
+//! };
+//! let outcome = run_manycore_experiment(&mut gov, &mut app, topology, 30, &[0.5, 0.5], options);
 //! assert_eq!(outcome.report.frames(), 30);
 //! assert_eq!(outcome.cluster_reports.len(), 2);
 //! assert_eq!(outcome.report.deadline_misses(), 0);
 //! ```
 
-use crate::harness::{run_epochs, EpochOptions};
+use crate::harness::{run_manycore_experiment, EpochOptions};
 use qgov_governors::ManyCoreGovernor;
 use qgov_metrics::{MonitorSample, PropertySet, RunReport};
-use qgov_sim::{FaultPlan, ManyCorePlatform, Topology};
+use qgov_sim::{ManyCorePlatform, Topology};
 use qgov_workloads::Application;
 
 /// Everything a finished many-core run yields: the chip-level report,
@@ -68,62 +71,10 @@ pub struct ManyCoreOutcome {
     pub shares: Vec<f64>,
 }
 
-/// Runs `coordinator` against `app` for `frames` epochs (capped at the
-/// application's own length) on a chip built from `topology`, starting
-/// from the `initial_shares` placement.
-///
-/// The loop per decision epoch:
-/// 1. split the frame's demand across clusters by the current share
-///    vector and execute every slice to the chip-wide barrier;
-/// 2. record chip-level and per-cluster metrics;
-/// 3. let the coordinator observe all per-cluster frame results,
-///    decide each cluster's next operating point, and rebalance the
-///    share vector (task migration);
-/// 4. charge each cluster its own processing overhead and V-F
-///    transition latency.
-///
-/// Steady state is allocation-free: the demand slots, work-slice
-/// buffers, frame result, decision vector and share vector are all
-/// reused across epochs (`tests/alloc_steady_state.rs` counts a whole
-/// monitored run).
-///
-/// # Panics
-///
-/// Panics if the topology is invalid, `initial_shares` is not one
-/// share per cluster, or a decision is out of range — programming
-/// errors in the experiment setup. Debug builds additionally panic if
-/// the application does not rewind deterministically on `reset()`.
-pub fn run_manycore_experiment(
-    coordinator: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    initial_shares: &[f64],
-) -> ManyCoreOutcome {
-    run_epochs(
-        coordinator,
-        app,
-        topology,
-        frames,
-        initial_shares,
-        EpochOptions {
-            cluster_reports: true,
-            ..EpochOptions::default()
-        },
-    )
-}
-
-/// [`run_manycore_experiment`] with a streaming temporal-property
-/// monitor riding along on the *chip-level* epoch stream: after every
-/// coordinator decision the loop fills one [`MonitorSample`] from the
-/// barrier aggregates (slowest cluster's frame time, summed energy,
-/// chip-wide peak temperature, cluster 0's OPP) plus the coordinator's
-/// ε/convergence state, and feeds it to `monitors`.
-///
-/// Monitoring never perturbs the run — the chip report equals the
-/// unmonitored run's except for the attached
-/// [`monitor_report`](RunReport::monitor_report) — and adds no heap
-/// allocations to the steady-state epoch.
+/// [`run_manycore_experiment`] with `monitors` riding along and one
+/// report per cluster kept. Its only caller is `perfbench/src/mesh.rs`,
+/// which the next change to the benchmark repoints at
+/// [`run_manycore_experiment`] before deleting this function.
 pub fn run_manycore_experiment_monitored(
     coordinator: &mut dyn ManyCoreGovernor,
     app: &mut dyn Application,
@@ -132,96 +83,14 @@ pub fn run_manycore_experiment_monitored(
     initial_shares: &[f64],
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ManyCoreOutcome {
-    run_epochs(
+    run_manycore_experiment(
         coordinator,
         app,
         topology,
         frames,
         initial_shares,
         EpochOptions {
-            monitors: Some(monitors),
-            cluster_reports: true,
-            ..EpochOptions::default()
-        },
-    )
-}
-
-/// [`run_manycore_experiment`] under a deterministic fault schedule —
-/// the chip-level sibling of
-/// [`run_experiment_faulted`](crate::harness::run_experiment_faulted).
-///
-/// Per epoch, for every cluster, the loop:
-/// 1. moves any dead core's work slice onto that cluster's survivors
-///    ([`FaultInjector::redistribute_dead`](qgov_sim::FaultInjector::redistribute_dead));
-///    a fully dead cluster's slices all go idle — its assigned share
-///    simply does not execute until the coordinator drains it away;
-/// 2. executes the chip frame and records **truth** in the chip and
-///    per-cluster reports;
-/// 3. hands the coordinator a *sensed copy* of the per-cluster frame
-///    results, perturbed by
-///    [`FaultInjector::perturb_sensing`](qgov_sim::FaultInjector::perturb_sensing);
-/// 4. rewrites each cluster's decision through its actuation fault
-///    before applying it.
-///
-/// The first epoch on which a cluster's cores are all dead
-/// ([`FaultInjector::cluster_dead`](qgov_sim::FaultInjector::cluster_dead))
-/// is reported once to the coordinator via
-/// [`ManyCoreGovernor::notify_cluster_dead`] — the hardened RTM freezes
-/// that agent and drains its share; a naive coordinator ignores the
-/// call and keeps feeding the corpse.
-///
-/// With an empty `plan` every injector step is a no-op and the run is
-/// bit-identical to [`run_manycore_experiment`]
-/// (`tests/fault_injection.rs` pins this).
-///
-/// # Panics
-///
-/// Panics as [`run_manycore_experiment`] does, and if `plan` names a
-/// cluster or core outside the topology.
-pub fn run_manycore_experiment_faulted(
-    coordinator: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    initial_shares: &[f64],
-    plan: &FaultPlan,
-) -> ManyCoreOutcome {
-    run_epochs(
-        coordinator,
-        app,
-        topology,
-        frames,
-        initial_shares,
-        EpochOptions {
-            faults: Some(plan),
-            cluster_reports: true,
-            ..EpochOptions::default()
-        },
-    )
-}
-
-/// [`run_manycore_experiment_faulted`] with a streaming
-/// temporal-property monitor riding along on the chip-level epoch
-/// stream. The monitors observe **ground truth**, never the sensed
-/// copy — a thermal-cap property checks the real die even while the
-/// coordinator is fed a stuck sensor.
-pub fn run_manycore_experiment_faulted_monitored(
-    coordinator: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    initial_shares: &[f64],
-    plan: &FaultPlan,
-    monitors: &mut PropertySet<MonitorSample>,
-) -> ManyCoreOutcome {
-    run_epochs(
-        coordinator,
-        app,
-        topology,
-        frames,
-        initial_shares,
-        EpochOptions {
-            faults: Some(plan),
+            faults: None,
             monitors: Some(monitors),
             cluster_reports: true,
         },
@@ -249,6 +118,14 @@ mod tests {
         )
     }
 
+    /// Per-cluster reports kept, no faults, no monitors.
+    fn cluster_reports() -> EpochOptions<'static> {
+        EpochOptions {
+            cluster_reports: true,
+            ..EpochOptions::default()
+        }
+    }
+
     #[test]
     fn single_cluster_run_is_bit_identical_to_the_flat_harness() {
         let mut flat_gov = OndemandGovernor::linux_default();
@@ -269,6 +146,7 @@ mod tests {
             Topology::single(PlatformConfig::odroid_xu3_a15()),
             60,
             &[1.0],
+            cluster_reports(),
         );
 
         assert_eq!(flat.report, chip.report);
@@ -283,8 +161,14 @@ mod tests {
     fn two_cluster_split_meets_what_one_cluster_can_also_meet() {
         let topology = Topology::homogeneous_mesh(2, PlatformConfig::odroid_xu3_a15());
         let mut gov = PerClusterGovernors::performance(2);
-        let outcome =
-            run_manycore_experiment(&mut gov, &mut medium_app(40, 8), topology, 40, &[0.5, 0.5]);
+        let outcome = run_manycore_experiment(
+            &mut gov,
+            &mut medium_app(40, 8),
+            topology,
+            40,
+            &[0.5, 0.5],
+            cluster_reports(),
+        );
         assert_eq!(outcome.report.deadline_misses(), 0);
         assert_eq!(outcome.cluster_reports.len(), 2);
         // Both clusters carried work and report energy.
@@ -304,8 +188,14 @@ mod tests {
     fn learned_coordinator_runs_and_may_migrate() {
         let topology = Topology::odroid_xu3_biglittle();
         let mut rtm = ManyCoreRtm::paper(42, 2, (1e7, 5e8)).unwrap();
-        let outcome =
-            run_manycore_experiment(&mut rtm, &mut medium_app(80, 8), topology, 80, &[0.6, 0.4]);
+        let outcome = run_manycore_experiment(
+            &mut rtm,
+            &mut medium_app(80, 8),
+            topology,
+            80,
+            &[0.6, 0.4],
+            cluster_reports(),
+        );
         assert_eq!(outcome.report.frames(), 80);
         let share_sum: f64 = outcome.shares.iter().sum();
         assert!((share_sum - 1.0).abs() < 1e-9, "{:?}", outcome.shares);

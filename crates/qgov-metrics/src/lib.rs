@@ -16,8 +16,7 @@
 //!   memory, the convergence-over-time view long-horizon streamed
 //!   experiments report;
 //! * [`ComparisonTable`] — the one table type: aligned ASCII tables
-//!   matching the paper's layout, with CSV export;
-//! * [`Series`] — named (x, y) series with CSV export for figures;
+//!   matching the paper's layout;
 //! * [`Property`] / [`PropertySet`] — streaming LTL-style temporal
 //!   monitors (`always` / `eventually` / `after`) evaluated
 //!   online over epoch streams in O(1) state per property, with the
@@ -35,7 +34,6 @@ mod misprediction;
 pub mod monitor;
 mod recovery;
 mod report;
-mod series;
 mod stats;
 mod table;
 mod window;
@@ -47,7 +45,6 @@ pub use monitor::{
 };
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
 pub use report::{FrameStat, RunReport};
-pub use series::Series;
 pub use stats::MetricSummary;
 pub use table::ComparisonTable;
 pub use window::{WindowSummary, WindowedStats};

@@ -1,7 +1,6 @@
 //! Aligned ASCII comparison tables.
 
-/// A small column-aligned table for printing paper-style comparisons,
-/// with CSV export.
+/// A small column-aligned table for printing paper-style comparisons.
 ///
 /// # Examples
 ///
@@ -13,7 +12,7 @@
 /// t.add_row(vec!["Proposed".into(), "1.11".into()]);
 /// let text = t.render();
 /// assert!(text.contains("Proposed"));
-/// assert!(t.to_csv().starts_with("Methodology,Norm. energy"));
+/// assert!(text.starts_with("Methodology     Norm. energy\n"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComparisonTable {
@@ -98,33 +97,6 @@ impl ComparisonTable {
         }
         out
     }
-
-    /// Exports as CSV (cells containing commas or quotes are quoted).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -146,15 +118,6 @@ mod tests {
         let offset = lines[0].find("Value").unwrap();
         assert_eq!(lines[2].find("1.0").unwrap(), offset);
         assert_eq!(lines[3].find("2.25").unwrap(), offset);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = ComparisonTable::new(vec!["a", "b"]);
-        t.add_row(vec!["x,y".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -683,6 +683,21 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_past_the_largest_time_saturates_instead_of_wrapping() {
+        // u64::MAX cycles at 200 MHz take ~9.2e19 ns, past u64::MAX ns.
+        let mut p = a15();
+        p.set_cluster_opp(0);
+        let mut work = vec![WorkSlice::IDLE; Platform::CORES];
+        work[0] = WorkSlice::cpu_only(Cycles::new(u64::MAX));
+        let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
+        assert_eq!(r.per_core_busy[0], SimTime::MAX);
+        assert_eq!(r.frame_time, SimTime::MAX);
+        assert_eq!(r.wall_time, SimTime::MAX);
+        assert!(!r.met_deadline());
+        assert_eq!(p.now(), SimTime::MAX);
+    }
+
+    #[test]
     fn work_length_mismatch_is_rejected() {
         let mut p = a15();
         let work = vec![WorkSlice::IDLE; 3];

@@ -23,6 +23,16 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(u64);
 
+/// [`Cycles::time_at`]'s u128 path, clamped at `u64::MAX` ns (passed
+/// above ~3.7e18 cycles at 200 MHz). Out of line because no simulated
+/// frame reaches it, while the platform's per-core frame loop inlines
+/// `time_at`.
+#[cold]
+#[inline(never)]
+fn wide_time_ns(cycles: u64, khz: u64) -> u64 {
+    u64::try_from((u128::from(cycles) * 1_000_000).div_ceil(u128::from(khz))).unwrap_or(u64::MAX)
+}
+
 impl Cycles {
     /// The zero cycle count.
     pub const ZERO: Cycles = Cycles(0);
@@ -58,7 +68,8 @@ impl Cycles {
     }
 
     /// Returns the wall-clock time these cycles take at frequency `f`,
-    /// rounded up to the next nanosecond (work cannot finish early).
+    /// rounded up to the next nanosecond (work cannot finish early) and
+    /// saturating at [`SimTime::MAX`].
     ///
     /// # Panics
     ///
@@ -75,7 +86,7 @@ impl Cycles {
         // work); only larger counts need the u128 division.
         let ns = match self.0.checked_mul(1_000_000) {
             Some(num) => num.div_ceil(f.khz()),
-            None => (self.0 as u128 * 1_000_000).div_ceil(f.khz() as u128) as u64,
+            None => wide_time_ns(self.0, f.khz()),
         };
         SimTime::from_ns(ns)
     }

@@ -167,16 +167,18 @@ impl SimTime {
     }
 }
 
+/// Saturates at [`SimTime::MAX`]: simulated time never wraps.
 impl Add for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturates at [`SimTime::MAX`], as `+` does.
 impl AddAssign for SimTime {
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 

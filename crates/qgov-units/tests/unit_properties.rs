@@ -53,6 +53,41 @@ proptest! {
         prop_assert_eq!(u128::from(t.as_ns()), exact, "{} cycles at {} kHz", cycles, khz);
     }
 
+    /// time_at saturates instead of wrapping: over the whole `u64` cycle
+    /// range at the A15 and A7 frequency extremes (200, 1400 and
+    /// 2000 MHz) it equals the exact u128 round-up division clamped to
+    /// `u64::MAX` ns, and it never decreases as the cycle count grows.
+    /// At 200 MHz the clamp starts near 3.7e18 cycles.
+    #[test]
+    fn time_at_clamps_at_the_largest_time_and_never_decreases(
+        a in 0u64..=u64::MAX,
+        b in 0u64..=u64::MAX,
+        extreme in 0usize..3,
+    ) {
+        let f = Freq::from_mhz([200, 1400, 2000][extreme]);
+        let clamped = |cycles: u64| {
+            let exact = (u128::from(cycles) * 1_000_000).div_ceil(u128::from(f.khz()));
+            u64::try_from(exact).unwrap_or(u64::MAX)
+        };
+        for cycles in [a, b, u64::MAX] {
+            let t = Cycles::new(cycles).time_at(f);
+            prop_assert_eq!(t.as_ns(), clamped(cycles), "{} cycles at {:?}", cycles, f);
+        }
+        let (low, high) = (a.min(b), a.max(b));
+        prop_assert!(Cycles::new(low).time_at(f) <= Cycles::new(high).time_at(f));
+    }
+
+    /// SimTime addition saturates at `SimTime::MAX` and otherwise adds
+    /// exactly, for `+` and `+=` alike.
+    #[test]
+    fn sim_time_addition_saturates(a in 0u64..=u64::MAX, b in 0u64..=u64::MAX) {
+        let sum = SimTime::from_ns(a) + SimTime::from_ns(b);
+        prop_assert_eq!(sum.as_ns(), a.saturating_add(b));
+        let mut acc = SimTime::from_ns(a);
+        acc += SimTime::from_ns(b);
+        prop_assert_eq!(acc, sum);
+    }
+
     /// Frequency scaling by reciprocal factors round-trips within rounding.
     #[test]
     fn freq_scale_round_trip(mhz in 1u64..10_000, num in 1u32..100) {

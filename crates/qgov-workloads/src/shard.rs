@@ -714,12 +714,20 @@ impl ShardedTrace {
         for index in 0..shard_count {
             let shard = dir.join(shard_file_name(index));
             if !shard.exists() {
+                let missing = "shard file declared in the manifest is missing";
+                // A CSV shard in its place marks a directory an older
+                // release wrote: say how to regenerate it.
+                let reason = if shard.with_extension("csv").exists() {
+                    format!(
+                        "{missing} (CSV shards are no longer read: re-record \
+                         the trace with `qgov record`)"
+                    )
+                } else {
+                    missing.to_owned()
+                };
                 return Err(WorkloadError::Io {
                     path: shard.display().to_string(),
-                    reason: "shard file declared in the manifest is missing \
-                             (CSV shards are no longer read: re-record the trace \
-                             with `qgov record`)"
-                        .to_owned(),
+                    reason,
                 });
             }
         }
@@ -1205,6 +1213,22 @@ mod tests {
             Err(WorkloadError::Io { path, reason }) => {
                 assert_eq!(path, bin.display().to_string());
                 assert!(reason.contains("re-record the trace"), "{reason}");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lost_binary_shard_is_named_without_the_csv_hint() {
+        let dir = test_dir("lost-shard");
+        let mut app = sample_app(50);
+        let _ = ShardedTrace::record(&mut app, dir.path(), 50, 20).unwrap();
+        let lost = dir.path().join(shard_file_name(1));
+        fs::remove_file(&lost).unwrap();
+        match ShardedTrace::open(dir.path()) {
+            Err(WorkloadError::Io { path, reason }) => {
+                assert_eq!(path, lost.display().to_string());
+                assert_eq!(reason, "shard file declared in the manifest is missing");
             }
             other => panic!("expected an I/O error, got {other:?}"),
         }

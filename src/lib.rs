@@ -45,8 +45,8 @@
 //! | [`workloads`] | video / FFT / synthetic workloads, traces, demand splitting |
 //! | [`governors`] | the `Governor` trait, ondemand, conservative, oracle, Ge&Qiu, … |
 //! | [`core`] | the paper's RTM: `RtmGovernor` + `RtmConfig` |
-//! | [`metrics`] | run reports, misprediction stats, the cross-run `MetricSummary` fold, `ComparisonTable`, series, temporal monitors |
-//! | [`mod@bench`] | the experiment harness, the `ExperimentBatch` runner, the experiment registry and run plans |
+//! | [`metrics`] | run reports, misprediction stats, the cross-run `MetricSummary` fold, `ComparisonTable`, temporal monitors |
+//! | [`mod@bench`] | the experiment harness (one run entry, `run_manycore_experiment` with `EpochOptions`, and the flat `run_experiment`), the `ExperimentBatch` runner, the experiment registry and run plans |
 //! | [`cli`] | the `qgov` operator binary: journaled, kill-and-resume campaigns |
 
 #![forbid(unsafe_code)]
@@ -75,17 +75,12 @@ pub mod prelude {
         FaultStormResult, FaultStormRow, FAULTSTORM_GRACE,
     };
     pub use qgov_bench::harness::{
-        precharacterize, run_experiment, run_experiment_faulted, run_experiment_monitored,
-        ExperimentOutcome,
+        precharacterize, run_experiment, run_manycore_experiment, EpochOptions, ExperimentOutcome,
     };
     pub use qgov_bench::hetero::{
         BigLittle, BigLittleResult, BigLittleRow, MeshRow, MeshScaling, MeshScalingResult,
     };
-    pub use qgov_bench::manycore::{
-        run_manycore_experiment, run_manycore_experiment_faulted,
-        run_manycore_experiment_faulted_monitored, run_manycore_experiment_monitored,
-        ManyCoreOutcome,
-    };
+    pub use qgov_bench::manycore::{run_manycore_experiment_monitored, ManyCoreOutcome};
     pub use qgov_bench::plan::{PlanError, RunPlan};
     pub use qgov_bench::runner::{ExperimentBatch, RunnerConfig};
     pub use qgov_bench::worklist::{
@@ -104,7 +99,7 @@ pub mod prelude {
     pub use qgov_metrics::{
         recovery_pack, standard_pack, ComparisonTable, MetricSummary, MispredictionStats,
         MonitorReport, MonitorSample, PackConfig, Property, PropertySet, PropertyVerdict,
-        RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport, Series, Verdict, WindowSummary,
+        RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport, Verdict, WindowSummary,
         WindowedStats,
     };
     pub use qgov_rl::{DecayingEpsilon, EwmaPredictor, QTable};

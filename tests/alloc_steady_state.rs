@@ -63,9 +63,10 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// One harness epoch, identical to `run_experiment_monitored`'s loop
-/// body: simulate, record, decide, then feed the streaming temporal
-/// monitors one stack-built [`MonitorSample`].
+/// One harness epoch, identical to the epoch kernel's loop body on a
+/// one-cluster chip with monitors set: simulate, record, decide, then
+/// feed the streaming temporal monitors one stack-built
+/// [`MonitorSample`].
 #[allow(clippy::too_many_arguments)]
 fn run_epoch(
     app: &mut SyntheticWorkload,
@@ -145,7 +146,7 @@ fn steady_state_decision_epoch_is_allocation_free() {
     let mut rtm = RtmGovernor::new(config).expect("valid config");
 
     // The harness-level monitor set: the shipped standard pack over
-    // `MonitorSample`s, exactly what `run_experiment_monitored` feeds.
+    // `MonitorSample`s, exactly what the epoch kernel feeds.
     // All its state is built here, before the measured window.
     let mut monitors = standard_pack("rtm", &PackConfig::paper());
 
@@ -214,8 +215,8 @@ fn steady_state_decision_epoch_is_allocation_free() {
     let pack_report = monitors.report();
     assert!(pack_report.is_clean(), "{}", pack_report.summary());
 
-    // Second phase: the epoch kernel itself. A whole
-    // `run_manycore_experiment_monitored` run — ManyCoreRtm on a
+    // Second phase: the epoch kernel itself. A whole monitored
+    // `run_manycore_experiment` run — ManyCoreRtm on a
     // 4-cluster mesh, offline bounds, bounded history, the standard
     // pack — allocates only while it sets up and reports, so a run of
     // 2N frames allocates exactly as often as a run of N. Debug builds'
@@ -244,13 +245,17 @@ fn steady_state_decision_epoch_is_allocation_free() {
         let shares = [1.0 / CLUSTERS as f64; CLUSTERS];
         let mut monitors = standard_pack("rtm", &PackConfig::paper());
         let before = allocation_count();
-        let outcome = run_manycore_experiment_monitored(
+        let outcome = run_manycore_experiment(
             &mut rtm,
             &mut app,
             topology,
             frames,
             &shares,
-            &mut monitors,
+            EpochOptions {
+                faults: None,
+                monitors: Some(&mut monitors),
+                cluster_reports: true,
+            },
         );
         let allocated = allocation_count() - before;
         assert_eq!(outcome.report.frames(), frames);
@@ -295,14 +300,17 @@ fn steady_state_decision_epoch_is_allocation_free() {
             &PackConfig::paper(),
         );
         let before = allocation_count();
-        let outcome = run_manycore_experiment_faulted_monitored(
+        let outcome = run_manycore_experiment(
             &mut rtm,
             &mut app,
             topology,
             frames,
             &shares,
-            &plan,
-            &mut monitors,
+            EpochOptions {
+                faults: Some(&plan),
+                monitors: Some(&mut monitors),
+                cluster_reports: true,
+            },
         );
         let allocated = allocation_count() - before;
         assert_eq!(outcome.report.frames(), frames);

@@ -179,6 +179,10 @@ fn per_frame_energies_sum_to_the_platform_counter() {
         Topology::homogeneous_mesh(clusters, PlatformConfig::odroid_xu3_a15()),
         frames,
         &vec![1.0 / clusters as f64; clusters],
+        EpochOptions {
+            cluster_reports: true,
+            ..EpochOptions::default()
+        },
     );
     assert_eq!(mesh.cluster_reports.len(), clusters);
     for (c, report) in mesh.cluster_reports.iter().enumerate() {
@@ -194,13 +198,17 @@ fn per_frame_energies_sum_to_the_platform_counter() {
     let mut rtm = ManyCoreRtm::paper(11, clusters, bounds)
         .unwrap()
         .with_agent_hardening(HardeningConfig::paper());
-    let storm = run_manycore_experiment_faulted(
+    let storm = run_manycore_experiment(
         &mut rtm,
         &mut app,
         Topology::homogeneous_mesh(clusters, PlatformConfig::odroid_xu3_a15()),
         frames,
         &[0.5, 0.5],
-        &standard_fault_schedule(frames),
+        EpochOptions {
+            faults: Some(&standard_fault_schedule(frames)),
+            monitors: None,
+            cluster_reports: true,
+        },
     );
     assert!(rtm.degraded_epochs() > 0, "the storm must hit the run");
     for (c, report) in storm.cluster_reports.iter().enumerate() {

@@ -1,23 +1,49 @@
 //! Property tests on the fault-injection subsystem's zero-cost
-//! contract: an **empty** [`FaultPlan`] must leave every harness —
-//! single-cluster and many-core, under every governor family —
-//! bit-identical to the plain no-injector path, for arbitrary seeds
-//! and workloads. The injector earns its always-on wiring by being
-//! provably invisible when nothing is scheduled.
+//! contract: an **empty** [`FaultPlan`] passed to the one run entry,
+//! `run_manycore_experiment`, must leave its run bit-identical to the
+//! no-injector path — on a one-cluster chip against `run_experiment`,
+//! and on a many-core chip against the entry without a plan — under
+//! every governor family, for arbitrary seeds and workloads. The
+//! injector earns its always-on wiring by being provably invisible
+//! when nothing is scheduled.
 
 use proptest::prelude::*;
 use qgov::prelude::*;
 
 /// Everything bit-relevant a single-cluster run produces.
-fn flat_fingerprint(outcome: &ExperimentOutcome) -> Vec<u64> {
+fn flat_fingerprint(report: &RunReport, platform: &Platform) -> Vec<u64> {
     vec![
-        outcome.report.total_energy().as_joules().to_bits(),
-        outcome.report.platform_energy().as_joules().to_bits(),
-        outcome.report.deadline_misses(),
-        outcome.report.transitions(),
-        outcome.report.mean_opp().to_bits(),
-        outcome.platform.now().as_ns(),
+        report.total_energy().as_joules().to_bits(),
+        report.platform_energy().as_joules().to_bits(),
+        report.deadline_misses(),
+        report.transitions(),
+        report.mean_opp().to_bits(),
+        platform.now().as_ns(),
     ]
+}
+
+/// A flat governor through the one entry: a one-governor coordinator on
+/// a one-cluster chip (the bridge `harness_golden` pins bit for bit to
+/// `run_experiment`), under `faults`, keeping no cluster report.
+fn flat_through_the_entry(
+    gov: Box<dyn Governor>,
+    trace: &WorkloadTrace,
+    frames: u64,
+    faults: Option<&FaultPlan>,
+) -> Vec<u64> {
+    let mut coordinator = PerClusterGovernors::new(gov.name().to_owned(), vec![gov]);
+    let outcome = run_manycore_experiment(
+        &mut coordinator,
+        &mut trace.clone(),
+        Topology::single(PlatformConfig::odroid_xu3_a15()),
+        frames,
+        &[1.0],
+        EpochOptions {
+            faults,
+            ..EpochOptions::default()
+        },
+    );
+    flat_fingerprint(&outcome.report, outcome.platform.cluster(0))
 }
 
 /// Everything bit-relevant a many-core run produces, chip plus every
@@ -61,6 +87,7 @@ fn flat_governor(family: usize, seed: u64, bounds: (f64, f64)) -> Box<dyn Govern
     match family {
         0 => Box::new(OndemandGovernor::linux_default()),
         1 => Box::new(ConservativeGovernor::linux_default()),
+        2 => Box::new(GeQiuGovernor::new(seed)),
         _ => Box::new(
             RtmGovernor::new(RtmConfig::paper(seed).with_workload_bounds(bounds.0, bounds.1))
                 .expect("paper config is valid"),
@@ -74,7 +101,7 @@ proptest! {
     #[test]
     fn empty_plan_is_bit_identical_on_flat_harness(
         app in arbitrary_workload(),
-        family in 0usize..3,
+        family in 0usize..4,
     ) {
         let mut probe = app.clone();
         let (trace, bounds) = precharacterize(&mut probe);
@@ -89,16 +116,14 @@ proptest! {
             frames,
         );
 
-        let mut faulted_gov = flat_governor(family, seed, bounds);
-        let faulted = run_experiment_faulted(
-            faulted_gov.as_mut(),
-            &mut trace.clone(),
-            PlatformConfig::odroid_xu3_a15(),
+        let faulted = flat_through_the_entry(
+            flat_governor(family, seed, bounds),
+            &trace,
             frames,
-            &FaultPlan::none(),
+            Some(&FaultPlan::none()),
         );
 
-        prop_assert_eq!(flat_fingerprint(&plain), flat_fingerprint(&faulted));
+        prop_assert_eq!(flat_fingerprint(&plain.report, &plain.platform), faulted);
     }
 
     #[test]
@@ -141,24 +166,22 @@ proptest! {
             }
         };
 
-        let mut plain_gov = coordinator();
-        let plain = run_manycore_experiment(
-            plain_gov.as_mut(),
-            &mut trace.clone(),
-            topology(),
-            frames,
-            &shares,
-        );
-
-        let mut faulted_gov = coordinator();
-        let faulted = run_manycore_experiment_faulted(
-            faulted_gov.as_mut(),
-            &mut trace.clone(),
-            topology(),
-            frames,
-            &shares,
-            &FaultPlan::none(),
-        );
+        let run = |faults: Option<&FaultPlan>| {
+            run_manycore_experiment(
+                coordinator().as_mut(),
+                &mut trace.clone(),
+                topology(),
+                frames,
+                &shares,
+                EpochOptions {
+                    faults,
+                    monitors: None,
+                    cluster_reports: true,
+                },
+            )
+        };
+        let plain = run(None);
+        let faulted = run(Some(&FaultPlan::none()));
 
         prop_assert_eq!(manycore_fingerprint(&plain), manycore_fingerprint(&faulted));
     }
@@ -178,21 +201,9 @@ proptest! {
             frames,
         ));
 
-        let mut plain_gov = flat_governor(2, 7, bounds);
-        let plain = run_experiment(
-            plain_gov.as_mut(),
-            &mut trace.clone(),
-            PlatformConfig::odroid_xu3_a15(),
-            frames,
-        );
-        let mut faulted_gov = flat_governor(2, 7, bounds);
-        let faulted = run_experiment_faulted(
-            faulted_gov.as_mut(),
-            &mut trace.clone(),
-            PlatformConfig::odroid_xu3_a15(),
-            frames,
-            &plan,
-        );
-        prop_assert_ne!(flat_fingerprint(&plain), flat_fingerprint(&faulted));
+        let plain = flat_through_the_entry(flat_governor(3, 7, bounds), &trace, frames, None);
+        let faulted =
+            flat_through_the_entry(flat_governor(3, 7, bounds), &trace, frames, Some(&plan));
+        prop_assert_ne!(plain, faulted);
     }
 }

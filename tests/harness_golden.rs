@@ -164,6 +164,10 @@ fn assert_manycore_bridge_identical(
         Topology::single(PlatformConfig::odroid_xu3_a15()),
         frames,
         &[1.0],
+        EpochOptions {
+            cluster_reports: true,
+            ..EpochOptions::default()
+        },
     );
 
     assert_eq!(
@@ -242,6 +246,10 @@ fn single_cluster_trace_replay_matches_the_flat_harness() {
         Topology::single(PlatformConfig::odroid_xu3_a15()),
         200,
         &[1.0],
+        EpochOptions {
+            cluster_reports: true,
+            ..EpochOptions::default()
+        },
     );
     assert_eq!(chip_outcome.report, flat_outcome.report);
     // The per-cluster report is named after the cluster, not the app,
@@ -267,7 +275,10 @@ fn monitored_harness_is_bit_identical_modulo_verdicts() {
     let frames = 400;
     let config = || RtmConfig::paper(7).with_workload_bounds(1e8, 1e9);
     let mut rtm_ref = RtmGovernor::new(config()).unwrap();
-    let mut rtm_mon = RtmGovernor::new(config()).unwrap();
+    let mut rtm_mon = PerClusterGovernors::new(
+        rtm_ref.name().to_owned(),
+        vec![Box::new(RtmGovernor::new(config()).unwrap())],
+    );
     let mut app_ref = noisy_app(frames);
     let mut app_mon = noisy_app(frames);
 
@@ -278,12 +289,17 @@ fn monitored_harness_is_bit_identical_modulo_verdicts() {
         frames,
     );
     let mut pack = standard_pack("rtm", &PackConfig::paper());
-    let outcome = run_experiment_monitored(
+    let outcome = run_manycore_experiment(
         &mut rtm_mon,
         &mut app_mon,
-        PlatformConfig::odroid_xu3_a15(),
+        Topology::single(PlatformConfig::odroid_xu3_a15()),
         frames,
-        &mut pack,
+        &[1.0],
+        EpochOptions {
+            faults: None,
+            monitors: Some(&mut pack),
+            cluster_reports: false,
+        },
     );
 
     let verdicts = outcome.report.monitor_report().expect("verdicts attached");
@@ -296,7 +312,12 @@ fn monitored_harness_is_bit_identical_modulo_verdicts() {
         "monitoring perturbed the harness"
     );
     assert_eq!(
-        outcome.platform.total_energy().as_joules().to_bits(),
+        outcome
+            .platform
+            .cluster(0)
+            .total_energy()
+            .as_joules()
+            .to_bits(),
         ref_energy_bits
     );
 }
@@ -599,13 +620,17 @@ fn chip_and_faulted_outputs_match_their_recorded_bits() {
         ))
         .with(Fault::window(FaultKind::ActuationLatched, 0, 80, 120))
         .with(Fault::permanent(FaultKind::CoreDrop { core: 3 }, 0, 150));
-    let mut rtm = RtmGovernor::new(RtmConfig::paper(7).with_workload_bounds(1e8, 1e9)).unwrap();
-    let outcome = run_experiment_faulted(
-        &mut rtm,
+    let rtm = RtmGovernor::new(RtmConfig::paper(7).with_workload_bounds(1e8, 1e9)).unwrap();
+    let outcome = run_manycore_experiment(
+        &mut PerClusterGovernors::new(rtm.name().to_owned(), vec![Box::new(rtm)]),
         &mut noisy_app(240),
-        PlatformConfig::odroid_xu3_a15(),
+        Topology::single(PlatformConfig::odroid_xu3_a15()),
         240,
-        &plan,
+        &[1.0],
+        EpochOptions {
+            faults: Some(&plan),
+            ..EpochOptions::default()
+        },
     );
     let report = &outcome.report;
     assert_eq!(
@@ -616,5 +641,23 @@ fn chip_and_faulted_outputs_match_their_recorded_bits() {
         ),
         PINNED_FAULTED,
         "faulted flat run drifted from its recorded bits"
+    );
+}
+
+/// `(FNV-1a 64, line count)` of the first seed's Fig. 3 CSV for
+/// `RunPlan::new(vec![2017], 240)`: the document the
+/// `fig3_misprediction` bench target writes for plotting.
+const PINNED_FIG3_CSV: (u64, usize) = (0x4bb7_a394_9bd2_510b, 240);
+
+#[test]
+fn fig3_csv_matches_its_recorded_bits() {
+    let csv = &Fig3::run(&RunPlan::new(vec![2017], 240))[0].csv;
+    let fnv = csv.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (fnv, csv.lines().count()),
+        PINNED_FIG3_CSV,
+        "Fig. 3 CSV drifted from its recorded bits"
     );
 }

@@ -166,8 +166,9 @@ fn short_horizons_violate_the_floor_and_leave_convergence_vacuous() {
 fn custom_property_sets_ride_the_harness() {
     let mut app = VideoDecoderModel::h264_football_15fps(5).with_frames(60);
     let (_, bounds) = precharacterize(&mut app);
-    let mut gov =
+    let rtm =
         RtmGovernor::new(RtmConfig::paper(5).with_workload_bounds(bounds.0, bounds.1)).unwrap();
+    let mut gov = PerClusterGovernors::new(rtm.name().to_owned(), vec![Box::new(rtm)]);
     let mut set = PropertySet::new()
         .with(
             "after-never-triggered",
@@ -180,12 +181,17 @@ fn custom_property_sets_ride_the_harness() {
             "energy-is-positive",
             Property::always(|s: &MonitorSample| s.energy_j >= 0.0),
         );
-    let outcome = run_experiment_monitored(
+    let outcome = run_manycore_experiment(
         &mut gov,
         &mut app,
-        PlatformConfig::odroid_xu3_a15(),
+        Topology::single(PlatformConfig::odroid_xu3_a15()),
         60,
-        &mut set,
+        &[1.0],
+        EpochOptions {
+            faults: None,
+            monitors: Some(&mut set),
+            cluster_reports: false,
+        },
     );
     let m = outcome.report.monitor_report().expect("verdicts attached");
     assert_eq!(
@@ -205,27 +211,23 @@ fn monitored_manycore_run_is_bit_identical_modulo_verdicts() {
     let mut app = biglittle_app(21, 120);
     let (trace, bounds) = precharacterize(&mut app);
 
-    let mut plain_gov = ManyCoreRtm::paper(21, 2, bounds).unwrap();
-    let mut replay = trace.clone();
-    let plain = run_manycore_experiment(
-        &mut plain_gov,
-        &mut replay,
-        topology.clone(),
-        120,
-        &[0.5, 0.5],
-    );
-
-    let mut monitored_gov = ManyCoreRtm::paper(21, 2, bounds).unwrap();
-    let mut replay = trace;
+    let run = |monitors: Option<&mut PropertySet<MonitorSample>>| {
+        run_manycore_experiment(
+            &mut ManyCoreRtm::paper(21, 2, bounds).unwrap(),
+            &mut trace.clone(),
+            topology.clone(),
+            120,
+            &[0.5, 0.5],
+            EpochOptions {
+                faults: None,
+                monitors,
+                cluster_reports: true,
+            },
+        )
+    };
+    let plain = run(None);
     let mut pack = standard_pack("rtm-migrate", &PackConfig::paper());
-    let monitored = run_manycore_experiment_monitored(
-        &mut monitored_gov,
-        &mut replay,
-        topology,
-        120,
-        &[0.5, 0.5],
-        &mut pack,
-    );
+    let monitored = run(Some(&mut pack));
 
     assert!(monitored.report.monitor_report().is_some());
     assert!(plain.report.monitor_report().is_none());
